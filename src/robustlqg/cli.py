@@ -9,10 +9,11 @@ is nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from .errors import RobustLqgError
+from .errors import InvalidInputError, RobustLqgError
 from .experiments import ExperimentConfig, run_experiment
 from .frank_wolfe import FwConfig
 
@@ -37,13 +38,11 @@ def _add_common(sub: argparse.ArgumentParser, mandatory: bool = False) -> None:
     sub.add_argument("--divergence", choices=["wasserstein2", "kl", "fisher", "entropic_ot"],
                      required=req)
     sub.add_argument("--out", dest="output_dir", required=req)
-    sub.add_argument("--eps", type=float, help="entropic-OT regularization")
     sub.add_argument("--jobs", type=int, help="parallel grid points")
     sub.add_argument("--max-iters", type=int)
     sub.add_argument("--gap-tol", type=float)
     sub.add_argument("--oracle-delta", type=float)
     sub.add_argument("--step-rule", choices=["vanishing", "line_search"])
-    sub.add_argument("--parallel-oracles", action="store_true", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,6 +53,14 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name)
         _add_common(sub, mandatory=(name == "solve"))
     return parser
+
+
+def _check_keys(raw: dict, cls, prefix: str) -> None:
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise InvalidInputError(
+            "unknown config key(s): " + ", ".join(prefix + key for key in unknown)
+        )
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -70,14 +77,15 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.rhos is not None:
         raw["rho"] = args.rhos if len(args.rhos) > 1 else args.rhos[0]
     for attr, key in (("T", "T"), ("d", "d"), ("divergence", "divergence"),
-                      ("output_dir", "output_dir"), ("eps", "eps"), ("jobs", "jobs")):
+                      ("output_dir", "output_dir"), ("jobs", "jobs")):
         val = getattr(args, attr, None)
         if val is not None:
             raw[key] = val
+    _check_keys(raw, ExperimentConfig, "")
     fw_raw = dict(raw.pop("fw", {}))
+    _check_keys(fw_raw, FwConfig, "fw.")
     for attr, key in (("max_iters", "max_iters"), ("gap_tol", "gap_tol"),
-                      ("oracle_delta", "oracle_delta"), ("step_rule", "step_rule"),
-                      ("parallel_oracles", "parallel_oracles")):
+                      ("oracle_delta", "oracle_delta"), ("step_rule", "step_rule")):
         val = getattr(args, attr, None)
         if val is not None:
             fw_raw[key] = val

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -24,11 +25,12 @@ import numpy as np
 
 from . import __version__
 from .divergences import DivergenceKind
-from .errors import InvalidInputError
-from .frank_wolfe import FwConfig, solve
+from .errors import InvalidInputError, UnsupportedDivergenceError
+from .frank_wolfe import FwConfig, _lam_floors, _oracle_pass, solve
 from .instances import RNG_ALGORITHM, generate_instance
 from .lqg import CovarianceProfile, lqg_value
-from .oracles import solve_oracle
+from .oracles import ORACLE_KINDS
+from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 from .stacked import (
     build_stacked,
     kalman_policy_to_purified,
@@ -37,6 +39,7 @@ from .stacked import (
     stack_moments,
 )
 
+TRACE_HEADER = ["iter", "objective", "fw_gap", "step", "wall_ms"]
 GAPS_HEADER = ["rho", "seed", "worst_case_gap", "nominal_gap"]
 RUNTIME_HEADER = ["T", "seed", "wall_seconds", "iterations"]
 CONVERGENCE_HEADER = ["T", "seed", "iterations", "converged", "final_gap", "wall_seconds"]
@@ -49,7 +52,6 @@ class ExperimentConfig:
     T: int = 10
     divergence: str = "wasserstein2"
     rho: float | list = 0.1
-    eps: float = 0.0
     seeds: list = field(default_factory=lambda: list(range(10)))
     output_dir: str = "runs"
     jobs: int = 1
@@ -62,6 +64,14 @@ class ExperimentConfig:
         rhos = self.rho if isinstance(self.rho, list) else [self.rho]
         if any(r < 0 for r in rhos):
             raise InvalidInputError("rho entries must be nonnegative")
+        try:
+            kind = DivergenceKind(self.divergence)
+        except ValueError:
+            raise InvalidInputError(f"unknown divergence '{self.divergence}'") from None
+        if kind not in ORACLE_KINDS:
+            raise UnsupportedDivergenceError(
+                f"no linearization oracle for divergence '{self.divergence}'"
+            )
 
     @property
     def kind(self) -> DivergenceKind:
@@ -91,14 +101,16 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    import io
-
+def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    return buf.getvalue()
+
+
+def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    atomic_write_text(path, _csv_text(header, rows))
 
 
 def write_metadata(cfg: ExperimentConfig, outdir: Path, wall_seconds: float, extra=None) -> None:
@@ -117,14 +129,11 @@ def write_metadata(cfg: ExperimentConfig, outdir: Path, wall_seconds: float, ext
 
 
 def _trace_csv_text(trace) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["iter", "objective", "fw_gap", "step", "wall_ms"])
-    for r in trace.records:
-        writer.writerow([r.iter, repr(r.objective), repr(r.fw_gap), repr(r.step_size), repr(r.wall_ms)])
-    return buf.getvalue()
+    return _csv_text(
+        TRACE_HEADER,
+        ([r.iter, repr(r.objective), repr(r.fw_gap), repr(r.step_size), repr(r.wall_ms)]
+         for r in trace.records),
+    )
 
 
 def run_single_solve(cfg: ExperimentConfig) -> dict:
@@ -134,7 +143,7 @@ def run_single_solve(cfg: ExperimentConfig) -> dict:
     results = []
     for seed in cfg.seeds:
         sys, model = generate_instance(
-            cfg.d, cfg.T, seed, cfg.kind, _scalar_rho(cfg.rho), cfg.eps
+            cfg.d, cfg.T, seed, cfg.kind, _scalar_rho(cfg.rho)
         )
         worst, trace = solve(sys, model.ball_profile(), cfg=cfg.fw)
         atomic_write_text(outdir / f"trace_seed{seed}.csv", _trace_csv_text(trace))
@@ -167,7 +176,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
     all_converged = True
     for seed in cfg.seeds:
         sys, model = generate_instance(
-            cfg.d, cfg.T, seed, cfg.kind, _scalar_rho(cfg.rho), cfg.eps
+            cfg.d, cfg.T, seed, cfg.kind, _scalar_rho(cfg.rho)
         )
         t0 = time.perf_counter()
         _, trace = solve(sys, model.ball_profile(), cfg=cfg.fw)
@@ -193,7 +202,7 @@ def run_runtime(cfg: ExperimentConfig) -> dict:
 
     def one(args):
         T, seed = args
-        sys, model = generate_instance(cfg.d, T, seed, cfg.kind, _scalar_rho(cfg.rho), cfg.eps)
+        sys, model = generate_instance(cfg.d, T, seed, cfg.kind, _scalar_rho(cfg.rho))
         t0 = time.perf_counter()
         _, trace = solve(sys, model.ball_profile(), cfg=cfg.fw)
         return [T, seed, time.perf_counter() - t0, len(trace.records), trace.converged]
@@ -218,18 +227,11 @@ def policy_worst_case_cost(ss, U, balls, delta: float = 0.95):
     (cost, per-block worst covariances).
     """
     ups_w, ups_v = policy_quadratic_forms(ss, U)
-    blocks_w = moment_blocks(ups_w, ss.n)
-    blocks_v = moment_blocks(ups_v, ss.p)
+    grads = moment_blocks(ups_w, ss.n) + moment_blocks(ups_v, ss.p)
     ball_list = balls.blocks()
-    grads = blocks_w + blocks_v
-    total = 0.0
-    worst_blocks = []
-    for z, ball in enumerate(ball_list):
-        floor = float(np.linalg.eigvalsh(ball.nominal.cov).min()) if z > balls.T else 0.0
-        res = solve_oracle(ball, grads[z], ball.nominal.cov, floor, delta)
-        total += float(np.sum(grads[z] * res.sigma_star))
-        worst_blocks.append(res.sigma_star)
-    return total, worst_blocks
+    nominal = [ball.nominal.cov for ball in ball_list]
+    _, worst_blocks = _oracle_pass(ball_list, grads, nominal, _lam_floors(balls), delta)
+    return sum(float(np.sum(G * S)) for G, S in zip(grads, worst_blocks)), worst_blocks
 
 
 def policy_nominal_cost(ss, U, cov: CovarianceProfile) -> float:
@@ -255,7 +257,7 @@ def run_gaps(cfg: ExperimentConfig) -> dict:
 
     def one(args):
         rho, seed = args
-        sys, model = generate_instance(cfg.d, cfg.T, seed, cfg.kind, float(rho), cfg.eps)
+        sys, model = generate_instance(cfg.d, cfg.T, seed, cfg.kind, float(rho))
         balls = model.ball_profile()
         nominal_cov = model.nominal_profile()
         ss = build_stacked(sys)
@@ -285,7 +287,7 @@ def run_gaps(cfg: ExperimentConfig) -> dict:
 def run_stationary(cfg: ExperimentConfig) -> dict:
     """Stationary FW on the benchmark dynamics with time-invariant noise."""
     from .divergences import AmbiguityBall, MomentPair
-    from .instances import instance_rng, random_covariance
+    from .instances import benchmark_dynamics, instance_rng, random_covariance
     from .stationary import StationarySystem, solve_stationary_fw, stationary_cost
 
     outdir = Path(cfg.output_dir)
@@ -295,15 +297,13 @@ def run_stationary(cfg: ExperimentConfig) -> dict:
     for seed in cfg.seeds:
         rng = instance_rng(seed)
         d = cfg.d
-        A = 0.1 * np.eye(d)
-        if d > 1:
-            A += 0.1 * np.diag(np.ones(d - 1), 1)
-        ss = StationarySystem(A=A, B=np.eye(d), C=np.eye(d), Q=np.eye(d), R=np.eye(d))
+        eye = np.eye(d)
+        ss = StationarySystem(A=benchmark_dynamics(d), B=eye, C=eye, Q=eye, R=eye)
         Sw = random_covariance(d, rng)
         Sv = random_covariance(d, rng)
         rho = _scalar_rho(cfg.rho)
-        ball_w = AmbiguityBall(kind=cfg.kind, nominal=MomentPair.zero_mean(Sw), radius=rho, eps=cfg.eps)
-        ball_v = AmbiguityBall(kind=cfg.kind, nominal=MomentPair.zero_mean(Sv), radius=rho, eps=cfg.eps)
+        ball_w = AmbiguityBall(kind=cfg.kind, nominal=MomentPair.zero_mean(Sw), radius=rho)
+        ball_v = AmbiguityBall(kind=cfg.kind, nominal=MomentPair.zero_mean(Sv), radius=rho)
         Sw_star, Sv_star, trace = solve_stationary_fw(ss, ball_w, ball_v, cfg.fw)
         cost, _ = stationary_cost(ss, Sw_star, Sv_star)
         atomic_write_text(outdir / f"stationary_seed{seed}.csv", _trace_csv_text(trace))

@@ -1,27 +1,30 @@
-"""Outer Frank-Wolfe loop maximizing the concave LQG value over ambiguity balls.
+"""Frank-Wolfe maximization of a concave cost over products of ambiguity balls.
 
-Each iteration evaluates the exact gradient of the LQG value in every
-covariance block, solves the 2T+1 separable linearization oracles (optionally
-in parallel; results are merged by block index so runs are reproducible
-either way), and takes a convex-combination step toward the oracle targets.
-The surrogate gap sum_z <grad_z, Sigma_z* - Sigma_z> certifies
-epsilon-suboptimality for the concave objective and drives the stopping rule.
+One driver, maximize, serves both horizons: it works on a list of covariance
+blocks, one ball each. Every iteration evaluates the cost gradient in every
+block, solves the separable linearization oracle of each block in turn, and
+takes a convex-combination step toward the oracle targets. The surrogate gap
+sum_z <grad_z, Sigma_z* - Sigma_z> certifies epsilon-suboptimality for the
+concave objective and drives the stopping rule. solve adapts the driver to
+the finite-horizon LQG value over the 2T+1 blocks [X0, W_t.., V_t..];
+stationary.solve_stationary_fw adapts it to the average cost over
+[Sigma_w, Sigma_v].
 """
 
 from __future__ import annotations
 
-import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import lqg
 from .divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
 from .errors import InvalidInputError
 from .gradient import lqg_gradient
 from .lqg import CovarianceProfile, SystemInstance
+from .matops import symmetrize
 from .oracles import solve_oracle
 
 
@@ -31,8 +34,6 @@ class FwConfig:
     gap_tol: float = 1e-3
     oracle_delta: float = 0.95
     step_rule: str = "vanishing"  # or "line_search"
-    parallel_oracles: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.gap_tol <= 0.0:
@@ -56,17 +57,7 @@ class FwRecord:
 @dataclass
 class FwTrace:
     records: list[FwRecord] = field(default_factory=list)
-    final: Optional[CovarianceProfile] = None
     converged: bool = False
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iter", "objective", "fw_gap", "step", "wall_ms"])
-            for r in self.records:
-                writer.writerow(
-                    [r.iter, repr(r.objective), repr(r.fw_gap), repr(r.step_size), repr(r.wall_ms)]
-                )
 
 
 @dataclass(frozen=True)
@@ -138,26 +129,15 @@ def _lam_floors(balls: BallProfile) -> list[float]:
     return floors
 
 
-def _oracle_targets(
-    balls: BallProfile,
-    grad_blocks: Sequence[np.ndarray],
-    cur_blocks: Sequence[np.ndarray],
-    floors: Sequence[float],
-    delta: float,
-    parallel: bool,
-):
-    ball_list = balls.blocks()
-
-    def run(z):
-        return solve_oracle(ball_list[z], grad_blocks[z], cur_blocks[z], floors[z], delta)
-
-    indices = range(len(ball_list))
-    if parallel:
-        with ThreadPoolExecutor(max_workers=min(8, len(ball_list))) as pool:
-            results = list(pool.map(run, indices))
-    else:
-        results = [run(z) for z in indices]
-    return results
+def _oracle_pass(balls, grads, current, floors, delta):
+    """Oracle target per block and the surrogate gap sum_z <G_z, Sigma_z* - Sigma_z>."""
+    gap = 0.0
+    targets = []
+    for ball, G, S, floor in zip(balls, grads, current, floors):
+        star = solve_oracle(ball, G, S, floor, delta).sigma_star
+        gap += float(np.sum(G * (star - S)))
+        targets.append(star)
+    return gap, targets
 
 
 def fw_gap(
@@ -165,38 +145,75 @@ def fw_gap(
     balls: BallProfile,
     current: CovarianceProfile,
     delta: float = 0.95,
-    parallel: bool = False,
 ) -> tuple[float, CovarianceProfile]:
     """Surrogate duality gap and oracle targets at the current profile.
 
     gap = sum_z <grad_z f, Sigma_z* - Sigma_z>; for concave f this upper
     bounds f* - f(current) (up to the oracle delta factor).
     """
-    value, grad = lqg_gradient(sys, current)
-    gap, targets, _ = _gap_and_targets(sys, balls, current, grad, delta, parallel)
-    return gap, targets
+    _, grad = lqg_gradient(sys, current)
+    gap, targets = _oracle_pass(
+        balls.blocks(), grad.blocks(), current.blocks(), _lam_floors(balls), delta
+    )
+    return gap, CovarianceProfile.from_blocks(targets, sys.T)
 
 
-def _gap_and_targets(sys, balls, current, grad, delta, parallel):
-    grad_blocks = grad.blocks()
-    cur_blocks = current.blocks()
-    floors = _lam_floors(balls)
-    results = _oracle_targets(balls, grad_blocks, cur_blocks, floors, delta, parallel)
-    gap = 0.0
-    target_blocks = []
-    for z, res in enumerate(results):
-        gap += float(np.sum(grad_blocks[z] * (res.sigma_star - cur_blocks[z])))
-        target_blocks.append(res.sigma_star)
-    targets = CovarianceProfile.from_blocks(target_blocks, sys.T)
-    return gap, targets, results
+def _step(current, targets, alpha):
+    return [symmetrize((1.0 - alpha) * c + alpha * t) for c, t in zip(current, targets)]
 
 
-def _step_blocks(current: CovarianceProfile, targets: CovarianceProfile, alpha: float, T: int):
-    blocks = [
-        (1.0 - alpha) * c + alpha * t
-        for c, t in zip(current.blocks(), targets.blocks())
-    ]
-    return CovarianceProfile.from_blocks(blocks, T)
+def _backtrack(value, current, targets, objective, gap, alpha_min, shrink=0.5, armijo=0.1):
+    """Backtracking line search exploiting concavity; falls back to 2/(2+k)."""
+    alpha = 1.0
+    while alpha > alpha_min:
+        if value(_step(current, targets, alpha)) >= objective + armijo * alpha * gap:
+            return alpha
+        alpha *= shrink
+    return alpha_min
+
+
+def maximize(
+    value_and_grad: Callable[[list], tuple[float, list]],
+    value: Callable[[list], float],
+    balls: Sequence[AmbiguityBall],
+    start: Sequence[np.ndarray],
+    floors: Sequence[float],
+    cfg: FwConfig,
+) -> tuple[list[np.ndarray], FwTrace]:
+    """Maximize a concave function of covariance blocks, one ball per block.
+
+    value_and_grad(blocks) returns the objective and its per-block gradients
+    (trace pairing); value(blocks) returns the objective alone and is called
+    only by the line search. floors are the oracles' eigenvalue floors.
+    Iterates move as (1 - alpha) * current + alpha * targets with
+    alpha = 2/(2+k) (or a backtracking line search when configured); the
+    loop stops when the surrogate gap falls below cfg.gap_tol or the
+    iteration budget is exhausted. Returns (final blocks, trace).
+    """
+    for ball, block in zip(balls, start):
+        if not membership(ball, MomentPair.zero_mean(block), 1e-8):
+            raise InvalidInputError("initial profile is infeasible in an ambiguity ball")
+    current = list(start)
+    trace = FwTrace()
+    for k in range(cfg.max_iters):
+        t0 = time.perf_counter()
+        objective, grads = value_and_grad(current)
+        gap, targets = _oracle_pass(balls, grads, current, floors, cfg.oracle_delta)
+        if gap <= cfg.gap_tol:
+            alpha = 0.0
+            trace.converged = True
+        else:
+            alpha = 2.0 / (2.0 + k)
+            if cfg.step_rule == "line_search":
+                alpha = _backtrack(value, current, targets, objective, gap, alpha)
+            current = _step(current, targets, alpha)
+        wall = (time.perf_counter() - t0) * 1e3
+        trace.records.append(
+            FwRecord(k, objective, gap, alpha, wall, gap / max(abs(objective), 1.0))
+        )
+        if trace.converged:
+            break
+    return current, trace
 
 
 def solve(
@@ -205,57 +222,22 @@ def solve(
     init: Optional[CovarianceProfile] = None,
     cfg: FwConfig = FwConfig(),
 ) -> tuple[CovarianceProfile, FwTrace]:
-    """Run Frank-Wolfe; returns (worst-case profile, trace).
-
-    init defaults to the nominal covariances, which are feasible in every
-    ball. Iterates move as (1 - alpha) * current + alpha * targets with
-    alpha = 2/(2+k) (or a backtracking line search when configured); the
-    loop stops when the surrogate gap falls below cfg.gap_tol or the
-    iteration budget is exhausted.
-    """
+    """Run Frank-Wolfe on the finite-horizon LQG value; returns (worst-case
+    profile, trace). init defaults to the nominal covariances, which are
+    feasible in every ball."""
     current = balls.nominal_profile() if init is None else init
     if current.T != sys.T:
         raise InvalidInputError("initial profile horizon mismatch")
-    for ball, block in zip(balls.blocks(), current.blocks()):
-        if not membership(ball, MomentPair.zero_mean(block), 1e-8):
-            raise InvalidInputError("initial profile is infeasible in an ambiguity ball")
 
-    trace = FwTrace()
-    converged = False
-    for k in range(cfg.max_iters):
-        t0 = time.perf_counter()
-        value, grad = lqg_gradient(sys, current)
-        gap, targets, _ = _gap_and_targets(
-            sys, balls, current, grad, cfg.oracle_delta, cfg.parallel_oracles
-        )
-        if gap <= cfg.gap_tol:
-            wall = (time.perf_counter() - t0) * 1e3
-            trace.records.append(
-                FwRecord(k, value, gap, 0.0, wall, gap / max(abs(value), 1.0))
-            )
-            converged = True
-            break
-        alpha = 2.0 / (2.0 + k)
-        if cfg.step_rule == "line_search":
-            alpha = _backtrack(sys, current, targets, value, gap, alpha)
-        current = _step_blocks(current, targets, alpha, sys.T)
-        wall = (time.perf_counter() - t0) * 1e3
-        trace.records.append(
-            FwRecord(k, value, gap, alpha, wall, gap / max(abs(value), 1.0))
-        )
-    trace.final = current
-    trace.converged = converged
-    return current, trace
+    def value_and_grad(blocks):
+        objective, grad = lqg_gradient(sys, CovarianceProfile.from_blocks(blocks, sys.T))
+        return objective, grad.blocks()
 
+    def value(blocks):
+        # module lookup at call time, so a rebinding of lqg.lqg_value is seen
+        return lqg.lqg_value(sys, CovarianceProfile.from_blocks(blocks, sys.T)).cost
 
-def _backtrack(sys, current, targets, value, gap, alpha_min, shrink=0.5, armijo=0.1):
-    """Backtracking line search exploiting concavity; falls back to 2/(2+k)."""
-    from .lqg import lqg_value
-
-    alpha = 1.0
-    while alpha > alpha_min:
-        cand = _step_blocks(current, targets, alpha, sys.T)
-        if lqg_value(sys, cand).cost >= value + armijo * alpha * gap:
-            return alpha
-        alpha *= shrink
-    return alpha_min
+    final, trace = maximize(
+        value_and_grad, value, balls.blocks(), current.blocks(), _lam_floors(balls), cfg
+    )
+    return CovarianceProfile.from_blocks(final, sys.T), trace

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, InvalidInputError
-from .lqg import CovarianceProfile, SystemInstance, kalman_forward, riccati_backward, _pd_solve
+from .lqg import (
+    CovarianceProfile, SystemInstance, _lqg_cost, _pd_solve, kalman_forward, riccati_backward,
+)
 from .matops import symmetrize
 
 
@@ -63,11 +65,7 @@ def lqg_gradient(
     filt, pred, _ = kalman_forward(sys, cov)
     T, n = sys.T, sys.n
 
-    value = float(np.trace(P[0] @ pred[0]))
-    for t in range(T):
-        value += float(np.trace((sys.Q[t] - P[t]) @ filt[t]))
-        value += float(np.trace(P[t + 1] @ pred[t + 1]))
-
+    value = _lqg_cost(sys, P, filt, pred)
     dW = np.empty_like(cov.W)
     dV = np.empty_like(cov.V)
     Sbar = P[T].copy()
@@ -95,18 +93,39 @@ def _sym_basis(d: int):
             yield i, j, E
 
 
+def fd_block_gradients(value, blocks, step: float = 1e-5) -> list[np.ndarray]:
+    """Central finite differences of value(blocks) along the symmetric basis
+    of each block, with the step scaled per block by (1 + ||Sigma||_F)."""
+    if step <= 0.0:
+        raise InvalidInputError("step must be positive")
+    grads = []
+    for b, block in enumerate(blocks):
+        d = block.shape[0]
+        h = step * (1.0 + np.linalg.norm(block, "fro"))
+        G = np.zeros((d, d))
+        for i, j, E in _sym_basis(d):
+            plus = list(blocks)
+            minus = list(blocks)
+            plus[b] = block + h * E
+            minus[b] = block - h * E
+            diff = (value(plus) - value(minus)) / (2.0 * h)
+            if i == j:
+                G[i, i] = diff
+            else:
+                G[i, j] = G[j, i] = diff / 2.0
+        grads.append(G)
+    return grads
+
+
 def fd_gradient(
     sys: SystemInstance, cov: CovarianceProfile, step: float = 1e-5
 ) -> GradientProfile:
-    """Central finite differences of the LQG value along the symmetric basis.
+    """Central finite differences of the LQG value in every covariance block.
 
-    The step is scaled per block by (1 + ||Sigma||_F). Raises when a
-    perturbed V block leaves the positive definite cone (step too large).
+    Raises when a perturbed V block leaves the positive definite cone (step
+    too large).
     """
     from .lqg import lqg_value
-
-    if step <= 0.0:
-        raise InvalidInputError("step must be positive")
 
     def value_at(blocks):
         profile = CovarianceProfile.from_blocks(blocks, sys.T)
@@ -117,23 +136,7 @@ def fd_gradient(
                 f"finite-difference step {step} leaves the feasible cone"
             ) from exc
 
-    base = cov.blocks()
-    grads = []
-    for b, block in enumerate(base):
-        d = block.shape[0]
-        h = step * (1.0 + np.linalg.norm(block, "fro"))
-        G = np.zeros((d, d))
-        for i, j, E in _sym_basis(d):
-            plus = [M.copy() for M in base]
-            minus = [M.copy() for M in base]
-            plus[b] = block + h * E
-            minus[b] = block - h * E
-            diff = (value_at(plus) - value_at(minus)) / (2.0 * h)
-            if i == j:
-                G[i, i] = diff
-            else:
-                G[i, j] = G[j, i] = diff / 2.0
-        grads.append(G)
+    grads = fd_block_gradients(value_at, cov.blocks(), step)
     T = sys.T
     return GradientProfile(
         dX0=grads[0], dW=np.stack(grads[1 : T + 1]), dV=np.stack(grads[T + 1 :])

@@ -29,6 +29,14 @@ def random_covariance(d: int, rng: np.random.Generator, lo: float = 1.0, hi: flo
     return (Qm * lam) @ Qm.T
 
 
+def benchmark_dynamics(d: int) -> np.ndarray:
+    """The benchmark A: 0.1 on the main and super diagonal."""
+    A = 0.1 * np.eye(d)
+    if d > 1:
+        A += 0.1 * np.diag(np.ones(d - 1), 1)
+    return A
+
+
 def generate_instance(
     d: int,
     T: int,
@@ -43,11 +51,8 @@ def generate_instance(
     if d < 1 or T < 1:
         raise InvalidInputError("d and T must be >= 1")
     rng = instance_rng(seed)
-    A = 0.1 * np.eye(d)
-    if d > 1:
-        A += 0.1 * np.diag(np.ones(d - 1), 1)
     eye = np.eye(d)
-    sys = SystemInstance.time_invariant(A, eye, eye, eye, eye, T=T)
+    sys = SystemInstance.time_invariant(benchmark_dynamics(d), eye, eye, eye, eye, T=T)
     cov = CovarianceProfile(
         X0=random_covariance(d, rng),
         W=np.stack([random_covariance(d, rng) for _ in range(T)]),

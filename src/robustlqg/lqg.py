@@ -235,11 +235,17 @@ def lqg_value(sys: SystemInstance, cov: CovarianceProfile) -> LqgSolution:
     """
     P, K = riccati_backward(sys)
     filt, pred, L = kalman_forward(sys, cov)
+    cost = _lqg_cost(sys, P, filt, pred)
+    return LqgSolution(P=P, K=K, Sigma_filt=filt, Sigma_pred=pred, L=L, cost=cost)
+
+
+def _lqg_cost(sys: SystemInstance, P, filt, pred) -> float:
+    """The trace formula of lqg_value from the Riccati and filter sweeps."""
     cost = float(np.trace(P[0] @ pred[0]))
     for t in range(sys.T):
         cost += float(np.trace((sys.Q[t] - P[t]) @ filt[t]))
         cost += float(np.trace(P[t + 1] @ pred[t + 1]))
-    return LqgSolution(P=P, K=K, Sigma_filt=filt, Sigma_pred=pred, L=L, cost=cost)
+    return cost
 
 
 def _noise_sqrts(cov: CovarianceProfile):

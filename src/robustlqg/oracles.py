@@ -33,6 +33,11 @@ from .divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
 from .errors import InvalidInputError, OracleError, UnsupportedDivergenceError
 from .matops import sym_sqrt, symmetrize
 
+# kinds with a built-in oracle; a custom kind needs a registered linearization
+ORACLE_KINDS = frozenset(
+    {DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER}
+)
+
 _GRAD_CLAMP = 1e-8
 _MAX_BISECT = 200
 _ACTIVITY_TOL = 1e-6
@@ -94,7 +99,6 @@ def _run_bisection(
     Returns (sigma, gamma, delta_achieved).
     """
     hi0 = hi
-    feas_slack = 1e-8 * max(1.0, rho)
     noise_floor = 1e-9 * max(1.0, scale)
 
     def accept(g: float) -> Optional[float]:
@@ -102,7 +106,7 @@ def _run_bisection(
         # the bracket bounds are tight for identity-like gradients, so the
         # optimal gamma can sit exactly on an endpoint: allow the documented
         # 1e-8 feasibility slack rather than strict containment
-        if div > rho + feas_slack or abs(div - rho) > _ACTIVITY_TOL:
+        if div > rho + 1e-8 or abs(div - rho) > _ACTIVITY_TOL:
             return None
         phi = dual_value(g)
         prim = primal_value(g)

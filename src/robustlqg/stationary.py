@@ -5,24 +5,24 @@ Gaussian noise is evaluated through the joint (state, estimation error)
 dynamics: with F = [[A+BK, -BK], [0, A - LCA]] and input matrix
 Xi = [[I, 0], [I-LC, -L]] driven by (w_t, v_{t+1}), the stationary joint
 covariance solves the discrete Lyapunov equation, and the cost is
-Tr(Sigma_x Q) + Tr(K Sigma_xhat K^T R). A Frank-Wolfe loop over the two
-time-invariant blocks (Sigma_w, Sigma_v) computes nature's worst case, with
-gradients by central finite differences (the blocks are small).
+Tr(Sigma_x Q) + Tr(K Sigma_xhat K^T R). The Frank-Wolfe driver of
+frank_wolfe, run over the two time-invariant blocks (Sigma_w, Sigma_v) with
+the configured step rule, computes nature's worst case, with gradients by
+central finite differences (the blocks are small).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .divergences import AmbiguityBall, MomentPair, membership
 from .errors import InvalidInputError, StabilizabilityError
-from .frank_wolfe import FwConfig, FwRecord, FwTrace
-from .gradient import _sym_basis
+from .frank_wolfe import FwConfig, FwTrace, maximize
+from .gradient import fd_block_gradients
 from .matops import solve_discrete_lyapunov, spectral_radius, symmetrize
-from .oracles import solve_oracle
+from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 
 _FIXED_POINT_MAX_ITERS = 100_000
 _REL_TOL = 1e-12
@@ -178,31 +178,6 @@ def stationary_cost(
     return avg_cost, sol
 
 
-def _fd_stationary_grad(ss, Sigma_w, Sigma_v, step=1e-5):
-    """Central finite differences of the stationary cost in both blocks."""
-
-    def value(Sw, Sv):
-        return stationary_cost(ss, Sw, Sv)[0]
-
-    grads = []
-    for which, base in (("w", Sigma_w), ("v", Sigma_v)):
-        d = base.shape[0]
-        h = step * (1.0 + np.linalg.norm(base, "fro"))
-        G = np.zeros((d, d))
-        for i, j, E in _sym_basis(d):
-            if which == "w":
-                diff = value(base + h * E, Sigma_v) - value(base - h * E, Sigma_v)
-            else:
-                diff = value(Sigma_w, base + h * E) - value(Sigma_w, base - h * E)
-            diff /= 2.0 * h
-            if i == j:
-                G[i, i] = diff
-            else:
-                G[i, j] = G[j, i] = diff / 2.0
-        grads.append(G)
-    return grads[0], grads[1]
-
-
 def solve_stationary_fw(
     ss: StationarySystem,
     ball_w: AmbiguityBall,
@@ -212,30 +187,20 @@ def solve_stationary_fw(
     """Frank-Wolfe over the two stationary blocks (Sigma_w, Sigma_v)."""
     if np.linalg.norm(ball_w.nominal.mean) != 0.0 or np.linalg.norm(ball_v.nominal.mean) != 0.0:
         raise InvalidInputError("stationary ambiguity balls must be zero-mean")
-    Sw = ball_w.nominal.cov
-    Sv = ball_v.nominal.cov
-    floor_v = float(np.linalg.eigvalsh(Sv).min())
-    trace = FwTrace()
-    converged = False
-    for k in range(cfg.max_iters):
-        t0 = time.perf_counter()
-        value, _ = stationary_cost(ss, Sw, Sv)
-        Gw, Gv = _fd_stationary_grad(ss, Sw, Sv)
-        res_w = solve_oracle(ball_w, Gw, Sw, 0.0, cfg.oracle_delta)
-        res_v = solve_oracle(ball_v, Gv, Sv, floor_v, cfg.oracle_delta)
-        gap = float(np.sum(Gw * (res_w.sigma_star - Sw)) + np.sum(Gv * (res_v.sigma_star - Sv)))
-        wall = (time.perf_counter() - t0) * 1e3
-        if gap <= cfg.gap_tol:
-            trace.records.append(FwRecord(k, value, gap, 0.0, wall, gap / max(abs(value), 1.0)))
-            converged = True
-            break
-        alpha = 2.0 / (2.0 + k)
-        Sw = symmetrize((1.0 - alpha) * Sw + alpha * res_w.sigma_star)
-        Sv = symmetrize((1.0 - alpha) * Sv + alpha * res_v.sigma_star)
-        trace.records.append(FwRecord(k, value, gap, alpha, wall, gap / max(abs(value), 1.0)))
+
+    def value(blocks):
+        return stationary_cost(ss, *blocks)[0]
+
+    def value_and_grad(blocks):
+        return value(blocks), fd_block_gradients(value, blocks)
+
+    floors = [0.0, float(np.linalg.eigvalsh(ball_v.nominal.cov).min())]
+    (Sw, Sv), trace = maximize(
+        value_and_grad, value, [ball_w, ball_v], [ball_w.nominal.cov, ball_v.nominal.cov],
+        floors, cfg,
+    )
     if not membership(ball_w, MomentPair.zero_mean(Sw), 1e-8) or not membership(
         ball_v, MomentPair.zero_mean(Sv), 1e-8
     ):
         raise InvalidInputError("stationary iterate left the ambiguity balls")
-    trace.converged = converged
     return Sw, Sv, trace

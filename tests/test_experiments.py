@@ -1,11 +1,13 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from robustlqg.cli import main as cli_main
 from robustlqg.divergences import DivergenceKind
+from robustlqg.errors import InvalidInputError, UnsupportedDivergenceError
 from robustlqg.experiments import (
     ExperimentConfig,
     run_convergence,
@@ -119,17 +121,11 @@ def test_run_runtime_monotone_and_deterministic(tmp_path):
     medians = [np.median(med[T]) for T in (2, 4, 6)]
     assert medians[0] <= medians[2] * 1.5  # scaling sanity with slack for noise
 
-    # iteration counts reproduce with parallel oracles enabled
-    cfg_par = ExperimentConfig(
-        experiment="runtime", d=3, T=4, divergence="wasserstein2", rho=0.1,
-        seeds=[0, 1], output_dir=str(tmp_path / "par"), runtime_horizons=[2, 4, 6],
-        fw=FwConfig(max_iters=200, gap_tol=1e-4, parallel_oracles=True),
-    )
-    run_runtime(cfg_par)
-    with open(tmp_path / "par" / "runtime.csv") as fh:
-        rows_par = list(csv.reader(fh))
-    iters_par = {(int(r[0]), int(r[1])): int(r[3]) for r in rows_par[1:]}
-    assert iters == iters_par
+    # iteration counts reproduce on a second run
+    run_runtime(replace(cfg, output_dir=str(tmp_path / "again")))
+    with open(tmp_path / "again" / "runtime.csv") as fh:
+        rows_again = list(csv.reader(fh))
+    assert {(int(r[0]), int(r[1])): int(r[3]) for r in rows_again[1:]} == iters
 
 
 def test_cli_solve_exit_code_and_outputs(tmp_path):
@@ -184,6 +180,34 @@ def test_cli_invalid_input_exit_code(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("fw", [False, True])
+def test_cli_unknown_config_key_exit_code(tmp_path, capsys, fw):
+    body = {"fw": {"bogus": 1}} if fw else {"bogus": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(body))
+    code = cli_main(["solve", "--config", str(cfg_path), "--seed", "0", "--rho", "0.1",
+                     "--horizon", "2", "--dim", "2", "--divergence", "kl",
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "InvalidInputError"
+    assert ("fw.bogus" if fw else "bogus") in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_divergence_without_oracle_rejected_at_config(tmp_path, capsys):
+    with pytest.raises(UnsupportedDivergenceError):
+        ExperimentConfig(divergence="entropic_ot")
+    with pytest.raises(InvalidInputError):
+        ExperimentConfig(divergence="bogus")
+    code = cli_main(["solve", "--seed", "0", "--rho", "0.1", "--horizon", "2", "--dim", "2",
+                     "--divergence", "entropic_ot", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "UnsupportedDivergenceError"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_gaps_parallel_jobs_bit_identical(tmp_path):

@@ -1,10 +1,12 @@
 import csv
+import io
 
 import numpy as np
 import pytest
 
 from robustlqg.divergences import DivergenceKind, MomentPair, membership
 from robustlqg.errors import InvalidInputError
+from robustlqg.experiments import _trace_csv_text
 from robustlqg.frank_wolfe import BallProfile, FwConfig, NominalModel, fw_gap, solve
 from robustlqg.instances import generate_instance
 from robustlqg.lqg import CovarianceProfile, lqg_value
@@ -164,15 +166,6 @@ def test_infeasible_init_rejected():
         solve(sys, model.ball_profile(), init=bad)
 
 
-def test_parallel_oracles_bit_reproducible():
-    sys, model = generate_instance(3, 3, seed=6, kind=DivergenceKind.WASSERSTEIN2, rho=0.3)
-    worst_a, trace_a = solve(sys, model.ball_profile(), cfg=FwConfig(parallel_oracles=False))
-    worst_b, trace_b = solve(sys, model.ball_profile(), cfg=FwConfig(parallel_oracles=True))
-    assert len(trace_a.records) == len(trace_b.records)
-    for ba, bb in zip(worst_a.blocks(), worst_b.blocks()):
-        assert np.array_equal(ba, bb)
-
-
 def test_line_search_step_rule_converges():
     sys, model = generate_instance(2, 2, seed=7, kind=DivergenceKind.WASSERSTEIN2, rho=0.4)
     worst, trace = solve(
@@ -181,13 +174,10 @@ def test_line_search_step_rule_converges():
     assert trace.converged
 
 
-def test_trace_csv_schema_and_roundtrip(tmp_path):
+def test_trace_csv_schema_and_roundtrip():
     sys, model = generate_instance(2, 2, seed=8, kind=DivergenceKind.KULLBACK_LEIBLER, rho=0.2)
     _, trace = solve(sys, model.ball_profile())
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(_trace_csv_text(trace))))
     assert rows[0] == ["iter", "objective", "fw_gap", "step", "wall_ms"]
     assert len(rows) == len(trace.records) + 1
     for row, rec in zip(rows[1:], trace.records):
@@ -250,3 +240,19 @@ def test_entropic_model_supports_membership_but_not_solving():
         assert membership(ball, MomentPair.zero_mean(blk + 0.01 * np.eye(2)))
     with pytest.raises(UnsupportedDivergenceError):
         solve(sys, balls, cfg=FwConfig(max_iters=5))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("step_rule", ["vanishing", "line_search"])
+@pytest.mark.parametrize(
+    "kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER]
+)
+def test_rectangular_system_converges_inside_balls(kind, step_rule, p):
+    # n = 3 states, m = 2 inputs, p < n outputs
+    rng = np.random.default_rng(40 + p)
+    sys = rand_system(rng, n=3, m=2, p=p, T=3)
+    balls = _model(rng, sys, kind, 0.3).ball_profile()
+    worst, trace = solve(sys, balls, cfg=FwConfig(gap_tol=1e-5, step_rule=step_rule))
+    assert trace.converged
+    for ball, block in zip(balls.blocks(), worst.blocks()):
+        assert membership(ball, MomentPair.zero_mean(block), 1e-8)

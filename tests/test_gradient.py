@@ -71,6 +71,17 @@ def test_random_instance_matches_fd():
     assert _max_rel_err(grad, fd) <= 1e-5
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_rectangular_instance_matches_fd(p):
+    # n = 3 states, m = 2 inputs, p < n outputs
+    rng = np.random.default_rng(10 + p)
+    sys = rand_system(rng, n=3, m=2, p=p, T=5)
+    cov = rand_profile(rng, sys)
+    _, grad = lqg_gradient(sys, cov)
+    assert grad.dV.shape == (5, p, p)
+    assert _max_rel_err(grad, fd_gradient(sys, cov, step=1e-5)) <= 1e-5
+
+
 def test_gradient_blocks_psd():
     rng = np.random.default_rng(3)
     for _ in range(10):

@@ -10,12 +10,14 @@ from robustlqg.divergences import (
     fisher_gaussian,
     gelbrich,
     kl_t_divergence,
+    membership,
 )
 from robustlqg.errors import InvalidInputError, UnsupportedDivergenceError
 from robustlqg.oracles import (
     brute_force_oracle,
     fisher_oracle,
     kl_oracle,
+    solve_oracle,
     wasserstein_oracle,
 )
 
@@ -331,3 +333,21 @@ def test_dual_values_upper_bound_the_primal(kind):
                 duals.append(float(np.sum(Gamma * sigma)) - g * (fisher - rho) - c_ref)
         assert duals, "no bracketed dual evaluations"
         assert min(duals) >= opt - 1e-6 * (1.0 + abs(opt))
+
+
+@pytest.mark.parametrize(
+    "kind, seed",
+    [(DivergenceKind.WASSERSTEIN2, 20), (DivergenceKind.KULLBACK_LEIBLER, 12)],
+)
+def test_oracle_output_feasible_within_absolute_1e8(kind, seed):
+    # at rho = 2 a slack relative to rho let these outputs overshoot by ~1.5e-8
+    rng = np.random.default_rng(seed)
+
+    def spd():
+        Qm, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        return Qm @ np.diag(rng.uniform(0.5, 2.5, 3)) @ Qm.T
+
+    Gamma, nominal = spd(), spd()
+    ball = AmbiguityBall(kind=kind, nominal=MomentPair.zero_mean(nominal), radius=2.0)
+    res = solve_oracle(ball, Gamma, nominal, 0.0, 0.95)
+    assert membership(ball, MomentPair.zero_mean(res.sigma_star), 1e-8)

@@ -4,6 +4,7 @@ import pytest
 from robustlqg.divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
 from robustlqg.errors import InvalidInputError, StabilizabilityError
 from robustlqg.frank_wolfe import FwConfig
+from robustlqg.instances import instance_rng, random_covariance
 from robustlqg.lqg import CovarianceProfile, SystemInstance, kalman_forward, lqg_value, riccati_backward
 from robustlqg.matops import spectral_radius
 from robustlqg.stationary import (
@@ -236,6 +237,30 @@ def test_stationary_fw_matches_grid_and_hits_boundary():
     # dominance of the stationary worst case
     assert np.linalg.eigvalsh(Sw - np.eye(1)).min() >= -1e-7
     assert np.linalg.eigvalsh(Sv - np.eye(1)).min() >= -1e-7
+
+
+@pytest.mark.parametrize(
+    "kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER]
+)
+def test_stationary_fw_honours_line_search(kind):
+    A = 0.95 * np.eye(3) + 0.3 * np.diag(np.ones(2), 1)
+    A *= 0.9 / spectral_radius(A)
+    eye = np.eye(3)
+    ss = StationarySystem(A=A, B=eye, C=eye, Q=eye, R=eye)
+    rng = instance_rng(2)
+    Sw, Sv = random_covariance(3, rng), random_covariance(3, rng)
+    ball_w = AmbiguityBall(kind=kind, nominal=MomentPair.zero_mean(Sw), radius=1.0)
+    ball_v = AmbiguityBall(kind=kind, nominal=MomentPair.zero_mean(Sv), radius=1.0)
+    objectives = {}
+    for rule in ("vanishing", "line_search"):
+        cfg = FwConfig(max_iters=1000, gap_tol=1e-6, step_rule=rule)
+        Sw_star, Sv_star, trace = solve_stationary_fw(ss, ball_w, ball_v, cfg)
+        assert trace.converged
+        objectives[rule] = stationary_cost(ss, Sw_star, Sv_star)[0]
+        if rule == "line_search":
+            assert len(trace.records) <= 25
+    # each run is within gap_tol / oracle_delta of the maximum
+    assert objectives["line_search"] == pytest.approx(objectives["vanishing"], abs=1e-6 / 0.95)
 
 
 def test_stationary_system_validation():
