@@ -297,8 +297,8 @@ class AmbiguityBall:
     min_radius: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        if self.radius < 0.0:
-            raise InvalidInputError("radius must be nonnegative")
+        if not (math.isfinite(self.radius) and self.radius >= 0.0):
+            raise InvalidInputError("radius must be finite and nonnegative")
         if self.kind in (DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER):
             if not _is_pd(self.nominal.cov):
                 raise InvalidInputError(f"{self.kind.value} nominal covariance must be pd")

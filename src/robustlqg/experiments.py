@@ -27,17 +27,12 @@ from . import __version__
 from .divergences import DivergenceKind
 from .errors import InvalidInputError, UnsupportedDivergenceError
 from .frank_wolfe import FwConfig, _lam_floors, _oracle_pass, solve
+from .gradient import GradientProfile, lqg_gradient
 from .instances import RNG_ALGORITHM, generate_instance
-from .lqg import CovarianceProfile, lqg_value
+from .lqg import CovarianceProfile
 from .oracles import ORACLE_KINDS
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
-from .stacked import (
-    build_stacked,
-    kalman_policy_to_purified,
-    moment_blocks,
-    policy_quadratic_forms,
-    stack_moments,
-)
+from .stacked import build_stacked, kalman_policy_to_purified  # noqa: F401  unused; bench/tracer.py wraps these
 
 TRACE_HEADER = ["iter", "objective", "fw_gap", "step", "wall_ms"]
 GAPS_HEADER = ["rho", "seed", "worst_case_gap", "nominal_gap"]
@@ -62,8 +57,8 @@ class ExperimentConfig:
         if self.d < 1 or self.T < 1:
             raise InvalidInputError("d and T must be >= 1")
         rhos = self.rho if isinstance(self.rho, list) else [self.rho]
-        if any(r < 0 for r in rhos):
-            raise InvalidInputError("rho entries must be nonnegative")
+        if not all(np.isfinite(r) and r >= 0 for r in rhos):
+            raise InvalidInputError("rho entries must be finite and nonnegative")
         try:
             kind = DivergenceKind(self.divergence)
         except ValueError:
@@ -219,35 +214,34 @@ def run_runtime(cfg: ExperimentConfig) -> dict:
     return {"all_converged": all(c for *_, c in raw), "rows": rows}
 
 
-def policy_worst_case_cost(ss, U, balls, delta: float = 0.95):
-    """Worst-case expected cost of a fixed linear purified policy.
+def policy_worst_case_cost(coeffs: GradientProfile, balls, delta: float = 0.95):
+    """Worst-case expected cost of a fixed zero-mean linear policy.
 
-    The cost is linear in the noise moments for fixed U, so the worst case
-    over the product ball is a single oracle pass per noise term. Returns
-    (cost, per-block worst covariances).
+    coeffs are the policy's per-block cost coefficients (trace pairing); for
+    the Kalman/LQR policy designed at Sigma0 they are lqg_gradient(sys,
+    Sigma0)[1] (Danskin). The cost is linear in the covariances, so its worst
+    case is one oracle pass. Returns (cost, per-block worst covariances).
     """
-    ups_w, ups_v = policy_quadratic_forms(ss, U)
-    grads = moment_blocks(ups_w, ss.n) + moment_blocks(ups_v, ss.p)
+    grads = coeffs.blocks()
     ball_list = balls.blocks()
     nominal = [ball.nominal.cov for ball in ball_list]
     _, worst_blocks = _oracle_pass(ball_list, grads, nominal, _lam_floors(balls), delta)
     return sum(float(np.sum(G * S)) for G, S in zip(grads, worst_blocks)), worst_blocks
 
 
-def policy_nominal_cost(ss, U, cov: CovarianceProfile) -> float:
-    """Expected cost of a fixed linear purified policy at given covariances."""
-    ups_w, ups_v = policy_quadratic_forms(ss, U)
-    _, M_w, _, M_v = stack_moments(cov, ss.n, ss.p)
-    return float(np.sum(ups_w * M_w) + np.sum(ups_v * M_v))
+def policy_nominal_cost(coeffs: GradientProfile, cov: CovarianceProfile) -> float:
+    """Expected cost of a fixed zero-mean linear policy at covariances cov."""
+    return coeffs.inner(cov)
 
 
 def run_gaps(cfg: ExperimentConfig) -> dict:
     """Worst-case and nominal performance gaps over a radius grid.
 
-    For each (rho, seed): the nominally optimal policy comes from the LQG
-    solution at the nominal covariances, the robust policy from the FW
-    worst case; each policy's worst-case cost needs one oracle pass per
-    noise term because the fixed-policy objective is linear in moments.
+    For each (rho, seed): the nominally optimal policy is the Kalman/LQR
+    policy designed at the nominal covariances, the robust policy the one
+    designed at the FW worst case. Each policy's cost coefficients are the
+    adjoint gradient (lqg_gradient) at its design covariances, so its
+    worst-case cost is one oracle pass and there is no horizon cap.
     """
     outdir = Path(cfg.output_dir)
     t_start = time.perf_counter()
@@ -260,14 +254,13 @@ def run_gaps(cfg: ExperimentConfig) -> dict:
         sys, model = generate_instance(cfg.d, cfg.T, seed, cfg.kind, float(rho))
         balls = model.ball_profile()
         nominal_cov = model.nominal_profile()
-        ss = build_stacked(sys)
-        U_nom = kalman_policy_to_purified(sys, nominal_cov).U
+        _, c_nom = lqg_gradient(sys, nominal_cov)
         worst_profile, trace = solve(sys, balls, cfg=cfg.fw)
-        U_rob = kalman_policy_to_purified(sys, worst_profile).U
-        wc_nom, _ = policy_worst_case_cost(ss, U_nom, balls, cfg.fw.oracle_delta)
-        wc_rob, _ = policy_worst_case_cost(ss, U_rob, balls, cfg.fw.oracle_delta)
-        nom_nom = policy_nominal_cost(ss, U_nom, nominal_cov)
-        nom_rob = policy_nominal_cost(ss, U_rob, nominal_cov)
+        _, c_rob = lqg_gradient(sys, worst_profile)
+        wc_nom, _ = policy_worst_case_cost(c_nom, balls, cfg.fw.oracle_delta)
+        wc_rob, _ = policy_worst_case_cost(c_rob, balls, cfg.fw.oracle_delta)
+        nom_nom = policy_nominal_cost(c_nom, nominal_cov)
+        nom_rob = policy_nominal_cost(c_rob, nominal_cov)
         return [float(rho), seed, wc_nom - wc_rob, nom_rob - nom_nom], trace.converged
 
     points = [(rho, seed) for rho in rhos for seed in cfg.seeds]

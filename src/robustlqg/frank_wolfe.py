@@ -36,8 +36,10 @@ class FwConfig:
     step_rule: str = "vanishing"  # or "line_search"
 
     def __post_init__(self):
-        if self.gap_tol <= 0.0:
-            raise InvalidInputError("gap_tol must be positive")
+        if self.max_iters < 1:
+            raise InvalidInputError("max_iters must be >= 1")
+        if not (np.isfinite(self.gap_tol) and self.gap_tol > 0.0):
+            raise InvalidInputError("gap_tol must be positive and finite")
         if not 0.0 < self.oracle_delta < 1.0:
             raise InvalidInputError("oracle_delta must lie in (0, 1)")
         if self.step_rule not in ("vanishing", "line_search"):

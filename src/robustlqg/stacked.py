@@ -1,4 +1,4 @@
-"""Stacked-matrix machinery over purified observations, used for cross-checks.
+"""Stacked-matrix machinery over purified observations, for verification only.
 
 Stacking x = (x_0..x_T), u = (u_0..u_{T-1}), w = (x_0, w_0..w_{T-1}),
 v = (v_0..v_{T-1}) turns the dynamics into x = Hu + Gw and the purified
@@ -8,7 +8,8 @@ convex quadratic in (U, q) that is linear in the noise moments, which
 enables the strong-duality and zero-mean-optimality checks.
 
 These matrices are materialized densely; the module exists for verification
-at small horizons, with a hard size cap.
+at small horizons, with a hard size cap. The library's solve and experiment
+paths do not use it: the tests compare them against it.
 """
 
 from __future__ import annotations
@@ -236,27 +237,6 @@ def kalman_policy_to_purified(sys: SystemInstance, cov: CovarianceProfile) -> Af
         ss, ConvertDirection.OUTPUT_TO_PURIFIED, U_y, np.zeros(m * T)
     )
     return AffinePolicy(U=U_eta, q=q)
-
-
-def policy_quadratic_forms(ss: StackedSystem, U: np.ndarray):
-    """Cost matrices (Upsilon_w, Upsilon_v) of a fixed linear policy.
-
-    For u = U eta the expected cost is Tr(Upsilon_w M_w) + Tr(Upsilon_v M_v),
-    linear in the moments, so the policy's worst case over a product ball
-    needs one linearization-oracle pass per noise term.
-    """
-    UD = U @ ss.D
-    GHUD = ss.G + ss.H @ UD
-    ups_w = symmetrize(UD.T @ ss.R @ UD + GHUD.T @ ss.Q @ GHUD)
-    ups_v = symmetrize(U.T @ ss.Rbar @ U)
-    return ups_w, ups_v
-
-
-def moment_blocks(M: np.ndarray, block: int) -> list[np.ndarray]:
-    """Diagonal blocks of a stacked (block-diagonal) moment matrix."""
-    return [
-        M[s : s + block, s : s + block].copy() for s in range(0, M.shape[0], block)
-    ]
 
 
 def solve_inner_policy(

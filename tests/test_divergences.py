@@ -36,6 +36,12 @@ def test_moment_pair_validation():
     assert p.cov[0, 0] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("radius", [-1.0, float("nan"), float("inf")])
+def test_ball_radius_validation(radius):
+    with pytest.raises(InvalidInputError):
+        AmbiguityBall(kind=DivergenceKind.WASSERSTEIN2, nominal=_pair(np.eye(2)), radius=radius)
+
+
 def test_gelbrich_trivial_values():
     a = _pair(np.diag([1.0, 2.0]))
     assert gelbrich(a, a) == pytest.approx(0.0, abs=1e-10)

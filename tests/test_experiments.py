@@ -17,6 +17,7 @@ from robustlqg.experiments import (
 )
 from robustlqg.frank_wolfe import FwConfig
 from robustlqg.instances import generate_instance, instance_rng
+from robustlqg.lqg import lqg_value
 
 
 def test_generate_instance_dynamics_pattern():
@@ -172,14 +173,18 @@ def test_config_validation():
         ExperimentConfig(rho=[-0.1])
 
 
-def test_cli_invalid_input_exit_code(tmp_path, capsys):
-    code = cli_main([
-        "solve", "--seed", "0", "--rho", "-1.0", "--horizon", "2", "--dim", "2",
-        "--divergence", "wasserstein2", "--out", str(tmp_path / "bad"),
-    ])
+@pytest.mark.parametrize("flag,value", [
+    ("--rho", "-1.0"), ("--rho", "nan"), ("--rho", "inf"),
+    ("--max-iters", "0"), ("--max-iters", "-3"), ("--gap-tol", "nan"),
+])
+def test_cli_invalid_input_exit_code(tmp_path, capsys, flag, value):
+    flags = {"--seed": "0", "--rho": "0.1", "--horizon": "2", "--dim": "2",
+             "--divergence": "wasserstein2", "--out": str(tmp_path / "bad"), flag: value}
+    code = cli_main(["solve"] + [tok for item in flags.items() for tok in item])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "InvalidInputError"
+    assert not (tmp_path / "bad").exists()
 
 
 @pytest.mark.parametrize("fw", [False, True])
@@ -208,6 +213,21 @@ def test_divergence_without_oracle_rejected_at_config(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "UnsupportedDivergenceError"
     assert not (tmp_path / "out").exists()
+
+
+def test_run_gaps_beyond_stacked_cap(tmp_path):
+    # n(T+1) = 510 is past the 200-row cap of the dense stacked reference
+    cfg = ExperimentConfig(
+        experiment="gaps", d=10, T=50, divergence="wasserstein2",
+        rho=[0.1, 1.0], seeds=[0], output_dir=str(tmp_path),
+    )
+    out = run_gaps(cfg)
+    assert out["all_converged"]
+    (_, _, wc_lo, nom_lo), (_, _, wc_hi, nom_hi) = out["rows"]
+    assert 0.0 < float(wc_lo) < float(wc_hi)
+    sys, model = generate_instance(10, 50, seed=0, rho=0.1)
+    nominal_opt = lqg_value(sys, model.nominal_profile()).cost
+    assert max(float(nom_lo), float(nom_hi)) <= 0.01 * nominal_opt
 
 
 def test_run_gaps_parallel_jobs_bit_identical(tmp_path):

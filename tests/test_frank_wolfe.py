@@ -189,6 +189,12 @@ def test_trace_csv_schema_and_roundtrip():
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         FwConfig(gap_tol=0.0)
+    for gap_tol in (float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError):
+            FwConfig(gap_tol=gap_tol)
+    for max_iters in (0, -3):
+        with pytest.raises(InvalidInputError):
+            FwConfig(max_iters=max_iters)
     with pytest.raises(InvalidInputError):
         FwConfig(oracle_delta=1.0)
     with pytest.raises(InvalidInputError):
@@ -196,11 +202,11 @@ def test_config_validation():
 
 
 def test_saddle_point_identity_end_to_end():
-    # at the converged pair, the worst case of the extracted robust policy
-    # (one oracle pass per noise term on its fixed-policy cost matrices)
-    # equals the maximized LQG value: the full pipeline agrees with itself
+    # at the converged pair, the worst case of the robust policy (one oracle
+    # pass on its fixed-policy cost coefficients, the adjoint gradient at the
+    # worst case) equals the maximized LQG value: the pipeline agrees with itself
     from robustlqg.experiments import policy_worst_case_cost
-    from robustlqg.stacked import build_stacked, kalman_policy_to_purified
+    from robustlqg.gradient import lqg_gradient
 
     for kind in (DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER):
         sys, model = generate_instance(2, 3, seed=0, kind=kind, rho=0.4)
@@ -208,9 +214,7 @@ def test_saddle_point_identity_end_to_end():
         worst, trace = solve(sys, balls, cfg=FwConfig(max_iters=2000, gap_tol=1e-8))
         assert trace.converged
         fw_value = lqg_value(sys, worst).cost
-        ss = build_stacked(sys)
-        U_rob = kalman_policy_to_purified(sys, worst).U
-        wc, _ = policy_worst_case_cost(ss, U_rob, balls, 0.95)
+        wc, _ = policy_worst_case_cost(lqg_gradient(sys, worst)[1], balls, 0.95)
         assert wc == pytest.approx(fw_value, rel=1e-5)
 
 

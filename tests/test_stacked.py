@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from robustlqg.errors import InvalidInputError
+from robustlqg.gradient import lqg_gradient
 from robustlqg.lqg import CovarianceProfile, SystemInstance, lqg_value
 from robustlqg.stacked import (
     AffinePolicy,
@@ -288,6 +289,19 @@ def test_kalman_policy_matches_dp_value():
         obj = affine_objective(ss, pol, *stack_moments(cov, ss.n, ss.p))
         dp = lqg_value(sys, cov).cost
         assert obj == pytest.approx(dp, rel=1e-6)
+
+
+@pytest.mark.parametrize("n,m,p", [(2, 2, 2), (3, 2, 1), (3, 2, 2)])
+def test_fixed_kalman_policy_cost_is_lqg_gradient(n, m, p):
+    # Danskin: the Kalman/LQR policy designed at cov0 costs <grad V(cov0), cov1>
+    # at any zero-mean cov1, which is how the gaps experiment prices policies
+    rng = np.random.default_rng(14 + n + p)
+    sys = rand_system(rng, n=n, m=m, p=p, T=3)
+    cov0, cov1 = rand_profile(rng, sys), rand_profile(rng, sys)
+    ss = build_stacked(sys)
+    pol = kalman_policy_to_purified(sys, cov0)
+    stacked_cost = affine_objective(ss, pol, *stack_moments(cov1, n, p))
+    assert stacked_cost == pytest.approx(lqg_gradient(sys, cov0)[1].inner(cov1), rel=1e-10)
 
 
 def test_kalman_policy_is_inner_minimizer():
