@@ -76,4 +76,5 @@ from .stationary import (
     solve_filter_are,
     solve_stationary_fw,
     stationary_cost,
+    stationary_gradient,
 )

@@ -76,13 +76,12 @@ def spectral_radius(F: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(F)).max(initial=0.0))
 
 
-# Kronecker-vectorized solve is exact and cheap at desk scale; the doubling
-# iteration covers larger dims without forming the n^2 x n^2 system.
-_LYAPUNOV_DIRECT_DIM = 50
-
-
 def solve_discrete_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Solve Sigma = F Sigma F^T + Q for Schur-stable F and psd Q."""
+    """Solve Sigma = F Sigma F^T + Q for Schur-stable F and psd Q.
+
+    Doubling iteration: after k steps Sigma sums the first 2^k terms of the
+    series sum_j F^j Q (F^j)^T.
+    """
     F = _check_square(F, "F")
     Q = symmetrize(Q)
     if F.shape != Q.shape:
@@ -90,17 +89,12 @@ def solve_discrete_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
     rho = spectral_radius(F)
     if rho >= 1.0 - 1e-8:
         raise InstabilityError(f"spectral radius {rho:.6f} >= 1 - 1e-8")
-    n = F.shape[0]
-    if n <= _LYAPUNOV_DIRECT_DIM:
-        lhs = np.eye(n * n) - np.kron(F, F)
-        sigma = np.linalg.solve(lhs, Q.reshape(-1)).reshape(n, n)
-    else:
-        sigma = Q.copy()
-        Fk = F.copy()
-        for _ in range(200):
-            incr = Fk @ sigma @ Fk.T
-            sigma = sigma + incr
-            Fk = Fk @ Fk
-            if np.linalg.norm(incr, "fro") <= 1e-16 * (1.0 + np.linalg.norm(sigma, "fro")):
-                break
+    sigma = Q.copy()
+    Fk = F.copy()
+    for _ in range(200):
+        incr = Fk @ sigma @ Fk.T
+        sigma = sigma + incr
+        Fk = Fk @ Fk
+        if np.linalg.norm(incr, "fro") <= 1e-16 * (1.0 + np.linalg.norm(sigma, "fro")):
+            break
     return symmetrize(sigma)

@@ -1,14 +1,14 @@
 """Infinite-horizon average-cost machinery: DARE, filter ARE, stationary cost.
 
-The average cost of the stationary policy u_t = K xhat_t under time-invariant
-Gaussian noise is evaluated through the joint (state, estimation error)
-dynamics: with F = [[A+BK, -BK], [0, A - LCA]] and input matrix
-Xi = [[I, 0], [I-LC, -L]] driven by (w_t, v_{t+1}), the stationary joint
-covariance solves the discrete Lyapunov equation, and the cost is
-Tr(Sigma_x Q) + Tr(K Sigma_xhat K^T R). The Frank-Wolfe driver of
-frank_wolfe, run over the two time-invariant blocks (Sigma_w, Sigma_v) with
-the configured step rule, computes nature's worst case, with gradients by
-central finite differences (the blocks are small).
+The stationary problem is the steady state of the finite-horizon one. Both
+algebraic Riccati equations run one fixed-point loop (the filter equation is
+the control equation of the dual pair (A^T, C^T)). The average cost of the
+policy u_t = K xhat_t is the per-step term of lqg._lqg_cost at the steady
+state, Tr((Q - P) Sigma_f) + Tr(P S), and its exact gradient in
+(Sigma_w, Sigma_v) is the fixed point of the adjoint sweep of
+gradient.lqg_gradient, one n x n Lyapunov solve. The Frank-Wolfe driver of
+frank_wolfe, run over the two time-invariant blocks with the configured step
+rule, computes nature's worst case.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 from .divergences import AmbiguityBall, MomentPair, membership
 from .errors import InvalidInputError, StabilizabilityError
 from .frank_wolfe import FwConfig, FwTrace, maximize
-from .gradient import fd_block_gradients
 from .matops import solve_discrete_lyapunov, spectral_radius, symmetrize
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 
@@ -42,12 +41,16 @@ class StationarySystem:
     def __post_init__(self):
         for name in ("A", "B", "C", "Q", "R"):
             arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.ndim != 2:
+                raise InvalidInputError(f"{name} must be a matrix, got shape {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise InvalidInputError(f"{name} has non-finite entries")
             object.__setattr__(self, name, arr)
         n = self.A.shape[0]
         if self.A.shape != (n, n) or self.B.shape[0] != n or self.C.shape[1] != n:
             raise InvalidInputError("system matrix dimensions inconsistent")
+        if self.Q.shape != (n, n) or self.R.shape != (self.m, self.m):
+            raise InvalidInputError(f"Q must be ({n}, {n}) and R ({self.m}, {self.m})")
         if np.linalg.eigvalsh(symmetrize(self.Q)).min() <= 0.0:
             raise InvalidInputError("Q must be positive definite")
         if np.linalg.eigvalsh(symmetrize(self.R)).min() <= 0.0:
@@ -75,36 +78,37 @@ class StationarySolution:
     avg_cost: float
 
 
-def solve_dare(ss: StationarySystem) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-point iteration for the control algebraic Riccati equation.
+def _riccati_fixed_point(A, B, Q, R, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed point of X = A^T X A + Q - A^T X B (R + B^T X B)^{-1} B^T X A.
 
-    P = A^T P A + Q - A^T P B (R + B^T P B)^{-1} B^T P A, started at P = Q,
-    stopped on relative change 1e-12. The closed loop A + BK must be Schur
-    stable with margin 1e-8; failure to converge certifies a
-    stabilizability violation.
+    Started at X = Q, stopped on relative change 1e-12. Returns X and the gain
+    K = -(R + B^T X B)^{-1} B^T X A with A + BK Schur stable (margin 1e-8);
+    divergence or an unstable closed loop raises StabilizabilityError naming
+    `what`.
     """
-    A, B, Q, R = ss.A, ss.B, ss.Q, ss.R
-    P = symmetrize(Q)
+    X = symmetrize(Q)
     for _ in range(_FIXED_POINT_MAX_ITERS):
-        PB = P @ B
-        gain_sys = R + B.T @ PB
-        K = -np.linalg.solve(gain_sys, PB.T @ A)
-        P_next = symmetrize(A.T @ P @ A + Q + (PB.T @ A).T @ K)
-        if not np.all(np.isfinite(P_next)) or np.abs(P_next).max() > 1e150:
-            raise StabilizabilityError(
-                "Riccati iterates diverge; (A, B) looks unstabilizable"
-            )
-        delta = np.linalg.norm(P_next - P, "fro")
-        P = P_next
-        if delta <= _REL_TOL * (1.0 + np.linalg.norm(P, "fro")):
+        XB = X @ B
+        K = -np.linalg.solve(R + B.T @ XB, XB.T @ A)
+        X_next = symmetrize(A.T @ X @ A + Q + (XB.T @ A).T @ K)
+        if not np.all(np.isfinite(X_next)) or np.abs(X_next).max() > 1e150:
+            raise StabilizabilityError(f"Riccati iterates diverge; {what}")
+        delta = np.linalg.norm(X_next - X, "fro")
+        X = X_next
+        if delta <= _REL_TOL * (1.0 + np.linalg.norm(X, "fro")):
             break
     else:
-        raise StabilizabilityError("Riccati iteration did not converge; (A, B) looks unstabilizable")
-    PB = P @ B
-    K = -np.linalg.solve(R + B.T @ PB, PB.T @ A)
+        raise StabilizabilityError(f"Riccati iteration did not converge; {what}")
+    XB = X @ B
+    K = -np.linalg.solve(R + B.T @ XB, XB.T @ A)
     if spectral_radius(A + B @ K) >= 1.0 - _STAB_MARGIN:
-        raise StabilizabilityError("closed loop A + BK is not Schur stable")
-    return P, K
+        raise StabilizabilityError(f"closed loop is not Schur stable; {what}")
+    return X, K
+
+
+def solve_dare(ss: StationarySystem) -> tuple[np.ndarray, np.ndarray]:
+    """Control algebraic Riccati equation: P and the gain K with A + BK stable."""
+    return _riccati_fixed_point(ss.A, ss.B, ss.Q, ss.R, "(A, B) looks unstabilizable")
 
 
 def solve_filter_are(
@@ -112,35 +116,21 @@ def solve_filter_are(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed point of the one-step-ahead filter Riccati equation.
 
-    S = A S A^T + Sigma_w - A S C^T (C S C^T + Sigma_v)^{-1} C S A^T, with
-    steady gain L = S C^T (Sigma_v + C S C^T)^{-1}; the error matrix
-    (I - LC) A must be Schur stable.
+    S = A S A^T + Sigma_w - A S C^T (C S C^T + Sigma_v)^{-1} C S A^T is the
+    control equation of the dual pair (A^T, C^T); steady gain
+    L = S C^T (Sigma_v + C S C^T)^{-1}. The dual closed loop A^T + C^T K has
+    the spectrum of the error matrix (I - LC) A, which is thus Schur stable.
     """
     Sigma_w = symmetrize(np.asarray(Sigma_w, dtype=float))
     Sigma_v = symmetrize(np.asarray(Sigma_v, dtype=float))
+    if Sigma_w.shape != (ss.n, ss.n) or Sigma_v.shape != (ss.p, ss.p):
+        raise InvalidInputError(f"Sigma_w must be ({ss.n}, {ss.n}) and Sigma_v ({ss.p}, {ss.p})")
     if np.linalg.eigvalsh(Sigma_w).min() <= 0.0 or np.linalg.eigvalsh(Sigma_v).min() <= 0.0:
         raise InvalidInputError("stationary noise covariances must be positive definite")
-    A, C = ss.A, ss.C
-    S = Sigma_w.copy()
-    for _ in range(_FIXED_POINT_MAX_ITERS):
-        SC = S @ C.T
-        innov = C @ SC + Sigma_v
-        gain = np.linalg.solve(innov, SC.T).T
-        S_next = symmetrize(A @ (S - gain @ SC.T) @ A.T + Sigma_w)
-        if not np.all(np.isfinite(S_next)) or np.abs(S_next).max() > 1e150:
-            raise StabilizabilityError(
-                "filter Riccati iterates diverge; (A, C) looks undetectable"
-            )
-        delta = np.linalg.norm(S_next - S, "fro")
-        S = S_next
-        if delta <= _REL_TOL * (1.0 + np.linalg.norm(S, "fro")):
-            break
-    else:
-        raise StabilizabilityError("filter Riccati iteration did not converge; (A, C) looks undetectable")
+    C = ss.C
+    S, _ = _riccati_fixed_point(ss.A.T, C.T, Sigma_w, Sigma_v, "(A, C) looks undetectable")
     SC = S @ C.T
     L = np.linalg.solve(Sigma_v + C @ SC, SC.T).T
-    if spectral_radius((np.eye(ss.n) - L @ C) @ A) >= 1.0 - _STAB_MARGIN:
-        raise StabilizabilityError("filter error dynamics are not Schur stable")
     return S, L
 
 
@@ -149,33 +139,33 @@ def stationary_cost(
 ) -> tuple[float, StationarySolution]:
     """Long-run average cost of the optimal stationary policy.
 
-    Solves the joint (x, e) Lyapunov equation for the stationary covariance
-    and assembles Tr(Sigma_x Q) + Tr(Sigma_u R) with Sigma_u = K Sigma_xhat K^T.
+    The per-step term of the finite-horizon trace formula at its steady state:
+    Tr((Q - P) Sigma_f) + Tr(P S) with Sigma_f = S - L C S.
     """
     P, K = solve_dare(ss)
     S, L = solve_filter_are(ss, Sigma_w, Sigma_v)
-    A, B, C = ss.A, ss.B, ss.C
-    n = ss.n
-    LC = L @ C
-    F = np.block([[A + B @ K, -B @ K], [np.zeros((n, n)), A - LC @ A]])
-    if spectral_radius(F) >= 1.0 - _STAB_MARGIN:
-        raise StabilizabilityError("joint state/error dynamics are not Schur stable")
-    Xi = np.block([[np.eye(n), np.zeros((n, ss.p))], [np.eye(n) - LC, -L]])
-    Sigma_xi = np.block(
-        [
-            [Sigma_w, np.zeros((n, ss.p))],
-            [np.zeros((ss.p, n)), Sigma_v],
-        ]
-    )
-    joint = solve_discrete_lyapunov(F, symmetrize(Xi @ Sigma_xi @ Xi.T))
-    Sigma_x = joint[:n, :n]
-    Sigma_e = joint[n:, n:]
-    Sigma_xe = joint[:n, n:]
-    Sigma_xhat = symmetrize(Sigma_x + Sigma_e - Sigma_xe - Sigma_xe.T)
-    Sigma_u = K @ Sigma_xhat @ K.T
-    avg_cost = float(np.trace(Sigma_x @ ss.Q) + np.trace(Sigma_u @ ss.R))
+    Sigma_f = symmetrize(S - L @ ss.C @ S)
+    avg_cost = float(np.trace((ss.Q - P) @ Sigma_f) + np.trace(P @ S))
     sol = StationarySolution(P=P, K=K, Sigma_pred=S, L=L, avg_cost=avg_cost)
     return avg_cost, sol
+
+
+def stationary_gradient(
+    ss: StationarySystem, Sigma_w: np.ndarray, Sigma_v: np.ndarray
+) -> tuple[float, list[np.ndarray]]:
+    """Average cost and its exact gradient [G_w, G_v] (trace pairing).
+
+    The fixed point of the adjoint sweep of gradient.lqg_gradient: with
+    Phi = (I - LC) A, Y = Phi^T Y Phi + Q - P + A^T P A, then
+    G_w = P + (I - LC)^T Y (I - LC) and G_v = L^T Y L.
+    """
+    avg_cost, sol = stationary_cost(ss, Sigma_w, Sigma_v)
+    A, P, L = ss.A, sol.P, sol.L
+    closed = np.eye(ss.n) - L @ ss.C
+    Y = solve_discrete_lyapunov((closed @ A).T, ss.Q - P + A.T @ P @ A)
+    G_w = symmetrize(P + closed.T @ Y @ closed)
+    G_v = symmetrize(L.T @ Y @ L)
+    return avg_cost, [G_w, G_v]
 
 
 def solve_stationary_fw(
@@ -192,7 +182,7 @@ def solve_stationary_fw(
         return stationary_cost(ss, *blocks)[0]
 
     def value_and_grad(blocks):
-        return value(blocks), fd_block_gradients(value, blocks)
+        return stationary_gradient(ss, *blocks)
 
     floors = [0.0, float(np.linalg.eigvalsh(ball_v.nominal.cov).min())]
     (Sw, Sv), trace = maximize(

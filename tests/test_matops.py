@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from robustlqg.errors import InstabilityError, InvalidInputError
 from robustlqg.matops import (
@@ -104,15 +105,27 @@ def test_lyapunov_matches_series_oracle():
         assert np.linalg.eigvalsh(sigma).min() >= -1e-10
 
 
-def test_lyapunov_doubling_path_agrees_with_direct():
+def test_lyapunov_residual_at_d60():
     rng = np.random.default_rng(9)
-    d = 60  # above the direct-solve cutoff
+    d = 60
     F = rng.standard_normal((d, d))
     F *= 0.5 / spectral_radius(F)
     Q = rand_spd(d, rng)
     sigma = solve_discrete_lyapunov(F, Q)
     resid = sigma - F @ sigma @ F.T - Q
     assert np.linalg.norm(resid, "fro") <= 1e-9 * (1 + np.linalg.norm(Q, "fro"))
+
+
+@pytest.mark.parametrize("radius", [0.5, 0.99, 0.9999])
+def test_lyapunov_matches_scipy(radius):
+    rng = np.random.default_rng(11)
+    for d in (1, 3, 10, 20):
+        F = rng.standard_normal((d, d))
+        F *= radius / spectral_radius(F)
+        Q = rand_spd(d, rng)
+        ref = scipy.linalg.solve_discrete_lyapunov(F, Q)
+        sigma = solve_discrete_lyapunov(F, Q)
+        assert np.linalg.norm(sigma - ref, "fro") <= 1e-9 * np.linalg.norm(ref, "fro")
 
 
 def test_lyapunov_rejects_unstable():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from robustlqg.divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
 from robustlqg.errors import InvalidInputError, StabilizabilityError
 from robustlqg.frank_wolfe import FwConfig
+from robustlqg.gradient import fd_block_gradients
 from robustlqg.instances import instance_rng, random_covariance
 from robustlqg.lqg import CovarianceProfile, SystemInstance, kalman_forward, lqg_value, riccati_backward
 from robustlqg.matops import spectral_radius
@@ -13,11 +15,14 @@ from robustlqg.stationary import (
     solve_filter_are,
     solve_stationary_fw,
     stationary_cost,
+    stationary_gradient,
 )
 
 from conftest import rand_spd
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+# (n, m, p): one square system and two rectangular ones
+SHAPES = [(3, 3, 3), (3, 2, 1), (3, 2, 2)]
 
 
 def _scalar(a=1.0, b=1.0, c=1.0, q=1.0, r=1.0):
@@ -267,7 +272,79 @@ def test_stationary_system_validation():
     eye = np.eye(1)
     with pytest.raises(InvalidInputError):
         StationarySystem(A=eye, B=eye, C=eye, Q=0.0 * eye, R=eye)  # Q must be pd
+    with pytest.raises(InvalidInputError):
+        StationarySystem(A=eye, B=np.ones(1), C=eye, Q=eye, R=eye)  # B must be 2-D
     # unstabilizable: A = 2 with B = 0 cannot be stabilized
     ss = StationarySystem(A=2.0 * eye, B=0.0 * eye, C=eye, Q=eye, R=eye)
     with pytest.raises(StabilizabilityError):
         solve_dare(ss)
+
+
+@pytest.mark.parametrize("field", ["Q", "R", "Sigma_w", "Sigma_v"])
+def test_misshaped_stationary_inputs_raise_typed_errors(field):
+    eye = np.eye(3)
+    mats = dict(A=0.5 * eye, B=eye, C=eye, Q=eye, R=eye, Sigma_w=eye, Sigma_v=eye)
+    mats[field] = np.eye(2)
+    with pytest.raises(InvalidInputError):
+        ss = StationarySystem(**{k: mats[k] for k in "ABCQR"})
+        stationary_cost(ss, mats["Sigma_w"], mats["Sigma_v"])
+
+
+def _noise(rng, ss):
+    return rand_spd(ss.n, rng, 0.8, 2.0), rand_spd(ss.p, rng, 0.8, 2.0)
+
+
+@pytest.mark.parametrize("n,m,p", SHAPES)
+def test_stationary_gradient_matches_finite_differences(n, m, p):
+    rng = np.random.default_rng(10 + p + m)
+    for _ in range(3):
+        ss = _stabilizable_instance(rng, n, m, p)
+        Sw, Sv = _noise(rng, ss)
+        cost, grads = stationary_gradient(ss, Sw, Sv)
+        assert cost == stationary_cost(ss, Sw, Sv)[0]
+        fd = fd_block_gradients(lambda b: stationary_cost(ss, *b)[0], [Sw, Sv])
+        for G, G_fd in zip(grads, fd):
+            assert np.linalg.norm(G - G_fd, "fro") <= 1e-6 * np.linalg.norm(G_fd, "fro")
+
+
+@pytest.mark.parametrize("n,m,p", SHAPES)
+def test_stationary_cost_matches_joint_lyapunov_cost(n, m, p):
+    # reference: the stationary covariance of the joint (state, estimation
+    # error) dynamics under the policy (K, L), driven by (w_t, v_{t+1})
+    rng = np.random.default_rng(20 + p + m)
+    for _ in range(3):
+        ss = _stabilizable_instance(rng, n, m, p)
+        Sw, Sv = _noise(rng, ss)
+        cost, sol = stationary_cost(ss, Sw, Sv)
+        A, B, C, K, L = ss.A, ss.B, ss.C, sol.K, sol.L
+        I, LC = np.eye(n), L @ C
+        F = np.block([[A + B @ K, -B @ K], [np.zeros((n, n)), (I - LC) @ A]])
+        Xi = np.block([[I, np.zeros((n, p))], [I - LC, -L]])
+        noise = scipy.linalg.block_diag(Sw, Sv)
+        joint = scipy.linalg.solve_discrete_lyapunov(F, Xi @ noise @ Xi.T)
+        Sx, Se, Sxe = joint[:n, :n], joint[n:, n:], joint[:n, n:]
+        Sxhat = Sx + Se - Sxe - Sxe.T
+        ref = np.trace(Sx @ ss.Q) + np.trace(K @ Sxhat @ K.T @ ss.R)
+        assert cost == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("n,m,p", SHAPES)
+def test_riccati_solvers_match_scipy(n, m, p):
+    rng = np.random.default_rng(30 + p + m)
+    for _ in range(3):
+        ss = _stabilizable_instance(rng, n, m, p)
+        Sw, Sv = _noise(rng, ss)
+        P, _ = solve_dare(ss)
+        S, _ = solve_filter_are(ss, Sw, Sv)
+        P_ref = scipy.linalg.solve_discrete_are(ss.A, ss.B, ss.Q, ss.R)
+        S_ref = scipy.linalg.solve_discrete_are(ss.A.T, ss.C.T, Sw, Sv)
+        assert np.abs(P - P_ref).max() <= 1e-8 * (1 + np.abs(P_ref).max())
+        assert np.abs(S - S_ref).max() <= 1e-8 * (1 + np.abs(S_ref).max())
+
+
+def test_filter_are_rejects_undetectable_pair():
+    # A = 2 with C = 0: the unstable mode is never observed
+    eye = np.eye(1)
+    ss = StationarySystem(A=2.0 * eye, B=eye, C=0.0 * eye, Q=eye, R=eye)
+    with pytest.raises(StabilizabilityError, match=r"\(A, C\)"):
+        solve_filter_are(ss, eye, eye)
