@@ -55,6 +55,7 @@ from .oracles import (
     brute_force_oracle,
     fisher_oracle,
     kl_oracle,
+    oracle_pass,
     solve_oracle,
     wasserstein_oracle,
 )

@@ -225,7 +225,7 @@ def policy_worst_case_cost(coeffs: GradientProfile, balls, delta: float = 0.95):
     grads = coeffs.blocks()
     ball_list = balls.blocks()
     nominal = [ball.nominal.cov for ball in ball_list]
-    _, worst_blocks = _oracle_pass(ball_list, grads, nominal, _lam_floors(balls), delta)
+    _, worst_blocks, _ = _oracle_pass(ball_list, grads, nominal, _lam_floors(balls), delta)
     return sum(float(np.sum(G * S)) for G, S in zip(grads, worst_blocks)), worst_blocks
 
 

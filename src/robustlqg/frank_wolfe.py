@@ -2,13 +2,13 @@
 
 One driver, maximize, serves both horizons: it works on a list of covariance
 blocks, one ball each. Every iteration evaluates the cost gradient in every
-block, solves the separable linearization oracle of each block in turn, and
-takes a convex-combination step toward the oracle targets. The surrogate gap
-sum_z <grad_z, Sigma_z* - Sigma_z> certifies epsilon-suboptimality for the
-concave objective and drives the stopping rule. solve adapts the driver to
-the finite-horizon LQG value over the 2T+1 blocks [X0, W_t.., V_t..];
-stationary.solve_stationary_fw adapts it to the average cost over
-[Sigma_w, Sigma_v].
+block, solves the separable linearization oracles of all blocks in one
+batched pass (oracles.oracle_pass), and takes a convex-combination step
+toward the oracle targets. The surrogate gap sum_z <grad_z, Sigma_z* -
+Sigma_z> certifies epsilon-suboptimality for the concave objective and
+drives the stopping rule. solve adapts the driver to the finite-horizon LQG
+value over the 2T+1 blocks [X0, W_t.., V_t..]; stationary.solve_stationary_fw
+adapts it to the average cost over [Sigma_w, Sigma_v].
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from .errors import InvalidInputError
 from .gradient import lqg_gradient
 from .lqg import CovarianceProfile, SystemInstance
 from .matops import symmetrize
-from .oracles import solve_oracle
+from .oracles import oracle_pass
+from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,10 @@ class FwRecord:
     fw_gap: float
     step_size: float
     wall_ms: float
-    rel_gap: float  # gap / max(|objective|, 1); kept in the record, not the CSV
+    # kept in the record, not the CSV:
+    rel_gap: float  # gap / max(|objective|, 1)
+    oracle_s: float  # wall seconds of the iteration's oracle pass
+    oracle_steps: int  # bisection steps summed over blocks
 
 
 @dataclass
@@ -132,14 +136,14 @@ def _lam_floors(balls: BallProfile) -> list[float]:
 
 
 def _oracle_pass(balls, grads, current, floors, delta):
-    """Oracle target per block and the surrogate gap sum_z <G_z, Sigma_z* - Sigma_z>."""
+    """Oracle target per block, the surrogate gap sum_z <G_z, Sigma_z* - Sigma_z>
+    and the bisection steps summed over blocks."""
+    results = oracle_pass(balls, grads, current, floors, delta)
+    targets = [r.sigma_star for r in results]
     gap = 0.0
-    targets = []
-    for ball, G, S, floor in zip(balls, grads, current, floors):
-        star = solve_oracle(ball, G, S, floor, delta).sigma_star
+    for G, S, star in zip(grads, current, targets):
         gap += float(np.sum(G * (star - S)))
-        targets.append(star)
-    return gap, targets
+    return gap, targets, sum(r.steps for r in results)
 
 
 def fw_gap(
@@ -154,7 +158,7 @@ def fw_gap(
     bounds f* - f(current) (up to the oracle delta factor).
     """
     _, grad = lqg_gradient(sys, current)
-    gap, targets = _oracle_pass(
+    gap, targets, _ = _oracle_pass(
         balls.blocks(), grad.blocks(), current.blocks(), _lam_floors(balls), delta
     )
     return gap, CovarianceProfile.from_blocks(targets, sys.T)
@@ -200,7 +204,9 @@ def maximize(
     for k in range(cfg.max_iters):
         t0 = time.perf_counter()
         objective, grads = value_and_grad(current)
-        gap, targets = _oracle_pass(balls, grads, current, floors, cfg.oracle_delta)
+        t_oracle = time.perf_counter()
+        gap, targets, steps = _oracle_pass(balls, grads, current, floors, cfg.oracle_delta)
+        oracle_s = time.perf_counter() - t_oracle
         if gap <= cfg.gap_tol:
             alpha = 0.0
             trace.converged = True
@@ -210,9 +216,9 @@ def maximize(
                 alpha = _backtrack(value, current, targets, objective, gap, alpha)
             current = _step(current, targets, alpha)
         wall = (time.perf_counter() - t0) * 1e3
-        trace.records.append(
-            FwRecord(k, objective, gap, alpha, wall, gap / max(abs(objective), 1.0))
-        )
+        trace.records.append(FwRecord(
+            k, objective, gap, alpha, wall, gap / max(abs(objective), 1.0), oracle_s, steps
+        ))
         if trace.converged:
             break
     return current, trace

@@ -260,3 +260,73 @@ def test_rectangular_system_converges_inside_balls(kind, step_rule, p):
     assert trace.converged
     for ball, block in zip(balls.blocks(), worst.blocks()):
         assert membership(ball, MomentPair.zero_mean(block), 1e-8)
+
+
+def test_trace_records_carry_oracle_cost():
+    from robustlqg.gradient import lqg_gradient
+    from robustlqg.frank_wolfe import _lam_floors
+    from robustlqg.oracles import oracle_pass
+
+    sys, model = generate_instance(3, 3, seed=9, kind=DivergenceKind.KULLBACK_LEIBLER, rho=0.3)
+    balls = model.ball_profile()
+    _, trace = solve(sys, balls)
+    for rec in trace.records:
+        assert 0.0 < rec.oracle_s <= rec.wall_ms / 1e3
+        assert rec.oracle_steps > 0
+    # the first pass runs at the nominal: its steps are the blocks' own counts
+    nominal = balls.nominal_profile()
+    grads = lqg_gradient(sys, nominal)[1].blocks()
+    results = oracle_pass(balls.blocks(), grads, nominal.blocks(), _lam_floors(balls))
+    assert trace.records[0].oracle_steps == sum(r.steps for r in results)
+
+
+def _frobenius(candidate, nominal):
+    return float(np.linalg.norm(candidate.second_moment - nominal.second_moment, "fro"))
+
+
+def _frobenius_linearization(gradient, nominal, rho, reference, delta):
+    # <G, Sigma> over ||Sigma - Shat||_F <= rho is maximized along G itself
+    norm = np.linalg.norm(gradient, "fro")
+    return nominal.cov + (rho / norm) * gradient if norm > 0.0 else nominal.cov
+
+
+def _custom_balls(sys, name, rho):
+    from robustlqg.divergences import AmbiguityBall
+
+    cov = rand_profile(np.random.default_rng(3), sys, lo=1.0, hi=2.0)
+
+    def ball(S):
+        return AmbiguityBall(kind=DivergenceKind.MOMENT_CUSTOM, nominal=MomentPair.zero_mean(S),
+                             radius=rho, custom_name=name)
+
+    return BallProfile(x0=ball(cov.X0), w=tuple(ball(S) for S in cov.W),
+                       v=tuple(ball(S) for S in cov.V))
+
+
+def _register_frobenius(name, linearization):
+    from robustlqg.divergences import CustomDivergence, register_moment_divergence
+
+    register_moment_divergence(
+        CustomDivergence(name=name, evaluate=_frobenius, linearization=linearization),
+        MomentPair.zero_mean(np.eye(2)), 0.5,
+    )
+
+
+def test_custom_divergence_solves_inside_its_balls():
+    _register_frobenius("frobenius-fw-test", _frobenius_linearization)
+    sys = rand_system(np.random.default_rng(2), n=2, m=2, p=2, T=3)
+    balls = _custom_balls(sys, "frobenius-fw-test", 0.4)
+    worst, trace = solve(sys, balls, cfg=FwConfig(gap_tol=1e-6, step_rule="line_search"))
+    assert trace.converged
+    assert trace.records[-1].objective > trace.records[0].objective
+    for ball, block in zip(balls.blocks(), worst.blocks()):
+        assert membership(ball, MomentPair.zero_mean(block), 1e-8)
+
+
+def test_custom_divergence_without_linearization_is_unsupported():
+    from robustlqg.errors import UnsupportedDivergenceError
+
+    _register_frobenius("frobenius-no-oracle-test", None)
+    sys = rand_system(np.random.default_rng(2), n=2, m=2, p=2, T=3)
+    with pytest.raises(UnsupportedDivergenceError):
+        solve(sys, _custom_balls(sys, "frobenius-no-oracle-test", 0.4))

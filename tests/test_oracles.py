@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustlqg.divergences import (
     AmbiguityBall,
@@ -17,6 +19,7 @@ from robustlqg.oracles import (
     brute_force_oracle,
     fisher_oracle,
     kl_oracle,
+    oracle_pass,
     solve_oracle,
     wasserstein_oracle,
 )
@@ -60,6 +63,9 @@ def test_wasserstein_scalar_closed_form():
     dist = gelbrich(MomentPair.zero_mean(res.sigma_star), MomentPair.zero_mean(np.eye(1)))
     assert dist == pytest.approx(1.0, abs=1e-6)
     assert res.active
+    # no bisection, and phi(gamma*) = 2 + 2 - 1 is the optimum <1, 4 - 1>
+    assert res.steps == 0
+    assert res.dual_bound == pytest.approx(3.0, abs=1e-9)
 
 
 def test_kl_scalar_closed_form():
@@ -90,13 +96,16 @@ def test_zero_gradient_short_circuits(kind):
     res = _run(kind, np.zeros((2, 2)), nominal, 0.7, nominal)
     np.testing.assert_array_equal(res.sigma_star, nominal)
     assert not res.active
+    assert res.steps == 0 and res.dual_bound == 0.0
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_zero_radius_returns_nominal(kind):
     nominal = np.diag([1.0, 2.0])
-    res = _run(kind, np.eye(2), nominal, 0.0, nominal)
+    res = _run(kind, np.eye(2), nominal, 0.0, 0.5 * nominal)
     np.testing.assert_array_equal(res.sigma_star, nominal)
+    # the nominal is the only feasible point: its primal value is the bound
+    assert res.steps == 0 and res.dual_bound == pytest.approx(1.5)
 
 
 def test_rejects_indefinite_gradient():
@@ -351,3 +360,94 @@ def test_oracle_output_feasible_within_absolute_1e8(kind, seed):
     ball = AmbiguityBall(kind=kind, nominal=MomentPair.zero_mean(nominal), radius=2.0)
     res = solve_oracle(ball, Gamma, nominal, 0.0, 0.95)
     assert membership(ball, MomentPair.zero_mean(res.sigma_star), 1e-8)
+
+
+def _adapter(ball, Gamma, ref, floor, delta):
+    """The per-block oracle for a ball, called as a batch of one."""
+    if ball.kind is DivergenceKind.WASSERSTEIN2:
+        return wasserstein_oracle(Gamma, ball.nominal.cov, ball.radius, ref, floor, delta)
+    return _run(ball.kind, Gamma, ball.nominal.cov, ball.radius, ref, delta)
+
+
+def _mixed_batch(seed, n, p, T, kinds, rho):
+    """Blocks ordered like a BallProfile, [x0, w.., v..] of sizes n and p, each
+    with a kind from kinds; block 1 gets a zero gradient and block 2 rho = 0.
+    The references are feasible, as FW iterates are: the nominal, or a point
+    between the nominal and its oracle target."""
+    rng = np.random.default_rng(seed)
+
+    def spd(d, lo, hi):
+        Qm, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        return (Qm * rng.uniform(lo, hi, d)) @ Qm.T
+
+    sizes = [n] * (T + 1) + [p] * T
+    balls, grads, refs, floors = [], [], [], []
+    for z, d in enumerate(sizes):
+        nominal = spd(d, 0.5, 2.5)
+        radius = 0.0 if z == 2 else rho * float(rng.uniform(0.5, 1.5))
+        kind = kinds[z % len(kinds)]
+        balls.append(AmbiguityBall(kind=kind, nominal=MomentPair.zero_mean(nominal), radius=radius))
+        grads.append(np.zeros((d, d)) if z == 1 else spd(d, 0.0, 3.0))
+        floors.append(float(np.linalg.eigvalsh(nominal).min()) if z > T else 0.0)
+        ref = nominal
+        if z % 2:
+            target = _adapter(balls[-1], grads[-1], nominal, floors[-1], 0.95).sigma_star
+            ref = 0.5 * (nominal + target)
+        refs.append(ref)
+    return balls, grads, refs, floors
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    p=st.integers(1, 4),
+    T=st.integers(2, 4),
+    kinds=st.lists(st.sampled_from(ALL_KINDS), min_size=1, max_size=3),
+    rho=st.floats(0.05, 3.0),
+)
+def test_batched_pass_is_independent_of_the_batch(seed, n, p, T, kinds, rho):
+    # each block of a mixed batch gets exactly what it gets alone, and every
+    # block meets the oracle contracts: feasible within 1e-8, active within
+    # 1e-6 when bisected, and the delta criterion against its dual bound
+    delta = 0.95
+    balls, grads, refs, floors = _mixed_batch(seed, n, p, T, kinds, rho)
+    batch = oracle_pass(balls, grads, refs, floors, delta)
+    for ball, G, ref, floor, got in zip(balls, grads, refs, floors, batch):
+        alone = _adapter(ball, G, ref, floor, delta)
+        scale = max(1.0, float(np.abs(alone.sigma_star).max()))
+        assert np.abs(got.sigma_star - alone.sigma_star).max() <= 1e-12 * scale
+        for a, b in ((got.dual_gamma, alone.dual_gamma), (got.dual_bound, alone.dual_bound),
+                     (got.subopt_delta_achieved, alone.subopt_delta_achieved)):
+            assert a == pytest.approx(b, rel=1e-12, abs=1e-12, nan_ok=True)
+        assert (got.active, got.steps) == (alone.active, alone.steps)
+
+        pair = MomentPair.zero_mean(got.sigma_star)
+        assert membership(ball, pair, 1e-8)
+        primal = float(np.sum(G * (got.sigma_star - ref)))
+        noise = 1e-9 * max(1.0, abs(float(np.sum(G * ref))) + float(np.sum(G * ball.nominal.cov)))
+        assert primal + 1.01 * noise >= delta * got.dual_bound
+        if got.steps > 0:
+            assert abs(ball.divergence(pair) - ball.radius) <= 1e-6
+        if ball.kind is DivergenceKind.WASSERSTEIN2:
+            assert np.linalg.eigvalsh(got.sigma_star).min() >= floor - 1e-10
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_one_indefinite_block_fails_the_batch(kind):
+    balls, grads, refs, floors = _mixed_batch(3, 3, 2, 3, [kind], 0.5)
+    grads[4] = np.diag([1.0, -1.0])
+    with pytest.raises(InvalidInputError):
+        oracle_pass(balls, grads, refs, floors)
+
+
+def test_bisection_failure_raises_oracle_error(monkeypatch):
+    # a block that cannot certify within the step budget fails the whole pass
+    from robustlqg import oracles
+    from robustlqg.errors import OracleError
+
+    balls, grads, refs, floors = _mixed_batch(5, 3, 3, 2, [DivergenceKind.KULLBACK_LEIBLER], 0.5)
+    assert max(r.steps for r in oracle_pass(balls, grads, refs, floors)) > 3
+    monkeypatch.setattr(oracles, "_MAX_BISECT", 3)
+    with pytest.raises(OracleError):
+        oracle_pass(balls, grads, refs, floors)
