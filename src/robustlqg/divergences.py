@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NumericError, UnsupportedDivergenceError
-from .matops import sym_sqrt, symmetrize
+from .matops import _check_finite, _check_square, sym_sqrt, symmetrize
 
 INFEASIBLE = float("inf")
 
@@ -30,22 +30,26 @@ _VALID_PAIR_TOL = 1e-10
 class MomentPair:
     """A valid (mean, second moment) pair: M >= mean mean^T.
 
-    The covariance is Sigma = M - mean mean^T.
+    The covariance Sigma = M - mean mean^T is formed once. Both arrays are
+    read-only; a zero-mean pair's covariance is its second moment array.
     """
 
     mean: np.ndarray
     second_moment: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        M = symmetrize(np.asarray(self.second_moment, dtype=float))
+        mean = _check_finite(np.asarray(self.mean, dtype=float).reshape(-1), "mean")
+        M = symmetrize(_check_square(self.second_moment, "second moment"))
         if M.shape[0] != mean.shape[0]:
             raise InvalidInputError("mean and second moment dimensions differ")
-        lam = np.linalg.eigvalsh(M - np.outer(mean, mean)).min()
+        cov = M - np.outer(mean, mean) if mean.any() else M  # exactly symmetric; M at mean 0
+        lam = np.linalg.eigvalsh(cov).min()
         if lam < -_VALID_PAIR_TOL * (1.0 + np.linalg.norm(M)):
             raise InvalidInputError(f"invalid moment pair: M - mu mu^T has eigenvalue {lam:.3e}")
+        M.flags.writeable = cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "second_moment", M)
+        object.__setattr__(self, "_cov", cov)  # not a field: equality and repr ignore it
 
     @property
     def dim(self) -> int:
@@ -53,7 +57,7 @@ class MomentPair:
 
     @property
     def cov(self) -> np.ndarray:
-        return symmetrize(self.second_moment - np.outer(self.mean, self.mean))
+        return self._cov
 
     @classmethod
     def from_cov(cls, mean, cov) -> "MomentPair":

@@ -24,7 +24,6 @@ from .divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
 from .errors import InvalidInputError
 from .gradient import lqg_gradient
 from .lqg import CovarianceProfile, SystemInstance
-from .matops import symmetrize
 from .oracles import oracle_pass
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 
@@ -165,7 +164,8 @@ def fw_gap(
 
 
 def _step(current, targets, alpha):
-    return [symmetrize((1.0 - alpha) * c + alpha * t) for c, t in zip(current, targets)]
+    """Convex combination of exactly symmetric blocks, hence exactly symmetric."""
+    return [(1.0 - alpha) * c + alpha * t for c, t in zip(current, targets)]
 
 
 def _backtrack(value, current, targets, objective, gap, alpha_min, shrink=0.5, armijo=0.1):

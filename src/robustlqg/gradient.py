@@ -3,8 +3,8 @@
 The LQG cost is a composition of the forward Kalman covariance recursion and
 a trace formula; its derivative is computed by a reverse (adjoint) sweep.
 With S_t the predicted covariance, E_t = C_t S_t C_t^T + V_t, and
-K_t = S_t C_t^T E_t^{-1}, the measurement update has the Joseph-form
-differential
+K_t = S_t C_t^T E_t^{-1}, kalman_forward's gain L[t] (so this sweep solves no
+linear system), the measurement update has the Joseph-form differential
 
     d Sigma_t = (I - K_t C_t) dS_t (I - K_t C_t)^T + K_t dV_t K_t^T,
 
@@ -28,10 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, InvalidInputError
-from .lqg import (
-    CovarianceProfile, SystemInstance, _lqg_cost, _pd_solve, kalman_forward, riccati_backward,
-)
-from .matops import symmetrize
+from .lqg import CovarianceProfile, SystemInstance, _lqg_cost, kalman_forward, riccati_backward
+from .matops import _check_finite, symmetrize
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ def lqg_gradient(
     forward Kalman sweep plus one reverse sweep of the same length.
     """
     P, _ = riccati_backward(sys)
-    filt, pred, _ = kalman_forward(sys, cov)
+    filt, pred, gains = kalman_forward(sys, cov)
     T, n = sys.T, sys.n
 
     value = _lqg_cost(sys, P, filt, pred)
@@ -70,15 +68,13 @@ def lqg_gradient(
     dV = np.empty_like(cov.V)
     Sbar = P[T].copy()
     for t in range(T - 1, -1, -1):
-        Ct = sys.C[t]
-        innov = Ct @ pred[t] @ Ct.T + cov.V[t]
-        Kt = _pd_solve(innov, (pred[t] @ Ct.T).T, f"innovation covariance at t={t}").T
+        Ct, Kt = sys.C[t], gains[t]
         sigbar = symmetrize(sys.Q[t] - P[t] + sys.A[t].T @ Sbar @ sys.A[t])
         dW[t] = Sbar
         dV[t] = symmetrize(Kt.T @ sigbar @ Kt)
         closed = np.eye(n) - Kt @ Ct
         Sbar = symmetrize(P[t] + closed.T @ sigbar @ closed)
-    return value, GradientProfile(dX0=Sbar, dW=dW, dV=dV)
+    return value, GradientProfile(dX0=_check_finite(Sbar, "adjoint sweep"), dW=dW, dV=dV)
 
 
 def _sym_basis(d: int):

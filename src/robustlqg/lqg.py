@@ -4,17 +4,19 @@ For a linear system x_{t+1} = A_t x_t + B_t u_t + w_t observed through
 y_t = C_t x_t + v_t with zero-mean Gaussian noise, this module computes the
 optimal feedback gains (backward Riccati recursion), the filter covariances
 and gains (forward Kalman recursion), the optimal expected cost, and a
-Monte-Carlo closed-loop simulator used as an independent check.
+Monte-Carlo closed-loop simulator used as an independent check. The filter
+gain L_t is the innovation gain, which equals Sigma_filt[t] C_t^T V_t^{-1};
+every V_t must be positive definite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConditioningError, InvalidInputError
-from .matops import sym_sqrt, symmetrize
+from .matops import _check_finite, _check_square, sym_sqrt, symmetrize
 
 _PD_TOL = 1e-10
 
@@ -45,9 +47,7 @@ class SystemInstance:
             arr = np.asarray(arr, dtype=float)
             if arr.ndim != 3 or arr.shape[0] != steps:
                 raise InvalidInputError(f"{name} must have shape ({steps}, ., .)")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInputError(f"{name} has non-finite entries")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _check_finite(arr, name))
         n, m, p = self.n, self.m, self.p
         if self.A.shape[1:] != (n, n) or self.B.shape[1:] != (n, m):
             raise InvalidInputError("A/B dimensions inconsistent")
@@ -103,13 +103,12 @@ class CovarianceProfile:
     V: np.ndarray  # (T, p, p)
 
     def __post_init__(self):
-        object.__setattr__(self, "X0", symmetrize(np.asarray(self.X0, dtype=float)))
+        object.__setattr__(self, "X0", symmetrize(_check_square(self.X0, "X0")))
         for name in ("W", "V"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 3:
-                raise InvalidInputError(f"{name} must be a (T, d, d) array")
-            arr = 0.5 * (arr + np.transpose(arr, (0, 2, 1)))
-            object.__setattr__(self, name, arr)
+            if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+                raise InvalidInputError(f"{name} must be a (T, d, d) array, got shape {arr.shape}")
+            object.__setattr__(self, name, symmetrize(_check_finite(arr, name)))
 
     @property
     def T(self) -> int:
@@ -145,46 +144,41 @@ class LqgSolution:
     cost: float
 
 
+def _riccati_step(P, A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
+    """One Riccati update, shared by riccati_backward and both stationary AREs:
+    K = -(R + B^T P B)^{-1} B^T P A and
+    P_next = A^T P A + Q - A^T P B (R + B^T P B)^{-1} B^T P A = A^T P A + Q + A^T P B K.
+    """
+    PB = P @ B
+    BtPA = PB.T @ A
+    K = -np.linalg.solve(R + B.T @ PB, BtPA)
+    return symmetrize(A.T @ P @ A + Q + BtPA.T @ K), K
+
+
 def riccati_backward(sys: SystemInstance) -> tuple[np.ndarray, np.ndarray]:
     """Backward Riccati sweep; returns (P[0..T], K[0..T-1]).
 
-    P_T = Q_T and
-    P_t = A_t^T P_{t+1} A_t + Q_t
-          - A_t^T P_{t+1} B_t (R_t + B_t^T P_{t+1} B_t)^{-1} B_t^T P_{t+1} A_t,
-    K_t = -(R_t + B_t^T P_{t+1} B_t)^{-1} B_t^T P_{t+1} A_t.
-
-    K is independent of the noise covariances.
+    P_T = Q_T, and (P_t, K_t) is the _riccati_step of P_{t+1} with the
+    step-t matrices. K is independent of the noise covariances.
     """
     T, n, m = sys.T, sys.n, sys.m
     P = np.empty((T + 1, n, n))
     K = np.empty((T, m, n))
     P[T] = symmetrize(sys.Q[T])
     for t in range(T - 1, -1, -1):
-        A, B = sys.A[t], sys.B[t]
-        PB = P[t + 1] @ B
-        gain_sys = sys.R[t] + B.T @ PB
-        BtPA = PB.T @ A
-        K[t] = -np.linalg.solve(gain_sys, BtPA)
-        P[t] = symmetrize(A.T @ P[t + 1] @ A + sys.Q[t] + BtPA.T @ K[t])
-    return P, K
+        P[t], K[t] = _riccati_step(P[t + 1], sys.A[t], sys.B[t], sys.Q[t], sys.R[t])
+    return _check_finite(P, "Riccati sweep P"), K
 
 
 def _chol_pd(M: np.ndarray, what: str):
-    """Cholesky with an explicit positive-pivot threshold."""
-    M = symmetrize(M)
+    """Cholesky of a matrix or (T, d, d) stack with an explicit positive-pivot threshold."""
     try:
-        chol = np.linalg.cholesky(M)
+        chol = np.linalg.cholesky(symmetrize(M))
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"{what} is not positive definite") from exc
-    if np.diag(chol).min() < np.sqrt(_PD_TOL):
+    if np.diagonal(chol, axis1=-2, axis2=-1).min() < np.sqrt(_PD_TOL):
         raise ConditioningError(f"{what} is numerically singular (pivot < 1e-10)")
     return chol
-
-
-def _pd_solve(M: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
-    chol = _chol_pd(M, what)
-    y = np.linalg.solve(chol, B)
-    return np.linalg.solve(chol.T, y)
 
 
 def kalman_forward(
@@ -192,27 +186,33 @@ def kalman_forward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward Kalman covariance recursion; returns (Sigma_filt, Sigma_pred, L).
 
-    Sigma_pred[0] = X0 and for t = 0..T-1:
-      Sigma_filt[t] = S_t - S_t C_t^T (C_t S_t C_t^T + V_t)^{-1} C_t S_t,
-      Sigma_pred[t+1] = A_t Sigma_filt[t] A_t^T + W_t,
-    with S_t = Sigma_pred[t]. The filter gain is L_t = Sigma_filt[t] C_t^T V_t^{-1}.
-
-    Raises ConditioningError naming the offending t when V_t (or the innovation
-    covariance) is numerically singular.
+    Sigma_pred[0] = X0 and for t = 0..T-1, with S_t = Sigma_pred[t]:
+      L_t = S_t C_t^T (C_t S_t C_t^T + V_t)^{-1}  (innovation gain; the one solve),
+      Sigma_filt[t] = S_t - L_t C_t S_t,
+      Sigma_pred[t+1] = A_t Sigma_filt[t] A_t^T + W_t.
+    L_t equals the filter gain Sigma_filt[t] C_t^T V_t^{-1}. Every V_t must still
+    be positive definite; ConditioningError names the singular V[t] or innovation
+    covariance.
     """
     T, n, p = sys.T, sys.n, sys.p
-    if cov.T != T or cov.X0.shape != (n, n) or cov.V.shape[1:] != (p, p):
+    shapes = (cov.X0.shape, cov.W.shape[1:], cov.V.shape[1:])
+    if cov.T != T or shapes != ((n, n), (n, n), (p, p)):
         raise InvalidInputError("covariance profile inconsistent with system dims")
+    try:  # one batched check; on failure, name the first singular V[t]
+        _chol_pd(cov.V, "V")
+    except ConditioningError:
+        for t in range(T):
+            _chol_pd(cov.V[t], f"V[{t}]")
     filt = np.empty((T, n, n))
     pred = np.empty((T + 1, n, n))
     L = np.empty((T, n, p))
-    pred[0] = symmetrize(cov.X0)
+    pred[0] = cov.X0
     for t in range(T):
         Ct, Vt = sys.C[t], cov.V[t]
         S = pred[t]
         SCt = S @ Ct.T
-        innov = Ct @ SCt + Vt
-        gain = _pd_solve(innov, SCt.T, f"innovation covariance at t={t}").T
+        chol = _chol_pd(Ct @ SCt + Vt, f"innovation covariance at t={t}")
+        gain = L[t] = np.linalg.solve(chol.T, np.linalg.solve(chol, SCt.T)).T
         filt[t] = symmetrize(S - gain @ SCt.T)
         # the innovation update is used as printed; when rounding pushes it
         # off the psd cone, restabilize with the (equivalent) Joseph form
@@ -222,9 +222,8 @@ def kalman_forward(
                 raise ConditioningError(f"filter covariance lost psd at t={t}")
             closed = np.eye(n) - gain @ Ct
             filt[t] = symmetrize(closed @ S @ closed.T + gain @ Vt @ gain.T)
-        L[t] = _pd_solve(Vt, (filt[t] @ Ct.T).T, f"V[{t}]").T
         pred[t + 1] = symmetrize(sys.A[t] @ filt[t] @ sys.A[t].T + cov.W[t])
-    return filt, pred, L
+    return _check_finite(filt, "filter covariance"), _check_finite(pred, "predicted covariance"), L
 
 
 def lqg_value(sys: SystemInstance, cov: CovarianceProfile) -> LqgSolution:

@@ -22,19 +22,26 @@ class SpdCertificate:
     is_pd: bool
 
 
+def _check_finite(X: np.ndarray, name: str) -> np.ndarray:
+    """Return X; raise InvalidInputError on non-finite entries (bad input or overflow)."""
+    if not np.isfinite(X).all():
+        raise InvalidInputError(f"{name} has non-finite entries")
+    return X
+
+
 def _check_square(S: np.ndarray, name: str = "matrix") -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInputError(f"{name} must be square, got shape {S.shape}")
-    if not np.all(np.isfinite(S)):
-        raise InvalidInputError(f"{name} has non-finite entries")
-    return S
+    return _check_finite(S, name)
 
 
 def symmetrize(S: np.ndarray) -> np.ndarray:
-    """Return (S + S^T)/2; prevents asymmetry drift across long recursions."""
-    S = _check_square(S)
-    return 0.5 * (S + S.T)
+    """(S + S^T)/2 of a matrix or of each matrix of a (..., d, d) stack, against
+    asymmetry drift in long recursions. No validation: matrices are checked
+    where they enter the library (_check_square), internal results are not."""
+    S = np.asarray(S)
+    return 0.5 * (S + S.swapaxes(-1, -2))
 
 
 def psd_eigh(S: np.ndarray, clamp: float = EIG_CLAMP):
@@ -43,8 +50,7 @@ def psd_eigh(S: np.ndarray, clamp: float = EIG_CLAMP):
     Eigenvalues in [-clamp, 0) are set to 0; values below -clamp raise.
     Returns (eigenvalues, eigenvectors).
     """
-    S = symmetrize(S)
-    vals, vecs = np.linalg.eigh(S)
+    vals, vecs = np.linalg.eigh(symmetrize(_check_square(S)))
     if vals.min(initial=0.0) < -clamp:
         raise InvalidInputError(
             f"matrix is not psd: min eigenvalue {vals.min():.3e} < -{clamp:.0e}"
@@ -55,8 +61,8 @@ def psd_eigh(S: np.ndarray, clamp: float = EIG_CLAMP):
 def sym_sqrt(S: np.ndarray) -> np.ndarray:
     """Symmetric psd square root R with R @ R ~= S, via eigendecomposition."""
     vals, vecs = psd_eigh(S)
-    R = (vecs * np.sqrt(vals)) @ vecs.T
-    return 0.5 * (R + R.T)
+    return symmetrize((vecs * np.sqrt(vals)) @ vecs.T)
+
 
 def loewner_geq(A: np.ndarray, B: np.ndarray, tol: float = 1e-8) -> SpdCertificate:
     """Certify A >= B in Loewner order: psd iff lambda_min(A - B) >= -tol."""
@@ -83,7 +89,7 @@ def solve_discrete_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
     series sum_j F^j Q (F^j)^T.
     """
     F = _check_square(F, "F")
-    Q = symmetrize(Q)
+    Q = symmetrize(_check_square(Q, "Q"))
     if F.shape != Q.shape:
         raise InvalidInputError(f"dimension mismatch: F {F.shape}, Q {Q.shape}")
     rho = spectral_radius(F)
@@ -97,4 +103,4 @@ def solve_discrete_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
         Fk = Fk @ Fk
         if np.linalg.norm(incr, "fro") <= 1e-16 * (1.0 + np.linalg.norm(sigma, "fro")):
             break
-    return symmetrize(sigma)
+    return symmetrize(_check_finite(sigma, "Lyapunov solution"))

@@ -44,7 +44,7 @@ from .divergences import (
     membership,
 )
 from .errors import InvalidInputError, OracleError, UnsupportedDivergenceError
-from .matops import EIG_CLAMP, _check_square, symmetrize
+from .matops import EIG_CLAMP, _check_finite, _check_square, symmetrize
 
 # kinds with a built-in oracle; a custom kind needs a registered linearization
 ORACLE_KINDS = frozenset(
@@ -77,25 +77,17 @@ class OracleResult:
     steps: int
 
 
-def _sym(S: np.ndarray) -> np.ndarray:
-    """Symmetrize every matrix of a (B, d, d) stack."""
-    return 0.5 * (S + np.swapaxes(S, -1, -2))
-
-
 def _stack(mats: Sequence[np.ndarray], d: int, name: str) -> np.ndarray:
     """Stack d x d blocks into a (B, d, d) array, rejecting bad shapes and values."""
     for M in mats:
         if np.shape(M) != (d, d):
             raise InvalidInputError(f"{name} block must be {d}x{d}, got shape {np.shape(M)}")
-    out = np.array(mats, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise InvalidInputError(f"{name} has non-finite entries")
-    return out
+    return _check_finite(np.array(mats, dtype=float), name)
 
 
 def _clean_gradients(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetrize, check psd up to -1e-8, clamp rounding negatives to zero."""
-    vals, vecs = np.linalg.eigh(_sym(G))
+    vals, vecs = np.linalg.eigh(symmetrize(G))
     scale = 1.0 + np.abs(vals).max(axis=1)
     bad = vals[:, 0] < -_GRAD_CLAMP * scale
     if bad.any():
@@ -151,7 +143,7 @@ def _wasserstein(G, lam, vecs, nominal, rho, c_ref) -> _Dual:
     def candidate(idx, g):
         m = g[:, None] / np.maximum(g[:, None] - lam[idx], 1e-300)
         inner = sig_t[idx] * (m[:, :, None] * m[:, None, :])
-        return _sym(vecs[idx] @ inner @ vecs_t[idx])
+        return symmetrize(vecs[idx] @ inner @ vecs_t[idx])
 
     scale = np.abs(c_ref) + (lam * s).sum(axis=1)
     return _Dual(lo, hi, scale, (lam, s, c_ref, rho), _w2_divergence, _w2_values, candidate)
@@ -177,8 +169,8 @@ def _kl(G, gvals, gvecs, nominal, rho, c_ref) -> _Dual:
             f"matrix is not psd: min eigenvalue {hat_vals[:, 0].min():.3e} < -{EIG_CLAMP:.0e}"
         )
     root = (hat_vecs * np.sqrt(np.maximum(hat_vals, 0.0))[:, None, :]) @ np.swapaxes(hat_vecs, 1, 2)
-    root = _sym(root)
-    lam, U = np.linalg.eigh(_sym(root @ G @ root))
+    root = symmetrize(root)
+    lam, U = np.linalg.eigh(symmetrize(root @ G @ root))
     lam = np.maximum(lam, 0.0)
     lam1 = lam[:, -1]
     RU = root @ U
@@ -186,7 +178,7 @@ def _kl(G, gvals, gvecs, nominal, rho, c_ref) -> _Dual:
 
     def candidate(idx, g):
         m = g[:, None] / np.maximum(g[:, None] - lam[idx], 1e-300)
-        return _sym((RU[idx] * m[:, None, :]) @ RU_t[idx])
+        return symmetrize((RU[idx] * m[:, None, :]) @ RU_t[idx])
 
     scale = np.abs(c_ref) + lam.sum(axis=1)
     return _Dual(lam1, lam1 * (1.0 + d / rho), scale, (lam, c_ref, rho), _kl_divergence,
@@ -196,7 +188,7 @@ def _kl(G, gvals, gvecs, nominal, rho, c_ref) -> _Dual:
 def _pencil(g, inv2, G):
     """Sigma(g) = (Shat^{-2} - Gamma/g)^{-1/2}, its eigenvalues' roots, and
     whether the pencil is pd (elsewhere the roots are placeholders)."""
-    vals, vecs = np.linalg.eigh(_sym(inv2 - G / g[:, None, None]))
+    vals, vecs = np.linalg.eigh(symmetrize(inv2 - G / g[:, None, None]))
     pd = vals[:, 0] > 0.0
     roots = np.sqrt(np.where(pd[:, None], vals, 1.0))
     return (vecs / roots[:, None, :]) @ np.swapaxes(vecs, 1, 2), roots, pd
@@ -210,7 +202,7 @@ def _fisher_divergence(g, inv2, G, tr_inv_hat, c_ref, rho):
 
 
 def _fisher_values(g, div, sigma, inv2, G, tr_inv_hat, c_ref, rho):
-    prim = (G * _sym(sigma)).sum(axis=(1, 2)) - c_ref
+    prim = (G * symmetrize(sigma)).sum(axis=(1, 2)) - c_ref
     return prim - g * (div - rho), prim
 
 
@@ -223,7 +215,7 @@ def _fisher(G, gvals, gvecs, nominal, rho, c_ref) -> _Dual:
     inv2 = (hat_vecs / hat_vals[:, None, :] ** 2) @ np.swapaxes(hat_vecs, 1, 2)  # Shat^{-2}
     data = (inv2, G, (1.0 / hat_vals).sum(axis=1), c_ref, rho)
 
-    lo = np.linalg.eigvalsh(_sym(nominal @ G @ nominal))[:, -1]
+    lo = np.linalg.eigvalsh(symmetrize(nominal @ G @ nominal))[:, -1]
     hi = 2.0 * lo
     grow = np.arange(lo.size)
     for _ in range(60):
@@ -236,7 +228,7 @@ def _fisher(G, gvals, gvecs, nominal, rho, c_ref) -> _Dual:
         raise OracleError("fisher oracle could not bracket the dual variable")
 
     def candidate(idx, g):
-        return _sym(_pencil(g, inv2[idx], G[idx])[0])
+        return symmetrize(_pencil(g, inv2[idx], G[idx])[0])
 
     scale = np.abs(c_ref) + (G * nominal).sum(axis=(1, 2))
     return _Dual(lo, hi, scale, data, _fisher_divergence, _fisher_values, candidate)
@@ -335,7 +327,7 @@ def _solve_group(kind, G, nominal, rho, sigma_ref, floors, delta) -> list[Oracle
     guarantees; the check raises OracleError if rounding breaks it.
     """
     G, gvals, gvecs = _clean_gradients(G)
-    nominal = _sym(nominal)
+    nominal = symmetrize(nominal)
     c_ref = (G * sigma_ref).sum(axis=(1, 2))
     sigma = nominal.copy()
     gamma = np.full(rho.size, np.nan)
@@ -381,8 +373,9 @@ def _custom_oracle(ball: AmbiguityBall, Gamma, sigma_ref, delta: float) -> Oracl
             f"divergence '{ball.custom_name}' has no linearization oracle"
         )
     sigma = handle.linearization(Gamma, ball.nominal, ball.radius, sigma_ref, delta)
+    sigma = symmetrize(_check_square(sigma, f"linearization output of '{ball.custom_name}'"))
     return OracleResult(
-        sigma_star=symmetrize(sigma),
+        sigma_star=sigma,
         dual_gamma=float("nan"),
         active=membership(ball, MomentPair.zero_mean(sigma), 1e-8),
         subopt_delta_achieved=delta,
@@ -405,6 +398,8 @@ def oracle_pass(
     are solved group by group on stacked arrays; a custom ball calls its
     registered linearization.
     """
+    if not len(grads) == len(refs) == len(floors) == len(balls):
+        raise InvalidInputError("oracle_pass needs one gradient, reference and floor per ball")
     results: list = [None] * len(balls)
     groups: dict = {}
     for i, ball in enumerate(balls):

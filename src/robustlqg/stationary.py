@@ -20,7 +20,10 @@ import numpy as np
 from .divergences import AmbiguityBall, MomentPair, membership
 from .errors import InvalidInputError, StabilizabilityError
 from .frank_wolfe import FwConfig, FwTrace, maximize
-from .matops import solve_discrete_lyapunov, spectral_radius, symmetrize
+from .lqg import _riccati_step
+from .matops import (
+    _check_finite, _check_square, solve_discrete_lyapunov, spectral_radius, symmetrize,
+)
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 
 _FIXED_POINT_MAX_ITERS = 100_000
@@ -43,9 +46,7 @@ class StationarySystem:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 2:
                 raise InvalidInputError(f"{name} must be a matrix, got shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInputError(f"{name} has non-finite entries")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _check_finite(arr, name))
         n = self.A.shape[0]
         if self.A.shape != (n, n) or self.B.shape[0] != n or self.C.shape[1] != n:
             raise InvalidInputError("system matrix dimensions inconsistent")
@@ -79,19 +80,18 @@ class StationarySolution:
 
 
 def _riccati_fixed_point(A, B, Q, R, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed point of X = A^T X A + Q - A^T X B (R + B^T X B)^{-1} B^T X A.
+    """Fixed point X of lqg._riccati_step and its gain K.
 
     Started at X = Q, stopped on relative change 1e-12. Returns X and the gain
     K = -(R + B^T X B)^{-1} B^T X A with A + BK Schur stable (margin 1e-8);
     divergence or an unstable closed loop raises StabilizabilityError naming
-    `what`.
+    `what`, and an iterate that overflows raises InvalidInputError.
     """
     X = symmetrize(Q)
     for _ in range(_FIXED_POINT_MAX_ITERS):
-        XB = X @ B
-        K = -np.linalg.solve(R + B.T @ XB, XB.T @ A)
-        X_next = symmetrize(A.T @ X @ A + Q + (XB.T @ A).T @ K)
-        if not np.all(np.isfinite(X_next)) or np.abs(X_next).max() > 1e150:
+        X_next, _ = _riccati_step(X, A, B, Q, R)
+        if not np.abs(X_next).max() <= 1e150:  # also true for inf and nan entries
+            _check_finite(X_next, "Riccati iterate")  # an overflow is an input error
             raise StabilizabilityError(f"Riccati iterates diverge; {what}")
         delta = np.linalg.norm(X_next - X, "fro")
         X = X_next
@@ -99,8 +99,7 @@ def _riccati_fixed_point(A, B, Q, R, what: str) -> tuple[np.ndarray, np.ndarray]
             break
     else:
         raise StabilizabilityError(f"Riccati iteration did not converge; {what}")
-    XB = X @ B
-    K = -np.linalg.solve(R + B.T @ XB, XB.T @ A)
+    _, K = _riccati_step(X, A, B, Q, R)
     if spectral_radius(A + B @ K) >= 1.0 - _STAB_MARGIN:
         raise StabilizabilityError(f"closed loop is not Schur stable; {what}")
     return X, K
@@ -121,8 +120,8 @@ def solve_filter_are(
     L = S C^T (Sigma_v + C S C^T)^{-1}. The dual closed loop A^T + C^T K has
     the spectrum of the error matrix (I - LC) A, which is thus Schur stable.
     """
-    Sigma_w = symmetrize(np.asarray(Sigma_w, dtype=float))
-    Sigma_v = symmetrize(np.asarray(Sigma_v, dtype=float))
+    Sigma_w = symmetrize(_check_square(Sigma_w, "Sigma_w"))
+    Sigma_v = symmetrize(_check_square(Sigma_v, "Sigma_v"))
     if Sigma_w.shape != (ss.n, ss.n) or Sigma_v.shape != (ss.p, ss.p):
         raise InvalidInputError(f"Sigma_w must be ({ss.n}, {ss.n}) and Sigma_v ({ss.p}, {ss.p})")
     if np.linalg.eigvalsh(Sigma_w).min() <= 0.0 or np.linalg.eigvalsh(Sigma_v).min() <= 0.0:

@@ -36,6 +36,22 @@ def test_moment_pair_validation():
     assert p.cov[0, 0] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("mean", [np.zeros(3), np.array([0.3, -1.0, 0.5])], ids=["zero", "nonzero"])
+def test_moment_pair_covariance_formed_once_and_read_only(mean):
+    rng = np.random.default_rng(7)
+    M = rand_spd(3, rng) + np.outer(mean, mean) + 1e-3 * rng.standard_normal((3, 3))
+    pair = MomentPair(mean=mean, second_moment=M)
+    S = 0.5 * (M + M.T)
+    want = S - np.outer(mean, mean)
+    assert np.array_equal(pair.cov, 0.5 * (want + want.T))  # bit for bit the symmetrized form
+    assert pair.cov is pair.cov
+    assert "_cov" not in repr(pair)
+    for arr in (pair.cov, pair.second_moment):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    assert M.flags.writeable  # the caller's array stays writable
+
+
 @pytest.mark.parametrize("radius", [-1.0, float("nan"), float("inf")])
 def test_ball_radius_validation(radius):
     with pytest.raises(InvalidInputError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustlqg.errors import ConditioningError, InvalidInputError
 from robustlqg.lqg import (
@@ -127,6 +129,26 @@ def test_kalman_matches_joint_gaussian_conditioning_oracle():
         S_yy = cov_y[obs, obs]
         cond = S_xx - S_xy @ np.linalg.solve(S_yy, S_xy.T)
         np.testing.assert_allclose(filt[t], cond, atol=1e-8)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    m=st.integers(1, 4),
+    p=st.integers(1, 4),
+    T=st.integers(1, 5),
+)
+def test_kalman_gain_is_the_filter_gain(seed, n, m, p, T):
+    # the innovation gain S C^T E^{-1} that kalman_forward returns equals the
+    # filter gain Sigma_filt C^T V^{-1}
+    rng = np.random.default_rng(seed)
+    sys = rand_system(rng, n=n, m=m, p=p, T=T)
+    cov = rand_profile(rng, sys)
+    filt, _, L = kalman_forward(sys, cov)
+    for t in range(T):
+        want = np.linalg.solve(cov.V[t], (filt[t] @ sys.C[t].T).T).T
+        assert np.abs(L[t] - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_kalman_rejects_singular_V():

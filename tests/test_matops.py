@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustlqg.errors import InstabilityError, InvalidInputError
 from robustlqg.matops import (
@@ -148,3 +150,14 @@ def test_symmetrize_output_contract():
     M = rng.standard_normal((5, 5))
     S = symmetrize(M)
     assert np.abs(S - S.T).max() <= 1e-12
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lead=st.lists(st.integers(1, 4), max_size=2),
+       d=st.integers(1, 5))
+def test_symmetrize_stack_is_per_matrix(seed, lead, d):
+    stack = np.random.default_rng(seed).standard_normal((*lead, d, d))
+    got = symmetrize(stack)
+    for idx in np.ndindex(*lead):
+        M = stack[idx]
+        assert np.array_equal(got[idx], 0.5 * (M + M.T))
