@@ -42,7 +42,9 @@ def _add_common(sub: argparse.ArgumentParser, mandatory: bool = False) -> None:
     sub.add_argument("--max-iters", type=int)
     sub.add_argument("--gap-tol", type=float)
     sub.add_argument("--oracle-delta", type=float)
-    sub.add_argument("--step-rule", choices=["vanishing", "line_search"])
+    sub.add_argument("--step-rule", choices=["vanishing", "line_search"],
+                     help="FW step size: line_search (default, backtracking) or "
+                          "vanishing (2/(2+k))")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,11 +4,14 @@ One driver, maximize, serves both horizons: it works on a list of covariance
 blocks, one ball each. Every iteration evaluates the cost gradient in every
 block, solves the separable linearization oracles of all blocks in one
 batched pass (oracles.oracle_pass), and takes a convex-combination step
-toward the oracle targets. The surrogate gap sum_z <grad_z, Sigma_z* -
-Sigma_z> certifies epsilon-suboptimality for the concave objective and
-drives the stopping rule. solve adapts the driver to the finite-horizon LQG
-value over the 2T+1 blocks [X0, W_t.., V_t..]; stationary.solve_stationary_fw
-adapts it to the average cost over [Sigma_w, Sigma_v].
+toward the oracle targets. The step is chosen by backtracking line search on
+the objective by default, or is the open-loop 2/(2+k). The surrogate gap
+sum_z <grad_z, Sigma_z* - Sigma_z> certifies epsilon-suboptimality for the
+concave objective and drives the stopping rule. solve adapts the driver to
+the finite-horizon LQG value over the 2T+1 blocks [X0, W_t.., V_t..];
+stationary.solve_stationary_fw adapts it to the average cost over
+[Sigma_w, Sigma_v]. Both run the noise-independent Riccati solution once per
+solve and reuse it in every gradient and line-search evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from . import lqg
 from .divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
 from .errors import InvalidInputError
-from .gradient import lqg_gradient
+from .gradient import _lqg_gradient, lqg_gradient
 from .lqg import CovarianceProfile, SystemInstance
 from .oracles import oracle_pass
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
@@ -33,7 +36,9 @@ class FwConfig:
     max_iters: int = 500
     gap_tol: float = 1e-3
     oracle_delta: float = 0.95
-    step_rule: str = "vanishing"  # or "line_search"
+    # "line_search": backtracking from alpha = 1, halving down to 2/(2+k);
+    # "vanishing": the open-loop alpha = 2/(2+k)
+    step_rule: str = "line_search"
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -57,6 +62,7 @@ class FwRecord:
     rel_gap: float  # gap / max(|objective|, 1)
     oracle_s: float  # wall seconds of the iteration's oracle pass
     oracle_steps: int  # bisection steps summed over blocks
+    ls_trials: int  # line-search value calls; 0 under "vanishing" and at k = 0
 
 
 @dataclass
@@ -169,13 +175,15 @@ def _step(current, targets, alpha):
 
 
 def _backtrack(value, current, targets, objective, gap, alpha_min, shrink=0.5, armijo=0.1):
-    """Backtracking line search exploiting concavity; falls back to 2/(2+k)."""
-    alpha = 1.0
+    """Backtracking line search exploiting concavity; falls back to 2/(2+k).
+    Returns (alpha, number of value calls)."""
+    alpha, trials = 1.0, 0
     while alpha > alpha_min:
+        trials += 1
         if value(_step(current, targets, alpha)) >= objective + armijo * alpha * gap:
-            return alpha
+            return alpha, trials
         alpha *= shrink
-    return alpha_min
+    return alpha_min, trials
 
 
 def maximize(
@@ -191,10 +199,12 @@ def maximize(
     value_and_grad(blocks) returns the objective and its per-block gradients
     (trace pairing); value(blocks) returns the objective alone and is called
     only by the line search. floors are the oracles' eigenvalue floors.
-    Iterates move as (1 - alpha) * current + alpha * targets with
-    alpha = 2/(2+k) (or a backtracking line search when configured); the
-    loop stops when the surrogate gap falls below cfg.gap_tol or the
-    iteration budget is exhausted. Returns (final blocks, trace).
+    Iterates move as (1 - alpha) * current + alpha * targets. By default
+    alpha is the largest of 1, 1/2, 1/4, ... above 2/(2+k) whose step gains
+    at least 0.1 * alpha * gap in value (Armijo), else 2/(2+k); with
+    step_rule="vanishing" it is 2/(2+k). The loop stops when the surrogate gap
+    falls below cfg.gap_tol or the iteration budget is exhausted. Returns
+    (final blocks, trace).
     """
     for ball, block in zip(balls, start):
         if not membership(ball, MomentPair.zero_mean(block), 1e-8):
@@ -207,17 +217,19 @@ def maximize(
         t_oracle = time.perf_counter()
         gap, targets, steps = _oracle_pass(balls, grads, current, floors, cfg.oracle_delta)
         oracle_s = time.perf_counter() - t_oracle
+        trials = 0
         if gap <= cfg.gap_tol:
             alpha = 0.0
             trace.converged = True
         else:
             alpha = 2.0 / (2.0 + k)
             if cfg.step_rule == "line_search":
-                alpha = _backtrack(value, current, targets, objective, gap, alpha)
+                alpha, trials = _backtrack(value, current, targets, objective, gap, alpha)
             current = _step(current, targets, alpha)
         wall = (time.perf_counter() - t0) * 1e3
         trace.records.append(FwRecord(
-            k, objective, gap, alpha, wall, gap / max(abs(objective), 1.0), oracle_s, steps
+            k, objective, gap, alpha, wall, gap / max(abs(objective), 1.0), oracle_s, steps,
+            trials,
         ))
         if trace.converged:
             break
@@ -232,18 +244,22 @@ def solve(
 ) -> tuple[CovarianceProfile, FwTrace]:
     """Run Frank-Wolfe on the finite-horizon LQG value; returns (worst-case
     profile, trace). init defaults to the nominal covariances, which are
-    feasible in every ball."""
+    feasible in every ball. The Riccati sweep P does not depend on the noise,
+    so it runs once here; each gradient is then one forward and one adjoint
+    sweep, and each line-search trial one forward sweep."""
     current = balls.nominal_profile() if init is None else init
     if current.T != sys.T:
         raise InvalidInputError("initial profile horizon mismatch")
+    # module lookups at call time, so rebinding lqg.riccati_backward or
+    # lqg._forward_cost is seen
+    P, _ = lqg.riccati_backward(sys)
 
     def value_and_grad(blocks):
-        objective, grad = lqg_gradient(sys, CovarianceProfile.from_blocks(blocks, sys.T))
+        objective, grad = _lqg_gradient(sys, P, CovarianceProfile.from_blocks(blocks, sys.T))
         return objective, grad.blocks()
 
     def value(blocks):
-        # module lookup at call time, so a rebinding of lqg.lqg_value is seen
-        return lqg.lqg_value(sys, CovarianceProfile.from_blocks(blocks, sys.T)).cost
+        return lqg._forward_cost(sys, P, CovarianceProfile.from_blocks(blocks, sys.T))
 
     final, trace = maximize(
         value_and_grad, value, balls.blocks(), current.blocks(), _lam_floors(balls), cfg

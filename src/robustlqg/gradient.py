@@ -56,10 +56,20 @@ def lqg_gradient(
 ) -> tuple[float, GradientProfile]:
     """LQG value and its exact gradient in every covariance block.
 
-    Runtime is a small constant multiple of a single value evaluation: one
-    forward Kalman sweep plus one reverse sweep of the same length.
+    Runtime is a small constant multiple of a single value evaluation: the
+    Riccati sweep, one forward Kalman sweep and one reverse sweep of the same
+    length. The Riccati sweep does not depend on cov, so a caller that
+    differentiates many profiles of one system (frank_wolfe.solve) runs it
+    once and calls _lqg_gradient.
     """
     P, _ = riccati_backward(sys)
+    return _lqg_gradient(sys, P, cov)
+
+
+def _lqg_gradient(
+    sys: SystemInstance, P: np.ndarray, cov: CovarianceProfile
+) -> tuple[float, GradientProfile]:
+    """lqg_gradient given the Riccati sweep P of sys."""
     filt, pred, gains = kalman_forward(sys, cov)
     T, n = sys.T, sys.n
 

@@ -247,6 +247,13 @@ def _lqg_cost(sys: SystemInstance, P, filt, pred) -> float:
     return cost
 
 
+def _forward_cost(sys: SystemInstance, P, cov: CovarianceProfile) -> float:
+    """lqg_value(sys, cov).cost given the Riccati sweep P of sys: one forward
+    Kalman sweep and the trace formula, bit for bit the same cost."""
+    filt, pred, _ = kalman_forward(sys, cov)
+    return _lqg_cost(sys, P, filt, pred)
+
+
 def _noise_sqrts(cov: CovarianceProfile):
     sq_X0 = sym_sqrt(cov.X0)
     sq_W = [sym_sqrt(Wt) for Wt in cov.W]

@@ -8,7 +8,8 @@ state, Tr((Q - P) Sigma_f) + Tr(P S), and its exact gradient in
 (Sigma_w, Sigma_v) is the fixed point of the adjoint sweep of
 gradient.lqg_gradient, one n x n Lyapunov solve. The Frank-Wolfe driver of
 frank_wolfe, run over the two time-invariant blocks with the configured step
-rule, computes nature's worst case.
+rule, computes nature's worst case; the control DARE does not depend on the
+noise, so it is solved once per solve.
 """
 
 from __future__ import annotations
@@ -142,6 +143,13 @@ def stationary_cost(
     Tr((Q - P) Sigma_f) + Tr(P S) with Sigma_f = S - L C S.
     """
     P, K = solve_dare(ss)
+    return _stationary_cost(ss, P, K, Sigma_w, Sigma_v)
+
+
+def _stationary_cost(
+    ss: StationarySystem, P: np.ndarray, K: np.ndarray, Sigma_w: np.ndarray, Sigma_v: np.ndarray
+) -> tuple[float, StationarySolution]:
+    """stationary_cost given the DARE solution (P, K) of ss."""
     S, L = solve_filter_are(ss, Sigma_w, Sigma_v)
     Sigma_f = symmetrize(S - L @ ss.C @ S)
     avg_cost = float(np.trace((ss.Q - P) @ Sigma_f) + np.trace(P @ S))
@@ -158,8 +166,16 @@ def stationary_gradient(
     Phi = (I - LC) A, Y = Phi^T Y Phi + Q - P + A^T P A, then
     G_w = P + (I - LC)^T Y (I - LC) and G_v = L^T Y L.
     """
-    avg_cost, sol = stationary_cost(ss, Sigma_w, Sigma_v)
-    A, P, L = ss.A, sol.P, sol.L
+    P, K = solve_dare(ss)
+    return _stationary_gradient(ss, P, K, Sigma_w, Sigma_v)
+
+
+def _stationary_gradient(
+    ss: StationarySystem, P: np.ndarray, K: np.ndarray, Sigma_w: np.ndarray, Sigma_v: np.ndarray
+) -> tuple[float, list[np.ndarray]]:
+    """stationary_gradient given the DARE solution (P, K) of ss."""
+    avg_cost, sol = _stationary_cost(ss, P, K, Sigma_w, Sigma_v)
+    A, L = ss.A, sol.L
     closed = np.eye(ss.n) - L @ ss.C
     Y = solve_discrete_lyapunov((closed @ A).T, ss.Q - P + A.T @ P @ A)
     G_w = symmetrize(P + closed.T @ Y @ closed)
@@ -173,15 +189,18 @@ def solve_stationary_fw(
     ball_v: AmbiguityBall,
     cfg: FwConfig = FwConfig(),
 ) -> tuple[np.ndarray, np.ndarray, FwTrace]:
-    """Frank-Wolfe over the two stationary blocks (Sigma_w, Sigma_v)."""
+    """Frank-Wolfe over the two stationary blocks (Sigma_w, Sigma_v). The DARE
+    runs once; every evaluation then solves only the filter ARE (and, for a
+    gradient, one Lyapunov equation)."""
     if np.linalg.norm(ball_w.nominal.mean) != 0.0 or np.linalg.norm(ball_v.nominal.mean) != 0.0:
         raise InvalidInputError("stationary ambiguity balls must be zero-mean")
+    P, K = solve_dare(ss)
 
     def value(blocks):
-        return stationary_cost(ss, *blocks)[0]
+        return _stationary_cost(ss, P, K, *blocks)[0]
 
     def value_and_grad(blocks):
-        return stationary_gradient(ss, *blocks)
+        return _stationary_gradient(ss, P, K, *blocks)
 
     floors = [0.0, float(np.linalg.eigvalsh(ball_v.nominal.cov).min())]
     (Sw, Sv), trace = maximize(

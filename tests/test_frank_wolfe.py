@@ -330,3 +330,81 @@ def test_custom_divergence_without_linearization_is_unsupported():
     sys = rand_system(np.random.default_rng(2), n=2, m=2, p=2, T=3)
     with pytest.raises(UnsupportedDivergenceError):
         solve(sys, _custom_balls(sys, "frobenius-no-oracle-test", 0.4))
+
+
+def test_default_step_rule_is_line_search():
+    assert FwConfig().step_rule == "line_search"
+
+
+def _hard_system(d, T):
+    # the bench "hard" dynamics: near-unstable A (spectral radius 0.95), B = C = Q = R = I
+    from robustlqg.lqg import SystemInstance
+    from robustlqg.matops import spectral_radius
+
+    A = 0.95 * np.eye(d) + 0.3 * np.diag(np.ones(d - 1), 1)
+    A *= 0.95 / spectral_radius(A)
+    eye = np.eye(d)
+    return SystemInstance.time_invariant(A, eye, eye, eye, eye, T=T)
+
+
+@pytest.mark.parametrize(
+    "kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER]
+)
+def test_default_line_search_matches_vanishing_in_half_the_iterations(kind):
+    sys = _hard_system(3, 6)
+    _, model = generate_instance(3, 6, seed=0, kind=kind, rho=1.0)
+    balls = model.ball_profile()
+    gap_tol = 1e-4
+    worst, trace = solve(sys, balls, cfg=FwConfig(gap_tol=gap_tol))
+    worst_v, trace_v = solve(sys, balls, cfg=FwConfig(gap_tol=gap_tol, step_rule="vanishing"))
+    assert trace.converged and trace_v.converged
+    # each run is within gap_tol / oracle_delta of the maximum
+    assert lqg_value(sys, worst).cost == pytest.approx(
+        lqg_value(sys, worst_v).cost, abs=gap_tol / 0.95
+    )
+    assert len(trace.records) <= len(trace_v.records) / 2
+
+
+@pytest.mark.parametrize("step_rule", ["vanishing", "line_search"])
+def test_riccati_sweep_runs_once_per_solve(monkeypatch, step_rule):
+    from robustlqg import lqg
+
+    calls = []
+    inner = lqg.riccati_backward
+
+    def counting(sys):
+        calls.append(sys)
+        return inner(sys)
+
+    monkeypatch.setattr(lqg, "riccati_backward", counting)
+    sys = _hard_system(3, 4)
+    _, model = generate_instance(3, 4, seed=1, kind=DivergenceKind.KULLBACK_LEIBLER, rho=1.0)
+    _, trace = solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-4, step_rule=step_rule))
+    assert len(trace.records) > 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER]
+)
+def test_ls_trials_count_the_line_search_evaluations(monkeypatch, kind):
+    from robustlqg import lqg
+
+    calls = []
+    inner = lqg._forward_cost
+
+    def counting(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(lqg, "_forward_cost", counting)
+    sys = _hard_system(3, 6)
+    _, model = generate_instance(3, 6, seed=0, kind=kind, rho=1.0)
+    _, trace = solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-4))
+    assert trace.records[0].ls_trials == 0
+    assert sum(r.ls_trials for r in trace.records) == len(calls) > 0
+
+    calls.clear()
+    _, trace = solve(sys, model.ball_profile(),
+                     cfg=FwConfig(gap_tol=1e-4, step_rule="vanishing"))
+    assert all(r.ls_trials == 0 for r in trace.records) and not calls

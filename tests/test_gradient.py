@@ -174,3 +174,26 @@ def test_gradient_runtime_within_budget():
         lqg_gradient(sys, cov)
     t_grad = time.perf_counter() - t0
     assert t_grad <= 10.0 * t_value
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3, 1), (1, 1, 1)])
+def test_evaluations_given_the_riccati_sweep_are_bit_identical(shape):
+    # the solve path runs riccati_backward once and reuses P; the cost must
+    # not move by a single bit
+    from robustlqg.gradient import _lqg_gradient
+    from robustlqg.lqg import _forward_cost, riccati_backward
+
+    n, m, p = shape
+    rng = np.random.default_rng(n * 100 + m * 10 + p)
+    sys = rand_system(rng, n=n, m=m, p=p, T=5)
+    P, _ = riccati_backward(sys)
+    for _ in range(3):
+        cov = rand_profile(rng, sys)
+        cost = lqg_value(sys, cov).cost
+        value, grad = _lqg_gradient(sys, P, cov)
+        assert value == cost
+        assert _forward_cost(sys, P, cov) == cost
+        public_value, public_grad = lqg_gradient(sys, cov)
+        assert public_value == cost
+        for a, b in zip(grad.blocks(), public_grad.blocks()):
+            assert np.array_equal(a, b)

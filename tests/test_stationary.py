@@ -348,3 +348,56 @@ def test_filter_are_rejects_undetectable_pair():
     ss = StationarySystem(A=2.0 * eye, B=eye, C=0.0 * eye, Q=eye, R=eye)
     with pytest.raises(StabilizabilityError, match=r"\(A, C\)"):
         solve_filter_are(ss, eye, eye)
+
+
+@pytest.mark.parametrize("step_rule", ["vanishing", "line_search"])
+def test_dare_runs_once_per_stationary_solve(monkeypatch, step_rule):
+    import robustlqg.stationary as stationary
+
+    dare_calls, cost_calls = [], []
+    dare, cost = stationary.solve_dare, stationary._stationary_cost
+
+    def counting_dare(ss):
+        dare_calls.append(1)
+        return dare(ss)
+
+    def counting_cost(*args):
+        cost_calls.append(1)
+        return cost(*args)
+
+    monkeypatch.setattr(stationary, "solve_dare", counting_dare)
+    monkeypatch.setattr(stationary, "_stationary_cost", counting_cost)
+    A = 0.95 * np.eye(3) + 0.3 * np.diag(np.ones(2), 1)
+    A *= 0.9 / spectral_radius(A)
+    eye = np.eye(3)
+    ss = StationarySystem(A=A, B=eye, C=eye, Q=eye, R=eye)
+    rng = instance_rng(2)
+    Sw, Sv = random_covariance(3, rng), random_covariance(3, rng)
+    ball_w = AmbiguityBall(kind=DivergenceKind.WASSERSTEIN2, nominal=MomentPair.zero_mean(Sw),
+                           radius=1.0)
+    ball_v = AmbiguityBall(kind=DivergenceKind.WASSERSTEIN2, nominal=MomentPair.zero_mean(Sv),
+                           radius=1.0)
+    cfg = FwConfig(gap_tol=1e-6, step_rule=step_rule)
+    _, _, trace = solve_stationary_fw(ss, ball_w, ball_v, cfg)
+    assert trace.converged and len(trace.records) > 2
+    assert len(dare_calls) == 1
+    # one evaluation per gradient (every iteration) plus one per line-search trial
+    assert len(cost_calls) == len(trace.records) + sum(r.ls_trials for r in trace.records)
+
+
+def test_cost_and_gradient_given_the_dare_are_bit_identical():
+    from robustlqg.stationary import _stationary_cost, _stationary_gradient
+
+    rng = np.random.default_rng(7)
+    for n, m, p in SHAPES:
+        ss = StationarySystem(A=0.3 * rng.standard_normal((n, n)), B=rng.standard_normal((n, m)),
+                              C=rng.standard_normal((p, n)), Q=rand_spd(n, rng), R=rand_spd(m, rng))
+        P, K = solve_dare(ss)
+        Sw, Sv = rand_spd(n, rng), rand_spd(p, rng)
+        cost = stationary_cost(ss, Sw, Sv)[0]
+        assert _stationary_cost(ss, P, K, Sw, Sv)[0] == cost
+        value, grads = _stationary_gradient(ss, P, K, Sw, Sv)
+        public_value, public_grads = stationary_gradient(ss, Sw, Sv)
+        assert value == public_value == cost
+        for a, b in zip(grads, public_grads):
+            assert np.array_equal(a, b)
