@@ -2,8 +2,9 @@
 
 Computes nature's worst-case Gaussian noise covariances over divergence
 ambiguity balls with a Frank-Wolfe method whose direction-finding oracles
-reduce to univariate bisections, and extracts the decision maker's optimal
-linear output-feedback policy via Kalman filtering and dynamic programming.
+reduce to univariate root-finding problems, and extracts the decision
+maker's optimal linear output-feedback policy via Kalman filtering and
+dynamic programming.
 """
 
 __version__ = "0.1.0"

@@ -38,6 +38,7 @@ TRACE_HEADER = ["iter", "objective", "fw_gap", "step", "wall_ms"]
 GAPS_HEADER = ["rho", "seed", "worst_case_gap", "nominal_gap"]
 RUNTIME_HEADER = ["T", "seed", "wall_seconds", "iterations"]
 CONVERGENCE_HEADER = ["T", "seed", "iterations", "converged", "final_gap", "wall_seconds"]
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -109,11 +110,15 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def write_metadata(cfg: ExperimentConfig, outdir: Path, wall_seconds: float, extra=None) -> None:
+    """metadata.json: the config and its hash, the library and numpy versions,
+    the BLAS thread variables (null when unset), the RNG and the wall time."""
     meta = {
         "schema": 1,
         "experiment": cfg.experiment,
         "seeds": list(cfg.seeds),
         "config_hash": config_hash(cfg),
+        "numpy_version": np.__version__,
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         "library_version": __version__,
         "rng": RNG_ALGORITHM,
         "wall_seconds": wall_seconds,

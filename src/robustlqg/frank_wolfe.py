@@ -16,6 +16,7 @@ solve and reuse it in every gradient and line-search evaluation.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -23,12 +24,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import lqg
-from .divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
+from .divergences import AmbiguityBall, DivergenceKind, MomentPair, batch_membership
+from .divergences import membership  # noqa: F401  unused; bench/tracer.py wraps this binding
 from .errors import InvalidInputError
 from .gradient import _lqg_gradient, lqg_gradient
 from .lqg import CovarianceProfile, SystemInstance
 from .oracles import oracle_pass
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
+
+log = logging.getLogger("robustlqg")
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,10 @@ class FwRecord:
     # kept in the record, not the CSV:
     rel_gap: float  # gap / max(|objective|, 1)
     oracle_s: float  # wall seconds of the iteration's oracle pass
-    oracle_steps: int  # bisection steps summed over blocks
+    oracle_steps: int  # root-search steps summed over blocks
     ls_trials: int  # line-search value calls; 0 under "vanishing" and at k = 0
+    grad_s: float  # wall seconds of the value_and_grad call
+    ls_s: float  # wall seconds of the line search; 0 when it does not run
 
 
 @dataclass
@@ -134,15 +140,13 @@ class NominalModel:
 
 def _lam_floors(balls: BallProfile) -> list[float]:
     """Observation-noise blocks keep their nominal minimum eigenvalue as floor."""
-    floors = [0.0] * (1 + balls.T)
-    for b in balls.v:
-        floors.append(float(np.linalg.eigvalsh(b.nominal.cov).min()))
-    return floors
+    v_min = np.linalg.eigvalsh(np.stack([b.nominal.cov for b in balls.v]))[:, 0]
+    return [0.0] * (1 + balls.T) + [float(x) for x in v_min]
 
 
 def _oracle_pass(balls, grads, current, floors, delta):
     """Oracle target per block, the surrogate gap sum_z <G_z, Sigma_z* - Sigma_z>
-    and the bisection steps summed over blocks."""
+    and the root-search steps summed over blocks."""
     results = oracle_pass(balls, grads, current, floors, delta)
     targets = [r.sigma_star for r in results]
     gap = 0.0
@@ -203,12 +207,12 @@ def maximize(
     alpha is the largest of 1, 1/2, 1/4, ... above 2/(2+k) whose step gains
     at least 0.1 * alpha * gap in value (Armijo), else 2/(2+k); with
     step_rule="vanishing" it is 2/(2+k). The loop stops when the surrogate gap
-    falls below cfg.gap_tol or the iteration budget is exhausted. Returns
-    (final blocks, trace).
+    falls below cfg.gap_tol or the iteration budget is exhausted. Each
+    iteration is recorded in the trace and, when the "robustlqg" logger is
+    enabled for DEBUG, logged in one line. Returns (final blocks, trace).
     """
-    for ball, block in zip(balls, start):
-        if not membership(ball, MomentPair.zero_mean(block), 1e-8):
-            raise InvalidInputError("initial profile is infeasible in an ambiguity ball")
+    if not batch_membership(balls, start, 1e-8).all():
+        raise InvalidInputError("initial profile is infeasible in an ambiguity ball")
     current = list(start)
     trace = FwTrace()
     for k in range(cfg.max_iters):
@@ -216,8 +220,8 @@ def maximize(
         objective, grads = value_and_grad(current)
         t_oracle = time.perf_counter()
         gap, targets, steps = _oracle_pass(balls, grads, current, floors, cfg.oracle_delta)
-        oracle_s = time.perf_counter() - t_oracle
-        trials = 0
+        t_ls = time.perf_counter()
+        trials, ls_s = 0, 0.0
         if gap <= cfg.gap_tol:
             alpha = 0.0
             trace.converged = True
@@ -225,12 +229,18 @@ def maximize(
             alpha = 2.0 / (2.0 + k)
             if cfg.step_rule == "line_search":
                 alpha, trials = _backtrack(value, current, targets, objective, gap, alpha)
+                ls_s = time.perf_counter() - t_ls
             current = _step(current, targets, alpha)
-        wall = (time.perf_counter() - t0) * 1e3
-        trace.records.append(FwRecord(
-            k, objective, gap, alpha, wall, gap / max(abs(objective), 1.0), oracle_s, steps,
-            trials,
-        ))
+        record = FwRecord(
+            k, objective, gap, alpha, (time.perf_counter() - t0) * 1e3,
+            gap / max(abs(objective), 1.0), t_ls - t_oracle, steps, trials, t_oracle - t0, ls_s,
+        )
+        trace.records.append(record)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "fw iter %d objective %.12g gap %.6g step %.6g oracle_s %.6f oracle_steps %d "
+                "ls_trials %d", k, objective, gap, alpha, record.oracle_s, steps, trials,
+            )
         if trace.converged:
             break
     return current, trace

@@ -3,27 +3,32 @@
 Each oracle maximizes <Gamma, Sigma - Sigma_ref> over the set of zero-mean
 Gaussian covariances within divergence radius rho of a nominal covariance.
 Strong duality reduces each problem to a univariate algebraic equation in a
-dual variable gamma, solved by bisection:
+dual variable gamma:
 
   Wasserstein:  Sigma(g) = g^2 (gI - Gamma)^{-1} Shat (gI - Gamma)^{-1}
   KL:           Sigma(g) = g (g Shat^{-1} - Gamma)^{-1}
   Fisher:       Sigma(g) = (Shat^{-2} - Gamma/g)^{-1/2}
 
 In all three cases the divergence of Sigma(g) from the nominal decreases
-monotonically in g, the dual objective phi(g) upper-bounds the primal
-optimum for every bracketed g, and bisection stops once the candidate is
-feasible, the constraint is active to 1e-6, and the Algorithm-style
-delta-criterion <Sigma(g) - Sigma_ref, Gamma> >= delta * phi(g) holds.
+monotonically in g, and the dual objective phi(g) upper-bounds the primal
+optimum for every bracketed g. The root of div(g) = rho is found by
+safeguarded Newton on the reciprocal form 1/rho - 1/div(g), which is close
+to linear in g (for Wasserstein it is the trust-region secular equation of
+More & Sorensen, 1983), with a bisection step whenever Newton would leave
+the bracket. The search stops once the candidate is feasible, the
+constraint is active to 1e-6, and the Algorithm-style delta-criterion
+<Sigma(g) - Sigma_ref, Gamma> >= delta * phi(g) holds.
 
 oracle_pass solves the oracles of many blocks at once. It groups the blocks
 by (divergence kind, block size) and runs each group on stacked (B, d, d)
 arrays. One batched eigendecomposition per group (of Gamma for Wasserstein,
 of the whitened gradient for KL) diagonalizes every block's dual equation,
-so a bisection step costs O(d) per block and a few numpy calls per group.
-The Fisher pencil does not commute, so each Fisher step takes one batched
-eigendecomposition, shared by the divergence, dual and primal values. The
-bisection runs in lockstep: every unfinished block takes its own midpoint
-at each step and leaves the group once it certifies, so a block's result
+so a divergence and its slope cost O(d) per block and a few numpy calls per
+group. The Fisher pencil does not commute, so each Fisher evaluation takes
+one batched eigendecomposition, shared by the divergence, its slope
+(Daleckii-Krein, in the pencil eigenbasis) and the dual and primal values.
+The search runs in lockstep: every unfinished block takes its own step at
+each iteration and leaves the group once it certifies, so a block's result
 does not depend on the rest of its group. wasserstein_oracle, kl_oracle,
 fisher_oracle and solve_oracle are batches of one.
 """
@@ -52,7 +57,7 @@ ORACLE_KINDS = frozenset(
 )
 
 _GRAD_CLAMP = 1e-8
-_MAX_BISECT = 200
+_MAX_STEPS = 200
 _ACTIVITY_TOL = 1e-6
 
 
@@ -64,9 +69,9 @@ class OracleResult:
     subopt_delta_achieved is the certified fraction of the dual bound.
     dual_bound is phi(dual_gamma) relative to sigma_ref, an upper bound on
     max <Gamma, Sigma - sigma_ref> over the ball; a block that needs no
-    bisection (zero gradient, rho = 0) reports its own primal value, and a
+    root search (zero gradient, rho = 0) reports its own primal value, and a
     custom linearization, which has no dual, reports nan. steps counts the
-    bisection steps taken.
+    divergence evaluations of the root search (Newton or bisection steps).
     """
 
     sigma_star: np.ndarray
@@ -104,10 +109,10 @@ class _Dual(NamedTuple):
     lo and hi bracket each block's gamma; scale is the magnitude of its trace
     inner products, which floors the delta criterion. data holds per-block
     arrays (block on axis 0), the last of them rho. divergence(g, *data)
-    returns the divergence of Sigma(g) and a tuple aux of per-block arrays
-    that values(g, *aux, *data) reuses to return (phi(g), primal value),
-    both relative to sigma_ref. candidate(idx, g) returns Sigma(g) for the
-    blocks idx, stacked.
+    returns the divergence of Sigma(g), its derivative in g and a tuple aux
+    of per-block arrays that values(g, *aux, *data) reuses to return
+    (phi(g), primal value), both relative to sigma_ref. candidate(idx, g)
+    returns Sigma(g) for the blocks idx, stacked.
     """
 
     lo: np.ndarray
@@ -122,7 +127,11 @@ class _Dual(NamedTuple):
 def _w2_divergence(g, lam, s, c_ref, rho):
     gap = np.maximum(g[:, None] - lam, 1e-300)
     r = lam / gap
-    return np.sqrt(np.maximum((s * r * r).sum(axis=1), 0.0)), (gap,)
+    terms = s * r * r
+    div = np.sqrt(np.maximum(terms.sum(axis=1), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = -(terms / gap).sum(axis=1) / div
+    return div, slope, (gap,)
 
 
 def _w2_values(g, gap, lam, s, c_ref, rho):
@@ -152,7 +161,8 @@ def _wasserstein(G, lam, vecs, nominal, rho, c_ref) -> _Dual:
 def _kl_divergence(g, lam, c_ref, rho):
     gap = np.maximum(g[:, None] - lam, 1e-300)
     logs = np.log1p(-lam / g[:, None])
-    return 0.5 * (logs + lam / gap).sum(axis=1), (gap, logs)
+    r = lam / gap
+    return 0.5 * (logs + r).sum(axis=1), -0.5 * (r * r).sum(axis=1) / g, (gap, logs)
 
 
 def _kl_values(g, gap, logs, lam, c_ref, rho):
@@ -186,19 +196,28 @@ def _kl(G, gvals, gvecs, nominal, rho, c_ref) -> _Dual:
 
 
 def _pencil(g, inv2, G):
-    """Sigma(g) = (Shat^{-2} - Gamma/g)^{-1/2}, its eigenvalues' roots, and
-    whether the pencil is pd (elsewhere the roots are placeholders)."""
+    """Sigma(g) = (Shat^{-2} - Gamma/g)^{-1/2}, the pencil's eigenvectors and
+    its eigenvalues' roots, and whether the pencil is pd (elsewhere the roots
+    are placeholders)."""
     vals, vecs = np.linalg.eigh(symmetrize(inv2 - G / g[:, None, None]))
     pd = vals[:, 0] > 0.0
     roots = np.sqrt(np.where(pd[:, None], vals, 1.0))
-    return (vecs / roots[:, None, :]) @ np.swapaxes(vecs, 1, 2), roots, pd
+    return (vecs / roots[:, None, :]) @ np.swapaxes(vecs, 1, 2), vecs, roots, pd
 
 
 def _fisher_divergence(g, inv2, G, tr_inv_hat, c_ref, rho):
-    sigma, roots, pd = _pencil(g, inv2, G)
+    """The divergence and its slope. With M = Shat^{-2} - Gamma/g = V diag(v) V^T
+    and Gt = V^T Gamma V, Daleckii-Krein differentiates M^{-1/2} with the
+    divided differences of v^{-1/2}, -1 / (r_i r_j (r_i + r_j)) for r = v^{1/2};
+    the diagonal terms cancel against the slope of Tr M^{1/2}, leaving
+    div'(g) = -sum_ij Gt_ij^2 / (r_i r_j (r_i + r_j)) / g^3."""
+    sigma, vecs, roots, pd = _pencil(g, inv2, G)
     div = (inv2 * sigma).sum(axis=(1, 2)) - 2.0 * tr_inv_hat + roots.sum(axis=1)
     div = np.where(pd, div, np.inf)
-    return div, (div, sigma)
+    Gt = np.swapaxes(vecs, 1, 2) @ G @ vecs
+    dd = roots[:, :, None] * roots[:, None, :] * (roots[:, :, None] + roots[:, None, :])
+    slope = -(Gt * Gt / dd).sum(axis=(1, 2)) / g**3
+    return div, np.where(pd, slope, np.nan), (div, sigma)
 
 
 def _fisher_values(g, div, sigma, inv2, G, tr_inv_hat, c_ref, rho):
@@ -219,7 +238,7 @@ def _fisher(G, gvals, gvecs, nominal, rho, c_ref) -> _Dual:
     hi = 2.0 * lo
     grow = np.arange(lo.size)
     for _ in range(60):
-        div, _ = _fisher_divergence(hi[grow], *(a[grow] for a in data))
+        div = _fisher_divergence(hi[grow], *(a[grow] for a in data))[0]
         grow = grow[~(div < rho[grow])]
         if grow.size == 0:
             break
@@ -241,17 +260,23 @@ _SETUPS = {
 }
 
 
-def _bisect(kind: str, dual: _Dual, blocks: np.ndarray, delta: float):
-    """Lockstep bisection on the blocks of a group; divergence(g) must decrease.
+def _newton(kind: str, dual: _Dual, blocks: np.ndarray, delta: float):
+    """Lockstep safeguarded Newton on the blocks of a group; div(g) must decrease.
 
-    Each block keeps its own bracket and takes its midpoint every step; it
-    is accepted once its candidate is feasible to rho + 1e-8 (the bracket
-    ends are tight for identity-like gradients, so the optimal gamma can sit
-    exactly on one), active to 1e-6, and meets the delta criterion, which
-    is floored at 1e-9 * max(1, scale) because it cannot certify
-    improvements below rounding level (e.g. when the reference already sits
-    at the optimum). Accepted blocks leave the arrays of the live ones.
-    Returns (gamma, delta_achieved, dual_bound, steps) aligned with blocks.
+    Each block starts at its upper bracket end and steps on the reciprocal
+    form 1/rho - 1/div(g), whose Newton step is
+    g - div (div - rho) / (rho div'(g)). Every evaluation moves one end of
+    the block's bracket [lo, hi] onto g, keeping the root inside; a step
+    that would not land strictly inside the bracket (as with a non-finite,
+    zero or wrong-signed slope) is replaced by the bracket's midpoint, so a
+    block falls back to bisection where Newton fails. A block is accepted once its candidate is
+    feasible to rho + 1e-8 (the bracket ends are tight for identity-like
+    gradients, so the optimal gamma can sit exactly on one), active to 1e-6,
+    and meets the delta criterion, which is floored at 1e-9 * max(1, scale)
+    because it cannot certify improvements below rounding level (e.g. when
+    the reference already sits at the optimum). Accepted blocks leave the
+    arrays of the live ones. Returns (gamma, delta_achieved, dual_bound,
+    steps) aligned with blocks; steps counts a block's evaluations.
     """
     lo, hi = dual.lo[blocks], dual.hi[blocks]
     floor = 1e-9 * np.maximum(1.0, dual.scale[blocks])
@@ -277,12 +302,12 @@ def _bisect(kind: str, dual: _Dual, blocks: np.ndarray, delta: float):
         return j
 
     # bounds collapse (always the case for scalars under Wasserstein): the
-    # common point is gamma_star, no bisection needed
+    # common point is gamma_star, no search needed
     collapsed = hi - lo <= 1e-14 * np.maximum(1.0, hi)
     if np.count_nonzero(collapsed):
         pos = np.flatnonzero(collapsed)
         g, parts = hi[pos], tuple(a[pos] for a in data)
-        div, aux = dual.divergence(g, *parts)
+        div, _, aux = dual.divergence(g, *parts)
         rest = np.setdiff1d(np.arange(pos.size), accept(pos, g, div, aux, parts, 0))
         if rest.size:  # kept all the same, with delta_achieved 1
             gamma[pos[rest]] = g[rest]
@@ -290,14 +315,15 @@ def _bisect(kind: str, dual: _Dual, blocks: np.ndarray, delta: float):
 
     live = np.flatnonzero(~collapsed)
     lo, hi = lo[live], hi[live]
+    g = hi.copy()
     tol = 1e-12 * np.maximum(1.0, hi)
     parts = tuple(a[live] for a in data)
-    for step in range(1, _MAX_BISECT + 1):
+    for step in range(1, _MAX_STEPS + 1):
         if live.size == 0:
             return gamma, got, bound, steps
-        g = 0.5 * (lo + hi)
-        div, aux = dual.divergence(g, *parts)
-        up = div > parts[-1]
+        rho = parts[-1]
+        div, slope, aux = dual.divergence(g, *parts)
+        up = div > rho
         np.copyto(lo, g, where=up)
         np.copyto(hi, g, where=~up)
         done = accept(live, g, div, aux, parts, step)
@@ -306,15 +332,20 @@ def _bisect(kind: str, dual: _Dual, blocks: np.ndarray, delta: float):
             # feasible side of a collapsed bracket
             k = np.setdiff1d(narrow.nonzero()[0], done)
             sub = tuple(a[k] for a in parts)
-            div, aux = dual.divergence(hi[k], *sub)
-            done = np.concatenate((done, k[accept(live[k], hi[k], div, aux, sub, step)]))
+            div_k, _, aux_k = dual.divergence(hi[k], *sub)
+            done = np.concatenate((done, k[accept(live[k], hi[k], div_k, aux_k, sub, step)]))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = g - div * (div - rho) / (rho * slope)
+        # g was a bracket end, so a wrong-signed slope steps outside the
+        # bracket; a nan step fails both comparisons
+        g = np.where((g > lo) & (g < hi), g, 0.5 * (lo + hi))
         if done.size:
             keep = np.ones(live.size, dtype=bool)
             keep[done] = False
-            live, lo, hi, tol = live[keep], lo[keep], hi[keep], tol[keep]
+            live, lo, hi, tol, g = live[keep], lo[keep], hi[keep], tol[keep], g[keep]
             parts = tuple(a[keep] for a in parts)
     if live.size:
-        raise OracleError(f"{kind} oracle bisection failed to certify in {_MAX_BISECT} steps")
+        raise OracleError(f"{kind} oracle failed to certify in {_MAX_STEPS} steps")
     return gamma, got, bound, steps
 
 
@@ -345,7 +376,7 @@ def _solve_group(kind, G, nominal, rho, sigma_ref, floors, delta) -> list[Oracle
         # objective is flat over the ball and the nominal is optimal
         todo = np.flatnonzero(dual.lo > 0.0)
         blocks = live[todo]
-        gamma[blocks], got[blocks], bound[blocks], steps[blocks] = _bisect(
+        gamma[blocks], got[blocks], bound[blocks], steps[blocks] = _newton(
             kind.value, dual, todo, delta
         )
         sigma[blocks] = dual.candidate(todo, gamma[blocks])
@@ -442,8 +473,9 @@ def wasserstein_oracle(
     """Maximize <Gamma, Sigma - sigma_ref> over the Gelbrich ball.
 
     The optimum is Sigma = g^2 (gI - Gamma)^{-1} Shat (gI - Gamma)^{-1} with g
-    bisected between the closed-form bounds
-    lam1 (1 + sqrt(p1' Shat p1)/rho) and lam1 (1 + sqrt(Tr Shat)/rho).
+    found by safeguarded Newton from the upper of the closed-form bounds
+    lam1 (1 + sqrt(p1' Shat p1)/rho) and lam1 (1 + sqrt(Tr Shat)/rho), with
+    bisection between them as the fallback.
     The output dominates lam_floor * I automatically because g(gI-Gamma)^{-1}
     has eigenvalues >= 1.
     """
@@ -463,7 +495,8 @@ def kl_oracle(
     The optimum is Sigma = g (g Shat^{-1} - Gamma)^{-1} where g solves
     2 rho = logdet(I - Shat Gamma / g) + Tr((gI - Shat Gamma)^{-1} Shat Gamma)
     inside the bracket (lam1, lam1 (1 + d/rho)], lam1 the top eigenvalue of
-    Shat^{1/2} Gamma Shat^{1/2}.
+    Shat^{1/2} Gamma Shat^{1/2}, by safeguarded Newton from the upper end
+    with bisection as the fallback.
     """
     return _solve_one(DivergenceKind.KULLBACK_LEIBLER, Gamma, nominal_cov, rho, sigma_ref,
                       0.0, delta)
@@ -479,10 +512,11 @@ def fisher_oracle(
     """Maximize <Gamma, Sigma - sigma_ref> over the Fisher divergence ball.
 
     Stationarity of the Lagrangian inverts the Fisher gradient
-    Shat^{-2} - Sigma^{-2} to Sigma(g) = (Shat^{-2} - Gamma/g)^{-1/2}; g is
-    bisected on the constraint value, with the lower bracket end at
-    lam_max(Shat Gamma Shat) (where the pencil loses definiteness) and the
-    upper end grown by doubling until the candidate is strictly feasible.
+    Shat^{-2} - Sigma^{-2} to Sigma(g) = (Shat^{-2} - Gamma/g)^{-1/2}; g solves
+    the constraint by safeguarded Newton, with bisection as the fallback,
+    inside a bracket whose lower end is lam_max(Shat Gamma Shat) (where the
+    pencil loses definiteness) and whose upper end is grown by doubling
+    until the candidate is strictly feasible.
     """
     return _solve_one(DivergenceKind.FISHER, Gamma, nominal_cov, rho, sigma_ref, 0.0, delta)
 

@@ -58,7 +58,11 @@ def _fast_fw():
     return FwConfig(max_iters=200, gap_tol=1e-4)
 
 
-def test_run_gaps_schema_and_roundtrip(tmp_path):
+def test_run_gaps_schema_and_roundtrip(tmp_path, monkeypatch):
+    # the metadata records the thread variables as set, null when unset
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     cfg = ExperimentConfig(
         experiment="gaps", d=2, T=2, divergence="wasserstein2",
         rho=[0.0, 0.5, 1.0], seeds=[0, 1], output_dir=str(tmp_path), fw=_fast_fw(),
@@ -82,6 +86,9 @@ def test_run_gaps_schema_and_roundtrip(tmp_path):
     assert meta["schema"] == 1
     assert meta["rng"] == "philox4x64-10"
     assert meta["config_hash"] == config_hash(cfg)
+    assert meta["numpy_version"] == np.__version__
+    assert meta["threads"] == {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": None,
+                               "MKL_NUM_THREADS": None}
 
 
 def test_run_convergence_outputs(tmp_path):

@@ -166,6 +166,21 @@ def test_infeasible_init_rejected():
         solve(sys, model.ball_profile(), init=bad)
 
 
+def test_non_psd_start_block_rejected():
+    from robustlqg.frank_wolfe import maximize
+
+    balls = generate_instance(2, 2, seed=3, kind=DivergenceKind.KULLBACK_LEIBLER,
+                              rho=0.5)[1].ball_profile().blocks()
+    start = [b.nominal.cov for b in balls]
+    start[3] = np.diag([1.0, -1e-3])
+
+    def never(blocks):
+        raise AssertionError("evaluated an invalid start")
+
+    with pytest.raises(InvalidInputError):
+        maximize(never, never, balls, start, [0.0] * len(balls), FwConfig())
+
+
 def test_line_search_step_rule_converges():
     sys, model = generate_instance(2, 2, seed=7, kind=DivergenceKind.WASSERSTEIN2, rho=0.4)
     worst, trace = solve(
@@ -408,3 +423,44 @@ def test_ls_trials_count_the_line_search_evaluations(monkeypatch, kind):
     _, trace = solve(sys, model.ball_profile(),
                      cfg=FwConfig(gap_tol=1e-4, step_rule="vanishing"))
     assert all(r.ls_trials == 0 for r in trace.records) and not calls
+
+
+@pytest.mark.parametrize(
+    "kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER]
+)
+def test_phase_times_account_for_the_iteration_wall_time(kind):
+    # gradient, oracle pass and line search are the whole iteration; what is
+    # left (the convex step, the record) stays under 5% of the wall time
+    sys, model = generate_instance(10, 10, seed=0, kind=kind, rho=0.1)
+    _, trace = solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-4))
+    wall = sum(r.wall_ms for r in trace.records) / 1e3
+    phases = sum(r.oracle_s + r.grad_s + r.ls_s for r in trace.records)
+    assert phases <= wall and phases >= 0.95 * wall
+    for rec in trace.records:
+        assert rec.grad_s > 0.0 and rec.oracle_s > 0.0
+        assert rec.ls_s > 0.0 if rec.ls_trials else rec.ls_s < 1e-3
+    assert trace.converged and trace.records[-1].ls_s == 0.0
+
+
+def test_iterations_log_at_debug_only(caplog, monkeypatch):
+    import logging
+
+    from robustlqg import frank_wolfe
+
+    sys, model = generate_instance(3, 3, seed=9, kind=DivergenceKind.KULLBACK_LEIBLER, rho=0.3)
+    balls = model.ball_profile()
+    # off by default, and the guard skips the call altogether
+    monkeypatch.setattr(frank_wolfe.log, "debug", lambda *a, **k: pytest.fail("logged"))
+    solve(sys, balls)
+    assert not [r for r in caplog.records if r.name == "robustlqg"]
+    monkeypatch.undo()
+
+    caplog.set_level(logging.DEBUG, logger="robustlqg")
+    _, trace = solve(sys, balls)
+    lines = [r for r in caplog.records if r.name == "robustlqg"]
+    assert len(lines) == len(trace.records)
+    for rec, line in zip(trace.records, lines):
+        assert line.levelno == logging.DEBUG
+        msg = line.getMessage()
+        assert msg.startswith(f"fw iter {rec.iter} objective {rec.objective:.12g} ")
+        assert f"oracle_steps {rec.oracle_steps} ls_trials {rec.ls_trials}" in msg

@@ -170,7 +170,7 @@ def test_floor_constraint_satisfied(kind):
 
 
 def test_divergence_decreases_in_gamma():
-    # the bisection exploits that the candidate's divergence falls as the
+    # the root search exploits that the candidate's divergence falls as the
     # dual variable grows: sign pattern check across a sweep
     rng = np.random.default_rng(13)
     Gamma, nominal, rho, _ = _commuting_instance(rng, 3, DivergenceKind.WASSERSTEIN2)
@@ -246,7 +246,7 @@ def test_brute_force_reproduces_scalar_closed_forms():
 
 def test_dual_slope_single_sign_change_all_kinds():
     # the dual objective is convex in gamma: its slope crosses zero once in
-    # the bracket, which is what the bisection exploits
+    # the bracket, which is what the root search exploits
     rng = np.random.default_rng(14)
     Gamma, nominal, rho, _ = _commuting_instance(rng, 3, DivergenceKind.KULLBACK_LEIBLER)
     from robustlqg.matops import sym_sqrt
@@ -448,6 +448,91 @@ def test_bisection_failure_raises_oracle_error(monkeypatch):
 
     balls, grads, refs, floors = _mixed_batch(5, 3, 3, 2, [DivergenceKind.KULLBACK_LEIBLER], 0.5)
     assert max(r.steps for r in oracle_pass(balls, grads, refs, floors)) > 3
-    monkeypatch.setattr(oracles, "_MAX_BISECT", 3)
+    monkeypatch.setattr(oracles, "_MAX_STEPS", 3)
     with pytest.raises(OracleError):
         oracle_pass(balls, grads, refs, floors)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_paper_pass_certifies_every_block_in_few_steps(kind):
+    # Newton on the reciprocal form: a paper-family pass at the nominal
+    # (d = 10, T = 50, rho = 0.1) needs at most 12 evaluations per block,
+    # where bisection took up to 29
+    from robustlqg.frank_wolfe import _lam_floors
+    from robustlqg.gradient import lqg_gradient
+    from robustlqg.instances import generate_instance
+
+    sys, model = generate_instance(10, 50, seed=0, kind=kind, rho=0.1)
+    balls = model.ball_profile()
+    nominal = balls.nominal_profile()
+    grads = lqg_gradient(sys, nominal)[1].blocks()
+    results = oracle_pass(balls.blocks(), grads, nominal.blocks(), _lam_floors(balls))
+    steps = [r.steps for r in results]
+    assert min(steps) >= 1 and max(steps) <= 12
+
+
+def _slope_patched(monkeypatch, change):
+    """Route every built-in divergence through change(slope)."""
+    from robustlqg import oracles
+
+    for name in ("_w2_divergence", "_kl_divergence", "_fisher_divergence"):
+        inner = getattr(oracles, name)
+
+        def patched(*args, inner=inner):
+            div, slope, aux = inner(*args)
+            return div, change(slope), aux
+
+        monkeypatch.setattr(oracles, name, patched)
+
+
+@pytest.mark.parametrize("change", [
+    lambda s: np.full_like(s, np.nan),  # non-finite slope
+    lambda s: -s,  # wrong sign
+    lambda s: 1e-6 * s,  # a step far outside the bracket
+], ids=["nan", "sign", "outside"])
+def test_safeguard_certifies_every_block(monkeypatch, change):
+    # with every Newton step refused, the bisection fallback alone meets the
+    # oracle contracts: feasible within 1e-8, active within 1e-6, the delta
+    # criterion and the Wasserstein eigenvalue floor
+    delta = 0.95
+    balls, grads, refs, floors = _mixed_batch(21, 3, 2, 4, list(ALL_KINDS), 0.7)
+    newton = oracle_pass(balls, grads, refs, floors, delta)
+    _slope_patched(monkeypatch, change)
+    fallback = oracle_pass(balls, grads, refs, floors, delta)
+    assert sum(r.steps for r in fallback) > 2 * sum(r.steps for r in newton)
+    for ball, G, ref, floor, got, fast in zip(balls, grads, refs, floors, fallback, newton):
+        pair = MomentPair.zero_mean(got.sigma_star)
+        assert membership(ball, pair, 1e-8)
+        primal = float(np.sum(G * (got.sigma_star - ref)))
+        noise = 1e-9 * max(1.0, abs(float(np.sum(G * ref))) + float(np.sum(G * ball.nominal.cov)))
+        assert primal + 1.01 * noise >= delta * got.dual_bound
+        assert got.active == fast.active
+        if got.steps > 0:
+            assert abs(ball.divergence(pair) - ball.radius) <= 1e-6
+            assert got.dual_gamma == pytest.approx(fast.dual_gamma, rel=1e-5)
+        if ball.kind is DivergenceKind.WASSERSTEIN2:
+            assert np.linalg.eigvalsh(got.sigma_star).min() >= floor - 1e-10
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_dual_slope_matches_finite_differences(kind):
+    # the analytic slope of each divergence (Daleckii-Krein for Fisher)
+    # against a central difference, at points across the bracket
+    from robustlqg.oracles import _SETUPS, _clean_gradients
+
+    balls, grads, refs, _ = _mixed_batch(8, 3, 3, 3, [kind], 0.5)
+    G, gvals, gvecs = _clean_gradients(np.array(grads))
+    nominal = np.array([b.nominal.cov for b in balls])
+    rho = np.array([b.radius for b in balls])
+    live = np.flatnonzero((gvals[:, -1] > 0.0) & (rho > 0.0))
+    c_ref = (G * np.array(refs)).sum(axis=(1, 2))[live]
+    dual = _SETUPS[kind](G[live], gvals[live], gvecs[live], nominal[live], rho[live], c_ref)
+    assert dual.lo.size >= 4
+    for t in (0.05, 0.3, 0.9):
+        g = dual.lo + t * (dual.hi - dual.lo)
+        _, slope, _ = dual.divergence(g, *dual.data)
+        h = 1e-6 * g
+        up = dual.divergence(g + h, *dual.data)[0]
+        down = dual.divergence(g - h, *dual.data)[0]
+        np.testing.assert_allclose(slope, (up - down) / (2.0 * h), rtol=1e-5)
+        assert (slope < 0.0).all()
