@@ -14,12 +14,12 @@ import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericError, UnsupportedDivergenceError
-from .matops import EIG_CLAMP, _check_finite, _check_square, sym_sqrt, symmetrize
+from .matops import _check_finite, _check_square, sym_sqrt, symmetrize
 
 INFEASIBLE = float("inf")
 
@@ -351,90 +351,6 @@ def membership(ball: AmbiguityBall, candidate: MomentPair, tol: float = 1e-9) ->
     if math.isinf(value):
         return False
     return value <= ball.radius + tol
-
-
-def _clamp_psd(vals: np.ndarray) -> np.ndarray:
-    """Eigenvalues (B, d) of a psd stack, clamped and checked as psd_eigh does."""
-    if (vals[:, 0] < -EIG_CLAMP).any():
-        raise InvalidInputError(
-            f"matrix is not psd: min eigenvalue {vals[:, 0].min():.3e} < -{EIG_CLAMP:.0e}"
-        )
-    return np.maximum(vals, 0.0)
-
-
-def _gelbrich_stack(S, vals, pd, nominal):
-    """gelbrich of zero-mean pairs, block by block."""
-    nvals, nvecs = np.linalg.eigh(nominal)
-    root = (nvecs * np.sqrt(_clamp_psd(nvals))[:, None, :]) @ np.swapaxes(nvecs, 1, 2)
-    root = symmetrize(root)
-    cross = np.sqrt(_clamp_psd(np.linalg.eigvalsh(symmetrize(root @ S @ root)))).sum(axis=1)
-    tr_a, tr_b = np.trace(S, axis1=1, axis2=2), np.trace(nominal, axis1=1, axis2=2)
-    term = tr_a + tr_b - 2.0 * cross
-    return np.sqrt(np.where(term < 1e-12 * (1.0 + tr_a + tr_b), 0.0, term))
-
-
-def _kl_stack(S, vals, pd, nominal):
-    """kl_t_divergence of zero-mean pairs, block by block; inf where S is singular."""
-    _, logdet_b = np.linalg.slogdet(nominal)
-    logdet_a = np.log(np.where(pd[:, None], vals, 1.0)).sum(axis=1)
-    tr = (S * np.linalg.inv(nominal)).sum(axis=(1, 2))
-    return np.where(pd, 0.5 * (tr - logdet_a + logdet_b - S.shape[1]), INFEASIBLE)
-
-
-def _fisher_stack(S, vals, pd, nominal):
-    """fisher_gaussian of zero-mean pairs, block by block; inf where S is singular."""
-    inv = np.linalg.inv(nominal)
-    inv_a = (1.0 / np.where(pd[:, None], vals, 1.0)).sum(axis=1)
-    div = (S * (inv @ inv)).sum(axis=(1, 2)) - 2.0 * np.trace(inv, axis1=1, axis2=2) + inv_a
-    return np.where(pd, div, INFEASIBLE)
-
-
-_STACKED_DIVERGENCES = {
-    DivergenceKind.WASSERSTEIN2: _gelbrich_stack,
-    DivergenceKind.KULLBACK_LEIBLER: _kl_stack,
-    DivergenceKind.FISHER: _fisher_stack,
-}
-
-
-def batch_membership(
-    balls: Sequence[AmbiguityBall], blocks: Sequence[np.ndarray], tol: float = 1e-9
-) -> np.ndarray:
-    """membership(ball, MomentPair.zero_mean(block), tol) for every pair, as a
-    boolean array.
-
-    Wasserstein, KL and Fisher pairs are checked per (kind, size) group on
-    stacked arrays. One batched eigvalsh gives the validity test of
-    MomentPair (an invalid block raises InvalidInputError as it does) and
-    the eigenvalues the KL and Fisher formulas need; a singular candidate
-    is not a member of a KL or Fisher ball, as INFEASIBLE reads in
-    membership. Entropic-OT and custom balls go through membership.
-    """
-    if len(balls) != len(blocks):
-        raise InvalidInputError("batch_membership needs one block per ball")
-    out = np.zeros(len(balls), dtype=bool)
-    groups: dict = {}
-    for i, (ball, block) in enumerate(zip(balls, blocks)):
-        if ball.kind in _STACKED_DIVERGENCES:
-            groups.setdefault((ball.kind, ball.nominal.dim), []).append(i)
-        else:
-            out[i] = membership(ball, MomentPair.zero_mean(block), tol)
-    for (kind, d), idx in groups.items():
-        mats = [_check_square(blocks[i], "second moment") for i in idx]
-        if any(M.shape[0] != d for M in mats):
-            raise InvalidInputError("candidate dimension mismatch")
-        S = symmetrize(np.stack(mats))
-        vals = np.linalg.eigvalsh(S)
-        norms = np.linalg.norm(S, axis=(1, 2))
-        bad = vals[:, 0] < -_VALID_PAIR_TOL * (1.0 + norms)
-        if bad.any():
-            raise InvalidInputError(
-                f"invalid moment pair: M - mu mu^T has eigenvalue {vals[bad, 0].min():.3e}"
-            )
-        pd = vals[:, 0] > 1e-12 * (1.0 + norms)  # _is_pd
-        nominal = np.stack([balls[i].nominal.cov for i in idx])
-        div = _STACKED_DIVERGENCES[kind](S, vals, pd, nominal)
-        out[idx] = div <= np.array([balls[i].radius for i in idx]) + tol
-    return out
 
 
 def zero_mean_feasibility_check(

@@ -11,7 +11,9 @@ concave objective and drives the stopping rule. solve adapts the driver to
 the finite-horizon LQG value over the 2T+1 blocks [X0, W_t.., V_t..];
 stationary.solve_stationary_fw adapts it to the average cost over
 [Sigma_w, Sigma_v]. Both run the noise-independent Riccati solution once per
-solve and reuse it in every gradient and line-search evaluation.
+solve and reuse it in every gradient and line-search evaluation. maximize
+takes its start as feasible. Both adapters start at the nominals, which lie
+in every ball; solve also accepts a start from its caller, and checks it.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import lqg
-from .divergences import AmbiguityBall, DivergenceKind, MomentPair, batch_membership
-from .divergences import membership  # noqa: F401  unused; bench/tracer.py wraps this binding
+from .divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
 from .errors import InvalidInputError
 from .gradient import _lqg_gradient, lqg_gradient
 from .lqg import CovarianceProfile, SystemInstance
@@ -200,9 +201,10 @@ def maximize(
 ) -> tuple[list[np.ndarray], FwTrace]:
     """Maximize a concave function of covariance blocks, one ball per block.
 
-    value_and_grad(blocks) returns the objective and its per-block gradients
-    (trace pairing); value(blocks) returns the objective alone and is called
-    only by the line search. floors are the oracles' eigenvalue floors.
+    start must lie in the balls; it is not checked here. value_and_grad(blocks)
+    returns the objective and its per-block gradients (trace pairing);
+    value(blocks) returns the objective alone and is called only by the line
+    search. floors are the oracles' eigenvalue floors.
     Iterates move as (1 - alpha) * current + alpha * targets. By default
     alpha is the largest of 1, 1/2, 1/4, ... above 2/(2+k) whose step gains
     at least 0.1 * alpha * gap in value (Armijo), else 2/(2+k); with
@@ -211,8 +213,6 @@ def maximize(
     iteration is recorded in the trace and, when the "robustlqg" logger is
     enabled for DEBUG, logged in one line. Returns (final blocks, trace).
     """
-    if not batch_membership(balls, start, 1e-8).all():
-        raise InvalidInputError("initial profile is infeasible in an ambiguity ball")
     current = list(start)
     trace = FwTrace()
     for k in range(cfg.max_iters):
@@ -253,13 +253,21 @@ def solve(
     cfg: FwConfig = FwConfig(),
 ) -> tuple[CovarianceProfile, FwTrace]:
     """Run Frank-Wolfe on the finite-horizon LQG value; returns (worst-case
-    profile, trace). init defaults to the nominal covariances, which are
-    feasible in every ball. The Riccati sweep P does not depend on the noise,
-    so it runs once here; each gradient is then one forward and one adjoint
-    sweep, and each line-search trial one forward sweep."""
+    profile, trace). init defaults to the nominal covariances, which lie in
+    every ball by construction and are not checked. A caller-supplied init is
+    checked block by block, at membership tolerance 1e-8, before anything is
+    evaluated. The Riccati sweep P does not depend on the noise, so it runs
+    once here; each gradient is then one forward and one adjoint sweep, and
+    each line-search trial one forward sweep."""
+    if balls.T != sys.T:
+        raise InvalidInputError("ball profile horizon mismatch")
+    if init is not None:
+        if init.T != sys.T:
+            raise InvalidInputError("initial profile horizon mismatch")
+        for ball, block in zip(balls.blocks(), init.blocks()):
+            if not membership(ball, MomentPair.zero_mean(block), 1e-8):
+                raise InvalidInputError("initial profile is infeasible in an ambiguity ball")
     current = balls.nominal_profile() if init is None else init
-    if current.T != sys.T:
-        raise InvalidInputError("initial profile horizon mismatch")
     # module lookups at call time, so rebinding lqg.riccati_backward or
     # lqg._forward_cost is seen
     P, _ = lqg.riccati_backward(sys)

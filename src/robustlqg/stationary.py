@@ -80,13 +80,12 @@ class StationarySolution:
     avg_cost: float
 
 
-def _riccati_fixed_point(A, B, Q, R, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed point X of lqg._riccati_step and its gain K.
+def _riccati_fixed_point(A, B, Q, R, what: str) -> np.ndarray:
+    """Fixed point X of lqg._riccati_step.
 
-    Started at X = Q, stopped on relative change 1e-12. Returns X and the gain
-    K = -(R + B^T X B)^{-1} B^T X A with A + BK Schur stable (margin 1e-8);
-    divergence or an unstable closed loop raises StabilizabilityError naming
-    `what`, and an iterate that overflows raises InvalidInputError.
+    Started at X = Q, stopped on relative change 1e-12. Divergence raises
+    StabilizabilityError naming `what`, and an iterate that overflows raises
+    InvalidInputError.
     """
     X = symmetrize(Q)
     for _ in range(_FIXED_POINT_MAX_ITERS):
@@ -97,18 +96,18 @@ def _riccati_fixed_point(A, B, Q, R, what: str) -> tuple[np.ndarray, np.ndarray]
         delta = np.linalg.norm(X_next - X, "fro")
         X = X_next
         if delta <= _REL_TOL * (1.0 + np.linalg.norm(X, "fro")):
-            break
-    else:
-        raise StabilizabilityError(f"Riccati iteration did not converge; {what}")
-    _, K = _riccati_step(X, A, B, Q, R)
-    if spectral_radius(A + B @ K) >= 1.0 - _STAB_MARGIN:
-        raise StabilizabilityError(f"closed loop is not Schur stable; {what}")
-    return X, K
+            return X
+    raise StabilizabilityError(f"Riccati iteration did not converge; {what}")
 
 
 def solve_dare(ss: StationarySystem) -> tuple[np.ndarray, np.ndarray]:
-    """Control algebraic Riccati equation: P and the gain K with A + BK stable."""
-    return _riccati_fixed_point(ss.A, ss.B, ss.Q, ss.R, "(A, B) looks unstabilizable")
+    """Control algebraic Riccati equation: P and the gain
+    K = -(R + B^T P B)^{-1} B^T P A, with A + BK Schur stable (margin 1e-8)."""
+    P = _riccati_fixed_point(ss.A, ss.B, ss.Q, ss.R, "(A, B) looks unstabilizable")
+    _, K = _riccati_step(P, ss.A, ss.B, ss.Q, ss.R)
+    if spectral_radius(ss.A + ss.B @ K) >= 1.0 - _STAB_MARGIN:
+        raise StabilizabilityError("closed loop is not Schur stable; (A, B) looks unstabilizable")
+    return P, K
 
 
 def solve_filter_are(
@@ -118,8 +117,9 @@ def solve_filter_are(
 
     S = A S A^T + Sigma_w - A S C^T (C S C^T + Sigma_v)^{-1} C S A^T is the
     control equation of the dual pair (A^T, C^T); steady gain
-    L = S C^T (Sigma_v + C S C^T)^{-1}. The dual closed loop A^T + C^T K has
-    the spectrum of the error matrix (I - LC) A, which is thus Schur stable.
+    L = S C^T (Sigma_v + C S C^T)^{-1}. The error matrix (I - LC) A, which
+    has the spectrum of the dual closed loop A^T + C^T K, is Schur stable
+    (margin 1e-8).
     """
     Sigma_w = symmetrize(_check_square(Sigma_w, "Sigma_w"))
     Sigma_v = symmetrize(_check_square(Sigma_v, "Sigma_v"))
@@ -127,10 +127,12 @@ def solve_filter_are(
         raise InvalidInputError(f"Sigma_w must be ({ss.n}, {ss.n}) and Sigma_v ({ss.p}, {ss.p})")
     if np.linalg.eigvalsh(Sigma_w).min() <= 0.0 or np.linalg.eigvalsh(Sigma_v).min() <= 0.0:
         raise InvalidInputError("stationary noise covariances must be positive definite")
-    C = ss.C
-    S, _ = _riccati_fixed_point(ss.A.T, C.T, Sigma_w, Sigma_v, "(A, C) looks undetectable")
+    A, C = ss.A, ss.C
+    S = _riccati_fixed_point(A.T, C.T, Sigma_w, Sigma_v, "(A, C) looks undetectable")
     SC = S @ C.T
     L = np.linalg.solve(Sigma_v + C @ SC, SC.T).T
+    if spectral_radius(A - L @ C @ A) >= 1.0 - _STAB_MARGIN:
+        raise StabilizabilityError("closed loop is not Schur stable; (A, C) looks undetectable")
     return S, L
 
 

@@ -8,7 +8,6 @@ from robustlqg.divergences import (
     CustomDivergence,
     DivergenceKind,
     MomentPair,
-    batch_membership,
     entropic_ot,
     entropic_ot_squared,
     fisher_gaussian,
@@ -302,106 +301,34 @@ def test_zero_mean_feasibility_entropic_ot():
     assert hits > 20
 
 
-_STACKED_KINDS = (
-    DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER
+@pytest.mark.parametrize(
+    "kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER]
 )
-
-
-def _candidates(rng, nominal):
-    """The nominal, feasible and infeasible perturbations, and singular blocks."""
-    d = nominal.shape[0]
-    Qm, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    sing = np.ones(d)
-    sing[0] = 0.0
-    return [
-        nominal,
-        nominal + 0.01 * rand_spd(d, rng),
-        nominal + 2.0 * rand_spd(d, rng),
-        0.7 * nominal,
-        (Qm * sing) @ Qm.T,  # singular
-        np.zeros((d, d)),
-    ]
-
-
-def _across_the_boundary(ball, rng):
-    """Two candidates on the ray nominal + t P, at 1 -+ 1e-6 times the t where
-    the divergence reaches the radius (it grows along the ray)."""
-    nominal = ball.nominal.cov
-    P = rand_spd(nominal.shape[0], rng)
-
-    def div(t):
-        return ball.divergence(_pair(nominal + t * P))
-
-    lo, hi = 0.0, 1.0
-    while div(hi) <= ball.radius:
-        hi *= 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if div(mid) <= ball.radius else (lo, mid)
-    return [nominal + (1.0 - 1e-6) * lo * P, nominal + (1.0 + 1e-6) * lo * P]
-
-
-@pytest.mark.parametrize("kind", _STACKED_KINDS)
-def test_batch_membership_matches_membership(kind):
-    # mixed sizes in one call; every answer equals the scalar membership,
-    # on both sides of the boundary and for singular candidates
-    # (INFEASIBLE for KL and Fisher)
+def test_membership_across_the_boundary_and_at_singular_candidates(kind):
+    # 1 -+ 1e-6 times the radius crossing on the ray nominal + t P, at zero
+    # tolerance; a singular candidate is INFEASIBLE for KL and Fisher, so
+    # never a member
     rng = np.random.default_rng(31)
-    balls, blocks = [], []
-    for d in (1, 2, 3, 2, 3):
+    for d in (1, 2, 3):
         ball = AmbiguityBall(kind=kind, nominal=_pair(rand_spd(d, rng)), radius=0.4)
-        for cand in _candidates(rng, ball.nominal.cov) + _across_the_boundary(ball, rng):
-            balls.append(ball)
-            blocks.append(cand)
-    got = batch_membership(balls, blocks, 0.0)
-    want = [membership(b, _pair(x), 0.0) for b, x in zip(balls, blocks)]
-    assert got.tolist() == want
-    assert got[6::8].all() and not got[7::8].any()
-    if kind is not DivergenceKind.WASSERSTEIN2:
-        assert not got[4::8].any() and not got[5::8].any()
+        P = rand_spd(d, rng)
 
+        def div(t):
+            return ball.divergence(_pair(ball.nominal.cov + t * P))
 
-@pytest.mark.parametrize("kind", _STACKED_KINDS)
-def test_batch_membership_rejects_invalid_blocks(kind):
-    # not psd, wrong size, not square, not finite; alone or next to a valid block
-    ball = AmbiguityBall(kind=kind, nominal=_pair(np.eye(2)), radius=0.4)
-    nan = np.array([[1.0, np.nan], [0.0, 1.0]])
-    for bad in (np.diag([1.0, -1e-3]), np.eye(3), np.ones((2, 3)), nan):
-        with pytest.raises(InvalidInputError):
-            batch_membership([ball], [bad])
-        with pytest.raises(InvalidInputError):
-            batch_membership([ball, ball], [np.eye(2), bad])
-    with pytest.raises(InvalidInputError):
-        batch_membership([ball, ball], [np.eye(2)])
-
-
-def test_batch_membership_sends_other_kinds_to_membership(monkeypatch):
-    from robustlqg import divergences
-
-    register_moment_divergence(
-        CustomDivergence(
-            name="frobenius-batch-test",
-            evaluate=lambda a, b: float(np.linalg.norm(a.second_moment - b.second_moment)),
-        ),
-        _pair(np.eye(2)), 0.5,
-    )
-    nominal = _pair(np.eye(2))
-    entropic = AmbiguityBall(kind=DivergenceKind.ENTROPIC_OT, nominal=nominal, radius=1.0,
-                             eps=0.05)
-    custom = AmbiguityBall(kind=DivergenceKind.MOMENT_CUSTOM, nominal=nominal, radius=0.5,
-                           custom_name="frobenius-batch-test")
-    stacked = [AmbiguityBall(kind=k, nominal=nominal, radius=0.5) for k in _STACKED_KINDS]
-    balls = [entropic, custom, *stacked, custom]
-    blocks = [1.01 * np.eye(2), 1.2 * np.eye(2), *(1.1 * np.eye(2),) * 3, 2.0 * np.eye(2)]
-    seen = []
-    scalar = divergences.membership
-
-    def counting(ball, candidate, tol=1e-9):
-        seen.append(ball.kind)
-        return scalar(ball, candidate, tol)
-
-    monkeypatch.setattr(divergences, "membership", counting)
-    got = batch_membership(balls, blocks, 1e-8)
-    assert seen == [DivergenceKind.ENTROPIC_OT] + [DivergenceKind.MOMENT_CUSTOM] * 2
-    assert got.tolist() == [scalar(b, _pair(x), 1e-8) for b, x in zip(balls, blocks)]
-    assert got.tolist() == [True, True, True, True, True, False]
+        lo, hi = 0.0, 1.0
+        while div(hi) <= ball.radius:
+            hi *= 2.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if div(mid) <= ball.radius else (lo, mid)
+        assert membership(ball, _pair(ball.nominal.cov + (1.0 - 1e-6) * lo * P), 0.0)
+        assert not membership(ball, _pair(ball.nominal.cov + (1.0 + 1e-6) * lo * P), 0.0)
+        if kind is DivergenceKind.WASSERSTEIN2:
+            continue
+        Qm, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        sing = np.ones(d)
+        sing[0] = 0.0
+        for cand in ((Qm * sing) @ Qm.T, np.zeros((d, d))):
+            assert ball.divergence(_pair(cand)) == math.inf
+            assert not membership(ball, _pair(cand), 1.0)

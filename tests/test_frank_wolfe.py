@@ -166,19 +166,82 @@ def test_infeasible_init_rejected():
         solve(sys, model.ball_profile(), init=bad)
 
 
-def test_non_psd_start_block_rejected():
-    from robustlqg.frank_wolfe import maximize
+def test_non_psd_start_block_rejected(monkeypatch):
+    from robustlqg import frank_wolfe, lqg
 
-    balls = generate_instance(2, 2, seed=3, kind=DivergenceKind.KULLBACK_LEIBLER,
-                              rho=0.5)[1].ball_profile().blocks()
-    start = [b.nominal.cov for b in balls]
-    start[3] = np.diag([1.0, -1e-3])
+    sys, model = generate_instance(2, 2, seed=3, kind=DivergenceKind.KULLBACK_LEIBLER, rho=0.5)
+    nominal = model.nominal_profile()
+    W = nominal.W.copy()
+    W[1] = np.diag([1.0, -1e-3])
+    init = CovarianceProfile(X0=nominal.X0, W=W, V=nominal.V)
 
-    def never(blocks):
+    def never(*args):
         raise AssertionError("evaluated an invalid start")
 
+    monkeypatch.setattr(lqg, "riccati_backward", never)
+    monkeypatch.setattr(frank_wolfe, "_lqg_gradient", never)
     with pytest.raises(InvalidInputError):
-        maximize(never, never, balls, start, [0.0] * len(balls), FwConfig())
+        solve(sys, model.ball_profile(), init=init)
+
+
+def test_horizon_mismatch_rejected_before_evaluation(monkeypatch):
+    from robustlqg import frank_wolfe, lqg
+
+    def never(*args):
+        raise AssertionError("evaluated a mismatched profile")
+
+    monkeypatch.setattr(lqg, "riccati_backward", never)
+    monkeypatch.setattr(frank_wolfe, "_lqg_gradient", never)
+    sys3, model3 = generate_instance(2, 3, seed=0, kind=DivergenceKind.WASSERSTEIN2, rho=0.1)
+    _, model2 = generate_instance(2, 2, seed=0, kind=DivergenceKind.WASSERSTEIN2, rho=0.1)
+    for balls, init in ((model2.ball_profile(), None),
+                        (model2.ball_profile(), model3.nominal_profile()),
+                        (model3.ball_profile(), model2.nominal_profile())):
+        with pytest.raises(InvalidInputError, match="horizon mismatch"):
+            solve(sys3, balls, init=init)
+
+
+@pytest.mark.parametrize(
+    "kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER]
+)
+def test_warm_start_converges_to_the_cold_objective(kind):
+    # a worst case at a loose gap passes the start check (the W2 ones sit up
+    # to about 8e-9 past their radius, inside the 1e-8 tolerance) and the
+    # warm solve certifies the same optimum as the cold one
+    cfg = FwConfig(gap_tol=1e-6)
+    for seed in range(3):
+        sys, model = generate_instance(3, 4, seed=seed, kind=kind, rho=0.5)
+        balls = model.ball_profile()
+        _, cold = solve(sys, balls, cfg=cfg)
+        start, _ = solve(sys, balls, cfg=FwConfig(gap_tol=1e-2))
+        _, warm = solve(sys, balls, init=start, cfg=cfg)
+        assert cold.converged and warm.converged
+        assert abs(warm.records[-1].objective - cold.records[-1].objective) <= 1e-6 / 0.95
+
+
+def test_default_solve_makes_no_membership_call(monkeypatch):
+    # the nominal start lies in every ball by construction and is not checked
+    from robustlqg import divergences, frank_wolfe
+
+    calls = []
+
+    def counting(inner):
+        def wrapped(*args):
+            calls.append(1)
+            return inner(*args)
+        return wrapped
+
+    monkeypatch.setattr(frank_wolfe, "membership", counting(frank_wolfe.membership))
+    monkeypatch.setattr(divergences, "membership", counting(divergences.membership))
+    for kind in (DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER,
+                 DivergenceKind.FISHER):
+        sys, model = generate_instance(3, 4, seed=0, kind=kind, rho=0.5)
+        _, trace = solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-4))
+        assert trace.converged
+    assert not calls
+    # a supplied start goes through frank_wolfe.membership, one call per block
+    solve(sys, model.ball_profile(), init=model.nominal_profile())
+    assert len(calls) == 2 * sys.T + 1
 
 
 def test_line_search_step_rule_converges():

@@ -401,3 +401,30 @@ def test_cost_and_gradient_given_the_dare_are_bit_identical():
         assert value == public_value == cost
         for a, b in zip(grads, public_grads):
             assert np.array_equal(a, b)
+
+
+def test_finite_horizon_middle_matches_the_stationary_problem():
+    # the average-cost problem is the steady state of the finite-horizon one:
+    # at T = 50 the middle adjoint gradients are the stationary gradient, and
+    # one more stage adds the average cost to the finite-horizon value
+    from robustlqg.gradient import lqg_gradient
+
+    rng = np.random.default_rng(6)
+    n, m, p = 3, 2, 2
+    A = rng.standard_normal((n, n))
+    A *= 0.9 / spectral_radius(A)
+    ss = StationarySystem(A=A, B=rng.standard_normal((n, m)), C=rng.standard_normal((p, n)),
+                          Q=rand_spd(n, rng), R=rand_spd(m, rng))
+    Sw, Sv = rand_spd(n, rng), rand_spd(p, rng)
+
+    def finite(T):
+        sys = SystemInstance.time_invariant(ss.A, ss.B, ss.C, ss.Q, ss.R, T=T)
+        return sys, CovarianceProfile(X0=Sw, W=np.repeat(Sw[None], T, axis=0),
+                                      V=np.repeat(Sv[None], T, axis=0))
+
+    avg_cost, (G_w, G_v) = stationary_gradient(ss, Sw, Sv)
+    _, grad = lqg_gradient(*finite(50))
+    for got, want in ((grad.dW[25], G_w), (grad.dV[25], G_v)):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    step = lqg_value(*finite(51)).cost - lqg_value(*finite(50)).cost
+    assert step == pytest.approx(avg_cost, rel=1e-10)
