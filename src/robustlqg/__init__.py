@@ -19,7 +19,6 @@ from .divergences import (
     gelbrich,
     kl_t_divergence,
     membership,
-    zero_mean_feasibility_check,
 )
 from .errors import (
     ConditioningError,
@@ -31,8 +30,8 @@ from .errors import (
     StabilizabilityError,
     UnsupportedDivergenceError,
 )
-from .frank_wolfe import BallProfile, FwConfig, FwTrace, NominalModel, fw_gap, solve
-from .gradient import GradientProfile, fd_gradient, lqg_gradient
+from .frank_wolfe import BallProfile, FwConfig, FwTrace, NominalModel, solve
+from .gradient import GradientProfile, lqg_gradient
 from .instances import generate_instance
 from .lqg import (
     CovarianceProfile,
@@ -41,11 +40,8 @@ from .lqg import (
     kalman_forward,
     lqg_value,
     riccati_backward,
-    simulate_closed_loop,
 )
 from .matops import (
-    SpdCertificate,
-    loewner_geq,
     solve_discrete_lyapunov,
     spectral_radius,
     sym_sqrt,
@@ -53,7 +49,6 @@ from .matops import (
 )
 from .oracles import (
     OracleResult,
-    brute_force_oracle,
     fisher_oracle,
     kl_oracle,
     oracle_pass,

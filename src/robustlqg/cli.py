@@ -38,7 +38,6 @@ def _add_common(sub: argparse.ArgumentParser, mandatory: bool = False) -> None:
     sub.add_argument("--divergence", choices=["wasserstein2", "kl", "fisher", "entropic_ot"],
                      required=req)
     sub.add_argument("--out", dest="output_dir", required=req)
-    sub.add_argument("--jobs", type=int, help="parallel grid points")
     sub.add_argument("--max-iters", type=int)
     sub.add_argument("--gap-tol", type=float)
     sub.add_argument("--oracle-delta", type=float)
@@ -79,7 +78,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.rhos is not None:
         raw["rho"] = args.rhos if len(args.rhos) > 1 else args.rhos[0]
     for attr, key in (("T", "T"), ("d", "d"), ("divergence", "divergence"),
-                      ("output_dir", "output_dir"), ("jobs", "jobs")):
+                      ("output_dir", "output_dir")):
         val = getattr(args, attr, None)
         if val is not None:
             raw[key] = val

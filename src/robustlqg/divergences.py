@@ -351,20 +351,3 @@ def membership(ball: AmbiguityBall, candidate: MomentPair, tol: float = 1e-9) ->
     if math.isinf(value):
         return False
     return value <= ball.radius + tol
-
-
-def zero_mean_feasibility_check(
-    ball: AmbiguityBall, candidate: MomentPair, tol: float = 1e-9
-) -> bool:
-    """Truth of the implication: candidate in ball => (0, M) in ball.
-
-    Requires a zero-mean nominal.
-    """
-    if np.linalg.norm(ball.nominal.mean) != 0.0:
-        raise InvalidInputError("zero-mean check requires a zero-mean nominal")
-    if not membership(ball, candidate, tol):
-        return True
-    zeroed = MomentPair(
-        mean=np.zeros(candidate.dim), second_moment=candidate.second_moment
-    )
-    return membership(ball, zeroed, tol)

@@ -28,7 +28,8 @@ import numpy as np
 from . import lqg
 from .divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
 from .errors import InvalidInputError
-from .gradient import _lqg_gradient, lqg_gradient
+from .gradient import _lqg_gradient
+from .gradient import lqg_gradient  # noqa: F401  unused; bench/tracer.py wraps this binding
 from .lqg import CovarianceProfile, SystemInstance
 from .oracles import oracle_pass
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
@@ -112,14 +113,13 @@ class NominalModel:
     rho_x0: float
     rho_w: np.ndarray  # (T,)
     rho_v: np.ndarray  # (T,)
-    eps: float = 0.0
 
     @classmethod
-    def uniform(cls, kind: DivergenceKind, cov: CovarianceProfile, rho: float, eps: float = 0.0):
+    def uniform(cls, kind: DivergenceKind, cov: CovarianceProfile, rho: float):
         T = cov.T
         return cls(
             kind=kind, X0=cov.X0, W=cov.W, V=cov.V,
-            rho_x0=rho, rho_w=np.full(T, float(rho)), rho_v=np.full(T, float(rho)), eps=eps,
+            rho_x0=rho, rho_w=np.full(T, float(rho)), rho_v=np.full(T, float(rho)),
         )
 
     def nominal_profile(self) -> CovarianceProfile:
@@ -128,8 +128,7 @@ class NominalModel:
     def ball_profile(self) -> BallProfile:
         def ball(cov, rho):
             return AmbiguityBall(
-                kind=self.kind, nominal=MomentPair.zero_mean(cov),
-                radius=float(rho), eps=self.eps,
+                kind=self.kind, nominal=MomentPair.zero_mean(cov), radius=float(rho)
             )
 
         return BallProfile(
@@ -154,24 +153,6 @@ def _oracle_pass(balls, grads, current, floors, delta):
     for G, S, star in zip(grads, current, targets):
         gap += float(np.sum(G * (star - S)))
     return gap, targets, sum(r.steps for r in results)
-
-
-def fw_gap(
-    sys: SystemInstance,
-    balls: BallProfile,
-    current: CovarianceProfile,
-    delta: float = 0.95,
-) -> tuple[float, CovarianceProfile]:
-    """Surrogate duality gap and oracle targets at the current profile.
-
-    gap = sum_z <grad_z f, Sigma_z* - Sigma_z>; for concave f this upper
-    bounds f* - f(current) (up to the oracle delta factor).
-    """
-    _, grad = lqg_gradient(sys, current)
-    gap, targets, _ = _oracle_pass(
-        balls.blocks(), grad.blocks(), current.blocks(), _lam_floors(balls), delta
-    )
-    return gap, CovarianceProfile.from_blocks(targets, sys.T)
 
 
 def _step(current, targets, alpha):

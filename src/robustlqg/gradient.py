@@ -17,8 +17,7 @@ so running the cost formula backwards gives, with adjoint Sbar_T = P_T,
 
 and dX0 = Sbar_0. Gradients follow the trace-pairing convention: they are
 the unique symmetric G with df = Tr(G dSigma) for symmetric dSigma
-(off-diagonal entries are not doubled). A central finite-difference oracle
-over the symmetric coordinate basis verifies the sweep.
+(off-diagonal entries are not doubled).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, InvalidInputError
 from .lqg import CovarianceProfile, SystemInstance, _lqg_cost, kalman_forward, riccati_backward
 from .matops import _check_finite, symmetrize
 
@@ -85,65 +83,3 @@ def _lqg_gradient(
         closed = np.eye(n) - Kt @ Ct
         Sbar = symmetrize(P[t] + closed.T @ sigbar @ closed)
     return value, GradientProfile(dX0=_check_finite(Sbar, "adjoint sweep"), dW=dW, dV=dV)
-
-
-def _sym_basis(d: int):
-    """Symmetric coordinate basis E_ij = (e_i e_j^T + e_j e_i^T)/(1 + [i==j])."""
-    for i in range(d):
-        for j in range(i, d):
-            E = np.zeros((d, d))
-            if i == j:
-                E[i, i] = 1.0
-            else:
-                E[i, j] = E[j, i] = 1.0
-            yield i, j, E
-
-
-def fd_block_gradients(value, blocks, step: float = 1e-5) -> list[np.ndarray]:
-    """Central finite differences of value(blocks) along the symmetric basis
-    of each block, with the step scaled per block by (1 + ||Sigma||_F)."""
-    if step <= 0.0:
-        raise InvalidInputError("step must be positive")
-    grads = []
-    for b, block in enumerate(blocks):
-        d = block.shape[0]
-        h = step * (1.0 + np.linalg.norm(block, "fro"))
-        G = np.zeros((d, d))
-        for i, j, E in _sym_basis(d):
-            plus = list(blocks)
-            minus = list(blocks)
-            plus[b] = block + h * E
-            minus[b] = block - h * E
-            diff = (value(plus) - value(minus)) / (2.0 * h)
-            if i == j:
-                G[i, i] = diff
-            else:
-                G[i, j] = G[j, i] = diff / 2.0
-        grads.append(G)
-    return grads
-
-
-def fd_gradient(
-    sys: SystemInstance, cov: CovarianceProfile, step: float = 1e-5
-) -> GradientProfile:
-    """Central finite differences of the LQG value in every covariance block.
-
-    Raises when a perturbed V block leaves the positive definite cone (step
-    too large).
-    """
-    from .lqg import lqg_value
-
-    def value_at(blocks):
-        profile = CovarianceProfile.from_blocks(blocks, sys.T)
-        try:
-            return lqg_value(sys, profile).cost
-        except ConditioningError as exc:
-            raise InvalidInputError(
-                f"finite-difference step {step} leaves the feasible cone"
-            ) from exc
-
-    grads = fd_block_gradients(value_at, cov.blocks(), step)
-    T = sys.T
-    return GradientProfile(
-        dX0=grads[0], dW=np.stack(grads[1 : T + 1]), dV=np.stack(grads[T + 1 :])
-    )

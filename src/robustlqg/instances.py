@@ -43,7 +43,6 @@ def generate_instance(
     seed: int,
     kind: DivergenceKind = DivergenceKind.WASSERSTEIN2,
     rho: float = 0.1,
-    eps: float = 0.0,
 ) -> tuple[SystemInstance, NominalModel]:
     """Benchmark instance: A has 0.1 on the diagonal and superdiagonal,
     B = C = Q_t = R_t = I_d, and random nominal covariances with eigenvalues
@@ -58,5 +57,5 @@ def generate_instance(
         W=np.stack([random_covariance(d, rng) for _ in range(T)]),
         V=np.stack([random_covariance(d, rng) for _ in range(T)]),
     )
-    model = NominalModel.uniform(kind, cov, rho, eps=eps)
+    model = NominalModel.uniform(kind, cov, rho)
     return sys, model

@@ -3,10 +3,9 @@
 For a linear system x_{t+1} = A_t x_t + B_t u_t + w_t observed through
 y_t = C_t x_t + v_t with zero-mean Gaussian noise, this module computes the
 optimal feedback gains (backward Riccati recursion), the filter covariances
-and gains (forward Kalman recursion), the optimal expected cost, and a
-Monte-Carlo closed-loop simulator used as an independent check. The filter
-gain L_t is the innovation gain, which equals Sigma_filt[t] C_t^T V_t^{-1};
-every V_t must be positive definite.
+and gains (forward Kalman recursion) and the optimal expected cost. The
+filter gain L_t is the innovation gain, which equals
+Sigma_filt[t] C_t^T V_t^{-1}; every V_t must be positive definite.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, InvalidInputError
-from .matops import _check_finite, _check_square, sym_sqrt, symmetrize
+from .matops import _check_finite, _check_square, symmetrize
 
 _PD_TOL = 1e-10
 
@@ -95,7 +94,7 @@ class CovarianceProfile:
 
     X0 is the initial-state covariance, W[t] the process-noise covariance and
     V[t] the observation-noise covariance for t = 0..T-1. Kalman filtering
-    requires every V[t] to be positive definite; simulation does not.
+    requires every V[t] to be positive definite.
     """
 
     X0: np.ndarray
@@ -252,56 +251,3 @@ def _forward_cost(sys: SystemInstance, P, cov: CovarianceProfile) -> float:
     Kalman sweep and the trace formula, bit for bit the same cost."""
     filt, pred, _ = kalman_forward(sys, cov)
     return _lqg_cost(sys, P, filt, pred)
-
-
-def _noise_sqrts(cov: CovarianceProfile):
-    sq_X0 = sym_sqrt(cov.X0)
-    sq_W = [sym_sqrt(Wt) for Wt in cov.W]
-    sq_V = [sym_sqrt(Vt) for Vt in cov.V]
-    return sq_X0, sq_W, sq_V
-
-
-def simulate_closed_loop(
-    sys: SystemInstance,
-    cov: CovarianceProfile,
-    gains: LqgSolution,
-    num_samples: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of the closed-loop cost under u_t = K_t xhat_t.
-
-    The estimate is deterministic given the seed. The state estimate follows
-    the zero-mean MMSE recursion
-      xhat_0 = L_0 y_0,
-      xhat_{t+1} = Abar_t xhat_t + L_{t+1}(y_{t+1} - C_{t+1} Abar_t xhat_t),
-    with Abar_t = A_t + B_t K_t. Covariances only need to be psd here.
-
-    Returns:
-        (mean_cost, std_error) over num_samples independent rollouts.
-    """
-    T, n = sys.T, sys.n
-    if gains.K.shape != (T, sys.m, n):
-        raise InvalidInputError("gains inconsistent with system dims")
-    rng = np.random.default_rng(seed)
-    sq_X0, sq_W, sq_V = _noise_sqrts(cov)
-    N = int(num_samples)
-    x = rng.standard_normal((N, n)) @ sq_X0.T
-    costs = np.zeros(N)
-    xhat_pred = np.zeros((N, n))
-    for t in range(T):
-        v = rng.standard_normal((N, sys.p)) @ sq_V[t].T
-        y = x @ sys.C[t].T + v
-        if t == 0:
-            xhat = y @ gains.L[0].T
-        else:
-            xhat = xhat_pred + (y - xhat_pred @ sys.C[t].T) @ gains.L[t].T
-        u = xhat @ gains.K[t].T
-        costs += np.einsum("ij,jk,ik->i", x, sys.Q[t], x)
-        costs += np.einsum("ij,jk,ik->i", u, sys.R[t], u)
-        w = rng.standard_normal((N, n)) @ sq_W[t].T
-        x = x @ sys.A[t].T + u @ sys.B[t].T + w
-        xhat_pred = xhat @ (sys.A[t] + sys.B[t] @ gains.K[t]).T
-    costs += np.einsum("ij,jk,ik->i", x, sys.Q[T], x)
-    mean = float(costs.mean())
-    stderr = float(costs.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
-    return mean, stderr

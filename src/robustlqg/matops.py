@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InstabilityError, InvalidInputError
@@ -11,15 +9,6 @@ from .errors import InstabilityError, InvalidInputError
 # Eigenvalues in [-EIG_CLAMP, 0) are rounding noise and get clamped to zero;
 # anything more negative signals a genuine bug upstream.
 EIG_CLAMP = 1e-10
-
-
-@dataclass(frozen=True)
-class SpdCertificate:
-    """Certificate of (semi)definiteness based on the minimum eigenvalue."""
-
-    min_eigenvalue: float
-    is_psd: bool
-    is_pd: bool
 
 
 def _check_finite(X: np.ndarray, name: str) -> np.ndarray:
@@ -62,18 +51,6 @@ def sym_sqrt(S: np.ndarray) -> np.ndarray:
     """Symmetric psd square root R with R @ R ~= S, via eigendecomposition."""
     vals, vecs = psd_eigh(S)
     return symmetrize((vecs * np.sqrt(vals)) @ vecs.T)
-
-
-def loewner_geq(A: np.ndarray, B: np.ndarray, tol: float = 1e-8) -> SpdCertificate:
-    """Certify A >= B in Loewner order: psd iff lambda_min(A - B) >= -tol."""
-    A = _check_square(A, "A")
-    B = _check_square(B, "B")
-    if A.shape != B.shape:
-        raise InvalidInputError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    lam_min = float(np.linalg.eigvalsh(symmetrize(A - B)).min())
-    return SpdCertificate(
-        min_eigenvalue=lam_min, is_psd=lam_min >= -tol, is_pd=lam_min >= tol
-    )
 
 
 def spectral_radius(F: np.ndarray) -> float:

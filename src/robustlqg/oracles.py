@@ -35,7 +35,6 @@ fisher_oracle and solve_oracle are batches of one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -530,120 +529,3 @@ def solve_oracle(
 ) -> OracleResult:
     """The oracle for the ball's divergence kind: oracle_pass on one block."""
     return oracle_pass([ball], [Gamma], [sigma_ref], [lam_floor], delta)[0]
-
-
-def _scalar_upper_bound(kind: DivergenceKind, s_hat: float, rho: float) -> float:
-    """Per-coordinate feasibility bound used to size brute-force grids."""
-    if kind is DivergenceKind.WASSERSTEIN2:
-        return (math.sqrt(s_hat) + rho) ** 2
-    if kind is DivergenceKind.KULLBACK_LEIBLER:
-        # solve r - log r - 1 = 2 rho for r >= 1 by doubling + bisection
-        target = 2.0 * rho
-        hi = 2.0
-        while hi - math.log(hi) - 1.0 < target:
-            hi *= 2.0
-        lo = 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid - math.log(mid) - 1.0 < target:
-                lo = mid
-            else:
-                hi = mid
-        return hi * s_hat
-    if kind is DivergenceKind.FISHER:
-        b = 2.0 / s_hat + rho
-        disc = max(b * b - 4.0 / s_hat**2, 0.0)
-        return 0.5 * s_hat**2 * (b + math.sqrt(disc))
-    raise UnsupportedDivergenceError(f"no grid bound for kind '{kind.value}'")
-
-
-def _separable_divergence(kind: DivergenceKind, sig, s_hat):
-    """Divergence of commuting (diagonal) covariances, vectorized over grids."""
-    if kind is DivergenceKind.WASSERSTEIN2:
-        return np.sqrt(sum((np.sqrt(sig[i]) - math.sqrt(s_hat[i])) ** 2 for i in range(len(s_hat))))
-    if kind is DivergenceKind.KULLBACK_LEIBLER:
-        return 0.5 * sum(
-            sig[i] / s_hat[i] - np.log(sig[i] / s_hat[i]) - 1.0 for i in range(len(s_hat))
-        )
-    if kind is DivergenceKind.FISHER:
-        return sum(
-            sig[i] / s_hat[i] ** 2 - 2.0 / s_hat[i] + 1.0 / sig[i] for i in range(len(s_hat))
-        )
-    raise UnsupportedDivergenceError(f"no separable form for kind '{kind.value}'")
-
-
-def brute_force_oracle(
-    Gamma: np.ndarray,
-    ball: AmbiguityBall,
-    grid_resolution: float = 1e-3,
-) -> OracleResult:
-    """Grid-search verification oracle for commuting instances, d <= 3.
-
-    Parameterizes candidates as diagonal in the gradient eigenbasis (which
-    must also diagonalize the nominal), scans a refining grid over the
-    per-coordinate feasibility box, and certifies the winner via membership.
-    """
-    d = ball.nominal.dim
-    if d > 3:
-        raise UnsupportedDivergenceError("brute-force oracle supports d <= 3 only")
-    _, lam, vecs = _clean_gradients(_stack([Gamma], d, "gradient"))
-    lam, vecs = lam[0], vecs[0]
-    nominal = ball.nominal.cov
-    if float(lam.max(initial=0.0)) <= 0.0 or ball.radius <= 0.0:
-        return OracleResult(symmetrize(nominal), float("nan"), ball.radius <= 0.0, 1.0,
-                            float("nan"), 0)
-
-    sig_t = vecs.T @ nominal @ vecs
-    offdiag = sig_t - np.diag(np.diag(sig_t))
-    if np.abs(offdiag).max(initial=0.0) > 1e-8 * (1.0 + np.abs(sig_t).max()):
-        raise InvalidInputError("brute-force oracle requires a commuting instance")
-    s_hat = np.diag(sig_t).copy()
-    rho = ball.radius
-
-    # coordinates the objective ignores sit at the nominal (slack maximizer)
-    active_idx = [i for i in range(d) if lam[i] > 1e-14 * lam.max()]
-    fixed = s_hat.copy()
-
-    los = np.full(d, 0.0)
-    his = np.zeros(d)
-    for i in range(d):
-        his[i] = _scalar_upper_bound(ball.kind, s_hat[i], rho)
-        los[i] = min(s_hat[i], 1e-6 * s_hat[i] + 1e-12)
-        if ball.kind in (DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER):
-            los[i] = 0.05 * s_hat[i]
-
-    npts = 33
-    best = fixed.copy()
-    for _ in range(40):
-        axes = [
-            np.linspace(los[i], his[i], npts) if i in active_idx else np.array([fixed[i]])
-            for i in range(d)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        div = _separable_divergence(ball.kind, mesh, s_hat)
-        obj = sum(lam[i] * mesh[i] for i in range(d))
-        obj = np.where(div <= rho + 1e-12, obj, -np.inf)
-        flat = int(np.argmax(obj))
-        idx = np.unravel_index(flat, obj.shape)
-        best = np.array([axes[i][idx[i]] for i in range(d)])
-        widths = np.array([his[i] - los[i] for i in range(d)])
-        if widths.max(initial=0.0) / (npts - 1) <= grid_resolution:
-            break
-        for i in active_idx:
-            cell = (his[i] - los[i]) / (npts - 1)
-            los[i] = max(los[i], best[i] - 1.5 * cell)
-            his[i] = min(his[i], best[i] + 1.5 * cell)
-
-    sigma = symmetrize(vecs @ np.diag(best) @ vecs.T)
-    pair = MomentPair.zero_mean(sigma)
-    if not membership(ball, pair, 1e-8):
-        raise OracleError("brute-force winner failed the membership certificate")
-    div_val = ball.divergence(pair)
-    return OracleResult(
-        sigma_star=sigma,
-        dual_gamma=float("nan"),
-        active=abs(div_val - rho) <= max(1e-6, 10.0 * grid_resolution),
-        subopt_delta_achieved=1.0,
-        dual_bound=float("nan"),
-        steps=0,
-    )

@@ -22,10 +22,10 @@ from robustlqg.divergences import (
     kl_t_divergence,
 )
 from robustlqg.frank_wolfe import FwConfig, NominalModel, solve
-from robustlqg.gradient import fd_gradient, lqg_gradient
+from robustlqg.gradient import lqg_gradient
 from robustlqg.instances import generate_instance, instance_rng, random_covariance
-from robustlqg.lqg import CovarianceProfile, SystemInstance, lqg_value, simulate_closed_loop
-from robustlqg.oracles import brute_force_oracle, fisher_oracle, kl_oracle, wasserstein_oracle
+from robustlqg.lqg import CovarianceProfile, SystemInstance, lqg_value
+from robustlqg.oracles import fisher_oracle, kl_oracle, wasserstein_oracle
 from robustlqg.stacked import (
     AffinePolicy,
     build_stacked,
@@ -44,6 +44,7 @@ from robustlqg.stationary import (
 )
 
 from conftest import rand_spd
+from reference import brute_force_oracle, fd_gradient, simulate_closed_loop
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

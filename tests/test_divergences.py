@@ -15,11 +15,11 @@ from robustlqg.divergences import (
     kl_t_divergence,
     membership,
     register_moment_divergence,
-    zero_mean_feasibility_check,
 )
 from robustlqg.errors import InvalidInputError, NumericError, UnsupportedDivergenceError
 
 from conftest import rand_spd
+from reference import zero_mean_feasibility_check
 
 
 def _pair(cov, mean=None):

@@ -237,11 +237,17 @@ def test_run_gaps_beyond_stacked_cap(tmp_path):
     assert max(float(nom_lo), float(nom_hi)) <= 0.01 * nominal_opt
 
 
-def test_run_gaps_parallel_jobs_bit_identical(tmp_path):
-    common = dict(
-        experiment="gaps", d=2, T=2, divergence="kl", rho=[0.0, 0.4],
-        seeds=[0, 1], fw=_fast_fw(),
-    )
-    a = run_gaps(ExperimentConfig(output_dir=str(tmp_path / "serial"), jobs=1, **common))
-    b = run_gaps(ExperimentConfig(output_dir=str(tmp_path / "par"), jobs=3, **common))
-    assert a["rows"] == b["rows"]
+def test_jobs_other_than_one_rejected(tmp_path, capsys):
+    assert ExperimentConfig(jobs=1).jobs == 1
+    for jobs in (0, 2, 3):
+        with pytest.raises(InvalidInputError, match="jobs must be 1"):
+            ExperimentConfig(experiment="gaps", jobs=jobs)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"jobs": 2}))
+    code = cli_main(["gaps", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "InvalidInputError"
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SystemExit):  # the --jobs flag is gone
+        cli_main(["gaps", "--jobs", "2", "--out", str(tmp_path / "out")])

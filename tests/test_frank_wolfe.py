@@ -4,14 +4,15 @@ import io
 import numpy as np
 import pytest
 
-from robustlqg.divergences import DivergenceKind, MomentPair, membership
+from robustlqg.divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
 from robustlqg.errors import InvalidInputError
 from robustlqg.experiments import _trace_csv_text
-from robustlqg.frank_wolfe import BallProfile, FwConfig, NominalModel, fw_gap, solve
+from robustlqg.frank_wolfe import BallProfile, FwConfig, NominalModel, solve
 from robustlqg.instances import generate_instance
 from robustlqg.lqg import CovarianceProfile, lqg_value
 
 from conftest import rand_profile, rand_system
+from reference import fw_gap
 
 
 def _model(rng, sys, kind, rho):
@@ -314,10 +315,15 @@ def test_fisher_frank_wolfe_converges_with_dominance():
 def test_entropic_model_supports_membership_but_not_solving():
     from robustlqg.errors import UnsupportedDivergenceError
 
-    sys, model = generate_instance(2, 2, seed=12, kind=DivergenceKind.ENTROPIC_OT,
-                                   rho=1.0, eps=0.05)
-    balls = model.ball_profile()
-    nominal = balls.nominal_profile()
+    sys, model = generate_instance(2, 2, seed=12)
+    nominal = model.nominal_profile()
+
+    def ball(cov):
+        return AmbiguityBall(kind=DivergenceKind.ENTROPIC_OT, nominal=MomentPair.zero_mean(cov),
+                             radius=1.0, eps=0.05)
+
+    balls = BallProfile(x0=ball(nominal.X0), w=tuple(map(ball, nominal.W)),
+                        v=tuple(map(ball, nominal.V)))
     for ball, blk in zip(balls.blocks(), nominal.blocks()):
         assert membership(ball, MomentPair.zero_mean(blk + 0.01 * np.eye(2)))
     with pytest.raises(UnsupportedDivergenceError):
@@ -369,8 +375,6 @@ def _frobenius_linearization(gradient, nominal, rho, reference, delta):
 
 
 def _custom_balls(sys, name, rho):
-    from robustlqg.divergences import AmbiguityBall
-
     cov = rand_profile(np.random.default_rng(3), sys, lo=1.0, hi=2.0)
 
     def ball(S):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from robustlqg.errors import InvalidInputError
-from robustlqg.gradient import fd_gradient, lqg_gradient
+from robustlqg.gradient import lqg_gradient
 from robustlqg.lqg import CovarianceProfile, SystemInstance, lqg_value
 
 from conftest import rand_profile, rand_spd, rand_system, scalar_unit_profile, scalar_unit_system
+from reference import fd_gradient
 
 
 def _max_rel_err(exact, fd):

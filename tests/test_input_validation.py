@@ -14,7 +14,7 @@ from robustlqg.divergences import (
 from robustlqg.errors import InvalidInputError
 from robustlqg.gradient import lqg_gradient
 from robustlqg.lqg import CovarianceProfile, SystemInstance, kalman_forward, lqg_value
-from robustlqg.matops import loewner_geq, solve_discrete_lyapunov, sym_sqrt
+from robustlqg.matops import solve_discrete_lyapunov, sym_sqrt
 from robustlqg.oracles import oracle_pass, solve_oracle
 from robustlqg.stationary import StationarySystem, solve_dare, solve_filter_are
 
@@ -65,7 +65,6 @@ ENTRY_POINTS = {
     "solve_filter_are.Sigma_v": lambda M: lambda: solve_filter_are(_stationary(), I2, M),
     "solve_discrete_lyapunov.Q": lambda M: lambda: solve_discrete_lyapunov(0.5 * I2, M),
     "sym_sqrt": lambda M: lambda: sym_sqrt(M),
-    "loewner_geq": lambda M: lambda: loewner_geq(M, I2),
 }
 
 

@@ -10,10 +10,11 @@ from robustlqg.lqg import (
     kalman_forward,
     lqg_value,
     riccati_backward,
-    simulate_closed_loop,
 )
+from robustlqg.matops import symmetrize
 
 from conftest import rand_profile, rand_spd, rand_system, scalar_unit_profile, scalar_unit_system
+from reference import simulate_closed_loop
 
 
 def test_riccati_scalar_hand_case():
@@ -149,6 +150,27 @@ def test_kalman_gain_is_the_filter_gain(seed, n, m, p, T):
     for t in range(T):
         want = np.linalg.solve(cov.V[t], (filt[t] @ sys.C[t].T).T).T
         assert np.abs(L[t] - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_kalman_joseph_fallback_restores_psd():
+    # a prior spread over 11 decades seen through almost noiseless sensors:
+    # the printed update S - L C S cancels to below its rounding error and
+    # loses psd, so kalman_forward switches to the Joseph form
+    n = 3
+    eye = np.eye(n)
+    sys = SystemInstance.time_invariant(eye, eye, eye, eye, eye, T=1)
+    U, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+    S = (U * [1e8, 1.0, 1e-3]) @ U.T
+    V = 1e-9 * eye
+    cov = CovarianceProfile(X0=S, W=eye[None], V=V[None])
+    filt, pred, L = kalman_forward(sys, cov)
+    S, gain, C = pred[0], L[0], sys.C[0]
+    printed = symmetrize(S - gain @ (S @ C.T).T)
+    assert np.linalg.eigvalsh(printed).min() < 0.0
+    assert np.linalg.eigvalsh(filt[0]).min() >= 0.0
+    closed = eye - gain @ C
+    joseph = closed @ S @ closed.T + gain @ V @ gain.T
+    assert np.linalg.norm(filt[0] - joseph) <= 1e-12 * np.linalg.norm(joseph)
 
 
 def test_kalman_rejects_singular_V():

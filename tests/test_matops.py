@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from robustlqg.errors import InstabilityError, InvalidInputError
 from robustlqg.matops import (
-    loewner_geq,
     solve_discrete_lyapunov,
     spectral_radius,
     sym_sqrt,
@@ -48,34 +47,6 @@ def test_sym_sqrt_clamps_rounding_negatives():
     S = np.diag([1.0, -5e-11])
     R = sym_sqrt(S)
     assert np.linalg.eigvalsh(R).min() >= 0.0
-
-
-def test_loewner_geq_basics():
-    cert = loewner_geq(2 * np.eye(2), np.eye(2), tol=1e-8)
-    assert cert.is_psd and cert.is_pd
-    assert cert.min_eigenvalue == pytest.approx(1.0)
-
-    cert = loewner_geq(np.eye(2), 2 * np.eye(2), tol=1e-8)
-    assert not cert.is_psd
-
-    A = np.array([[1.3, 0.2], [0.2, 0.9]])
-    cert = loewner_geq(A, A, tol=1e-8)
-    assert cert.is_psd and abs(cert.min_eigenvalue) <= 1e-12
-    assert not cert.is_pd
-
-    with pytest.raises(InvalidInputError):
-        loewner_geq(np.eye(2), np.eye(3))
-
-
-def test_loewner_antisymmetry_up_to_ties():
-    rng = np.random.default_rng(2)
-    tol = 1e-8
-    for _ in range(25):
-        d = int(rng.integers(1, 6))
-        A = rand_spd(d, rng)
-        B = A + tol * 0.1 * rand_spd(d, rng, 0.1, 1.0)
-        if loewner_geq(A, B, tol).is_psd and loewner_geq(B, A, tol).is_psd:
-            assert np.linalg.norm(A - B, "fro") <= d * tol * max(np.linalg.norm(A, "fro"), 1.0)
 
 
 def test_lyapunov_zero_and_scalar():

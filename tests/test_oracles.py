@@ -16,13 +16,14 @@ from robustlqg.divergences import (
 )
 from robustlqg.errors import InvalidInputError, UnsupportedDivergenceError
 from robustlqg.oracles import (
-    brute_force_oracle,
     fisher_oracle,
     kl_oracle,
     oracle_pass,
     solve_oracle,
     wasserstein_oracle,
 )
+
+from reference import brute_force_oracle
 
 
 def _commuting_instance(rng, d, kind):

@@ -5,7 +5,6 @@ import scipy.linalg
 from robustlqg.divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
 from robustlqg.errors import InvalidInputError, StabilizabilityError
 from robustlqg.frank_wolfe import FwConfig
-from robustlqg.gradient import fd_block_gradients
 from robustlqg.instances import instance_rng, random_covariance
 from robustlqg.lqg import CovarianceProfile, SystemInstance, kalman_forward, lqg_value, riccati_backward
 from robustlqg.matops import spectral_radius
@@ -19,6 +18,7 @@ from robustlqg.stationary import (
 )
 
 from conftest import rand_spd
+from reference import fd_block_gradients
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 # (n, m, p): one square system and two rectangular ones
