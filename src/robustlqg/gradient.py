@@ -15,9 +15,12 @@ so running the cost formula backwards gives, with adjoint Sbar_T = P_T,
     dV_t       = K_t^T Sigmabar_t K_t
     Sbar_t     = P_t + (I - K_t C_t)^T Sigmabar_t (I - K_t C_t)
 
-and dX0 = Sbar_0. Gradients follow the trace-pairing convention: they are
-the unique symmetric G with df = Tr(G dSigma) for symmetric dSigma
-(off-diagonal entries are not doubled).
+and dX0 = Sbar_0. The time loop holds only the two congruences that depend
+on Sbar_{t+1}: I - K_t C_t and Q_t - P_t are formed for all t before it,
+and dV and the symmetrized blocks in batched calls after it. Gradients
+follow the trace-pairing convention: they are the unique symmetric G with
+df = Tr(G dSigma) for symmetric dSigma (off-diagonal entries are not
+doubled).
 """
 
 from __future__ import annotations
@@ -69,17 +72,17 @@ def _lqg_gradient(
 ) -> tuple[float, GradientProfile]:
     """lqg_gradient given the Riccati sweep P of sys."""
     filt, pred, gains = kalman_forward(sys, cov)
-    T, n = sys.T, sys.n
-
+    T, A = sys.T, sys.A
     value = _lqg_cost(sys, P, filt, pred)
-    dW = np.empty_like(cov.W)
-    dV = np.empty_like(cov.V)
-    Sbar = P[T].copy()
+    closed = np.eye(sys.n) - gains @ sys.C
+    closed_t, At = closed.swapaxes(1, 2), A.swapaxes(1, 2)
+    QP = sys.Q[:-1] - P[:-1]
+    sigbar = np.empty_like(filt)
+    Sbar = np.empty_like(pred)
+    Sbar[T] = P[T]
     for t in range(T - 1, -1, -1):
-        Ct, Kt = sys.C[t], gains[t]
-        sigbar = symmetrize(sys.Q[t] - P[t] + sys.A[t].T @ Sbar @ sys.A[t])
-        dW[t] = Sbar
-        dV[t] = symmetrize(Kt.T @ sigbar @ Kt)
-        closed = np.eye(n) - Kt @ Ct
-        Sbar = symmetrize(P[t] + closed.T @ sigbar @ closed)
-    return value, GradientProfile(dX0=_check_finite(Sbar, "adjoint sweep"), dW=dW, dV=dV)
+        sigbar[t] = QP[t] + At[t] @ Sbar[t + 1] @ A[t]
+        Sbar[t] = P[t] + closed_t[t] @ sigbar[t] @ closed[t]
+    Sbar = symmetrize(_check_finite(Sbar, "adjoint sweep"))
+    dV = symmetrize(gains.swapaxes(1, 2) @ sigbar @ gains)
+    return value, GradientProfile(dX0=Sbar[0], dW=Sbar[1:], dV=dV)

@@ -6,6 +6,13 @@ optimal feedback gains (backward Riccati recursion), the filter covariances
 and gains (forward Kalman recursion) and the optimal expected cost. The
 filter gain L_t is the innovation gain, which equals
 Sigma_filt[t] C_t^T V_t^{-1}; every V_t must be positive definite.
+
+The Kalman time loop holds only what depends on the previous step: the
+prediction in information form, Sigma_pred[t+1] =
+A_t (I + S_t J_t)^{-1} S_t A_t^T + W_t with J_t = C_t^T V_t^{-1} C_t formed
+once for all t. The gains, the filtered covariances and their checks follow
+in batched (T, d, d) calls after the loop, and the cost is two elementwise
+sums.
 """
 
 from __future__ import annotations
@@ -180,49 +187,98 @@ def _chol_pd(M: np.ndarray, what: str):
     return chol
 
 
+def _measurement_updates(C, V, S) -> tuple[np.ndarray, np.ndarray]:
+    """Gains and filtered covariances of the first k steps, in batched calls,
+    from their predicted covariances S (k, n, n); returns (Sigma_filt, L).
+
+    The gain is L = S C^T E^{-1} with E = C S C^T + V, through E's Cholesky
+    factor, and the update is the printed S - L C S. Where rounding pushes
+    that off the psd cone, the (equivalent) Joseph form
+    (I - L C) S (I - L C)^T + L V L^T replaces it, unless it went further
+    negative than -1e-8 (1 + ||S||_F). Raises the first failure in time order:
+    a non-pd E or a lost psd at an earlier step comes first.
+    """
+    k, n = S.shape[0], S.shape[1]
+    if k == 0:
+        return np.empty((0, n, n)), np.empty((0, n, C.shape[1]))
+    SCt = S @ C.swapaxes(1, 2)
+    E = C @ SCt + V
+    try:
+        chol = _chol_pd(E, "innovation covariance")
+    except ConditioningError:
+        for t in range(k):
+            try:
+                _chol_pd(E[t], f"innovation covariance at t={t}")
+            except ConditioningError as exc:
+                _measurement_updates(C[:t], V[:t], S[:t])  # raises an earlier failure
+                raise exc
+        raise
+    L = np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, SCt.swapaxes(1, 2)))
+    L = L.swapaxes(1, 2)
+    filt = _check_finite(symmetrize(S - L @ SCt.swapaxes(1, 2)), "filter covariance")
+    lam_min = np.linalg.eigvalsh(filt)[:, 0]
+    neg = np.flatnonzero(lam_min < 0.0)
+    if neg.size:
+        lost = neg[lam_min[neg] < -1e-8 * (1.0 + np.linalg.norm(S[neg], axis=(1, 2)))]
+        if lost.size:
+            raise ConditioningError(f"filter covariance lost psd at t={lost[0]}")
+        Ln = L[neg]
+        closed = np.eye(n) - Ln @ C[neg]
+        filt[neg] = symmetrize(
+            closed @ S[neg] @ closed.swapaxes(1, 2) + Ln @ V[neg] @ Ln.swapaxes(1, 2)
+        )
+    return filt, L
+
+
 def kalman_forward(
     sys: SystemInstance, cov: CovarianceProfile
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward Kalman covariance recursion; returns (Sigma_filt, Sigma_pred, L).
 
-    Sigma_pred[0] = X0 and for t = 0..T-1, with S_t = Sigma_pred[t]:
-      L_t = S_t C_t^T (C_t S_t C_t^T + V_t)^{-1}  (innovation gain; the one solve),
-      Sigma_filt[t] = S_t - L_t C_t S_t,
+    Sigma_pred[0] = X0 and for t = 0..T-1, with S_t = Sigma_pred[t],
+    E_t = C_t S_t C_t^T + V_t and J_t = C_t^T V_t^{-1} C_t:
+      L_t = S_t C_t^T E_t^{-1}  (innovation gain),
+      Sigma_filt[t] = S_t - L_t C_t S_t = (I + S_t J_t)^{-1} S_t,
       Sigma_pred[t+1] = A_t Sigma_filt[t] A_t^T + W_t.
-    L_t equals the filter gain Sigma_filt[t] C_t^T V_t^{-1}. Every V_t must still
-    be positive definite; ConditioningError names the singular V[t] or innovation
-    covariance.
+    The time loop runs only the prediction in information form, one n x n
+    solve per step (Anderson & Moore, Optimal Filtering, 1979, ch. 6); J is
+    formed once, batched. The gains, the printed updates and their checks
+    run batched after the loop (_measurement_updates). L_t equals the filter
+    gain Sigma_filt[t] C_t^T V_t^{-1}. Every V_t must be positive definite;
+    ConditioningError names the first singular V[t], non-pd innovation
+    covariance or loss of filter psd.
     """
     T, n, p = sys.T, sys.n, sys.p
     shapes = (cov.X0.shape, cov.W.shape[1:], cov.V.shape[1:])
     if cov.T != T or shapes != ((n, n), (n, n), (p, p)):
         raise InvalidInputError("covariance profile inconsistent with system dims")
     try:  # one batched check; on failure, name the first singular V[t]
-        _chol_pd(cov.V, "V")
+        chol_V = _chol_pd(cov.V, "V")
     except ConditioningError:
         for t in range(T):
             _chol_pd(cov.V[t], f"V[{t}]")
-    filt = np.empty((T, n, n))
+        raise
+    root_J = np.linalg.solve(chol_V, sys.C)  # J = root_J^T root_J
+    J = root_J.swapaxes(1, 2) @ root_J
+    A, At, W = sys.A, sys.A.swapaxes(1, 2), cov.W
+    eye = np.eye(n)
     pred = np.empty((T + 1, n, n))
-    L = np.empty((T, n, p))
     pred[0] = cov.X0
-    for t in range(T):
-        Ct, Vt = sys.C[t], cov.V[t]
-        S = pred[t]
-        SCt = S @ Ct.T
-        chol = _chol_pd(Ct @ SCt + Vt, f"innovation covariance at t={t}")
-        gain = L[t] = np.linalg.solve(chol.T, np.linalg.solve(chol, SCt.T)).T
-        filt[t] = symmetrize(S - gain @ SCt.T)
-        # the innovation update is used as printed; when rounding pushes it
-        # off the psd cone, restabilize with the (equivalent) Joseph form
-        lam_min = np.linalg.eigvalsh(filt[t]).min()
-        if lam_min < 0.0:
-            if lam_min < -1e-8 * (1.0 + np.linalg.norm(S)):
-                raise ConditioningError(f"filter covariance lost psd at t={t}")
-            closed = np.eye(n) - gain @ Ct
-            filt[t] = symmetrize(closed @ S @ closed.T + gain @ Vt @ gain.T)
-        pred[t + 1] = symmetrize(sys.A[t] @ filt[t] @ sys.A[t].T + cov.W[t])
-    return _check_finite(filt, "filter covariance"), _check_finite(pred, "predicted covariance"), L
+    stop = T
+    # an overflow surfaces as a typed error in the finiteness checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            S = pred[t]
+            try:
+                filt_t = np.linalg.solve(eye + S @ J[t], S)
+            except np.linalg.LinAlgError:  # det(I + S J) = det(E) / det(V)
+                stop = t
+                break
+            pred[t + 1] = symmetrize(A[t] @ filt_t @ At[t] + W[t])
+        filt, L = _measurement_updates(sys.C[:stop], cov.V[:stop], pred[:stop])
+    if stop < T:
+        raise ConditioningError(f"innovation covariance at t={stop} is singular")
+    return filt, _check_finite(pred, "predicted covariance"), L
 
 
 def lqg_value(sys: SystemInstance, cov: CovarianceProfile) -> LqgSolution:
@@ -238,12 +294,9 @@ def lqg_value(sys: SystemInstance, cov: CovarianceProfile) -> LqgSolution:
 
 
 def _lqg_cost(sys: SystemInstance, P, filt, pred) -> float:
-    """The trace formula of lqg_value from the Riccati and filter sweeps."""
-    cost = float(np.trace(P[0] @ pred[0]))
-    for t in range(sys.T):
-        cost += float(np.trace((sys.Q[t] - P[t]) @ filt[t]))
-        cost += float(np.trace(P[t + 1] @ pred[t + 1]))
-    return cost
+    """The trace formula of lqg_value from the Riccati and filter sweeps, as
+    two elementwise sums (every factor is symmetric)."""
+    return float(np.sum((sys.Q[:-1] - P[:-1]) * filt) + np.sum(P * pred))
 
 
 def _forward_cost(sys: SystemInstance, P, cov: CovarianceProfile) -> float:

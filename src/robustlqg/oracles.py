@@ -110,8 +110,10 @@ class _Dual(NamedTuple):
     arrays (block on axis 0), the last of them rho. divergence(g, *data)
     returns the divergence of Sigma(g), its derivative in g and a tuple aux
     of per-block arrays that values(g, *aux, *data) reuses to return
-    (phi(g), primal value), both relative to sigma_ref. candidate(idx, g)
-    returns Sigma(g) for the blocks idx, stacked.
+    (phi(g), primal value), both relative to sigma_ref. candidate(idx, g,
+    aux) returns Sigma(g) for the blocks idx, stacked, given the aux of their
+    evaluation at g. at_hi is the evaluation (div, slope, aux) at hi of every
+    block when the setup has already made it, else None.
     """
 
     lo: np.ndarray
@@ -121,6 +123,7 @@ class _Dual(NamedTuple):
     divergence: Callable
     values: Callable
     candidate: Callable
+    at_hi: tuple | None = None
 
 
 def _w2_divergence(g, lam, s, c_ref, rho):
@@ -148,8 +151,8 @@ def _wasserstein(G, lam, vecs, nominal, rho, c_ref) -> _Dual:
     lo = lam1 * (1.0 + np.sqrt(np.maximum(s[:, -1], 0.0)) / rho)
     hi = lam1 * (1.0 + np.sqrt(np.trace(nominal, axis1=1, axis2=2)) / rho)
 
-    def candidate(idx, g):
-        m = g[:, None] / np.maximum(g[:, None] - lam[idx], 1e-300)
+    def candidate(idx, g, aux):
+        m = g[:, None] / aux[0]
         inner = sig_t[idx] * (m[:, :, None] * m[:, None, :])
         return symmetrize(vecs[idx] @ inner @ vecs_t[idx])
 
@@ -185,8 +188,8 @@ def _kl(G, gvals, gvecs, nominal, rho, c_ref) -> _Dual:
     RU = root @ U
     RU_t = np.swapaxes(RU, 1, 2)
 
-    def candidate(idx, g):
-        m = g[:, None] / np.maximum(g[:, None] - lam[idx], 1e-300)
+    def candidate(idx, g, aux):
+        m = g[:, None] / aux[0]
         return symmetrize((RU[idx] * m[:, None, :]) @ RU_t[idx])
 
     scale = np.abs(c_ref) + lam.sum(axis=1)
@@ -235,9 +238,12 @@ def _fisher(G, gvals, gvecs, nominal, rho, c_ref) -> _Dual:
 
     lo = np.linalg.eigvalsh(symmetrize(nominal @ G @ nominal))[:, -1]
     hi = 2.0 * lo
+    # each block's last evaluation is at its final hi, where Newton starts
+    div_hi, slope_hi, sigma_hi = np.empty(lo.size), np.empty(lo.size), np.empty(G.shape)
     grow = np.arange(lo.size)
     for _ in range(60):
-        div = _fisher_divergence(hi[grow], *(a[grow] for a in data))[0]
+        div, slope, (_, sigma) = _fisher_divergence(hi[grow], *(a[grow] for a in data))
+        div_hi[grow], slope_hi[grow], sigma_hi[grow] = div, slope, sigma
         grow = grow[~(div < rho[grow])]
         if grow.size == 0:
             break
@@ -245,11 +251,12 @@ def _fisher(G, gvals, gvecs, nominal, rho, c_ref) -> _Dual:
     else:
         raise OracleError("fisher oracle could not bracket the dual variable")
 
-    def candidate(idx, g):
-        return symmetrize(_pencil(g, inv2[idx], G[idx])[0])
+    def candidate(idx, g, aux):
+        return symmetrize(aux[1])
 
     scale = np.abs(c_ref) + (G * nominal).sum(axis=(1, 2))
-    return _Dual(lo, hi, scale, data, _fisher_divergence, _fisher_values, candidate)
+    return _Dual(lo, hi, scale, data, _fisher_divergence, _fisher_values, candidate,
+                 (div_hi, slope_hi, (div_hi, sigma_hi)))
 
 
 _SETUPS = {
@@ -259,7 +266,7 @@ _SETUPS = {
 }
 
 
-def _newton(kind: str, dual: _Dual, blocks: np.ndarray, delta: float):
+def _newton(kind: str, dual: _Dual, blocks: np.ndarray, delta: float, d: int):
     """Lockstep safeguarded Newton on the blocks of a group; div(g) must decrease.
 
     Each block starts at its upper bracket end and steps on the reciprocal
@@ -274,14 +281,18 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, delta: float):
     and meets the delta criterion, which is floored at 1e-9 * max(1, scale)
     because it cannot certify improvements below rounding level (e.g. when
     the reference already sits at the optimum). Accepted blocks leave the
-    arrays of the live ones. Returns (gamma, delta_achieved, dual_bound,
-    steps) aligned with blocks; steps counts a block's evaluations.
+    arrays of the live ones, each with its candidate Sigma(gamma) from the
+    accepting evaluation. The first evaluation, at hi, is the setup's
+    dual.at_hi when it has one. Returns (gamma, delta_achieved, dual_bound,
+    steps, Sigma(gamma)) aligned with blocks, the last a (len(blocks), d, d)
+    stack; steps counts a block's evaluations.
     """
     lo, hi = dual.lo[blocks], dual.hi[blocks]
     floor = 1e-9 * np.maximum(1.0, dual.scale[blocks])
     data = tuple(a[blocks] for a in dual.data)
     gamma, got, bound = np.empty(blocks.size), np.ones(blocks.size), np.empty(blocks.size)
     steps = np.zeros(blocks.size, dtype=int)
+    sigma = np.empty((blocks.size, d, d))
 
     def accept(pos, g, div, aux, parts, n_steps):
         """Settle the blocks pos, with per-block arrays parts, whose Sigma(g)
@@ -298,6 +309,7 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, delta: float):
         certified = phi > floor[b]
         got[b] = np.where(certified, np.minimum(1.0, prim / np.where(certified, phi, 1.0)), 1.0)
         gamma[b], bound[b], steps[b] = g[j], phi, n_steps
+        sigma[b] = dual.candidate(blocks[b], g[j], tuple(a[j] for a in aux))
         return j
 
     # bounds collapse (always the case for scalars under Wasserstein): the
@@ -309,8 +321,10 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, delta: float):
         div, _, aux = dual.divergence(g, *parts)
         rest = np.setdiff1d(np.arange(pos.size), accept(pos, g, div, aux, parts, 0))
         if rest.size:  # kept all the same, with delta_achieved 1
-            gamma[pos[rest]] = g[rest]
-            bound[pos[rest]] = dual.values(g[rest], *(a[rest] for a in aux + parts))[0]
+            b = pos[rest]
+            gamma[b] = g[rest]
+            bound[b] = dual.values(g[rest], *(a[rest] for a in aux + parts))[0]
+            sigma[b] = dual.candidate(blocks[b], g[rest], tuple(a[rest] for a in aux))
 
     live = np.flatnonzero(~collapsed)
     lo, hi = lo[live], hi[live]
@@ -319,9 +333,14 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, delta: float):
     parts = tuple(a[live] for a in data)
     for step in range(1, _MAX_STEPS + 1):
         if live.size == 0:
-            return gamma, got, bound, steps
+            return gamma, got, bound, steps, sigma
         rho = parts[-1]
-        div, slope, aux = dual.divergence(g, *parts)
+        if step == 1 and dual.at_hi is not None:  # g = hi
+            div, slope, aux = dual.at_hi
+            idx = blocks[live]
+            div, slope, aux = div[idx], slope[idx], tuple(a[idx] for a in aux)
+        else:
+            div, slope, aux = dual.divergence(g, *parts)
         up = div > rho
         np.copyto(lo, g, where=up)
         np.copyto(hi, g, where=~up)
@@ -345,7 +364,7 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, delta: float):
             parts = tuple(a[keep] for a in parts)
     if live.size:
         raise OracleError(f"{kind} oracle failed to certify in {_MAX_STEPS} steps")
-    return gamma, got, bound, steps
+    return gamma, got, bound, steps, sigma
 
 
 def _solve_group(kind, G, nominal, rho, sigma_ref, floors, delta) -> list[OracleResult]:
@@ -375,10 +394,9 @@ def _solve_group(kind, G, nominal, rho, sigma_ref, floors, delta) -> list[Oracle
         # objective is flat over the ball and the nominal is optimal
         todo = np.flatnonzero(dual.lo > 0.0)
         blocks = live[todo]
-        gamma[blocks], got[blocks], bound[blocks], steps[blocks] = _newton(
-            kind.value, dual, todo, delta
+        gamma[blocks], got[blocks], bound[blocks], steps[blocks], sigma[blocks] = _newton(
+            kind.value, dual, todo, delta, nominal.shape[1]
         )
-        sigma[blocks] = dual.candidate(todo, gamma[blocks])
         active[blocks] = True
         if kind is DivergenceKind.WASSERSTEIN2:
             k = blocks[floors[blocks] > 0.0]

@@ -11,6 +11,9 @@ None of these is on the solve path:
 - brute_force_oracle: a grid-search oracle for commuting instances, d <= 3.
 - fw_gap: the surrogate Frank-Wolfe gap at a given profile, for
   hand-rolled Frank-Wolfe loops.
+- kalman_forward_reference and lqg_gradient_reference: the per-step
+  covariance-form Kalman sweep and adjoint sweep, with the trace cost as a
+  loop, which the batched sweeps of lqg and gradient must match.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from robustlqg.errors import (
 )
 from robustlqg.frank_wolfe import BallProfile, _lam_floors, _oracle_pass
 from robustlqg.gradient import GradientProfile, lqg_gradient
-from robustlqg.lqg import CovarianceProfile, LqgSolution, SystemInstance, lqg_value
-from robustlqg.matops import sym_sqrt, symmetrize
+from robustlqg.lqg import CovarianceProfile, LqgSolution, SystemInstance, _chol_pd, lqg_value
+from robustlqg.matops import _check_finite, sym_sqrt, symmetrize
 from robustlqg.oracles import OracleResult, _clean_gradients, _stack
 
 
@@ -296,3 +299,79 @@ def fw_gap(
         balls.blocks(), grad.blocks(), current.blocks(), _lam_floors(balls), delta
     )
     return gap, CovarianceProfile.from_blocks(targets, sys.T)
+
+
+def kalman_forward_reference(
+    sys: SystemInstance, cov: CovarianceProfile
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward Kalman covariance recursion; returns (Sigma_filt, Sigma_pred, L).
+
+    Sigma_pred[0] = X0 and for t = 0..T-1, with S_t = Sigma_pred[t]:
+      L_t = S_t C_t^T (C_t S_t C_t^T + V_t)^{-1}  (innovation gain; the one solve),
+      Sigma_filt[t] = S_t - L_t C_t S_t,
+      Sigma_pred[t+1] = A_t Sigma_filt[t] A_t^T + W_t.
+    L_t equals the filter gain Sigma_filt[t] C_t^T V_t^{-1}. Every V_t must still
+    be positive definite; ConditioningError names the singular V[t] or innovation
+    covariance.
+    """
+    T, n, p = sys.T, sys.n, sys.p
+    shapes = (cov.X0.shape, cov.W.shape[1:], cov.V.shape[1:])
+    if cov.T != T or shapes != ((n, n), (n, n), (p, p)):
+        raise InvalidInputError("covariance profile inconsistent with system dims")
+    try:  # one batched check; on failure, name the first singular V[t]
+        _chol_pd(cov.V, "V")
+    except ConditioningError:
+        for t in range(T):
+            _chol_pd(cov.V[t], f"V[{t}]")
+    filt = np.empty((T, n, n))
+    pred = np.empty((T + 1, n, n))
+    L = np.empty((T, n, p))
+    pred[0] = cov.X0
+    for t in range(T):
+        Ct, Vt = sys.C[t], cov.V[t]
+        S = pred[t]
+        SCt = S @ Ct.T
+        chol = _chol_pd(Ct @ SCt + Vt, f"innovation covariance at t={t}")
+        gain = L[t] = np.linalg.solve(chol.T, np.linalg.solve(chol, SCt.T)).T
+        filt[t] = symmetrize(S - gain @ SCt.T)
+        # the innovation update is used as printed; when rounding pushes it
+        # off the psd cone, restabilize with the (equivalent) Joseph form
+        lam_min = np.linalg.eigvalsh(filt[t]).min()
+        if lam_min < 0.0:
+            if lam_min < -1e-8 * (1.0 + np.linalg.norm(S)):
+                raise ConditioningError(f"filter covariance lost psd at t={t}")
+            closed = np.eye(n) - gain @ Ct
+            filt[t] = symmetrize(closed @ S @ closed.T + gain @ Vt @ gain.T)
+        pred[t + 1] = symmetrize(sys.A[t] @ filt[t] @ sys.A[t].T + cov.W[t])
+    return _check_finite(filt, "filter covariance"), _check_finite(pred, "predicted covariance"), L
+
+
+def _lqg_cost_reference(sys: SystemInstance, P, filt, pred) -> float:
+    """The trace formula of lqg_value from the Riccati and filter sweeps."""
+    cost = float(np.trace(P[0] @ pred[0]))
+    for t in range(sys.T):
+        cost += float(np.trace((sys.Q[t] - P[t]) @ filt[t]))
+        cost += float(np.trace(P[t + 1] @ pred[t + 1]))
+    return cost
+
+
+def lqg_gradient_reference(
+    sys: SystemInstance, P: np.ndarray, cov: CovarianceProfile
+) -> tuple[float, GradientProfile]:
+    """gradient._lqg_gradient as a per-step covariance-form sweep, given the
+    Riccati sweep P of sys."""
+    filt, pred, gains = kalman_forward_reference(sys, cov)
+    T, n = sys.T, sys.n
+
+    value = _lqg_cost_reference(sys, P, filt, pred)
+    dW = np.empty_like(cov.W)
+    dV = np.empty_like(cov.V)
+    Sbar = P[T].copy()
+    for t in range(T - 1, -1, -1):
+        Ct, Kt = sys.C[t], gains[t]
+        sigbar = symmetrize(sys.Q[t] - P[t] + sys.A[t].T @ Sbar @ sys.A[t])
+        dW[t] = Sbar
+        dV[t] = symmetrize(Kt.T @ sigbar @ Kt)
+        closed = np.eye(n) - Kt @ Ct
+        Sbar = symmetrize(P[t] + closed.T @ sigbar @ closed)
+    return value, GradientProfile(dX0=_check_finite(Sbar, "adjoint sweep"), dW=dW, dV=dV)

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustlqg.errors import ConditioningError, InvalidInputError
+from robustlqg.gradient import _lqg_gradient
 from robustlqg.lqg import (
     CovarianceProfile,
     SystemInstance,
+    _forward_cost,
     kalman_forward,
     lqg_value,
     riccati_backward,
@@ -14,7 +16,7 @@ from robustlqg.lqg import (
 from robustlqg.matops import symmetrize
 
 from conftest import rand_profile, rand_spd, rand_system, scalar_unit_profile, scalar_unit_system
-from reference import simulate_closed_loop
+from reference import kalman_forward_reference, lqg_gradient_reference, simulate_closed_loop
 
 
 def test_riccati_scalar_hand_case():
@@ -171,6 +173,119 @@ def test_kalman_joseph_fallback_restores_psd():
     closed = eye - gain @ C
     joseph = closed @ S @ closed.T + gain @ V @ gain.T
     assert np.linalg.norm(filt[0] - joseph) <= 1e-12 * np.linalg.norm(joseph)
+
+
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    m=st.integers(1, 4),
+    p=st.integers(1, 4),
+    T=st.integers(1, 6),
+)
+def test_sweeps_match_the_per_step_references(seed, n, m, p, T):
+    # the information-form Kalman sweep with its batched gains and checks,
+    # and the adjoint sweep with its batched set-up, against the per-step
+    # covariance-form sweeps they replaced
+    rng = np.random.default_rng(seed)
+    sys = rand_system(rng, n=n, m=m, p=p, T=T)
+    cov = rand_profile(rng, sys)
+    P, _ = riccati_backward(sys)
+    got, want = kalman_forward(sys, cov), kalman_forward_reference(sys, cov)
+    for g, w in zip(got, want):
+        assert _rel_err(g, w) <= 1e-12
+    value, grad = _lqg_gradient(sys, P, cov)
+    ref_value, ref_grad = lqg_gradient_reference(sys, P, cov)
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    assert abs(_forward_cost(sys, P, cov) - ref_value) <= 1e-12 * abs(ref_value)
+    # per stack: a dV block whose terms cancel to 1e-5 of its neighbours
+    # carries rounding noise of its neighbours' size
+    for name in ("dX0", "dW", "dV"):
+        assert _rel_err(getattr(grad, name), getattr(ref_grad, name)) <= 1e-12
+
+
+def _linalg_calls(monkeypatch):
+    """Count every call into numpy.linalg's public functions."""
+    calls = []
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            def counting(*args, fn=fn, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_sweeps_make_about_one_linalg_call_per_step(monkeypatch):
+    # a timing-free guard: the per-step work of each sweep is one solve; the
+    # gains, checks and adjoint set-up run as a few batched calls (the
+    # per-step covariance form made about five calls a step)
+    T = 20
+    rng = np.random.default_rng(11)
+    sys = rand_system(rng, n=3, m=2, p=2, T=T)
+    cov = rand_profile(rng, sys)
+    P, _ = riccati_backward(sys)
+    calls = _linalg_calls(monkeypatch)
+    kalman_forward(sys, cov)
+    assert 0 < len(calls) <= T + 8, calls
+    calls.clear()
+    _lqg_gradient(sys, P, cov)
+    assert 0 < len(calls) <= T + 8, calls
+
+
+def _identity_system(n, p, T):
+    eye = np.eye(n)
+    return SystemInstance.time_invariant(eye, eye, np.eye(p, n), eye, eye, T=T)
+
+
+def test_kalman_non_psd_start_names_the_innovation_covariance():
+    sys = _identity_system(2, 2, 3)
+    eye = np.eye(2)
+    W, V = np.repeat(eye[None], 3, 0), np.repeat(eye[None], 3, 0)
+    with pytest.raises(ConditioningError, match=r"innovation covariance at t=0"):
+        kalman_forward(sys, CovarianceProfile(X0=-10.0 * eye, W=W, V=V))
+    # Sigma_pred[2] = 0.6 I - 10 I makes E_2 = -8.4 I, two steps later
+    W[1] = -10.0 * eye
+    with pytest.raises(ConditioningError, match=r"innovation covariance at t=2"):
+        kalman_forward(sys, CovarianceProfile(X0=eye, W=W, V=V))
+
+
+def test_kalman_lost_psd_names_the_step():
+    # E = 2 is pd, but the update diag(1, -1) - diag(1/2, 0) is not psd
+    sys = _identity_system(2, 1, 2)
+    cov = CovarianceProfile(
+        X0=np.diag([1.0, -1.0]), W=np.repeat(np.eye(2)[None], 2, 0), V=np.ones((2, 1, 1))
+    )
+    with pytest.raises(ConditioningError, match=r"lost psd at t=0"):
+        kalman_forward(sys, cov)
+
+
+def test_kalman_joseph_fallback_only_where_the_update_goes_negative():
+    # the prior of test_kalman_joseph_fallback_restores_psd reaches step 1
+    # exactly (A = 0, so Sigma_pred[1] = W[0]) with V[1] = 1e-9 I: step 1
+    # takes the Joseph form and step 0 keeps the printed update
+    n = 3
+    eye = np.eye(n)
+    sys = SystemInstance.time_invariant(0.0 * eye, eye, eye, eye, eye, T=2)
+    U, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+    spread = (U * [1e8, 1.0, 1e-3]) @ U.T
+    V = np.stack([eye, 1e-9 * eye])
+    cov = CovarianceProfile(X0=eye, W=np.stack([spread, eye]), V=V)
+    filt, pred, L = kalman_forward(sys, cov)
+    C = sys.C[0]
+    printed = [symmetrize(pred[t] - L[t] @ (pred[t] @ C.T).T) for t in range(2)]
+    assert np.linalg.eigvalsh(printed[1]).min() < 0.0
+    assert np.linalg.eigvalsh(filt[1]).min() >= 0.0
+    closed = eye - L[1] @ C
+    joseph = closed @ pred[1] @ closed.T + L[1] @ V[1] @ L[1].T
+    assert np.linalg.norm(filt[1] - joseph) <= 1e-12 * np.linalg.norm(joseph)
+    assert np.linalg.norm(filt[0] - printed[0]) <= 1e-12 * np.linalg.norm(printed[0])
 
 
 def test_kalman_rejects_singular_V():

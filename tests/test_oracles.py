@@ -537,3 +537,33 @@ def test_dual_slope_matches_finite_differences(kind):
         down = dual.divergence(g - h, *dual.data)[0]
         np.testing.assert_allclose(slope, (up - down) / (2.0 * h), rtol=1e-5)
         assert (slope < 0.0).all()
+
+
+def test_fisher_pass_reuses_its_evaluations(monkeypatch):
+    # Newton starts from the setup's evaluation at the upper bracket end, and
+    # the candidate is the accepting evaluation's Sigma(g): a group pass makes
+    # one pencil eigendecomposition per doubling round and per Newton step
+    # after the first, none more
+    from robustlqg import oracles
+
+    balls, grads, refs, floors = _mixed_batch(8, 3, 3, 3, [DivergenceKind.FISHER], 0.5)
+    calls = []
+    inner = oracles._pencil
+
+    def counting(*args):
+        calls.append(args[0].size)
+        return inner(*args)
+
+    monkeypatch.setattr(oracles, "_pencil", counting)
+    G, gvals, gvecs = oracles._clean_gradients(np.array(grads))
+    rho = np.array([b.radius for b in balls])
+    live = np.flatnonzero((gvals[:, -1] > 0.0) & (rho > 0.0))
+    c_ref = (G * np.array(refs)).sum(axis=(1, 2))[live]
+    nominal = np.array([b.nominal.cov for b in balls])
+    oracles._fisher(G[live], gvals[live], gvecs[live], nominal[live], rho[live], c_ref)
+    rounds = len(calls)
+    calls.clear()
+    results = oracle_pass(balls, grads, refs, floors)
+    newton_steps = max(r.steps for r in results)
+    assert rounds >= 1 and newton_steps >= 2
+    assert len(calls) == rounds + newton_steps - 1
