@@ -21,14 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, lqg
 from .divergences import DivergenceKind
 from .errors import InvalidInputError, UnsupportedDivergenceError
 from .frank_wolfe import FwConfig, _lam_floors, _oracle_pass, solve
-from .gradient import GradientProfile, lqg_gradient
+from .gradient import GradientProfile, _lqg_gradient
 from .instances import RNG_ALGORITHM, generate_instance
 from .lqg import CovarianceProfile
-from .oracles import ORACLE_KINDS
+from .oracles import ORACLE_KINDS, _plan
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 from .stacked import build_stacked, kalman_policy_to_purified  # noqa: F401  unused; bench/tracer.py wraps these
 
@@ -226,7 +226,8 @@ def policy_worst_case_cost(coeffs: GradientProfile, balls, delta: float = 0.95):
     grads = coeffs.blocks()
     ball_list = balls.blocks()
     nominal = [ball.nominal.cov for ball in ball_list]
-    _, worst_blocks, _ = _oracle_pass(ball_list, grads, nominal, _lam_floors(balls), delta)
+    plan = _plan(ball_list, _lam_floors(balls))
+    _, worst_blocks, _ = _oracle_pass(plan, grads, nominal, delta)
     return sum(float(np.sum(G * S)) for G, S in zip(grads, worst_blocks)), worst_blocks
 
 
@@ -242,7 +243,9 @@ def run_gaps(cfg: ExperimentConfig) -> dict:
     policy designed at the nominal covariances, the robust policy the one
     designed at the FW worst case. Each policy's cost coefficients are the
     adjoint gradient (lqg_gradient) at its design covariances, so its
-    worst-case cost is one oracle pass and there is no horizon cap.
+    worst-case cost is one oracle pass and there is no horizon cap. The
+    Riccati sweep does not depend on the noise: one sweep serves both
+    policies' gradients (solve runs its own).
     """
     outdir = Path(cfg.output_dir)
     t_start = time.perf_counter()
@@ -255,9 +258,10 @@ def run_gaps(cfg: ExperimentConfig) -> dict:
             sys, model = generate_instance(cfg.d, cfg.T, seed, cfg.kind, float(rho))
             balls = model.ball_profile()
             nominal_cov = model.nominal_profile()
-            _, c_nom = lqg_gradient(sys, nominal_cov)
+            P, _ = lqg.riccati_backward(sys)
+            _, c_nom = _lqg_gradient(sys, P, nominal_cov)
             worst_profile, trace = solve(sys, balls, cfg=cfg.fw)
-            _, c_rob = lqg_gradient(sys, worst_profile)
+            _, c_rob = _lqg_gradient(sys, P, worst_profile)
             wc_nom, _ = policy_worst_case_cost(c_nom, balls, cfg.fw.oracle_delta)
             wc_rob, _ = policy_worst_case_cost(c_rob, balls, cfg.fw.oracle_delta)
             nom_nom = policy_nominal_cost(c_nom, nominal_cov)

@@ -11,7 +11,10 @@ concave objective and drives the stopping rule. solve adapts the driver to
 the finite-horizon LQG value over the 2T+1 blocks [X0, W_t.., V_t..];
 stationary.solve_stationary_fw adapts it to the average cost over
 [Sigma_w, Sigma_v]. Both run the noise-independent Riccati solution once per
-solve and reuse it in every gradient and line-search evaluation. maximize
+solve and reuse it in every evaluation. An evaluation gives the objective
+and, on demand, the gradient of the same forward sweep, so the iterate an
+accepted line-search trial lands on is not evaluated again; the oracle pass
+is planned, and the ball nominals factored, once per solve. maximize
 takes its start as feasible. Both adapters start at the nominals, which lie
 in every ball; solve also accepts a start from its caller, and checks it.
 """
@@ -28,10 +31,10 @@ import numpy as np
 from . import lqg
 from .divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
 from .errors import InvalidInputError
-from .gradient import _lqg_gradient
+from .gradient import _adjoint
 from .gradient import lqg_gradient  # noqa: F401  unused; bench/tracer.py wraps this binding
 from .lqg import CovarianceProfile, SystemInstance
-from .oracles import oracle_pass
+from .oracles import _plan, _run
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 
 log = logging.getLogger("robustlqg")
@@ -68,9 +71,13 @@ class FwRecord:
     rel_gap: float  # gap / max(|objective|, 1)
     oracle_s: float  # wall seconds of the iteration's oracle pass
     oracle_steps: int  # root-search steps summed over blocks
-    ls_trials: int  # line-search value calls; 0 under "vanishing" and at k = 0
-    grad_s: float  # wall seconds of the value_and_grad call
-    ls_s: float  # wall seconds of the line search; 0 when it does not run
+    ls_trials: int  # line-search evaluations; 0 under "vanishing" and at k = 0
+    # wall seconds of the gradient: the evaluation of the iterate, unless the
+    # previous line search made it, plus the adjoint
+    grad_s: float
+    # wall seconds of the line search, the accepted trial's evaluation
+    # included; 0 when it does not run
+    ls_s: float
 
 
 @dataclass
@@ -144,10 +151,10 @@ def _lam_floors(balls: BallProfile) -> list[float]:
     return [0.0] * (1 + balls.T) + [float(x) for x in v_min]
 
 
-def _oracle_pass(balls, grads, current, floors, delta):
+def _oracle_pass(plan, grads, current, delta):
     """Oracle target per block, the surrogate gap sum_z <G_z, Sigma_z* - Sigma_z>
-    and the root-search steps summed over blocks."""
-    results = oracle_pass(balls, grads, current, floors, delta)
+    and the root-search steps summed over blocks, for an oracles._plan."""
+    results = _run(plan, grads, current, delta)
     targets = [r.sigma_star for r in results]
     gap = 0.0
     for G, S, star in zip(grads, current, targets):
@@ -160,21 +167,24 @@ def _step(current, targets, alpha):
     return [(1.0 - alpha) * c + alpha * t for c, t in zip(current, targets)]
 
 
-def _backtrack(value, current, targets, objective, gap, alpha_min, shrink=0.5, armijo=0.1):
+def _backtrack(evaluate, current, targets, objective, gap, alpha_min, shrink=0.5, armijo=0.1):
     """Backtracking line search exploiting concavity; falls back to 2/(2+k).
-    Returns (alpha, number of value calls)."""
+    Returns (alpha, number of evaluations, the accepted trial's blocks and
+    its evaluation); the last two are None at the fallback, which is not
+    evaluated."""
     alpha, trials = 1.0, 0
     while alpha > alpha_min:
         trials += 1
-        if value(_step(current, targets, alpha)) >= objective + armijo * alpha * gap:
-            return alpha, trials
+        blocks = _step(current, targets, alpha)
+        evaluation = evaluate(blocks)
+        if evaluation[0] >= objective + armijo * alpha * gap:
+            return alpha, trials, blocks, evaluation
         alpha *= shrink
-    return alpha_min, trials
+    return alpha_min, trials, None, None
 
 
 def maximize(
-    value_and_grad: Callable[[list], tuple[float, list]],
-    value: Callable[[list], float],
+    evaluate: Callable[[list], tuple[float, Callable[[], list]]],
     balls: Sequence[AmbiguityBall],
     start: Sequence[np.ndarray],
     floors: Sequence[float],
@@ -182,10 +192,15 @@ def maximize(
 ) -> tuple[list[np.ndarray], FwTrace]:
     """Maximize a concave function of covariance blocks, one ball per block.
 
-    start must lie in the balls; it is not checked here. value_and_grad(blocks)
-    returns the objective and its per-block gradients (trace pairing);
-    value(blocks) returns the objective alone and is called only by the line
-    search. floors are the oracles' eigenvalue floors.
+    start must lie in the balls; it is not checked here. evaluate(blocks)
+    returns (objective, grad), where grad() returns the per-block gradients
+    (trace pairing) from that evaluation's own forward sweep. Each iteration
+    calls grad() of its iterate's evaluation; a line-search trial reads only
+    the objective. The iterate a line search accepts is its trial's blocks,
+    and the next iteration uses that trial's evaluation as it is, so every
+    iterate is evaluated once. floors are the oracles' eigenvalue floors.
+    The oracle pass is planned once per call (oracles._plan), which factors
+    each ball's nominal once.
     Iterates move as (1 - alpha) * current + alpha * targets. By default
     alpha is the largest of 1, 1/2, 1/4, ... above 2/(2+k) whose step gains
     at least 0.1 * alpha * gap in value (Armijo), else 2/(2+k); with
@@ -194,24 +209,29 @@ def maximize(
     iteration is recorded in the trace and, when the "robustlqg" logger is
     enabled for DEBUG, logged in one line. Returns (final blocks, trace).
     """
+    plan = _plan(balls, floors)
     current = list(start)
     trace = FwTrace()
+    evaluation = None  # of current, when the line search made it
     for k in range(cfg.max_iters):
         t0 = time.perf_counter()
-        objective, grads = value_and_grad(current)
+        objective, grad = evaluate(current) if evaluation is None else evaluation
+        grads = grad()
         t_oracle = time.perf_counter()
-        gap, targets, steps = _oracle_pass(balls, grads, current, floors, cfg.oracle_delta)
+        gap, targets, steps = _oracle_pass(plan, grads, current, cfg.oracle_delta)
         t_ls = time.perf_counter()
-        trials, ls_s = 0, 0.0
+        trials, ls_s, evaluation = 0, 0.0, None
         if gap <= cfg.gap_tol:
             alpha = 0.0
             trace.converged = True
         else:
-            alpha = 2.0 / (2.0 + k)
+            alpha, blocks = 2.0 / (2.0 + k), None
             if cfg.step_rule == "line_search":
-                alpha, trials = _backtrack(value, current, targets, objective, gap, alpha)
+                alpha, trials, blocks, evaluation = _backtrack(
+                    evaluate, current, targets, objective, gap, alpha
+                )
                 ls_s = time.perf_counter() - t_ls
-            current = _step(current, targets, alpha)
+            current = _step(current, targets, alpha) if blocks is None else blocks
         record = FwRecord(
             k, objective, gap, alpha, (time.perf_counter() - t0) * 1e3,
             gap / max(abs(objective), 1.0), t_ls - t_oracle, steps, trials, t_oracle - t0, ls_s,
@@ -238,8 +258,10 @@ def solve(
     every ball by construction and are not checked. A caller-supplied init is
     checked block by block, at membership tolerance 1e-8, before anything is
     evaluated. The Riccati sweep P does not depend on the noise, so it runs
-    once here; each gradient is then one forward and one adjoint sweep, and
-    each line-search trial one forward sweep."""
+    once here. An evaluation is one forward Kalman sweep and the cost
+    formula, and its grad() the adjoint sweep of that forward sweep
+    (gradient._adjoint); an accepted line-search trial's evaluation serves
+    the next iteration, so each iterate's forward sweep runs once."""
     if balls.T != sys.T:
         raise InvalidInputError("ball profile horizon mismatch")
     if init is not None:
@@ -250,17 +272,16 @@ def solve(
                 raise InvalidInputError("initial profile is infeasible in an ambiguity ball")
     current = balls.nominal_profile() if init is None else init
     # module lookups at call time, so rebinding lqg.riccati_backward or
-    # lqg._forward_cost is seen
+    # lqg.kalman_forward is seen
     P, _ = lqg.riccati_backward(sys)
 
-    def value_and_grad(blocks):
-        objective, grad = _lqg_gradient(sys, P, CovarianceProfile.from_blocks(blocks, sys.T))
-        return objective, grad.blocks()
+    def evaluate(blocks):
+        sweep = lqg.kalman_forward(sys, CovarianceProfile.from_blocks(blocks, sys.T))
 
-    def value(blocks):
-        return lqg._forward_cost(sys, P, CovarianceProfile.from_blocks(blocks, sys.T))
+        def grad():
+            return _adjoint(sys, P, sweep).blocks()
 
-    final, trace = maximize(
-        value_and_grad, value, balls.blocks(), current.blocks(), _lam_floors(balls), cfg
-    )
+        return lqg._lqg_cost(sys, P, sweep[0], sweep[1]), grad
+
+    final, trace = maximize(evaluate, balls.blocks(), current.blocks(), _lam_floors(balls), cfg)
     return CovarianceProfile.from_blocks(final, sys.T), trace

@@ -70,10 +70,17 @@ def lqg_gradient(
 def _lqg_gradient(
     sys: SystemInstance, P: np.ndarray, cov: CovarianceProfile
 ) -> tuple[float, GradientProfile]:
-    """lqg_gradient given the Riccati sweep P of sys."""
-    filt, pred, gains = kalman_forward(sys, cov)
+    """lqg_gradient given the Riccati sweep P of sys: one forward sweep, the
+    cost and the _adjoint of that sweep."""
+    sweep = kalman_forward(sys, cov)
+    return _lqg_cost(sys, P, sweep[0], sweep[1]), _adjoint(sys, P, sweep)
+
+
+def _adjoint(sys: SystemInstance, P: np.ndarray, sweep: tuple) -> GradientProfile:
+    """The gradient from the Riccati sweep P of sys and a kalman_forward
+    sweep (Sigma_filt, Sigma_pred, L) of it: the reverse sweep alone."""
+    filt, pred, gains = sweep
     T, A = sys.T, sys.A
-    value = _lqg_cost(sys, P, filt, pred)
     closed = np.eye(sys.n) - gains @ sys.C
     closed_t, At = closed.swapaxes(1, 2), A.swapaxes(1, 2)
     QP = sys.Q[:-1] - P[:-1]
@@ -85,4 +92,4 @@ def _lqg_gradient(
         Sbar[t] = P[t] + closed_t[t] @ sigbar[t] @ closed[t]
     Sbar = symmetrize(_check_finite(Sbar, "adjoint sweep"))
     dV = symmetrize(gains.swapaxes(1, 2) @ sigbar @ gains)
-    return value, GradientProfile(dX0=Sbar[0], dW=Sbar[1:], dV=dV)
+    return GradientProfile(dX0=Sbar[0], dW=Sbar[1:], dV=dV)

@@ -298,9 +298,3 @@ def _lqg_cost(sys: SystemInstance, P, filt, pred) -> float:
     two elementwise sums (every factor is symmetric)."""
     return float(np.sum((sys.Q[:-1] - P[:-1]) * filt) + np.sum(P * pred))
 
-
-def _forward_cost(sys: SystemInstance, P, cov: CovarianceProfile) -> float:
-    """lqg_value(sys, cov).cost given the Riccati sweep P of sys: one forward
-    Kalman sweep and the trace formula, bit for bit the same cost."""
-    filt, pred, _ = kalman_forward(sys, cov)
-    return _lqg_cost(sys, P, filt, pred)

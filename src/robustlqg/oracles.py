@@ -29,8 +29,13 @@ one batched eigendecomposition, shared by the divergence, its slope
 (Daleckii-Krein, in the pencil eigenbasis) and the dual and primal values.
 The search runs in lockstep: every unfinished block takes its own step at
 each iteration and leaves the group once it certifies, so a block's result
-does not depend on the rest of its group. wasserstein_oracle, kl_oracle,
-fisher_oracle and solve_oracle are batches of one.
+does not depend on the rest of its group. What depends only on the balls is
+planned once (_plan): the groups, their stacked nominals, radii and floors,
+and the nominal factors the setups read (KL: eigenvalues and Shat^{1/2};
+Fisher: eigenvalues, Shat^{-2} and Tr Shat^{-1}). A Frank-Wolfe solve plans
+once and runs the plan at every iteration; oracle_pass plans and runs once.
+wasserstein_oracle, kl_oracle, fisher_oracle and solve_oracle are batches of
+one.
 """
 
 from __future__ import annotations
@@ -172,16 +177,14 @@ def _kl_values(g, gap, logs, lam, c_ref, rho):
     return phi, (lam * g[:, None] / gap).sum(axis=1) - c_ref
 
 
-def _kl(G, gvals, gvecs, nominal, rho, c_ref) -> _Dual:
-    """KL ball: every function of g is diagonal after whitening with Shat^{1/2}."""
+def _kl(G, gvals, gvecs, nominal, rho, c_ref, hat_vals, root) -> _Dual:
+    """KL ball: every function of g is diagonal after whitening with Shat^{1/2}.
+    hat_vals and root are the nominal's eigenvalues and square root."""
     d = nominal.shape[1]
-    hat_vals, hat_vecs = np.linalg.eigh(nominal)
     if (hat_vals[:, 0] < -EIG_CLAMP).any():
         raise InvalidInputError(
             f"matrix is not psd: min eigenvalue {hat_vals[:, 0].min():.3e} < -{EIG_CLAMP:.0e}"
         )
-    root = (hat_vecs * np.sqrt(np.maximum(hat_vals, 0.0))[:, None, :]) @ np.swapaxes(hat_vecs, 1, 2)
-    root = symmetrize(root)
     lam, U = np.linalg.eigh(symmetrize(root @ G @ root))
     lam = np.maximum(lam, 0.0)
     lam1 = lam[:, -1]
@@ -227,14 +230,14 @@ def _fisher_values(g, div, sigma, inv2, G, tr_inv_hat, c_ref, rho):
     return prim - g * (div - rho), prim
 
 
-def _fisher(G, gvals, gvecs, nominal, rho, c_ref) -> _Dual:
+def _fisher(G, gvals, gvecs, nominal, rho, c_ref, hat_vals, inv2, tr_inv_hat) -> _Dual:
     """Fisher ball: one pencil eigendecomposition per evaluation; the upper
-    bracket end doubles until every block's candidate is strictly feasible."""
-    hat_vals, hat_vecs = np.linalg.eigh(nominal)
+    bracket end doubles until every block's candidate is strictly feasible.
+    hat_vals, inv2 and tr_inv_hat are the nominal's eigenvalues, Shat^{-2}
+    and Tr Shat^{-1}."""
     if (hat_vals[:, 0] <= 0.0).any():
         raise InvalidInputError("Fisher oracle needs a positive definite nominal")
-    inv2 = (hat_vecs / hat_vals[:, None, :] ** 2) @ np.swapaxes(hat_vecs, 1, 2)  # Shat^{-2}
-    data = (inv2, G, (1.0 / hat_vals).sum(axis=1), c_ref, rho)
+    data = (inv2, G, tr_inv_hat, c_ref, rho)
 
     lo = np.linalg.eigvalsh(symmetrize(nominal @ G @ nominal))[:, -1]
     hi = 2.0 * lo
@@ -367,16 +370,55 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, delta: float, d: int):
     return gamma, got, bound, steps, sigma
 
 
-def _solve_group(kind, G, nominal, rho, sigma_ref, floors, delta) -> list[OracleResult]:
-    """Oracles of B blocks of one built-in kind and size, on (B, d, d) stacks.
+def _nominal_factors(kind: DivergenceKind, nominal: np.ndarray) -> tuple:
+    """The factors of a stack of symmetrized nominals that kind's setup reads,
+    one per-block array each: for KL the eigenvalues and Shat^{1/2}, for
+    Fisher the eigenvalues, Shat^{-2} and Tr Shat^{-1}, for Wasserstein none.
+    They are formed for every block of a group, live or not, so a nominal
+    the setup would reject gets its factors without a warning; the setup
+    checks the eigenvalues of the blocks that go live."""
+    if kind is DivergenceKind.WASSERSTEIN2:
+        return ()
+    hat_vals, hat_vecs = np.linalg.eigh(nominal)
+    hat_vecs_t = np.swapaxes(hat_vecs, 1, 2)
+    if kind is DivergenceKind.KULLBACK_LEIBLER:
+        root = (hat_vecs * np.sqrt(np.maximum(hat_vals, 0.0))[:, None, :]) @ hat_vecs_t
+        return hat_vals, symmetrize(root)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv2 = (hat_vecs / hat_vals[:, None, :] ** 2) @ hat_vecs_t
+        return hat_vals, inv2, (1.0 / hat_vals).sum(axis=1)
+
+
+class _Group(NamedTuple):
+    """Blocks of one built-in kind and size, with what stays fixed while their
+    gradients and references change: the positions idx of the blocks in the
+    pass, and stacked along axis 0 the symmetrized nominals, the radii, the
+    eigenvalue floors and the kind's nominal factors."""
+
+    kind: DivergenceKind
+    idx: list
+    nominal: np.ndarray
+    rho: np.ndarray
+    floors: np.ndarray
+    factors: tuple
+
+
+def _group(kind, idx, nominal, rho, floors) -> _Group:
+    nominal = symmetrize(nominal)
+    return _Group(kind, idx, nominal, rho, floors, _nominal_factors(kind, nominal))
+
+
+def _solve_group(group: _Group, G, sigma_ref, delta) -> list[OracleResult]:
+    """Oracles of the B blocks of a group, given their (B, d, d) gradients
+    and references.
 
     Blocks with a zero (clamped) gradient return the nominal, inactive;
     blocks with rho = 0 return the nominal, active. Wasserstein outputs
     must dominate their block's lam_floor * I, which g(gI - Gamma)^{-1}
     guarantees; the check raises OracleError if rounding breaks it.
     """
+    kind, nominal, rho, floors = group.kind, group.nominal, group.rho, group.floors
     G, gvals, gvecs = _clean_gradients(G)
-    nominal = symmetrize(nominal)
     c_ref = (G * sigma_ref).sum(axis=(1, 2))
     sigma = nominal.copy()
     gamma = np.full(rho.size, np.nan)
@@ -388,7 +430,7 @@ def _solve_group(kind, G, nominal, rho, sigma_ref, floors, delta) -> list[Oracle
     live = np.flatnonzero(nonzero & (rho > 0.0))
     if live.size:
         dual = _SETUPS[kind](G[live], gvals[live], gvecs[live], nominal[live], rho[live],
-                             c_ref[live])
+                             c_ref[live], *(f[live] for f in group.factors))
         # lo is a positive multiple of the top eigenvalue of a transformed
         # gradient; where that is zero (KL with a singular nominal) the
         # objective is flat over the ball and the nominal is optimal
@@ -432,6 +474,57 @@ def _custom_oracle(ball: AmbiguityBall, Gamma, sigma_ref, delta: float) -> Oracl
     )
 
 
+class _Plan(NamedTuple):
+    """The part of an oracle pass that stays fixed over a solve: the balls,
+    their built-in groups and the positions of the custom balls."""
+
+    balls: Sequence[AmbiguityBall]
+    groups: list
+    custom: list
+
+
+def _plan(balls: Sequence[AmbiguityBall], floors: Sequence[float]) -> _Plan:
+    """Group the blocks by (kind, size) and stack each group's nominals,
+    radii, floors and nominal factors once; floors[z] is the eigenvalue
+    floor a Wasserstein output must keep."""
+    groups: dict = {}
+    custom = []
+    for i, ball in enumerate(balls):
+        if ball.kind in ORACLE_KINDS:
+            groups.setdefault((ball.kind, ball.nominal.dim), []).append(i)
+        else:
+            custom.append(i)
+    return _Plan(balls, [
+        _group(
+            kind, idx,
+            np.stack([balls[i].nominal.cov for i in idx]),
+            np.array([balls[i].radius for i in idx], dtype=float),
+            np.array([floors[i] for i in idx], dtype=float),
+        )
+        for (kind, _), idx in groups.items()
+    ], custom)
+
+
+def _run(plan: _Plan, grads, refs, delta: float) -> list[OracleResult]:
+    """The oracle of every block of plan, in block order: each custom ball
+    calls its registered linearization, then each group is solved on
+    stacked arrays."""
+    results: list = [None] * len(plan.balls)
+    for i in plan.custom:
+        results[i] = _custom_oracle(plan.balls[i], grads[i], refs[i], delta)
+    for group in plan.groups:
+        d = group.nominal.shape[1]
+        solved = _solve_group(
+            group,
+            _stack([grads[i] for i in group.idx], d, "gradient"),
+            _stack([refs[i] for i in group.idx], d, "reference"),
+            delta,
+        )
+        for i, res in zip(group.idx, solved):
+            results[i] = res
+    return results
+
+
 def oracle_pass(
     balls: Sequence[AmbiguityBall],
     grads: Sequence[np.ndarray],
@@ -444,39 +537,21 @@ def oracle_pass(
     Block z maximizes <grads[z], Sigma - refs[z]> over balls[z]; floors[z]
     is the eigenvalue floor a Wasserstein output must keep. Built-in kinds
     are solved group by group on stacked arrays; a custom ball calls its
-    registered linearization.
+    registered linearization. A solve plans the pass once (_plan) and runs
+    the plan at every iteration; this plans and runs it once.
     """
     if not len(grads) == len(refs) == len(floors) == len(balls):
         raise InvalidInputError("oracle_pass needs one gradient, reference and floor per ball")
-    results: list = [None] * len(balls)
-    groups: dict = {}
-    for i, ball in enumerate(balls):
-        if ball.kind in ORACLE_KINDS:
-            groups.setdefault((ball.kind, ball.nominal.dim), []).append(i)
-        else:
-            results[i] = _custom_oracle(ball, grads[i], refs[i], delta)
-    for (kind, d), idx in groups.items():
-        solved = _solve_group(
-            kind,
-            _stack([grads[i] for i in idx], d, "gradient"),
-            np.stack([balls[i].nominal.cov for i in idx]),
-            np.array([balls[i].radius for i in idx], dtype=float),
-            _stack([refs[i] for i in idx], d, "reference"),
-            np.array([floors[i] for i in idx], dtype=float),
-            delta,
-        )
-        for i, res in zip(idx, solved):
-            results[i] = res
-    return results
+    return _run(_plan(balls, floors), grads, refs, delta)
 
 
 def _solve_one(kind, Gamma, nominal_cov, rho, sigma_ref, lam_floor, delta) -> OracleResult:
     nominal = _check_square(nominal_cov, "nominal")
     d = nominal.shape[0]
-    return _solve_group(
-        kind, _stack([Gamma], d, "gradient"), nominal[None], np.array([float(rho)]),
-        _stack([sigma_ref], d, "reference"), np.array([float(lam_floor)]), delta,
-    )[0]
+    G, ref = _stack([Gamma], d, "gradient"), _stack([sigma_ref], d, "reference")
+    group = _group(kind, [0], nominal[None], np.array([float(rho)]),
+                   np.array([float(lam_floor)]))
+    return _solve_group(group, G, ref, delta)[0]
 
 
 def wasserstein_oracle(

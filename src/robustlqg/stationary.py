@@ -175,14 +175,21 @@ def stationary_gradient(
 def _stationary_gradient(
     ss: StationarySystem, P: np.ndarray, K: np.ndarray, Sigma_w: np.ndarray, Sigma_v: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
-    """stationary_gradient given the DARE solution (P, K) of ss."""
+    """stationary_gradient given the DARE solution (P, K) of ss: the cost and
+    the _stationary_adjoint of its filter gain."""
     avg_cost, sol = _stationary_cost(ss, P, K, Sigma_w, Sigma_v)
-    A, L = ss.A, sol.L
+    return avg_cost, _stationary_adjoint(ss, P, sol.L)
+
+
+def _stationary_adjoint(ss: StationarySystem, P: np.ndarray, L: np.ndarray) -> list[np.ndarray]:
+    """The gradient [G_w, G_v] from the DARE solution P and the steady filter
+    gain L: one Lyapunov solve."""
+    A = ss.A
     closed = np.eye(ss.n) - L @ ss.C
     Y = solve_discrete_lyapunov((closed @ A).T, ss.Q - P + A.T @ P @ A)
     G_w = symmetrize(P + closed.T @ Y @ closed)
     G_v = symmetrize(L.T @ Y @ L)
-    return avg_cost, [G_w, G_v]
+    return [G_w, G_v]
 
 
 def solve_stationary_fw(
@@ -192,22 +199,26 @@ def solve_stationary_fw(
     cfg: FwConfig = FwConfig(),
 ) -> tuple[np.ndarray, np.ndarray, FwTrace]:
     """Frank-Wolfe over the two stationary blocks (Sigma_w, Sigma_v). The DARE
-    runs once; every evaluation then solves only the filter ARE (and, for a
-    gradient, one Lyapunov equation)."""
+    runs once. An evaluation solves the filter ARE and forms the cost, and
+    its grad() solves the one Lyapunov equation of the gradient from that
+    filter gain (_stationary_adjoint); an accepted line-search trial's
+    evaluation serves the next iteration, so each iterate's filter ARE is
+    solved once."""
     if np.linalg.norm(ball_w.nominal.mean) != 0.0 or np.linalg.norm(ball_v.nominal.mean) != 0.0:
         raise InvalidInputError("stationary ambiguity balls must be zero-mean")
     P, K = solve_dare(ss)
 
-    def value(blocks):
-        return _stationary_cost(ss, P, K, *blocks)[0]
+    def evaluate(blocks):
+        avg_cost, sol = _stationary_cost(ss, P, K, *blocks)
 
-    def value_and_grad(blocks):
-        return _stationary_gradient(ss, P, K, *blocks)
+        def grad():
+            return _stationary_adjoint(ss, P, sol.L)
+
+        return avg_cost, grad
 
     floors = [0.0, float(np.linalg.eigvalsh(ball_v.nominal.cov).min())]
     (Sw, Sv), trace = maximize(
-        value_and_grad, value, [ball_w, ball_v], [ball_w.nominal.cov, ball_v.nominal.cov],
-        floors, cfg,
+        evaluate, [ball_w, ball_v], [ball_w.nominal.cov, ball_v.nominal.cov], floors, cfg
     )
     if not membership(ball_w, MomentPair.zero_mean(Sw), 1e-8) or not membership(
         ball_v, MomentPair.zero_mean(Sv), 1e-8

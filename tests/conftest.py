@@ -40,3 +40,24 @@ def scalar_unit_profile(T=1):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments;
+    returns the list of recorded calls."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def accepted_line_searches(trace):
+    """Iterations with a next one whose line search accepted a trial, i.e.
+    whose step beat the 2/(2+k) fallback: the next iteration takes that
+    trial's evaluation."""
+    return sum(1 for r in trace.records[:-1] if r.ls_trials and r.step_size > 2.0 / (2.0 + r.iter))

@@ -33,7 +33,7 @@ from robustlqg.frank_wolfe import BallProfile, _lam_floors, _oracle_pass
 from robustlqg.gradient import GradientProfile, lqg_gradient
 from robustlqg.lqg import CovarianceProfile, LqgSolution, SystemInstance, _chol_pd, lqg_value
 from robustlqg.matops import _check_finite, sym_sqrt, symmetrize
-from robustlqg.oracles import OracleResult, _clean_gradients, _stack
+from robustlqg.oracles import OracleResult, _clean_gradients, _plan, _stack
 
 
 def zero_mean_feasibility_check(
@@ -295,9 +295,8 @@ def fw_gap(
     bounds f* - f(current) (up to the oracle delta factor).
     """
     _, grad = lqg_gradient(sys, current)
-    gap, targets, _ = _oracle_pass(
-        balls.blocks(), grad.blocks(), current.blocks(), _lam_floors(balls), delta
-    )
+    plan = _plan(balls.blocks(), _lam_floors(balls))
+    gap, targets, _ = _oracle_pass(plan, grad.blocks(), current.blocks(), delta)
     return gap, CovarianceProfile.from_blocks(targets, sys.T)
 
 

@@ -19,6 +19,8 @@ from robustlqg.frank_wolfe import FwConfig
 from robustlqg.instances import generate_instance, instance_rng
 from robustlqg.lqg import lqg_value
 
+from conftest import counting
+
 
 def test_generate_instance_dynamics_pattern():
     sys, _ = generate_instance(2, 3, seed=0)
@@ -89,6 +91,33 @@ def test_run_gaps_schema_and_roundtrip(tmp_path, monkeypatch):
     assert meta["numpy_version"] == np.__version__
     assert meta["threads"] == {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": None,
                                "MKL_NUM_THREADS": None}
+
+
+def test_run_gaps_runs_two_riccati_sweeps_per_point(tmp_path, monkeypatch):
+    # the Riccati sweep does not depend on the noise: solve runs one, and one
+    # more serves both policies' gradients; the rows are those of the public
+    # lqg_gradient, bit for bit
+    from robustlqg import gradient, lqg
+    from robustlqg.experiments import policy_nominal_cost, policy_worst_case_cost
+    from robustlqg.frank_wolfe import solve
+
+    calls = counting(monkeypatch, lqg, "riccati_backward")
+    monkeypatch.setattr(gradient, "riccati_backward", lqg.riccati_backward)
+    cfg = ExperimentConfig(
+        experiment="gaps", d=2, T=3, divergence="kl", rho=[0.5, 1.0], seeds=[0, 1],
+        output_dir=str(tmp_path), fw=_fast_fw(),
+    )
+    out = run_gaps(cfg)
+    assert len(calls) == 2 * len(out["rows"]) == 8
+    monkeypatch.undo()
+    for rho, seed, wc_gap, nom_gap in out["rows"]:
+        sys, model = generate_instance(2, 3, seed, DivergenceKind.KULLBACK_LEIBLER, rho)
+        balls, nominal = model.ball_profile(), model.nominal_profile()
+        worst, _ = solve(sys, balls, cfg=cfg.fw)
+        c_nom, c_rob = gradient.lqg_gradient(sys, nominal)[1], gradient.lqg_gradient(sys, worst)[1]
+        wc = policy_worst_case_cost(c_nom, balls)[0] - policy_worst_case_cost(c_rob, balls)[0]
+        nom = policy_nominal_cost(c_rob, nominal) - policy_nominal_cost(c_nom, nominal)
+        assert (wc_gap, nom_gap) == (repr(wc), repr(nom))
 
 
 def test_run_convergence_outputs(tmp_path):

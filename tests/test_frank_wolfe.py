@@ -11,7 +11,7 @@ from robustlqg.frank_wolfe import BallProfile, FwConfig, NominalModel, solve
 from robustlqg.instances import generate_instance
 from robustlqg.lqg import CovarianceProfile, lqg_value
 
-from conftest import rand_profile, rand_system
+from conftest import accepted_line_searches, counting, rand_profile, rand_system
 from reference import fw_gap
 
 
@@ -180,7 +180,8 @@ def test_non_psd_start_block_rejected(monkeypatch):
         raise AssertionError("evaluated an invalid start")
 
     monkeypatch.setattr(lqg, "riccati_backward", never)
-    monkeypatch.setattr(frank_wolfe, "_lqg_gradient", never)
+    monkeypatch.setattr(lqg, "kalman_forward", never)
+    monkeypatch.setattr(frank_wolfe, "_adjoint", never)
     with pytest.raises(InvalidInputError):
         solve(sys, model.ball_profile(), init=init)
 
@@ -192,7 +193,8 @@ def test_horizon_mismatch_rejected_before_evaluation(monkeypatch):
         raise AssertionError("evaluated a mismatched profile")
 
     monkeypatch.setattr(lqg, "riccati_backward", never)
-    monkeypatch.setattr(frank_wolfe, "_lqg_gradient", never)
+    monkeypatch.setattr(lqg, "kalman_forward", never)
+    monkeypatch.setattr(frank_wolfe, "_adjoint", never)
     sys3, model3 = generate_instance(2, 3, seed=0, kind=DivergenceKind.WASSERSTEIN2, rho=0.1)
     _, model2 = generate_instance(2, 2, seed=0, kind=DivergenceKind.WASSERSTEIN2, rho=0.1)
     for balls, init in ((model2.ball_profile(), None),
@@ -470,26 +472,68 @@ def test_riccati_sweep_runs_once_per_solve(monkeypatch, step_rule):
     "kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER]
 )
 def test_ls_trials_count_the_line_search_evaluations(monkeypatch, kind):
-    from robustlqg import lqg
+    # one forward sweep per iterate and per line-search trial, except that
+    # the iterate an accepted trial lands on reuses that trial's sweep; one
+    # adjoint sweep per iteration
+    from robustlqg import frank_wolfe, lqg
 
-    calls = []
-    inner = lqg._forward_cost
-
-    def counting(*args):
-        calls.append(1)
-        return inner(*args)
-
-    monkeypatch.setattr(lqg, "_forward_cost", counting)
+    sweeps = counting(monkeypatch, lqg, "kalman_forward")
+    adjoints = counting(monkeypatch, frank_wolfe, "_adjoint")
     sys = _hard_system(3, 6)
     _, model = generate_instance(3, 6, seed=0, kind=kind, rho=1.0)
     _, trace = solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-4))
-    assert trace.records[0].ls_trials == 0
-    assert sum(r.ls_trials for r in trace.records) == len(calls) > 0
+    trials = sum(r.ls_trials for r in trace.records)
+    accepted = accepted_line_searches(trace)
+    assert trace.converged and trace.records[0].ls_trials == 0
+    assert trials > accepted > 0
+    assert len(sweeps) == len(trace.records) + trials - accepted
+    assert len(adjoints) == len(trace.records)
 
-    calls.clear()
+    sweeps.clear()
+    adjoints.clear()
     _, trace = solve(sys, model.ball_profile(),
                      cfg=FwConfig(gap_tol=1e-4, step_rule="vanishing"))
-    assert all(r.ls_trials == 0 for r in trace.records) and not calls
+    assert all(r.ls_trials == 0 for r in trace.records)
+    assert len(sweeps) == len(adjoints) == len(trace.records)
+
+
+@pytest.mark.parametrize(
+    "kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER]
+)
+def test_every_iteration_evaluates_its_own_iterate(monkeypatch, kind):
+    # an iterate reached by an accepted line-search trial keeps that trial's
+    # evaluation; its objective and the gradients the oracle pass sees must
+    # still be lqg_gradient at that iterate, bit for bit, not a stale one
+    from robustlqg import frank_wolfe
+    from robustlqg.gradient import lqg_gradient
+
+    passes = counting(monkeypatch, frank_wolfe, "_oracle_pass")
+    sys = _hard_system(3, 5)
+    _, model = generate_instance(3, 5, seed=2, kind=kind, rho=1.0)
+    _, trace = solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-4))
+    assert trace.converged and accepted_line_searches(trace) > 0
+    assert len(passes) == len(trace.records)
+    for rec, (_, grads, current, _) in zip(trace.records, passes):
+        value, grad = lqg_gradient(sys, CovarianceProfile.from_blocks(current, sys.T))
+        assert rec.objective == value
+        for got, want in zip(grads, grad.blocks()):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER]
+)
+def test_nominal_factors_formed_once_per_group_per_solve(monkeypatch, kind):
+    # n = 3 and p = 2 make two (kind, size) groups: [X0, W..] and [V..]
+    from robustlqg import oracles
+
+    calls = counting(monkeypatch, oracles, "_nominal_factors")
+    rng = np.random.default_rng(3)
+    sys = rand_system(rng, n=3, m=2, p=2, T=4)
+    model = _model(rng, sys, kind, 1.0)
+    _, trace = solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-6))
+    assert len(trace.records) > 2
+    assert [(k, nominal.shape) for k, nominal in calls] == [(kind, (5, 3, 3)), (kind, (4, 2, 2))]
 
 
 @pytest.mark.parametrize(

@@ -182,7 +182,7 @@ def test_evaluations_given_the_riccati_sweep_are_bit_identical(shape):
     # the solve path runs riccati_backward once and reuses P; the cost must
     # not move by a single bit
     from robustlqg.gradient import _lqg_gradient
-    from robustlqg.lqg import _forward_cost, riccati_backward
+    from robustlqg.lqg import _lqg_cost, kalman_forward, riccati_backward
 
     n, m, p = shape
     rng = np.random.default_rng(n * 100 + m * 10 + p)
@@ -193,7 +193,8 @@ def test_evaluations_given_the_riccati_sweep_are_bit_identical(shape):
         cost = lqg_value(sys, cov).cost
         value, grad = _lqg_gradient(sys, P, cov)
         assert value == cost
-        assert _forward_cost(sys, P, cov) == cost
+        filt, pred, _ = kalman_forward(sys, cov)
+        assert _lqg_cost(sys, P, filt, pred) == cost
         public_value, public_grad = lqg_gradient(sys, cov)
         assert public_value == cost
         for a, b in zip(grad.blocks(), public_grad.blocks()):

@@ -8,7 +8,7 @@ from robustlqg.gradient import _lqg_gradient
 from robustlqg.lqg import (
     CovarianceProfile,
     SystemInstance,
-    _forward_cost,
+    _lqg_cost,
     kalman_forward,
     lqg_value,
     riccati_backward,
@@ -201,7 +201,7 @@ def test_sweeps_match_the_per_step_references(seed, n, m, p, T):
     value, grad = _lqg_gradient(sys, P, cov)
     ref_value, ref_grad = lqg_gradient_reference(sys, P, cov)
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
-    assert abs(_forward_cost(sys, P, cov) - ref_value) <= 1e-12 * abs(ref_value)
+    assert abs(_lqg_cost(sys, P, got[0], got[1]) - ref_value) <= 1e-12 * abs(ref_value)
     # per stack: a dV block whose terms cancel to 1e-5 of its neighbours
     # carries rounding noise of its neighbours' size
     for name in ("dX0", "dW", "dV"):

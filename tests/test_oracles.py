@@ -519,15 +519,16 @@ def test_safeguard_certifies_every_block(monkeypatch, change):
 def test_dual_slope_matches_finite_differences(kind):
     # the analytic slope of each divergence (Daleckii-Krein for Fisher)
     # against a central difference, at points across the bracket
-    from robustlqg.oracles import _SETUPS, _clean_gradients
+    from robustlqg.oracles import _SETUPS, _clean_gradients, _plan
 
-    balls, grads, refs, _ = _mixed_batch(8, 3, 3, 3, [kind], 0.5)
+    balls, grads, refs, floors = _mixed_batch(8, 3, 3, 3, [kind], 0.5)
+    (group,) = _plan(balls, floors).groups
     G, gvals, gvecs = _clean_gradients(np.array(grads))
-    nominal = np.array([b.nominal.cov for b in balls])
-    rho = np.array([b.radius for b in balls])
+    rho = group.rho
     live = np.flatnonzero((gvals[:, -1] > 0.0) & (rho > 0.0))
     c_ref = (G * np.array(refs)).sum(axis=(1, 2))[live]
-    dual = _SETUPS[kind](G[live], gvals[live], gvecs[live], nominal[live], rho[live], c_ref)
+    dual = _SETUPS[kind](G[live], gvals[live], gvecs[live], group.nominal[live], rho[live], c_ref,
+                         *(f[live] for f in group.factors))
     assert dual.lo.size >= 4
     for t in (0.05, 0.3, 0.9):
         g = dual.lo + t * (dual.hi - dual.lo)
@@ -555,15 +556,33 @@ def test_fisher_pass_reuses_its_evaluations(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(oracles, "_pencil", counting)
+    (group,) = oracles._plan(balls, floors).groups
     G, gvals, gvecs = oracles._clean_gradients(np.array(grads))
-    rho = np.array([b.radius for b in balls])
+    rho = group.rho
     live = np.flatnonzero((gvals[:, -1] > 0.0) & (rho > 0.0))
     c_ref = (G * np.array(refs)).sum(axis=(1, 2))[live]
-    nominal = np.array([b.nominal.cov for b in balls])
-    oracles._fisher(G[live], gvals[live], gvecs[live], nominal[live], rho[live], c_ref)
+    oracles._fisher(G[live], gvals[live], gvecs[live], group.nominal[live], rho[live], c_ref,
+                    *(f[live] for f in group.factors))
     rounds = len(calls)
     calls.clear()
     results = oracle_pass(balls, grads, refs, floors)
     newton_steps = max(r.steps for r in results)
     assert rounds >= 1 and newton_steps >= 2
     assert len(calls) == rounds + newton_steps - 1
+
+
+@pytest.mark.parametrize("oracle, nominal, message", [
+    (fisher_oracle, np.diag([1.0, 0.0]), "Fisher oracle needs a positive definite nominal"),
+    (fisher_oracle, np.diag([1.0, -1.0]), "Fisher oracle needs a positive definite nominal"),
+    (kl_oracle, np.diag([1.0, -1.0]), "matrix is not psd"),
+], ids=["fisher-singular", "fisher-indefinite", "kl-indefinite"])
+def test_rejected_nominal_factored_silently_and_checked_when_live(oracle, nominal, message):
+    # a group forms every block's nominal factors, live or not; a nominal the
+    # setup rejects must not warn there (warnings are errors in this suite),
+    # and is rejected, with the setup's message, only when its block goes live
+    ref = np.diag([1.0, 0.0])
+    for G, rho in ((np.zeros((2, 2)), 0.5), (np.eye(2), 0.0)):
+        got = oracle(G, nominal, rho, ref)
+        assert np.array_equal(got.sigma_star, nominal) and got.steps == 0
+    with pytest.raises(InvalidInputError, match=message):
+        oracle(np.eye(2), nominal, 0.5, ref)

@@ -17,7 +17,7 @@ from robustlqg.stationary import (
     stationary_gradient,
 )
 
-from conftest import rand_spd
+from conftest import accepted_line_searches, counting, rand_spd
 from reference import fd_block_gradients
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -377,12 +377,67 @@ def test_dare_runs_once_per_stationary_solve(monkeypatch, step_rule):
                            radius=1.0)
     ball_v = AmbiguityBall(kind=DivergenceKind.WASSERSTEIN2, nominal=MomentPair.zero_mean(Sv),
                            radius=1.0)
+    lyapunov_calls = counting(monkeypatch, stationary, "solve_discrete_lyapunov")
     cfg = FwConfig(gap_tol=1e-6, step_rule=step_rule)
     _, _, trace = solve_stationary_fw(ss, ball_w, ball_v, cfg)
     assert trace.converged and len(trace.records) > 2
     assert len(dare_calls) == 1
-    # one evaluation per gradient (every iteration) plus one per line-search trial
-    assert len(cost_calls) == len(trace.records) + sum(r.ls_trials for r in trace.records)
+    # one evaluation (a filter ARE) per iterate and per line-search trial,
+    # except that the iterate an accepted trial lands on reuses that trial's;
+    # one Lyapunov solve per iteration, for the gradient
+    trials = sum(r.ls_trials for r in trace.records)
+    accepted = accepted_line_searches(trace)
+    assert (accepted > 0) == (step_rule == "line_search")
+    assert len(cost_calls) == len(trace.records) + trials - accepted
+    assert len(lyapunov_calls) == len(trace.records)
+
+
+def _stationary_balls(kind, n, p, rho, seed):
+    rng = instance_rng(seed)
+    Sw, Sv = random_covariance(n, rng), random_covariance(p, rng)
+    return (AmbiguityBall(kind=kind, nominal=MomentPair.zero_mean(Sw), radius=rho),
+            AmbiguityBall(kind=kind, nominal=MomentPair.zero_mean(Sv), radius=rho))
+
+
+@pytest.mark.parametrize(
+    "kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER]
+)
+def test_every_stationary_iteration_evaluates_its_own_iterate(monkeypatch, kind):
+    # an iterate reached by an accepted line-search trial keeps that trial's
+    # evaluation; its objective and the gradients the oracle pass sees must
+    # still be stationary_gradient at that iterate, bit for bit
+    from robustlqg import frank_wolfe
+
+    passes = counting(monkeypatch, frank_wolfe, "_oracle_pass")
+    A = 0.95 * np.eye(3) + 0.3 * np.diag(np.ones(2), 1)
+    A *= 0.9 / spectral_radius(A)
+    eye = np.eye(3)
+    ss = StationarySystem(A=A, B=eye, C=eye, Q=eye, R=eye)
+    _, _, trace = solve_stationary_fw(ss, *_stationary_balls(kind, 3, 3, 1.0, 2),
+                                      FwConfig(gap_tol=1e-6))
+    assert trace.converged and accepted_line_searches(trace) > 0
+    assert len(passes) == len(trace.records)
+    for rec, (_, grads, current, _) in zip(trace.records, passes):
+        value, want = stationary_gradient(ss, *current)
+        assert rec.objective == value
+        for got, w in zip(grads, want):
+            assert np.array_equal(got, w)
+
+
+@pytest.mark.parametrize(
+    "kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER]
+)
+def test_stationary_nominal_factors_formed_once_per_group(monkeypatch, kind):
+    # n = 3 and p = 2: Sigma_w and Sigma_v are groups of one block each
+    from robustlqg import oracles
+
+    calls = counting(monkeypatch, oracles, "_nominal_factors")
+    rng = np.random.default_rng(4)
+    ss = _stabilizable_instance(rng, n=3, m=2, p=2)
+    _, _, trace = solve_stationary_fw(ss, *_stationary_balls(kind, 3, 2, 1.0, 5),
+                                      FwConfig(gap_tol=1e-6))
+    assert len(trace.records) > 2
+    assert [(k, nominal.shape) for k, nominal in calls] == [(kind, (1, 3, 3)), (kind, (1, 2, 2))]
 
 
 def test_cost_and_gradient_given_the_dare_are_bit_identical():
