@@ -4,8 +4,9 @@ Four built-in divergence families are supported (2-Wasserstein via the
 Gelbrich formula, a KL-type divergence, entropy-regularized optimal
 transport, and the Fisher divergence), plus a registration interface for
 custom moment-based divergences. Values of +inf signal infeasibility
-(e.g. KL from a singular covariance); membership tests branch on it
-explicitly and optimization code never consumes it.
+(e.g. KL from a singular covariance); +inf exceeds every finite radius, so
+membership is one comparison for every kind, and optimization code never
+consumes it.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def _logdet_pd(S: np.ndarray, what: str) -> float:
     return float(logdet)
 
 
-def _is_pd(S: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.linalg.eigvalsh(symmetrize(S)).min() > tol * (1.0 + np.linalg.norm(S)))
+def _is_pd(S: np.ndarray) -> bool:
+    return bool(np.linalg.eigvalsh(symmetrize(S)).min() > 1e-12 * (1.0 + np.linalg.norm(S)))
 
 
 def gelbrich(a: MomentPair, b: MomentPair) -> float:
@@ -344,10 +345,4 @@ def membership(ball: AmbiguityBall, candidate: MomentPair, tol: float = 1e-9) ->
     """True iff divergence(N(candidate), nominal) <= rho + tol."""
     if candidate.dim != ball.nominal.dim:
         raise InvalidInputError("candidate dimension mismatch")
-    if ball.kind is DivergenceKind.ENTROPIC_OT:
-        sq = entropic_ot_squared(candidate, ball.nominal, ball.eps)
-        return sq <= 0.0 or math.sqrt(sq) <= ball.radius + tol
-    value = ball.divergence(candidate)
-    if math.isinf(value):
-        return False
-    return value <= ball.radius + tol
+    return ball.divergence(candidate) <= ball.radius + tol

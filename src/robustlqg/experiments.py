@@ -111,7 +111,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     atomic_write_text(path, _csv_text(header, rows))
 
 
-def write_metadata(cfg: ExperimentConfig, outdir: Path, wall_seconds: float, extra=None) -> None:
+def write_metadata(cfg: ExperimentConfig, outdir: Path, wall_seconds: float) -> None:
     """metadata.json: the config and its hash, the library and numpy versions,
     the BLAS thread variables (null when unset), the RNG and the wall time."""
     meta = {
@@ -125,8 +125,6 @@ def write_metadata(cfg: ExperimentConfig, outdir: Path, wall_seconds: float, ext
         "rng": RNG_ALGORITHM,
         "wall_seconds": wall_seconds,
     }
-    if extra:
-        meta.update(extra)
     atomic_write_text(outdir / "metadata.json", json.dumps(meta, indent=2) + "\n")
 
 
@@ -138,16 +136,29 @@ def _trace_csv_text(trace) -> str:
     )
 
 
+def _scalar_rho(rho) -> float:
+    if isinstance(rho, list):
+        raise InvalidInputError("this experiment expects a single rho")
+    return float(rho)
+
+
+def _solves(cfg: ExperimentConfig, horizons):
+    """Generate and solve the instance of each (T, seed), T over horizons and
+    seed over cfg.seeds; yields (T, seed, trace, wall seconds of the solve)."""
+    for T in horizons:
+        for seed in cfg.seeds:
+            sys, model = generate_instance(cfg.d, T, seed, cfg.kind, _scalar_rho(cfg.rho))
+            t0 = time.perf_counter()
+            _, trace = solve(sys, model.ball_profile(), cfg=cfg.fw)
+            yield T, seed, trace, time.perf_counter() - t0
+
+
 def run_single_solve(cfg: ExperimentConfig) -> dict:
     """One FW solve per seed; trace CSVs plus a JSON result summary."""
     outdir = Path(cfg.output_dir)
     t_start = time.perf_counter()
     results = []
-    for seed in cfg.seeds:
-        sys, model = generate_instance(
-            cfg.d, cfg.T, seed, cfg.kind, _scalar_rho(cfg.rho)
-        )
-        worst, trace = solve(sys, model.ball_profile(), cfg=cfg.fw)
+    for _, seed, trace, _ in _solves(cfg, [cfg.T]):
         atomic_write_text(outdir / f"trace_seed{seed}.csv", _trace_csv_text(trace))
         results.append(
             {
@@ -164,30 +175,16 @@ def run_single_solve(cfg: ExperimentConfig) -> dict:
     return summary
 
 
-def _scalar_rho(rho) -> float:
-    if isinstance(rho, list):
-        raise InvalidInputError("this experiment expects a single rho")
-    return float(rho)
-
-
 def run_convergence(cfg: ExperimentConfig) -> dict:
     """FW trace per seed at the configured horizon, plus a summary CSV."""
     outdir = Path(cfg.output_dir)
     t_start = time.perf_counter()
     rows = []
     all_converged = True
-    for seed in cfg.seeds:
-        sys, model = generate_instance(
-            cfg.d, cfg.T, seed, cfg.kind, _scalar_rho(cfg.rho)
-        )
-        t0 = time.perf_counter()
-        _, trace = solve(sys, model.ball_profile(), cfg=cfg.fw)
-        wall = time.perf_counter() - t0
-        atomic_write_text(
-            outdir / f"convergence_T{cfg.T}_seed{seed}.csv", _trace_csv_text(trace)
-        )
+    for T, seed, trace, wall in _solves(cfg, [cfg.T]):
+        atomic_write_text(outdir / f"convergence_T{T}_seed{seed}.csv", _trace_csv_text(trace))
         rows.append(
-            [cfg.T, seed, len(trace.records), int(trace.converged),
+            [T, seed, len(trace.records), int(trace.converged),
              repr(trace.records[-1].fw_gap), repr(wall)]
         )
         all_converged &= trace.converged
@@ -203,13 +200,9 @@ def run_runtime(cfg: ExperimentConfig) -> dict:
     t_start = time.perf_counter()
     rows = []
     all_converged = True
-    for T in cfg.runtime_horizons:
-        for seed in cfg.seeds:
-            sys, model = generate_instance(cfg.d, T, seed, cfg.kind, _scalar_rho(cfg.rho))
-            t0 = time.perf_counter()
-            _, trace = solve(sys, model.ball_profile(), cfg=cfg.fw)
-            rows.append([T, seed, repr(time.perf_counter() - t0), len(trace.records)])
-            all_converged &= trace.converged
+    for T, seed, trace, wall in _solves(cfg, cfg.runtime_horizons):
+        rows.append([T, seed, repr(wall), len(trace.records)])
+        all_converged &= trace.converged
     write_csv(outdir / "runtime.csv", RUNTIME_HEADER, rows)
     write_metadata(cfg, outdir, time.perf_counter() - t_start)
     return {"all_converged": all_converged, "rows": rows}

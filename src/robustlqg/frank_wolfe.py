@@ -39,6 +39,8 @@ from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps t
 
 log = logging.getLogger("robustlqg")
 
+_ARMIJO = 0.1  # share of the surrogate gap a line-search step must gain
+
 
 @dataclass(frozen=True)
 class FwConfig:
@@ -167,8 +169,9 @@ def _step(current, targets, alpha):
     return [(1.0 - alpha) * c + alpha * t for c, t in zip(current, targets)]
 
 
-def _backtrack(evaluate, current, targets, objective, gap, alpha_min, shrink=0.5, armijo=0.1):
-    """Backtracking line search exploiting concavity; falls back to 2/(2+k).
+def _backtrack(evaluate, current, targets, objective, gap, alpha_min):
+    """Backtracking line search exploiting concavity: alpha halves from 1
+    until a trial gains _ARMIJO * alpha * gap; falls back to 2/(2+k).
     Returns (alpha, number of evaluations, the accepted trial's blocks and
     its evaluation); the last two are None at the fallback, which is not
     evaluated."""
@@ -177,9 +180,9 @@ def _backtrack(evaluate, current, targets, objective, gap, alpha_min, shrink=0.5
         trials += 1
         blocks = _step(current, targets, alpha)
         evaluation = evaluate(blocks)
-        if evaluation[0] >= objective + armijo * alpha * gap:
+        if evaluation[0] >= objective + _ARMIJO * alpha * gap:
             return alpha, trials, blocks, evaluation
-        alpha *= shrink
+        alpha *= 0.5
     return alpha_min, trials, None, None
 
 

@@ -20,12 +20,12 @@ def instance_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-def random_covariance(d: int, rng: np.random.Generator, lo: float = 1.0, hi: float = 2.0):
-    """U diag(lam) U^T with lam uniform on [lo, hi] and U a sign-fixed QR factor."""
+def random_covariance(d: int, rng: np.random.Generator):
+    """U diag(lam) U^T with lam uniform on [1, 2] and U a sign-fixed QR factor."""
     M = rng.standard_normal((d, d))
     Qm, Rm = np.linalg.qr(M)
     Qm = Qm * np.sign(np.diag(Rm))
-    lam = rng.uniform(lo, hi, d)
+    lam = rng.uniform(1.0, 2.0, d)
     return (Qm * lam) @ Qm.T
 
 

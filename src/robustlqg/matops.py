@@ -33,24 +33,17 @@ def symmetrize(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.swapaxes(-1, -2))
 
 
-def psd_eigh(S: np.ndarray, clamp: float = EIG_CLAMP):
-    """Eigendecompose a symmetric matrix expected to be psd.
+def sym_sqrt(S: np.ndarray) -> np.ndarray:
+    """Symmetric psd square root R with R @ R ~= S, via eigendecomposition.
 
-    Eigenvalues in [-clamp, 0) are set to 0; values below -clamp raise.
-    Returns (eigenvalues, eigenvectors).
+    Eigenvalues in [-EIG_CLAMP, 0) are set to 0; values below -EIG_CLAMP raise.
     """
     vals, vecs = np.linalg.eigh(symmetrize(_check_square(S)))
-    if vals.min(initial=0.0) < -clamp:
+    if vals.min(initial=0.0) < -EIG_CLAMP:
         raise InvalidInputError(
-            f"matrix is not psd: min eigenvalue {vals.min():.3e} < -{clamp:.0e}"
+            f"matrix is not psd: min eigenvalue {vals.min():.3e} < -{EIG_CLAMP:.0e}"
         )
-    return np.maximum(vals, 0.0), vecs
-
-
-def sym_sqrt(S: np.ndarray) -> np.ndarray:
-    """Symmetric psd square root R with R @ R ~= S, via eigendecomposition."""
-    vals, vecs = psd_eigh(S)
-    return symmetrize((vecs * np.sqrt(vals)) @ vecs.T)
+    return symmetrize((vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T)
 
 
 def spectral_radius(F: np.ndarray) -> float:

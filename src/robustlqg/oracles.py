@@ -11,13 +11,17 @@ dual variable gamma:
 
 In all three cases the divergence of Sigma(g) from the nominal decreases
 monotonically in g, and the dual objective phi(g) upper-bounds the primal
-optimum for every bracketed g. The root of div(g) = rho is found by
-safeguarded Newton on the reciprocal form 1/rho - 1/div(g), which is close
-to linear in g (for Wasserstein it is the trust-region secular equation of
-More & Sorensen, 1983), with a bisection step whenever Newton would leave
-the bracket. The search stops once the candidate is feasible, the
-constraint is active to 1e-6, and the Algorithm-style delta-criterion
-<Sigma(g) - Sigma_ref, Gamma> >= delta * phi(g) holds.
+optimum for every bracketed g. Every kind brackets its root of
+div(g) = rho in closed form, and one search serves them all: safeguarded
+Newton on the order-matched reciprocal rho^{-1/q} - div(g)^{-1/q}, where
+div decays like g^{-q} (q = 1 for Wasserstein, where it is the
+trust-region secular equation of More & Sorensen, 1983; q = 2 for KL and
+Fisher), so the form is close to linear in g. A bisection step replaces
+Newton whenever it would leave the bracket. The search stops once the
+candidate is feasible, the constraint is active to 1e-6, and the
+Algorithm-style delta-criterion <Sigma(g) - Sigma_ref, Gamma> >=
+delta * phi(g) holds; a block that does not certify raises OracleError, so
+every returned result is certified.
 
 oracle_pass solves the oracles of many blocks at once. It groups the blocks
 by (divergence kind, block size) and runs each group on stacked (B, d, d)
@@ -110,15 +114,17 @@ def _clean_gradients(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 class _Dual(NamedTuple):
     """The dual equations of a group of blocks.
 
-    lo and hi bracket each block's gamma; scale is the magnitude of its trace
-    inner products, which floors the delta criterion. data holds per-block
-    arrays (block on axis 0), the last of them rho. divergence(g, *data)
-    returns the divergence of Sigma(g), its derivative in g and a tuple aux
-    of per-block arrays that values(g, *aux, *data) reuses to return
-    (phi(g), primal value), both relative to sigma_ref. candidate(idx, g,
-    aux) returns Sigma(g) for the blocks idx, stacked, given the aux of their
-    evaluation at g. at_hi is the evaluation (div, slope, aux) at hi of every
-    block when the setup has already made it, else None.
+    lo and hi bracket each block's gamma in closed form; scale is the
+    magnitude of its trace inner products, which floors the delta criterion.
+    data holds per-block arrays (block on axis 0), the last of them rho.
+    divergence(g, *data) returns the divergence of Sigma(g), its derivative
+    in g and a tuple aux of per-block arrays that values(g, *aux, *data)
+    reuses to return (phi(g), primal value), both relative to sigma_ref.
+    candidate(idx, g, aux) returns Sigma(g) for the blocks idx, stacked,
+    given the aux of their evaluation at g. order is the kind's constant q:
+    div(Sigma(g)) decays like g^{-q} for large g (1 for Wasserstein, whose
+    divergence is a distance, 2 for KL and Fisher, which are quadratic in
+    Sigma - Shat), so div^{-1/q} is close to linear in g.
     """
 
     lo: np.ndarray
@@ -128,7 +134,7 @@ class _Dual(NamedTuple):
     divergence: Callable
     values: Callable
     candidate: Callable
-    at_hi: tuple | None = None
+    order: int
 
 
 def _w2_divergence(g, lam, s, c_ref, rho):
@@ -162,7 +168,7 @@ def _wasserstein(G, lam, vecs, nominal, rho, c_ref) -> _Dual:
         return symmetrize(vecs[idx] @ inner @ vecs_t[idx])
 
     scale = np.abs(c_ref) + (lam * s).sum(axis=1)
-    return _Dual(lo, hi, scale, (lam, s, c_ref, rho), _w2_divergence, _w2_values, candidate)
+    return _Dual(lo, hi, scale, (lam, s, c_ref, rho), _w2_divergence, _w2_values, candidate, 1)
 
 
 def _kl_divergence(g, lam, c_ref, rho):
@@ -197,7 +203,7 @@ def _kl(G, gvals, gvecs, nominal, rho, c_ref, hat_vals, root) -> _Dual:
 
     scale = np.abs(c_ref) + lam.sum(axis=1)
     return _Dual(lam1, lam1 * (1.0 + d / rho), scale, (lam, c_ref, rho), _kl_divergence,
-                 _kl_values, candidate)
+                 _kl_values, candidate, 2)
 
 
 def _pencil(g, inv2, G):
@@ -231,35 +237,30 @@ def _fisher_values(g, div, sigma, inv2, G, tr_inv_hat, c_ref, rho):
 
 
 def _fisher(G, gvals, gvecs, nominal, rho, c_ref, hat_vals, inv2, tr_inv_hat) -> _Dual:
-    """Fisher ball: one pencil eigendecomposition per evaluation; the upper
-    bracket end doubles until every block's candidate is strictly feasible.
+    """Fisher ball: one pencil eigendecomposition per evaluation, none here.
     hat_vals, inv2 and tr_inv_hat are the nominal's eigenvalues, Shat^{-2}
-    and Tr Shat^{-1}."""
+    and t = Tr Shat^{-1}.
+
+    The bracket is closed-form. Below lo = lam_max(Shat Gamma Shat) the
+    pencil is indefinite. Above it, Gamma/g <= (lo/g) Shat^{-2}, so
+    Shat^{-2} >= M = Shat^{-2} - Gamma/g >= (1 - lo/g) Shat^{-2}; the square
+    root is operator monotone (Loewner-Heinz), so Tr Sigma^{-1} = Tr M^{1/2}
+    <= t and Sigma <= (1 - lo/g)^{-1/2} Shat, which bound the divergence
+    Tr Shat^{-2} Sigma - 2t + Tr Sigma^{-1} by ((1 - lo/g)^{-1/2} - 1) t.
+    That bound equals rho at hi = lo / (1 - (1 + rho/t)^{-2}), so
+    div(hi) <= rho.
+    """
     if (hat_vals[:, 0] <= 0.0).any():
         raise InvalidInputError("Fisher oracle needs a positive definite nominal")
-    data = (inv2, G, tr_inv_hat, c_ref, rho)
-
     lo = np.linalg.eigvalsh(symmetrize(nominal @ G @ nominal))[:, -1]
-    hi = 2.0 * lo
-    # each block's last evaluation is at its final hi, where Newton starts
-    div_hi, slope_hi, sigma_hi = np.empty(lo.size), np.empty(lo.size), np.empty(G.shape)
-    grow = np.arange(lo.size)
-    for _ in range(60):
-        div, slope, (_, sigma) = _fisher_divergence(hi[grow], *(a[grow] for a in data))
-        div_hi[grow], slope_hi[grow], sigma_hi[grow] = div, slope, sigma
-        grow = grow[~(div < rho[grow])]
-        if grow.size == 0:
-            break
-        hi[grow] *= 2.0
-    else:
-        raise OracleError("fisher oracle could not bracket the dual variable")
+    hi = lo / -np.expm1(-2.0 * np.log1p(rho / tr_inv_hat))
 
     def candidate(idx, g, aux):
         return symmetrize(aux[1])
 
     scale = np.abs(c_ref) + (G * nominal).sum(axis=(1, 2))
-    return _Dual(lo, hi, scale, data, _fisher_divergence, _fisher_values, candidate,
-                 (div_hi, slope_hi, (div_hi, sigma_hi)))
+    return _Dual(lo, hi, scale, (inv2, G, tr_inv_hat, c_ref, rho), _fisher_divergence,
+                 _fisher_values, candidate, 2)
 
 
 _SETUPS = {
@@ -273,26 +274,29 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, delta: float, d: int):
     """Lockstep safeguarded Newton on the blocks of a group; div(g) must decrease.
 
     Each block starts at its upper bracket end and steps on the reciprocal
-    form 1/rho - 1/div(g), whose Newton step is
-    g - div (div - rho) / (rho div'(g)). Every evaluation moves one end of
-    the block's bracket [lo, hi] onto g, keeping the root inside; a step
-    that would not land strictly inside the bracket (as with a non-finite,
-    zero or wrong-signed slope) is replaced by the bracket's midpoint, so a
-    block falls back to bisection where Newton fails. A block is accepted once its candidate is
-    feasible to rho + 1e-8 (the bracket ends are tight for identity-like
-    gradients, so the optimal gamma can sit exactly on one), active to 1e-6,
-    and meets the delta criterion, which is floored at 1e-9 * max(1, scale)
-    because it cannot certify improvements below rounding level (e.g. when
-    the reference already sits at the optimum). Accepted blocks leave the
-    arrays of the live ones, each with its candidate Sigma(gamma) from the
-    accepting evaluation. The first evaluation, at hi, is the setup's
-    dual.at_hi when it has one. Returns (gamma, delta_achieved, dual_bound,
-    steps, Sigma(gamma)) aligned with blocks, the last a (len(blocks), d, d)
-    stack; steps counts a block's evaluations.
+    form rho^{-1/q} - div(g)^{-1/q}, q = dual.order, whose Newton step is
+    g - q div (div^{1/q} - rho^{1/q}) / (rho^{1/q} div'(g)) (for q = 1 the
+    secular-equation step of More & Sorensen, 1983). Every evaluation moves
+    one end of the block's bracket [lo, hi] onto g, keeping the root inside;
+    a step that would not land strictly inside the bracket (as with a
+    non-finite, zero or wrong-signed slope) is replaced by the bracket's
+    midpoint, so a block falls back to bisection where Newton fails. A block
+    is accepted once its candidate is feasible to rho + 1e-8 (the bracket
+    ends are tight for identity-like gradients, so the optimal gamma can sit
+    exactly on one, and for d = 1 under Wasserstein lo = hi), active to
+    1e-6, and meets the delta criterion, which is floored at
+    1e-9 * max(1, scale) because it cannot certify improvements below
+    rounding level (e.g. when the reference already sits at the optimum).
+    Accepted blocks leave the arrays of the live ones, each with its
+    candidate Sigma(gamma) from the accepting evaluation; a block that does
+    not certify within _MAX_STEPS evaluations raises OracleError. Returns
+    (gamma, delta_achieved, dual_bound, steps, Sigma(gamma)) aligned with
+    blocks, the last a (len(blocks), d, d) stack; steps counts a block's
+    evaluations.
     """
     lo, hi = dual.lo[blocks], dual.hi[blocks]
     floor = 1e-9 * np.maximum(1.0, dual.scale[blocks])
-    data = tuple(a[blocks] for a in dual.data)
+    q, p = dual.order, 1.0 / dual.order
     gamma, got, bound = np.empty(blocks.size), np.ones(blocks.size), np.empty(blocks.size)
     steps = np.zeros(blocks.size, dtype=int)
     sigma = np.empty((blocks.size, d, d))
@@ -315,35 +319,15 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, delta: float, d: int):
         sigma[b] = dual.candidate(blocks[b], g[j], tuple(a[j] for a in aux))
         return j
 
-    # bounds collapse (always the case for scalars under Wasserstein): the
-    # common point is gamma_star, no search needed
-    collapsed = hi - lo <= 1e-14 * np.maximum(1.0, hi)
-    if np.count_nonzero(collapsed):
-        pos = np.flatnonzero(collapsed)
-        g, parts = hi[pos], tuple(a[pos] for a in data)
-        div, _, aux = dual.divergence(g, *parts)
-        rest = np.setdiff1d(np.arange(pos.size), accept(pos, g, div, aux, parts, 0))
-        if rest.size:  # kept all the same, with delta_achieved 1
-            b = pos[rest]
-            gamma[b] = g[rest]
-            bound[b] = dual.values(g[rest], *(a[rest] for a in aux + parts))[0]
-            sigma[b] = dual.candidate(blocks[b], g[rest], tuple(a[rest] for a in aux))
-
-    live = np.flatnonzero(~collapsed)
-    lo, hi = lo[live], hi[live]
+    live = np.arange(blocks.size)
     g = hi.copy()
     tol = 1e-12 * np.maximum(1.0, hi)
-    parts = tuple(a[live] for a in data)
+    parts = tuple(a[blocks] for a in dual.data)
     for step in range(1, _MAX_STEPS + 1):
         if live.size == 0:
             return gamma, got, bound, steps, sigma
         rho = parts[-1]
-        if step == 1 and dual.at_hi is not None:  # g = hi
-            div, slope, aux = dual.at_hi
-            idx = blocks[live]
-            div, slope, aux = div[idx], slope[idx], tuple(a[idx] for a in aux)
-        else:
-            div, slope, aux = dual.divergence(g, *parts)
+        div, slope, aux = dual.divergence(g, *parts)
         up = div > rho
         np.copyto(lo, g, where=up)
         np.copyto(hi, g, where=~up)
@@ -356,7 +340,7 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, delta: float, d: int):
             div_k, _, aux_k = dual.divergence(hi[k], *sub)
             done = np.concatenate((done, k[accept(live[k], hi[k], div_k, aux_k, sub, step)]))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = g - div * (div - rho) / (rho * slope)
+            g = g - q * div * (div**p - rho**p) / (rho**p * slope)
         # g was a bracket end, so a wrong-signed slope steps outside the
         # bracket; a nan step fails both comparisons
         g = np.where((g > lo) & (g < hi), g, 0.5 * (lo + hi))
@@ -605,10 +589,10 @@ def fisher_oracle(
 
     Stationarity of the Lagrangian inverts the Fisher gradient
     Shat^{-2} - Sigma^{-2} to Sigma(g) = (Shat^{-2} - Gamma/g)^{-1/2}; g solves
-    the constraint by safeguarded Newton, with bisection as the fallback,
-    inside a bracket whose lower end is lam_max(Shat Gamma Shat) (where the
-    pencil loses definiteness) and whose upper end is grown by doubling
-    until the candidate is strictly feasible.
+    the constraint by safeguarded Newton from the upper end, with bisection
+    as the fallback, inside the closed-form bracket
+    [lo, lo / (1 - (1 + rho/t)^{-2})], lo = lam_max(Shat Gamma Shat) (where
+    the pencil loses definiteness) and t = Tr Shat^{-1}.
     """
     return _solve_one(DivergenceKind.FISHER, Gamma, nominal_cov, rho, sigma_ref, 0.0, delta)
 

@@ -139,7 +139,12 @@ def test_run_convergence_outputs(tmp_path):
         assert gaps[-1] <= 1e-3
 
 
-def test_run_runtime_monotone_and_deterministic(tmp_path):
+def test_run_runtime_monotone_and_deterministic(tmp_path, monkeypatch):
+    # the work of a solve is counted, not timed: the forward-sweep time steps
+    # it runs (each lqg.kalman_forward call steps through its system's T)
+    from robustlqg import lqg
+
+    sweeps = counting(monkeypatch, lqg, "kalman_forward")
     cfg = ExperimentConfig(
         experiment="runtime", d=3, T=4, divergence="wasserstein2", rho=0.1,
         seeds=[0, 1], output_dir=str(tmp_path), runtime_horizons=[2, 4, 6],
@@ -150,13 +155,13 @@ def test_run_runtime_monotone_and_deterministic(tmp_path):
     with open(tmp_path / "runtime.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["T", "seed", "wall_seconds", "iterations"]
-    med = {}
-    iters = {}
-    for r in rows[1:]:
-        med.setdefault(int(r[0]), []).append(float(r[2]))
-        iters[(int(r[0]), int(r[1]))] = int(r[3])
-    medians = [np.median(med[T]) for T in (2, 4, 6)]
-    assert medians[0] <= medians[2] * 1.5  # scaling sanity with slack for noise
+    iters = {(int(r[0]), int(r[1])): int(r[3]) for r in rows[1:]}
+    work = {}  # per solve, keyed by (T, its system), generated per (T, seed)
+    for sys, _ in sweeps:
+        work[sys.T, id(sys)] = work.get((sys.T, id(sys)), 0) + sys.T
+    assert len(work) == len(iters) == 6
+    medians = [np.median([w for (T, _), w in work.items() if T == h]) for h in (2, 4, 6)]
+    assert medians[0] < medians[1] < medians[2]
 
     # iteration counts reproduce on a second run
     run_runtime(replace(cfg, output_dir=str(tmp_path / "again")))

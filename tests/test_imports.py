@@ -7,6 +7,8 @@ bench/tracer.py wraps by name although the module no longer calls them.
 A private definition (a top-level def or class whose name starts with one
 underscore) must be read somewhere in the package outside its own body: as
 a name or as an attribute, such as lqg._lqg_cost. The tests do not count.
+Nor may a private top-level function keep a parameter with a default that
+no call in the package passes: such a parameter is a constant.
 """
 
 import ast
@@ -96,4 +98,82 @@ def test_checker_flags_unread_private_definitions():
     }
     assert unread_private_definitions(sources) == [
         "_recursive (a.py line 5)", "_Unread (a.py line 7)",
+    ]
+
+
+def _passes(call: ast.Call, index, name: str) -> bool:
+    """Whether call passes the parameter name, at positional index (None for
+    a keyword-only one), by position, by keyword or by unpacking."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def unpassed_keyword_parameters(sources: dict[str, str]) -> list[str]:
+    """Parameters with a default, of private top-level functions of sources
+    (module name -> source), that no call in sources passes. A function read
+    other than as the callee of a call (kept in a table, passed on as a
+    callback) is skipped, since its calls are not visible."""
+    trees = [ast.parse(source) for source in sources.values()]
+    private = {}
+    for module, tree in zip(sources, trees):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and (
+                node.name.startswith("_") and not node.name.startswith("__")
+            ):
+                private[node.name] = (module, node)
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    calls = {name: [] for name in private}
+    callees = set()
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in calls:
+                calls[name].append(node)
+                callees.add(node.func)
+    escaped = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in nodes
+        if isinstance(node, (ast.Name, ast.Attribute)) and node not in callees
+    }
+    found = []
+    for name, (module, fn) in private.items():
+        if name in escaped:
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        keyed = list(enumerate(positional))[len(positional) - len(fn.args.defaults):]
+        keyed += [(None, arg) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                  if default is not None]
+        found += [f"{name}({arg.arg}) ({module} line {fn.lineno})" for index, arg in keyed
+                  if not any(_passes(call, index, arg.arg) for call in calls[name])]
+    return found
+
+
+def test_every_private_keyword_parameter_is_passed():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unpassed_keyword_parameters(sources) == []
+
+
+def test_checker_flags_unpassed_keyword_parameters():
+    sources = {
+        "a.py": (
+            "def _f(x, by_position=1, by_name=2, never=3, *, only=4, only_never=5):\n"
+            "    return x\n"
+            "def _g(x, unpacked=1, spread=2):\n    return x\n"
+            "def _callback(x, hidden=1):\n    return x\n"
+            "def public(x, unused=1):\n    return x\n"
+            "TABLE = {'cb': _callback}\n"
+        ),
+        "b.py": (
+            "from . import a\n\n"
+            "def g(args, kw):\n"
+            "    a._f(0, 1, by_name=2, only=4)\n"
+            "    a._g(*args)\n"
+            "    return a._g(0, **kw)\n"
+        ),
+    }
+    assert unpassed_keyword_parameters(sources) == [
+        "_f(never) (a.py line 1)", "_f(only_never) (a.py line 1)",
     ]

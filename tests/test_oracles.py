@@ -15,6 +15,7 @@ from robustlqg.divergences import (
     membership,
 )
 from robustlqg.errors import InvalidInputError, UnsupportedDivergenceError
+from robustlqg.matops import symmetrize
 from robustlqg.oracles import (
     fisher_oracle,
     kl_oracle,
@@ -64,8 +65,9 @@ def test_wasserstein_scalar_closed_form():
     dist = gelbrich(MomentPair.zero_mean(res.sigma_star), MomentPair.zero_mean(np.eye(1)))
     assert dist == pytest.approx(1.0, abs=1e-6)
     assert res.active
-    # no bisection, and phi(gamma*) = 2 + 2 - 1 is the optimum <1, 4 - 1>
-    assert res.steps == 0
+    # one evaluation, at hi = lo, and phi(gamma*) = 2 + 2 - 1 is the
+    # optimum <1, 4 - 1>
+    assert res.steps == 1
     assert res.dual_bound == pytest.approx(3.0, abs=1e-9)
 
 
@@ -454,6 +456,18 @@ def test_bisection_failure_raises_oracle_error(monkeypatch):
         oracle_pass(balls, grads, refs, floors)
 
 
+def test_collapsed_bracket_certifies_or_raises(monkeypatch):
+    # a d = 1 Wasserstein block has lo = hi; it is evaluated there like any
+    # other block, and when that evaluation fails the acceptance test the
+    # oracle raises instead of returning an uncertified result
+    from robustlqg import oracles
+    from robustlqg.errors import OracleError
+
+    monkeypatch.setattr(oracles, "_ACTIVITY_TOL", -1.0)
+    with pytest.raises(OracleError, match="failed to certify"):
+        wasserstein_oracle(np.eye(1), np.eye(1), 1.0, np.eye(1))
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_paper_pass_certifies_every_block_in_few_steps(kind):
     # Newton on the reciprocal form: a paper-family pass at the nominal
@@ -540,11 +554,11 @@ def test_dual_slope_matches_finite_differences(kind):
         assert (slope < 0.0).all()
 
 
-def test_fisher_pass_reuses_its_evaluations(monkeypatch):
-    # Newton starts from the setup's evaluation at the upper bracket end, and
-    # the candidate is the accepting evaluation's Sigma(g): a group pass makes
-    # one pencil eigendecomposition per doubling round and per Newton step
-    # after the first, none more
+def test_fisher_pencil_runs_once_per_counted_evaluation(monkeypatch):
+    # the Fisher bracket is closed-form, so the setup makes no pencil
+    # eigendecomposition; a group pass makes one batched call per lockstep
+    # step, over the blocks still live, so the calls cover exactly the
+    # evaluations that steps counts
     from robustlqg import oracles
 
     balls, grads, refs, floors = _mixed_batch(8, 3, 3, 3, [DivergenceKind.FISHER], 0.5)
@@ -563,12 +577,59 @@ def test_fisher_pass_reuses_its_evaluations(monkeypatch):
     c_ref = (G * np.array(refs)).sum(axis=(1, 2))[live]
     oracles._fisher(G[live], gvals[live], gvecs[live], group.nominal[live], rho[live], c_ref,
                     *(f[live] for f in group.factors))
-    rounds = len(calls)
-    calls.clear()
-    results = oracle_pass(balls, grads, refs, floors)
-    newton_steps = max(r.steps for r in results)
-    assert rounds >= 1 and newton_steps >= 2
-    assert len(calls) == rounds + newton_steps - 1
+    assert calls == []
+    steps = [r.steps for r in oracle_pass(balls, grads, refs, floors)]
+    assert max(steps) >= 2
+    assert len(calls) == max(steps) and sum(calls) == sum(steps)
+
+
+def _exact_fisher_divergence(nominal, Gamma, g):
+    """Tr Shat^{-2} Sigma(g) - 2 Tr Shat^{-1} + Tr Sigma(g)^{-1} at 60 digits,
+    the double inputs taken as exact; inf where the pencil is not pd."""
+    from mpmath import mp
+
+    with mp.workdps(60):
+        inv = mp.inverse(mp.matrix(nominal.tolist()))
+        inv2 = inv * inv
+        vals, vecs = mp.eigsy(inv2 - mp.matrix(Gamma.tolist()) / mp.mpf(g))
+        if min(vals) <= 0:
+            return mp.inf
+        roots = [mp.sqrt(v) for v in vals]  # Sigma^{-1} = V diag(roots) V^T
+        rotated = vecs.T * inv2 * vecs
+        n = len(roots)
+        return (mp.fsum(rotated[i, i] / roots[i] for i in range(n))
+                - 2 * mp.fsum(inv[i, i] for i in range(n)) + mp.fsum(roots))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    d=st.integers(1, 4),
+    log_rho=st.floats(-6.0, 6.0),
+    log_cond=st.floats(0.0, 9.0),
+    rank_one=st.booleans(),
+)
+def test_fisher_upper_bracket_end_is_feasible(seed, d, log_rho, log_cond, rank_one):
+    # div(hi) <= rho by the Loewner-Heinz bound, across radii 1e-6..1e6,
+    # nominal condition numbers up to 1e9 and rank-one gradients. Double
+    # precision cannot decide it at the extremes: at condition 1e9 the pencil
+    # Shat^{-2} - Gamma/g has condition 1e18 and more, and for d = 1 at
+    # rho / Tr Shat^{-1} ~ 1e6 the bound is tight to 1e-6 relative while
+    # 1 - lo/hi ~ 1e-12 is known to 1e-4. So the divergence is evaluated
+    # exactly, 4 ulps above the double hi.
+    from robustlqg.oracles import _fisher, _nominal_factors
+
+    rng = np.random.default_rng(seed)
+    Qn, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    nominal = symmetrize((Qn * np.logspace(0.0, -log_cond, d)) @ Qn.T)
+    X = rng.standard_normal((d, 1 if rank_one else d))
+    Gamma = symmetrize(X @ X.T)
+    rho = 10.0**log_rho
+    dual = _fisher(Gamma[None], None, None, nominal[None], np.array([rho]), np.zeros(1),
+                   *_nominal_factors(DivergenceKind.FISHER, nominal[None]))
+    lo, hi = float(dual.lo[0]), float(dual.hi[0])
+    assert 0.0 < lo < hi
+    assert _exact_fisher_divergence(nominal, Gamma, hi * (1.0 + 4.0 * np.finfo(float).eps)) <= rho
 
 
 @pytest.mark.parametrize("oracle, nominal, message", [
