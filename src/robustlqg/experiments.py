@@ -24,11 +24,12 @@ import numpy as np
 from . import __version__, lqg
 from .divergences import DivergenceKind
 from .errors import InvalidInputError, UnsupportedDivergenceError
-from .frank_wolfe import FwConfig, _lam_floors, _oracle_pass, solve
+from .frank_wolfe import FwConfig, _inner, _lam_floors, _stacked, solve
 from .gradient import GradientProfile, _lqg_gradient
 from .instances import RNG_ALGORITHM, generate_instance
 from .lqg import CovarianceProfile
-from .oracles import ORACLE_KINDS, _plan
+from .matops import _check_finite
+from .oracles import ORACLE_KINDS, _plan, _run
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 from .stacked import build_stacked, kalman_policy_to_purified  # noqa: F401  unused; bench/tracer.py wraps these
 
@@ -214,14 +215,20 @@ def policy_worst_case_cost(coeffs: GradientProfile, balls, delta: float = 0.95):
     coeffs are the policy's per-block cost coefficients (trace pairing); for
     the Kalman/LQR policy designed at Sigma0 they are lqg_gradient(sys,
     Sigma0)[1] (Danskin). The cost is linear in the covariances, so its worst
-    case is one oracle pass. Returns (cost, per-block worst covariances).
+    case is one oracle pass. The coefficients are checked against the balls'
+    shapes and for finiteness here, since the pass does not check its
+    stacks. Returns (cost, per-block worst covariances).
     """
-    grads = coeffs.blocks()
-    ball_list = balls.blocks()
-    nominal = [ball.nominal.cov for ball in ball_list]
-    plan = _plan(ball_list, _lam_floors(balls))
-    _, worst_blocks, _ = _oracle_pass(plan, grads, nominal, delta)
-    return sum(float(np.sum(G * S)) for G, S in zip(grads, worst_blocks)), worst_blocks
+    nominal = balls.nominal_profile()
+    pairs = ((coeffs.dX0, nominal.X0), (coeffs.dW, nominal.W), (coeffs.dV, nominal.V))
+    if any(np.shape(G) != S.shape for G, S in pairs):
+        raise InvalidInputError("cost coefficients inconsistent with the ball profile")
+    grads = _stacked(coeffs.dX0, coeffs.dW, coeffs.dV)
+    for G in grads:
+        _check_finite(G, "cost coefficients")
+    plan = _plan(balls.blocks(), _lam_floors(balls), [balls.T + 1, balls.T])
+    worst = _run(plan, grads, _stacked(nominal.X0, nominal.W, nominal.V), delta).targets
+    return _inner(grads, worst), [S for stack in worst for S in stack]
 
 
 def policy_nominal_cost(coeffs: GradientProfile, cov: CovarianceProfile) -> float:

@@ -1,22 +1,26 @@
 """Frank-Wolfe maximization of a concave cost over products of ambiguity balls.
 
-One driver, maximize, serves both horizons: it works on a list of covariance
-blocks, one ball each. Every iteration evaluates the cost gradient in every
-block, solves the separable linearization oracles of all blocks in one
-batched pass (oracles.oracle_pass), and takes a convex-combination step
-toward the oracle targets. The step is chosen by backtracking line search on
-the objective by default, or is the open-loop 2/(2+k). The surrogate gap
-sum_z <grad_z, Sigma_z* - Sigma_z> certifies epsilon-suboptimality for the
-concave objective and drives the stopping rule. solve adapts the driver to
-the finite-horizon LQG value over the 2T+1 blocks [X0, W_t.., V_t..];
+One driver, maximize, serves both horizons. It keeps the iterate, the
+gradients and the oracle targets as stacks of covariance blocks, (k, d, d)
+arrays with one ball per block, so the step, the surrogate gap and each
+line-search trial are one array expression per stack. Every iteration
+evaluates the cost gradient in every block, solves the separable
+linearization oracles of all blocks in one batched pass (oracles._run), and
+takes a convex-combination step toward the oracle targets. The step is
+chosen by backtracking line search on the objective by default, or is the
+open-loop 2/(2+k). The surrogate gap sum_z <grad_z, Sigma_z* - Sigma_z>
+certifies epsilon-suboptimality for the concave objective and drives the
+stopping rule. solve adapts the driver to the finite-horizon LQG value over
+the 2T+1 blocks [X0, W_t.., V_t..], stacked as [X0; W] and V;
 stationary.solve_stationary_fw adapts it to the average cost over
-[Sigma_w, Sigma_v]. Both run the noise-independent Riccati solution once per
-solve and reuse it in every evaluation. An evaluation gives the objective
-and, on demand, the gradient of the same forward sweep, so the iterate an
-accepted line-search trial lands on is not evaluated again; the oracle pass
-is planned, and the ball nominals factored, once per solve. maximize
-takes its start as feasible. Both adapters start at the nominals, which lie
-in every ball; solve also accepts a start from its caller, and checks it.
+[Sigma_w] and [Sigma_v]. Both run the noise-independent Riccati solution
+once per solve and reuse it in every evaluation. An evaluation gives the
+objective and, on demand, the gradient of the same forward sweep, so the
+iterate an accepted line-search trial lands on is not evaluated again; the
+oracle pass is planned, and the ball nominals factored, once per solve.
+maximize takes its start as feasible and checks nothing it builds from it.
+Both adapters start at the nominals, which lie in every ball; solve also
+accepts a start from its caller, and checks it.
 """
 
 from __future__ import annotations
@@ -153,35 +157,46 @@ def _lam_floors(balls: BallProfile) -> list[float]:
     return [0.0] * (1 + balls.T) + [float(x) for x in v_min]
 
 
+def _stacked(x0: np.ndarray, w: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
+    """The finite-horizon blocks as the driver's stacks: [x0; w] of shape
+    (T+1, n, n) and v of shape (T, p, p)."""
+    return [np.concatenate((x0[None], w)), v]
+
+
+def _inner(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> float:
+    """sum_z <x_z, y_z> over the blocks of matching stacks, added up block by
+    block in block order."""
+    return sum(v for x, y in zip(xs, ys) for v in (x * y).sum(axis=(1, 2)).tolist())
+
+
 def _oracle_pass(plan, grads, current, delta):
-    """Oracle target per block, the surrogate gap sum_z <G_z, Sigma_z* - Sigma_z>
-    and the root-search steps summed over blocks, for an oracles._plan."""
-    results = _run(plan, grads, current, delta)
-    targets = [r.sigma_star for r in results]
-    gap = 0.0
-    for G, S, star in zip(grads, current, targets):
-        gap += float(np.sum(G * (star - S)))
-    return gap, targets, sum(r.steps for r in results)
+    """Oracle targets, stacked like current, the surrogate gap
+    sum_z <G_z, Sigma_z* - Sigma_z> and the root-search steps summed over
+    blocks, for an oracles._plan."""
+    found = _run(plan, grads, current, delta)
+    diff = [star - S for S, star in zip(current, found.targets)]
+    return _inner(grads, diff), found.targets, int(found.steps.sum())
 
 
 def _step(current, targets, alpha):
-    """Convex combination of exactly symmetric blocks, hence exactly symmetric."""
+    """Convex combination of stacks of exactly symmetric blocks, hence exactly
+    symmetric."""
     return [(1.0 - alpha) * c + alpha * t for c, t in zip(current, targets)]
 
 
 def _backtrack(evaluate, current, targets, objective, gap, alpha_min):
     """Backtracking line search exploiting concavity: alpha halves from 1
     until a trial gains _ARMIJO * alpha * gap; falls back to 2/(2+k).
-    Returns (alpha, number of evaluations, the accepted trial's blocks and
+    Returns (alpha, number of evaluations, the accepted trial's stacks and
     its evaluation); the last two are None at the fallback, which is not
     evaluated."""
     alpha, trials = 1.0, 0
     while alpha > alpha_min:
         trials += 1
-        blocks = _step(current, targets, alpha)
-        evaluation = evaluate(blocks)
+        trial = _step(current, targets, alpha)
+        evaluation = evaluate(trial)
         if evaluation[0] >= objective + _ARMIJO * alpha * gap:
-            return alpha, trials, blocks, evaluation
+            return alpha, trials, trial, evaluation
         alpha *= 0.5
     return alpha_min, trials, None, None
 
@@ -195,24 +210,28 @@ def maximize(
 ) -> tuple[list[np.ndarray], FwTrace]:
     """Maximize a concave function of covariance blocks, one ball per block.
 
-    start must lie in the balls; it is not checked here. evaluate(blocks)
-    returns (objective, grad), where grad() returns the per-block gradients
-    (trace pairing) from that evaluation's own forward sweep. Each iteration
-    calls grad() of its iterate's evaluation; a line-search trial reads only
-    the objective. The iterate a line search accepts is its trial's blocks,
-    and the next iteration uses that trial's evaluation as it is, so every
-    iterate is evaluated once. floors are the oracles' eigenvalue floors.
-    The oracle pass is planned once per call (oracles._plan), which factors
-    each ball's nominal once.
-    Iterates move as (1 - alpha) * current + alpha * targets. By default
+    The iterate is a list of stacks, each a (k, d, d) array of blocks; block
+    order runs through the stacks in turn, and balls and floors follow it.
+    start must lie in the balls; it is not checked here, and nothing the
+    loop builds from it is checked again. evaluate(stacks) returns
+    (objective, grad), where grad() returns the gradient stacks (trace
+    pairing), laid out as the iterate, from that evaluation's own forward
+    sweep. Each iteration calls grad() of its iterate's evaluation; a
+    line-search trial reads only the objective. The iterate a line search
+    accepts is its trial's stacks, and the next iteration uses that trial's
+    evaluation as it is, so every iterate is evaluated once. floors are the
+    oracles' eigenvalue floors. The oracle pass is planned once per call
+    (oracles._plan), which factors each ball's nominal once.
+    Iterates move as (1 - alpha) * current + alpha * targets, one array
+    expression per stack. By default
     alpha is the largest of 1, 1/2, 1/4, ... above 2/(2+k) whose step gains
     at least 0.1 * alpha * gap in value (Armijo), else 2/(2+k); with
     step_rule="vanishing" it is 2/(2+k). The loop stops when the surrogate gap
     falls below cfg.gap_tol or the iteration budget is exhausted. Each
     iteration is recorded in the trace and, when the "robustlqg" logger is
-    enabled for DEBUG, logged in one line. Returns (final blocks, trace).
+    enabled for DEBUG, logged in one line. Returns (final stacks, trace).
     """
-    plan = _plan(balls, floors)
+    plan = _plan(balls, floors, [len(S) for S in start])
     current = list(start)
     trace = FwTrace()
     evaluation = None  # of current, when the line search made it
@@ -228,13 +247,13 @@ def maximize(
             alpha = 0.0
             trace.converged = True
         else:
-            alpha, blocks = 2.0 / (2.0 + k), None
+            alpha, trial = 2.0 / (2.0 + k), None
             if cfg.step_rule == "line_search":
-                alpha, trials, blocks, evaluation = _backtrack(
+                alpha, trials, trial, evaluation = _backtrack(
                     evaluate, current, targets, objective, gap, alpha
                 )
                 ls_s = time.perf_counter() - t_ls
-            current = _step(current, targets, alpha) if blocks is None else blocks
+            current = _step(current, targets, alpha) if trial is None else trial
         record = FwRecord(
             k, objective, gap, alpha, (time.perf_counter() - t0) * 1e3,
             gap / max(abs(objective), 1.0), t_ls - t_oracle, steps, trials, t_oracle - t0, ls_s,
@@ -278,13 +297,15 @@ def solve(
     # lqg.kalman_forward is seen
     P, _ = lqg.riccati_backward(sys)
 
-    def evaluate(blocks):
-        sweep = lqg.kalman_forward(sys, CovarianceProfile.from_blocks(blocks, sys.T))
+    def evaluate(stacks):
+        xw, v = stacks
+        sweep = lqg.kalman_forward(sys, CovarianceProfile._of(xw[0], xw[1:], v))
 
         def grad():
-            return _adjoint(sys, P, sweep).blocks()
+            return _adjoint(sys, P, sweep)
 
         return lqg._lqg_cost(sys, P, sweep[0], sweep[1]), grad
 
-    final, trace = maximize(evaluate, balls.blocks(), current.blocks(), _lam_floors(balls), cfg)
-    return CovarianceProfile.from_blocks(final, sys.T), trace
+    start = _stacked(current.X0, current.W, current.V)
+    (xw, v), trace = maximize(evaluate, balls.blocks(), start, _lam_floors(balls), cfg)
+    return CovarianceProfile(X0=xw[0], W=xw[1:], V=v), trace

@@ -73,12 +73,15 @@ def _lqg_gradient(
     """lqg_gradient given the Riccati sweep P of sys: one forward sweep, the
     cost and the _adjoint of that sweep."""
     sweep = kalman_forward(sys, cov)
-    return _lqg_cost(sys, P, sweep[0], sweep[1]), _adjoint(sys, P, sweep)
+    Sbar, dV = _adjoint(sys, P, sweep)
+    return _lqg_cost(sys, P, sweep[0], sweep[1]), GradientProfile(dX0=Sbar[0], dW=Sbar[1:], dV=dV)
 
 
-def _adjoint(sys: SystemInstance, P: np.ndarray, sweep: tuple) -> GradientProfile:
+def _adjoint(sys: SystemInstance, P: np.ndarray, sweep: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The gradient from the Riccati sweep P of sys and a kalman_forward
-    sweep (Sigma_filt, Sigma_pred, L) of it: the reverse sweep alone."""
+    sweep (Sigma_filt, Sigma_pred, L) of it, by the reverse sweep alone, as
+    two stacks: [dX0; dW] of shape (T+1, n, n), which is the adjoint Sbar,
+    and dV."""
     filt, pred, gains = sweep
     T, A = sys.T, sys.A
     closed = np.eye(sys.n) - gains @ sys.C
@@ -91,5 +94,4 @@ def _adjoint(sys: SystemInstance, P: np.ndarray, sweep: tuple) -> GradientProfil
         sigbar[t] = QP[t] + At[t] @ Sbar[t + 1] @ A[t]
         Sbar[t] = P[t] + closed_t[t] @ sigbar[t] @ closed[t]
     Sbar = symmetrize(_check_finite(Sbar, "adjoint sweep"))
-    dV = symmetrize(gains.swapaxes(1, 2) @ sigbar @ gains)
-    return GradientProfile(dX0=Sbar[0], dW=Sbar[1:], dV=dV)
+    return Sbar, symmetrize(gains.swapaxes(1, 2) @ sigbar @ gains)

@@ -125,6 +125,15 @@ class CovarianceProfile:
         return [self.X0] + list(self.W) + list(self.V)
 
     @classmethod
+    def _of(cls, X0, W, V) -> "CovarianceProfile":
+        """A profile of arrays the library built itself, finite and exactly
+        symmetric by construction, taken as they are: no copy and no check."""
+        cov = object.__new__(cls)
+        for name, arr in (("X0", X0), ("W", W), ("V", V)):
+            object.__setattr__(cov, name, arr)
+        return cov
+
+    @classmethod
     def from_blocks(cls, blocks, T: int) -> "CovarianceProfile":
         return cls(
             X0=blocks[0],

@@ -23,27 +23,35 @@ Algorithm-style delta-criterion <Sigma(g) - Sigma_ref, Gamma> >=
 delta * phi(g) holds; a block that does not certify raises OracleError, so
 every returned result is certified.
 
-oracle_pass solves the oracles of many blocks at once. It groups the blocks
-by (divergence kind, block size) and runs each group on stacked (B, d, d)
-arrays. One batched eigendecomposition per group (of Gamma for Wasserstein,
-of the whitened gradient for KL) diagonalizes every block's dual equation,
-so a divergence and its slope cost O(d) per block and a few numpy calls per
+A pass solves the oracles of many blocks at once. Its blocks come as
+stacks of (k, d, d) arrays; it groups them by (divergence kind, block
+size), gathers each group's rows with at most one concatenate, and runs
+each group on stacked (B, d, d) arrays. The gradients are checked psd by
+their eigenvalues, and decomposed only as far as a kind reads them: one
+batched eigendecomposition per group (of Gamma for Wasserstein, of the
+whitened gradient for KL) diagonalizes every block's dual equation, so a
+divergence and its slope cost O(d) per block and a few numpy calls per
 group. The Fisher pencil does not commute, so each Fisher evaluation takes
 one batched eigendecomposition, shared by the divergence, its slope
 (Daleckii-Krein, in the pencil eigenbasis) and the dual and primal values.
 The search runs in lockstep: every unfinished block takes its own step at
 each iteration and leaves the group once it certifies, so a block's result
 does not depend on the rest of its group. What depends only on the balls is
-planned once (_plan): the groups, their stacked nominals, radii and floors,
-and the nominal factors the setups read (KL: eigenvalues and Shat^{1/2};
-Fisher: eigenvalues, Shat^{-2} and Tr Shat^{-1}). A Frank-Wolfe solve plans
-once and runs the plan at every iteration; oracle_pass plans and runs once.
-wasserstein_oracle, kl_oracle, fisher_oracle and solve_oracle are batches of
-one.
+planned once (_plan): the groups and the stack rows they gather, their
+stacked nominals, radii and floors, and the nominal factors the setups read
+(KL: eigenvalues and Shat^{1/2}; Fisher: eigenvalues, Shat^{-2} and
+Tr Shat^{-1}). _run runs a plan and returns the targets stacked like the
+references, with per-block arrays of the other results; it takes its
+stacks as checked. A Frank-Wolfe solve plans once and runs the plan at
+every iteration on its own arrays. The public wrappers check their inputs
+(shape, finiteness), run the same _run and build the OracleResult objects:
+oracle_pass plans and runs once, and wasserstein_oracle, kl_oracle,
+fisher_oracle and solve_oracle are passes of one block.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -98,9 +106,21 @@ def _stack(mats: Sequence[np.ndarray], d: int, name: str) -> np.ndarray:
     return _check_finite(np.array(mats, dtype=float), name)
 
 
-def _clean_gradients(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetrize, check psd up to -1e-8, clamp rounding negatives to zero."""
-    vals, vecs = np.linalg.eigh(symmetrize(G))
+def _clean_gradients(kind: DivergenceKind, G: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Symmetrize a (B, d, d) gradient stack and check it psd up to -1e-8.
+
+    Each block is decomposed only as far as kind's setup reads it. Returns
+    (G, top eigenvalue per block clamped at zero, eig): for Wasserstein
+    eig = (eigenvalues, eigenvectors) with the rounding negatives clamped
+    to zero and G rebuilt from them; for KL and Fisher, whose setups
+    decompose a transformed gradient and clamp that, eig = () and G is the
+    symmetrized gradient, checked by its eigenvalues alone.
+    """
+    G = symmetrize(G)
+    if kind is DivergenceKind.WASSERSTEIN2:
+        vals, vecs = np.linalg.eigh(G)
+    else:
+        vals, vecs = np.linalg.eigvalsh(G), None
     scale = 1.0 + np.abs(vals).max(axis=1)
     bad = vals[:, 0] < -_GRAD_CLAMP * scale
     if bad.any():
@@ -108,7 +128,9 @@ def _clean_gradients(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             f"gradient block is not psd: min eigenvalue {vals[bad, 0].min():.3e}"
         )
     vals = np.maximum(vals, 0.0)
-    return (vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2), vals, vecs
+    if vecs is None:
+        return G, vals[:, -1], ()
+    return (vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2), vals[:, -1], (vals, vecs)
 
 
 class _Dual(NamedTuple):
@@ -153,8 +175,9 @@ def _w2_values(g, gap, lam, s, c_ref, rho):
     return phi, (lam * m * m * s).sum(axis=1) - c_ref
 
 
-def _wasserstein(G, lam, vecs, nominal, rho, c_ref) -> _Dual:
-    """Gelbrich ball: every function of g is diagonal in the gradient eigenbasis."""
+def _wasserstein(G, nominal, rho, c_ref, lam, vecs) -> _Dual:
+    """Gelbrich ball: every function of g is diagonal in the gradient eigenbasis
+    (lam and vecs, from _clean_gradients)."""
     vecs_t = np.swapaxes(vecs, 1, 2)
     sig_t = vecs_t @ nominal @ vecs  # nominal in the gradient eigenbasis
     s = np.diagonal(sig_t, axis1=1, axis2=2).copy()
@@ -183,7 +206,7 @@ def _kl_values(g, gap, logs, lam, c_ref, rho):
     return phi, (lam * g[:, None] / gap).sum(axis=1) - c_ref
 
 
-def _kl(G, gvals, gvecs, nominal, rho, c_ref, hat_vals, root) -> _Dual:
+def _kl(G, nominal, rho, c_ref, hat_vals, root) -> _Dual:
     """KL ball: every function of g is diagonal after whitening with Shat^{1/2}.
     hat_vals and root are the nominal's eigenvalues and square root."""
     d = nominal.shape[1]
@@ -236,7 +259,7 @@ def _fisher_values(g, div, sigma, inv2, G, tr_inv_hat, c_ref, rho):
     return prim - g * (div - rho), prim
 
 
-def _fisher(G, gvals, gvecs, nominal, rho, c_ref, hat_vals, inv2, tr_inv_hat) -> _Dual:
+def _fisher(G, nominal, rho, c_ref, hat_vals, inv2, tr_inv_hat) -> _Dual:
     """Fisher ball: one pencil eigendecomposition per evaluation, none here.
     hat_vals, inv2 and tr_inv_hat are the nominal's eigenvalues, Shat^{-2}
     and t = Tr Shat^{-1}.
@@ -376,25 +399,41 @@ def _nominal_factors(kind: DivergenceKind, nominal: np.ndarray) -> tuple:
 class _Group(NamedTuple):
     """Blocks of one built-in kind and size, with what stays fixed while their
     gradients and references change: the positions idx of the blocks in the
-    pass, and stacked along axis 0 the symmetrized nominals, the radii, the
-    eigenvalue floors and the kind's nominal factors."""
+    pass; the stack rows they gather, as parts (stack, rows, count) with rows
+    a slice over the whole stack or an index array; and stacked along axis 0
+    the symmetrized nominals, the radii, the eigenvalue floors and the kind's
+    nominal factors."""
 
     kind: DivergenceKind
-    idx: list
+    idx: np.ndarray
+    parts: tuple
     nominal: np.ndarray
     rho: np.ndarray
     floors: np.ndarray
     factors: tuple
 
 
-def _group(kind, idx, nominal, rho, floors) -> _Group:
+def _group(kind, idx, parts, nominal, rho, floors) -> _Group:
     nominal = symmetrize(nominal)
-    return _Group(kind, idx, nominal, rho, floors, _nominal_factors(kind, nominal))
+    return _Group(kind, idx, parts, nominal, rho, floors, _nominal_factors(kind, nominal))
 
 
-def _solve_group(group: _Group, G, sigma_ref, delta) -> list[OracleResult]:
+class _Pass(NamedTuple):
+    """What an oracle pass returns: the targets, stacked like its references,
+    and per block, in block order, the fields of OracleResult other than
+    sigma_star."""
+
+    targets: list
+    gamma: np.ndarray
+    active: np.ndarray
+    got: np.ndarray
+    bound: np.ndarray
+    steps: np.ndarray
+
+
+def _solve_group(group: _Group, G, sigma_ref, delta) -> _Pass:
     """Oracles of the B blocks of a group, given their (B, d, d) gradients
-    and references.
+    and references; the targets are one (B, d, d) stack.
 
     Blocks with a zero (clamped) gradient return the nominal, inactive;
     blocks with rho = 0 return the nominal, active. Wasserstein outputs
@@ -402,19 +441,19 @@ def _solve_group(group: _Group, G, sigma_ref, delta) -> list[OracleResult]:
     guarantees; the check raises OracleError if rounding breaks it.
     """
     kind, nominal, rho, floors = group.kind, group.nominal, group.rho, group.floors
-    G, gvals, gvecs = _clean_gradients(G)
+    G, top, eig = _clean_gradients(kind, G)
     c_ref = (G * sigma_ref).sum(axis=(1, 2))
     sigma = nominal.copy()
     gamma = np.full(rho.size, np.nan)
     got = np.ones(rho.size)
     bound = (G * nominal).sum(axis=(1, 2)) - c_ref  # primal value of the nominal
     steps = np.zeros(rho.size, dtype=int)
-    nonzero = gvals[:, -1] > 0.0
+    nonzero = top > 0.0
     active = nonzero & (rho <= 0.0)
     live = np.flatnonzero(nonzero & (rho > 0.0))
     if live.size:
-        dual = _SETUPS[kind](G[live], gvals[live], gvecs[live], nominal[live], rho[live],
-                             c_ref[live], *(f[live] for f in group.factors))
+        dual = _SETUPS[kind](G[live], nominal[live], rho[live], c_ref[live],
+                             *(f[live] for f in eig + group.factors))
         # lo is a positive multiple of the top eigenvalue of a transformed
         # gradient; where that is zero (KL with a singular nominal) the
         # objective is flat over the ball and the nominal is optimal
@@ -428,15 +467,12 @@ def _solve_group(group: _Group, G, sigma_ref, delta) -> list[OracleResult]:
             k = blocks[floors[blocks] > 0.0]
             if k.size and (np.linalg.eigvalsh(sigma[k])[:, 0] < floors[k] - 1e-10).any():
                 raise OracleError("wasserstein oracle output violates its eigenvalue floor")
-    return [
-        OracleResult(sigma[i], float(gamma[i]), bool(active[i]), float(got[i]),
-                     float(bound[i]), int(steps[i]))
-        for i in range(rho.size)
-    ]
+    return _Pass([sigma], gamma, active, got, bound, steps)
 
 
-def _custom_oracle(ball: AmbiguityBall, Gamma, sigma_ref, delta: float) -> OracleResult:
-    """Oracle of a ball with no built-in one: its registered linearization."""
+def _custom_oracle(ball: AmbiguityBall, Gamma, sigma_ref, delta: float) -> tuple[np.ndarray, bool]:
+    """Oracle of a ball with no built-in one, by its registered linearization:
+    the target and whether it lies in the ball (its activity)."""
     if ball.kind is not DivergenceKind.MOMENT_CUSTOM:
         raise UnsupportedDivergenceError(
             f"no linearization oracle for divergence kind '{ball.kind.value}'"
@@ -447,66 +483,89 @@ def _custom_oracle(ball: AmbiguityBall, Gamma, sigma_ref, delta: float) -> Oracl
             f"divergence '{ball.custom_name}' has no linearization oracle"
         )
     sigma = handle.linearization(Gamma, ball.nominal, ball.radius, sigma_ref, delta)
-    sigma = symmetrize(_check_square(sigma, f"linearization output of '{ball.custom_name}'"))
-    return OracleResult(
-        sigma_star=sigma,
-        dual_gamma=float("nan"),
-        active=membership(ball, MomentPair.zero_mean(sigma), 1e-8),
-        subopt_delta_achieved=delta,
-        dual_bound=float("nan"),
-        steps=0,
-    )
+    what = f"linearization output of '{ball.custom_name}'"
+    sigma = symmetrize(_check_square(sigma, what))
+    if sigma.shape != Gamma.shape:
+        raise InvalidInputError(f"{what} must have shape {Gamma.shape}, got {sigma.shape}")
+    return sigma, membership(ball, MomentPair.zero_mean(sigma), 1e-8)
 
 
 class _Plan(NamedTuple):
-    """The part of an oracle pass that stays fixed over a solve: the balls,
-    their built-in groups and the positions of the custom balls."""
+    """The part of an oracle pass that stays fixed over a solve: the number
+    of blocks, the built-in groups and the custom balls, as (ball, block,
+    stack, row)."""
 
-    balls: Sequence[AmbiguityBall]
+    size: int
     groups: list
     custom: list
 
 
-def _plan(balls: Sequence[AmbiguityBall], floors: Sequence[float]) -> _Plan:
+def _plan(balls: Sequence[AmbiguityBall], floors: Sequence[float], lengths: Sequence[int]) -> _Plan:
     """Group the blocks by (kind, size) and stack each group's nominals,
-    radii, floors and nominal factors once; floors[z] is the eigenvalue
-    floor a Wasserstein output must keep."""
-    groups: dict = {}
+    radii, floors and nominal factors once. The pass's blocks come in
+    stacks of lengths[s] rows, block order running through the stacks in
+    turn; floors[z] is the eigenvalue floor a Wasserstein output of block z
+    must keep."""
+    where = [(s, r) for s, k in enumerate(lengths) for r in range(k)]
+    members: dict = {}
     custom = []
     for i, ball in enumerate(balls):
         if ball.kind in ORACLE_KINDS:
-            groups.setdefault((ball.kind, ball.nominal.dim), []).append(i)
+            members.setdefault((ball.kind, ball.nominal.dim), []).append(i)
         else:
-            custom.append(i)
-    return _Plan(balls, [
-        _group(
-            kind, idx,
+            custom.append((ball, i, *where[i]))
+    groups = []
+    for (kind, _), idx in members.items():
+        parts = []
+        for s, run in itertools.groupby((where[i] for i in idx), key=lambda place: place[0]):
+            rows = [r for _, r in run]
+            whole = len(rows) == lengths[s]
+            parts.append((s, slice(None) if whole else np.array(rows), len(rows)))
+        groups.append(_group(
+            kind, np.array(idx), tuple(parts),
             np.stack([balls[i].nominal.cov for i in idx]),
             np.array([balls[i].radius for i in idx], dtype=float),
             np.array([floors[i] for i in idx], dtype=float),
-        )
-        for (kind, _), idx in groups.items()
-    ], custom)
+        ))
+    return _Plan(len(balls), groups, custom)
 
 
-def _run(plan: _Plan, grads, refs, delta: float) -> list[OracleResult]:
-    """The oracle of every block of plan, in block order: each custom ball
-    calls its registered linearization, then each group is solved on
-    stacked arrays."""
-    results: list = [None] * len(plan.balls)
-    for i in plan.custom:
-        results[i] = _custom_oracle(plan.balls[i], grads[i], refs[i], delta)
+def _gather(stacks, parts) -> np.ndarray:
+    """A group's rows of stacks, in block order, with at most one concatenate."""
+    rows = [stacks[s][r] for s, r, _ in parts]
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+
+def _run(plan: _Plan, grads: Sequence[np.ndarray], refs: Sequence[np.ndarray],
+         delta: float) -> _Pass:
+    """The oracle of every block of plan, given the gradients and references
+    as stacks laid out as the plan's: each custom ball calls its registered
+    linearization, then each group gathers its rows and is solved on stacked
+    arrays. The stacks are taken as checked; nothing here re-checks them."""
+    size = plan.size
+    targets = [np.empty_like(R) for R in refs]
+    gamma, active = np.full(size, np.nan), np.zeros(size, dtype=bool)
+    got, bound, steps = np.full(size, delta), np.full(size, np.nan), np.zeros(size, dtype=int)
+    for ball, i, s, r in plan.custom:
+        targets[s][r], active[i] = _custom_oracle(ball, grads[s][r], refs[s][r], delta)
     for group in plan.groups:
-        d = group.nominal.shape[1]
-        solved = _solve_group(
-            group,
-            _stack([grads[i] for i in group.idx], d, "gradient"),
-            _stack([refs[i] for i in group.idx], d, "reference"),
-            delta,
-        )
-        for i, res in zip(group.idx, solved):
-            results[i] = res
-    return results
+        found = _solve_group(group, _gather(grads, group.parts), _gather(refs, group.parts), delta)
+        i = group.idx
+        gamma[i], active[i], got[i], bound[i], steps[i] = found[1:]
+        start = 0
+        for s, rows, count in group.parts:
+            targets[s][rows] = found.targets[0][start:start + count]
+            start += count
+    return _Pass(targets, gamma, active, got, bound, steps)
+
+
+def _results(found: _Pass) -> list[OracleResult]:
+    """One OracleResult per block of a pass, in block order."""
+    sigma = [S for stack in found.targets for S in stack]
+    return [
+        OracleResult(S, float(g), bool(a), float(f), float(b), int(k))
+        for S, g, a, f, b, k in zip(sigma, *found[1:])
+    ]
 
 
 def oracle_pass(
@@ -519,23 +578,29 @@ def oracle_pass(
     """Linearization oracle of every block, in block order.
 
     Block z maximizes <grads[z], Sigma - refs[z]> over balls[z]; floors[z]
-    is the eigenvalue floor a Wasserstein output must keep. Built-in kinds
-    are solved group by group on stacked arrays; a custom ball calls its
+    is the eigenvalue floor a Wasserstein output must keep. Every gradient
+    and reference is checked here (shape, finiteness). Built-in kinds are
+    solved group by group on stacked arrays; a custom ball calls its
     registered linearization. A solve plans the pass once (_plan) and runs
-    the plan at every iteration; this plans and runs it once.
+    the plan (_run) at every iteration on its own stacks; this plans and
+    runs it once, each block a stack of one.
     """
     if not len(grads) == len(refs) == len(floors) == len(balls):
         raise InvalidInputError("oracle_pass needs one gradient, reference and floor per ball")
-    return _run(_plan(balls, floors), grads, refs, delta)
+    dims = [ball.nominal.dim for ball in balls]
+    G = [_stack([M], d, "gradient") for M, d in zip(grads, dims)]
+    ref = [_stack([M], d, "reference") for M, d in zip(refs, dims)]
+    return _results(_run(_plan(balls, floors, [1] * len(balls)), G, ref, delta))
 
 
 def _solve_one(kind, Gamma, nominal_cov, rho, sigma_ref, lam_floor, delta) -> OracleResult:
+    """The oracle of one block with a bare nominal: a pass of one group of one."""
     nominal = _check_square(nominal_cov, "nominal")
     d = nominal.shape[0]
     G, ref = _stack([Gamma], d, "gradient"), _stack([sigma_ref], d, "reference")
-    group = _group(kind, [0], nominal[None], np.array([float(rho)]),
-                   np.array([float(lam_floor)]))
-    return _solve_group(group, G, ref, delta)[0]
+    group = _group(kind, np.zeros(1, dtype=int), ((0, slice(None), 1),), nominal[None],
+                   np.array([float(rho)]), np.array([float(lam_floor)]))
+    return _results(_run(_Plan(1, [group], []), [G], [ref], delta))[0]
 
 
 def wasserstein_oracle(

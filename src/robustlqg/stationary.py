@@ -198,28 +198,28 @@ def solve_stationary_fw(
     ball_v: AmbiguityBall,
     cfg: FwConfig = FwConfig(),
 ) -> tuple[np.ndarray, np.ndarray, FwTrace]:
-    """Frank-Wolfe over the two stationary blocks (Sigma_w, Sigma_v). The DARE
-    runs once. An evaluation solves the filter ARE and forms the cost, and
-    its grad() solves the one Lyapunov equation of the gradient from that
-    filter gain (_stationary_adjoint); an accepted line-search trial's
+    """Frank-Wolfe over the two stationary blocks (Sigma_w, Sigma_v), each a
+    stack of one for the driver. The DARE runs once. An evaluation solves
+    the filter ARE and forms the cost, and its grad() solves the one
+    Lyapunov equation of the gradient from that filter gain
+    (_stationary_adjoint); an accepted line-search trial's
     evaluation serves the next iteration, so each iterate's filter ARE is
     solved once."""
     if np.linalg.norm(ball_w.nominal.mean) != 0.0 or np.linalg.norm(ball_v.nominal.mean) != 0.0:
         raise InvalidInputError("stationary ambiguity balls must be zero-mean")
     P, K = solve_dare(ss)
 
-    def evaluate(blocks):
-        avg_cost, sol = _stationary_cost(ss, P, K, *blocks)
+    def evaluate(stacks):
+        avg_cost, sol = _stationary_cost(ss, P, K, stacks[0][0], stacks[1][0])
 
         def grad():
-            return _stationary_adjoint(ss, P, sol.L)
+            return [G[None] for G in _stationary_adjoint(ss, P, sol.L)]
 
         return avg_cost, grad
 
     floors = [0.0, float(np.linalg.eigvalsh(ball_v.nominal.cov).min())]
-    (Sw, Sv), trace = maximize(
-        evaluate, [ball_w, ball_v], [ball_w.nominal.cov, ball_v.nominal.cov], floors, cfg
-    )
+    start = [ball_w.nominal.cov[None], ball_v.nominal.cov[None]]
+    ((Sw,), (Sv,)), trace = maximize(evaluate, [ball_w, ball_v], start, floors, cfg)
     if not membership(ball_w, MomentPair.zero_mean(Sw), 1e-8) or not membership(
         ball_v, MomentPair.zero_mean(Sv), 1e-8
     ):

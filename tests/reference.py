@@ -29,7 +29,7 @@ from robustlqg.errors import (
     OracleError,
     UnsupportedDivergenceError,
 )
-from robustlqg.frank_wolfe import BallProfile, _lam_floors, _oracle_pass
+from robustlqg.frank_wolfe import BallProfile, _lam_floors, _oracle_pass, _stacked
 from robustlqg.gradient import GradientProfile, lqg_gradient
 from robustlqg.lqg import CovarianceProfile, LqgSolution, SystemInstance, _chol_pd, lqg_value
 from robustlqg.matops import _check_finite, sym_sqrt, symmetrize
@@ -220,7 +220,9 @@ def brute_force_oracle(
     d = ball.nominal.dim
     if d > 3:
         raise UnsupportedDivergenceError("brute-force oracle supports d <= 3 only")
-    _, lam, vecs = _clean_gradients(_stack([Gamma], d, "gradient"))
+    # the Wasserstein cleaning keeps the eigenbasis
+    G = _stack([Gamma], d, "gradient")
+    _, _, (lam, vecs) = _clean_gradients(DivergenceKind.WASSERSTEIN2, G)
     lam, vecs = lam[0], vecs[0]
     nominal = ball.nominal.cov
     if float(lam.max(initial=0.0)) <= 0.0 or ball.radius <= 0.0:
@@ -295,9 +297,10 @@ def fw_gap(
     bounds f* - f(current) (up to the oracle delta factor).
     """
     _, grad = lqg_gradient(sys, current)
-    plan = _plan(balls.blocks(), _lam_floors(balls))
-    gap, targets, _ = _oracle_pass(plan, grad.blocks(), current.blocks(), delta)
-    return gap, CovarianceProfile.from_blocks(targets, sys.T)
+    plan = _plan(balls.blocks(), _lam_floors(balls), [sys.T + 1, sys.T])
+    gap, (xw, v), _ = _oracle_pass(plan, _stacked(grad.dX0, grad.dW, grad.dV),
+                                   _stacked(current.X0, current.W, current.V), delta)
+    return gap, CovarianceProfile(X0=xw[0], W=xw[1:], V=v)
 
 
 def kalman_forward_reference(

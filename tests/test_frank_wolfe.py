@@ -407,6 +407,78 @@ def test_custom_divergence_solves_inside_its_balls():
         assert membership(ball, MomentPair.zero_mean(block), 1e-8)
 
 
+def test_mixed_kind_targets_match_the_public_pass_block_by_block(monkeypatch):
+    # W2 on X0 and W, KL on V with p != n, and a custom Frobenius ball on
+    # W[1]: the W2 group takes only some rows of the [X0; W] stack, so that
+    # stack's targets are assembled row by row, while the KL group fills the
+    # V stack whole. Each iteration's targets must be oracle_pass on that
+    # iteration's gradients and iterate, block by block and bit for bit.
+    from robustlqg import frank_wolfe
+    from robustlqg.frank_wolfe import _lam_floors
+    from robustlqg.oracles import oracle_pass
+
+    name = "frobenius-mixed-test"
+    _register_frobenius(name, _frobenius_linearization)
+    rng = np.random.default_rng(5)
+    sys = rand_system(rng, n=3, m=2, p=2, T=4)
+    cov = rand_profile(rng, sys, lo=1.0, hi=2.0)
+
+    def ball(kind, S, custom_name=""):
+        return AmbiguityBall(kind=kind, nominal=MomentPair.zero_mean(S), radius=0.3,
+                             custom_name=custom_name)
+
+    w = [ball(DivergenceKind.WASSERSTEIN2, S) for S in cov.W]
+    w[1] = ball(DivergenceKind.MOMENT_CUSTOM, cov.W[1], name)
+    balls = BallProfile(x0=ball(DivergenceKind.WASSERSTEIN2, cov.X0), w=tuple(w),
+                        v=tuple(ball(DivergenceKind.KULLBACK_LEIBLER, S) for S in cov.V))
+
+    passes = []
+    inner = frank_wolfe._oracle_pass
+
+    def recording(plan, grads, current, delta):
+        out = inner(plan, grads, current, delta)
+        passes.append((grads, current, out[1]))
+        return out
+
+    monkeypatch.setattr(frank_wolfe, "_oracle_pass", recording)
+    worst, trace = solve(sys, balls, cfg=FwConfig(gap_tol=1e-6))
+    assert trace.converged and len(passes) == len(trace.records) > 2
+
+    def flat(stacks):
+        return [S for stack in stacks for S in stack]
+
+    for grads, current, targets in passes:
+        want = oracle_pass(balls.blocks(), flat(grads), flat(current), _lam_floors(balls))
+        assert len(flat(targets)) == len(want) == 2 * sys.T + 1
+        for got, res in zip(flat(targets), want):
+            assert np.array_equal(got, res.sigma_star)
+    for b, block in zip(balls.blocks(), worst.blocks()):
+        assert membership(b, MomentPair.zero_mean(block), 1e-8)
+
+
+def test_solves_build_no_oracle_results(monkeypatch):
+    # the loop keeps its iterate, gradients and targets stacked: OracleResult
+    # objects are for the public oracle wrappers only, and a solve builds its
+    # profile from the blocks list at most once, for its return value
+    from robustlqg import oracles
+    from robustlqg.stationary import StationarySystem, solve_stationary_fw
+
+    results = counting(monkeypatch, oracles, "OracleResult")
+    profiles = counting(monkeypatch, CovarianceProfile, "from_blocks")
+    sys, model = generate_instance(3, 4, seed=1, kind=DivergenceKind.KULLBACK_LEIBLER, rho=1.0)
+    _, trace = solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-6))
+    assert len(trace.records) > 2
+    assert results == [] and len(profiles) <= 1
+
+    eye = np.eye(3)
+    ss = StationarySystem(A=sys.A[0], B=eye, C=eye, Q=eye, R=eye)
+    b_w, b_v = (AmbiguityBall(kind=DivergenceKind.WASSERSTEIN2, nominal=MomentPair.zero_mean(S),
+                              radius=0.5) for S in (model.W[0], model.V[0]))
+    _, _, trace = solve_stationary_fw(ss, b_w, b_v, FwConfig(gap_tol=1e-6))
+    assert len(trace.records) > 2
+    assert results == []
+
+
 def test_custom_divergence_without_linearization_is_unsupported():
     from robustlqg.errors import UnsupportedDivergenceError
 
@@ -513,11 +585,11 @@ def test_every_iteration_evaluates_its_own_iterate(monkeypatch, kind):
     _, trace = solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-4))
     assert trace.converged and accepted_line_searches(trace) > 0
     assert len(passes) == len(trace.records)
-    for rec, (_, grads, current, _) in zip(trace.records, passes):
-        value, grad = lqg_gradient(sys, CovarianceProfile.from_blocks(current, sys.T))
+    for rec, (_, grads, (xw, v), _) in zip(trace.records, passes):
+        value, grad = lqg_gradient(sys, CovarianceProfile(X0=xw[0], W=xw[1:], V=v))
         assert rec.objective == value
-        for got, want in zip(grads, grad.blocks()):
-            assert np.array_equal(got, want)
+        assert np.array_equal(grads[0][0], grad.dX0) and np.array_equal(grads[0][1:], grad.dW)
+        assert np.array_equal(grads[1], grad.dV)
 
 
 @pytest.mark.parametrize(

@@ -12,10 +12,12 @@ from robustlqg.divergences import (
     register_moment_divergence,
 )
 from robustlqg.errors import InvalidInputError
-from robustlqg.gradient import lqg_gradient
+from robustlqg.experiments import policy_worst_case_cost
+from robustlqg.frank_wolfe import BallProfile
+from robustlqg.gradient import GradientProfile, lqg_gradient
 from robustlqg.lqg import CovarianceProfile, SystemInstance, kalman_forward, lqg_value
 from robustlqg.matops import solve_discrete_lyapunov, sym_sqrt
-from robustlqg.oracles import oracle_pass, solve_oracle
+from robustlqg.oracles import kl_oracle, oracle_pass, solve_oracle
 from robustlqg.stationary import StationarySystem, solve_dare, solve_filter_are
 
 from conftest import rand_system
@@ -44,11 +46,12 @@ def _frobenius(candidate, nominal):
     return float(np.linalg.norm(candidate.second_moment - nominal.second_moment, "fro"))
 
 
-def _custom_call(bad):
-    name = f"non-finite-linearization-test-{bad}"
+def _custom_call(bad, output=None):
+    name = f"linearization-test-{bad}"
+    output = _poisoned(bad) if output is None else output
     register_moment_divergence(
         CustomDivergence(name=name, evaluate=_frobenius,
-                         linearization=lambda G, nominal, rho, ref, delta: _poisoned(bad)),
+                         linearization=lambda G, nominal, rho, ref, delta: output),
         MomentPair.zero_mean(I2), 0.5,
     )
     ball = AmbiguityBall(kind=DivergenceKind.MOMENT_CUSTOM, nominal=MomentPair.zero_mean(I2),
@@ -56,7 +59,31 @@ def _custom_call(bad):
     return lambda: solve_oracle(ball, I2, I2)
 
 
+def _w2_ball():
+    return AmbiguityBall(kind=DivergenceKind.WASSERSTEIN2, nominal=MomentPair.zero_mean(I2),
+                         radius=0.5)
+
+
+# the oracles' public wrappers (and the fixed-policy worst case, one oracle
+# pass) check gradients and references; the Frank-Wolfe loop, which builds
+# its own, does not check them again
+ORACLE_ENTRY_POINTS = {
+    "oracle_pass.grads": lambda M: lambda: oracle_pass([_w2_ball()] * 2, [I2, M], [I2, I2],
+                                                       [0.0, 0.0]),
+    "oracle_pass.refs": lambda M: lambda: oracle_pass([_w2_ball()] * 2, [I2, I2], [I2, M],
+                                                      [0.0, 0.0]),
+    "solve_oracle.Gamma": lambda M: lambda: solve_oracle(_w2_ball(), M, I2),
+    "solve_oracle.sigma_ref": lambda M: lambda: solve_oracle(_w2_ball(), I2, M),
+    "kl_oracle.Gamma": lambda M: lambda: kl_oracle(M, I2, 0.5, I2),
+    "kl_oracle.sigma_ref": lambda M: lambda: kl_oracle(I2, I2, 0.5, M),
+    "policy_worst_case_cost.coeffs": lambda M: lambda: policy_worst_case_cost(
+        GradientProfile(dX0=M, dW=np.stack([I2, I2]), dV=np.stack([I2, I2])),
+        BallProfile(x0=_w2_ball(), w=(_w2_ball(),) * 2, v=(_w2_ball(),) * 2),
+    ),
+}
+
 ENTRY_POINTS = {
+    **ORACLE_ENTRY_POINTS,
     "MomentPair": lambda M: lambda: MomentPair.zero_mean(M),
     "CovarianceProfile.X0": lambda M: _profile_call(X0=M),
     "CovarianceProfile.W": lambda M: _profile_call(W=np.stack([I2, M])),
@@ -85,6 +112,20 @@ def test_misshaped_noise_stacks_raise_typed_errors(name, shape):
     stack = np.ones(shape) + np.eye(shape[1], shape[2])
     with pytest.raises(InvalidInputError):
         _profile_call(**{name: stack})()
+
+
+def test_misshaped_custom_linearization_output_raises():
+    # the output of a registered linearization is input from outside: a 3x3
+    # target for a 2x2 ball is rejected where it enters the pass
+    with pytest.raises(InvalidInputError, match="must have shape"):
+        _custom_call("misshaped", np.eye(3))()
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3)], ids=["wrong-size", "non-square"])
+@pytest.mark.parametrize("entry", ORACLE_ENTRY_POINTS)
+def test_oracle_entry_points_reject_misshaped_blocks(entry, shape):
+    with pytest.raises(InvalidInputError):
+        ORACLE_ENTRY_POINTS[entry](np.ones(shape) + np.eye(*shape))()
 
 
 @pytest.mark.parametrize("which", ["grads", "refs", "floors"])

@@ -536,13 +536,13 @@ def test_dual_slope_matches_finite_differences(kind):
     from robustlqg.oracles import _SETUPS, _clean_gradients, _plan
 
     balls, grads, refs, floors = _mixed_batch(8, 3, 3, 3, [kind], 0.5)
-    (group,) = _plan(balls, floors).groups
-    G, gvals, gvecs = _clean_gradients(np.array(grads))
+    (group,) = _plan(balls, floors, [len(balls)]).groups
+    G, top, eig = _clean_gradients(kind, np.array(grads))
     rho = group.rho
-    live = np.flatnonzero((gvals[:, -1] > 0.0) & (rho > 0.0))
+    live = np.flatnonzero((top > 0.0) & (rho > 0.0))
     c_ref = (G * np.array(refs)).sum(axis=(1, 2))[live]
-    dual = _SETUPS[kind](G[live], gvals[live], gvecs[live], group.nominal[live], rho[live], c_ref,
-                         *(f[live] for f in group.factors))
+    dual = _SETUPS[kind](G[live], group.nominal[live], rho[live], c_ref,
+                         *(f[live] for f in eig + group.factors))
     assert dual.lo.size >= 4
     for t in (0.05, 0.3, 0.9):
         g = dual.lo + t * (dual.hi - dual.lo)
@@ -570,12 +570,12 @@ def test_fisher_pencil_runs_once_per_counted_evaluation(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(oracles, "_pencil", counting)
-    (group,) = oracles._plan(balls, floors).groups
-    G, gvals, gvecs = oracles._clean_gradients(np.array(grads))
+    (group,) = oracles._plan(balls, floors, [len(balls)]).groups
+    G, top, _ = oracles._clean_gradients(DivergenceKind.FISHER, np.array(grads))
     rho = group.rho
-    live = np.flatnonzero((gvals[:, -1] > 0.0) & (rho > 0.0))
+    live = np.flatnonzero((top > 0.0) & (rho > 0.0))
     c_ref = (G * np.array(refs)).sum(axis=(1, 2))[live]
-    oracles._fisher(G[live], gvals[live], gvecs[live], group.nominal[live], rho[live], c_ref,
+    oracles._fisher(G[live], group.nominal[live], rho[live], c_ref,
                     *(f[live] for f in group.factors))
     assert calls == []
     steps = [r.steps for r in oracle_pass(balls, grads, refs, floors)]
@@ -625,7 +625,7 @@ def test_fisher_upper_bracket_end_is_feasible(seed, d, log_rho, log_cond, rank_o
     X = rng.standard_normal((d, 1 if rank_one else d))
     Gamma = symmetrize(X @ X.T)
     rho = 10.0**log_rho
-    dual = _fisher(Gamma[None], None, None, nominal[None], np.array([rho]), np.zeros(1),
+    dual = _fisher(Gamma[None], nominal[None], np.array([rho]), np.zeros(1),
                    *_nominal_factors(DivergenceKind.FISHER, nominal[None]))
     lo, hi = float(dual.lo[0]), float(dual.hi[0])
     assert 0.0 < lo < hi

@@ -417,10 +417,10 @@ def test_every_stationary_iteration_evaluates_its_own_iterate(monkeypatch, kind)
                                       FwConfig(gap_tol=1e-6))
     assert trace.converged and accepted_line_searches(trace) > 0
     assert len(passes) == len(trace.records)
-    for rec, (_, grads, current, _) in zip(trace.records, passes):
-        value, want = stationary_gradient(ss, *current)
+    for rec, (_, grads, ((Sw,), (Sv,)), _) in zip(trace.records, passes):
+        value, want = stationary_gradient(ss, Sw, Sv)
         assert rec.objective == value
-        for got, w in zip(grads, want):
+        for (got,), w in zip(grads, want):
             assert np.array_equal(got, w)
 
 
