@@ -55,17 +55,6 @@ from .oracles import (
     solve_oracle,
     wasserstein_oracle,
 )
-from .stacked import (
-    AffinePolicy,
-    ConvertDirection,
-    StackedSystem,
-    affine_objective,
-    build_stacked,
-    kalman_policy_to_purified,
-    optimal_intercept,
-    policy_convert,
-    solve_inner_policy,
-)
 from .stationary import (
     StationarySolution,
     StationarySystem,

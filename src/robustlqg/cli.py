@@ -40,7 +40,6 @@ def _add_common(sub: argparse.ArgumentParser, mandatory: bool = False) -> None:
     sub.add_argument("--out", dest="output_dir", required=req)
     sub.add_argument("--max-iters", type=int)
     sub.add_argument("--gap-tol", type=float)
-    sub.add_argument("--oracle-delta", type=float)
     sub.add_argument("--step-rule", choices=["vanishing", "line_search"],
                      help="FW step size: line_search (default, backtracking) or "
                           "vanishing (2/(2+k))")
@@ -85,9 +84,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     _check_keys(raw, ExperimentConfig, "")
     fw_raw = dict(raw.pop("fw", {}))
     _check_keys(fw_raw, FwConfig, "fw.")
-    for attr, key in (("max_iters", "max_iters"), ("gap_tol", "gap_tol"),
-                      ("oracle_delta", "oracle_delta"), ("step_rule", "step_rule")):
-        val = getattr(args, attr, None)
+    for key in ("max_iters", "gap_tol", "step_rule"):
+        val = getattr(args, key, None)
         if val is not None:
             fw_raw[key] = val
     raw["fw"] = FwConfig(**fw_raw)

@@ -218,7 +218,7 @@ class CustomDivergence:
     """A user-registered moment divergence.
 
     evaluate(candidate, nominal) -> float (may return +inf);
-    linearization(gradient, nominal, rho, reference, delta) -> covariance
+    linearization(gradient, nominal, rho, reference) -> covariance
     maximizing <gradient, Sigma> over the ball, or None if unavailable.
     """
 

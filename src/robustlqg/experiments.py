@@ -112,15 +112,27 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     atomic_write_text(path, _csv_text(header, rows))
 
 
+def _blas_build() -> dict:
+    """Name and version of the BLAS numpy was built against, each None where
+    numpy does not report it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (AttributeError, KeyError, TypeError):
+        blas = {}
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def write_metadata(cfg: ExperimentConfig, outdir: Path, wall_seconds: float) -> None:
     """metadata.json: the config and its hash, the library and numpy versions,
-    the BLAS thread variables (null when unset), the RNG and the wall time."""
+    the BLAS build and thread variables (null when unknown or unset), the RNG
+    and the wall time."""
     meta = {
         "schema": 1,
         "experiment": cfg.experiment,
         "seeds": list(cfg.seeds),
         "config_hash": config_hash(cfg),
         "numpy_version": np.__version__,
+        "blas": _blas_build(),
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         "library_version": __version__,
         "rng": RNG_ALGORITHM,
@@ -209,7 +221,7 @@ def run_runtime(cfg: ExperimentConfig) -> dict:
     return {"all_converged": all_converged, "rows": rows}
 
 
-def policy_worst_case_cost(coeffs: GradientProfile, balls, delta: float = 0.95):
+def policy_worst_case_cost(coeffs: GradientProfile, balls):
     """Worst-case expected cost of a fixed zero-mean linear policy.
 
     coeffs are the policy's per-block cost coefficients (trace pairing); for
@@ -227,7 +239,7 @@ def policy_worst_case_cost(coeffs: GradientProfile, balls, delta: float = 0.95):
     for G in grads:
         _check_finite(G, "cost coefficients")
     plan = _plan(balls.blocks(), _lam_floors(balls), [balls.T + 1, balls.T])
-    worst = _run(plan, grads, _stacked(nominal.X0, nominal.W, nominal.V), delta).targets
+    worst = _run(plan, grads, _stacked(nominal.X0, nominal.W, nominal.V)).targets
     return _inner(grads, worst), [S for stack in worst for S in stack]
 
 
@@ -262,8 +274,8 @@ def run_gaps(cfg: ExperimentConfig) -> dict:
             _, c_nom = _lqg_gradient(sys, P, nominal_cov)
             worst_profile, trace = solve(sys, balls, cfg=cfg.fw)
             _, c_rob = _lqg_gradient(sys, P, worst_profile)
-            wc_nom, _ = policy_worst_case_cost(c_nom, balls, cfg.fw.oracle_delta)
-            wc_rob, _ = policy_worst_case_cost(c_rob, balls, cfg.fw.oracle_delta)
+            wc_nom, _ = policy_worst_case_cost(c_nom, balls)
+            wc_rob, _ = policy_worst_case_cost(c_rob, balls)
             nom_nom = policy_nominal_cost(c_nom, nominal_cov)
             nom_rob = policy_nominal_cost(c_rob, nominal_cov)
             rows.append([float(rho), seed, repr(wc_nom - wc_rob), repr(nom_rob - nom_nom)])

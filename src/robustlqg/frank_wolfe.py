@@ -50,7 +50,6 @@ _ARMIJO = 0.1  # share of the surrogate gap a line-search step must gain
 class FwConfig:
     max_iters: int = 500
     gap_tol: float = 1e-3
-    oracle_delta: float = 0.95
     # "line_search": backtracking from alpha = 1, halving down to 2/(2+k);
     # "vanishing": the open-loop alpha = 2/(2+k)
     step_rule: str = "line_search"
@@ -60,8 +59,6 @@ class FwConfig:
             raise InvalidInputError("max_iters must be >= 1")
         if not (np.isfinite(self.gap_tol) and self.gap_tol > 0.0):
             raise InvalidInputError("gap_tol must be positive and finite")
-        if not 0.0 < self.oracle_delta < 1.0:
-            raise InvalidInputError("oracle_delta must lie in (0, 1)")
         if self.step_rule not in ("vanishing", "line_search"):
             raise InvalidInputError(f"unknown step rule '{self.step_rule}'")
 
@@ -169,11 +166,11 @@ def _inner(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> float:
     return sum(v for x, y in zip(xs, ys) for v in (x * y).sum(axis=(1, 2)).tolist())
 
 
-def _oracle_pass(plan, grads, current, delta):
+def _oracle_pass(plan, grads, current):
     """Oracle targets, stacked like current, the surrogate gap
     sum_z <G_z, Sigma_z* - Sigma_z> and the root-search steps summed over
     blocks, for an oracles._plan."""
-    found = _run(plan, grads, current, delta)
+    found = _run(plan, grads, current)
     diff = [star - S for S, star in zip(current, found.targets)]
     return _inner(grads, diff), found.targets, int(found.steps.sum())
 
@@ -221,7 +218,8 @@ def maximize(
     accepts is its trial's stacks, and the next iteration uses that trial's
     evaluation as it is, so every iterate is evaluated once. floors are the
     oracles' eigenvalue floors. The oracle pass is planned once per call
-    (oracles._plan), which factors each ball's nominal once.
+    (oracles._plan), before the first evaluation; planning factors each
+    ball's nominal once and rejects a nonzero nominal mean.
     Iterates move as (1 - alpha) * current + alpha * targets, one array
     expression per stack. By default
     alpha is the largest of 1, 1/2, 1/4, ... above 2/(2+k) whose step gains
@@ -240,7 +238,7 @@ def maximize(
         objective, grad = evaluate(current) if evaluation is None else evaluation
         grads = grad()
         t_oracle = time.perf_counter()
-        gap, targets, steps = _oracle_pass(plan, grads, current, cfg.oracle_delta)
+        gap, targets, steps = _oracle_pass(plan, grads, current)
         t_ls = time.perf_counter()
         trials, ls_s, evaluation = 0, 0.0, None
         if gap <= cfg.gap_tol:

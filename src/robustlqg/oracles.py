@@ -19,9 +19,9 @@ trust-region secular equation of More & Sorensen, 1983; q = 2 for KL and
 Fisher), so the form is close to linear in g. A bisection step replaces
 Newton whenever it would leave the bracket. The search stops once the
 candidate is feasible, the constraint is active to 1e-6, and the
-Algorithm-style delta-criterion <Sigma(g) - Sigma_ref, Gamma> >=
-delta * phi(g) holds; a block that does not certify raises OracleError, so
-every returned result is certified.
+delta-criterion <Sigma(g) - Sigma_ref, Gamma> >= delta * phi(g) holds for
+the fixed delta = _DELTA; a block that does not certify raises OracleError,
+so every returned result is certified.
 
 A pass solves the oracles of many blocks at once. Its blocks come as
 stacks of (k, d, d) arrays; it groups them by (divergence kind, block
@@ -75,6 +75,9 @@ ORACLE_KINDS = frozenset(
 _GRAD_CLAMP = 1e-8
 _MAX_STEPS = 200
 _ACTIVITY_TOL = 1e-6
+# the certified fraction of the dual bound every built-in oracle meets, and
+# the one a custom linearization, which has no dual, reports
+_DELTA = 0.95
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,9 @@ class OracleResult:
     """Output of a linearization oracle.
 
     sigma_star is feasible in the ball; active marks a tight constraint;
-    subopt_delta_achieved is the certified fraction of the dual bound.
+    subopt_delta_achieved is the certified fraction of the dual bound, at
+    least _DELTA up to a rounding floor (a custom linearization reports
+    _DELTA itself).
     dual_bound is phi(dual_gamma) relative to sigma_ref, an upper bound on
     max <Gamma, Sigma - sigma_ref> over the ball; a block that needs no
     root search (zero gradient, rho = 0) reports its own primal value, and a
@@ -293,7 +298,7 @@ _SETUPS = {
 }
 
 
-def _newton(kind: str, dual: _Dual, blocks: np.ndarray, delta: float, d: int):
+def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
     """Lockstep safeguarded Newton on the blocks of a group; div(g) must decrease.
 
     Each block starts at its upper bracket end and steps on the reciprocal
@@ -307,7 +312,7 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, delta: float, d: int):
     is accepted once its candidate is feasible to rho + 1e-8 (the bracket
     ends are tight for identity-like gradients, so the optimal gamma can sit
     exactly on one, and for d = 1 under Wasserstein lo = hi), active to
-    1e-6, and meets the delta criterion, which is floored at
+    1e-6, and meets the delta criterion for delta = _DELTA, floored at
     1e-9 * max(1, scale) because it cannot certify improvements below
     rounding level (e.g. when the reference already sits at the optimum).
     Accepted blocks leave the arrays of the live ones, each with its
@@ -333,7 +338,7 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, delta: float, d: int):
             return near.nonzero()[0]
         j = np.flatnonzero(near & (div <= rho + 1e-8))
         phi, prim = dual.values(g[j], *(a[j] for a in aux + parts))
-        passed = prim + floor[pos[j]] >= delta * phi
+        passed = prim + floor[pos[j]] >= _DELTA * phi
         j, phi, prim = j[passed], phi[passed], prim[passed]
         b = pos[j]
         certified = phi > floor[b]
@@ -431,7 +436,7 @@ class _Pass(NamedTuple):
     steps: np.ndarray
 
 
-def _solve_group(group: _Group, G, sigma_ref, delta) -> _Pass:
+def _solve_group(group: _Group, G, sigma_ref) -> _Pass:
     """Oracles of the B blocks of a group, given their (B, d, d) gradients
     and references; the targets are one (B, d, d) stack.
 
@@ -460,7 +465,7 @@ def _solve_group(group: _Group, G, sigma_ref, delta) -> _Pass:
         todo = np.flatnonzero(dual.lo > 0.0)
         blocks = live[todo]
         gamma[blocks], got[blocks], bound[blocks], steps[blocks], sigma[blocks] = _newton(
-            kind.value, dual, todo, delta, nominal.shape[1]
+            kind.value, dual, todo, nominal.shape[1]
         )
         active[blocks] = True
         if kind is DivergenceKind.WASSERSTEIN2:
@@ -470,7 +475,7 @@ def _solve_group(group: _Group, G, sigma_ref, delta) -> _Pass:
     return _Pass([sigma], gamma, active, got, bound, steps)
 
 
-def _custom_oracle(ball: AmbiguityBall, Gamma, sigma_ref, delta: float) -> tuple[np.ndarray, bool]:
+def _custom_oracle(ball: AmbiguityBall, Gamma, sigma_ref) -> tuple[np.ndarray, bool]:
     """Oracle of a ball with no built-in one, by its registered linearization:
     the target and whether it lies in the ball (its activity)."""
     if ball.kind is not DivergenceKind.MOMENT_CUSTOM:
@@ -482,7 +487,7 @@ def _custom_oracle(ball: AmbiguityBall, Gamma, sigma_ref, delta: float) -> tuple
         raise UnsupportedDivergenceError(
             f"divergence '{ball.custom_name}' has no linearization oracle"
         )
-    sigma = handle.linearization(Gamma, ball.nominal, ball.radius, sigma_ref, delta)
+    sigma = handle.linearization(Gamma, ball.nominal, ball.radius, sigma_ref)
     what = f"linearization output of '{ball.custom_name}'"
     sigma = symmetrize(_check_square(sigma, what))
     if sigma.shape != Gamma.shape:
@@ -505,7 +510,10 @@ def _plan(balls: Sequence[AmbiguityBall], floors: Sequence[float], lengths: Sequ
     radii, floors and nominal factors once. The pass's blocks come in
     stacks of lengths[s] rows, block order running through the stacks in
     turn; floors[z] is the eigenvalue floor a Wasserstein output of block z
-    must keep."""
+    must keep. Every oracle works with zero-mean Gaussians, so a ball with a
+    nonzero nominal mean raises InvalidInputError."""
+    if any(ball.nominal.mean.any() for ball in balls):
+        raise InvalidInputError("ambiguity balls must have a zero nominal mean")
     where = [(s, r) for s, k in enumerate(lengths) for r in range(k)]
     members: dict = {}
     custom = []
@@ -536,8 +544,7 @@ def _gather(stacks, parts) -> np.ndarray:
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
-def _run(plan: _Plan, grads: Sequence[np.ndarray], refs: Sequence[np.ndarray],
-         delta: float) -> _Pass:
+def _run(plan: _Plan, grads: Sequence[np.ndarray], refs: Sequence[np.ndarray]) -> _Pass:
     """The oracle of every block of plan, given the gradients and references
     as stacks laid out as the plan's: each custom ball calls its registered
     linearization, then each group gathers its rows and is solved on stacked
@@ -545,11 +552,11 @@ def _run(plan: _Plan, grads: Sequence[np.ndarray], refs: Sequence[np.ndarray],
     size = plan.size
     targets = [np.empty_like(R) for R in refs]
     gamma, active = np.full(size, np.nan), np.zeros(size, dtype=bool)
-    got, bound, steps = np.full(size, delta), np.full(size, np.nan), np.zeros(size, dtype=int)
+    got, bound, steps = np.full(size, _DELTA), np.full(size, np.nan), np.zeros(size, dtype=int)
     for ball, i, s, r in plan.custom:
-        targets[s][r], active[i] = _custom_oracle(ball, grads[s][r], refs[s][r], delta)
+        targets[s][r], active[i] = _custom_oracle(ball, grads[s][r], refs[s][r])
     for group in plan.groups:
-        found = _solve_group(group, _gather(grads, group.parts), _gather(refs, group.parts), delta)
+        found = _solve_group(group, _gather(grads, group.parts), _gather(refs, group.parts))
         i = group.idx
         gamma[i], active[i], got[i], bound[i], steps[i] = found[1:]
         start = 0
@@ -573,7 +580,6 @@ def oracle_pass(
     grads: Sequence[np.ndarray],
     refs: Sequence[np.ndarray],
     floors: Sequence[float],
-    delta: float = 0.95,
 ) -> list[OracleResult]:
     """Linearization oracle of every block, in block order.
 
@@ -590,17 +596,17 @@ def oracle_pass(
     dims = [ball.nominal.dim for ball in balls]
     G = [_stack([M], d, "gradient") for M, d in zip(grads, dims)]
     ref = [_stack([M], d, "reference") for M, d in zip(refs, dims)]
-    return _results(_run(_plan(balls, floors, [1] * len(balls)), G, ref, delta))
+    return _results(_run(_plan(balls, floors, [1] * len(balls)), G, ref))
 
 
-def _solve_one(kind, Gamma, nominal_cov, rho, sigma_ref, lam_floor, delta) -> OracleResult:
+def _solve_one(kind, Gamma, nominal_cov, rho, sigma_ref, lam_floor) -> OracleResult:
     """The oracle of one block with a bare nominal: a pass of one group of one."""
     nominal = _check_square(nominal_cov, "nominal")
     d = nominal.shape[0]
     G, ref = _stack([Gamma], d, "gradient"), _stack([sigma_ref], d, "reference")
     group = _group(kind, np.zeros(1, dtype=int), ((0, slice(None), 1),), nominal[None],
                    np.array([float(rho)]), np.array([float(lam_floor)]))
-    return _results(_run(_Plan(1, [group], []), [G], [ref], delta))[0]
+    return _results(_run(_Plan(1, [group], []), [G], [ref]))[0]
 
 
 def wasserstein_oracle(
@@ -609,7 +615,6 @@ def wasserstein_oracle(
     rho: float,
     sigma_ref: np.ndarray,
     lam_floor: float = 0.0,
-    delta: float = 0.95,
 ) -> OracleResult:
     """Maximize <Gamma, Sigma - sigma_ref> over the Gelbrich ball.
 
@@ -620,8 +625,7 @@ def wasserstein_oracle(
     The output dominates lam_floor * I automatically because g(gI-Gamma)^{-1}
     has eigenvalues >= 1.
     """
-    return _solve_one(DivergenceKind.WASSERSTEIN2, Gamma, nominal_cov, rho, sigma_ref,
-                      lam_floor, delta)
+    return _solve_one(DivergenceKind.WASSERSTEIN2, Gamma, nominal_cov, rho, sigma_ref, lam_floor)
 
 
 def kl_oracle(
@@ -629,7 +633,6 @@ def kl_oracle(
     nominal_cov: np.ndarray,
     rho: float,
     sigma_ref: np.ndarray,
-    delta: float = 0.95,
 ) -> OracleResult:
     """Maximize <Gamma, Sigma - sigma_ref> over the KL-type divergence ball.
 
@@ -639,8 +642,7 @@ def kl_oracle(
     Shat^{1/2} Gamma Shat^{1/2}, by safeguarded Newton from the upper end
     with bisection as the fallback.
     """
-    return _solve_one(DivergenceKind.KULLBACK_LEIBLER, Gamma, nominal_cov, rho, sigma_ref,
-                      0.0, delta)
+    return _solve_one(DivergenceKind.KULLBACK_LEIBLER, Gamma, nominal_cov, rho, sigma_ref, 0.0)
 
 
 def fisher_oracle(
@@ -648,7 +650,6 @@ def fisher_oracle(
     nominal_cov: np.ndarray,
     rho: float,
     sigma_ref: np.ndarray,
-    delta: float = 0.95,
 ) -> OracleResult:
     """Maximize <Gamma, Sigma - sigma_ref> over the Fisher divergence ball.
 
@@ -659,7 +660,7 @@ def fisher_oracle(
     [lo, lo / (1 - (1 + rho/t)^{-2})], lo = lam_max(Shat Gamma Shat) (where
     the pencil loses definiteness) and t = Tr Shat^{-1}.
     """
-    return _solve_one(DivergenceKind.FISHER, Gamma, nominal_cov, rho, sigma_ref, 0.0, delta)
+    return _solve_one(DivergenceKind.FISHER, Gamma, nominal_cov, rho, sigma_ref, 0.0)
 
 
 def solve_oracle(
@@ -667,7 +668,6 @@ def solve_oracle(
     Gamma: np.ndarray,
     sigma_ref: np.ndarray,
     lam_floor: float = 0.0,
-    delta: float = 0.95,
 ) -> OracleResult:
     """The oracle for the ball's divergence kind: oracle_pass on one block."""
-    return oracle_pass([ball], [Gamma], [sigma_ref], [lam_floor], delta)[0]
+    return oracle_pass([ball], [Gamma], [sigma_ref], [lam_floor])[0]

@@ -205,8 +205,6 @@ def solve_stationary_fw(
     (_stationary_adjoint); an accepted line-search trial's
     evaluation serves the next iteration, so each iterate's filter ARE is
     solved once."""
-    if np.linalg.norm(ball_w.nominal.mean) != 0.0 or np.linalg.norm(ball_v.nominal.mean) != 0.0:
-        raise InvalidInputError("stationary ambiguity balls must be zero-mean")
     P, K = solve_dare(ss)
 
     def evaluate(stacks):

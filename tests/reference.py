@@ -289,17 +289,16 @@ def fw_gap(
     sys: SystemInstance,
     balls: BallProfile,
     current: CovarianceProfile,
-    delta: float = 0.95,
 ) -> tuple[float, CovarianceProfile]:
     """Surrogate duality gap and oracle targets at the current profile.
 
     gap = sum_z <grad_z f, Sigma_z* - Sigma_z>; for concave f this upper
-    bounds f* - f(current) (up to the oracle delta factor).
+    bounds f* - f(current) (up to the oracles' fixed delta = 0.95 factor).
     """
     _, grad = lqg_gradient(sys, current)
     plan = _plan(balls.blocks(), _lam_floors(balls), [sys.T + 1, sys.T])
     gap, (xw, v), _ = _oracle_pass(plan, _stacked(grad.dX0, grad.dW, grad.dV),
-                                   _stacked(current.X0, current.W, current.V), delta)
+                                   _stacked(current.X0, current.W, current.V))
     return gap, CovarianceProfile(X0=xw[0], W=xw[1:], V=v)
 
 

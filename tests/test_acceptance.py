@@ -95,11 +95,11 @@ def test_criterion_2_oracle_exactness():
     rng = np.random.default_rng(202)
     runners = {
         DivergenceKind.WASSERSTEIN2:
-            lambda G, S, r, ref: wasserstein_oracle(G, S, r, ref, 0.0, 0.95),
+            lambda G, S, r, ref: wasserstein_oracle(G, S, r, ref),
         DivergenceKind.KULLBACK_LEIBLER:
-            lambda G, S, r, ref: kl_oracle(G, S, r, ref, 0.95),
+            lambda G, S, r, ref: kl_oracle(G, S, r, ref),
         DivergenceKind.FISHER:
-            lambda G, S, r, ref: fisher_oracle(G, S, r, ref, 0.95),
+            lambda G, S, r, ref: fisher_oracle(G, S, r, ref),
     }
     divs = {
         DivergenceKind.WASSERSTEIN2: gelbrich,

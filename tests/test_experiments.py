@@ -14,6 +14,7 @@ from robustlqg.experiments import (
     run_gaps,
     run_runtime,
     config_hash,
+    write_metadata,
 )
 from robustlqg.frank_wolfe import FwConfig
 from robustlqg.instances import generate_instance, instance_rng
@@ -91,6 +92,17 @@ def test_run_gaps_schema_and_roundtrip(tmp_path, monkeypatch):
     assert meta["numpy_version"] == np.__version__
     assert meta["threads"] == {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": None,
                                "MKL_NUM_THREADS": None}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert meta["blas"] == {"name": blas["name"], "version": blas["version"]}
+
+
+def test_metadata_blas_is_null_where_numpy_does_not_report_it(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(output_dir=str(tmp_path))
+    monkeypatch.setattr(np, "show_config", lambda mode: {"Build Dependencies": {}})
+    write_metadata(cfg, tmp_path, 0.0)
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["blas"] == {"name": None, "version": None}
+    assert meta["config_hash"] == config_hash(cfg)
 
 
 def test_run_gaps_runs_two_riccati_sweeps_per_point(tmp_path, monkeypatch):
@@ -228,9 +240,12 @@ def test_cli_invalid_input_exit_code(tmp_path, capsys, flag, value):
     assert not (tmp_path / "bad").exists()
 
 
-@pytest.mark.parametrize("fw", [False, True])
-def test_cli_unknown_config_key_exit_code(tmp_path, capsys, fw):
-    body = {"fw": {"bogus": 1}} if fw else {"bogus": 1}
+# an old config that still sets fw.oracle_delta is rejected like any unknown key
+@pytest.mark.parametrize("body,key", [
+    ({"bogus": 1}, "bogus"), ({"fw": {"bogus": 1}}, "fw.bogus"),
+    ({"fw": {"oracle_delta": 0.95}}, "fw.oracle_delta"),
+], ids=["top", "fw", "fw.oracle_delta"])
+def test_cli_unknown_config_key_exit_code(tmp_path, capsys, body, key):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(body))
     code = cli_main(["solve", "--config", str(cfg_path), "--seed", "0", "--rho", "0.1",
@@ -239,8 +254,14 @@ def test_cli_unknown_config_key_exit_code(tmp_path, capsys, fw):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "InvalidInputError"
-    assert ("fw.bogus" if fw else "bogus") in err["message"]
+    assert err["message"] == f"unknown config key(s): {key}"
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_has_no_oracle_delta_flag(tmp_path):
+    # the oracles certify a fixed fraction (0.95) of their dual bound
+    with pytest.raises(SystemExit):
+        cli_main(["solve", "--oracle-delta", "0.5", "--out", str(tmp_path / "out")])
 
 
 def test_divergence_without_oracle_rejected_at_config(tmp_path, capsys):

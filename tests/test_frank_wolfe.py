@@ -277,8 +277,6 @@ def test_config_validation():
         with pytest.raises(InvalidInputError):
             FwConfig(max_iters=max_iters)
     with pytest.raises(InvalidInputError):
-        FwConfig(oracle_delta=1.0)
-    with pytest.raises(InvalidInputError):
         FwConfig(step_rule="bogus")
 
 
@@ -295,7 +293,7 @@ def test_saddle_point_identity_end_to_end():
         worst, trace = solve(sys, balls, cfg=FwConfig(max_iters=2000, gap_tol=1e-8))
         assert trace.converged
         fw_value = lqg_value(sys, worst).cost
-        wc, _ = policy_worst_case_cost(lqg_gradient(sys, worst)[1], balls, 0.95)
+        wc, _ = policy_worst_case_cost(lqg_gradient(sys, worst)[1], balls)
         assert wc == pytest.approx(fw_value, rel=1e-5)
 
 
@@ -370,7 +368,7 @@ def _frobenius(candidate, nominal):
     return float(np.linalg.norm(candidate.second_moment - nominal.second_moment, "fro"))
 
 
-def _frobenius_linearization(gradient, nominal, rho, reference, delta):
+def _frobenius_linearization(gradient, nominal, rho, reference):
     # <G, Sigma> over ||Sigma - Shat||_F <= rho is maximized along G itself
     norm = np.linalg.norm(gradient, "fro")
     return nominal.cov + (rho / norm) * gradient if norm > 0.0 else nominal.cov
@@ -435,8 +433,8 @@ def test_mixed_kind_targets_match_the_public_pass_block_by_block(monkeypatch):
     passes = []
     inner = frank_wolfe._oracle_pass
 
-    def recording(plan, grads, current, delta):
-        out = inner(plan, grads, current, delta)
+    def recording(plan, grads, current):
+        out = inner(plan, grads, current)
         passes.append((grads, current, out[1]))
         return out
 
@@ -514,7 +512,7 @@ def test_default_line_search_matches_vanishing_in_half_the_iterations(kind):
     worst, trace = solve(sys, balls, cfg=FwConfig(gap_tol=gap_tol))
     worst_v, trace_v = solve(sys, balls, cfg=FwConfig(gap_tol=gap_tol, step_rule="vanishing"))
     assert trace.converged and trace_v.converged
-    # each run is within gap_tol / oracle_delta of the maximum
+    # each run is within gap_tol / 0.95 (the oracles' fixed delta) of the maximum
     assert lqg_value(sys, worst).cost == pytest.approx(
         lqg_value(sys, worst_v).cost, abs=gap_tol / 0.95
     )
@@ -585,7 +583,7 @@ def test_every_iteration_evaluates_its_own_iterate(monkeypatch, kind):
     _, trace = solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-4))
     assert trace.converged and accepted_line_searches(trace) > 0
     assert len(passes) == len(trace.records)
-    for rec, (_, grads, (xw, v), _) in zip(trace.records, passes):
+    for rec, (_, grads, (xw, v)) in zip(trace.records, passes):
         value, grad = lqg_gradient(sys, CovarianceProfile(X0=xw[0], W=xw[1:], V=v))
         assert rec.objective == value
         assert np.array_equal(grads[0][0], grad.dX0) and np.array_equal(grads[0][1:], grad.dW)
@@ -647,3 +645,21 @@ def test_iterations_log_at_debug_only(caplog, monkeypatch):
         msg = line.getMessage()
         assert msg.startswith(f"fw iter {rec.iter} objective {rec.objective:.12g} ")
         assert f"oracle_steps {rec.oracle_steps} ls_trials {rec.ls_trials}" in msg
+
+
+@pytest.mark.parametrize("kind", [DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER])
+def test_kl_and_fisher_worst_cases_dominate_their_nominals(kind):
+    # the paper's Loewner inflation, for the divergences where it provably
+    # holds: the KL and Fisher oracle maps (Shat^{-1} - Gamma/g)^{-1} and
+    # (Shat^{-2} - Gamma/g)^{-1/2} dominate Shat for psd Gamma, so every FW
+    # iterate, a convex combination of them and the nominal, does too. The
+    # threshold is acceptance criterion 4's; W2 fails it (README "Known
+    # limitation")
+    lmin = []
+    for seed in range(10):
+        sys, model = generate_instance(10, 10, seed, kind=kind, rho=0.1)
+        worst, trace = solve(sys, model.ball_profile())
+        assert trace.converged
+        lmin += [float(np.linalg.eigvalsh(got - nom).min())
+                 for got, nom in zip(worst.blocks(), model.nominal_profile().blocks())]
+    assert min(lmin) >= -1e-7

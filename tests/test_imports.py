@@ -9,15 +9,30 @@ underscore) must be read somewhere in the package outside its own body: as
 a name or as an attribute, such as lqg._lqg_cost. The tests do not count.
 Nor may a private top-level function keep a parameter with a default that
 no call in the package passes: such a parameter is a constant.
+
+The bindings bench/tracer.py wraps are read from its source, without
+importing it: each must resolve in the package, and each "# noqa: F401"
+import must bind one of them.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "robustlqg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "robustlqg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _noqa_imports(tree: ast.Module, lines: list[str]):
+    """The module-level import statements of tree marked "# noqa: F401"."""
+    return [
+        node for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+    ]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -25,12 +40,11 @@ def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     lines = source.splitlines()
     bound = {}
+    exempt = _noqa_imports(tree, lines)
     for node in tree.body:
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or node in exempt:
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
             continue
         for alias in node.names:
             bound[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -177,3 +191,31 @@ def test_checker_flags_unpassed_keyword_parameters():
     assert unpassed_keyword_parameters(sources) == [
         "_f(never) (a.py line 1)", "_f(only_never) (a.py line 1)",
     ]
+
+
+def traced_bindings() -> set[tuple[str, str]]:
+    """(module, attribute) of every binding bench/tracer.py wraps, read from
+    the literal BINDINGS tuple in its source."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["BINDINGS"]
+    ]
+    return {(module, attr) for module, attrs in ast.literal_eval(table) for attr in attrs}
+
+
+def test_traced_bindings_resolve_and_cover_every_noqa_import():
+    bindings = traced_bindings()
+    assert ("robustlqg.oracles", "kl_oracle") in bindings
+    missing = [f"{module}.{attr}" for module, attr in sorted(bindings)
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
+    stale = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        module = f"robustlqg.{path.stem}"
+        for node in _noqa_imports(ast.parse(source), source.splitlines()):
+            stale += [f"{module}.{alias.asname or alias.name} (line {node.lineno})"
+                      for alias in node.names
+                      if (module, alias.asname or alias.name) not in bindings]
+    assert stale == []

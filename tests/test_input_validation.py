@@ -1,9 +1,13 @@
 """Every public entry point that takes a matrix rejects malformed input with
-InvalidInputError where the matrix enters the library."""
+InvalidInputError where the matrix enters the library, and every one that
+takes ambiguity balls rejects a nonzero nominal mean."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from robustlqg import lqg, stationary
 from robustlqg.divergences import (
     AmbiguityBall,
     CustomDivergence,
@@ -13,14 +17,15 @@ from robustlqg.divergences import (
 )
 from robustlqg.errors import InvalidInputError
 from robustlqg.experiments import policy_worst_case_cost
-from robustlqg.frank_wolfe import BallProfile
+from robustlqg.frank_wolfe import BallProfile, solve
 from robustlqg.gradient import GradientProfile, lqg_gradient
+from robustlqg.instances import generate_instance
 from robustlqg.lqg import CovarianceProfile, SystemInstance, kalman_forward, lqg_value
 from robustlqg.matops import solve_discrete_lyapunov, sym_sqrt
 from robustlqg.oracles import kl_oracle, oracle_pass, solve_oracle
-from robustlqg.stationary import StationarySystem, solve_dare, solve_filter_are
+from robustlqg.stationary import StationarySystem, solve_dare, solve_filter_are, solve_stationary_fw
 
-from conftest import rand_system
+from conftest import counting, rand_system
 
 I2 = np.eye(2)
 
@@ -51,7 +56,7 @@ def _custom_call(bad, output=None):
     output = _poisoned(bad) if output is None else output
     register_moment_divergence(
         CustomDivergence(name=name, evaluate=_frobenius,
-                         linearization=lambda G, nominal, rho, ref, delta: output),
+                         linearization=lambda G, nominal, rho, ref: output),
         MomentPair.zero_mean(I2), 0.5,
     )
     ball = AmbiguityBall(kind=DivergenceKind.MOMENT_CUSTOM, nominal=MomentPair.zero_mean(I2),
@@ -156,3 +161,45 @@ def _overflowing(call):
 def test_overflowing_sweeps_raise_typed_errors(call):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError):
         call()
+
+
+def _shifted(ball, mean):
+    """ball with its nominal moved to mean, its covariance unchanged."""
+    mean = np.asarray(mean, dtype=float)
+    return replace(ball, nominal=MomentPair(mean, ball.nominal.cov + np.outer(mean, mean)))
+
+
+def _mean_instance():
+    """d = 3, T = 4, rho = 0.5, seed 0, with the W2 x0 ball's nominal mean at
+    (5, 0, 0); solving it as if zero-mean gives the zero-mean objective."""
+    sys, model = generate_instance(3, 4, seed=0, rho=0.5)
+    balls = model.ball_profile()
+    return sys, replace(balls, x0=_shifted(balls.x0, [5.0, 0.0, 0.0]))
+
+
+I3 = np.eye(3)
+
+# every path that takes ambiguity balls: the oracles work with zero-mean
+# Gaussians, so a nonzero nominal mean is rejected before any evaluation
+MEAN_ENTRY_POINTS = {
+    "solve": lambda: solve(*_mean_instance()),
+    "solve_stationary_fw": lambda: solve_stationary_fw(
+        _stationary(), _shifted(_w2_ball(), [0.0, 1.0]), _w2_ball()
+    ),
+    "oracle_pass": lambda: oracle_pass([_w2_ball(), _shifted(_w2_ball(), [1.0, 0.0])],
+                                       [I2, I2], [I2, I2], [0.0, 0.0]),
+    "solve_oracle": lambda: solve_oracle(_shifted(_w2_ball(), [0.0, -1e-3]), I2, I2),
+    "policy_worst_case_cost": lambda: policy_worst_case_cost(
+        GradientProfile(dX0=I3, dW=np.stack([I3] * 4), dV=np.stack([I3] * 4)),
+        _mean_instance()[1],
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", MEAN_ENTRY_POINTS)
+def test_entry_points_reject_a_nonzero_nominal_mean(monkeypatch, entry):
+    sweeps = counting(monkeypatch, lqg, "kalman_forward")
+    filters = counting(monkeypatch, stationary, "_stationary_cost")
+    with pytest.raises(InvalidInputError, match="zero nominal mean"):
+        MEAN_ENTRY_POINTS[entry]()
+    assert sweeps == filters == []

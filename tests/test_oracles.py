@@ -40,12 +40,12 @@ def _commuting_instance(rng, d, kind):
     return Gamma, nominal, rho, ball
 
 
-def _run(kind, Gamma, nominal, rho, ref, delta=0.95):
+def _run(kind, Gamma, nominal, rho, ref):
     if kind is DivergenceKind.WASSERSTEIN2:
-        return wasserstein_oracle(Gamma, nominal, rho, ref, 0.0, delta)
+        return wasserstein_oracle(Gamma, nominal, rho, ref)
     if kind is DivergenceKind.KULLBACK_LEIBLER:
-        return kl_oracle(Gamma, nominal, rho, ref, delta)
-    return fisher_oracle(Gamma, nominal, rho, ref, delta)
+        return kl_oracle(Gamma, nominal, rho, ref)
+    return fisher_oracle(Gamma, nominal, rho, ref)
 
 
 _DIVS = {
@@ -361,15 +361,15 @@ def test_oracle_output_feasible_within_absolute_1e8(kind, seed):
 
     Gamma, nominal = spd(), spd()
     ball = AmbiguityBall(kind=kind, nominal=MomentPair.zero_mean(nominal), radius=2.0)
-    res = solve_oracle(ball, Gamma, nominal, 0.0, 0.95)
+    res = solve_oracle(ball, Gamma, nominal, 0.0)
     assert membership(ball, MomentPair.zero_mean(res.sigma_star), 1e-8)
 
 
-def _adapter(ball, Gamma, ref, floor, delta):
+def _adapter(ball, Gamma, ref, floor):
     """The per-block oracle for a ball, called as a batch of one."""
     if ball.kind is DivergenceKind.WASSERSTEIN2:
-        return wasserstein_oracle(Gamma, ball.nominal.cov, ball.radius, ref, floor, delta)
-    return _run(ball.kind, Gamma, ball.nominal.cov, ball.radius, ref, delta)
+        return wasserstein_oracle(Gamma, ball.nominal.cov, ball.radius, ref, floor)
+    return _run(ball.kind, Gamma, ball.nominal.cov, ball.radius, ref)
 
 
 def _mixed_batch(seed, n, p, T, kinds, rho):
@@ -394,7 +394,7 @@ def _mixed_batch(seed, n, p, T, kinds, rho):
         floors.append(float(np.linalg.eigvalsh(nominal).min()) if z > T else 0.0)
         ref = nominal
         if z % 2:
-            target = _adapter(balls[-1], grads[-1], nominal, floors[-1], 0.95).sigma_star
+            target = _adapter(balls[-1], grads[-1], nominal, floors[-1]).sigma_star
             ref = 0.5 * (nominal + target)
         refs.append(ref)
     return balls, grads, refs, floors
@@ -412,12 +412,13 @@ def _mixed_batch(seed, n, p, T, kinds, rho):
 def test_batched_pass_is_independent_of_the_batch(seed, n, p, T, kinds, rho):
     # each block of a mixed batch gets exactly what it gets alone, and every
     # block meets the oracle contracts: feasible within 1e-8, active within
-    # 1e-6 when bisected, and the delta criterion against its dual bound
+    # 1e-6 when bisected, and the delta criterion (delta = 0.95) against its
+    # dual bound
     delta = 0.95
     balls, grads, refs, floors = _mixed_batch(seed, n, p, T, kinds, rho)
-    batch = oracle_pass(balls, grads, refs, floors, delta)
+    batch = oracle_pass(balls, grads, refs, floors)
     for ball, G, ref, floor, got in zip(balls, grads, refs, floors, batch):
-        alone = _adapter(ball, G, ref, floor, delta)
+        alone = _adapter(ball, G, ref, floor)
         scale = max(1.0, float(np.abs(alone.sigma_star).max()))
         assert np.abs(got.sigma_star - alone.sigma_star).max() <= 1e-12 * scale
         for a, b in ((got.dual_gamma, alone.dual_gamma), (got.dual_bound, alone.dual_bound),
@@ -511,9 +512,9 @@ def test_safeguard_certifies_every_block(monkeypatch, change):
     # criterion and the Wasserstein eigenvalue floor
     delta = 0.95
     balls, grads, refs, floors = _mixed_batch(21, 3, 2, 4, list(ALL_KINDS), 0.7)
-    newton = oracle_pass(balls, grads, refs, floors, delta)
+    newton = oracle_pass(balls, grads, refs, floors)
     _slope_patched(monkeypatch, change)
-    fallback = oracle_pass(balls, grads, refs, floors, delta)
+    fallback = oracle_pass(balls, grads, refs, floors)
     assert sum(r.steps for r in fallback) > 2 * sum(r.steps for r in newton)
     for ball, G, ref, floor, got, fast in zip(balls, grads, refs, floors, fallback, newton):
         pair = MomentPair.zero_mean(got.sigma_star)
