@@ -25,6 +25,10 @@ from .matops import _check_finite, _check_square, sym_sqrt, symmetrize
 INFEASIBLE = float("inf")
 
 _VALID_PAIR_TOL = 1e-10
+# the property gates of register_moment_divergence: the seed of their random
+# feasible pairs and the number of midpoint checks
+_CHECK_SEED = 20240811
+_NUM_CHECKS = 50
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,8 @@ class MomentPair:
     @classmethod
     def zero_mean(cls, cov) -> "MomentPair":
         cov = np.asarray(cov, dtype=float)
-        return cls(mean=np.zeros(cov.shape[0]), second_moment=cov)
+        # shape[:1], so a 0-d cov reaches the square check, not an IndexError
+        return cls(mean=np.zeros(cov.shape[:1]), second_moment=cov)
 
 
 def _check_dims(a: MomentPair, b: MomentPair):
@@ -235,17 +240,16 @@ def register_moment_divergence(
     handle: CustomDivergence,
     nominal: MomentPair,
     rho: float,
-    rng: Optional[np.random.Generator] = None,
-    num_checks: int = 50,
 ) -> None:
     """Register a custom moment divergence after randomized property gates.
 
     Checks, on random feasible pairs around the nominal: identity at the
     nominal, convexity of the sublevel set (midpoints stay feasible), and
-    the zero-mean implication when the nominal mean is zero. Registration
-    is write-once.
+    the zero-mean implication when the nominal mean is zero, over
+    _NUM_CHECKS pairs of random points drawn with seed _CHECK_SEED.
+    Registration is write-once.
     """
-    rng = rng if rng is not None else np.random.default_rng(20240811)
+    rng = np.random.default_rng(_CHECK_SEED)
     if handle.evaluate(nominal, nominal) > 1e-12:
         raise InvalidInputError("custom divergence must vanish at the nominal")
 
@@ -261,7 +265,7 @@ def register_moment_divergence(
                 return cand
         raise InvalidInputError("could not sample feasible points; ball looks empty")
 
-    for _ in range(num_checks):
+    for _ in range(_NUM_CHECKS):
         p1, p2 = random_feasible(), random_feasible()
         mid = MomentPair(
             mean=0.5 * (p1.mean + p2.mean),

@@ -24,12 +24,12 @@ import numpy as np
 from . import __version__, lqg
 from .divergences import DivergenceKind
 from .errors import InvalidInputError, UnsupportedDivergenceError
-from .frank_wolfe import FwConfig, _inner, _lam_floors, _stacked, solve
+from .frank_wolfe import FwConfig, _inner, _profile_plan, _stacked, solve
 from .gradient import GradientProfile, _lqg_gradient
 from .instances import RNG_ALGORITHM, generate_instance
 from .lqg import CovarianceProfile
 from .matops import _check_finite
-from .oracles import ORACLE_KINDS, _plan, _run
+from .oracles import ORACLE_KINDS, _run
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 from .stacked import build_stacked, kalman_policy_to_purified  # noqa: F401  unused; bench/tracer.py wraps these
 
@@ -238,8 +238,7 @@ def policy_worst_case_cost(coeffs: GradientProfile, balls):
     grads = _stacked(coeffs.dX0, coeffs.dW, coeffs.dV)
     for G in grads:
         _check_finite(G, "cost coefficients")
-    plan = _plan(balls.blocks(), _lam_floors(balls), [balls.T + 1, balls.T])
-    worst = _run(plan, grads, _stacked(nominal.X0, nominal.W, nominal.V)).targets
+    worst = _run(_profile_plan(balls), grads, _stacked(nominal.X0, nominal.W, nominal.V)).targets
     return _inner(grads, worst), [S for stack in worst for S in stack]
 
 

@@ -17,7 +17,8 @@ stationary.solve_stationary_fw adapts it to the average cost over
 once per solve and reuse it in every evaluation. An evaluation gives the
 objective and, on demand, the gradient of the same forward sweep, so the
 iterate an accepted line-search trial lands on is not evaluated again; the
-oracle pass is planned, and the ball nominals factored, once per solve.
+oracle pass is planned, and the ball nominals factored, once per solve,
+before anything is evaluated.
 maximize takes its start as feasible and checks nothing it builds from it.
 Both adapters start at the nominals, which lie in every ball; solve also
 accepts a start from its caller, and checks it.
@@ -38,7 +39,7 @@ from .errors import InvalidInputError
 from .gradient import _adjoint
 from .gradient import lqg_gradient  # noqa: F401  unused; bench/tracer.py wraps this binding
 from .lqg import CovarianceProfile, SystemInstance
-from .oracles import _plan, _run
+from .oracles import _Plan, _plan, _run
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 
 log = logging.getLogger("robustlqg")
@@ -148,10 +149,13 @@ class NominalModel:
         )
 
 
-def _lam_floors(balls: BallProfile) -> list[float]:
-    """Observation-noise blocks keep their nominal minimum eigenvalue as floor."""
+def _profile_plan(balls: BallProfile) -> _Plan:
+    """The oracle plan (oracles._plan) of a ball profile's blocks, laid out as
+    the stacks [X0; W] and V. Observation-noise blocks keep their nominal
+    minimum eigenvalue as floor."""
     v_min = np.linalg.eigvalsh(np.stack([b.nominal.cov for b in balls.v]))[:, 0]
-    return [0.0] * (1 + balls.T) + [float(x) for x in v_min]
+    floors = [0.0] * (1 + balls.T) + [float(x) for x in v_min]
+    return _plan(balls.blocks(), floors, [balls.T + 1, balls.T])
 
 
 def _stacked(x0: np.ndarray, w: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
@@ -200,36 +204,34 @@ def _backtrack(evaluate, current, targets, objective, gap, alpha_min):
 
 def maximize(
     evaluate: Callable[[list], tuple[float, Callable[[], list]]],
-    balls: Sequence[AmbiguityBall],
+    plan: _Plan,
     start: Sequence[np.ndarray],
-    floors: Sequence[float],
     cfg: FwConfig,
 ) -> tuple[list[np.ndarray], FwTrace]:
     """Maximize a concave function of covariance blocks, one ball per block.
 
     The iterate is a list of stacks, each a (k, d, d) array of blocks; block
-    order runs through the stacks in turn, and balls and floors follow it.
-    start must lie in the balls; it is not checked here, and nothing the
-    loop builds from it is checked again. evaluate(stacks) returns
-    (objective, grad), where grad() returns the gradient stacks (trace
-    pairing), laid out as the iterate, from that evaluation's own forward
-    sweep. Each iteration calls grad() of its iterate's evaluation; a
-    line-search trial reads only the objective. The iterate a line search
-    accepts is its trial's stacks, and the next iteration uses that trial's
-    evaluation as it is, so every iterate is evaluated once. floors are the
-    oracles' eigenvalue floors. The oracle pass is planned once per call
-    (oracles._plan), before the first evaluation; planning factors each
-    ball's nominal once and rejects a nonzero nominal mean.
-    Iterates move as (1 - alpha) * current + alpha * targets, one array
-    expression per stack. By default
-    alpha is the largest of 1, 1/2, 1/4, ... above 2/(2+k) whose step gains
-    at least 0.1 * alpha * gap in value (Armijo), else 2/(2+k); with
+    order runs through the stacks in turn. plan is the oracle pass over the
+    blocks' balls and eigenvalue floors (oracles._plan), laid out as start.
+    The caller plans before it evaluates anything, so a ball the oracles
+    reject (one with a nonzero nominal mean) fails before any work, and
+    each ball's nominal is factored once per solve. start must lie in the
+    balls; it is not checked here, and nothing the loop builds from it is
+    checked again. evaluate(stacks) returns (objective, grad), where grad()
+    returns the gradient stacks (trace pairing), laid out as the iterate,
+    from that evaluation's own forward sweep. Each iteration calls grad() of
+    its iterate's evaluation; a line-search trial reads only the objective.
+    The iterate a line search accepts is its trial's stacks, and the next
+    iteration uses that trial's evaluation as it is, so every iterate is
+    evaluated once. Iterates move as (1 - alpha) * current + alpha *
+    targets, one array expression per stack. By default alpha is the
+    largest of 1, 1/2, 1/4, ... above 2/(2+k) whose step gains at least
+    0.1 * alpha * gap in value (Armijo), else 2/(2+k); with
     step_rule="vanishing" it is 2/(2+k). The loop stops when the surrogate gap
     falls below cfg.gap_tol or the iteration budget is exhausted. Each
     iteration is recorded in the trace and, when the "robustlqg" logger is
     enabled for DEBUG, logged in one line. Returns (final stacks, trace).
     """
-    plan = _plan(balls, floors, [len(S) for S in start])
     current = list(start)
     trace = FwTrace()
     evaluation = None  # of current, when the line search made it
@@ -274,16 +276,19 @@ def solve(
     cfg: FwConfig = FwConfig(),
 ) -> tuple[CovarianceProfile, FwTrace]:
     """Run Frank-Wolfe on the finite-horizon LQG value; returns (worst-case
-    profile, trace). init defaults to the nominal covariances, which lie in
-    every ball by construction and are not checked. A caller-supplied init is
-    checked block by block, at membership tolerance 1e-8, before anything is
-    evaluated. The Riccati sweep P does not depend on the noise, so it runs
-    once here. An evaluation is one forward Kalman sweep and the cost
-    formula, and its grad() the adjoint sweep of that forward sweep
-    (gradient._adjoint); an accepted line-search trial's evaluation serves
-    the next iteration, so each iterate's forward sweep runs once."""
+    profile, trace). The balls are planned first (_profile_plan), so a ball
+    the oracles reject fails before anything else. init defaults to the
+    nominal covariances, which lie in every ball by construction and are not
+    checked. A caller-supplied init is checked block by block, at membership
+    tolerance 1e-8, before anything is evaluated. The Riccati sweep P does
+    not depend on the noise, so it runs once here. An evaluation is one
+    forward Kalman sweep and the cost formula, and its grad() the adjoint
+    sweep of that forward sweep (gradient._adjoint); an accepted line-search
+    trial's evaluation serves the next iteration, so each iterate's forward
+    sweep runs once."""
     if balls.T != sys.T:
         raise InvalidInputError("ball profile horizon mismatch")
+    plan = _profile_plan(balls)
     if init is not None:
         if init.T != sys.T:
             raise InvalidInputError("initial profile horizon mismatch")
@@ -305,5 +310,5 @@ def solve(
         return lqg._lqg_cost(sys, P, sweep[0], sweep[1]), grad
 
     start = _stacked(current.X0, current.W, current.V)
-    (xw, v), trace = maximize(evaluate, balls.blocks(), start, _lam_floors(balls), cfg)
+    (xw, v), trace = maximize(evaluate, plan, start, cfg)
     return CovarianceProfile(X0=xw[0], W=xw[1:], V=v), trace

@@ -36,17 +36,23 @@ one batched eigendecomposition, shared by the divergence, its slope
 (Daleckii-Krein, in the pencil eigenbasis) and the dual and primal values.
 The search runs in lockstep: every unfinished block takes its own step at
 each iteration and leaves the group once it certifies, so a block's result
-does not depend on the rest of its group. What depends only on the balls is
-planned once (_plan): the groups and the stack rows they gather, their
-stacked nominals, radii and floors, and the nominal factors the setups read
-(KL: eigenvalues and Shat^{1/2}; Fisher: eigenvalues, Shat^{-2} and
-Tr Shat^{-1}). _run runs a plan and returns the targets stacked like the
-references, with per-block arrays of the other results; it takes its
-stacks as checked. A Frank-Wolfe solve plans once and runs the plan at
-every iteration on its own arrays. The public wrappers check their inputs
-(shape, finiteness), run the same _run and build the OracleResult objects:
-oracle_pass plans and runs once, and wasserstein_oracle, kl_oracle,
-fisher_oracle and solve_oracle are passes of one block.
+does not depend on the rest of its group.
+
+Every oracle is a pass over AmbiguityBall objects, so a nominal is checked
+in one place, when its ball is built (a psd Wasserstein nominal, a pd KL or
+Fisher one, finite and square). What depends only on the balls is planned
+once (_plan): the groups and the stack rows they gather, their stacked
+nominals, radii and floors, and the nominal factors the setups read (KL:
+Shat^{1/2}; Fisher: Shat^{-2} and Tr Shat^{-1}). Planning rejects a
+nonzero nominal mean. _run runs a plan and returns the targets stacked
+like the references, with per-block arrays of the other results; it takes
+its stacks as checked. A Frank-Wolfe solve plans before it evaluates
+anything and runs the plan at every iteration on its own arrays. The
+public entry points check the gradients and references (shape,
+finiteness), run the same _run and build the OracleResult objects:
+oracle_pass plans and runs once, solve_oracle is a pass of one block, and
+wasserstein_oracle, kl_oracle and fisher_oracle build the ball of a bare
+nominal covariance and call solve_oracle.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ from .divergences import (
     membership,
 )
 from .errors import InvalidInputError, OracleError, UnsupportedDivergenceError
-from .matops import EIG_CLAMP, _check_finite, _check_square, symmetrize
+from .matops import _check_finite, _check_square, symmetrize
 
 # kinds with a built-in oracle; a custom kind needs a registered linearization
 ORACLE_KINDS = frozenset(
@@ -211,14 +217,10 @@ def _kl_values(g, gap, logs, lam, c_ref, rho):
     return phi, (lam * g[:, None] / gap).sum(axis=1) - c_ref
 
 
-def _kl(G, nominal, rho, c_ref, hat_vals, root) -> _Dual:
-    """KL ball: every function of g is diagonal after whitening with Shat^{1/2}.
-    hat_vals and root are the nominal's eigenvalues and square root."""
+def _kl(G, nominal, rho, c_ref, root) -> _Dual:
+    """KL ball: every function of g is diagonal after whitening with Shat^{1/2}
+    (root, a nominal factor)."""
     d = nominal.shape[1]
-    if (hat_vals[:, 0] < -EIG_CLAMP).any():
-        raise InvalidInputError(
-            f"matrix is not psd: min eigenvalue {hat_vals[:, 0].min():.3e} < -{EIG_CLAMP:.0e}"
-        )
     lam, U = np.linalg.eigh(symmetrize(root @ G @ root))
     lam = np.maximum(lam, 0.0)
     lam1 = lam[:, -1]
@@ -264,10 +266,9 @@ def _fisher_values(g, div, sigma, inv2, G, tr_inv_hat, c_ref, rho):
     return prim - g * (div - rho), prim
 
 
-def _fisher(G, nominal, rho, c_ref, hat_vals, inv2, tr_inv_hat) -> _Dual:
+def _fisher(G, nominal, rho, c_ref, inv2, tr_inv_hat) -> _Dual:
     """Fisher ball: one pencil eigendecomposition per evaluation, none here.
-    hat_vals, inv2 and tr_inv_hat are the nominal's eigenvalues, Shat^{-2}
-    and t = Tr Shat^{-1}.
+    inv2 and tr_inv_hat are the nominal factors Shat^{-2} and t = Tr Shat^{-1}.
 
     The bracket is closed-form. Below lo = lam_max(Shat Gamma Shat) the
     pencil is indefinite. Above it, Gamma/g <= (lo/g) Shat^{-2}, so
@@ -278,8 +279,6 @@ def _fisher(G, nominal, rho, c_ref, hat_vals, inv2, tr_inv_hat) -> _Dual:
     That bound equals rho at hi = lo / (1 - (1 + rho/t)^{-2}), so
     div(hi) <= rho.
     """
-    if (hat_vals[:, 0] <= 0.0).any():
-        raise InvalidInputError("Fisher oracle needs a positive definite nominal")
     lo = np.linalg.eigvalsh(symmetrize(nominal @ G @ nominal))[:, -1]
     hi = lo / -np.expm1(-2.0 * np.log1p(rho / tr_inv_hat))
 
@@ -384,21 +383,17 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
 
 def _nominal_factors(kind: DivergenceKind, nominal: np.ndarray) -> tuple:
     """The factors of a stack of symmetrized nominals that kind's setup reads,
-    one per-block array each: for KL the eigenvalues and Shat^{1/2}, for
-    Fisher the eigenvalues, Shat^{-2} and Tr Shat^{-1}, for Wasserstein none.
-    They are formed for every block of a group, live or not, so a nominal
-    the setup would reject gets its factors without a warning; the setup
-    checks the eigenvalues of the blocks that go live."""
+    one per-block array each: for KL Shat^{1/2}, for Fisher Shat^{-2} and
+    Tr Shat^{-1}, for Wasserstein none. KL and Fisher nominals are pd, as
+    their AmbiguityBall checks."""
     if kind is DivergenceKind.WASSERSTEIN2:
         return ()
     hat_vals, hat_vecs = np.linalg.eigh(nominal)
     hat_vecs_t = np.swapaxes(hat_vecs, 1, 2)
     if kind is DivergenceKind.KULLBACK_LEIBLER:
-        root = (hat_vecs * np.sqrt(np.maximum(hat_vals, 0.0))[:, None, :]) @ hat_vecs_t
-        return hat_vals, symmetrize(root)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv2 = (hat_vecs / hat_vals[:, None, :] ** 2) @ hat_vecs_t
-        return hat_vals, inv2, (1.0 / hat_vals).sum(axis=1)
+        return (symmetrize((hat_vecs * np.sqrt(hat_vals)[:, None, :]) @ hat_vecs_t),)
+    inv2 = (hat_vecs / hat_vals[:, None, :] ** 2) @ hat_vecs_t
+    return inv2, (1.0 / hat_vals).sum(axis=1)
 
 
 class _Group(NamedTuple):
@@ -416,11 +411,6 @@ class _Group(NamedTuple):
     rho: np.ndarray
     floors: np.ndarray
     factors: tuple
-
-
-def _group(kind, idx, parts, nominal, rho, floors) -> _Group:
-    nominal = symmetrize(nominal)
-    return _Group(kind, idx, parts, nominal, rho, floors, _nominal_factors(kind, nominal))
 
 
 class _Pass(NamedTuple):
@@ -442,7 +432,7 @@ def _solve_group(group: _Group, G, sigma_ref) -> _Pass:
 
     Blocks with a zero (clamped) gradient return the nominal, inactive;
     blocks with rho = 0 return the nominal, active. Wasserstein outputs
-    must dominate their block's lam_floor * I, which g(gI - Gamma)^{-1}
+    must dominate their block's eigenvalue floor times I, which g(gI - Gamma)^{-1}
     guarantees; the check raises OracleError if rounding breaks it.
     """
     kind, nominal, rho, floors = group.kind, group.nominal, group.rho, group.floors
@@ -459,9 +449,12 @@ def _solve_group(group: _Group, G, sigma_ref) -> _Pass:
     if live.size:
         dual = _SETUPS[kind](G[live], nominal[live], rho[live], c_ref[live],
                              *(f[live] for f in eig + group.factors))
-        # lo is a positive multiple of the top eigenvalue of a transformed
-        # gradient; where that is zero (KL with a singular nominal) the
-        # objective is flat over the ball and the nominal is optimal
+        # for KL and Fisher lo is the top eigenvalue of a transformed
+        # gradient (Shat^{1/2} Gamma Shat^{1/2} clamped, Shat Gamma Shat).
+        # A gradient whose top eigenvalue is positive at rounding level, next
+        # to negatives inside the psd tolerance, can transform to lo <= 0;
+        # it is zero to that tolerance, and such a block returns the nominal,
+        # inactive, like a zero gradient. For Wasserstein lo > 0 on live blocks
         todo = np.flatnonzero(dual.lo > 0.0)
         blocks = live[todo]
         gamma[blocks], got[blocks], bound[blocks], steps[blocks], sigma[blocks] = _newton(
@@ -529,11 +522,12 @@ def _plan(balls: Sequence[AmbiguityBall], floors: Sequence[float], lengths: Sequ
             rows = [r for _, r in run]
             whole = len(rows) == lengths[s]
             parts.append((s, slice(None) if whole else np.array(rows), len(rows)))
-        groups.append(_group(
-            kind, np.array(idx), tuple(parts),
-            np.stack([balls[i].nominal.cov for i in idx]),
+        nominal = symmetrize(np.stack([balls[i].nominal.cov for i in idx]))
+        groups.append(_Group(
+            kind, np.array(idx), tuple(parts), nominal,
             np.array([balls[i].radius for i in idx], dtype=float),
             np.array([floors[i] for i in idx], dtype=float),
+            _nominal_factors(kind, nominal),
         ))
     return _Plan(len(balls), groups, custom)
 
@@ -599,22 +593,11 @@ def oracle_pass(
     return _results(_run(_plan(balls, floors, [1] * len(balls)), G, ref))
 
 
-def _solve_one(kind, Gamma, nominal_cov, rho, sigma_ref, lam_floor) -> OracleResult:
-    """The oracle of one block with a bare nominal: a pass of one group of one."""
-    nominal = _check_square(nominal_cov, "nominal")
-    d = nominal.shape[0]
-    G, ref = _stack([Gamma], d, "gradient"), _stack([sigma_ref], d, "reference")
-    group = _group(kind, np.zeros(1, dtype=int), ((0, slice(None), 1),), nominal[None],
-                   np.array([float(rho)]), np.array([float(lam_floor)]))
-    return _results(_run(_Plan(1, [group], []), [G], [ref]))[0]
-
-
 def wasserstein_oracle(
     Gamma: np.ndarray,
     nominal_cov: np.ndarray,
     rho: float,
     sigma_ref: np.ndarray,
-    lam_floor: float = 0.0,
 ) -> OracleResult:
     """Maximize <Gamma, Sigma - sigma_ref> over the Gelbrich ball.
 
@@ -622,10 +605,11 @@ def wasserstein_oracle(
     found by safeguarded Newton from the upper of the closed-form bounds
     lam1 (1 + sqrt(p1' Shat p1)/rho) and lam1 (1 + sqrt(Tr Shat)/rho), with
     bisection between them as the fallback.
-    The output dominates lam_floor * I automatically because g(gI-Gamma)^{-1}
-    has eigenvalues >= 1.
+    The output dominates lam_min(Shat) I automatically because g(gI-Gamma)^{-1}
+    has eigenvalues >= 1; solve_oracle takes an eigenvalue floor to check.
     """
-    return _solve_one(DivergenceKind.WASSERSTEIN2, Gamma, nominal_cov, rho, sigma_ref, lam_floor)
+    ball = AmbiguityBall(DivergenceKind.WASSERSTEIN2, MomentPair.zero_mean(nominal_cov), rho)
+    return solve_oracle(ball, Gamma, sigma_ref)
 
 
 def kl_oracle(
@@ -642,7 +626,8 @@ def kl_oracle(
     Shat^{1/2} Gamma Shat^{1/2}, by safeguarded Newton from the upper end
     with bisection as the fallback.
     """
-    return _solve_one(DivergenceKind.KULLBACK_LEIBLER, Gamma, nominal_cov, rho, sigma_ref, 0.0)
+    ball = AmbiguityBall(DivergenceKind.KULLBACK_LEIBLER, MomentPair.zero_mean(nominal_cov), rho)
+    return solve_oracle(ball, Gamma, sigma_ref)
 
 
 def fisher_oracle(
@@ -660,7 +645,8 @@ def fisher_oracle(
     [lo, lo / (1 - (1 + rho/t)^{-2})], lo = lam_max(Shat Gamma Shat) (where
     the pencil loses definiteness) and t = Tr Shat^{-1}.
     """
-    return _solve_one(DivergenceKind.FISHER, Gamma, nominal_cov, rho, sigma_ref, 0.0)
+    ball = AmbiguityBall(DivergenceKind.FISHER, MomentPair.zero_mean(nominal_cov), rho)
+    return solve_oracle(ball, Gamma, sigma_ref)
 
 
 def solve_oracle(

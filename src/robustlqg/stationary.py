@@ -25,6 +25,7 @@ from .lqg import _riccati_step
 from .matops import (
     _check_finite, _check_square, solve_discrete_lyapunov, spectral_radius, symmetrize,
 )
+from .oracles import _plan
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 
 _FIXED_POINT_MAX_ITERS = 100_000
@@ -169,14 +170,6 @@ def stationary_gradient(
     G_w = P + (I - LC)^T Y (I - LC) and G_v = L^T Y L.
     """
     P, K = solve_dare(ss)
-    return _stationary_gradient(ss, P, K, Sigma_w, Sigma_v)
-
-
-def _stationary_gradient(
-    ss: StationarySystem, P: np.ndarray, K: np.ndarray, Sigma_w: np.ndarray, Sigma_v: np.ndarray
-) -> tuple[float, list[np.ndarray]]:
-    """stationary_gradient given the DARE solution (P, K) of ss: the cost and
-    the _stationary_adjoint of its filter gain."""
     avg_cost, sol = _stationary_cost(ss, P, K, Sigma_w, Sigma_v)
     return avg_cost, _stationary_adjoint(ss, P, sol.L)
 
@@ -199,12 +192,15 @@ def solve_stationary_fw(
     cfg: FwConfig = FwConfig(),
 ) -> tuple[np.ndarray, np.ndarray, FwTrace]:
     """Frank-Wolfe over the two stationary blocks (Sigma_w, Sigma_v), each a
-    stack of one for the driver. The DARE runs once. An evaluation solves
+    stack of one for the driver. The balls are planned first, so a ball the
+    oracles reject fails before the DARE, which runs once. An evaluation solves
     the filter ARE and forms the cost, and its grad() solves the one
     Lyapunov equation of the gradient from that filter gain
     (_stationary_adjoint); an accepted line-search trial's
     evaluation serves the next iteration, so each iterate's filter ARE is
     solved once."""
+    floors = [0.0, float(np.linalg.eigvalsh(ball_v.nominal.cov).min())]
+    plan = _plan([ball_w, ball_v], floors, [1, 1])
     P, K = solve_dare(ss)
 
     def evaluate(stacks):
@@ -215,9 +211,8 @@ def solve_stationary_fw(
 
         return avg_cost, grad
 
-    floors = [0.0, float(np.linalg.eigvalsh(ball_v.nominal.cov).min())]
     start = [ball_w.nominal.cov[None], ball_v.nominal.cov[None]]
-    ((Sw,), (Sv,)), trace = maximize(evaluate, [ball_w, ball_v], start, floors, cfg)
+    ((Sw,), (Sv,)), trace = maximize(evaluate, plan, start, cfg)
     if not membership(ball_w, MomentPair.zero_mean(Sw), 1e-8) or not membership(
         ball_v, MomentPair.zero_mean(Sv), 1e-8
     ):

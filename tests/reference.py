@@ -29,11 +29,11 @@ from robustlqg.errors import (
     OracleError,
     UnsupportedDivergenceError,
 )
-from robustlqg.frank_wolfe import BallProfile, _lam_floors, _oracle_pass, _stacked
+from robustlqg.frank_wolfe import BallProfile, _oracle_pass, _profile_plan, _stacked
 from robustlqg.gradient import GradientProfile, lqg_gradient
 from robustlqg.lqg import CovarianceProfile, LqgSolution, SystemInstance, _chol_pd, lqg_value
 from robustlqg.matops import _check_finite, sym_sqrt, symmetrize
-from robustlqg.oracles import OracleResult, _clean_gradients, _plan, _stack
+from robustlqg.oracles import OracleResult, _clean_gradients, _stack
 
 
 def zero_mean_feasibility_check(
@@ -296,8 +296,7 @@ def fw_gap(
     bounds f* - f(current) (up to the oracles' fixed delta = 0.95 factor).
     """
     _, grad = lqg_gradient(sys, current)
-    plan = _plan(balls.blocks(), _lam_floors(balls), [sys.T + 1, sys.T])
-    gap, (xw, v), _ = _oracle_pass(plan, _stacked(grad.dX0, grad.dW, grad.dV),
+    gap, (xw, v), _ = _oracle_pass(_profile_plan(balls), _stacked(grad.dX0, grad.dW, grad.dV),
                                    _stacked(current.X0, current.W, current.V))
     return gap, CovarianceProfile(X0=xw[0], W=xw[1:], V=v)
 

@@ -22,7 +22,9 @@ from robustlqg.gradient import GradientProfile, lqg_gradient
 from robustlqg.instances import generate_instance
 from robustlqg.lqg import CovarianceProfile, SystemInstance, kalman_forward, lqg_value
 from robustlqg.matops import solve_discrete_lyapunov, sym_sqrt
-from robustlqg.oracles import kl_oracle, oracle_pass, solve_oracle
+from robustlqg.oracles import (
+    fisher_oracle, kl_oracle, oracle_pass, solve_oracle, wasserstein_oracle,
+)
 from robustlqg.stationary import StationarySystem, solve_dare, solve_filter_are, solve_stationary_fw
 
 from conftest import counting, rand_system
@@ -133,6 +135,15 @@ def test_oracle_entry_points_reject_misshaped_blocks(entry, shape):
         ORACLE_ENTRY_POINTS[entry](np.ones(shape) + np.eye(*shape))()
 
 
+@pytest.mark.parametrize("nominal", [1.0, np.ones(2)], ids=["scalar", "vector"])
+def test_per_kind_oracles_reject_a_non_matrix_nominal(nominal):
+    # the nominal enters through MomentPair.zero_mean, which must raise the
+    # typed error, not an IndexError, for a 0-d array
+    for oracle in (wasserstein_oracle, kl_oracle, fisher_oracle):
+        with pytest.raises(InvalidInputError, match="must be square"):
+            oracle(I2, nominal, 0.5, I2)
+
+
 @pytest.mark.parametrize("which", ["grads", "refs", "floors"])
 @pytest.mark.parametrize("change", [-1, 1], ids=["shorter", "longer"])
 def test_oracle_pass_rejects_length_mismatch(which, change):
@@ -179,10 +190,19 @@ def _mean_instance():
 
 I3 = np.eye(3)
 
+def _solve_from_the_nominal():
+    """solve on the mean instance, started at its nominal covariances: the
+    zero-mean start is outside the shifted W2 ball, so only planning before
+    the init check names the mean."""
+    sys, balls = _mean_instance()
+    return solve(sys, balls, init=balls.nominal_profile())
+
+
 # every path that takes ambiguity balls: the oracles work with zero-mean
 # Gaussians, so a nonzero nominal mean is rejected before any evaluation
 MEAN_ENTRY_POINTS = {
     "solve": lambda: solve(*_mean_instance()),
+    "solve.init": _solve_from_the_nominal,
     "solve_stationary_fw": lambda: solve_stationary_fw(
         _stationary(), _shifted(_w2_ball(), [0.0, 1.0]), _w2_ball()
     ),
@@ -199,7 +219,9 @@ MEAN_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", MEAN_ENTRY_POINTS)
 def test_entry_points_reject_a_nonzero_nominal_mean(monkeypatch, entry):
     sweeps = counting(monkeypatch, lqg, "kalman_forward")
+    riccati = counting(monkeypatch, lqg, "riccati_backward")
+    dares = counting(monkeypatch, stationary, "solve_dare")
     filters = counting(monkeypatch, stationary, "_stationary_cost")
     with pytest.raises(InvalidInputError, match="zero nominal mean"):
         MEAN_ENTRY_POINTS[entry]()
-    assert sweeps == filters == []
+    assert sweeps == riccati == dares == filters == []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from robustlqg.oracles import (
     wasserstein_oracle,
 )
 
+from conftest import counting, profile_floors
 from reference import brute_force_oracle
 
 
@@ -367,9 +369,7 @@ def test_oracle_output_feasible_within_absolute_1e8(kind, seed):
 
 def _adapter(ball, Gamma, ref, floor):
     """The per-block oracle for a ball, called as a batch of one."""
-    if ball.kind is DivergenceKind.WASSERSTEIN2:
-        return wasserstein_oracle(Gamma, ball.nominal.cov, ball.radius, ref, floor)
-    return _run(ball.kind, Gamma, ball.nominal.cov, ball.radius, ref)
+    return solve_oracle(ball, Gamma, ref, floor)
 
 
 def _mixed_batch(seed, n, p, T, kinds, rho):
@@ -474,7 +474,6 @@ def test_paper_pass_certifies_every_block_in_few_steps(kind):
     # Newton on the reciprocal form: a paper-family pass at the nominal
     # (d = 10, T = 50, rho = 0.1) needs at most 12 evaluations per block,
     # where bisection took up to 29
-    from robustlqg.frank_wolfe import _lam_floors
     from robustlqg.gradient import lqg_gradient
     from robustlqg.instances import generate_instance
 
@@ -482,7 +481,7 @@ def test_paper_pass_certifies_every_block_in_few_steps(kind):
     balls = model.ball_profile()
     nominal = balls.nominal_profile()
     grads = lqg_gradient(sys, nominal)[1].blocks()
-    results = oracle_pass(balls.blocks(), grads, nominal.blocks(), _lam_floors(balls))
+    results = oracle_pass(balls.blocks(), grads, nominal.blocks(), profile_floors(balls))
     steps = [r.steps for r in results]
     assert min(steps) >= 1 and max(steps) <= 12
 
@@ -634,17 +633,47 @@ def test_fisher_upper_bracket_end_is_feasible(seed, d, log_rho, log_cond, rank_o
 
 
 @pytest.mark.parametrize("oracle, nominal, message", [
-    (fisher_oracle, np.diag([1.0, 0.0]), "Fisher oracle needs a positive definite nominal"),
-    (fisher_oracle, np.diag([1.0, -1.0]), "Fisher oracle needs a positive definite nominal"),
-    (kl_oracle, np.diag([1.0, -1.0]), "matrix is not psd"),
-], ids=["fisher-singular", "fisher-indefinite", "kl-indefinite"])
-def test_rejected_nominal_factored_silently_and_checked_when_live(oracle, nominal, message):
-    # a group forms every block's nominal factors, live or not; a nominal the
-    # setup rejects must not warn there (warnings are errors in this suite),
-    # and is rejected, with the setup's message, only when its block goes live
+    (fisher_oracle, np.diag([1.0, 0.0]), "fisher nominal covariance must be pd"),
+    (fisher_oracle, np.diag([1.0, -1.0]), "invalid moment pair"),
+    (kl_oracle, np.diag([1.0, 0.0]), "kl nominal covariance must be pd"),
+    (kl_oracle, np.diag([1.0, -1.0]), "invalid moment pair"),
+    (wasserstein_oracle, np.diag([1.0, -1.0]), "invalid moment pair"),
+], ids=["fisher-singular", "fisher-indefinite", "kl-singular", "kl-indefinite", "w2-indefinite"])
+def test_wrappers_reject_an_invalid_nominal_before_any_root_step(monkeypatch, oracle, nominal,
+                                                                  message):
+    # a wrapper builds its nominal's AmbiguityBall first, so an invalid
+    # nominal is rejected there whatever the gradient and radius, a zero
+    # gradient and rho = 0 included, before a pass plans or a root search
+    # steps
+    from robustlqg import oracles
+
+    plans = counting(monkeypatch, oracles, "_plan")
+    steps = counting(monkeypatch, oracles, "_newton")
     ref = np.diag([1.0, 0.0])
-    for G, rho in ((np.zeros((2, 2)), 0.5), (np.eye(2), 0.0)):
-        got = oracle(G, nominal, rho, ref)
-        assert np.array_equal(got.sigma_star, nominal) and got.steps == 0
-    with pytest.raises(InvalidInputError, match=message):
-        oracle(np.eye(2), nominal, 0.5, ref)
+    for G in (np.zeros((2, 2)), np.eye(2), np.diag([2.0, 0.5])):
+        for rho in (0.0, 0.5):
+            with pytest.raises(InvalidInputError, match=message):
+                oracle(G, nominal, rho, ref)
+    assert plans == steps == []
+
+
+@pytest.mark.parametrize("oracle", [kl_oracle, fisher_oracle], ids=["kl", "fisher"])
+def test_rounding_level_gradient_returns_the_nominal_inactive(oracle):
+    # the gradient passes the psd check and is not zero: its top eigenvalue
+    # is the smallest subnormal, next to negatives inside the -1e-8
+    # tolerance. Whitening (KL) or Shat Gamma Shat (Fisher) with a nominal
+    # eigenvalue of 0.01 underflows that eigenvalue to zero, so the bracket's
+    # lo is 0 and the block returns the nominal, inactive, with no step and
+    # no warning, like a zero gradient
+    from robustlqg.oracles import _clean_gradients
+
+    G = np.diag([np.nextafter(0.0, 1.0), -1e-9, -1e-9])
+    nominal = np.diag([0.01, 1.0, 2.0])
+    kind = DivergenceKind.KULLBACK_LEIBLER if oracle is kl_oracle else DivergenceKind.FISHER
+    assert _clean_gradients(kind, G[None])[1][0] > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = oracle(G, nominal, 0.5, nominal)
+    assert np.array_equal(res.sigma_star, nominal)
+    assert not res.active and res.steps == 0 and math.isnan(res.dual_gamma)
+    assert res.dual_bound == 0.0

@@ -441,7 +441,9 @@ def test_stationary_nominal_factors_formed_once_per_group(monkeypatch, kind):
 
 
 def test_cost_and_gradient_given_the_dare_are_bit_identical():
-    from robustlqg.stationary import _stationary_cost, _stationary_gradient
+    # what a Frank-Wolfe evaluation runs, the cost and the adjoint of its
+    # filter gain given the DARE, against the public pair
+    from robustlqg.stationary import _stationary_adjoint, _stationary_cost
 
     rng = np.random.default_rng(7)
     for n, m, p in SHAPES:
@@ -450,8 +452,9 @@ def test_cost_and_gradient_given_the_dare_are_bit_identical():
         P, K = solve_dare(ss)
         Sw, Sv = rand_spd(n, rng), rand_spd(p, rng)
         cost = stationary_cost(ss, Sw, Sv)[0]
-        assert _stationary_cost(ss, P, K, Sw, Sv)[0] == cost
-        value, grads = _stationary_gradient(ss, P, K, Sw, Sv)
+        value, sol = _stationary_cost(ss, P, K, Sw, Sv)
+        assert value == cost
+        grads = _stationary_adjoint(ss, P, sol.L)
         public_value, public_grads = stationary_gradient(ss, Sw, Sv)
         assert value == public_value == cost
         for a, b in zip(grads, public_grads):
