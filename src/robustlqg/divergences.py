@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NumericError, UnsupportedDivergenceError
-from .matops import _check_finite, _check_square, sym_sqrt, symmetrize
+from .matops import _check_finite, _check_square, _cholesky_certifies, sym_sqrt, symmetrize
 
 INFEASIBLE = float("inf")
 
@@ -48,9 +48,12 @@ class MomentPair:
         if M.shape[0] != mean.shape[0]:
             raise InvalidInputError("mean and second moment dimensions differ")
         cov = M - np.outer(mean, mean) if mean.any() else M  # exactly symmetric; M at mean 0
-        lam = np.linalg.eigvalsh(cov).min()
-        if lam < -_VALID_PAIR_TOL * (1.0 + np.linalg.norm(M)):
-            raise InvalidInputError(f"invalid moment pair: M - mu mu^T has eigenvalue {lam:.3e}")
+        tol = _VALID_PAIR_TOL * (1.0 + np.linalg.norm(M))
+        if not _cholesky_certifies(cov, tol):  # else the eigenvalues decide
+            lam = np.linalg.eigvalsh(cov).min()
+            if lam < -tol:
+                raise InvalidInputError(
+                    f"invalid moment pair: M - mu mu^T has eigenvalue {lam:.3e}")
         M.flags.writeable = cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "second_moment", M)
@@ -90,7 +93,10 @@ def _logdet_pd(S: np.ndarray, what: str) -> float:
 
 
 def _is_pd(S: np.ndarray) -> bool:
-    return bool(np.linalg.eigvalsh(symmetrize(S)).min() > 1e-12 * (1.0 + np.linalg.norm(S)))
+    """lam_min(S) > 1e-12 (1 + ||S||_F), certified by a Cholesky or else decided
+    by the eigenvalues."""
+    S, tol = symmetrize(S), 1e-12 * (1.0 + np.linalg.norm(S))
+    return _cholesky_certifies(S, -tol) or bool(np.linalg.eigvalsh(S).min() > tol)
 
 
 def gelbrich(a: MomentPair, b: MomentPair) -> float:

@@ -12,7 +12,8 @@ prediction in information form, Sigma_pred[t+1] =
 A_t (I + S_t J_t)^{-1} S_t A_t^T + W_t with J_t = C_t^T V_t^{-1} C_t formed
 once for all t. The gains, the filtered covariances and their checks follow
 in batched (T, d, d) calls after the loop, and the cost is two elementwise
-sums.
+sums. A psd or pd check is one batched Cholesky that certifies the rule;
+eigenvalues are computed only where it fails, and then they decide.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, InvalidInputError
-from .matops import _check_finite, _check_square, symmetrize
+from .matops import _check_finite, _check_square, _cholesky_certifies, symmetrize
 
 _PD_TOL = 1e-10
 
@@ -61,12 +62,15 @@ class SystemInstance:
             raise InvalidInputError("C dimensions inconsistent")
         if self.Q.shape[1:] != (n, n) or self.R.shape[1:] != (m, m):
             raise InvalidInputError("Q/R dimensions inconsistent")
-        for t in range(T + 1):
-            if np.linalg.eigvalsh(symmetrize(self.Q[t])).min() < -_PD_TOL:
-                raise InvalidInputError(f"Q[{t}] is not psd")
-        for t in range(T):
-            if np.linalg.eigvalsh(symmetrize(self.R[t])).min() < _PD_TOL:
-                raise InvalidInputError(f"R[{t}] is not positive definite")
+        # lam_min(Q[t]) >= -1e-10 and lam_min(R[t]) >= 1e-10, one Cholesky per
+        # stack; the eigenvalues name the first failing t
+        for name, M, tol, what in (("Q", self.Q, -_PD_TOL, "psd"),
+                                   ("R", self.R, _PD_TOL, "positive definite")):
+            M = symmetrize(M)
+            if not _cholesky_certifies(M, -tol):
+                bad = np.flatnonzero(np.linalg.eigvalsh(M)[:, 0] < tol)
+                if bad.size:
+                    raise InvalidInputError(f"{name}[{bad[0]}] is not {what}")
 
     @property
     def n(self) -> int:
@@ -204,8 +208,11 @@ def _measurement_updates(C, V, S) -> tuple[np.ndarray, np.ndarray]:
     factor, and the update is the printed S - L C S. Where rounding pushes
     that off the psd cone, the (equivalent) Joseph form
     (I - L C) S (I - L C)^T + L V L^T replaces it, unless it went further
-    negative than -1e-8 (1 + ||S||_F). Raises the first failure in time order:
-    a non-pd E or a lost psd at an earlier step comes first.
+    negative than -1e-8 (1 + ||S||_F). One batched Cholesky of the updates
+    certifies them all pd; only when it fails are their smallest eigenvalues
+    computed, and they alone decide which steps take the Joseph form and
+    which step lost psd. Raises the first failure in time order: a non-pd E
+    or a lost psd at an earlier step comes first.
     """
     k, n = S.shape[0], S.shape[1]
     if k == 0:
@@ -225,6 +232,8 @@ def _measurement_updates(C, V, S) -> tuple[np.ndarray, np.ndarray]:
     L = np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, SCt.swapaxes(1, 2)))
     L = L.swapaxes(1, 2)
     filt = _check_finite(symmetrize(S - L @ SCt.swapaxes(1, 2)), "filter covariance")
+    if _cholesky_certifies(filt):  # every printed update is pd: nothing to restore
+        return filt, L
     lam_min = np.linalg.eigvalsh(filt)[:, 0]
     neg = np.flatnonzero(lam_min < 0.0)
     if neg.size:
@@ -278,12 +287,18 @@ def kalman_forward(
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
             S = pred[t]
+            M = S @ J[t]
+            M += eye
             try:
-                filt_t = np.linalg.solve(eye + S @ J[t], S)
+                filt_t = np.linalg.solve(M, S)
             except np.linalg.LinAlgError:  # det(I + S J) = det(E) / det(V)
                 stop = t
                 break
-            pred[t + 1] = symmetrize(A[t] @ filt_t @ At[t] + W[t])
+            X = A[t] @ filt_t @ At[t]
+            X += W[t]
+            out = pred[t + 1]  # symmetrize(X), written in place
+            np.add(X, X.T, out=out)
+            out *= 0.5
         filt, L = _measurement_updates(sys.C[:stop], cov.V[:stop], pred[:stop])
     if stop < T:
         raise ConditioningError(f"innovation covariance at t={stop} is singular")

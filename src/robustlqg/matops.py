@@ -33,6 +33,24 @@ def symmetrize(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.swapaxes(-1, -2))
 
 
+def _cholesky_certifies(S: np.ndarray, shift=None) -> bool:
+    """Whether one batched Cholesky factors S + shift I for a symmetric matrix
+    or (k, d, d) stack S, a scalar shift or one per block (None: S itself): a
+    certificate that every block has lam_min(S) > -shift, so a rule
+    lam_min >= -tol with shift <= tol passes. A failure certifies nothing;
+    the caller then runs its eigenvalue rule, which alone decides. Cholesky
+    reads the lower triangle only and lets nan through, so S must be
+    symmetric, and a factor whose diagonal is not finite (where any nan or
+    inf in it ends up) fails."""
+    if shift is not None:
+        S = S + np.asarray(shift)[..., None, None] * np.eye(S.shape[-1])
+    try:
+        chol = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(np.diagonal(chol, axis1=-2, axis2=-1)).all())
+
+
 def sym_sqrt(S: np.ndarray) -> np.ndarray:
     """Symmetric psd square root R with R @ R ~= S, via eigendecomposition.
 

@@ -26,14 +26,18 @@ so every returned result is certified.
 A pass solves the oracles of many blocks at once. Its blocks come as
 stacks of (k, d, d) arrays; it groups them by (divergence kind, block
 size), gathers each group's rows with at most one concatenate, and runs
-each group on stacked (B, d, d) arrays. The gradients are checked psd by
-their eigenvalues, and decomposed only as far as a kind reads them: one
-batched eigendecomposition per group (of Gamma for Wasserstein, of the
-whitened gradient for KL) diagonalizes every block's dual equation, so a
-divergence and its slope cost O(d) per block and a few numpy calls per
-group. The Fisher pencil does not commute, so each Fisher evaluation takes
-one batched eigendecomposition, shared by the divergence, its slope
-(Daleckii-Krein, in the pencil eigenbasis) and the dual and primal values.
+each group on stacked (B, d, d) arrays. The gradients are decomposed only
+as far as a kind reads them: one batched eigendecomposition per group (of
+Gamma for Wasserstein, of the whitened gradient for KL) diagonalizes every
+block's dual equation, so a divergence and its slope cost O(d) per block
+and a few numpy calls per group. The Fisher pencil does not commute, so
+each Fisher evaluation takes one batched eigendecomposition, shared by the
+divergence, its slope (Daleckii-Krein, in the pencil eigenbasis) and the
+dual and primal values. The gradients' psd check reads the Wasserstein
+eigenvalues; for KL and Fisher it is one batched Cholesky, as is the check
+of the Wasserstein outputs' eigenvalue floors. A check computes
+eigenvalues only where its Cholesky fails (matops._cholesky_certifies),
+and they alone decide it.
 The search runs in lockstep: every unfinished block takes its own step at
 each iteration and leaves the group once it certifies, so a block's result
 does not depend on the rest of its group.
@@ -71,7 +75,7 @@ from .divergences import (
     membership,
 )
 from .errors import InvalidInputError, OracleError, UnsupportedDivergenceError
-from .matops import _check_finite, _check_square, symmetrize
+from .matops import _check_finite, _check_square, _cholesky_certifies, symmetrize
 
 # kinds with a built-in oracle; a custom kind needs a registered linearization
 ORACLE_KINDS = frozenset(
@@ -118,19 +122,28 @@ def _stack(mats: Sequence[np.ndarray], d: int, name: str) -> np.ndarray:
 
 
 def _clean_gradients(kind: DivergenceKind, G: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Symmetrize a (B, d, d) gradient stack and check it psd up to -1e-8.
+    """Symmetrize a (B, d, d) gradient stack and check it psd: every block
+    needs lam_min >= -1e-8 (1 + max |eig|).
 
     Each block is decomposed only as far as kind's setup reads it. Returns
-    (G, top eigenvalue per block clamped at zero, eig): for Wasserstein
-    eig = (eigenvalues, eigenvectors) with the rounding negatives clamped
-    to zero and G rebuilt from them; for KL and Fisher, whose setups
-    decompose a transformed gradient and clamp that, eig = () and G is the
-    symmetrized gradient, checked by its eigenvalues alone.
+    (G, top per block, eig), where top > 0 marks a nonzero gradient: for
+    Wasserstein eig = (eigenvalues, eigenvectors) with the rounding
+    negatives clamped to zero, G rebuilt from them and top the top
+    eigenvalue. KL and Fisher setups decompose a transformed gradient and
+    clamp that, so eig = () and G is the symmetrized gradient. One batched
+    Cholesky of G + 1e-8 (1 + max |diag|) I certifies their psd check (the
+    diagonal lies within the spectrum, so the shift is at most the rule's),
+    and top is the largest diagonal entry clamped at zero, which is positive
+    exactly when a psd block is nonzero. Where the Cholesky fails, the
+    eigenvalues decide, and top is the top eigenvalue clamped at zero.
     """
     G = symmetrize(G)
     if kind is DivergenceKind.WASSERSTEIN2:
         vals, vecs = np.linalg.eigh(G)
     else:
+        diag = np.diagonal(G, axis1=1, axis2=2)
+        if _cholesky_certifies(G, _GRAD_CLAMP * (1.0 + np.abs(diag).max(axis=1))):
+            return G, np.maximum(diag.max(axis=1), 0.0), ()
         vals, vecs = np.linalg.eigvalsh(G), None
     scale = 1.0 + np.abs(vals).max(axis=1)
     bad = vals[:, 0] < -_GRAD_CLAMP * scale
@@ -147,8 +160,13 @@ def _clean_gradients(kind: DivergenceKind, G: np.ndarray) -> tuple[np.ndarray, n
 class _Dual(NamedTuple):
     """The dual equations of a group of blocks.
 
-    lo and hi bracket each block's gamma in closed form; scale is the
-    magnitude of its trace inner products, which floors the delta criterion.
+    lo and hi bracket each block's gamma in closed form. lo is the top
+    eigenvalue of a transformed gradient (for Wasserstein Gamma clamped,
+    times a factor >= 1; for KL Shat^{1/2} Gamma Shat^{1/2} clamped; for
+    Fisher Shat Gamma Shat), and size the largest eigenvalue magnitude of
+    that transformed gradient before clamping; a block with
+    lo <= 1e-12 size has a gradient that is zero to rounding. scale is the
+    magnitude of the trace inner products, which floors the delta criterion.
     data holds per-block arrays (block on axis 0), the last of them rho.
     divergence(g, *data) returns the divergence of Sigma(g), its derivative
     in g and a tuple aux of per-block arrays that values(g, *aux, *data)
@@ -162,6 +180,7 @@ class _Dual(NamedTuple):
 
     lo: np.ndarray
     hi: np.ndarray
+    size: np.ndarray
     scale: np.ndarray
     data: tuple
     divergence: Callable
@@ -202,7 +221,8 @@ def _wasserstein(G, nominal, rho, c_ref, lam, vecs) -> _Dual:
         return symmetrize(vecs[idx] @ inner @ vecs_t[idx])
 
     scale = np.abs(c_ref) + (lam * s).sum(axis=1)
-    return _Dual(lo, hi, scale, (lam, s, c_ref, rho), _w2_divergence, _w2_values, candidate, 1)
+    return _Dual(lo, hi, lam1, scale, (lam, s, c_ref, rho), _w2_divergence, _w2_values,
+                 candidate, 1)
 
 
 def _kl_divergence(g, lam, c_ref, rho):
@@ -222,6 +242,7 @@ def _kl(G, nominal, rho, c_ref, root) -> _Dual:
     (root, a nominal factor)."""
     d = nominal.shape[1]
     lam, U = np.linalg.eigh(symmetrize(root @ G @ root))
+    size = np.maximum(-lam[:, 0], lam[:, -1])
     lam = np.maximum(lam, 0.0)
     lam1 = lam[:, -1]
     RU = root @ U
@@ -232,7 +253,7 @@ def _kl(G, nominal, rho, c_ref, root) -> _Dual:
         return symmetrize((RU[idx] * m[:, None, :]) @ RU_t[idx])
 
     scale = np.abs(c_ref) + lam.sum(axis=1)
-    return _Dual(lam1, lam1 * (1.0 + d / rho), scale, (lam, c_ref, rho), _kl_divergence,
+    return _Dual(lam1, lam1 * (1.0 + d / rho), size, scale, (lam, c_ref, rho), _kl_divergence,
                  _kl_values, candidate, 2)
 
 
@@ -279,14 +300,15 @@ def _fisher(G, nominal, rho, c_ref, inv2, tr_inv_hat) -> _Dual:
     That bound equals rho at hi = lo / (1 - (1 + rho/t)^{-2}), so
     div(hi) <= rho.
     """
-    lo = np.linalg.eigvalsh(symmetrize(nominal @ G @ nominal))[:, -1]
+    vals = np.linalg.eigvalsh(symmetrize(nominal @ G @ nominal))
+    lo, size = vals[:, -1], np.maximum(-vals[:, 0], vals[:, -1])
     hi = lo / -np.expm1(-2.0 * np.log1p(rho / tr_inv_hat))
 
     def candidate(idx, g, aux):
         return symmetrize(aux[1])
 
     scale = np.abs(c_ref) + (G * nominal).sum(axis=(1, 2))
-    return _Dual(lo, hi, scale, (inv2, G, tr_inv_hat, c_ref, rho), _fisher_divergence,
+    return _Dual(lo, hi, size, scale, (inv2, G, tr_inv_hat, c_ref, rho), _fisher_divergence,
                  _fisher_values, candidate, 2)
 
 
@@ -452,10 +474,12 @@ def _solve_group(group: _Group, G, sigma_ref) -> _Pass:
         # for KL and Fisher lo is the top eigenvalue of a transformed
         # gradient (Shat^{1/2} Gamma Shat^{1/2} clamped, Shat Gamma Shat).
         # A gradient whose top eigenvalue is positive at rounding level, next
-        # to negatives inside the psd tolerance, can transform to lo <= 0;
-        # it is zero to that tolerance, and such a block returns the nominal,
-        # inactive, like a zero gradient. For Wasserstein lo > 0 on live blocks
-        todo = np.flatnonzero(dual.lo > 0.0)
+        # to negatives inside the psd tolerance, transforms to an lo at
+        # rounding level of the transformed gradient, of either sign; it is
+        # zero to that tolerance, and such a block returns the nominal,
+        # inactive, like a zero gradient. For Wasserstein lo >= size > 0 on
+        # live blocks
+        todo = np.flatnonzero(dual.lo > 1e-12 * dual.size)
         blocks = live[todo]
         gamma[blocks], got[blocks], bound[blocks], steps[blocks], sigma[blocks] = _newton(
             kind.value, dual, todo, nominal.shape[1]
@@ -463,7 +487,9 @@ def _solve_group(group: _Group, G, sigma_ref) -> _Pass:
         active[blocks] = True
         if kind is DivergenceKind.WASSERSTEIN2:
             k = blocks[floors[blocks] > 0.0]
-            if k.size and (np.linalg.eigvalsh(sigma[k])[:, 0] < floors[k] - 1e-10).any():
+            if k.size and not _cholesky_certifies(sigma[k], 1e-10 - floors[k]) and (
+                np.linalg.eigvalsh(sigma[k])[:, 0] < floors[k] - 1e-10
+            ).any():
                 raise OracleError("wasserstein oracle output violates its eigenvalue floor")
     return _Pass([sigma], gamma, active, got, bound, steps)
 

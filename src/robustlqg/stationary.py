@@ -23,7 +23,8 @@ from .errors import InvalidInputError, StabilizabilityError
 from .frank_wolfe import FwConfig, FwTrace, maximize
 from .lqg import _riccati_step
 from .matops import (
-    _check_finite, _check_square, solve_discrete_lyapunov, spectral_radius, symmetrize,
+    _check_finite, _check_square, _cholesky_certifies, solve_discrete_lyapunov, spectral_radius,
+    symmetrize,
 )
 from .oracles import _plan
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
@@ -54,10 +55,10 @@ class StationarySystem:
             raise InvalidInputError("system matrix dimensions inconsistent")
         if self.Q.shape != (n, n) or self.R.shape != (self.m, self.m):
             raise InvalidInputError(f"Q must be ({n}, {n}) and R ({self.m}, {self.m})")
-        if np.linalg.eigvalsh(symmetrize(self.Q)).min() <= 0.0:
-            raise InvalidInputError("Q must be positive definite")
-        if np.linalg.eigvalsh(symmetrize(self.R)).min() <= 0.0:
-            raise InvalidInputError("R must be positive definite")
+        for name in ("Q", "R"):
+            M = symmetrize(getattr(self, name))
+            if not _cholesky_certifies(M) and np.linalg.eigvalsh(M).min() <= 0.0:
+                raise InvalidInputError(f"{name} must be positive definite")
 
     @property
     def n(self) -> int:
@@ -126,8 +127,9 @@ def solve_filter_are(
     Sigma_v = symmetrize(_check_square(Sigma_v, "Sigma_v"))
     if Sigma_w.shape != (ss.n, ss.n) or Sigma_v.shape != (ss.p, ss.p):
         raise InvalidInputError(f"Sigma_w must be ({ss.n}, {ss.n}) and Sigma_v ({ss.p}, {ss.p})")
-    if np.linalg.eigvalsh(Sigma_w).min() <= 0.0 or np.linalg.eigvalsh(Sigma_v).min() <= 0.0:
-        raise InvalidInputError("stationary noise covariances must be positive definite")
+    for M in (Sigma_w, Sigma_v):  # a Cholesky certifies lam_min > 0; else the eigenvalues decide
+        if not _cholesky_certifies(M) and np.linalg.eigvalsh(M).min() <= 0.0:
+            raise InvalidInputError("stationary noise covariances must be positive definite")
     A, C = ss.A, ss.C
     S = _riccati_fixed_point(A.T, C.T, Sigma_w, Sigma_v, "(A, C) looks undetectable")
     SC = S @ C.T

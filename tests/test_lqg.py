@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustlqg import frank_wolfe
+from robustlqg.divergences import DivergenceKind
 from robustlqg.errors import ConditioningError, InvalidInputError
+from robustlqg.frank_wolfe import FwConfig
 from robustlqg.gradient import _lqg_gradient
+from robustlqg.instances import generate_instance
 from robustlqg.lqg import (
     CovarianceProfile,
     SystemInstance,
@@ -13,7 +17,7 @@ from robustlqg.lqg import (
     lqg_value,
     riccati_backward,
 )
-from robustlqg.matops import symmetrize
+from robustlqg.matops import spectral_radius, symmetrize
 
 from conftest import rand_profile, rand_spd, rand_system, scalar_unit_profile, scalar_unit_system
 from reference import kalman_forward_reference, lqg_gradient_reference, simulate_closed_loop
@@ -237,6 +241,41 @@ def test_sweeps_make_about_one_linalg_call_per_step(monkeypatch):
     calls.clear()
     _lqg_gradient(sys, P, cov)
     assert 0 < len(calls) <= T + 8, calls
+
+
+@pytest.mark.parametrize("kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER],
+                         ids=["w2", "kl"])
+def test_solves_decompose_only_where_a_value_is_read(monkeypatch, kind):
+    # a timing-free guard: once a solve has planned, its psd checks are
+    # Cholesky certificates, so it runs no eigvalsh at all, and each oracle
+    # pass runs one eigh per group (of the gradient for Wasserstein, of the
+    # whitened gradient for KL). The hard benchmark family at d = 3, T = 4
+    d, T = 3, 4
+    A = 0.95 * np.eye(d) + 0.3 * np.diag(np.ones(d - 1), 1)
+    A *= 0.95 / spectral_radius(A)
+    eye = np.eye(d)
+    sys = SystemInstance.time_invariant(A, eye, eye, eye, eye, T=T)
+    rng = np.random.default_rng(3)
+    cov = rand_profile(rng, sys)
+    P, _ = riccati_backward(sys)
+    calls = _linalg_calls(monkeypatch)
+    kalman_forward(sys, cov)
+    _lqg_gradient(sys, P, cov)
+    assert "eigvalsh" not in calls and "eigh" not in calls, calls
+    plans = []
+    inner = frank_wolfe._profile_plan
+
+    def planning(balls):
+        plans.append(inner(balls))
+        calls.clear()
+        return plans[-1]
+
+    monkeypatch.setattr(frank_wolfe, "_profile_plan", planning)
+    _, model = generate_instance(d, T, 0, kind, 1.0)
+    _, trace = frank_wolfe.solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-4))
+    assert trace.converged and len(trace.records) > 2
+    assert "eigvalsh" not in calls
+    assert calls.count("eigh") == len(trace.records) * len(plans[0].groups)
 
 
 def _identity_system(n, p, T):

@@ -677,3 +677,19 @@ def test_rounding_level_gradient_returns_the_nominal_inactive(oracle):
     assert np.array_equal(res.sigma_star, nominal)
     assert not res.active and res.steps == 0 and math.isnan(res.dual_gamma)
     assert res.dual_bound == 0.0
+
+
+@pytest.mark.parametrize("oracle", [kl_oracle, fisher_oracle], ids=["kl", "fisher"])
+def test_rounding_level_transformed_gradient_returns_the_nominal_inactive(oracle):
+    # the same kind of gradient against a nominal that mixes its directions:
+    # the transformed gradient's top eigenvalue is a tiny positive rounding
+    # residue, not <= 0, next to negatives of size 1e-9. Fisher used to
+    # raise OracleError after 200 steps on it, and KL to return an active
+    # target 2.86 from the nominal; both now treat it as a zero gradient
+    S = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    G = np.diag([1e-26, -1e-9, -1e-9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = oracle(G, S, 0.5, S)
+    assert np.array_equal(res.sigma_star, S)
+    assert not res.active and res.steps == 0 and math.isnan(res.dual_gamma)
