@@ -63,11 +63,21 @@ def _check_keys(raw: dict, cls, prefix: str) -> None:
         )
 
 
+def _object(raw, name: str) -> dict:
+    if not isinstance(raw, dict):
+        raise InvalidInputError(f"{name} must be a JSON object")
+    return raw
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     raw: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+            raise InvalidInputError(f"cannot read config {args.config}: {exc}") from exc
+        raw = _object(raw, "config")
         schema = raw.pop("schema", 1)
         if schema != 1:
             raise RobustLqgError(f"unsupported config schema {schema}")
@@ -82,7 +92,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         if val is not None:
             raw[key] = val
     _check_keys(raw, ExperimentConfig, "")
-    fw_raw = dict(raw.pop("fw", {}))
+    fw_raw = dict(_object(raw.pop("fw", {}), "config key fw"))
     _check_keys(fw_raw, FwConfig, "fw.")
     for key in ("max_iters", "gap_tol", "step_rule"):
         val = getattr(args, key, None)

@@ -3,8 +3,9 @@
 The LQG cost is a composition of the forward Kalman covariance recursion and
 a trace formula; its derivative is computed by a reverse (adjoint) sweep.
 With S_t the predicted covariance, E_t = C_t S_t C_t^T + V_t, and
-K_t = S_t C_t^T E_t^{-1}, kalman_forward's gain L[t] (so this sweep solves no
-linear system), the measurement update has the Joseph-form differential
+K_t = S_t C_t^T E_t^{-1}, the innovation gain, which equals kalman_forward's
+gain L[t] = Sigma_filt[t] C_t^T V_t^{-1} (so this sweep solves no linear
+system), the measurement update has the Joseph-form differential
 
     d Sigma_t = (I - K_t C_t) dS_t (I - K_t C_t)^T + K_t dV_t K_t^T,
 

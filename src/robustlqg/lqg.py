@@ -8,12 +8,12 @@ filter gain L_t is the innovation gain, which equals
 Sigma_filt[t] C_t^T V_t^{-1}; every V_t must be positive definite.
 
 The Kalman time loop holds only what depends on the previous step: the
-prediction in information form, Sigma_pred[t+1] =
-A_t (I + S_t J_t)^{-1} S_t A_t^T + W_t with J_t = C_t^T V_t^{-1} C_t formed
-once for all t. The gains, the filtered covariances and their checks follow
-in batched (T, d, d) calls after the loop, and the cost is two elementwise
-sums. A psd or pd check is one batched Cholesky that certifies the rule;
-eigenvalues are computed only where it fails, and then they decide.
+filtered covariance in information form, (I + S_t J_t)^{-1} S_t with
+J_t = C_t^T V_t^{-1} C_t formed once for all t, and the prediction from it.
+The gains and the checks follow in batched (T, d, d) calls after the loop,
+and the cost is two elementwise sums. A psd or pd check is one batched
+Cholesky that certifies the rule; eigenvalues are computed only where it
+fails, and then they decide.
 """
 
 from __future__ import annotations
@@ -200,52 +200,34 @@ def _chol_pd(M: np.ndarray, what: str):
     return chol
 
 
-def _measurement_updates(C, V, S) -> tuple[np.ndarray, np.ndarray]:
-    """Gains and filtered covariances of the first k steps, in batched calls,
-    from their predicted covariances S (k, n, n); returns (Sigma_filt, L).
-
-    The gain is L = S C^T E^{-1} with E = C S C^T + V, through E's Cholesky
-    factor, and the update is the printed S - L C S. Where rounding pushes
-    that off the psd cone, the (equivalent) Joseph form
-    (I - L C) S (I - L C)^T + L V L^T replaces it, unless it went further
-    negative than -1e-8 (1 + ||S||_F). One batched Cholesky of the updates
-    certifies them all pd; only when it fails are their smallest eigenvalues
-    computed, and they alone decide which steps take the Joseph form and
-    which step lost psd. Raises the first failure in time order: a non-pd E
-    or a lost psd at an earlier step comes first.
-    """
-    k, n = S.shape[0], S.shape[1]
-    if k == 0:
-        return np.empty((0, n, n)), np.empty((0, n, C.shape[1]))
-    SCt = S @ C.swapaxes(1, 2)
-    E = C @ SCt + V
+def _check_updates(C, V, S, filt) -> None:
+    """Check the measurement updates of the first k steps, batched, from their
+    predicted and filtered covariances S and filt (k, n, n): E = C S C^T + V
+    must be pd, and each filt finite and psd within -1e-8 (1 + ||S||_F).
+    One batched Cholesky certifies every filt pd; only where it fails are
+    the smallest eigenvalues computed, and they alone decide. Raises the
+    first failure in time order: a non-pd E or a lost psd at an earlier
+    step comes first."""
+    if not len(S):
+        return
+    E = C @ (S @ C.swapaxes(1, 2)) + V
     try:
-        chol = _chol_pd(E, "innovation covariance")
+        _chol_pd(E, "innovation covariance")
     except ConditioningError:
-        for t in range(k):
+        for t in range(len(S)):
             try:
                 _chol_pd(E[t], f"innovation covariance at t={t}")
             except ConditioningError as exc:
-                _measurement_updates(C[:t], V[:t], S[:t])  # raises an earlier failure
+                _check_updates(C[:t], V[:t], S[:t], filt[:t])  # raises an earlier failure
                 raise exc
         raise
-    L = np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, SCt.swapaxes(1, 2)))
-    L = L.swapaxes(1, 2)
-    filt = _check_finite(symmetrize(S - L @ SCt.swapaxes(1, 2)), "filter covariance")
-    if _cholesky_certifies(filt):  # every printed update is pd: nothing to restore
-        return filt, L
+    _check_finite(filt, "filter covariance")
+    if _cholesky_certifies(filt):
+        return
     lam_min = np.linalg.eigvalsh(filt)[:, 0]
-    neg = np.flatnonzero(lam_min < 0.0)
-    if neg.size:
-        lost = neg[lam_min[neg] < -1e-8 * (1.0 + np.linalg.norm(S[neg], axis=(1, 2)))]
-        if lost.size:
-            raise ConditioningError(f"filter covariance lost psd at t={lost[0]}")
-        Ln = L[neg]
-        closed = np.eye(n) - Ln @ C[neg]
-        filt[neg] = symmetrize(
-            closed @ S[neg] @ closed.swapaxes(1, 2) + Ln @ V[neg] @ Ln.swapaxes(1, 2)
-        )
-    return filt, L
+    lost = np.flatnonzero(lam_min < -1e-8 * (1.0 + np.linalg.norm(S, axis=(1, 2))))
+    if lost.size:
+        raise ConditioningError(f"filter covariance lost psd at t={lost[0]}")
 
 
 def kalman_forward(
@@ -255,16 +237,16 @@ def kalman_forward(
 
     Sigma_pred[0] = X0 and for t = 0..T-1, with S_t = Sigma_pred[t],
     E_t = C_t S_t C_t^T + V_t and J_t = C_t^T V_t^{-1} C_t:
-      L_t = S_t C_t^T E_t^{-1}  (innovation gain),
-      Sigma_filt[t] = S_t - L_t C_t S_t = (I + S_t J_t)^{-1} S_t,
+      Sigma_filt[t] = (I + S_t J_t)^{-1} S_t = S_t - L_t C_t S_t,
+      L_t = Sigma_filt[t] C_t^T V_t^{-1} = S_t C_t^T E_t^{-1}  (the gain),
       Sigma_pred[t+1] = A_t Sigma_filt[t] A_t^T + W_t.
-    The time loop runs only the prediction in information form, one n x n
-    solve per step (Anderson & Moore, Optimal Filtering, 1979, ch. 6); J is
-    formed once, batched. The gains, the printed updates and their checks
-    run batched after the loop (_measurement_updates). L_t equals the filter
-    gain Sigma_filt[t] C_t^T V_t^{-1}. Every V_t must be positive definite;
-    ConditioningError names the first singular V[t], non-pd innovation
-    covariance or loss of filter psd.
+    The time loop runs the update in information form, one n x n solve per
+    step (Anderson & Moore, Optimal Filtering, 1979, ch. 6), and the
+    prediction from it; J is formed once, batched. After the loop the
+    filtered covariances are symmetrized, checked (_check_updates) and
+    turned into the gains by one batched solve against the Cholesky factor
+    of V. Every V_t must be positive definite; ConditioningError names the
+    first singular V[t], non-pd innovation covariance or loss of filter psd.
     """
     T, n, p = sys.T, sys.n, sys.p
     shapes = (cov.X0.shape, cov.W.shape[1:], cov.V.shape[1:])
@@ -280,6 +262,7 @@ def kalman_forward(
     J = root_J.swapaxes(1, 2) @ root_J
     A, At, W = sys.A, sys.A.swapaxes(1, 2), cov.W
     eye = np.eye(n)
+    filt = np.empty((T, n, n))
     pred = np.empty((T + 1, n, n))
     pred[0] = cov.X0
     stop = T
@@ -290,7 +273,7 @@ def kalman_forward(
             M = S @ J[t]
             M += eye
             try:
-                filt_t = np.linalg.solve(M, S)
+                filt[t] = filt_t = np.linalg.solve(M, S)
             except np.linalg.LinAlgError:  # det(I + S J) = det(E) / det(V)
                 stop = t
                 break
@@ -299,9 +282,12 @@ def kalman_forward(
             out = pred[t + 1]  # symmetrize(X), written in place
             np.add(X, X.T, out=out)
             out *= 0.5
-        filt, L = _measurement_updates(sys.C[:stop], cov.V[:stop], pred[:stop])
+        filt = symmetrize(filt[:stop])
+        _check_updates(sys.C[:stop], cov.V[:stop], pred[:stop], filt)
     if stop < T:
         raise ConditioningError(f"innovation covariance at t={stop} is singular")
+    # L^T = V^{-1} C filt = chol_V^{-T} root_J filt
+    L = np.linalg.solve(chol_V.swapaxes(1, 2), root_J @ filt).swapaxes(1, 2)
     return filt, _check_finite(pred, "predicted covariance"), L
 
 

@@ -127,10 +127,11 @@ def _clean_gradients(kind: DivergenceKind, G: np.ndarray) -> tuple[np.ndarray, n
 
     Each block is decomposed only as far as kind's setup reads it. Returns
     (G, top per block, eig), where top > 0 marks a nonzero gradient: for
-    Wasserstein eig = (eigenvalues, eigenvectors) with the rounding
-    negatives clamped to zero, G rebuilt from them and top the top
-    eigenvalue. KL and Fisher setups decompose a transformed gradient and
-    clamp that, so eig = () and G is the symmetrized gradient. One batched
+    Wasserstein eig = (eigenvalues, eigenvectors, largest eigenvalue
+    magnitude) with the rounding negatives clamped to zero after the
+    magnitude is taken, G rebuilt from them and top the top eigenvalue. KL
+    and Fisher setups decompose a transformed gradient and clamp that, so
+    eig = () and G is the symmetrized gradient. One batched
     Cholesky of G + 1e-8 (1 + max |diag|) I certifies their psd check (the
     diagonal lies within the spectrum, so the shift is at most the rule's),
     and top is the largest diagonal entry clamped at zero, which is positive
@@ -145,8 +146,8 @@ def _clean_gradients(kind: DivergenceKind, G: np.ndarray) -> tuple[np.ndarray, n
         if _cholesky_certifies(G, _GRAD_CLAMP * (1.0 + np.abs(diag).max(axis=1))):
             return G, np.maximum(diag.max(axis=1), 0.0), ()
         vals, vecs = np.linalg.eigvalsh(G), None
-    scale = 1.0 + np.abs(vals).max(axis=1)
-    bad = vals[:, 0] < -_GRAD_CLAMP * scale
+    size = np.abs(vals).max(axis=1)
+    bad = vals[:, 0] < -_GRAD_CLAMP * (1.0 + size)
     if bad.any():
         raise InvalidInputError(
             f"gradient block is not psd: min eigenvalue {vals[bad, 0].min():.3e}"
@@ -154,7 +155,7 @@ def _clean_gradients(kind: DivergenceKind, G: np.ndarray) -> tuple[np.ndarray, n
     vals = np.maximum(vals, 0.0)
     if vecs is None:
         return G, vals[:, -1], ()
-    return (vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2), vals[:, -1], (vals, vecs)
+    return (vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2), vals[:, -1], (vals, vecs, size)
 
 
 class _Dual(NamedTuple):
@@ -205,14 +206,14 @@ def _w2_values(g, gap, lam, s, c_ref, rho):
     return phi, (lam * m * m * s).sum(axis=1) - c_ref
 
 
-def _wasserstein(G, nominal, rho, c_ref, lam, vecs) -> _Dual:
+def _wasserstein(G, nominal, rho, c_ref, lam, vecs, size) -> _Dual:
     """Gelbrich ball: every function of g is diagonal in the gradient eigenbasis
-    (lam and vecs, from _clean_gradients)."""
+    (lam, vecs and the unclamped magnitude size, from _clean_gradients)."""
     vecs_t = np.swapaxes(vecs, 1, 2)
     sig_t = vecs_t @ nominal @ vecs  # nominal in the gradient eigenbasis
     s = np.diagonal(sig_t, axis1=1, axis2=2).copy()
     lam1 = lam[:, -1]
-    lo = lam1 * (1.0 + np.sqrt(np.maximum(s[:, -1], 0.0)) / rho)
+    factor = 1.0 + np.sqrt(np.maximum(s[:, -1], 0.0)) / rho
     hi = lam1 * (1.0 + np.sqrt(np.trace(nominal, axis1=1, axis2=2)) / rho)
 
     def candidate(idx, g, aux):
@@ -221,8 +222,8 @@ def _wasserstein(G, nominal, rho, c_ref, lam, vecs) -> _Dual:
         return symmetrize(vecs[idx] @ inner @ vecs_t[idx])
 
     scale = np.abs(c_ref) + (lam * s).sum(axis=1)
-    return _Dual(lo, hi, lam1, scale, (lam, s, c_ref, rho), _w2_divergence, _w2_values,
-                 candidate, 1)
+    return _Dual(lam1 * factor, hi, size * factor, scale, (lam, s, c_ref, rho), _w2_divergence,
+                 _w2_values, candidate, 1)
 
 
 def _kl_divergence(g, lam, c_ref, rho):
@@ -471,14 +472,13 @@ def _solve_group(group: _Group, G, sigma_ref) -> _Pass:
     if live.size:
         dual = _SETUPS[kind](G[live], nominal[live], rho[live], c_ref[live],
                              *(f[live] for f in eig + group.factors))
-        # for KL and Fisher lo is the top eigenvalue of a transformed
-        # gradient (Shat^{1/2} Gamma Shat^{1/2} clamped, Shat Gamma Shat).
-        # A gradient whose top eigenvalue is positive at rounding level, next
-        # to negatives inside the psd tolerance, transforms to an lo at
-        # rounding level of the transformed gradient, of either sign; it is
-        # zero to that tolerance, and such a block returns the nominal,
-        # inactive, like a zero gradient. For Wasserstein lo >= size > 0 on
-        # live blocks
+        # lo is the top eigenvalue of a transformed gradient (see _Dual). A
+        # gradient whose top eigenvalue is positive at rounding level, next
+        # to negatives inside the psd tolerance, has an lo at rounding level
+        # of the transformed gradient, of either sign; it is zero to that
+        # tolerance, and such a block returns the nominal, inactive, like a
+        # zero gradient. The Wasserstein factor scales lo and size alike, so
+        # this tests Gamma's top eigenvalue against its unclamped magnitude
         todo = np.flatnonzero(dual.lo > 1e-12 * dual.size)
         blocks = live[todo]
         gamma[blocks], got[blocks], bound[blocks], steps[blocks], sigma[blocks] = _newton(

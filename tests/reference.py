@@ -222,7 +222,7 @@ def brute_force_oracle(
         raise UnsupportedDivergenceError("brute-force oracle supports d <= 3 only")
     # the Wasserstein cleaning keeps the eigenbasis
     G = _stack([Gamma], d, "gradient")
-    _, _, (lam, vecs) = _clean_gradients(DivergenceKind.WASSERSTEIN2, G)
+    _, _, (lam, vecs, _) = _clean_gradients(DivergenceKind.WASSERSTEIN2, G)
     lam, vecs = lam[0], vecs[0]
     nominal = ball.nominal.cov
     if float(lam.max(initial=0.0)) <= 0.0 or ball.radius <= 0.0:

@@ -258,6 +258,26 @@ def test_cli_unknown_config_key_exit_code(tmp_path, capsys, body, key):
     assert not (tmp_path / "out").exists()
 
 
+# a config file that is missing, not JSON or not an object is an input error
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read config "), ("{bogus", "cannot read config "),
+    ("[1, 2]", "config must be a JSON object"),
+    ('{"fw": [1, 2]}', "config key fw must be a JSON object"),
+], ids=["missing", "invalid_json", "top_list", "fw_list"])
+def test_cli_malformed_config_exit_code(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    code = cli_main(["solve", "--config", str(cfg_path), "--seed", "0", "--rho", "0.1",
+                     "--horizon", "2", "--dim", "2", "--divergence", "kl",
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "InvalidInputError"
+    assert err["message"].startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_has_no_oracle_delta_flag(tmp_path):
     # the oracles certify a fixed fraction (0.95) of their dual bound
     with pytest.raises(SystemExit):

@@ -147,40 +147,56 @@ def test_kalman_matches_joint_gaussian_conditioning_oracle():
     T=st.integers(1, 5),
 )
 def test_kalman_gain_is_the_filter_gain(seed, n, m, p, T):
-    # the innovation gain S C^T E^{-1} that kalman_forward returns equals the
-    # filter gain Sigma_filt C^T V^{-1}
+    # the filtered covariances are exactly symmetric; the gain kalman_forward
+    # returns is the filter gain Sigma_filt C^T V^{-1} and equals the
+    # innovation gain S C^T E^{-1}, E = C S C^T + V, the form the adjoint's
+    # Joseph-form differential is derived with
     rng = np.random.default_rng(seed)
     sys = rand_system(rng, n=n, m=m, p=p, T=T)
     cov = rand_profile(rng, sys)
-    filt, _, L = kalman_forward(sys, cov)
-    for t in range(T):
-        want = np.linalg.solve(cov.V[t], (filt[t] @ sys.C[t].T).T).T
-        assert np.abs(L[t] - want).max() <= 1e-10 * np.abs(want).max()
-
-
-def test_kalman_joseph_fallback_restores_psd():
-    # a prior spread over 11 decades seen through almost noiseless sensors:
-    # the printed update S - L C S cancels to below its rounding error and
-    # loses psd, so kalman_forward switches to the Joseph form
-    n = 3
-    eye = np.eye(n)
-    sys = SystemInstance.time_invariant(eye, eye, eye, eye, eye, T=1)
-    U, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
-    S = (U * [1e8, 1.0, 1e-3]) @ U.T
-    V = 1e-9 * eye
-    cov = CovarianceProfile(X0=S, W=eye[None], V=V[None])
     filt, pred, L = kalman_forward(sys, cov)
-    S, gain, C = pred[0], L[0], sys.C[0]
-    printed = symmetrize(S - gain @ (S @ C.T).T)
-    assert np.linalg.eigvalsh(printed).min() < 0.0
-    assert np.linalg.eigvalsh(filt[0]).min() >= 0.0
-    closed = eye - gain @ C
-    joseph = closed @ S @ closed.T + gain @ V @ gain.T
-    assert np.linalg.norm(filt[0] - joseph) <= 1e-12 * np.linalg.norm(joseph)
+    assert np.array_equal(filt, filt.swapaxes(1, 2))
+    for t in range(T):
+        C, S = sys.C[t], pred[t]
+        for want in (np.linalg.solve(cov.V[t], (filt[t] @ C.T).T).T,
+                     np.linalg.solve(C @ S @ C.T + cov.V[t], C @ S).T):
+            assert np.abs(L[t] - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def _rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def _spread_prior(n):
+    """A prior spread over 11 decades, U diag(1e8, 1, 1e-3) U^T, and its
+    eigenpairs. Seen through almost noiseless sensors (C = I, V = 1e-9 I)
+    the printed update S - L C S cancels to below its rounding error there
+    and loses psd."""
+    U, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+    lam = np.array([1e8, 1.0, 1e-3])
+    return symmetrize((U * lam) @ U.T), lam, U
+
+
+def _closed_form_update(lam, U, v):
+    """Sigma_filt for S = U diag(lam) U^T, C = I and V = v I:
+    U diag(1 / (1/lam + 1/v)) U^T."""
+    return (U / (1.0 / lam + 1.0 / v)) @ U.T
+
+
+def test_kalman_ill_conditioned_update_matches_the_closed_form():
+    n, v = 3, 1e-9
+    eye = np.eye(n)
+    sys = SystemInstance.time_invariant(eye, eye, eye, eye, eye, T=1)
+    S, lam, U = _spread_prior(n)
+    cov = CovarianceProfile(X0=S, W=eye[None], V=(v * eye)[None])
+    filt, pred, L = kalman_forward(sys, cov)
+    want = _closed_form_update(lam, U, v)
+    assert np.linalg.eigvalsh(filt[0]).min() >= 0.0
+    assert _rel_err(filt[0], want) <= 1e-6
+    assert _rel_err(L[0], want / v) <= 1e-6
+    # the prediction reads the same update: A = I and W = I
+    assert np.array_equal(pred[0], cov.X0)
+    assert _rel_err(pred[1], filt[0] + eye) <= 1e-15
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -229,7 +245,9 @@ def _linalg_calls(monkeypatch):
 def test_sweeps_make_about_one_linalg_call_per_step(monkeypatch):
     # a timing-free guard: the per-step work of each sweep is one solve; the
     # gains, checks and adjoint set-up run as a few batched calls (the
-    # per-step covariance form made about five calls a step)
+    # per-step covariance form made about five calls a step). The Kalman
+    # sweep's five: the Cholesky of V, the solve for J, the Cholesky of E,
+    # the Cholesky of Sigma_filt and the gain solve
     T = 20
     rng = np.random.default_rng(11)
     sys = rand_system(rng, n=3, m=2, p=2, T=T)
@@ -237,7 +255,7 @@ def test_sweeps_make_about_one_linalg_call_per_step(monkeypatch):
     P, _ = riccati_backward(sys)
     calls = _linalg_calls(monkeypatch)
     kalman_forward(sys, cov)
-    assert 0 < len(calls) <= T + 8, calls
+    assert 0 < len(calls) <= T + 5, calls
     calls.clear()
     _lqg_gradient(sys, P, cov)
     assert 0 < len(calls) <= T + 8, calls
@@ -305,26 +323,20 @@ def test_kalman_lost_psd_names_the_step():
         kalman_forward(sys, cov)
 
 
-def test_kalman_joseph_fallback_only_where_the_update_goes_negative():
-    # the prior of test_kalman_joseph_fallback_restores_psd reaches step 1
-    # exactly (A = 0, so Sigma_pred[1] = W[0]) with V[1] = 1e-9 I: step 1
-    # takes the Joseph form and step 0 keeps the printed update
-    n = 3
+def test_kalman_ill_conditioned_update_at_a_later_step_matches_the_closed_form():
+    # the prior of _spread_prior reaches step 1 exactly (A = 0, so
+    # Sigma_pred[1] = W[0]) with V[1] = 1e-9 I; step 0 is well conditioned
+    n, v = 3, 1e-9
     eye = np.eye(n)
     sys = SystemInstance.time_invariant(0.0 * eye, eye, eye, eye, eye, T=2)
-    U, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
-    spread = (U * [1e8, 1.0, 1e-3]) @ U.T
-    V = np.stack([eye, 1e-9 * eye])
-    cov = CovarianceProfile(X0=eye, W=np.stack([spread, eye]), V=V)
+    spread, lam, U = _spread_prior(n)
+    cov = CovarianceProfile(X0=eye, W=np.stack([spread, eye]), V=np.stack([eye, v * eye]))
     filt, pred, L = kalman_forward(sys, cov)
-    C = sys.C[0]
-    printed = [symmetrize(pred[t] - L[t] @ (pred[t] @ C.T).T) for t in range(2)]
-    assert np.linalg.eigvalsh(printed[1]).min() < 0.0
-    assert np.linalg.eigvalsh(filt[1]).min() >= 0.0
-    closed = eye - L[1] @ C
-    joseph = closed @ pred[1] @ closed.T + L[1] @ V[1] @ L[1].T
-    assert np.linalg.norm(filt[1] - joseph) <= 1e-12 * np.linalg.norm(joseph)
-    assert np.linalg.norm(filt[0] - printed[0]) <= 1e-12 * np.linalg.norm(printed[0])
+    for t, want, vt in ((0, 0.5 * eye, 1.0), (1, _closed_form_update(lam, U, v), v)):
+        assert np.linalg.eigvalsh(filt[t]).min() >= 0.0
+        assert _rel_err(filt[t], want) <= 1e-6
+        assert _rel_err(L[t], want / vt) <= 1e-6
+    assert np.array_equal(pred, np.stack([eye, cov.W[0], cov.W[1]]))
 
 
 def test_kalman_rejects_singular_V():

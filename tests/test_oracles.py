@@ -679,13 +679,16 @@ def test_rounding_level_gradient_returns_the_nominal_inactive(oracle):
     assert res.dual_bound == 0.0
 
 
-@pytest.mark.parametrize("oracle", [kl_oracle, fisher_oracle], ids=["kl", "fisher"])
+@pytest.mark.parametrize("oracle", [wasserstein_oracle, kl_oracle, fisher_oracle],
+                         ids=["w2", "kl", "fisher"])
 def test_rounding_level_transformed_gradient_returns_the_nominal_inactive(oracle):
     # the same kind of gradient against a nominal that mixes its directions:
     # the transformed gradient's top eigenvalue is a tiny positive rounding
     # residue, not <= 0, next to negatives of size 1e-9. Fisher used to
-    # raise OracleError after 200 steps on it, and KL to return an active
-    # target 2.86 from the nominal; both now treat it as a zero gradient
+    # raise OracleError after 200 steps on it, KL to return an active
+    # target 2.86 from the nominal and Wasserstein one 1.66 from it, after
+    # 20 steps (its clamp in the gradient's own eigenbasis leaves the 1e-26
+    # direction); all three now treat it as a zero gradient
     S = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
     G = np.diag([1e-26, -1e-9, -1e-9])
     with warnings.catch_warnings():
