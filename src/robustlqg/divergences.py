@@ -162,8 +162,8 @@ def entropic_ot_squared(a: MomentPair, b: MomentPair, eps: float) -> float:
     logic compare this squared form against rho^2.
     """
     _check_dims(a, b)
-    if eps <= 0.0:
-        raise InvalidInputError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise InvalidInputError("entropic OT needs a finite eps > 0")
     Sa, Sb = a.cov, b.cov
     if not (_is_pd(Sa) and _is_pd(Sb)):
         raise InvalidInputError("entropic OT requires positive definite covariances")
@@ -318,8 +318,8 @@ class AmbiguityBall:
             if not _is_pd(self.nominal.cov):
                 raise InvalidInputError(f"{self.kind.value} nominal covariance must be pd")
         if self.kind is DivergenceKind.ENTROPIC_OT:
-            if self.eps <= 0.0:
-                raise InvalidInputError("entropic OT needs eps > 0")
+            if not (math.isfinite(self.eps) and self.eps > 0.0):
+                raise InvalidInputError("entropic OT needs a finite eps > 0")
             d = self.nominal.dim
             shifted = MomentPair.from_cov(
                 self.nominal.mean, self.nominal.cov + 0.5 * self.eps * np.eye(d)

@@ -28,7 +28,7 @@ from .frank_wolfe import FwConfig, _inner, _profile_plan, _stacked, solve
 from .gradient import GradientProfile, _lqg_gradient
 from .instances import RNG_ALGORITHM, generate_instance
 from .lqg import CovarianceProfile
-from .matops import _check_finite
+from .matops import _check_finite, _is_number
 from .oracles import ORACLE_KINDS, _run
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 from .stacked import build_stacked, kalman_policy_to_purified  # noqa: F401  unused; bench/tracer.py wraps these
@@ -58,11 +58,18 @@ class ExperimentConfig:
         # jobs=1; the next benchmark change stops passing it and deletes it
         if self.jobs != 1:
             raise InvalidInputError("jobs must be 1: every experiment runs serially")
-        if self.d < 1 or self.T < 1:
-            raise InvalidInputError("d and T must be >= 1")
+        if not all(_is_number(n, integer=True) and n >= 1 for n in (self.d, self.T)):
+            raise InvalidInputError("d and T must be integers >= 1")
+        for name, low in (("seeds", 0), ("runtime_horizons", 1)):
+            vals = getattr(self, name)
+            if not isinstance(vals, (list, tuple)) or not all(
+                    _is_number(v, integer=True) and v >= low for v in vals):
+                raise InvalidInputError(f"{name} must be a list of integers >= {low}")
+        if not isinstance(self.output_dir, str):
+            raise InvalidInputError("output_dir must be a string")
         rhos = self.rho if isinstance(self.rho, list) else [self.rho]
-        if not all(np.isfinite(r) and r >= 0 for r in rhos):
-            raise InvalidInputError("rho entries must be finite and nonnegative")
+        if not all(_is_number(r) and r >= 0 for r in rhos):
+            raise InvalidInputError("rho entries must be finite nonnegative numbers")
         try:
             kind = DivergenceKind(self.divergence)
         except ValueError:

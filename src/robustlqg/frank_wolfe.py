@@ -39,6 +39,7 @@ from .errors import InvalidInputError
 from .gradient import _adjoint
 from .gradient import lqg_gradient  # noqa: F401  unused; bench/tracer.py wraps this binding
 from .lqg import CovarianceProfile, SystemInstance
+from .matops import _is_number
 from .oracles import _Plan, _plan, _run
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 
@@ -56,10 +57,10 @@ class FwConfig:
     step_rule: str = "line_search"
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise InvalidInputError("max_iters must be >= 1")
-        if not (np.isfinite(self.gap_tol) and self.gap_tol > 0.0):
-            raise InvalidInputError("gap_tol must be positive and finite")
+        if not (_is_number(self.max_iters, integer=True) and self.max_iters >= 1):
+            raise InvalidInputError("max_iters must be an integer >= 1")
+        if not (_is_number(self.gap_tol) and self.gap_tol > 0.0):
+            raise InvalidInputError("gap_tol must be a positive finite number")
         if self.step_rule not in ("vanishing", "line_search"):
             raise InvalidInputError(f"unknown step rule '{self.step_rule}'")
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import InstabilityError, InvalidInputError
@@ -16,6 +19,13 @@ def _check_finite(X: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(X).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     return X
+
+
+def _is_number(x, integer: bool = False) -> bool:
+    """Whether x is a finite real (an integer if integer); numpy scalars count, bools do not."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral if integer else numbers.Real):
+        return False
+    return isinstance(x, numbers.Integral) or math.isfinite(x)
 
 
 def _check_square(S: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -26,18 +26,18 @@ so every returned result is certified.
 A pass solves the oracles of many blocks at once. Its blocks come as
 stacks of (k, d, d) arrays; it groups them by (divergence kind, block
 size), gathers each group's rows with at most one concatenate, and runs
-each group on stacked (B, d, d) arrays. The gradients are decomposed only
-as far as a kind reads them: one batched eigendecomposition per group (of
-Gamma for Wasserstein, of the whitened gradient for KL) diagonalizes every
-block's dual equation, so a divergence and its slope cost O(d) per block
-and a few numpy calls per group. The Fisher pencil does not commute, so
-each Fisher evaluation takes one batched eigendecomposition, shared by the
-divergence, its slope (Daleckii-Krein, in the pencil eigenbasis) and the
-dual and primal values. The gradients' psd check reads the Wasserstein
-eigenvalues; for KL and Fisher it is one batched Cholesky, as is the check
-of the Wasserstein outputs' eigenvalue floors. A check computes
-eigenvalues only where its Cholesky fails (matops._cholesky_certifies),
-and they alone decide it.
+each group on stacked (B, d, d) arrays. The gradients' psd check reads no
+kind: like the check of the Wasserstein outputs' eigenvalue floors, it is
+one batched Cholesky, with eigenvalues computed only where it fails
+(matops._cholesky_certifies), and they alone decide it. Every setup takes
+(G, nominal, rho, c_ref, *nominal factors) for the blocks with rho > 0 and
+decomposes their gradients itself: one batched eigendecomposition per
+group (of Gamma for Wasserstein, of the whitened gradient for KL)
+diagonalizes every block's dual equation, so a divergence and its slope
+cost O(d) per block and a few numpy calls per group. The Fisher pencil
+does not commute, so each Fisher evaluation takes one batched
+eigendecomposition, shared by the divergence, its slope (Daleckii-Krein,
+in the pencil eigenbasis) and the dual and primal values.
 The search runs in lockstep: every unfinished block takes its own step at
 each iteration and leaves the group once it certifies, so a block's result
 does not depend on the rest of its group.
@@ -76,11 +76,6 @@ from .divergences import (
 )
 from .errors import InvalidInputError, OracleError, UnsupportedDivergenceError
 from .matops import _check_finite, _check_square, _cholesky_certifies, symmetrize
-
-# kinds with a built-in oracle; a custom kind needs a registered linearization
-ORACLE_KINDS = frozenset(
-    {DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER}
-)
 
 _GRAD_CLAMP = 1e-8
 _MAX_STEPS = 200
@@ -121,52 +116,37 @@ def _stack(mats: Sequence[np.ndarray], d: int, name: str) -> np.ndarray:
     return _check_finite(np.array(mats, dtype=float), name)
 
 
-def _clean_gradients(kind: DivergenceKind, G: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _check_gradients(G: np.ndarray) -> np.ndarray:
     """Symmetrize a (B, d, d) gradient stack and check it psd: every block
-    needs lam_min >= -1e-8 (1 + max |eig|).
+    needs lam_min >= -1e-8 (1 + max |eig|). Returns the symmetrized stack.
 
-    Each block is decomposed only as far as kind's setup reads it. Returns
-    (G, top per block, eig), where top > 0 marks a nonzero gradient: for
-    Wasserstein eig = (eigenvalues, eigenvectors, largest eigenvalue
-    magnitude) with the rounding negatives clamped to zero after the
-    magnitude is taken, G rebuilt from them and top the top eigenvalue. KL
-    and Fisher setups decompose a transformed gradient and clamp that, so
-    eig = () and G is the symmetrized gradient. One batched
-    Cholesky of G + 1e-8 (1 + max |diag|) I certifies their psd check (the
-    diagonal lies within the spectrum, so the shift is at most the rule's),
-    and top is the largest diagonal entry clamped at zero, which is positive
-    exactly when a psd block is nonzero. Where the Cholesky fails, the
-    eigenvalues decide, and top is the top eigenvalue clamped at zero.
+    One batched Cholesky of G + 1e-8 (1 + max |diag|) I certifies the check
+    (the diagonal lies within the spectrum, so the shift is at most the
+    rule's); where it fails, the eigenvalues decide. The check reads no kind:
+    each kind's setup decomposes the gradient as far as it needs.
     """
     G = symmetrize(G)
-    if kind is DivergenceKind.WASSERSTEIN2:
-        vals, vecs = np.linalg.eigh(G)
-    else:
-        diag = np.diagonal(G, axis1=1, axis2=2)
-        if _cholesky_certifies(G, _GRAD_CLAMP * (1.0 + np.abs(diag).max(axis=1))):
-            return G, np.maximum(diag.max(axis=1), 0.0), ()
-        vals, vecs = np.linalg.eigvalsh(G), None
-    size = np.abs(vals).max(axis=1)
-    bad = vals[:, 0] < -_GRAD_CLAMP * (1.0 + size)
+    diag = np.diagonal(G, axis1=1, axis2=2)
+    if _cholesky_certifies(G, _GRAD_CLAMP * (1.0 + np.abs(diag).max(axis=1))):
+        return G
+    vals = np.linalg.eigvalsh(G)
+    bad = vals[:, 0] < -_GRAD_CLAMP * (1.0 + np.abs(vals).max(axis=1))
     if bad.any():
         raise InvalidInputError(
             f"gradient block is not psd: min eigenvalue {vals[bad, 0].min():.3e}"
         )
-    vals = np.maximum(vals, 0.0)
-    if vecs is None:
-        return G, vals[:, -1], ()
-    return (vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2), vals[:, -1], (vals, vecs, size)
+    return G
 
 
 class _Dual(NamedTuple):
-    """The dual equations of a group of blocks.
-
-    lo and hi bracket each block's gamma in closed form. lo is the top
-    eigenvalue of a transformed gradient (for Wasserstein Gamma clamped,
-    times a factor >= 1; for KL Shat^{1/2} Gamma Shat^{1/2} clamped; for
-    Fisher Shat Gamma Shat), and size the largest eigenvalue magnitude of
-    that transformed gradient before clamping; a block with
-    lo <= 1e-12 size has a gradient that is zero to rounding. scale is the
+    """The dual equations of a group of blocks, from their setup's own
+    decomposition of the gradients. lo and hi bracket each block's gamma in
+    closed form. lo is the top eigenvalue of a transformed gradient (for
+    Wasserstein Gamma clamped, times a factor >= 1; for KL
+    Shat^{1/2} Gamma Shat^{1/2} clamped; for Fisher Shat Gamma Shat), and
+    size the largest eigenvalue magnitude of that transformed gradient
+    before clamping; a block with lo <= 1e-12 size (an exact zero has
+    lo = size = 0) has a gradient that is zero to rounding. scale is the
     magnitude of the trace inner products, which floors the delta criterion.
     data holds per-block arrays (block on axis 0), the last of them rho.
     divergence(g, *data) returns the divergence of Sigma(g), its derivative
@@ -206,9 +186,11 @@ def _w2_values(g, gap, lam, s, c_ref, rho):
     return phi, (lam * m * m * s).sum(axis=1) - c_ref
 
 
-def _wasserstein(G, nominal, rho, c_ref, lam, vecs, size) -> _Dual:
-    """Gelbrich ball: every function of g is diagonal in the gradient eigenbasis
-    (lam, vecs and the unclamped magnitude size, from _clean_gradients)."""
+def _wasserstein(G, nominal, rho, c_ref) -> _Dual:
+    """Gelbrich ball: every function of g is diagonal in the gradient eigenbasis."""
+    lam, vecs = np.linalg.eigh(G)
+    size = np.maximum(-lam[:, 0], lam[:, -1])
+    lam = np.maximum(lam, 0.0)
     vecs_t = np.swapaxes(vecs, 1, 2)
     sig_t = vecs_t @ nominal @ vecs  # nominal in the gradient eigenbasis
     s = np.diagonal(sig_t, axis1=1, axis2=2).copy()
@@ -318,6 +300,8 @@ _SETUPS = {
     DivergenceKind.KULLBACK_LEIBLER: _kl,
     DivergenceKind.FISHER: _fisher,
 }
+# kinds with a built-in oracle; a custom kind needs a registered linearization
+ORACLE_KINDS = frozenset(_SETUPS)
 
 
 def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
@@ -449,36 +433,31 @@ class _Pass(NamedTuple):
     steps: np.ndarray
 
 
-def _solve_group(group: _Group, G, sigma_ref) -> _Pass:
+def _solve_group(group: _Group, G, sigma_ref) -> tuple:
     """Oracles of the B blocks of a group, given their (B, d, d) gradients
-    and references; the targets are one (B, d, d) stack.
-
-    Blocks with a zero (clamped) gradient return the nominal, inactive;
-    blocks with rho = 0 return the nominal, active. Wasserstein outputs
-    must dominate their block's eigenvalue floor times I, which g(gI - Gamma)^{-1}
-    guarantees; the check raises OracleError if rounding breaks it.
+    and references: the targets, one (B, d, d) stack, then per block the
+    fields of OracleResult other than sigma_star. A block with rho = 0
+    returns its nominal, active (div = 0 = rho is tight), whatever its
+    gradient; one with a gradient zero to rounding (see _Dual) returns it
+    inactive. Wasserstein outputs must dominate their block's eigenvalue
+    floor times I, which g(gI - Gamma)^{-1} guarantees; the check raises
+    OracleError if rounding breaks it.
     """
     kind, nominal, rho, floors = group.kind, group.nominal, group.rho, group.floors
-    G, top, eig = _clean_gradients(kind, G)
+    G = _check_gradients(G)
     c_ref = (G * sigma_ref).sum(axis=(1, 2))
     sigma = nominal.copy()
     gamma = np.full(rho.size, np.nan)
     got = np.ones(rho.size)
     bound = (G * nominal).sum(axis=(1, 2)) - c_ref  # primal value of the nominal
     steps = np.zeros(rho.size, dtype=int)
-    nonzero = top > 0.0
-    active = nonzero & (rho <= 0.0)
-    live = np.flatnonzero(nonzero & (rho > 0.0))
+    active = rho <= 0.0
+    live = np.flatnonzero(~active)
     if live.size:
         dual = _SETUPS[kind](G[live], nominal[live], rho[live], c_ref[live],
-                             *(f[live] for f in eig + group.factors))
-        # lo is the top eigenvalue of a transformed gradient (see _Dual). A
-        # gradient whose top eigenvalue is positive at rounding level, next
-        # to negatives inside the psd tolerance, has an lo at rounding level
-        # of the transformed gradient, of either sign; it is zero to that
-        # tolerance, and such a block returns the nominal, inactive, like a
-        # zero gradient. The Wasserstein factor scales lo and size alike, so
-        # this tests Gamma's top eigenvalue against its unclamped magnitude
+                             *(f[live] for f in group.factors))
+        # the Wasserstein factor scales lo and size alike, so this tests
+        # Gamma's top eigenvalue against its unclamped magnitude
         todo = np.flatnonzero(dual.lo > 1e-12 * dual.size)
         blocks = live[todo]
         gamma[blocks], got[blocks], bound[blocks], steps[blocks], sigma[blocks] = _newton(
@@ -491,7 +470,7 @@ def _solve_group(group: _Group, G, sigma_ref) -> _Pass:
                 np.linalg.eigvalsh(sigma[k])[:, 0] < floors[k] - 1e-10
             ).any():
                 raise OracleError("wasserstein oracle output violates its eigenvalue floor")
-    return _Pass([sigma], gamma, active, got, bound, steps)
+    return sigma, gamma, active, got, bound, steps
 
 
 def _custom_oracle(ball: AmbiguityBall, Gamma, sigma_ref) -> tuple[np.ndarray, bool]:
@@ -581,7 +560,7 @@ def _run(plan: _Plan, grads: Sequence[np.ndarray], refs: Sequence[np.ndarray]) -
         gamma[i], active[i], got[i], bound[i], steps[i] = found[1:]
         start = 0
         for s, rows, count in group.parts:
-            targets[s][rows] = found.targets[0][start:start + count]
+            targets[s][rows] = found[0][start:start + count]
             start += count
     return _Pass(targets, gamma, active, got, bound, steps)
 

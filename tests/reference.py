@@ -33,7 +33,7 @@ from robustlqg.frank_wolfe import BallProfile, _oracle_pass, _profile_plan, _sta
 from robustlqg.gradient import GradientProfile, lqg_gradient
 from robustlqg.lqg import CovarianceProfile, LqgSolution, SystemInstance, _chol_pd, lqg_value
 from robustlqg.matops import _check_finite, sym_sqrt, symmetrize
-from robustlqg.oracles import OracleResult, _clean_gradients, _stack
+from robustlqg.oracles import OracleResult, _check_gradients, _stack
 
 
 def zero_mean_feasibility_check(
@@ -220,10 +220,9 @@ def brute_force_oracle(
     d = ball.nominal.dim
     if d > 3:
         raise UnsupportedDivergenceError("brute-force oracle supports d <= 3 only")
-    # the Wasserstein cleaning keeps the eigenbasis
-    G = _stack([Gamma], d, "gradient")
-    _, _, (lam, vecs, _) = _clean_gradients(DivergenceKind.WASSERSTEIN2, G)
-    lam, vecs = lam[0], vecs[0]
+    # the gradient eigenbasis, with the rounding negatives clamped to zero
+    lam, vecs = np.linalg.eigh(_check_gradients(_stack([Gamma], d, "gradient"))[0])
+    lam = np.maximum(lam, 0.0)
     nominal = ball.nominal.cov
     if float(lam.max(initial=0.0)) <= 0.0 or ball.radius <= 0.0:
         return OracleResult(symmetrize(nominal), float("nan"), ball.radius <= 0.0, 1.0,

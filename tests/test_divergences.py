@@ -165,6 +165,16 @@ def test_entropic_ot_ball_min_radius():
     assert membership(ball, shifted)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+def test_entropic_ot_needs_a_finite_positive_eps(eps):
+    # a bad eps is named as such, before any matrix function sees it
+    nominal = _pair(np.eye(2))
+    with pytest.raises(InvalidInputError, match=r"^entropic OT needs a finite eps > 0$"):
+        AmbiguityBall(kind=DivergenceKind.ENTROPIC_OT, nominal=nominal, radius=1.0, eps=eps)
+    with pytest.raises(InvalidInputError, match=r"^entropic OT needs a finite eps > 0$"):
+        entropic_ot_squared(nominal, _pair(2.0 * np.eye(2)), eps)
+
+
 def test_membership_boundaries():
     w2 = AmbiguityBall(kind=DivergenceKind.WASSERSTEIN2, nominal=_pair(1.0), radius=1.0)
     assert membership(w2, _pair(1.0))

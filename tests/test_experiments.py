@@ -263,7 +263,12 @@ def test_cli_unknown_config_key_exit_code(tmp_path, capsys, body, key):
     (None, "cannot read config "), ("{bogus", "cannot read config "),
     ("[1, 2]", "config must be a JSON object"),
     ('{"fw": [1, 2]}', "config key fw must be a JSON object"),
-], ids=["missing", "invalid_json", "top_list", "fw_list"])
+    ('{"fw": {"max_iters": 2.5}}', "max_iters must be an integer >= 1"),
+    ('{"fw": {"max_iters": true}}', "max_iters must be an integer >= 1"),
+    ('{"fw": {"gap_tol": "1e-3"}}', "gap_tol must be a positive finite number"),
+    ('{"fw": {"gap_tol": null}}', "gap_tol must be a positive finite number"),
+], ids=["missing", "invalid_json", "top_list", "fw_list", "max_iters_float", "max_iters_bool",
+        "gap_tol_string", "gap_tol_null"])
 def test_cli_malformed_config_exit_code(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "cfg.json"
     if text is not None:
@@ -276,6 +281,33 @@ def test_cli_malformed_config_exit_code(tmp_path, capsys, text, message):
     assert err["error"] == "InvalidInputError"
     assert err["message"].startswith(message)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"d": 2.5}', "d and T must be integers >= 1"),
+    ('{"T": "2"}', "d and T must be integers >= 1"),
+    ('{"seeds": 3}', "seeds must be a list of integers >= 0"),
+    ('{"seeds": [0, 1.0]}', "seeds must be a list of integers >= 0"),
+    ('{"seeds": [-1]}', "seeds must be a list of integers >= 0"),
+    ('{"runtime_horizons": [2, "4"]}', "runtime_horizons must be a list of integers >= 1"),
+    ('{"rho": "0.1"}', "rho entries must be finite nonnegative numbers"),
+    ('{"rho": [0.1, false]}', "rho entries must be finite nonnegative numbers"),
+    ('{"output_dir": 3}', "output_dir must be a string"),
+], ids=["d_float", "T_string", "seeds_int", "seeds_float_entry", "seeds_negative",
+        "horizons_string_entry", "rho_string", "rho_bool_entry", "output_dir_int"])
+def test_cli_mistyped_config_exit_code(tmp_path, capsys, monkeypatch, text, message):
+    # a config value of the wrong type is an input error (exit 2, JSON on
+    # stderr), not a traceback, under a command that takes every field from
+    # the file
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    code = cli_main(["convergence", "--config", str(cfg_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "InvalidInputError"
+    assert err["message"].startswith(message)
+    assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 def test_cli_has_no_oracle_delta_flag(tmp_path):

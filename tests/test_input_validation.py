@@ -1,6 +1,7 @@
 """Every public entry point that takes a matrix rejects malformed input with
 InvalidInputError where the matrix enters the library, and every one that
-takes ambiguity balls rejects a nonzero nominal mean."""
+takes ambiguity balls rejects a nonzero nominal mean. Instances off the
+paper's path (d = 1, rho = 0, near-unstable dynamics) solve for every kind."""
 
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from robustlqg.divergences import (
     CustomDivergence,
     DivergenceKind,
     MomentPair,
+    membership,
     register_moment_divergence,
 )
 from robustlqg.errors import InvalidInputError
@@ -21,7 +23,7 @@ from robustlqg.frank_wolfe import BallProfile, solve
 from robustlqg.gradient import GradientProfile, lqg_gradient
 from robustlqg.instances import generate_instance
 from robustlqg.lqg import CovarianceProfile, SystemInstance, kalman_forward, lqg_value
-from robustlqg.matops import solve_discrete_lyapunov, sym_sqrt
+from robustlqg.matops import solve_discrete_lyapunov, spectral_radius, sym_sqrt
 from robustlqg.oracles import (
     fisher_oracle, kl_oracle, oracle_pass, solve_oracle, wasserstein_oracle,
 )
@@ -225,3 +227,31 @@ def test_entry_points_reject_a_nonzero_nominal_mean(monkeypatch, entry):
     with pytest.raises(InvalidInputError, match="zero nominal mean"):
         MEAN_ENTRY_POINTS[entry]()
     assert sweeps == riccati == dares == filters == []
+
+
+def _near_unstable_system(d, T):
+    """A = 0.95 I + 0.3 superdiag rescaled to spectral radius 0.999; B=C=Q=R=I."""
+    A = 0.95 * np.eye(d) + 0.3 * np.diag(np.ones(d - 1), 1)
+    A *= 0.999 / spectral_radius(A)
+    eye = np.eye(d)
+    return SystemInstance.time_invariant(A, eye, eye, eye, eye, T=T)
+
+
+@pytest.mark.parametrize("kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER,
+                                  DivergenceKind.FISHER], ids=["w2", "kl", "fisher"])
+@pytest.mark.parametrize("case", ["d1", "rho0", "near_unstable"])
+def test_off_path_instances_solve_for_every_kind(kind, case):
+    # off the paper's path: scalar blocks, a zero radius, and dynamics at
+    # spectral radius 0.999. Each solve converges with every final block in
+    # its ball, and at rho = 0 every block is its nominal
+    d, rho = (1, 0.1) if case == "d1" else (3, 0.0 if case == "rho0" else 0.1)
+    sys, model = generate_instance(d, 5, 0, kind, rho)
+    if case == "near_unstable":
+        sys = _near_unstable_system(d, 5)
+    balls = model.ball_profile()
+    final, trace = solve(sys, balls)
+    assert trace.converged
+    for ball, block in zip(balls.blocks(), final.blocks()):
+        assert membership(ball, MomentPair.zero_mean(block), 1e-8)
+        if rho == 0.0:
+            np.testing.assert_array_equal(block, ball.nominal.cov)

@@ -106,11 +106,36 @@ def test_zero_gradient_short_circuits(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_zero_radius_returns_nominal(kind):
+    # the nominal is the only feasible point: its primal value is the bound,
+    # and div = 0 = rho is tight, so the block is active whatever its
+    # gradient, a zero one included
     nominal = np.diag([1.0, 2.0])
-    res = _run(kind, np.eye(2), nominal, 0.0, 0.5 * nominal)
-    np.testing.assert_array_equal(res.sigma_star, nominal)
-    # the nominal is the only feasible point: its primal value is the bound
-    assert res.steps == 0 and res.dual_bound == pytest.approx(1.5)
+    for Gamma, bound in ((np.eye(2), 1.5), (np.zeros((2, 2)), 0.0)):
+        res = _run(kind, Gamma, nominal, 0.0, 0.5 * nominal)
+        np.testing.assert_array_equal(res.sigma_star, nominal)
+        assert res.active and res.steps == 0 and math.isnan(res.dual_gamma)
+        assert res.dual_bound == pytest.approx(bound)
+
+
+def test_wasserstein_decomposes_only_the_blocks_with_a_radius(monkeypatch):
+    # a pass of four d = 3 blocks, two of them with rho = 0: the one eigh of
+    # the group sees the two rows that search and nothing else
+    rng = np.random.default_rng(4)
+    radii = [0.5, 0.0, 0.3, 0.0]
+    balls, grads = [], []
+    for rho in radii:
+        X = rng.standard_normal((3, 3))
+        balls.append(AmbiguityBall(DivergenceKind.WASSERSTEIN2,
+                                   MomentPair.zero_mean(X @ X.T + np.eye(3)), rho))
+        Y = rng.standard_normal((3, 3))
+        grads.append(symmetrize(Y @ Y.T))
+    refs = [ball.nominal.cov for ball in balls]
+    eighs = counting(monkeypatch, np.linalg, "eigh")
+    results = oracle_pass(balls, grads, refs, [0.0] * 4)
+    assert len(eighs) == 1
+    np.testing.assert_array_equal(eighs[0][0], np.array([grads[0], grads[2]]))
+    assert [r.active for r in results] == [True] * 4
+    assert [r.steps > 0 for r in results] == [True, False, True, False]
 
 
 def test_rejects_indefinite_gradient():
@@ -533,23 +558,26 @@ def test_safeguard_certifies_every_block(monkeypatch, change):
 def test_dual_slope_matches_finite_differences(kind):
     # the analytic slope of each divergence (Daleckii-Krein for Fisher)
     # against a central difference, at points across the bracket
-    from robustlqg.oracles import _SETUPS, _clean_gradients, _plan
+    from robustlqg.oracles import _SETUPS, _check_gradients, _plan
 
     balls, grads, refs, floors = _mixed_batch(8, 3, 3, 3, [kind], 0.5)
     (group,) = _plan(balls, floors, [len(balls)]).groups
-    G, top, eig = _clean_gradients(kind, np.array(grads))
+    G = _check_gradients(np.array(grads))
     rho = group.rho
-    live = np.flatnonzero((top > 0.0) & (rho > 0.0))
+    live = np.flatnonzero(rho > 0.0)
     c_ref = (G * np.array(refs)).sum(axis=(1, 2))[live]
     dual = _SETUPS[kind](G[live], group.nominal[live], rho[live], c_ref,
-                         *(f[live] for f in eig + group.factors))
-    assert dual.lo.size >= 4
+                         *(f[live] for f in group.factors))
+    # the blocks that search: the zero gradient of block 1 does not
+    todo = dual.lo > 1e-12 * dual.size
+    lo, hi, data = dual.lo[todo], dual.hi[todo], tuple(a[todo] for a in dual.data)
+    assert lo.size >= 4
     for t in (0.05, 0.3, 0.9):
-        g = dual.lo + t * (dual.hi - dual.lo)
-        _, slope, _ = dual.divergence(g, *dual.data)
+        g = lo + t * (hi - lo)
+        _, slope, _ = dual.divergence(g, *data)
         h = 1e-6 * g
-        up = dual.divergence(g + h, *dual.data)[0]
-        down = dual.divergence(g - h, *dual.data)[0]
+        up = dual.divergence(g + h, *data)[0]
+        down = dual.divergence(g - h, *data)[0]
         np.testing.assert_allclose(slope, (up - down) / (2.0 * h), rtol=1e-5)
         assert (slope < 0.0).all()
 
@@ -571,9 +599,9 @@ def test_fisher_pencil_runs_once_per_counted_evaluation(monkeypatch):
 
     monkeypatch.setattr(oracles, "_pencil", counting)
     (group,) = oracles._plan(balls, floors, [len(balls)]).groups
-    G, top, _ = oracles._clean_gradients(DivergenceKind.FISHER, np.array(grads))
+    G = oracles._check_gradients(np.array(grads))
     rho = group.rho
-    live = np.flatnonzero((top > 0.0) & (rho > 0.0))
+    live = np.flatnonzero(rho > 0.0)
     c_ref = (G * np.array(refs)).sum(axis=(1, 2))[live]
     oracles._fisher(G[live], group.nominal[live], rho[live], c_ref,
                     *(f[live] for f in group.factors))
@@ -665,12 +693,10 @@ def test_rounding_level_gradient_returns_the_nominal_inactive(oracle):
     # eigenvalue of 0.01 underflows that eigenvalue to zero, so the bracket's
     # lo is 0 and the block returns the nominal, inactive, with no step and
     # no warning, like a zero gradient
-    from robustlqg.oracles import _clean_gradients
-
     G = np.diag([np.nextafter(0.0, 1.0), -1e-9, -1e-9])
     nominal = np.diag([0.01, 1.0, 2.0])
     kind = DivergenceKind.KULLBACK_LEIBLER if oracle is kl_oracle else DivergenceKind.FISHER
-    assert _clean_gradients(kind, G[None])[1][0] > 0.0
+    assert np.linalg.eigvalsh(G)[-1] > 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = oracle(G, nominal, 0.5, nominal)

@@ -11,7 +11,7 @@ from robustlqg.divergences import AmbiguityBall, DivergenceKind, MomentPair
 from robustlqg.errors import InvalidInputError, OracleError
 from robustlqg.lqg import SystemInstance
 from robustlqg.matops import _cholesky_certifies
-from robustlqg.oracles import _clean_gradients, oracle_pass
+from robustlqg.oracles import _check_gradients, oracle_pass
 
 from conftest import counting
 
@@ -31,7 +31,7 @@ def test_cholesky_certifies_only_a_shifted_pd_stack():
     assert not _cholesky_certifies(np.array([[np.inf]]))
 
 
-@pytest.mark.parametrize("kind", [KL, FISHER], ids=["kl", "fisher"])
+@pytest.mark.parametrize("kind", [KL, FISHER, W2], ids=["kl", "fisher", "w2"])
 @pytest.mark.parametrize("factor, fails", [(0.5, False), (2.0, True)])
 def test_gradient_psd_check_is_never_looser(monkeypatch, kind, factor, fails):
     # the rule: lam_min >= -1e-8 (1 + max |eig|) = -2e-8 for diag(1, -x)
@@ -44,21 +44,25 @@ def test_gradient_psd_check_is_never_looser(monkeypatch, kind, factor, fails):
             oracle_pass([ball], [G], [np.eye(2)], [0.0])
         assert len(eigs) == 1
     else:
-        _clean_gradients(kind, G[None])
+        _check_gradients(G[None])
         assert eigs == []
         assert oracle_pass([ball], [G], [np.eye(2)], [0.0])[0].active
 
 
-@pytest.mark.parametrize("kind", [KL, FISHER], ids=["kl", "fisher"])
+@pytest.mark.parametrize("kind", [KL, FISHER, W2], ids=["kl", "fisher", "w2"])
 def test_gradient_psd_check_falls_back_to_the_eigenvalues(monkeypatch, kind):
     # eigenvalues 10 and -8e-8 with diagonal 5 - 4e-8: the Cholesky shift
     # 1e-8 (1 + 5) is below the rule's 1e-8 (1 + 10) = 1.1e-7, so the
-    # Cholesky fails and the eigenvalues pass the block
+    # Cholesky fails and the eigenvalues pass the block, whatever its kind.
+    # The check computes the eigenvalues of the gradient itself once; the
+    # Fisher setup's of Shat Gamma Shat are of another matrix
     a, b = (10.0 - 8e-8) / 2.0, (10.0 + 8e-8) / 2.0
     G = np.array([[a, b], [b, a]])
+    ball = AmbiguityBall(kind, MomentPair.zero_mean(np.diag([1.0, 2.0])), 0.5)
     eigs = counting(monkeypatch, np.linalg, "eigvalsh")
-    _, top, _ = _clean_gradients(kind, G[None])
-    assert len(eigs) == 1 and top[0] == pytest.approx(10.0)
+    assert oracle_pass([ball], [G], [np.eye(2)], [0.0])[0].active
+    assert sum(np.array_equal(args[0], G[None]) for args in eigs) == 1
+    assert np.array_equal(_check_gradients(G[None]), G[None])
 
 
 @pytest.mark.parametrize("factor, fails", [(0.5, False), (2.0, True)])
