@@ -26,7 +26,7 @@ from .divergences import DivergenceKind
 from .errors import InvalidInputError, UnsupportedDivergenceError
 from .frank_wolfe import FwConfig, _inner, _profile_plan, _stacked, solve
 from .gradient import GradientProfile, _lqg_gradient
-from .instances import RNG_ALGORITHM, generate_instance
+from .instances import RNG_ALGORITHM, SEED_BOUND, generate_instance
 from .lqg import CovarianceProfile
 from .matops import _check_finite, _is_number
 from .oracles import ORACLE_KINDS, _run
@@ -65,6 +65,8 @@ class ExperimentConfig:
             if not isinstance(vals, (list, tuple)) or not all(
                     _is_number(v, integer=True) and v >= low for v in vals):
                 raise InvalidInputError(f"{name} must be a list of integers >= {low}")
+        if any(seed >= SEED_BOUND for seed in self.seeds):
+            raise InvalidInputError("seeds must be below 2**128, the Philox key range")
         if not isinstance(self.output_dir, str):
             raise InvalidInputError("output_dir must be a string")
         rhos = self.rho if isinstance(self.rho, list) else [self.rho]

@@ -152,11 +152,8 @@ class NominalModel:
 
 def _profile_plan(balls: BallProfile) -> _Plan:
     """The oracle plan (oracles._plan) of a ball profile's blocks, laid out as
-    the stacks [X0; W] and V. Observation-noise blocks keep their nominal
-    minimum eigenvalue as floor."""
-    v_min = np.linalg.eigvalsh(np.stack([b.nominal.cov for b in balls.v]))[:, 0]
-    floors = [0.0] * (1 + balls.T) + [float(x) for x in v_min]
-    return _plan(balls.blocks(), floors, [balls.T + 1, balls.T])
+    the stacks [X0; W] and V."""
+    return _plan(balls.blocks(), [balls.T + 1, balls.T])
 
 
 def _stacked(x0: np.ndarray, w: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
@@ -213,7 +210,7 @@ def maximize(
 
     The iterate is a list of stacks, each a (k, d, d) array of blocks; block
     order runs through the stacks in turn. plan is the oracle pass over the
-    blocks' balls and eigenvalue floors (oracles._plan), laid out as start.
+    blocks' balls (oracles._plan), laid out as start.
     The caller plans before it evaluates anything, so a ball the oracles
     reject (one with a nonzero nominal mean) fails before any work, and
     each ball's nominal is factored once per solve. start must lie in the

@@ -12,11 +12,15 @@ from .divergences import DivergenceKind
 from .errors import InvalidInputError
 from .frank_wolfe import NominalModel
 from .lqg import CovarianceProfile, SystemInstance
+from .matops import _is_number
 
 RNG_ALGORITHM = "philox4x64-10"
+SEED_BOUND = 2**128  # a Philox4x64 key has 128 bits
 
 
 def instance_rng(seed: int) -> np.random.Generator:
+    if not (_is_number(seed, integer=True) and 0 <= seed < SEED_BOUND):
+        raise InvalidInputError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
@@ -47,8 +51,8 @@ def generate_instance(
     """Benchmark instance: A has 0.1 on the diagonal and superdiagonal,
     B = C = Q_t = R_t = I_d, and random nominal covariances with eigenvalues
     in [1, 2]. Deterministic per seed."""
-    if d < 1 or T < 1:
-        raise InvalidInputError("d and T must be >= 1")
+    if not all(_is_number(n, integer=True) and n >= 1 for n in (d, T)):
+        raise InvalidInputError("d and T must be integers >= 1")
     rng = instance_rng(seed)
     eye = np.eye(d)
     sys = SystemInstance.time_invariant(benchmark_dynamics(d), eye, eye, eye, eye, T=T)

@@ -27,9 +27,8 @@ A pass solves the oracles of many blocks at once. Its blocks come as
 stacks of (k, d, d) arrays; it groups them by (divergence kind, block
 size), gathers each group's rows with at most one concatenate, and runs
 each group on stacked (B, d, d) arrays. The gradients' psd check reads no
-kind: like the check of the Wasserstein outputs' eigenvalue floors, it is
-one batched Cholesky, with eigenvalues computed only where it fails
-(matops._cholesky_certifies), and they alone decide it. Every setup takes
+kind: it is one batched Cholesky, with eigenvalues computed only where it
+fails (matops._cholesky_certifies), and they alone decide it. Every setup takes
 (G, nominal, rho, c_ref, *nominal factors) for the blocks with rho > 0 and
 decomposes their gradients itself: one batched eigendecomposition per
 group (of Gamma for Wasserstein, of the whitened gradient for KL)
@@ -46,7 +45,7 @@ Every oracle is a pass over AmbiguityBall objects, so a nominal is checked
 in one place, when its ball is built (a psd Wasserstein nominal, a pd KL or
 Fisher one, finite and square). What depends only on the balls is planned
 once (_plan): the groups and the stack rows they gather, their stacked
-nominals, radii and floors, and the nominal factors the setups read (KL:
+nominals and radii, and the nominal factors the setups read (KL:
 Shat^{1/2}; Fisher: Shat^{-2} and Tr Shat^{-1}). Planning rejects a
 nonzero nominal mean. _run runs a plan and returns the targets stacked
 like the references, with per-block arrays of the other results; it takes
@@ -56,7 +55,9 @@ public entry points check the gradients and references (shape,
 finiteness), run the same _run and build the OracleResult objects:
 oracle_pass plans and runs once, solve_oracle is a pass of one block, and
 wasserstein_oracle, kl_oracle and fisher_oracle build the ball of a bare
-nominal covariance and call solve_oracle.
+nominal covariance and call solve_oracle. A Wasserstein output K Shat K,
+K = g (gI - Gamma)^{-1} >= I, dominates lam_min(Shat) I by construction, so
+no pass checks an eigenvalue floor; only solve_oracle takes one to check.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .divergences import (
     membership,
 )
 from .errors import InvalidInputError, OracleError, UnsupportedDivergenceError
-from .matops import _check_finite, _check_square, _cholesky_certifies, symmetrize
+from .matops import _check_finite, _check_square, _cholesky_certifies, _is_number, symmetrize
 
 _GRAD_CLAMP = 1e-8
 _MAX_STEPS = 200
@@ -147,7 +148,7 @@ class _Dual(NamedTuple):
     size the largest eigenvalue magnitude of that transformed gradient
     before clamping; a block with lo <= 1e-12 size (an exact zero has
     lo = size = 0) has a gradient that is zero to rounding. scale is the
-    magnitude of the trace inner products, which floors the delta criterion.
+    magnitude of the trace inner products, which sets the delta criterion's floor.
     data holds per-block arrays (block on axis 0), the last of them rho.
     divergence(g, *data) returns the divergence of Sigma(g), its derivative
     in g and a tuple aux of per-block arrays that values(g, *aux, *data)
@@ -408,15 +409,13 @@ class _Group(NamedTuple):
     gradients and references change: the positions idx of the blocks in the
     pass; the stack rows they gather, as parts (stack, rows, count) with rows
     a slice over the whole stack or an index array; and stacked along axis 0
-    the symmetrized nominals, the radii, the eigenvalue floors and the kind's
-    nominal factors."""
+    the symmetrized nominals, the radii and the kind's nominal factors."""
 
     kind: DivergenceKind
     idx: np.ndarray
     parts: tuple
     nominal: np.ndarray
     rho: np.ndarray
-    floors: np.ndarray
     factors: tuple
 
 
@@ -439,11 +438,9 @@ def _solve_group(group: _Group, G, sigma_ref) -> tuple:
     fields of OracleResult other than sigma_star. A block with rho = 0
     returns its nominal, active (div = 0 = rho is tight), whatever its
     gradient; one with a gradient zero to rounding (see _Dual) returns it
-    inactive. Wasserstein outputs must dominate their block's eigenvalue
-    floor times I, which g(gI - Gamma)^{-1} guarantees; the check raises
-    OracleError if rounding breaks it.
+    inactive.
     """
-    kind, nominal, rho, floors = group.kind, group.nominal, group.rho, group.floors
+    kind, nominal, rho = group.kind, group.nominal, group.rho
     G = _check_gradients(G)
     c_ref = (G * sigma_ref).sum(axis=(1, 2))
     sigma = nominal.copy()
@@ -464,12 +461,6 @@ def _solve_group(group: _Group, G, sigma_ref) -> tuple:
             kind.value, dual, todo, nominal.shape[1]
         )
         active[blocks] = True
-        if kind is DivergenceKind.WASSERSTEIN2:
-            k = blocks[floors[blocks] > 0.0]
-            if k.size and not _cholesky_certifies(sigma[k], 1e-10 - floors[k]) and (
-                np.linalg.eigvalsh(sigma[k])[:, 0] < floors[k] - 1e-10
-            ).any():
-                raise OracleError("wasserstein oracle output violates its eigenvalue floor")
     return sigma, gamma, active, got, bound, steps
 
 
@@ -503,13 +494,12 @@ class _Plan(NamedTuple):
     custom: list
 
 
-def _plan(balls: Sequence[AmbiguityBall], floors: Sequence[float], lengths: Sequence[int]) -> _Plan:
+def _plan(balls: Sequence[AmbiguityBall], lengths: Sequence[int]) -> _Plan:
     """Group the blocks by (kind, size) and stack each group's nominals,
-    radii, floors and nominal factors once. The pass's blocks come in
-    stacks of lengths[s] rows, block order running through the stacks in
-    turn; floors[z] is the eigenvalue floor a Wasserstein output of block z
-    must keep. Every oracle works with zero-mean Gaussians, so a ball with a
-    nonzero nominal mean raises InvalidInputError."""
+    radii and nominal factors once. The pass's blocks come in stacks of
+    lengths[s] rows, block order running through the stacks in turn. Every
+    oracle works with zero-mean Gaussians, so a ball with a nonzero nominal
+    mean raises InvalidInputError."""
     if any(ball.nominal.mean.any() for ball in balls):
         raise InvalidInputError("ambiguity balls must have a zero nominal mean")
     where = [(s, r) for s, k in enumerate(lengths) for r in range(k)]
@@ -531,7 +521,6 @@ def _plan(balls: Sequence[AmbiguityBall], floors: Sequence[float], lengths: Sequ
         groups.append(_Group(
             kind, np.array(idx), tuple(parts), nominal,
             np.array([balls[i].radius for i in idx], dtype=float),
-            np.array([floors[i] for i in idx], dtype=float),
             _nominal_factors(kind, nominal),
         ))
     return _Plan(len(balls), groups, custom)
@@ -578,24 +567,22 @@ def oracle_pass(
     balls: Sequence[AmbiguityBall],
     grads: Sequence[np.ndarray],
     refs: Sequence[np.ndarray],
-    floors: Sequence[float],
 ) -> list[OracleResult]:
     """Linearization oracle of every block, in block order.
 
-    Block z maximizes <grads[z], Sigma - refs[z]> over balls[z]; floors[z]
-    is the eigenvalue floor a Wasserstein output must keep. Every gradient
+    Block z maximizes <grads[z], Sigma - refs[z]> over balls[z]. Every gradient
     and reference is checked here (shape, finiteness). Built-in kinds are
     solved group by group on stacked arrays; a custom ball calls its
     registered linearization. A solve plans the pass once (_plan) and runs
     the plan (_run) at every iteration on its own stacks; this plans and
     runs it once, each block a stack of one.
     """
-    if not len(grads) == len(refs) == len(floors) == len(balls):
-        raise InvalidInputError("oracle_pass needs one gradient, reference and floor per ball")
+    if not len(grads) == len(refs) == len(balls):
+        raise InvalidInputError("oracle_pass needs one gradient and reference per ball")
     dims = [ball.nominal.dim for ball in balls]
     G = [_stack([M], d, "gradient") for M, d in zip(grads, dims)]
     ref = [_stack([M], d, "reference") for M, d in zip(refs, dims)]
-    return _results(_run(_plan(balls, floors, [1] * len(balls)), G, ref))
+    return _results(_run(_plan(balls, [1] * len(balls)), G, ref))
 
 
 def wasserstein_oracle(
@@ -610,8 +597,8 @@ def wasserstein_oracle(
     found by safeguarded Newton from the upper of the closed-form bounds
     lam1 (1 + sqrt(p1' Shat p1)/rho) and lam1 (1 + sqrt(Tr Shat)/rho), with
     bisection between them as the fallback.
-    The output dominates lam_min(Shat) I automatically because g(gI-Gamma)^{-1}
-    has eigenvalues >= 1; solve_oracle takes an eigenvalue floor to check.
+    The output dominates lam_min(Shat) I by construction, because
+    g (gI - Gamma)^{-1} has eigenvalues >= 1.
     """
     ball = AmbiguityBall(DivergenceKind.WASSERSTEIN2, MomentPair.zero_mean(nominal_cov), rho)
     return solve_oracle(ball, Gamma, sigma_ref)
@@ -660,5 +647,15 @@ def solve_oracle(
     sigma_ref: np.ndarray,
     lam_floor: float = 0.0,
 ) -> OracleResult:
-    """The oracle for the ball's divergence kind: oracle_pass on one block."""
-    return oracle_pass([ball], [Gamma], [sigma_ref], [lam_floor])[0]
+    """The oracle for the ball's divergence kind: oracle_pass on one block. A
+    searched Wasserstein output must keep lam_min >= lam_floor - 1e-10, for a
+    finite lam_floor >= 0, else OracleError; lam_min(Shat) holds by construction."""
+    if not _is_number(lam_floor) or lam_floor < 0.0:
+        raise InvalidInputError(f"lam_floor must be a finite number >= 0, got {lam_floor!r}")
+    res = oracle_pass([ball], [Gamma], [sigma_ref])[0]
+    S = res.sigma_star
+    if ball.kind is DivergenceKind.WASSERSTEIN2 and res.steps and lam_floor > 0.0 and not (
+        _cholesky_certifies(S, 1e-10 - lam_floor) or np.linalg.eigvalsh(S)[0] >= lam_floor - 1e-10
+    ):
+        raise OracleError("wasserstein oracle output violates its eigenvalue floor")
+    return res

@@ -201,8 +201,7 @@ def solve_stationary_fw(
     (_stationary_adjoint); an accepted line-search trial's
     evaluation serves the next iteration, so each iterate's filter ARE is
     solved once."""
-    floors = [0.0, float(np.linalg.eigvalsh(ball_v.nominal.cov).min())]
-    plan = _plan([ball_w, ball_v], floors, [1, 1])
+    plan = _plan([ball_w, ball_v], [1, 1])
     P, K = solve_dare(ss)
 
     def evaluate(stacks):

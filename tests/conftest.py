@@ -61,11 +61,3 @@ def accepted_line_searches(trace):
     whose step beat the 2/(2+k) fallback: the next iteration takes that
     trial's evaluation."""
     return sum(1 for r in trace.records[:-1] if r.ls_trials and r.step_size > 2.0 / (2.0 + r.iter))
-
-
-def profile_floors(balls):
-    """The oracles' eigenvalue floors of a BallProfile's blocks, in block
-    order: 0 for x0 and the w blocks, the nominal's smallest eigenvalue for
-    each v block."""
-    v_min = [float(np.linalg.eigvalsh(b.nominal.cov)[0]) for b in balls.v]
-    return [0.0] * (1 + balls.T) + v_min

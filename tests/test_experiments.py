@@ -289,11 +289,12 @@ def test_cli_malformed_config_exit_code(tmp_path, capsys, text, message):
     ('{"seeds": 3}', "seeds must be a list of integers >= 0"),
     ('{"seeds": [0, 1.0]}', "seeds must be a list of integers >= 0"),
     ('{"seeds": [-1]}', "seeds must be a list of integers >= 0"),
+    ('{"seeds": [0, 340282366920938463463374607431768211456]}', "seeds must be below 2**128"),
     ('{"runtime_horizons": [2, "4"]}', "runtime_horizons must be a list of integers >= 1"),
     ('{"rho": "0.1"}', "rho entries must be finite nonnegative numbers"),
     ('{"rho": [0.1, false]}', "rho entries must be finite nonnegative numbers"),
     ('{"output_dir": 3}', "output_dir must be a string"),
-], ids=["d_float", "T_string", "seeds_int", "seeds_float_entry", "seeds_negative",
+], ids=["d_float", "T_string", "seeds_int", "seeds_float_entry", "seeds_negative", "seeds_too_large",
         "horizons_string_entry", "rho_string", "rho_bool_entry", "output_dir_int"])
 def test_cli_mistyped_config_exit_code(tmp_path, capsys, monkeypatch, text, message):
     # a config value of the wrong type is an input error (exit 2, JSON on

@@ -11,7 +11,7 @@ from robustlqg.frank_wolfe import BallProfile, FwConfig, NominalModel, solve
 from robustlqg.instances import generate_instance
 from robustlqg.lqg import CovarianceProfile, lqg_value
 
-from conftest import accepted_line_searches, counting, profile_floors, rand_profile, rand_system
+from conftest import accepted_line_searches, counting, rand_profile, rand_system
 from reference import fw_gap
 
 
@@ -359,7 +359,7 @@ def test_trace_records_carry_oracle_cost():
     # the first pass runs at the nominal: its steps are the blocks' own counts
     nominal = balls.nominal_profile()
     grads = lqg_gradient(sys, nominal)[1].blocks()
-    results = oracle_pass(balls.blocks(), grads, nominal.blocks(), profile_floors(balls))
+    results = oracle_pass(balls.blocks(), grads, nominal.blocks())
     assert trace.records[0].oracle_steps == sum(r.steps for r in results)
 
 
@@ -444,7 +444,7 @@ def test_mixed_kind_targets_match_the_public_pass_block_by_block(monkeypatch):
         return [S for stack in stacks for S in stack]
 
     for grads, current, targets in passes:
-        want = oracle_pass(balls.blocks(), flat(grads), flat(current), profile_floors(balls))
+        want = oracle_pass(balls.blocks(), flat(grads), flat(current))
         assert len(flat(targets)) == len(want) == 2 * sys.T + 1
         for got, res in zip(flat(targets), want):
             assert np.array_equal(got, res.sigma_star)

@@ -12,11 +12,14 @@ no call in the package passes: such a parameter is a constant.
 
 The bindings bench/tracer.py wraps are read from its source, without
 importing it: each must resolve in the package, and each "# noqa: F401"
-import must bind one of them.
+import must bind one of them. Likewise every call the bench scripts make to
+a name they import from the package must bind to its signature, since the
+test suite never runs them.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -219,3 +222,76 @@ def test_traced_bindings_resolve_and_cover_every_noqa_import():
                       for alias in node.names
                       if (module, alias.asname or alias.name) not in bindings]
     assert stale == []
+
+
+def _library_object(module: str, name: str):
+    """The attribute name of the package module module, or its submodule."""
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return getattr(importlib.import_module(module), name)
+
+
+def bench_library_calls(source: str) -> tuple[int, list[str]]:
+    """Bind every call in source to a name it imports from robustlqg, or to
+    an attribute chain on one (frank_wolfe.solve), against the callee's
+    signature with placeholder arguments. Returns the number of calls bound
+    and one line per call that does not bind; a call that unpacks its
+    arguments (*args, **kw) is skipped."""
+    tree = ast.parse(source)
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "robustlqg":
+            for alias in node.names:
+                names[alias.asname or alias.name] = _library_object(node.module, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "robustlqg":
+                    names[alias.asname or alias.name] = importlib.import_module(alias.name)
+    bound, failed = 0, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            chain.append(func.attr)
+            func = func.value
+        if not isinstance(func, ast.Name) or func.id not in names:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords):
+            continue
+        target = names[func.id]
+        for attr in reversed(chain):
+            target = getattr(target, attr)
+        try:
+            inspect.signature(target).bind(*node.args, **{k.arg: k for k in node.keywords})
+            bound += 1
+        except TypeError as exc:
+            failed.append(f"line {node.lineno}: {ast.unparse(node.func)}: {exc}")
+    return bound, failed
+
+
+def test_bench_calls_bind_to_the_library():
+    # bench/make_refs.py passes solve_oracle's lam_floor by position, and
+    # bench/workloads.py passes ExperimentConfig's jobs by name
+    counts = {}
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        counts[path.name], failed = bench_library_calls(path.read_text(encoding="utf-8"))
+        assert failed == [], path.name
+    assert counts["make_refs.py"] >= 10 and counts["workloads.py"] >= 10
+
+
+def test_bench_call_checker_flags_a_call_that_does_not_bind():
+    source = (
+        "from robustlqg import oracles\n"
+        "from robustlqg.oracles import solve_oracle as so\n"
+        "so(1, 2, 3, 4)\n"
+        "so(1, 2, 3, 4, 5)\n"
+        "oracles.solve_oracle(1, 2, sigma_ref=3, floor=4)\n"
+        "so(*args)\n"
+        "len(so.__doc__)\n"
+    )
+    bound, failed = bench_library_calls(source)
+    assert bound == 1
+    assert [line.split(":")[0] for line in failed] == ["line 4", "line 5"]

@@ -17,11 +17,11 @@ from robustlqg.divergences import (
     membership,
     register_moment_divergence,
 )
-from robustlqg.errors import InvalidInputError
+from robustlqg.errors import ConditioningError, InvalidInputError
 from robustlqg.experiments import policy_worst_case_cost
 from robustlqg.frank_wolfe import BallProfile, solve
 from robustlqg.gradient import GradientProfile, lqg_gradient
-from robustlqg.instances import generate_instance
+from robustlqg.instances import generate_instance, instance_rng
 from robustlqg.lqg import CovarianceProfile, SystemInstance, kalman_forward, lqg_value
 from robustlqg.matops import solve_discrete_lyapunov, spectral_radius, sym_sqrt
 from robustlqg.oracles import (
@@ -77,10 +77,8 @@ def _w2_ball():
 # pass) check gradients and references; the Frank-Wolfe loop, which builds
 # its own, does not check them again
 ORACLE_ENTRY_POINTS = {
-    "oracle_pass.grads": lambda M: lambda: oracle_pass([_w2_ball()] * 2, [I2, M], [I2, I2],
-                                                       [0.0, 0.0]),
-    "oracle_pass.refs": lambda M: lambda: oracle_pass([_w2_ball()] * 2, [I2, I2], [I2, M],
-                                                      [0.0, 0.0]),
+    "oracle_pass.grads": lambda M: lambda: oracle_pass([_w2_ball()] * 2, [I2, M], [I2, I2]),
+    "oracle_pass.refs": lambda M: lambda: oracle_pass([_w2_ball()] * 2, [I2, I2], [I2, M]),
     "solve_oracle.Gamma": lambda M: lambda: solve_oracle(_w2_ball(), M, I2),
     "solve_oracle.sigma_ref": lambda M: lambda: solve_oracle(_w2_ball(), I2, M),
     "kl_oracle.Gamma": lambda M: lambda: kl_oracle(M, I2, 0.5, I2),
@@ -146,15 +144,38 @@ def test_per_kind_oracles_reject_a_non_matrix_nominal(nominal):
             oracle(I2, nominal, 0.5, I2)
 
 
-@pytest.mark.parametrize("which", ["grads", "refs", "floors"])
+@pytest.mark.parametrize("which", ["grads", "refs"])
 @pytest.mark.parametrize("change", [-1, 1], ids=["shorter", "longer"])
 def test_oracle_pass_rejects_length_mismatch(which, change):
     ball = AmbiguityBall(kind=DivergenceKind.WASSERSTEIN2, nominal=MomentPair.zero_mean(I2),
                          radius=0.5)
-    args = {"balls": [ball] * 3, "grads": [I2] * 3, "refs": [I2] * 3, "floors": [0.0] * 3}
+    args = {"balls": [ball] * 3, "grads": [I2] * 3, "refs": [I2] * 3}
     args[which] = args[which][:2] if change < 0 else args[which] + args[which][:1]
     with pytest.raises(InvalidInputError):
         oracle_pass(**args)
+
+
+@pytest.mark.parametrize("lam_floor", [np.nan, np.inf, -1e-3, "0.5"],
+                         ids=["nan", "inf", "negative", "string"])
+def test_solve_oracle_rejects_a_bad_lam_floor(lam_floor):
+    # a nan floor would switch the Wasserstein floor check off
+    with pytest.raises(InvalidInputError, match="lam_floor must be a finite number >= 0"):
+        solve_oracle(_w2_ball(), I2, I2, lam_floor)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: generate_instance(2.5, 2, 0), "d and T must be integers >= 1"),
+    (lambda: generate_instance(2, 0, 0), "d and T must be integers >= 1"),
+    (lambda: generate_instance(2, 2, 2**128), "seed must be an integer in"),
+    (lambda: generate_instance(2, 2, 1.0), "seed must be an integer in"),
+    (lambda: instance_rng(2**128), "seed must be an integer in"),
+    (lambda: instance_rng(-1), "seed must be an integer in"),
+], ids=["d_float", "T_zero", "seed_too_large", "seed_float", "rng_too_large", "rng_negative"])
+def test_instance_generation_rejects_bad_sizes_and_seeds(call, message):
+    # the seed keys a 128-bit Philox generator, so 2**128 - 1 is the largest
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+    assert np.isfinite(instance_rng(2**128 - 1).standard_normal())
 
 
 def _overflowing(call):
@@ -209,7 +230,7 @@ MEAN_ENTRY_POINTS = {
         _stationary(), _shifted(_w2_ball(), [0.0, 1.0]), _w2_ball()
     ),
     "oracle_pass": lambda: oracle_pass([_w2_ball(), _shifted(_w2_ball(), [1.0, 0.0])],
-                                       [I2, I2], [I2, I2], [0.0, 0.0]),
+                                       [I2, I2], [I2, I2]),
     "solve_oracle": lambda: solve_oracle(_shifted(_w2_ball(), [0.0, -1e-3]), I2, I2),
     "policy_worst_case_cost": lambda: policy_worst_case_cost(
         GradientProfile(dX0=I3, dW=np.stack([I3] * 4), dV=np.stack([I3] * 4)),
@@ -255,3 +276,21 @@ def test_off_path_instances_solve_for_every_kind(kind, case):
         assert membership(ball, MomentPair.zero_mean(block), 1e-8)
         if rho == 0.0:
             np.testing.assert_array_equal(block, ball.nominal.cov)
+
+
+@pytest.mark.parametrize("kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER,
+                                  DivergenceKind.FISHER], ids=["w2", "kl", "fisher"])
+def test_near_singular_observation_noise(monkeypatch, kind):
+    # every V[t] = 1e-9 I still solves; at 1e-11 I the first Kalman sweep
+    # raises a typed ConditioningError, before any Frank-Wolfe iteration
+    from robustlqg import frank_wolfe
+
+    sys, model = generate_instance(3, 5, 0, kind, 0.1)
+    tiny = replace(model, V=np.stack([1e-9 * np.eye(3)] * 5))
+    _, trace = solve(sys, tiny.ball_profile())
+    assert trace.converged and len(trace.records) == 2
+    passes = counting(monkeypatch, frank_wolfe, "_oracle_pass")
+    singular = replace(model, V=np.stack([1e-11 * np.eye(3)] * 5))
+    with pytest.raises(ConditioningError, match=r"V\[0\] is numerically singular"):
+        solve(sys, singular.ball_profile())
+    assert passes == []

@@ -25,7 +25,7 @@ from robustlqg.oracles import (
     wasserstein_oracle,
 )
 
-from conftest import counting, profile_floors
+from conftest import counting
 from reference import brute_force_oracle
 
 
@@ -131,7 +131,7 @@ def test_wasserstein_decomposes_only_the_blocks_with_a_radius(monkeypatch):
         grads.append(symmetrize(Y @ Y.T))
     refs = [ball.nominal.cov for ball in balls]
     eighs = counting(monkeypatch, np.linalg, "eigh")
-    results = oracle_pass(balls, grads, refs, [0.0] * 4)
+    results = oracle_pass(balls, grads, refs)
     assert len(eighs) == 1
     np.testing.assert_array_equal(eighs[0][0], np.array([grads[0], grads[2]]))
     assert [r.active for r in results] == [True] * 4
@@ -188,15 +188,40 @@ def test_dual_gamma_within_bounds(kind):
         assert lo < res.dual_gamma <= hi * (1 + 1e-12)
 
 
+def _lam_min(S):
+    return float(np.linalg.eigvalsh(S)[0])
+
+
+def _ill_conditioned_instance(rng):
+    """A psd gradient and a nominal in unrelated eigenbases, d in 1..5: the
+    nominal's eigenvalues span a ratio of up to 1e8 below its top one, 1,
+    and the radius is log-uniform on [1e-3, 1e2]."""
+    d = int(rng.integers(1, 6))
+
+    def rotation():
+        return np.linalg.qr(rng.standard_normal((d, d)))[0]
+
+    U, V = rotation(), rotation()
+    lam = rng.uniform(0.0, 3.0, d)
+    lam[0] = rng.uniform(1.0, 3.0)  # keep Gamma nonzero
+    s_hat = 10.0 ** -rng.uniform(0.0, rng.uniform(0.0, 8.0), d)
+    s_hat[0] = 1.0
+    return (U * lam) @ U.T, symmetrize((V * s_hat) @ V.T), float(10.0 ** rng.uniform(-3.0, 2.0))
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_floor_constraint_satisfied(kind):
+    # every output dominates lam_min(Shat) I: for Wasserstein by construction
+    # (K Shat K with K >= I), for KL and Fisher because Gamma is psd. No pass
+    # checks it, so it is tested here, on non-commuting, ill-conditioned
+    # instances for Wasserstein and KL
     rng = np.random.default_rng(12)
-    for _ in range(5):
-        d = 3
-        Gamma, nominal, rho, _ = _commuting_instance(rng, d, kind)
-        floor = float(np.linalg.eigvalsh(nominal).min())
+    cases = [_commuting_instance(rng, 3, kind)[:3] for _ in range(5)]
+    if kind is not DivergenceKind.FISHER:
+        cases += [_ill_conditioned_instance(rng) for _ in range(300)]
+    for Gamma, nominal, rho in cases:
         res = _run(kind, Gamma, nominal, rho, nominal)
-        assert np.linalg.eigvalsh(res.sigma_star).min() >= floor - 1e-10
+        assert _lam_min(res.sigma_star) >= _lam_min(nominal) - 1e-10
 
 
 def test_divergence_decreases_in_gamma():
@@ -388,13 +413,8 @@ def test_oracle_output_feasible_within_absolute_1e8(kind, seed):
 
     Gamma, nominal = spd(), spd()
     ball = AmbiguityBall(kind=kind, nominal=MomentPair.zero_mean(nominal), radius=2.0)
-    res = solve_oracle(ball, Gamma, nominal, 0.0)
+    res = solve_oracle(ball, Gamma, nominal)
     assert membership(ball, MomentPair.zero_mean(res.sigma_star), 1e-8)
-
-
-def _adapter(ball, Gamma, ref, floor):
-    """The per-block oracle for a ball, called as a batch of one."""
-    return solve_oracle(ball, Gamma, ref, floor)
 
 
 def _mixed_batch(seed, n, p, T, kinds, rho):
@@ -409,20 +429,19 @@ def _mixed_batch(seed, n, p, T, kinds, rho):
         return (Qm * rng.uniform(lo, hi, d)) @ Qm.T
 
     sizes = [n] * (T + 1) + [p] * T
-    balls, grads, refs, floors = [], [], [], []
+    balls, grads, refs = [], [], []
     for z, d in enumerate(sizes):
         nominal = spd(d, 0.5, 2.5)
         radius = 0.0 if z == 2 else rho * float(rng.uniform(0.5, 1.5))
         kind = kinds[z % len(kinds)]
         balls.append(AmbiguityBall(kind=kind, nominal=MomentPair.zero_mean(nominal), radius=radius))
         grads.append(np.zeros((d, d)) if z == 1 else spd(d, 0.0, 3.0))
-        floors.append(float(np.linalg.eigvalsh(nominal).min()) if z > T else 0.0)
         ref = nominal
         if z % 2:
-            target = _adapter(balls[-1], grads[-1], nominal, floors[-1]).sigma_star
+            target = solve_oracle(balls[-1], grads[-1], nominal).sigma_star
             ref = 0.5 * (nominal + target)
         refs.append(ref)
-    return balls, grads, refs, floors
+    return balls, grads, refs
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -437,13 +456,13 @@ def _mixed_batch(seed, n, p, T, kinds, rho):
 def test_batched_pass_is_independent_of_the_batch(seed, n, p, T, kinds, rho):
     # each block of a mixed batch gets exactly what it gets alone, and every
     # block meets the oracle contracts: feasible within 1e-8, active within
-    # 1e-6 when bisected, and the delta criterion (delta = 0.95) against its
-    # dual bound
+    # 1e-6 when bisected, the delta criterion (delta = 0.95) against its
+    # dual bound, and for Wasserstein the eigenvalue floor lam_min(Shat)
     delta = 0.95
-    balls, grads, refs, floors = _mixed_batch(seed, n, p, T, kinds, rho)
-    batch = oracle_pass(balls, grads, refs, floors)
-    for ball, G, ref, floor, got in zip(balls, grads, refs, floors, batch):
-        alone = _adapter(ball, G, ref, floor)
+    balls, grads, refs = _mixed_batch(seed, n, p, T, kinds, rho)
+    batch = oracle_pass(balls, grads, refs)
+    for ball, G, ref, got in zip(balls, grads, refs, batch):
+        alone = solve_oracle(ball, G, ref)
         scale = max(1.0, float(np.abs(alone.sigma_star).max()))
         assert np.abs(got.sigma_star - alone.sigma_star).max() <= 1e-12 * scale
         for a, b in ((got.dual_gamma, alone.dual_gamma), (got.dual_bound, alone.dual_bound),
@@ -459,15 +478,15 @@ def test_batched_pass_is_independent_of_the_batch(seed, n, p, T, kinds, rho):
         if got.steps > 0:
             assert abs(ball.divergence(pair) - ball.radius) <= 1e-6
         if ball.kind is DivergenceKind.WASSERSTEIN2:
-            assert np.linalg.eigvalsh(got.sigma_star).min() >= floor - 1e-10
+            assert _lam_min(got.sigma_star) >= _lam_min(ball.nominal.cov) - 1e-10
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_one_indefinite_block_fails_the_batch(kind):
-    balls, grads, refs, floors = _mixed_batch(3, 3, 2, 3, [kind], 0.5)
+    balls, grads, refs = _mixed_batch(3, 3, 2, 3, [kind], 0.5)
     grads[4] = np.diag([1.0, -1.0])
     with pytest.raises(InvalidInputError):
-        oracle_pass(balls, grads, refs, floors)
+        oracle_pass(balls, grads, refs)
 
 
 def test_bisection_failure_raises_oracle_error(monkeypatch):
@@ -475,11 +494,11 @@ def test_bisection_failure_raises_oracle_error(monkeypatch):
     from robustlqg import oracles
     from robustlqg.errors import OracleError
 
-    balls, grads, refs, floors = _mixed_batch(5, 3, 3, 2, [DivergenceKind.KULLBACK_LEIBLER], 0.5)
-    assert max(r.steps for r in oracle_pass(balls, grads, refs, floors)) > 3
+    balls, grads, refs = _mixed_batch(5, 3, 3, 2, [DivergenceKind.KULLBACK_LEIBLER], 0.5)
+    assert max(r.steps for r in oracle_pass(balls, grads, refs)) > 3
     monkeypatch.setattr(oracles, "_MAX_STEPS", 3)
     with pytest.raises(OracleError):
-        oracle_pass(balls, grads, refs, floors)
+        oracle_pass(balls, grads, refs)
 
 
 def test_collapsed_bracket_certifies_or_raises(monkeypatch):
@@ -506,7 +525,7 @@ def test_paper_pass_certifies_every_block_in_few_steps(kind):
     balls = model.ball_profile()
     nominal = balls.nominal_profile()
     grads = lqg_gradient(sys, nominal)[1].blocks()
-    results = oracle_pass(balls.blocks(), grads, nominal.blocks(), profile_floors(balls))
+    results = oracle_pass(balls.blocks(), grads, nominal.blocks())
     steps = [r.steps for r in results]
     assert min(steps) >= 1 and max(steps) <= 12
 
@@ -533,14 +552,14 @@ def _slope_patched(monkeypatch, change):
 def test_safeguard_certifies_every_block(monkeypatch, change):
     # with every Newton step refused, the bisection fallback alone meets the
     # oracle contracts: feasible within 1e-8, active within 1e-6, the delta
-    # criterion and the Wasserstein eigenvalue floor
+    # criterion and the Wasserstein eigenvalue floor lam_min(Shat)
     delta = 0.95
-    balls, grads, refs, floors = _mixed_batch(21, 3, 2, 4, list(ALL_KINDS), 0.7)
-    newton = oracle_pass(balls, grads, refs, floors)
+    balls, grads, refs = _mixed_batch(21, 3, 2, 4, list(ALL_KINDS), 0.7)
+    newton = oracle_pass(balls, grads, refs)
     _slope_patched(monkeypatch, change)
-    fallback = oracle_pass(balls, grads, refs, floors)
+    fallback = oracle_pass(balls, grads, refs)
     assert sum(r.steps for r in fallback) > 2 * sum(r.steps for r in newton)
-    for ball, G, ref, floor, got, fast in zip(balls, grads, refs, floors, fallback, newton):
+    for ball, G, ref, got, fast in zip(balls, grads, refs, fallback, newton):
         pair = MomentPair.zero_mean(got.sigma_star)
         assert membership(ball, pair, 1e-8)
         primal = float(np.sum(G * (got.sigma_star - ref)))
@@ -551,7 +570,7 @@ def test_safeguard_certifies_every_block(monkeypatch, change):
             assert abs(ball.divergence(pair) - ball.radius) <= 1e-6
             assert got.dual_gamma == pytest.approx(fast.dual_gamma, rel=1e-5)
         if ball.kind is DivergenceKind.WASSERSTEIN2:
-            assert np.linalg.eigvalsh(got.sigma_star).min() >= floor - 1e-10
+            assert _lam_min(got.sigma_star) >= _lam_min(ball.nominal.cov) - 1e-10
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -560,8 +579,8 @@ def test_dual_slope_matches_finite_differences(kind):
     # against a central difference, at points across the bracket
     from robustlqg.oracles import _SETUPS, _check_gradients, _plan
 
-    balls, grads, refs, floors = _mixed_batch(8, 3, 3, 3, [kind], 0.5)
-    (group,) = _plan(balls, floors, [len(balls)]).groups
+    balls, grads, refs = _mixed_batch(8, 3, 3, 3, [kind], 0.5)
+    (group,) = _plan(balls, [len(balls)]).groups
     G = _check_gradients(np.array(grads))
     rho = group.rho
     live = np.flatnonzero(rho > 0.0)
@@ -589,7 +608,7 @@ def test_fisher_pencil_runs_once_per_counted_evaluation(monkeypatch):
     # evaluations that steps counts
     from robustlqg import oracles
 
-    balls, grads, refs, floors = _mixed_batch(8, 3, 3, 3, [DivergenceKind.FISHER], 0.5)
+    balls, grads, refs = _mixed_batch(8, 3, 3, 3, [DivergenceKind.FISHER], 0.5)
     calls = []
     inner = oracles._pencil
 
@@ -598,7 +617,7 @@ def test_fisher_pencil_runs_once_per_counted_evaluation(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(oracles, "_pencil", counting)
-    (group,) = oracles._plan(balls, floors, [len(balls)]).groups
+    (group,) = oracles._plan(balls, [len(balls)]).groups
     G = oracles._check_gradients(np.array(grads))
     rho = group.rho
     live = np.flatnonzero(rho > 0.0)
@@ -606,7 +625,7 @@ def test_fisher_pencil_runs_once_per_counted_evaluation(monkeypatch):
     oracles._fisher(G[live], group.nominal[live], rho[live], c_ref,
                     *(f[live] for f in group.factors))
     assert calls == []
-    steps = [r.steps for r in oracle_pass(balls, grads, refs, floors)]
+    steps = [r.steps for r in oracle_pass(balls, grads, refs)]
     assert max(steps) >= 2
     assert len(calls) == max(steps) and sum(calls) == sum(steps)
 

@@ -11,7 +11,7 @@ from robustlqg.divergences import AmbiguityBall, DivergenceKind, MomentPair
 from robustlqg.errors import InvalidInputError, OracleError
 from robustlqg.lqg import SystemInstance
 from robustlqg.matops import _cholesky_certifies
-from robustlqg.oracles import _check_gradients, oracle_pass
+from robustlqg.oracles import _check_gradients, oracle_pass, solve_oracle
 
 from conftest import counting
 
@@ -41,12 +41,12 @@ def test_gradient_psd_check_is_never_looser(monkeypatch, kind, factor, fails):
     if fails:
         with pytest.raises(InvalidInputError,
                            match=r"gradient block is not psd: min eigenvalue -4\.000e-08"):
-            oracle_pass([ball], [G], [np.eye(2)], [0.0])
+            oracle_pass([ball], [G], [np.eye(2)])
         assert len(eigs) == 1
     else:
         _check_gradients(G[None])
         assert eigs == []
-        assert oracle_pass([ball], [G], [np.eye(2)], [0.0])[0].active
+        assert oracle_pass([ball], [G], [np.eye(2)])[0].active
 
 
 @pytest.mark.parametrize("kind", [KL, FISHER, W2], ids=["kl", "fisher", "w2"])
@@ -60,15 +60,16 @@ def test_gradient_psd_check_falls_back_to_the_eigenvalues(monkeypatch, kind):
     G = np.array([[a, b], [b, a]])
     ball = AmbiguityBall(kind, MomentPair.zero_mean(np.diag([1.0, 2.0])), 0.5)
     eigs = counting(monkeypatch, np.linalg, "eigvalsh")
-    assert oracle_pass([ball], [G], [np.eye(2)], [0.0])[0].active
+    assert oracle_pass([ball], [G], [np.eye(2)])[0].active
     assert sum(np.array_equal(args[0], G[None]) for args in eigs) == 1
     assert np.array_equal(_check_gradients(G[None]), G[None])
 
 
 @pytest.mark.parametrize("factor, fails", [(0.5, False), (2.0, True)])
 def test_wasserstein_floor_check_is_never_looser(monkeypatch, factor, fails):
-    # the rule: lam_min(output) >= floor - 1e-10. The root search is replaced
-    # by one that returns an output factor * 1e-10 below the floor
+    # solve_oracle's rule: lam_min(output) >= lam_floor - 1e-10. The root
+    # search is replaced by one that returns an output factor * 1e-10 below
+    # the floor
     floor = 0.5
     ball = AmbiguityBall(W2, MomentPair.zero_mean(np.diag([floor, 1.0])), 0.5)
 
@@ -81,10 +82,10 @@ def test_wasserstein_floor_check_is_never_looser(monkeypatch, factor, fails):
     eigs = counting(monkeypatch, np.linalg, "eigvalsh")
     if fails:
         with pytest.raises(OracleError, match="violates its eigenvalue floor"):
-            oracle_pass([ball], [np.eye(2)], [np.eye(2)], [floor])
+            solve_oracle(ball, np.eye(2), np.eye(2), floor)
         assert len(eigs) == 1
     else:
-        oracle_pass([ball], [np.eye(2)], [np.eye(2)], [floor])
+        solve_oracle(ball, np.eye(2), np.eye(2), floor)
         assert eigs == []
 
 
