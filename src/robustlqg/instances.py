@@ -53,6 +53,8 @@ def generate_instance(
     in [1, 2]. Deterministic per seed."""
     if not all(_is_number(n, integer=True) and n >= 1 for n in (d, T)):
         raise InvalidInputError("d and T must be integers >= 1")
+    if not (_is_number(rho) and rho >= 0):
+        raise InvalidInputError(f"rho must be a finite number >= 0, got {rho!r}")
     rng = instance_rng(seed)
     eye = np.eye(d)
     sys = SystemInstance.time_invariant(benchmark_dynamics(d), eye, eye, eye, eye, T=T)

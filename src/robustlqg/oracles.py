@@ -39,7 +39,9 @@ eigendecomposition, shared by the divergence, its slope (Daleckii-Krein,
 in the pencil eigenbasis) and the dual and primal values.
 The search runs in lockstep: every unfinished block takes its own step at
 each iteration and leaves the group once it certifies, so a block's result
-does not depend on the rest of its group.
+does not depend on the rest of its group. Each step evaluates the
+divergence once for each unfinished block, in one call over them, and a
+block's steps count exactly its evaluations.
 
 Every oracle is a pass over AmbiguityBall objects, so a nominal is checked
 in one place, when its ball is built (a psd Wasserstein nominal, a pd KL or
@@ -98,7 +100,8 @@ class OracleResult:
     max <Gamma, Sigma - sigma_ref> over the ball; a block that needs no
     root search (zero gradient, rho = 0) reports its own primal value, and a
     custom linearization, which has no dual, reports nan. steps counts the
-    divergence evaluations of the root search (Newton or bisection steps).
+    divergence evaluations of the root search, one per Newton or bisection
+    step, and the search evaluates nothing else.
     """
 
     sigma_star: np.ndarray
@@ -322,12 +325,14 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
     1e-6, and meets the delta criterion for delta = _DELTA, floored at
     1e-9 * max(1, scale) because it cannot certify improvements below
     rounding level (e.g. when the reference already sits at the optimum).
+    Each step makes one divergence call over the live blocks; only those
+    active and feasible there get their dual and primal values.
     Accepted blocks leave the arrays of the live ones, each with its
     candidate Sigma(gamma) from the accepting evaluation; a block that does
     not certify within _MAX_STEPS evaluations raises OracleError. Returns
     (gamma, delta_achieved, dual_bound, steps, Sigma(gamma)) aligned with
-    blocks, the last a (len(blocks), d, d) stack; steps counts a block's
-    evaluations.
+    blocks, the last a (len(blocks), d, d) stack; steps is the step that
+    accepted a block, so it counts the block's evaluations.
     """
     lo, hi = dual.lo[blocks], dual.hi[blocks]
     floor = 1e-9 * np.maximum(1.0, dual.scale[blocks])
@@ -335,28 +340,8 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
     gamma, got, bound = np.empty(blocks.size), np.ones(blocks.size), np.empty(blocks.size)
     steps = np.zeros(blocks.size, dtype=int)
     sigma = np.empty((blocks.size, d, d))
-
-    def accept(pos, g, div, aux, parts, n_steps):
-        """Settle the blocks pos, with per-block arrays parts, whose Sigma(g)
-        passes the acceptance test; return their indices into pos."""
-        rho = parts[-1]
-        near = np.abs(div - rho) <= _ACTIVITY_TOL
-        if not np.count_nonzero(near):
-            return near.nonzero()[0]
-        j = np.flatnonzero(near & (div <= rho + 1e-8))
-        phi, prim = dual.values(g[j], *(a[j] for a in aux + parts))
-        passed = prim + floor[pos[j]] >= _DELTA * phi
-        j, phi, prim = j[passed], phi[passed], prim[passed]
-        b = pos[j]
-        certified = phi > floor[b]
-        got[b] = np.where(certified, np.minimum(1.0, prim / np.where(certified, phi, 1.0)), 1.0)
-        gamma[b], bound[b], steps[b] = g[j], phi, n_steps
-        sigma[b] = dual.candidate(blocks[b], g[j], tuple(a[j] for a in aux))
-        return j
-
     live = np.arange(blocks.size)
     g = hi.copy()
-    tol = 1e-12 * np.maximum(1.0, hi)
     parts = tuple(a[blocks] for a in dual.data)
     for step in range(1, _MAX_STEPS + 1):
         if live.size == 0:
@@ -366,23 +351,25 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
         up = div > rho
         np.copyto(lo, g, where=up)
         np.copyto(hi, g, where=~up)
-        done = accept(live, g, div, aux, parts, step)
-        narrow = hi - lo <= tol
-        if np.count_nonzero(narrow):
-            # feasible side of a collapsed bracket
-            k = np.setdiff1d(narrow.nonzero()[0], done)
-            sub = tuple(a[k] for a in parts)
-            div_k, _, aux_k = dual.divergence(hi[k], *sub)
-            done = np.concatenate((done, k[accept(live[k], hi[k], div_k, aux_k, sub, step)]))
+        j = np.flatnonzero((np.abs(div - rho) <= _ACTIVITY_TOL) & (div <= rho + 1e-8))
+        if j.size:
+            phi, prim = dual.values(g[j], *(a[j] for a in aux + parts))
+            passed = prim + floor[live[j]] >= _DELTA * phi
+            j, phi, prim = j[passed], phi[passed], prim[passed]
+            b = live[j]
+            certified = phi > floor[b]
+            got[b] = np.where(certified, np.minimum(1.0, prim / np.where(certified, phi, 1.0)), 1.0)
+            gamma[b], bound[b], steps[b] = g[j], phi, step
+            sigma[b] = dual.candidate(blocks[b], g[j], tuple(a[j] for a in aux))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             g = g - q * div * (div**p - rho**p) / (rho**p * slope)
         # g was a bracket end, so a wrong-signed slope steps outside the
         # bracket; a nan step fails both comparisons
         g = np.where((g > lo) & (g < hi), g, 0.5 * (lo + hi))
-        if done.size:
+        if j.size:
             keep = np.ones(live.size, dtype=bool)
-            keep[done] = False
-            live, lo, hi, tol, g = live[keep], lo[keep], hi[keep], tol[keep], g[keep]
+            keep[j] = False
+            live, lo, hi, g = live[keep], lo[keep], hi[keep], g[keep]
             parts = tuple(a[keep] for a in parts)
     if live.size:
         raise OracleError(f"{kind} oracle failed to certify in {_MAX_STEPS} steps")

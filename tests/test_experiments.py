@@ -9,6 +9,7 @@ from robustlqg.cli import main as cli_main
 from robustlqg.divergences import DivergenceKind
 from robustlqg.errors import InvalidInputError, UnsupportedDivergenceError
 from robustlqg.experiments import (
+    TRACE_HEADER,
     ExperimentConfig,
     run_convergence,
     run_gaps,
@@ -195,6 +196,35 @@ def test_cli_solve_exit_code_and_outputs(tmp_path):
     assert summary["all_converged"]
 
 
+def test_cli_stationary_exit_code_and_outputs(tmp_path):
+    out = tmp_path / "run"
+    code = cli_main([
+        "stationary", "--seed", "0", "--seed", "1", "--rho", "0.1", "--dim", "3",
+        "--divergence", "kl", "--out", str(out),
+    ])
+    assert code == 0
+    for seed in (0, 1):
+        with open(out / f"stationary_seed{seed}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == TRACE_HEADER and len(rows) > 1
+    runs = json.loads((out / "stationary_summary.json").read_text())
+    assert [run["seed"] for run in runs] == [0, 1]
+    assert all(run["converged"] and run["worst_cost"] > 0.0 for run in runs)
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["experiment"] == "stationary" and meta["seeds"] == [0, 1]
+
+
+def test_cli_single_radius_experiment_rejects_a_radius_list(tmp_path, capsys):
+    code = cli_main([
+        "solve", "--seed", "0", "--rho", "0.1", "--rho", "0.2", "--horizon", "2", "--dim", "2",
+        "--divergence", "wasserstein2", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "InvalidInputError", "message": "this experiment expects a single rho"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_config_file_with_flag_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -222,6 +252,8 @@ def test_cli_nonconverged_exit_code(tmp_path, capsys):
 def test_config_validation():
     with pytest.raises(Exception):
         ExperimentConfig(d=0)
+    with pytest.raises(InvalidInputError, match="unknown experiment 'bogus'"):
+        ExperimentConfig(experiment="bogus")
     with pytest.raises(Exception):
         ExperimentConfig(rho=[-0.1])
 

@@ -1,5 +1,6 @@
-"""No module of the package keeps a module-level import it does not use, and
-no private top-level function or class goes unread.
+"""No module of the package keeps a module-level import it does not use or
+imports inside a function, and no private top-level function or class goes
+unread.
 
 For imports, __init__.py is skipped (its imports are the public names), and
 so is any import statement marked "# noqa: F401": those are bindings that
@@ -71,6 +72,39 @@ def test_checker_flags_unused_and_honours_noqa():
         "    return math.pi + len(os.path.sep)\n"
     )
     assert unused_imports(source) == ["Optional (line 4)"]
+
+
+def function_local_imports(source: str) -> list[int]:
+    """Lines of the import statements of source inside a function body."""
+    return sorted({
+        sub.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Import, ast.ImportFrom))
+    })
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    # a module's dependencies are all at its top, where an import cycle
+    # shows at import time
+    assert function_local_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_function_local_imports():
+    source = (
+        "import math\n"
+        "def f():\n"
+        "    import os\n"
+        "    def g():\n"
+        "        from . import x\n"
+        "    return math.pi\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        from .y import z\n"
+    )
+    assert function_local_imports(source) == [3, 5, 9]
 
 
 def unread_private_definitions(sources: dict[str, str]) -> list[str]:

@@ -170,9 +170,17 @@ def test_solve_oracle_rejects_a_bad_lam_floor(lam_floor):
     (lambda: generate_instance(2, 2, 1.0), "seed must be an integer in"),
     (lambda: instance_rng(2**128), "seed must be an integer in"),
     (lambda: instance_rng(-1), "seed must be an integer in"),
-], ids=["d_float", "T_zero", "seed_too_large", "seed_float", "rng_too_large", "rng_negative"])
+    (lambda: generate_instance(2, 2, 0, rho=np.nan), "rho must be a finite number >= 0"),
+    (lambda: generate_instance(2, 2, 0, rho=-1.0), "rho must be a finite number >= 0"),
+    (lambda: generate_instance(2, 2, 0, rho=np.inf), "rho must be a finite number >= 0"),
+    (lambda: generate_instance(2, 2, 0, rho=True), "rho must be a finite number >= 0"),
+    (lambda: generate_instance(2, 2, 0, rho="x"), "rho must be a finite number >= 0"),
+], ids=["d_float", "T_zero", "seed_too_large", "seed_float", "rng_too_large", "rng_negative",
+        "rho_nan", "rho_negative", "rho_inf", "rho_bool", "rho_string"])
 def test_instance_generation_rejects_bad_sizes_and_seeds(call, message):
-    # the seed keys a 128-bit Philox generator, so 2**128 - 1 is the largest
+    # the seed keys a 128-bit Philox generator, so 2**128 - 1 is the largest;
+    # a bad rho would otherwise fail only when the balls are built, and True
+    # would become radius 1.0
     with pytest.raises(InvalidInputError, match=message):
         call()
     assert np.isfinite(instance_rng(2**128 - 1).standard_normal())

@@ -313,6 +313,20 @@ def test_kalman_non_psd_start_names_the_innovation_covariance():
         kalman_forward(sys, CovarianceProfile(X0=eye, W=W, V=V))
 
 
+def test_kalman_exactly_singular_innovation_names_the_step():
+    # with C = V = I, Sigma_pred[t] = -I makes I + S J = 0 exactly, so the
+    # update's solve fails; the steps before it are checked first
+    eye = np.eye(2)
+    V = np.repeat(eye[None], 2, 0)
+    with pytest.raises(ConditioningError, match=r"innovation covariance at t=0 is singular"):
+        kalman_forward(_identity_system(2, 2, 2), CovarianceProfile(X0=-eye, W=V, V=V))
+    # A = 0, so Sigma_pred[1] = W[0] = -I
+    sys = SystemInstance.time_invariant(0.0 * eye, eye, eye, eye, eye, T=2)
+    W = np.stack([-eye, eye])
+    with pytest.raises(ConditioningError, match=r"innovation covariance at t=1 is singular"):
+        kalman_forward(sys, CovarianceProfile(X0=eye, W=W, V=V))
+
+
 def test_kalman_lost_psd_names_the_step():
     # E = 2 is pd, but the update diag(1, -1) - diag(1/2, 0) is not psd
     sys = _identity_system(2, 1, 2)

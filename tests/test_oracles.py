@@ -630,6 +630,41 @@ def test_fisher_pencil_runs_once_per_counted_evaluation(monkeypatch):
     assert len(calls) == max(steps) and sum(calls) == sum(steps)
 
 
+_EVALUATIONS = {
+    DivergenceKind.WASSERSTEIN2: "_w2_divergence",
+    DivergenceKind.KULLBACK_LEIBLER: "_kl_divergence",
+    DivergenceKind.FISHER: "_pencil",  # once per Fisher divergence evaluation
+}
+
+
+@pytest.mark.parametrize("kind, s, rho", [
+    (DivergenceKind.WASSERSTEIN2, 1e-12, 1e-3),
+    (DivergenceKind.KULLBACK_LEIBLER, 3.1622776601683794e-12, 3.1622776601683795),
+    (DivergenceKind.FISHER, 1e-8, 562.341325190349),
+    *((kind, None, 0.5) for kind in ALL_KINDS),
+], ids=["w2-d1", "kl-d1", "fisher-d1", "w2-batch", "kl-batch", "fisher-batch"])
+def test_root_search_counts_every_divergence_evaluation(monkeypatch, kind, s, rho):
+    # each lockstep step makes one divergence call over the live blocks, and
+    # the search evaluates nothing else: max(steps) calls, sum(steps) rows,
+    # never an empty batch. The d = 1 cases, with a tiny nominal variance s,
+    # start with brackets about 1e-12 wide or less
+    from robustlqg import oracles
+
+    if s is None:
+        balls, grads, refs = _mixed_batch(8, 3, 3, 3, [kind], rho)
+
+        def solve():
+            return oracle_pass(balls, grads, refs)
+    else:
+        def solve():
+            return [_run(kind, np.eye(1), s * np.eye(1), rho, s * np.eye(1))]
+    calls = counting(monkeypatch, oracles, _EVALUATIONS[kind])
+    steps = [r.steps for r in solve()]
+    rows = [args[0].size for args in calls]
+    assert max(steps) >= 1 and 0 not in rows
+    assert len(rows) == max(steps) and sum(rows) == sum(steps)
+
+
 def _exact_fisher_divergence(nominal, Gamma, g):
     """Tr Shat^{-2} Sigma(g) - 2 Tr Shat^{-1} + Tr Sigma(g)^{-1} at 60 digits,
     the double inputs taken as exact; inf where the pencil is not pd."""
