@@ -21,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, lqg
+from . import __version__
 from .divergences import AmbiguityBall, DivergenceKind, MomentPair
 from .errors import InvalidInputError, UnsupportedDivergenceError
 from .frank_wolfe import FwConfig, _inner, _profile_plan, _stacked, solve
-from .gradient import GradientProfile, _lqg_gradient
+from .gradient import GradientProfile
 from .instances import (
     RNG_ALGORITHM,
     SEED_BOUND,
@@ -249,6 +249,10 @@ def policy_worst_case_cost(coeffs: GradientProfile, balls):
     case is one oracle pass. The coefficients are checked against the balls'
     shapes and for finiteness here, since the pass does not check its
     stacks. Returns (cost, per-block worst covariances).
+
+    run_gaps does not call it: it reads the same costs from its solve's
+    records. It stays public as the independent pricing of a policy, which
+    the tests and the benchmark's tracer use.
     """
     nominal = balls.nominal_profile()
     pairs = ((coeffs.dX0, nominal.X0), (coeffs.dW, nominal.W), (coeffs.dV, nominal.V))
@@ -271,11 +275,21 @@ def run_gaps(cfg: ExperimentConfig) -> dict:
 
     For each (rho, seed): the nominally optimal policy is the Kalman/LQR
     policy designed at the nominal covariances, the robust policy the one
-    designed at the FW worst case. Each policy's cost coefficients are the
-    adjoint gradient (lqg_gradient) at its design covariances, so its
-    worst-case cost is one oracle pass and there is no horizon cap. The
-    Riccati sweep does not depend on the noise: one sweep serves both
-    policies' gradients (solve runs its own).
+    designed at the FW worst case. A fixed linear policy's cost is linear in
+    the covariances, with the adjoint gradient at its design covariances as
+    coefficients (Danskin), and the LQG value J is positively homogeneous of
+    degree 1, so J(Sigma) = <grad J(Sigma), Sigma> (Euler). So a FW record's
+    objective is the cost of the policy designed at its iterate there, and
+    the objective plus the surrogate gap is that policy's worst-case cost.
+    Each row is read from the point's one solve: its first record (solve
+    starts at the nominal) prices the nominal policy, its last record and
+    trace.grads the robust one. No Riccati sweep, gradient or oracle pass
+    runs outside the solve.
+
+    A solve that stops at cfg.fw.max_iters reports all_converged False, and
+    its row describes the policy at the last certified iterate, the last
+    record's. With max_iters=1 that is the nominal: worst_case_gap is 0.0
+    and nominal_gap is zero to rounding.
     """
     outdir = Path(cfg.output_dir)
     t_start = time.perf_counter()
@@ -286,17 +300,12 @@ def run_gaps(cfg: ExperimentConfig) -> dict:
     for rho in rhos:
         for seed in cfg.seeds:
             sys, model = generate_instance(cfg.d, cfg.T, seed, cfg.kind, float(rho))
-            balls = model.ball_profile()
-            nominal_cov = model.nominal_profile()
-            P, _ = lqg.riccati_backward(sys)
-            _, c_nom = _lqg_gradient(sys, P, nominal_cov)
-            worst_profile, trace = solve(sys, balls, cfg=cfg.fw)
-            _, c_rob = _lqg_gradient(sys, P, worst_profile)
-            wc_nom, _ = policy_worst_case_cost(c_nom, balls)
-            wc_rob, _ = policy_worst_case_cost(c_rob, balls)
-            nom_nom = policy_nominal_cost(c_nom, nominal_cov)
-            nom_rob = policy_nominal_cost(c_rob, nominal_cov)
-            rows.append([float(rho), seed, repr(wc_nom - wc_rob), repr(nom_rob - nom_nom)])
+            _, trace = solve(sys, model.ball_profile(), cfg=cfg.fw)
+            first, last = trace.records[0], trace.records[-1]
+            wc_nom = first.objective + first.fw_gap
+            wc_rob = last.objective + last.fw_gap
+            nom_rob = _inner(trace.grads, _stacked(model.X0, model.W, model.V))
+            rows.append([float(rho), seed, repr(wc_nom - wc_rob), repr(nom_rob - first.objective)])
             all_converged &= trace.converged
     write_csv(outdir / "gaps.csv", GAPS_HEADER, rows)
     write_metadata(cfg, outdir, time.perf_counter() - t_start)

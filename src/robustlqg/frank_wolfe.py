@@ -18,7 +18,10 @@ once per solve and reuse it in every evaluation. An evaluation gives the
 objective and, on demand, the gradient of the same forward sweep, so the
 iterate an accepted line-search trial lands on is not evaluated again; the
 oracle pass is planned, and the ball nominals factored, once per solve,
-before anything is evaluated.
+before anything is evaluated. The trace keeps the gradient stacks of its
+last record's iterate (FwTrace.grads). With the first and last records they
+price the fixed policies designed at the start and at that iterate, with no
+further sweep or oracle pass (experiments.run_gaps).
 maximize takes its start as feasible and checks nothing it builds from it.
 Both adapters start at the nominals, which lie in every ball; solve also
 accepts a start from its caller, and checks it.
@@ -89,6 +92,11 @@ class FwRecord:
 class FwTrace:
     records: list[FwRecord] = field(default_factory=list)
     converged: bool = False
+    # the gradient stacks (trace pairing) of the last record's iterate, laid
+    # out as the iterate: its objective is records[-1].objective and its
+    # surrogate gap records[-1].fw_gap. That iterate is the returned one when
+    # the loop converged, and the one before the last step otherwise.
+    grads: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -228,7 +236,9 @@ def maximize(
     step_rule="vanishing" it is 2/(2+k). The loop stops when the surrogate gap
     falls below cfg.gap_tol or the iteration budget is exhausted. Each
     iteration is recorded in the trace and, when the "robustlqg" logger is
-    enabled for DEBUG, logged in one line. Returns (final stacks, trace).
+    enabled for DEBUG, logged in one line. Returns (final stacks, trace);
+    trace.grads is set once, after the loop, to the gradient stacks of the
+    last record's iterate.
     """
     current = list(start)
     trace = FwTrace()
@@ -264,6 +274,7 @@ def maximize(
             )
         if trace.converged:
             break
+    trace.grads = grads
     return current, trace
 
 

@@ -24,13 +24,24 @@ def instance_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def _random_covariances(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k random covariances U diag(lam) U^T, stacked (k, d, d). Block by
+    block, the d x d normals and then lam, uniform on [1, 2], are drawn in
+    turn; U is the sign-fixed QR factor of the normals. The QR, sign fix and
+    product run once over all k blocks."""
+    M = np.empty((k, d, d))
+    lam = np.empty((k, d))
+    for i in range(k):
+        M[i] = rng.standard_normal((d, d))
+        lam[i] = rng.uniform(1.0, 2.0, d)
+    Qm, Rm = np.linalg.qr(M)
+    Qm = Qm * np.sign(np.diagonal(Rm, axis1=1, axis2=2))[:, None, :]
+    return (Qm * lam[:, None, :]) @ Qm.swapaxes(1, 2)
+
+
 def random_covariance(d: int, rng: np.random.Generator):
     """U diag(lam) U^T with lam uniform on [1, 2] and U a sign-fixed QR factor."""
-    M = rng.standard_normal((d, d))
-    Qm, Rm = np.linalg.qr(M)
-    Qm = Qm * np.sign(np.diag(Rm))
-    lam = rng.uniform(1.0, 2.0, d)
-    return (Qm * lam) @ Qm.T
+    return _random_covariances(d, 1, rng)[0]
 
 
 def benchmark_dynamics(d: int) -> np.ndarray:
@@ -58,10 +69,7 @@ def generate_instance(
     rng = instance_rng(seed)
     eye = np.eye(d)
     sys = SystemInstance.time_invariant(benchmark_dynamics(d), eye, eye, eye, eye, T=T)
-    cov = CovarianceProfile(
-        X0=random_covariance(d, rng),
-        W=np.stack([random_covariance(d, rng) for _ in range(T)]),
-        V=np.stack([random_covariance(d, rng) for _ in range(T)]),
-    )
+    blocks = _random_covariances(d, 2 * T + 1, rng)  # [X0, W_0.., V_0..]
+    cov = CovarianceProfile(X0=blocks[0], W=blocks[1:T + 1], V=blocks[T + 1:])
     model = NominalModel.uniform(kind, cov, rho)
     return sys, model

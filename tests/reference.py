@@ -14,6 +14,9 @@ None of these is on the solve path:
 - kalman_forward_reference and lqg_gradient_reference: the per-step
   covariance-form Kalman sweep and adjoint sweep, with the trace cost as a
   loop, which the batched sweeps of lqg and gradient must match.
+- random_covariance_reference: one random nominal covariance drawn and
+  formed on its own, the per-matrix loop that instances' batched draw must
+  reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -374,3 +377,14 @@ def lqg_gradient_reference(
         closed = np.eye(n) - Kt @ Ct
         Sbar = symmetrize(P[t] + closed.T @ sigbar @ closed)
     return value, GradientProfile(dX0=_check_finite(Sbar, "adjoint sweep"), dW=dW, dV=dV)
+
+
+def random_covariance_reference(d: int, rng: np.random.Generator) -> np.ndarray:
+    """U diag(lam) U^T for one block: d x d normals, then lam uniform on
+    [1, 2], from rng in that order; U is the QR factor of the normals with
+    the signs of diag(R) moved into it."""
+    M = rng.standard_normal((d, d))
+    Qm, Rm = np.linalg.qr(M)
+    Qm = Qm * np.sign(np.diag(Rm))
+    lam = rng.uniform(1.0, 2.0, d)
+    return (Qm * lam) @ Qm.T

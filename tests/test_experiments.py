@@ -15,13 +15,17 @@ from robustlqg.experiments import (
     run_gaps,
     run_runtime,
     config_hash,
+    policy_nominal_cost,
+    policy_worst_case_cost,
     write_metadata,
 )
-from robustlqg.frank_wolfe import FwConfig
-from robustlqg.instances import generate_instance, instance_rng
-from robustlqg.lqg import lqg_value
+from robustlqg.frank_wolfe import FwConfig, solve
+from robustlqg.gradient import lqg_gradient
+from robustlqg.instances import generate_instance, instance_rng, random_covariance
+from robustlqg.lqg import CovarianceProfile, lqg_value
 
 from conftest import counting
+from reference import random_covariance_reference
 
 
 def test_generate_instance_dynamics_pattern():
@@ -50,6 +54,21 @@ def test_generate_instance_deterministic():
         assert np.array_equal(x, y)
     _, model_c = generate_instance(3, 4, seed=8)
     assert not np.array_equal(model_a.X0, model_c.X0)
+
+
+@pytest.mark.parametrize("d,T,seed", [(1, 1, 0), (2, 3, 5), (4, 7, 2**64 + 3), (10, 19, 1)])
+def test_batched_draw_matches_the_per_matrix_loop(d, T, seed):
+    # generate_instance forms all 2T+1 nominals in one batched QR and
+    # product; random_covariance is its one-block case
+    _, model = generate_instance(d, T, seed)
+    rng = instance_rng(seed)
+    ref = [random_covariance_reference(d, rng) for _ in range(2 * T + 1)]
+    want = CovarianceProfile(X0=ref[0], W=np.stack(ref[1:T + 1]), V=np.stack(ref[T + 1:]))
+    for got, exp in zip(model.nominal_profile().blocks(), want.blocks()):
+        assert np.array_equal(got, exp)
+    rng, rng_ref = instance_rng(seed), instance_rng(seed)
+    for _ in range(2):
+        assert np.array_equal(random_covariance(d, rng), random_covariance_reference(d, rng_ref))
 
 
 def test_counter_based_rng_identity():
@@ -106,31 +125,71 @@ def test_metadata_blas_is_null_where_numpy_does_not_report_it(tmp_path, monkeypa
     assert meta["config_hash"] == config_hash(cfg)
 
 
-def test_run_gaps_runs_two_riccati_sweeps_per_point(tmp_path, monkeypatch):
-    # the Riccati sweep does not depend on the noise: solve runs one, and one
-    # more serves both policies' gradients; the rows are those of the public
-    # lqg_gradient, bit for bit
-    from robustlqg import gradient, lqg
-    from robustlqg.experiments import policy_nominal_cost, policy_worst_case_cost
-    from robustlqg.frank_wolfe import solve
+def _public_gaps_row(sys, model, fw):
+    """The gaps row by the public pipeline: each policy's coefficients from
+    lqg_gradient at its design covariances, priced by policy_worst_case_cost
+    and policy_nominal_cost."""
+    balls, nominal = model.ball_profile(), model.nominal_profile()
+    worst, _ = solve(sys, balls, cfg=fw)
+    c_nom, c_rob = lqg_gradient(sys, nominal)[1], lqg_gradient(sys, worst)[1]
+    wc = policy_worst_case_cost(c_nom, balls)[0] - policy_worst_case_cost(c_rob, balls)[0]
+    return wc, policy_nominal_cost(c_rob, nominal) - policy_nominal_cost(c_nom, nominal)
+
+
+def test_run_gaps_reads_its_rows_from_the_solve(tmp_path, monkeypatch):
+    # the rows come from the solve's first and last records and its final
+    # gradients: one Riccati sweep per point (solve's), no separate oracle
+    # pass, and the rows of the public pipeline
+    from robustlqg import experiments, gradient, lqg
 
     calls = counting(monkeypatch, lqg, "riccati_backward")
     monkeypatch.setattr(gradient, "riccati_backward", lqg.riccati_backward)
+    priced = counting(monkeypatch, experiments, "policy_worst_case_cost")
     cfg = ExperimentConfig(
         experiment="gaps", d=2, T=3, divergence="kl", rho=[0.5, 1.0], seeds=[0, 1],
         output_dir=str(tmp_path), fw=_fast_fw(),
     )
     out = run_gaps(cfg)
-    assert len(calls) == 2 * len(out["rows"]) == 8
+    assert out["all_converged"]
+    assert len(calls) == len(out["rows"]) == 4
+    assert priced == []
     monkeypatch.undo()
     for rho, seed, wc_gap, nom_gap in out["rows"]:
         sys, model = generate_instance(2, 3, seed, DivergenceKind.KULLBACK_LEIBLER, rho)
-        balls, nominal = model.ball_profile(), model.nominal_profile()
-        worst, _ = solve(sys, balls, cfg=cfg.fw)
-        c_nom, c_rob = gradient.lqg_gradient(sys, nominal)[1], gradient.lqg_gradient(sys, worst)[1]
-        wc = policy_worst_case_cost(c_nom, balls)[0] - policy_worst_case_cost(c_rob, balls)[0]
-        nom = policy_nominal_cost(c_rob, nominal) - policy_nominal_cost(c_nom, nominal)
-        assert (wc_gap, nom_gap) == (repr(wc), repr(nom))
+        wc, nom = _public_gaps_row(sys, model, cfg.fw)
+        assert float(wc_gap) == pytest.approx(wc, rel=1e-6)
+        assert float(nom_gap) == pytest.approx(nom, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind", [
+    DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER,
+], ids=lambda k: k.value)
+def test_first_record_prices_the_nominal_policy(kind):
+    # the solve starts at the nominal, so its first oracle pass is the
+    # nominal policy's worst case: objective + gap = <G_0, Sigma*> (Euler)
+    sys, model = generate_instance(3, 4, 2, kind, 0.5)
+    balls = model.ball_profile()
+    _, trace = solve(sys, balls, cfg=_fast_fw())
+    first = trace.records[0]
+    c_nom = lqg_gradient(sys, model.nominal_profile())[1]
+    want = policy_worst_case_cost(c_nom, balls)[0]
+    assert first.objective + first.fw_gap == pytest.approx(want, rel=1e-12)
+
+
+def test_run_gaps_row_of_an_unconverged_solve_is_the_nominal_policy(tmp_path):
+    # after one iteration the last certified iterate is the nominal, so both
+    # policies are the nominal one
+    cfg = ExperimentConfig(
+        experiment="gaps", d=3, T=3, divergence="wasserstein2", rho=[1.0], seeds=[0],
+        output_dir=str(tmp_path), fw=FwConfig(max_iters=1, gap_tol=1e-9),
+    )
+    out = run_gaps(cfg)
+    assert not out["all_converged"]
+    (_, _, wc_gap, nom_gap), = out["rows"]
+    sys, model = generate_instance(3, 3, 0, DivergenceKind.WASSERSTEIN2, 1.0)
+    cost = lqg_value(sys, model.nominal_profile()).cost
+    assert float(wc_gap) == 0.0
+    assert abs(float(nom_gap)) <= 1e-12 * (1.0 + cost)
 
 
 def test_run_convergence_outputs(tmp_path):

@@ -8,6 +8,7 @@ from robustlqg.divergences import AmbiguityBall, DivergenceKind, MomentPair, mem
 from robustlqg.errors import InvalidInputError
 from robustlqg.experiments import _trace_csv_text
 from robustlqg.frank_wolfe import BallProfile, FwConfig, NominalModel, solve
+from robustlqg.gradient import lqg_gradient
 from robustlqg.instances import generate_instance
 from robustlqg.lqg import CovarianceProfile, lqg_value
 
@@ -285,7 +286,6 @@ def test_saddle_point_identity_end_to_end():
     # pass on its fixed-policy cost coefficients, the adjoint gradient at the
     # worst case) equals the maximized LQG value: the pipeline agrees with itself
     from robustlqg.experiments import policy_worst_case_cost
-    from robustlqg.gradient import lqg_gradient
 
     for kind in (DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER):
         sys, model = generate_instance(2, 3, seed=0, kind=kind, rho=0.4)
@@ -661,3 +661,19 @@ def test_kl_and_fisher_worst_cases_dominate_their_nominals(kind):
         lmin += [float(np.linalg.eigvalsh(got - nom).min())
                  for got, nom in zip(worst.blocks(), model.nominal_profile().blocks())]
     assert min(lmin) >= -1e-7
+
+
+@pytest.mark.parametrize("max_iters", [1, 500])
+def test_trace_keeps_the_gradients_of_the_last_records_iterate(max_iters):
+    # the returned iterate after convergence; the nominal start when the
+    # budget ends after one iteration, whose step the trace never certifies
+    sys = _hard_system(3, 4)
+    _, model = generate_instance(3, 4, seed=1, kind=DivergenceKind.KULLBACK_LEIBLER, rho=1.0)
+    worst, trace = solve(sys, model.ball_profile(), cfg=FwConfig(max_iters=max_iters, gap_tol=1e-4))
+    assert trace.converged == (max_iters > 1)
+    value, grad = lqg_gradient(sys, worst if trace.converged else model.nominal_profile())
+    assert value == pytest.approx(trace.records[-1].objective, rel=1e-12)
+    want = [np.concatenate((grad.dX0[None], grad.dW)), grad.dV]
+    assert len(trace.grads) == len(want)
+    for got, exp in zip(trace.grads, want):
+        np.testing.assert_allclose(got, exp, rtol=1e-12, atol=0.0)

@@ -27,6 +27,20 @@ def test_value_matches_lqg_value():
     assert value == pytest.approx(lqg_value(sys, cov).cost, rel=1e-12)
 
 
+@pytest.mark.parametrize("n,m,p", [(3, 3, 3), (1, 1, 1), (3, 2, 1), (3, 2, 2)],
+                         ids=["square", "scalar", "rect_p1", "rect_p2"])
+def test_value_is_its_gradient_paired_with_the_covariances(n, m, p):
+    # the LQG value is positively homogeneous of degree 1 in the noise
+    # covariances, so J(Sigma) = <grad J(Sigma), Sigma> (Euler): the cost of
+    # the policy designed at Sigma, priced at Sigma, is the value there
+    rng = np.random.default_rng(10 * n + p)
+    sys = rand_system(rng, n=n, m=m, p=p, T=5)
+    for _ in range(3):
+        cov = rand_profile(rng, sys)
+        _, grad = lqg_gradient(sys, cov)
+        assert grad.inner(cov) == pytest.approx(lqg_value(sys, cov).cost, rel=1e-12)
+
+
 def test_no_observation_collapse():
     # with B = 0 and C = 0 the cost is linear in the noise through the
     # uncontrolled Riccati matrices: dW_{t-1} = P_t exactly, dV_t = 0
