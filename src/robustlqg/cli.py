@@ -26,32 +26,31 @@ _EXPERIMENTS = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser, mandatory: bool = False) -> None:
-    req = mandatory
-    sub.add_argument("--config", help="JSON config file (schema 1); flags override it")
-    sub.add_argument("--seed", type=int, action="append", dest="seeds", required=req,
-                     help="seed (repeatable)")
-    sub.add_argument("--rho", type=float, action="append", dest="rhos", required=req,
-                     help="ambiguity radius (repeatable for grids)")
-    sub.add_argument("--horizon", type=int, dest="T", required=req)
-    sub.add_argument("--dim", type=int, dest="d", required=req)
-    sub.add_argument("--divergence", choices=["wasserstein2", "kl", "fisher", "entropic_ot"],
-                     required=req)
-    sub.add_argument("--out", dest="output_dir", required=req)
-    sub.add_argument("--max-iters", type=int)
-    sub.add_argument("--gap-tol", type=float)
-    sub.add_argument("--step-rule", choices=["vanishing", "line_search"],
-                     help="FW step size: line_search (default, backtracking) or "
-                          "vanishing (2/(2+k))")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag's dest is its config key (ExperimentConfig, or FwConfig for
+    the Frank-Wolfe flags); a flag not given is absent from the namespace.
+    solve needs every flag except --config and the Frank-Wolfe ones."""
     parser = argparse.ArgumentParser(prog="robustlqg",
                                      description="Distributionally robust LQG experiments")
     subs = parser.add_subparsers(dest="command", required=True)
     for name in _EXPERIMENTS:
-        sub = subs.add_parser(name)
-        _add_common(sub, mandatory=(name == "solve"))
+        sub = subs.add_parser(name, argument_default=argparse.SUPPRESS)
+        req = name == "solve"
+        sub.add_argument("--config", help="JSON config file (schema 1); flags override it")
+        sub.add_argument("--seed", type=int, action="append", dest="seeds", required=req,
+                         help="seed (repeatable)")
+        sub.add_argument("--rho", type=float, action="append", required=req,
+                         help="ambiguity radius (repeatable for grids)")
+        sub.add_argument("--horizon", type=int, dest="T", required=req)
+        sub.add_argument("--dim", type=int, dest="d", required=req)
+        sub.add_argument("--divergence", choices=["wasserstein2", "kl", "fisher", "entropic_ot"],
+                         required=req)
+        sub.add_argument("--out", dest="output_dir", required=req)
+        sub.add_argument("--max-iters", type=int)
+        sub.add_argument("--gap-tol", type=float)
+        sub.add_argument("--step-rule", choices=["vanishing", "line_search"],
+                         help="FW step size: line_search (default, backtracking) or "
+                              "vanishing (2/(2+k))")
     return parser
 
 
@@ -70,35 +69,27 @@ def _object(raw, name: str) -> dict:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    flags = dict(vars(args))
+    command, path = flags.pop("command"), flags.pop("config", None)
     raw: dict = {}
-    if args.config:
+    if path:
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 raw = json.load(fh)
         except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
-            raise InvalidInputError(f"cannot read config {args.config}: {exc}") from exc
+            raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
         raw = _object(raw, "config")
         schema = raw.pop("schema", 1)
         if schema != 1:
             raise RobustLqgError(f"unsupported config schema {schema}")
-    raw["experiment"] = _EXPERIMENTS[args.command]
-    if args.seeds is not None:
-        raw["seeds"] = args.seeds
-    if args.rhos is not None:
-        raw["rho"] = args.rhos if len(args.rhos) > 1 else args.rhos[0]
-    for attr, key in (("T", "T"), ("d", "d"), ("divergence", "divergence"),
-                      ("output_dir", "output_dir")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            raw[key] = val
+    if len(flags.get("rho", ())) == 1:  # one --rho is a scalar radius
+        flags["rho"] = flags["rho"][0]
+    fw_flags = {f.name: flags.pop(f.name) for f in dataclasses.fields(FwConfig) if f.name in flags}
+    raw.update(flags, experiment=_EXPERIMENTS[command])
     _check_keys(raw, ExperimentConfig, "")
     fw_raw = dict(_object(raw.pop("fw", {}), "config key fw"))
     _check_keys(fw_raw, FwConfig, "fw.")
-    for key in ("max_iters", "gap_tol", "step_rule"):
-        val = getattr(args, key, None)
-        if val is not None:
-            fw_raw[key] = val
-    raw["fw"] = FwConfig(**fw_raw)
+    raw["fw"] = FwConfig(**fw_raw | fw_flags)
     return ExperimentConfig(**raw)
 
 

@@ -20,7 +20,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NumericError, UnsupportedDivergenceError
-from .matops import _check_finite, _check_square, _cholesky_certifies, sym_sqrt, symmetrize
+from .matops import (
+    _check_finite, _check_square, _cholesky_certifies, _is_number, sym_sqrt, symmetrize,
+)
 
 INFEASIBLE = float("inf")
 
@@ -93,9 +95,10 @@ def _logdet_pd(S: np.ndarray, what: str) -> float:
 
 
 def _is_pd(S: np.ndarray) -> bool:
-    """lam_min(S) > 1e-12 (1 + ||S||_F), certified by a Cholesky or else decided
-    by the eigenvalues."""
-    S, tol = symmetrize(S), 1e-12 * (1.0 + np.linalg.norm(S))
+    """lam_min(S) > 1e-12 ||S||_F, certified by a Cholesky or else decided by
+    the eigenvalues. The floor is relative, so the rule does not depend on the
+    scale of S, and an exact zero is not pd."""
+    S, tol = symmetrize(S), 1e-12 * np.linalg.norm(S)
     return _cholesky_certifies(S, -tol) or bool(np.linalg.eigvalsh(S).min() > tol)
 
 
@@ -312,13 +315,15 @@ class AmbiguityBall:
     min_radius: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius >= 0.0):
+        if not isinstance(self.kind, DivergenceKind):
+            raise InvalidInputError(f"kind must be a DivergenceKind, got {self.kind!r}")
+        if not (_is_number(self.radius) and self.radius >= 0.0):
             raise InvalidInputError("radius must be finite and nonnegative")
         if self.kind in (DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER):
             if not _is_pd(self.nominal.cov):
                 raise InvalidInputError(f"{self.kind.value} nominal covariance must be pd")
         if self.kind is DivergenceKind.ENTROPIC_OT:
-            if not (math.isfinite(self.eps) and self.eps > 0.0):
+            if not (_is_number(self.eps) and self.eps > 0.0):
                 raise InvalidInputError("entropic OT needs a finite eps > 0")
             d = self.nominal.dim
             shifted = MomentPair.from_cov(
@@ -332,6 +337,8 @@ class AmbiguityBall:
                     f"entropic-OT ball is empty: rho={self.radius:.6g} < "
                     f"minimum feasible radius {low:.6g}"
                 )
+        elif not _is_number(self.eps):
+            raise InvalidInputError(f"eps must be a finite number, got {self.eps!r}")
 
     def divergence(self, candidate: MomentPair) -> float:
         """Divergence from the candidate to the nominal (Gaussian closed form)."""

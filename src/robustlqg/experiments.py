@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__
 from .divergences import AmbiguityBall, DivergenceKind, MomentPair
 from .errors import InvalidInputError, UnsupportedDivergenceError
-from .frank_wolfe import FwConfig, _inner, _profile_plan, _stacked, solve
+from .frank_wolfe import FwConfig, _inner, _stacked, solve
 from .gradient import GradientProfile
 from .instances import (
     RNG_ALGORITHM,
@@ -35,8 +36,8 @@ from .instances import (
     random_covariance,
 )
 from .lqg import CovarianceProfile
-from .matops import _check_finite, _is_number
-from .oracles import ORACLE_KINDS, _run
+from .matops import _is_number
+from .oracles import ORACLE_KINDS, oracle_pass
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 from .stacked import build_stacked, kalman_policy_to_purified  # noqa: F401  unused; bench/tracer.py wraps these
 from .stationary import StationarySystem, solve_stationary_fw, stationary_cost
@@ -79,8 +80,7 @@ class ExperimentConfig:
             raise InvalidInputError("seeds must be below 2**128, the Philox key range")
         if not isinstance(self.output_dir, str):
             raise InvalidInputError("output_dir must be a string")
-        rhos = self.rho if isinstance(self.rho, list) else [self.rho]
-        if not all(_is_number(r) and r >= 0 for r in rhos):
+        if not all(_is_number(r) and r >= 0 for r in self.rhos):
             raise InvalidInputError("rho entries must be finite nonnegative numbers")
         try:
             kind = DivergenceKind(self.divergence)
@@ -90,10 +90,17 @@ class ExperimentConfig:
             raise UnsupportedDivergenceError(
                 f"no linearization oracle for divergence '{self.divergence}'"
             )
+        if isinstance(self.rho, list) and self.experiment != "gaps":
+            raise InvalidInputError("this experiment expects a single rho")
 
     @property
     def kind(self) -> DivergenceKind:
         return DivergenceKind(self.divergence)
+
+    @property
+    def rhos(self) -> list:
+        """The radii to run: rho as a list, of one entry unless gaps."""
+        return self.rho if isinstance(self.rho, list) else [self.rho]
 
     def to_json_dict(self) -> dict:
         out = asdict(self)
@@ -168,21 +175,15 @@ def _trace_csv_text(trace) -> str:
     )
 
 
-def _scalar_rho(rho) -> float:
-    if isinstance(rho, list):
-        raise InvalidInputError("this experiment expects a single rho")
-    return float(rho)
-
-
 def _solves(cfg: ExperimentConfig, horizons):
-    """Generate and solve the instance of each (T, seed), T over horizons and
-    seed over cfg.seeds; yields (T, seed, trace, wall seconds of the solve)."""
-    for T in horizons:
-        for seed in cfg.seeds:
-            sys, model = generate_instance(cfg.d, T, seed, cfg.kind, _scalar_rho(cfg.rho))
-            t0 = time.perf_counter()
-            _, trace = solve(sys, model.ball_profile(), cfg=cfg.fw)
-            yield T, seed, trace, time.perf_counter() - t0
+    """Generate and solve the instance of each (rho, T, seed), rho over
+    cfg.rhos, T over horizons and seed over cfg.seeds; yields (rho, T, seed,
+    nominal model, trace, wall seconds of the solve)."""
+    for rho, T, seed in itertools.product(cfg.rhos, horizons, cfg.seeds):
+        sys, model = generate_instance(cfg.d, T, seed, cfg.kind, rho)
+        t0 = time.perf_counter()
+        _, trace = solve(sys, model.ball_profile(), cfg=cfg.fw)
+        yield rho, T, seed, model, trace, time.perf_counter() - t0
 
 
 def run_single_solve(cfg: ExperimentConfig) -> dict:
@@ -190,7 +191,7 @@ def run_single_solve(cfg: ExperimentConfig) -> dict:
     outdir = Path(cfg.output_dir)
     t_start = time.perf_counter()
     results = []
-    for _, seed, trace, _ in _solves(cfg, [cfg.T]):
+    for _, _, seed, _, trace, _ in _solves(cfg, [cfg.T]):
         atomic_write_text(outdir / f"trace_seed{seed}.csv", _trace_csv_text(trace))
         results.append(
             {
@@ -213,7 +214,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
     t_start = time.perf_counter()
     rows = []
     all_converged = True
-    for T, seed, trace, wall in _solves(cfg, [cfg.T]):
+    for _, T, seed, _, trace, wall in _solves(cfg, [cfg.T]):
         atomic_write_text(outdir / f"convergence_T{T}_seed{seed}.csv", _trace_csv_text(trace))
         rows.append(
             [T, seed, len(trace.records), int(trace.converged),
@@ -232,7 +233,7 @@ def run_runtime(cfg: ExperimentConfig) -> dict:
     t_start = time.perf_counter()
     rows = []
     all_converged = True
-    for T, seed, trace, wall in _solves(cfg, cfg.runtime_horizons):
+    for _, T, seed, _, trace, wall in _solves(cfg, cfg.runtime_horizons):
         rows.append([T, seed, repr(wall), len(trace.records)])
         all_converged &= trace.converged
     write_csv(outdir / "runtime.csv", RUNTIME_HEADER, rows)
@@ -246,23 +247,18 @@ def policy_worst_case_cost(coeffs: GradientProfile, balls):
     coeffs are the policy's per-block cost coefficients (trace pairing); for
     the Kalman/LQR policy designed at Sigma0 they are lqg_gradient(sys,
     Sigma0)[1] (Danskin). The cost is linear in the covariances, so its worst
-    case is one oracle pass. The coefficients are checked against the balls'
-    shapes and for finiteness here, since the pass does not check its
-    stacks. Returns (cost, per-block worst covariances).
+    case is one oracle_pass from the nominals, which checks the coefficients
+    (one per ball, each finite and of its ball's shape) and the balls' zero
+    means. Returns (cost, per-block worst covariances).
 
     run_gaps does not call it: it reads the same costs from its solve's
     records. It stays public as the independent pricing of a policy, which
     the tests and the benchmark's tracer use.
     """
-    nominal = balls.nominal_profile()
-    pairs = ((coeffs.dX0, nominal.X0), (coeffs.dW, nominal.W), (coeffs.dV, nominal.V))
-    if any(np.shape(G) != S.shape for G, S in pairs):
-        raise InvalidInputError("cost coefficients inconsistent with the ball profile")
-    grads = _stacked(coeffs.dX0, coeffs.dW, coeffs.dV)
-    for G in grads:
-        _check_finite(G, "cost coefficients")
-    worst = _run(_profile_plan(balls), grads, _stacked(nominal.X0, nominal.W, nominal.V)).targets
-    return _inner(grads, worst), [S for stack in worst for S in stack]
+    grads = coeffs.blocks()
+    worst = [r.sigma_star for r in
+             oracle_pass(balls.blocks(), grads, balls.nominal_profile().blocks())]
+    return _inner([G[None] for G in grads], [S[None] for S in worst]), worst
 
 
 def policy_nominal_cost(coeffs: GradientProfile, cov: CovarianceProfile) -> float:
@@ -293,20 +289,15 @@ def run_gaps(cfg: ExperimentConfig) -> dict:
     """
     outdir = Path(cfg.output_dir)
     t_start = time.perf_counter()
-    rhos = cfg.rho if isinstance(cfg.rho, list) else [cfg.rho]
     rows = []
     all_converged = True
-
-    for rho in rhos:
-        for seed in cfg.seeds:
-            sys, model = generate_instance(cfg.d, cfg.T, seed, cfg.kind, float(rho))
-            _, trace = solve(sys, model.ball_profile(), cfg=cfg.fw)
-            first, last = trace.records[0], trace.records[-1]
-            wc_nom = first.objective + first.fw_gap
-            wc_rob = last.objective + last.fw_gap
-            nom_rob = _inner(trace.grads, _stacked(model.X0, model.W, model.V))
-            rows.append([float(rho), seed, repr(wc_nom - wc_rob), repr(nom_rob - first.objective)])
-            all_converged &= trace.converged
+    for rho, _, seed, model, trace, _ in _solves(cfg, [cfg.T]):
+        first, last = trace.records[0], trace.records[-1]
+        wc_nom = first.objective + first.fw_gap
+        wc_rob = last.objective + last.fw_gap
+        nom_rob = _inner(trace.grads, _stacked(model.X0, model.W, model.V))
+        rows.append([float(rho), seed, repr(wc_nom - wc_rob), repr(nom_rob - first.objective)])
+        all_converged &= trace.converged
     write_csv(outdir / "gaps.csv", GAPS_HEADER, rows)
     write_metadata(cfg, outdir, time.perf_counter() - t_start)
     return {"all_converged": all_converged, "rows": rows}
@@ -318,6 +309,7 @@ def run_stationary(cfg: ExperimentConfig) -> dict:
     t_start = time.perf_counter()
     results = []
     all_converged = True
+    (rho,) = cfg.rhos
     for seed in cfg.seeds:
         rng = instance_rng(seed)
         d = cfg.d
@@ -325,7 +317,6 @@ def run_stationary(cfg: ExperimentConfig) -> dict:
         ss = StationarySystem(A=benchmark_dynamics(d), B=eye, C=eye, Q=eye, R=eye)
         Sw = random_covariance(d, rng)
         Sv = random_covariance(d, rng)
-        rho = _scalar_rho(cfg.rho)
         ball_w = AmbiguityBall(kind=cfg.kind, nominal=MomentPair.zero_mean(Sw), radius=rho)
         ball_v = AmbiguityBall(kind=cfg.kind, nominal=MomentPair.zero_mean(Sv), radius=rho)
         Sw_star, Sv_star, trace = solve_stationary_fw(ss, ball_w, ball_v, cfg.fw)

@@ -124,37 +124,26 @@ class BallProfile:
 
 @dataclass(frozen=True)
 class NominalModel:
-    """Zero-mean nominal noise model plus ambiguity radii for each noise term."""
+    """Zero-mean nominal noise model with one ambiguity radius for every noise
+    term; a BallProfile built directly sets radii block by block."""
 
     kind: DivergenceKind
     X0: np.ndarray
     W: np.ndarray  # (T, n, n)
     V: np.ndarray  # (T, p, p)
-    rho_x0: float
-    rho_w: np.ndarray  # (T,)
-    rho_v: np.ndarray  # (T,)
-
-    @classmethod
-    def uniform(cls, kind: DivergenceKind, cov: CovarianceProfile, rho: float):
-        T = cov.T
-        return cls(
-            kind=kind, X0=cov.X0, W=cov.W, V=cov.V,
-            rho_x0=rho, rho_w=np.full(T, float(rho)), rho_v=np.full(T, float(rho)),
-        )
+    rho: float
 
     def nominal_profile(self) -> CovarianceProfile:
         return CovarianceProfile(X0=self.X0, W=self.W, V=self.V)
 
     def ball_profile(self) -> BallProfile:
-        def ball(cov, rho):
+        def ball(cov):
             return AmbiguityBall(
-                kind=self.kind, nominal=MomentPair.zero_mean(cov), radius=float(rho)
+                kind=self.kind, nominal=MomentPair.zero_mean(cov), radius=float(self.rho)
             )
 
         return BallProfile(
-            x0=ball(self.X0, self.rho_x0),
-            w=tuple(ball(self.W[t], self.rho_w[t]) for t in range(self.W.shape[0])),
-            v=tuple(ball(self.V[t], self.rho_v[t]) for t in range(self.V.shape[0])),
+            x0=ball(self.X0), w=tuple(map(ball, self.W)), v=tuple(map(ball, self.V))
         )
 
 

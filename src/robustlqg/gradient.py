@@ -60,9 +60,9 @@ def lqg_gradient(
 
     Runtime is a small constant multiple of a single value evaluation: the
     Riccati sweep, one forward Kalman sweep and one reverse sweep of the same
-    length. The Riccati sweep does not depend on cov, so a caller that
-    differentiates many profiles of one system (frank_wolfe.solve) runs it
-    once and calls _lqg_gradient.
+    length. The Riccati sweep does not depend on cov, so frank_wolfe.solve
+    runs it once per solve, and differentiates an iterate by _adjoint alone,
+    on the forward sweep that evaluated it.
     """
     P, _ = riccati_backward(sys)
     return _lqg_gradient(sys, P, cov)

@@ -69,7 +69,5 @@ def generate_instance(
     rng = instance_rng(seed)
     eye = np.eye(d)
     sys = SystemInstance.time_invariant(benchmark_dynamics(d), eye, eye, eye, eye, T=T)
-    blocks = _random_covariances(d, 2 * T + 1, rng)  # [X0, W_0.., V_0..]
-    cov = CovarianceProfile(X0=blocks[0], W=blocks[1:T + 1], V=blocks[T + 1:])
-    model = NominalModel.uniform(kind, cov, rho)
-    return sys, model
+    cov = CovarianceProfile.from_blocks(_random_covariances(d, 2 * T + 1, rng), T)
+    return sys, NominalModel(kind, cov.X0, cov.W, cov.V, rho)

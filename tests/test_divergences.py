@@ -110,6 +110,18 @@ def test_kl_errors_and_sentinel():
     assert math.isinf(kl_t_divergence(_pair(np.diag([1.0, 0.0])), one))
 
 
+@pytest.mark.parametrize("kind", [DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER],
+                         ids=["kl", "fisher"])
+def test_pd_nominal_check_is_relative_to_the_scale(kind):
+    # lam_min(S) > 1e-12 ||S||_F: a pd nominal of any scale builds its ball,
+    # and an exact zero does not
+    S0 = rand_spd(3, np.random.default_rng(5))
+    ball = AmbiguityBall(kind=kind, nominal=_pair(1e-12 * S0), radius=0.5)
+    assert membership(ball, _pair(1e-12 * S0))
+    with pytest.raises(InvalidInputError, match="nominal covariance must be pd"):
+        AmbiguityBall(kind=kind, nominal=_pair(np.zeros((3, 3))), radius=0.5)
+
+
 def test_fisher_trivial_values():
     a = _pair(rand_spd(3, np.random.default_rng(3)))
     assert fisher_gaussian(a, a) == pytest.approx(0.0, abs=1e-10)

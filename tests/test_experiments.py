@@ -1,10 +1,13 @@
+import argparse
 import csv
+import dataclasses
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from robustlqg import cli
 from robustlqg.cli import main as cli_main
 from robustlqg.divergences import DivergenceKind
 from robustlqg.errors import InvalidInputError, UnsupportedDivergenceError
@@ -400,6 +403,48 @@ def test_cli_mistyped_config_exit_code(tmp_path, capsys, monkeypatch, text, mess
     assert err["error"] == "InvalidInputError"
     assert err["message"].startswith(message)
     assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+# every flag, a value for it, and the config field it sets (fw.* in FwConfig)
+CLI_FLAGS = [
+    ("--seed", "7", "seeds", [7]),
+    ("--rho", "0.3", "rho", 0.3),
+    ("--horizon", "4", "T", 4),
+    ("--dim", "3", "d", 3),
+    ("--divergence", "kl", "divergence", "kl"),
+    ("--out", "elsewhere", "output_dir", "elsewhere"),
+    ("--max-iters", "9", "fw.max_iters", 9),
+    ("--gap-tol", "1e-5", "fw.gap_tol", 1e-5),
+    ("--step-rule", "vanishing", "fw.step_rule", "vanishing"),
+]
+
+
+def _subcommands() -> dict:
+    (subs,) = [action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    return subs.choices
+
+
+def test_every_cli_flag_is_named_by_its_config_key():
+    # the flags map to config keys by name, so each dest is a config field
+    keys = {f.name for cls in (ExperimentConfig, FwConfig) for f in dataclasses.fields(cls)}
+    for name, sub in _subcommands().items():
+        assert {action.dest for action in sub._actions} - {"help", "config"} <= keys, name
+        flags = {opt for action in sub._actions for opt in action.option_strings}
+        assert flags - {"-h", "--help", "--config"} == {flag for flag, *_ in CLI_FLAGS}, name
+
+
+@pytest.mark.parametrize("flag, value, field, want", CLI_FLAGS, ids=[f[0] for f in CLI_FLAGS])
+def test_a_cli_flag_given_alone_lands_on_its_config_field(flag, value, field, want):
+    # one --rho is a scalar radius; every field the flag does not name keeps
+    # its default
+    args = cli.build_parser().parse_args(["convergence", flag, value])
+    expected = ExperimentConfig(experiment="convergence")
+    if field.startswith("fw."):
+        expected = replace(expected, fw=replace(expected.fw, **{field[3:]: want}))
+    else:
+        expected = replace(expected, **{field: want})
+    assert cli._load_config(args) == expected
 
 
 def test_cli_has_no_oracle_delta_flag(tmp_path):

@@ -18,7 +18,7 @@ from reference import fw_gap
 
 def _model(rng, sys, kind, rho):
     cov = rand_profile(rng, sys, lo=1.0, hi=2.0)
-    return NominalModel.uniform(kind, cov, rho)
+    return NominalModel(kind, cov.X0, cov.W, cov.V, rho)
 
 
 def test_zero_radius_returns_nominal_in_one_iteration():
@@ -32,20 +32,19 @@ def test_zero_radius_returns_nominal_in_one_iteration():
 
 
 def test_scalar_t1_matches_two_dimensional_grid():
-    # rho_x0 = 0 so the maximization is over (W0, V0) only; f evaluated in
-    # closed form on the grid (T = 1 scalar LQG)
+    # the X0 ball has radius 0 so the maximization is over (W0, V0) only; f
+    # evaluated in closed form on the grid (T = 1 scalar LQG)
     eye = np.eye(1)
     from robustlqg.lqg import SystemInstance
 
     sys = SystemInstance.time_invariant(eye, eye, eye, eye, eye, T=1)
-    nominal = CovarianceProfile(X0=eye, W=np.ones((1, 1, 1)), V=np.ones((1, 1, 1)))
     rho = 0.6
-    model = NominalModel(
-        kind=DivergenceKind.WASSERSTEIN2,
-        X0=nominal.X0, W=nominal.W, V=nominal.V,
-        rho_x0=0.0, rho_w=np.array([rho]), rho_v=np.array([rho]),
-    )
-    worst, trace = solve(sys, model.ball_profile(), cfg=FwConfig(max_iters=400, gap_tol=1e-9))
+
+    def ball(radius):
+        return AmbiguityBall(DivergenceKind.WASSERSTEIN2, MomentPair.zero_mean(eye), radius)
+
+    balls = BallProfile(x0=ball(0.0), w=(ball(rho),), v=(ball(rho),))
+    worst, trace = solve(sys, balls, cfg=FwConfig(max_iters=400, gap_tol=1e-9))
     assert trace.converged
     f_fw = lqg_value(sys, worst).cost
 

@@ -152,6 +152,56 @@ def test_checker_flags_unread_private_definitions():
     ]
 
 
+# the oracle pass is planned (oracles._plan, frank_wolfe._profile_plan) and
+# run (oracles._run) by the two solves alone; any other module prices blocks
+# through the public oracle_pass, which checks what it is given
+PLAN_OWNERS = {"frank_wolfe.py", "stationary.py"}
+PLAN_INTERNALS = {("oracles", "_plan"), ("oracles", "_run"), ("frank_wolfe", "_profile_plan")}
+
+
+def plan_internal_uses(sources: dict[str, str]) -> list[str]:
+    """Imports of PLAN_INTERNALS, and reads of them as module attributes
+    (oracles._run), in sources (module name -> source) outside PLAN_OWNERS."""
+    found = []
+    for module, source in sources.items():
+        if module in PLAN_OWNERS:
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                owner = (node.module or "").split(".")[-1]
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                owner, names = node.value.id, [node.attr]
+            else:
+                continue
+            found += [f"{owner}.{name} ({module} line {node.lineno})" for name in names
+                      if (owner, name) in PLAN_INTERNALS]
+    return found
+
+
+def test_only_the_solves_plan_the_oracle_pass():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert plan_internal_uses(sources) == []
+
+
+def test_checker_flags_plan_internals_outside_the_solves():
+    sources = {
+        "experiments.py": (
+            "from .oracles import ORACLE_KINDS, _run\n"
+            "from robustlqg.frank_wolfe import _profile_plan, solve\n"
+        ),
+        "cli.py": "from . import oracles\n\ndef f(balls):\n    return oracles._plan(balls, [1])\n",
+        "lqg.py": "from .oracles import oracle_pass, _Plan\nfrom .stationary import _plan\n",
+        "frank_wolfe.py": "from .oracles import _Plan, _plan, _run\n",
+        "stationary.py": "from .oracles import _plan\n",
+    }
+    assert plan_internal_uses(sources) == [
+        "oracles._run (experiments.py line 1)",
+        "frank_wolfe._profile_plan (experiments.py line 2)",
+        "oracles._plan (cli.py line 4)",
+    ]
+
+
 def _passes(call: ast.Call, index, name: str) -> bool:
     """Whether call passes the parameter name, at positional index (None for
     a keyword-only one), by position, by keyword or by unpacking."""

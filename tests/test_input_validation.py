@@ -3,6 +3,7 @@ InvalidInputError where the matrix enters the library, and every one that
 takes ambiguity balls rejects a nonzero nominal mean. Instances off the
 paper's path (d = 1, rho = 0, near-unstable dynamics) solve for every kind."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -142,6 +143,34 @@ def test_per_kind_oracles_reject_a_non_matrix_nominal(nominal):
     for oracle in (wasserstein_oracle, kl_oracle, fisher_oracle):
         with pytest.raises(InvalidInputError, match="must be square"):
             oracle(I2, nominal, 0.5, I2)
+
+
+_KL = DivergenceKind.KULLBACK_LEIBLER
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "kl"}, "kind must be a DivergenceKind, got 'kl'"),
+    ({"radius": "0.5"}, "radius must be finite and nonnegative"),
+    ({"radius": None}, "radius must be finite and nonnegative"),
+    ({"radius": True}, "radius must be finite and nonnegative"),
+    ({"eps": True}, "eps must be a finite number, got True"),
+    ({"eps": "0.1"}, "eps must be a finite number, got '0.1'"),
+    ({"kind": DivergenceKind.ENTROPIC_OT, "eps": True}, "entropic OT needs a finite eps > 0"),
+], ids=["kind_string", "radius_string", "radius_none", "radius_bool", "eps_bool", "eps_string",
+        "entropic_eps_bool"])
+def test_ambiguity_ball_rejects_mistyped_fields(fields, message):
+    # a string kind would skip the KL pd check and fail later, in every pass,
+    # with an AttributeError; a string or None radius would raise a bare
+    # TypeError, and True would count as 1
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        AmbiguityBall(**{"kind": _KL, "nominal": MomentPair.zero_mean(I2), "radius": 0.5,
+                         **fields})
+
+
+def test_a_string_kind_fails_where_the_balls_are_built():
+    _, model = generate_instance(2, 2, 0, kind="kl")
+    with pytest.raises(InvalidInputError, match="kind must be a DivergenceKind"):
+        model.ball_profile()
 
 
 @pytest.mark.parametrize("which", ["grads", "refs"])

@@ -25,7 +25,7 @@ from robustlqg.oracles import (
     wasserstein_oracle,
 )
 
-from conftest import counting
+from conftest import counting, rand_spd
 from reference import brute_force_oracle
 
 
@@ -776,3 +776,16 @@ def test_rounding_level_transformed_gradient_returns_the_nominal_inactive(oracle
         res = oracle(G, S, 0.5, S)
     assert np.array_equal(res.sigma_star, S)
     assert not res.active and res.steps == 0 and math.isnan(res.dual_gamma)
+
+
+@pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+def test_kl_oracle_is_scale_equivariant(s):
+    # the KL divergence is invariant under Sigma -> s Sigma of both pairs, so
+    # scaling the nominal by s and the gradient by 1/s scales the worst case by s
+    # the nominal's eigenvalues lie in [0.2, 0.9], so at s = 1e-12 they are
+    # below 1e-12: a pd floor not relative to the scale would reject it
+    rng = np.random.default_rng(11)
+    S0, G = rand_spd(3, rng, lo=0.2, hi=0.9), rand_spd(3, rng)
+    want = s * kl_oracle(G, S0, 0.7, S0).sigma_star
+    got = kl_oracle(G / s, s * S0, 0.7, s * S0).sigma_star
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
