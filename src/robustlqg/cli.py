@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--max-iters", type=int)
         sub.add_argument("--gap-tol", type=float)
         sub.add_argument("--step-rule", choices=["vanishing", "line_search"],
-                         help="FW step size: line_search (default, backtracking) or "
+                         help="FW step size: line_search (default; the full step, else "
+                              "the concave quadratic model's maximizer, else 2/(2+k)) or "
                               "vanishing (2/(2+k))")
     return parser
 

@@ -7,8 +7,11 @@ line-search trial are one array expression per stack. Every iteration
 evaluates the cost gradient in every block, solves the separable
 linearization oracles of all blocks in one batched pass (oracles._run), and
 takes a convex-combination step toward the oracle targets. The step is
-chosen by backtracking line search on the objective by default, or is the
-open-loop 2/(2+k). The surrogate gap sum_z <grad_z, Sigma_z* - Sigma_z>
+chosen by a line search on the objective by default, or is the open-loop
+2/(2+k). The line search tries the full step and, when that gains too
+little, the maximizer of the concave quadratic model the full step and the
+surrogate gap (the objective's slope at 0) fix, so it makes at most two
+evaluations. The surrogate gap sum_z <grad_z, Sigma_z* - Sigma_z>
 certifies epsilon-suboptimality for the concave objective and drives the
 stopping rule. solve adapts the driver to the finite-horizon LQG value over
 the 2T+1 blocks [X0, W_t.., V_t..], stacked as [X0; W] and V;
@@ -55,8 +58,8 @@ _ARMIJO = 0.1  # share of the surrogate gap a line-search step must gain
 class FwConfig:
     max_iters: int = 500
     gap_tol: float = 1e-3
-    # "line_search": backtracking from alpha = 1, halving down to 2/(2+k);
-    # "vanishing": the open-loop alpha = 2/(2+k)
+    # "line_search": alpha = 1, else the concave quadratic model's maximizer,
+    # else 2/(2+k) (_backtrack); "vanishing": the open-loop alpha = 2/(2+k)
     step_rule: str = "line_search"
 
     def __post_init__(self):
@@ -181,20 +184,26 @@ def _step(current, targets, alpha):
 
 
 def _backtrack(evaluate, current, targets, objective, gap, alpha_min):
-    """Backtracking line search exploiting concavity: alpha halves from 1
-    until a trial gains _ARMIJO * alpha * gap; falls back to 2/(2+k).
-    Returns (alpha, number of evaluations, the accepted trial's stacks and
-    its evaluation); the last two are None at the fallback, which is not
-    evaluated."""
-    alpha, trials = 1.0, 0
-    while alpha > alpha_min:
-        trials += 1
+    """Line search exploiting concavity: a trial at alpha gains enough when
+    its objective is at least objective + _ARMIJO * alpha * gap. The full
+    step is tried first. If it falls short, the second and last trial is the
+    maximizer gap / (2 (objective + gap - J(1))) of the concave quadratic
+    through J(0) = objective, J'(0) = gap and J(1), which then lies in
+    (0, 0.56) and is kept when it gains enough, also below alpha_min;
+    otherwise the step falls back to alpha_min = 2/(2+k). At k = 0 alpha_min
+    is 1 and nothing is evaluated. Returns (alpha, number of evaluations,
+    the accepted trial's stacks and its evaluation); the last two are None
+    at the fallback, which is not evaluated."""
+    if alpha_min >= 1.0:
+        return alpha_min, 0, None, None
+    alpha = 1.0
+    for trials in (1, 2):
         trial = _step(current, targets, alpha)
         evaluation = evaluate(trial)
         if evaluation[0] >= objective + _ARMIJO * alpha * gap:
             return alpha, trials, trial, evaluation
-        alpha *= 0.5
-    return alpha_min, trials, None, None
+        alpha = gap / (2.0 * (objective + gap - evaluation[0]))  # read after the first trial only
+    return alpha_min, 2, None, None
 
 
 def maximize(
@@ -219,15 +228,16 @@ def maximize(
     The iterate a line search accepts is its trial's stacks, and the next
     iteration uses that trial's evaluation as it is, so every iterate is
     evaluated once. Iterates move as (1 - alpha) * current + alpha *
-    targets, one array expression per stack. By default alpha is the
-    largest of 1, 1/2, 1/4, ... above 2/(2+k) whose step gains at least
-    0.1 * alpha * gap in value (Armijo), else 2/(2+k); with
-    step_rule="vanishing" it is 2/(2+k). The loop stops when the surrogate gap
-    falls below cfg.gap_tol or the iteration budget is exhausted. Each
-    iteration is recorded in the trace and, when the "robustlqg" logger is
-    enabled for DEBUG, logged in one line. Returns (final stacks, trace);
-    trace.grads is set once, after the loop, to the gradient stacks of the
-    last record's iterate.
+    targets, one array expression per stack. By default alpha is 1 if that
+    step gains at least 0.1 * alpha * gap in value (Armijo), else the
+    maximizer of the concave quadratic through the objective, its slope gap
+    at 0 and the value at 1, if that step gains as much, else 2/(2+k)
+    (_backtrack); with step_rule="vanishing" it is 2/(2+k). The loop stops
+    when the surrogate gap falls below cfg.gap_tol or the iteration budget
+    is exhausted. Each iteration is recorded in the trace and, when the
+    "robustlqg" logger is enabled for DEBUG, logged in one line. Returns
+    (final stacks, trace); trace.grads is set once, after the loop, to the
+    gradient stacks of the last record's iterate.
     """
     current = list(start)
     trace = FwTrace()

@@ -58,6 +58,9 @@ def counting(monkeypatch, module, name):
 
 def accepted_line_searches(trace):
     """Iterations with a next one whose line search accepted a trial, i.e.
-    whose step beat the 2/(2+k) fallback: the next iteration takes that
-    trial's evaluation."""
-    return sum(1 for r in trace.records[:-1] if r.ls_trials and r.step_size > 2.0 / (2.0 + r.iter))
+    that evaluated a trial and whose step is not the unevaluated 2/(2+k)
+    fallback (an accepted model step may lie below it): the next iteration
+    takes that trial's evaluation."""
+    return sum(
+        1 for r in trace.records[:-1] if r.ls_trials and r.step_size != 2.0 / (2.0 + r.iter)
+    )

@@ -4,8 +4,8 @@ None of these is on the solve path:
 
 - zero_mean_feasibility_check: the implication behind the zero-mean
   reduction (candidate in ball => its zero-mean version in ball).
-- simulate_closed_loop: a Monte-Carlo closed-loop simulator, an
-  independent check of lqg_value.
+- simulate_closed_loop: a Monte-Carlo closed-loop simulator with Gaussian
+  or Student-t noise, an independent check of lqg_value.
 - fd_gradient and fd_block_gradients: central finite differences, which
   verify the adjoint sweep and the stationary gradients.
 - brute_force_oracle: a grid-search oracle for commuting instances, d <= 3.
@@ -69,10 +69,15 @@ def simulate_closed_loop(
     gains: LqgSolution,
     num_samples: int,
     seed: int,
+    t_dof: float | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of the closed-loop cost under u_t = K_t xhat_t.
 
-    The estimate is deterministic given the seed. The state estimate follows
+    The estimate is deterministic given the seed. Noise is Gaussian by
+    default. With t_dof = nu > 2 every noise draw is multivariate Student-t
+    with nu degrees of freedom instead, z * sqrt((nu - 2) / chi2_nu) for a
+    Gaussian z, so it keeps its block's covariance: an elliptical law with
+    the same first two moments. The state estimate follows
     the zero-mean MMSE recursion
       xhat_0 = L_0 y_0,
       xhat_{t+1} = Abar_t xhat_t + L_{t+1}(y_{t+1} - C_{t+1} Abar_t xhat_t),
@@ -84,14 +89,23 @@ def simulate_closed_loop(
     T, n = sys.T, sys.n
     if gains.K.shape != (T, sys.m, n):
         raise InvalidInputError("gains inconsistent with system dims")
+    if t_dof is not None and not t_dof > 2.0:
+        raise InvalidInputError("t_dof must exceed 2 for the noise to have a covariance")
     rng = np.random.default_rng(seed)
     sq_X0, sq_W, sq_V = _noise_sqrts(cov)
     N = int(num_samples)
-    x = rng.standard_normal((N, n)) @ sq_X0.T
+
+    def draw(sq):
+        z = rng.standard_normal((N, sq.shape[0])) @ sq.T
+        if t_dof is None:
+            return z
+        return z * np.sqrt((t_dof - 2.0) / rng.chisquare(t_dof, N))[:, None]
+
+    x = draw(sq_X0)
     costs = np.zeros(N)
     xhat_pred = np.zeros((N, n))
     for t in range(T):
-        v = rng.standard_normal((N, sys.p)) @ sq_V[t].T
+        v = draw(sq_V[t])
         y = x @ sys.C[t].T + v
         if t == 0:
             xhat = y @ gains.L[0].T
@@ -100,7 +114,7 @@ def simulate_closed_loop(
         u = xhat @ gains.K[t].T
         costs += np.einsum("ij,jk,ik->i", x, sys.Q[t], x)
         costs += np.einsum("ij,jk,ik->i", u, sys.R[t], u)
-        w = rng.standard_normal((N, n)) @ sq_W[t].T
+        w = draw(sq_W[t])
         x = x @ sys.A[t].T + u @ sys.B[t].T + w
         xhat_pred = xhat @ (sys.A[t] + sys.B[t] @ gains.K[t]).T
     costs += np.einsum("ij,jk,ik->i", x, sys.Q[T], x)

@@ -676,3 +676,98 @@ def test_trace_keeps_the_gradients_of_the_last_records_iterate(max_iters):
     assert len(trace.grads) == len(want)
     for got, exp in zip(trace.grads, want):
         np.testing.assert_allclose(got, exp, rtol=1e-12, atol=0.0)
+
+
+def _segment(J):
+    """evaluate for _backtrack on the segment [0, 1] of one 1x1 block, which
+    reads alpha off a trial as its entry; returns (evaluate, the alphas
+    evaluated, current, targets)."""
+    seen = []
+
+    def evaluate(stacks):
+        alpha = float(stacks[0][0, 0, 0])
+        seen.append(alpha)
+        return J(alpha), None
+
+    return evaluate, seen, [np.zeros((1, 1, 1))], [np.ones((1, 1, 1))]
+
+
+@pytest.mark.parametrize("c_over_gap", [0.0, 0.3, 0.89, 0.91, 1.0, 5.0, 1e3])
+def test_backtrack_steps_to_the_quadratic_models_maximizer(c_over_gap):
+    # on J(a) = J0 + gap a - c a^2 the full step gains 0.1 gap exactly when
+    # c <= 0.9 gap; otherwise the second trial is the maximizer gap / (2c),
+    # which gains gap^2 / (4c) >= 0.1 (gap / 2c) gap, also below 2/(2+k)
+    from robustlqg.frank_wolfe import _backtrack
+
+    J0, gap = 3.7, 0.25
+    c = c_over_gap * gap
+    evaluate, seen, current, targets = _segment(lambda a: J0 + gap * a - c * a * a)
+    alpha_min = 2.0 / (2.0 + 5)
+    alpha, trials, trial, evaluation = _backtrack(evaluate, current, targets, J0, gap, alpha_min)
+    if c_over_gap <= 0.9:
+        assert (alpha, trials, seen) == (1.0, 1, [1.0])
+    else:
+        assert trials == 2 and seen[0] == 1.0 and seen[1] == alpha
+        assert alpha == pytest.approx(gap / (2.0 * c), rel=1e-12, abs=0.0)
+    assert trial[0][0, 0, 0] == alpha and evaluation[0] == J0 + gap * alpha - c * alpha * alpha
+
+
+def test_backtrack_falls_back_unevaluated_after_two_trials():
+    # concave, but all its curvature sits at a = 0.01: the quadratic model's
+    # maximizer overshoots and loses value, so the step is 2/(2+k), not evaluated
+    from robustlqg.frank_wolfe import _backtrack
+
+    J0, gap = 1.0, 2.0
+    evaluate, seen, current, targets = _segment(
+        lambda a: J0 + gap * min(a, 0.01) - gap * max(a - 0.01, 0.0))
+    alpha_min = 2.0 / (2.0 + 3)
+    assert _backtrack(evaluate, current, targets, J0, gap, alpha_min) == (alpha_min, 2, None, None)
+    assert len(seen) == 2 and 0.0 < seen[1] < 0.56
+
+    # at k = 0 the fallback is the full step itself, and nothing is evaluated
+    seen.clear()
+    assert _backtrack(evaluate, current, targets, J0, gap, 1.0) == (1.0, 0, None, None)
+    assert seen == []
+
+
+@pytest.mark.parametrize(
+    "kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER]
+)
+def test_line_search_takes_at_most_two_trials_and_accepts_on_armijo(kind):
+    # the next record's objective is the accepted trial's, bit for bit
+    from robustlqg.frank_wolfe import _ARMIJO
+
+    sys = _hard_system(3, 6)
+    _, model = generate_instance(3, 6, seed=0, kind=kind, rho=1.0)
+    _, trace = solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-4))
+    assert trace.converged and accepted_line_searches(trace) > 0
+    assert all(r.ls_trials <= 2 for r in trace.records)
+    for r, nxt in zip(trace.records, trace.records[1:]):
+        if r.ls_trials and r.step_size != 2.0 / (2.0 + r.iter):
+            assert nxt.objective >= r.objective + _ARMIJO * r.step_size * r.fw_gap
+
+
+@pytest.mark.parametrize(
+    "kind, most", [(DivergenceKind.WASSERSTEIN2, 45), (DivergenceKind.KULLBACK_LEIBLER, 35)]
+)
+def test_large_radius_iteration_counts(kind, most):
+    # rho = 10 on the paper's d = 10 family, where a line search limited to
+    # steps 1, 1/2, 1/4, ... needs 62 (W2) and 45 (KL) iterations
+    sys, model = generate_instance(10, 20, 0, kind=kind, rho=10.0)
+    _, trace = solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-3))
+    assert trace.converged and len(trace.records) <= most
+
+
+def test_w2_worst_case_cost_holds_under_student_t_noise():
+    # the abstract's elliptical claim: the Gelbrich (W2) ball and a linear
+    # policy's cost see only the first two moments, so the robust policy
+    # simulated with multivariate-t noise (nu = 5) at the worst-case
+    # covariances costs lqg_value, within Monte-Carlo error
+    from reference import simulate_closed_loop
+
+    sys, model = generate_instance(3, 5, seed=0, kind=DivergenceKind.WASSERSTEIN2, rho=0.5)
+    worst, trace = solve(sys, model.ball_profile())
+    assert trace.converged
+    sol = lqg_value(sys, worst)
+    mc, se = simulate_closed_loop(sys, worst, sol, 200_000, seed=5, t_dof=5.0)
+    assert abs(mc - sol.cost) <= 4.0 * se
