@@ -50,12 +50,9 @@ class MomentPair:
         if M.shape[0] != mean.shape[0]:
             raise InvalidInputError("mean and second moment dimensions differ")
         cov = M - np.outer(mean, mean) if mean.any() else M  # exactly symmetric; M at mean 0
-        tol = _VALID_PAIR_TOL * (1.0 + np.linalg.norm(M))
-        if not _cholesky_certifies(cov, tol):  # else the eigenvalues decide
-            lam = np.linalg.eigvalsh(cov).min()
-            if lam < -tol:
-                raise InvalidInputError(
-                    f"invalid moment pair: M - mu mu^T has eigenvalue {lam:.3e}")
+        bad = _pair_violation(cov[None], M[None])
+        if bad is not None:
+            raise InvalidInputError(bad[1])
         M.flags.writeable = cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "second_moment", M)
@@ -68,6 +65,14 @@ class MomentPair:
     @property
     def cov(self) -> np.ndarray:
         return self._cov
+
+    @classmethod
+    def _of(cls, mean, second_moment, cov) -> "MomentPair":
+        """A pair of read-only arrays the library checked itself, taken as
+        they are: no copy and no check."""
+        pair = object.__new__(cls)
+        pair.__dict__.update(mean=mean, second_moment=second_moment, _cov=cov)
+        return pair
 
     @classmethod
     def from_cov(cls, mean, cov) -> "MomentPair":
@@ -94,12 +99,39 @@ def _logdet_pd(S: np.ndarray, what: str) -> float:
     return float(logdet)
 
 
+def _pair_violation(cov: np.ndarray, M: np.ndarray) -> Optional[tuple[int, str]]:
+    """The first block of (k, d, d) stacks cov = M - mu mu^T, M symmetric,
+    that breaks the moment-pair rule lam_min(cov) >= -1e-10 (1 + ||M||_F),
+    as (index, the message MomentPair raises for it), or None. One shifted
+    batched Cholesky certifies the rule for the whole stack; only where it
+    fails do the eigenvalues run, and they alone decide."""
+    tol = _VALID_PAIR_TOL * (1.0 + np.linalg.norm(M, axis=(1, 2)))
+    if _cholesky_certifies(cov, tol):
+        return None
+    lam = np.linalg.eigvalsh(cov)[:, 0]
+    bad = np.flatnonzero(lam < -tol)
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    return i, f"invalid moment pair: M - mu mu^T has eigenvalue {lam[i]:.3e}"
+
+
+def _pd_violation(S: np.ndarray) -> Optional[int]:
+    """The index of the first block of a (k, d, d) stack that breaks the pd
+    floor lam_min(S) > 1e-12 ||S||_F, or None. The floor is relative, so the
+    rule does not depend on the scale of S, and an exact zero is not pd. One
+    shifted batched Cholesky certifies the rule for the whole stack; only
+    where it fails do the eigenvalues run, and they alone decide."""
+    S, tol = symmetrize(S), 1e-12 * np.linalg.norm(S, axis=(1, 2))
+    if _cholesky_certifies(S, -tol):
+        return None
+    bad = np.flatnonzero(~(np.linalg.eigvalsh(S)[:, 0] > tol))
+    return int(bad[0]) if bad.size else None
+
+
 def _is_pd(S: np.ndarray) -> bool:
-    """lam_min(S) > 1e-12 ||S||_F, certified by a Cholesky or else decided by
-    the eigenvalues. The floor is relative, so the rule does not depend on the
-    scale of S, and an exact zero is not pd."""
-    S, tol = symmetrize(S), 1e-12 * np.linalg.norm(S)
-    return _cholesky_certifies(S, -tol) or bool(np.linalg.eigvalsh(S).min() > tol)
+    """Whether a matrix passes the pd floor of _pd_violation."""
+    return _pd_violation(S[None]) is None
 
 
 def gelbrich(a: MomentPair, b: MomentPair) -> float:
@@ -303,6 +335,28 @@ def get_custom_divergence(name: str) -> CustomDivergence:
         raise UnsupportedDivergenceError(f"no registered divergence '{name}'") from None
 
 
+_PD_KINDS = frozenset({DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER})
+
+
+def _not_pd_message(kind: DivergenceKind) -> str:
+    return f"{kind.value} nominal covariance must be pd"
+
+
+def _check_fields(kind, radius, eps) -> None:
+    """The checks of an AmbiguityBall that do not read its nominal: kind a
+    DivergenceKind, radius a finite number >= 0 and eps a finite number, > 0
+    for entropic OT (bools are not numbers)."""
+    if not isinstance(kind, DivergenceKind):
+        raise InvalidInputError(f"kind must be a DivergenceKind, got {kind!r}")
+    if not (_is_number(radius) and radius >= 0.0):
+        raise InvalidInputError("radius must be finite and nonnegative")
+    if kind is DivergenceKind.ENTROPIC_OT:
+        if not (_is_number(eps) and eps > 0.0):
+            raise InvalidInputError("entropic OT needs a finite eps > 0")
+    elif not _is_number(eps):
+        raise InvalidInputError(f"eps must be a finite number, got {eps!r}")
+
+
 @dataclass(frozen=True)
 class AmbiguityBall:
     """All moment pairs within divergence radius rho of a nominal pair."""
@@ -315,16 +369,10 @@ class AmbiguityBall:
     min_radius: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        if not isinstance(self.kind, DivergenceKind):
-            raise InvalidInputError(f"kind must be a DivergenceKind, got {self.kind!r}")
-        if not (_is_number(self.radius) and self.radius >= 0.0):
-            raise InvalidInputError("radius must be finite and nonnegative")
-        if self.kind in (DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER):
-            if not _is_pd(self.nominal.cov):
-                raise InvalidInputError(f"{self.kind.value} nominal covariance must be pd")
+        _check_fields(self.kind, self.radius, self.eps)
+        if self.kind in _PD_KINDS and _pd_violation(self.nominal.cov[None]) is not None:
+            raise InvalidInputError(_not_pd_message(self.kind))
         if self.kind is DivergenceKind.ENTROPIC_OT:
-            if not (_is_number(self.eps) and self.eps > 0.0):
-                raise InvalidInputError("entropic OT needs a finite eps > 0")
             d = self.nominal.dim
             shifted = MomentPair.from_cov(
                 self.nominal.mean, self.nominal.cov + 0.5 * self.eps * np.eye(d)
@@ -337,8 +385,15 @@ class AmbiguityBall:
                     f"entropic-OT ball is empty: rho={self.radius:.6g} < "
                     f"minimum feasible radius {low:.6g}"
                 )
-        elif not _is_number(self.eps):
-            raise InvalidInputError(f"eps must be a finite number, got {self.eps!r}")
+
+    @classmethod
+    def _of(cls, kind: DivergenceKind, nominal: MomentPair, radius: float) -> "AmbiguityBall":
+        """A ball of a kind other than entropic OT whose fields the library
+        checked itself, taken as they are: no check."""
+        ball = object.__new__(cls)
+        ball.__dict__.update(kind=kind, nominal=nominal, radius=radius, eps=0.0, custom_name="",
+                             min_radius=0.0)
+        return ball
 
     def divergence(self, candidate: MomentPair) -> float:
         """Divergence from the candidate to the nominal (Gaussian closed form)."""
@@ -356,6 +411,33 @@ class AmbiguityBall:
                 candidate, self.nominal
             )
         raise UnsupportedDivergenceError(str(self.kind))
+
+
+def _zero_mean_balls(kind: DivergenceKind, blocks: np.ndarray, radius: float,
+                     name: Callable[[int], str]) -> list[AmbiguityBall]:
+    """The balls of kind and radius about the zero-mean nominals of a
+    (k, d, d) float stack, with the checks that building each ball alone
+    makes of its nominal run once over the stack: finite entries, the
+    moment-pair rule and, for KL and Fisher, the pd floor (_pair_violation,
+    _pd_violation). An error names the first failing block i as name(i),
+    followed by the message building that block's ball alone raises. kind
+    and radius are taken as checked (_check_fields), and kind must not be
+    entropic OT, which needs an eps."""
+    finite = np.isfinite(blocks).all(axis=(1, 2))
+    k = blocks.shape[0] if finite.all() else int(finite.argmin())
+    M = symmetrize(blocks[:k])  # the rules read the blocks before the first non-finite one
+    bad = _pair_violation(M, M)
+    pd = _pd_violation(M) if kind in _PD_KINDS else None
+    if pd is not None and (bad is None or pd < bad[0]):
+        bad = pd, _not_pd_message(kind)
+    if bad is None and k < blocks.shape[0]:
+        bad = k, "second moment has non-finite entries"
+    if bad is not None:
+        raise InvalidInputError(f"{name(bad[0])}: {bad[1]}")
+    M.flags.writeable = False
+    mean = np.zeros(M.shape[1])
+    mean.flags.writeable = False
+    return [AmbiguityBall._of(kind, MomentPair._of(mean, S, S), radius) for S in M]
 
 
 def membership(ball: AmbiguityBall, candidate: MomentPair, tol: float = 1e-9) -> bool:

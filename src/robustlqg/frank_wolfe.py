@@ -40,7 +40,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import lqg
-from .divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
+from .divergences import (
+    AmbiguityBall, DivergenceKind, MomentPair, _check_fields, _zero_mean_balls, membership,
+)
 from .errors import InvalidInputError
 from .gradient import _adjoint
 from .gradient import lqg_gradient  # noqa: F401  unused; bench/tracer.py wraps this binding
@@ -82,6 +84,9 @@ class FwRecord:
     rel_gap: float  # gap / max(|objective|, 1)
     oracle_s: float  # wall seconds of the iteration's oracle pass
     oracle_steps: int  # root-search steps summed over blocks
+    # lockstep root-search rounds summed over the pass's groups; a group's
+    # rounds are the largest steps of its blocks
+    oracle_rounds: int
     ls_trials: int  # line-search evaluations; 0 under "vanishing" and at k = 0
     # wall seconds of the gradient: the evaluation of the iterate, unless the
     # previous line search made it, plus the adjoint
@@ -140,14 +145,24 @@ class NominalModel:
         return CovarianceProfile(X0=self.X0, W=self.W, V=self.V)
 
     def ball_profile(self) -> BallProfile:
-        def ball(cov):
-            return AmbiguityBall(
-                kind=self.kind, nominal=MomentPair.zero_mean(cov), radius=float(self.rho)
-            )
-
-        return BallProfile(
-            x0=ball(self.X0), w=tuple(map(ball, self.W)), v=tuple(map(ball, self.V))
-        )
+        """One ball of radius rho about each nominal block. It checks what
+        building each block's ball alone would, rho once and each rule once
+        per stack, [X0; W] and V (divergences._zero_mean_balls). A block's
+        error names the first failing one, as in "W[3]: " followed by the
+        message of its ball alone; a misshaped X0, W or V, or W blocks of
+        another size than X0, fail before any block is checked."""
+        _check_fields(self.kind, self.rho, 0.0)
+        rho = float(self.rho)
+        X0, W, V = (np.asarray(a, dtype=float) for a in (self.X0, self.W, self.V))
+        for name, shape in (("X0", X0.shape), ("W[0]", W.shape[1:]), ("V[0]", V.shape[1:])):
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise InvalidInputError(f"{name}: second moment must be square, got shape {shape}")
+        if W.shape[1:] != X0.shape:
+            raise InvalidInputError(f"W blocks must have X0's shape {X0.shape}, got {W.shape[1:]}")
+        xw = _zero_mean_balls(self.kind, np.concatenate((X0[None], W)), rho,
+                              lambda i: f"W[{i - 1}]" if i else "X0")
+        v = _zero_mean_balls(self.kind, V, rho, lambda t: f"V[{t}]")
+        return BallProfile(x0=xw[0], w=tuple(xw[1:]), v=tuple(v))
 
 
 def _profile_plan(balls: BallProfile) -> _Plan:
@@ -170,11 +185,14 @@ def _inner(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> float:
 
 def _oracle_pass(plan, grads, current):
     """Oracle targets, stacked like current, the surrogate gap
-    sum_z <G_z, Sigma_z* - Sigma_z> and the root-search steps summed over
-    blocks, for an oracles._plan."""
+    sum_z <G_z, Sigma_z* - Sigma_z>, the root-search steps summed over
+    blocks and the lockstep rounds summed over groups, for an
+    oracles._plan. A group's search makes one round per step of its slowest
+    block, so its rounds are the largest steps of its blocks."""
     found = _run(plan, grads, current)
     diff = [star - S for S, star in zip(current, found.targets)]
-    return _inner(grads, diff), found.targets, int(found.steps.sum())
+    rounds = sum(int(found.steps[group.idx].max()) for group in plan.groups)
+    return _inner(grads, diff), found.targets, int(found.steps.sum()), rounds
 
 
 def _step(current, targets, alpha):
@@ -247,7 +265,7 @@ def maximize(
         objective, grad = evaluate(current) if evaluation is None else evaluation
         grads = grad()
         t_oracle = time.perf_counter()
-        gap, targets, steps = _oracle_pass(plan, grads, current)
+        gap, targets, steps, rounds = _oracle_pass(plan, grads, current)
         t_ls = time.perf_counter()
         trials, ls_s, evaluation = 0, 0.0, None
         if gap <= cfg.gap_tol:
@@ -263,7 +281,8 @@ def maximize(
             current = _step(current, targets, alpha) if trial is None else trial
         record = FwRecord(
             k, objective, gap, alpha, (time.perf_counter() - t0) * 1e3,
-            gap / max(abs(objective), 1.0), t_ls - t_oracle, steps, trials, t_oracle - t0, ls_s,
+            gap / max(abs(objective), 1.0), t_ls - t_oracle, steps, rounds, trials,
+            t_oracle - t0, ls_s,
         )
         trace.records.append(record)
         if log.isEnabledFor(logging.DEBUG):

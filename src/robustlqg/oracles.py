@@ -43,9 +43,10 @@ does not depend on the rest of its group. Each step evaluates the
 divergence once for each unfinished block, in one call over them, and a
 block's steps count exactly its evaluations.
 
-Every oracle is a pass over AmbiguityBall objects, so a nominal is checked
-in one place, when its ball is built (a psd Wasserstein nominal, a pd KL or
-Fisher one, finite and square). What depends only on the balls is planned
+Every oracle is a pass over AmbiguityBall objects, so no pass checks a
+nominal: it was checked when its ball was built, one at a time or a stack
+at once (NominalModel.ball_profile), as a psd Wasserstein nominal or a pd KL
+or Fisher one, finite and square. What depends only on the balls is planned
 once (_plan): the groups and the stack rows they gather, their stacked
 nominals and radii, and the nominal factors the setups read (KL:
 Shat^{1/2}; Fisher: Shat^{-2} and Tr Shat^{-1}). Planning rejects a

@@ -312,8 +312,8 @@ def fw_gap(
     bounds f* - f(current) (up to the oracles' fixed delta = 0.95 factor).
     """
     _, grad = lqg_gradient(sys, current)
-    gap, (xw, v), _ = _oracle_pass(_profile_plan(balls), _stacked(grad.dX0, grad.dW, grad.dV),
-                                   _stacked(current.X0, current.W, current.V))
+    gap, (xw, v), *_ = _oracle_pass(_profile_plan(balls), _stacked(grad.dX0, grad.dW, grad.dV),
+                                    _stacked(current.X0, current.W, current.V))
     return gap, CovarianceProfile(X0=xw[0], W=xw[1:], V=v)
 
 

@@ -25,7 +25,7 @@ from robustlqg.frank_wolfe import FwConfig, NominalModel, solve
 from robustlqg.gradient import lqg_gradient
 from robustlqg.instances import generate_instance, instance_rng, random_covariance
 from robustlqg.lqg import CovarianceProfile, SystemInstance, lqg_value
-from robustlqg.oracles import fisher_oracle, kl_oracle, wasserstein_oracle
+from robustlqg.oracles import fisher_oracle, kl_oracle, oracle_pass, wasserstein_oracle
 from robustlqg.stacked import (
     AffinePolicy,
     build_stacked,
@@ -200,6 +200,37 @@ def test_criterion_4_dominance_at_optimum(benchmark_runs):
         "worst-case covariance blocks fail Loewner dominance by more than 1e-7: "
         f"{violating}"
     )
+
+
+def test_w2_worst_case_need_not_dominate_at_a_unique_optimum():
+    """A counterexample to criterion 4 on the benchmark family itself.
+
+    The objective J is concave, so a worst case Sigma* maximizes the
+    linearization <grad J(Sigma*), Sigma> over the balls, and any other
+    worst case Sigma' does too: J is constant on the segment between them,
+    so <grad J(Sigma*), Sigma' - Sigma*> is both >= 0 (concavity) and <= 0
+    (optimality). Where a gradient block is pd, the maximizer of <G, Sigma>
+    over a Gelbrich ball is unique (M Shat M, M = g (gI - G)^{-1}). Here
+    every gradient block at the solve's last iterate is pd, so the worst
+    case is unique, and it is the oracle target at those gradients up to
+    the solve's surrogate gap of 1e-7. Both the returned profile and that
+    target have blocks with lambda_min(Sigma - Sigma_hat) about -5e-4, far
+    beyond the gap: the unique worst case fails Loewner dominance.
+    """
+    sys, model = generate_instance(10, 10, 8, kind=DivergenceKind.WASSERSTEIN2, rho=0.1)
+    balls = model.ball_profile()
+    worst, trace = solve(sys, balls, cfg=FwConfig(gap_tol=1e-7))
+    assert trace.converged
+    grads = [G for stack in trace.grads for G in stack]
+    nominal = model.nominal_profile().blocks()
+
+    def dominance(blocks):
+        return min(float(np.linalg.eigvalsh(S - hat).min()) for S, hat in zip(blocks, nominal))
+
+    assert min(float(np.linalg.eigvalsh(G).min()) for G in grads) > 0.0  # 2.3e-5 measured
+    assert dominance(worst.blocks()) < -1e-4  # -5.17e-4 measured
+    targets = oracle_pass(balls.blocks(), grads, worst.blocks())
+    assert dominance([r.sigma_star for r in targets]) < -1e-4  # -5.19e-4 measured
 
 
 # ---------------------------------------------------------------- criterion 5

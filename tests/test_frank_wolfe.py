@@ -451,6 +451,56 @@ def test_mixed_kind_targets_match_the_public_pass_block_by_block(monkeypatch):
         assert membership(b, MomentPair.zero_mean(block), 1e-8)
 
 
+def test_oracle_rounds_count_the_lockstep_rounds_of_each_pass(monkeypatch):
+    # five groups: W2 on X0 and V[0], KL and Fisher on alternate W[t], Fisher
+    # on the other V[t] with p != n. Each round of a group's search makes one
+    # divergence call, so a record's oracle_rounds is the number of calls
+    # its pass makes, and the sum over groups of their blocks' largest steps
+    from robustlqg import frank_wolfe, oracles
+    from robustlqg.oracles import oracle_pass
+
+    W2, KL, FISHER = (DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER,
+                      DivergenceKind.FISHER)
+    rng = np.random.default_rng(8)
+    sys = rand_system(rng, n=3, m=2, p=2, T=4)
+    cov = rand_profile(rng, sys, lo=1.0, hi=2.0)
+
+    def ball(kind, S):
+        return AmbiguityBall(kind=kind, nominal=MomentPair.zero_mean(S), radius=0.4)
+
+    balls = BallProfile(
+        x0=ball(W2, cov.X0), w=tuple(ball((KL, FISHER)[t % 2], S) for t, S in enumerate(cov.W)),
+        v=tuple(ball(W2 if t == 0 else FISHER, S) for t, S in enumerate(cov.V)),
+    )
+    calls = [counting(monkeypatch, oracles, name)
+             for name in ("_w2_divergence", "_kl_divergence", "_pencil")]
+    passes = []
+    inner = frank_wolfe._oracle_pass
+
+    def recording(plan, grads, current):
+        before = sum(map(len, calls))
+        out = inner(plan, grads, current)
+        passes.append((grads, current, sum(map(len, calls)) - before))
+        return out
+
+    monkeypatch.setattr(frank_wolfe, "_oracle_pass", recording)
+    _, trace = solve(sys, balls, cfg=FwConfig(gap_tol=1e-6))
+    assert trace.converged and len(passes) == len(trace.records) > 2
+
+    def flat(stacks):
+        return [S for stack in stacks for S in stack]
+
+    for rec, (grads, current, made) in zip(trace.records, passes):
+        results = oracle_pass(balls.blocks(), flat(grads), flat(current))
+        largest = {}
+        for b, res in zip(balls.blocks(), results):
+            key = (b.kind, b.nominal.dim)
+            largest[key] = max(largest.get(key, 0), res.steps)
+        assert len(largest) == 5
+        assert rec.oracle_rounds == made == sum(largest.values())
+        assert rec.oracle_rounds < rec.oracle_steps
+
+
 def test_solves_build_no_oracle_results(monkeypatch):
     # the loop keeps its iterate, gradients and targets stacked: OracleResult
     # objects are for the public oracle wrappers only, and a solve builds its
