@@ -14,38 +14,29 @@ import json
 import sys
 
 from .errors import InvalidInputError, RobustLqgError
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import RUNNERS, ExperimentConfig, run_experiment
 from .frank_wolfe import FwConfig
-
-_EXPERIMENTS = {
-    "solve": "single_solve",
-    "gaps": "gaps",
-    "convergence": "convergence",
-    "runtime": "runtime",
-    "stationary": "stationary",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each flag's dest is its config key (ExperimentConfig, or FwConfig for
-    the Frank-Wolfe flags); a flag not given is absent from the namespace.
-    solve needs every flag except --config and the Frank-Wolfe ones."""
+    """One subcommand per experiment of RUNNERS, each with the same flags.
+    Each flag's dest is its config key (ExperimentConfig, or FwConfig for
+    the Frank-Wolfe flags); a flag not given is absent from the namespace,
+    so the config file or the ExperimentConfig default sets that key."""
     parser = argparse.ArgumentParser(prog="robustlqg",
                                      description="Distributionally robust LQG experiments")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in _EXPERIMENTS:
+    for name in RUNNERS:
         sub = subs.add_parser(name, argument_default=argparse.SUPPRESS)
-        req = name == "solve"
         sub.add_argument("--config", help="JSON config file (schema 1); flags override it")
-        sub.add_argument("--seed", type=int, action="append", dest="seeds", required=req,
+        sub.add_argument("--seed", type=int, action="append", dest="seeds",
                          help="seed (repeatable)")
-        sub.add_argument("--rho", type=float, action="append", required=req,
+        sub.add_argument("--rho", type=float, action="append",
                          help="ambiguity radius (repeatable for grids)")
-        sub.add_argument("--horizon", type=int, dest="T", required=req)
-        sub.add_argument("--dim", type=int, dest="d", required=req)
-        sub.add_argument("--divergence", choices=["wasserstein2", "kl", "fisher", "entropic_ot"],
-                         required=req)
-        sub.add_argument("--out", dest="output_dir", required=req)
+        sub.add_argument("--horizon", type=int, dest="T")
+        sub.add_argument("--dim", type=int, dest="d")
+        sub.add_argument("--divergence", choices=["wasserstein2", "kl", "fisher", "entropic_ot"])
+        sub.add_argument("--out", dest="output_dir")
         sub.add_argument("--max-iters", type=int)
         sub.add_argument("--gap-tol", type=float)
         sub.add_argument("--step-rule", choices=["vanishing", "line_search"],
@@ -86,7 +77,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if len(flags.get("rho", ())) == 1:  # one --rho is a scalar radius
         flags["rho"] = flags["rho"][0]
     fw_flags = {f.name: flags.pop(f.name) for f in dataclasses.fields(FwConfig) if f.name in flags}
-    raw.update(flags, experiment=_EXPERIMENTS[command])
+    raw.update(flags, experiment=command)
     _check_keys(raw, ExperimentConfig, "")
     fw_raw = dict(_object(raw.pop("fw", {}), "config key fw"))
     _check_keys(fw_raw, FwConfig, "fw.")

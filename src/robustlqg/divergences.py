@@ -2,24 +2,24 @@
 
 Four built-in divergence families are supported (2-Wasserstein via the
 Gelbrich formula, a KL-type divergence, entropy-regularized optimal
-transport, and the Fisher divergence), plus a registration interface for
-custom moment-based divergences. Values of +inf signal infeasibility
-(e.g. KL from a singular covariance); +inf exceeds every finite radius, so
-membership is one comparison for every kind, and optimization code never
-consumes it.
+transport, and the Fisher divergence), plus custom moment-based divergences:
+a CustomDivergence handle passes its property gates when it is built, and
+each ball of kind MOMENT_CUSTOM holds its handle. Values of +inf signal
+infeasibility (e.g. KL from a singular covariance); +inf exceeds every
+finite radius, so membership is one comparison for every kind, and
+optimization code never consumes it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError, UnsupportedDivergenceError
+from .errors import InvalidInputError, NumericError
 from .matops import (
     _check_finite, _check_square, _cholesky_certifies, _is_number, sym_sqrt, symmetrize,
 )
@@ -27,7 +27,7 @@ from .matops import (
 INFEASIBLE = float("inf")
 
 _VALID_PAIR_TOL = 1e-10
-# the property gates of register_moment_divergence: the seed of their random
+# the property gates of a CustomDivergence: the seed of their random
 # feasible pairs and the number of midpoint checks
 _CHECK_SEED = 20240811
 _NUM_CHECKS = 50
@@ -261,78 +261,65 @@ class DivergenceKind(Enum):
 
 @dataclass(frozen=True)
 class CustomDivergence:
-    """A user-registered moment divergence.
+    """A moment divergence the library does not build in, for the balls of
+    kind MOMENT_CUSTOM, which hold it.
 
     evaluate(candidate, nominal) -> float (may return +inf);
     linearization(gradient, nominal, rho, reference) -> covariance
     maximizing <gradient, Sigma> over the ball, or None if unavailable.
+
+    Building a handle runs its property gates once, on random feasible pairs
+    around the keyword-only nominal within radius rho, which the handle does
+    not keep: identity at the nominal, convexity of the sublevel set
+    (midpoints stay feasible), and the zero-mean implication when the
+    nominal mean is zero, over _NUM_CHECKS pairs of random points drawn with
+    seed _CHECK_SEED. A handle that fails one raises InvalidInputError, so
+    no ball holds a handle that has not passed them. Handles are plain
+    values: two of one name may coexist.
     """
 
     name: str
     evaluate: Callable[[MomentPair, MomentPair], float]
     linearization: Optional[Callable] = None
+    _: KW_ONLY
+    nominal: InitVar[MomentPair]
+    rho: InitVar[float]
 
+    def __post_init__(self, nominal: MomentPair, rho: float):
+        if not (isinstance(nominal, MomentPair) and _is_number(rho) and rho >= 0.0):
+            raise InvalidInputError("the gates need a MomentPair nominal and a finite rho >= 0")
+        rng = np.random.default_rng(_CHECK_SEED)
+        if self.evaluate(nominal, nominal) > 1e-12:
+            raise InvalidInputError("custom divergence must vanish at the nominal")
 
-_registry: dict[str, CustomDivergence] = {}
-_registry_lock = threading.Lock()
+        d = nominal.dim
 
+        def random_feasible():
+            for _ in range(200):
+                mu = 0.1 * rng.standard_normal(d)
+                A = rng.standard_normal((d, d))
+                cov = nominal.cov + 0.1 * (A @ A.T)
+                cand = MomentPair.from_cov(mu, cov)
+                if self.evaluate(cand, nominal) <= rho:
+                    return cand
+            raise InvalidInputError("could not sample feasible points; ball looks empty")
 
-def register_moment_divergence(
-    handle: CustomDivergence,
-    nominal: MomentPair,
-    rho: float,
-) -> None:
-    """Register a custom moment divergence after randomized property gates.
-
-    Checks, on random feasible pairs around the nominal: identity at the
-    nominal, convexity of the sublevel set (midpoints stay feasible), and
-    the zero-mean implication when the nominal mean is zero, over
-    _NUM_CHECKS pairs of random points drawn with seed _CHECK_SEED.
-    Registration is write-once.
-    """
-    rng = np.random.default_rng(_CHECK_SEED)
-    if handle.evaluate(nominal, nominal) > 1e-12:
-        raise InvalidInputError("custom divergence must vanish at the nominal")
-
-    d = nominal.dim
-
-    def random_feasible():
-        for _ in range(200):
-            mu = 0.1 * rng.standard_normal(d)
-            A = rng.standard_normal((d, d))
-            cov = nominal.cov + 0.1 * (A @ A.T)
-            cand = MomentPair.from_cov(mu, cov)
-            if handle.evaluate(cand, nominal) <= rho:
-                return cand
-        raise InvalidInputError("could not sample feasible points; ball looks empty")
-
-    for _ in range(_NUM_CHECKS):
-        p1, p2 = random_feasible(), random_feasible()
-        mid = MomentPair(
-            mean=0.5 * (p1.mean + p2.mean),
-            second_moment=0.5 * (p1.second_moment + p2.second_moment),
-        )
-        if handle.evaluate(mid, nominal) > rho + 1e-8:
-            raise InvalidInputError(
-                f"custom divergence '{handle.name}' fails sublevel-set convexity"
+        for _ in range(_NUM_CHECKS):
+            p1, p2 = random_feasible(), random_feasible()
+            mid = MomentPair(
+                mean=0.5 * (p1.mean + p2.mean),
+                second_moment=0.5 * (p1.second_moment + p2.second_moment),
             )
-        if np.linalg.norm(nominal.mean) == 0.0:
-            zeroed = MomentPair(mean=np.zeros(d), second_moment=p1.second_moment)
-            if handle.evaluate(zeroed, nominal) > rho + 1e-8:
+            if self.evaluate(mid, nominal) > rho + 1e-8:
                 raise InvalidInputError(
-                    f"custom divergence '{handle.name}' fails zero-mean feasibility"
+                    f"custom divergence '{self.name}' fails sublevel-set convexity"
                 )
-    with _registry_lock:
-        if handle.name in _registry:
-            raise InvalidInputError(f"divergence '{handle.name}' already registered")
-        _registry[handle.name] = handle
-
-
-def get_custom_divergence(name: str) -> CustomDivergence:
-    try:
-        return _registry[name]
-    except KeyError:
-        raise UnsupportedDivergenceError(f"no registered divergence '{name}'") from None
+            if np.linalg.norm(nominal.mean) == 0.0:
+                zeroed = MomentPair(mean=np.zeros(d), second_moment=p1.second_moment)
+                if self.evaluate(zeroed, nominal) > rho + 1e-8:
+                    raise InvalidInputError(
+                        f"custom divergence '{self.name}' fails zero-mean feasibility"
+                    )
 
 
 _PD_KINDS = frozenset({DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER})
@@ -342,12 +329,18 @@ def _not_pd_message(kind: DivergenceKind) -> str:
     return f"{kind.value} nominal covariance must be pd"
 
 
-def _check_fields(kind, radius, eps) -> None:
+def _check_fields(kind, radius, eps, custom) -> None:
     """The checks of an AmbiguityBall that do not read its nominal: kind a
-    DivergenceKind, radius a finite number >= 0 and eps a finite number, > 0
-    for entropic OT (bools are not numbers)."""
+    DivergenceKind, radius a finite number >= 0, eps a finite number, > 0
+    for entropic OT (bools are not numbers), and custom a CustomDivergence
+    for the kind MOMENT_CUSTOM and None for every built-in kind."""
     if not isinstance(kind, DivergenceKind):
         raise InvalidInputError(f"kind must be a DivergenceKind, got {kind!r}")
+    if kind is DivergenceKind.MOMENT_CUSTOM:
+        if not isinstance(custom, CustomDivergence):
+            raise InvalidInputError(f"a custom ball needs a CustomDivergence, got {custom!r}")
+    elif custom is not None:
+        raise InvalidInputError(f"a {kind.value} ball takes no custom divergence")
     if not (_is_number(radius) and radius >= 0.0):
         raise InvalidInputError("radius must be finite and nonnegative")
     if kind is DivergenceKind.ENTROPIC_OT:
@@ -365,11 +358,11 @@ class AmbiguityBall:
     nominal: MomentPair
     radius: float
     eps: float = 0.0  # entropic-OT regularization
-    custom_name: str = ""
+    custom: Optional[CustomDivergence] = None  # the divergence of a MOMENT_CUSTOM ball
     min_radius: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        _check_fields(self.kind, self.radius, self.eps)
+        _check_fields(self.kind, self.radius, self.eps, self.custom)
         if self.kind in _PD_KINDS and _pd_violation(self.nominal.cov[None]) is not None:
             raise InvalidInputError(_not_pd_message(self.kind))
         if self.kind is DivergenceKind.ENTROPIC_OT:
@@ -391,7 +384,7 @@ class AmbiguityBall:
         """A ball of a kind other than entropic OT whose fields the library
         checked itself, taken as they are: no check."""
         ball = object.__new__(cls)
-        ball.__dict__.update(kind=kind, nominal=nominal, radius=radius, eps=0.0, custom_name="",
+        ball.__dict__.update(kind=kind, nominal=nominal, radius=radius, eps=0.0, custom=None,
                              min_radius=0.0)
         return ball
 
@@ -406,11 +399,7 @@ class AmbiguityBall:
         if self.kind is DivergenceKind.ENTROPIC_OT:
             sq = entropic_ot_squared(candidate, self.nominal, self.eps)
             return math.sqrt(sq) if sq > 0.0 else 0.0
-        if self.kind is DivergenceKind.MOMENT_CUSTOM:
-            return get_custom_divergence(self.custom_name).evaluate(
-                candidate, self.nominal
-            )
-        raise UnsupportedDivergenceError(str(self.kind))
+        return self.custom.evaluate(candidate, self.nominal)  # MOMENT_CUSTOM
 
 
 def _zero_mean_balls(kind: DivergenceKind, blocks: np.ndarray, radius: float,
@@ -422,7 +411,7 @@ def _zero_mean_balls(kind: DivergenceKind, blocks: np.ndarray, radius: float,
     _pd_violation). An error names the first failing block i as name(i),
     followed by the message building that block's ball alone raises. kind
     and radius are taken as checked (_check_fields), and kind must not be
-    entropic OT, which needs an eps."""
+    entropic OT, which needs an eps, nor MOMENT_CUSTOM, which needs a handle."""
     finite = np.isfinite(blocks).all(axis=(1, 2))
     k = blocks.shape[0] if finite.all() else int(finite.argmin())
     M = symmetrize(blocks[:k])  # the rules read the blocks before the first non-finite one

@@ -1,5 +1,7 @@
-"""Experiment drivers: single solves, convergence traces, runtime sweeps,
-and worst-case/nominal performance gaps, all emitting schema-stable CSVs.
+"""Experiment drivers: solves with their convergence traces, runtime sweeps,
+worst-case/nominal performance gaps and stationary solves, all emitting
+schema-stable CSVs. RUNNERS maps each experiment name to its driver, and the
+CLI has one subcommand per name.
 
 Every run directory receives a metadata JSON carrying the seed(s), a hash of
 the effective configuration, the library version, the RNG algorithm, and
@@ -45,13 +47,13 @@ from .stationary import StationarySystem, solve_stationary_fw, stationary_cost
 TRACE_HEADER = ["iter", "objective", "fw_gap", "step", "wall_ms"]
 GAPS_HEADER = ["rho", "seed", "worst_case_gap", "nominal_gap"]
 RUNTIME_HEADER = ["T", "seed", "wall_seconds", "iterations"]
-CONVERGENCE_HEADER = ["T", "seed", "iterations", "converged", "final_gap", "wall_seconds"]
+SOLVE_HEADER = ["T", "seed", "iterations", "converged", "objective", "final_gap", "wall_seconds"]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
 class ExperimentConfig:
-    experiment: str = "single_solve"  # convergence | runtime | gaps | stationary | single_solve
+    experiment: str = "solve"  # solve | runtime | gaps | stationary
     d: int = 10
     T: int = 10
     divergence: str = "wasserstein2"
@@ -186,42 +188,20 @@ def _solves(cfg: ExperimentConfig, horizons):
         yield rho, T, seed, model, trace, time.perf_counter() - t0
 
 
-def run_single_solve(cfg: ExperimentConfig) -> dict:
-    """One FW solve per seed; trace CSVs plus a JSON result summary."""
-    outdir = Path(cfg.output_dir)
-    t_start = time.perf_counter()
-    results = []
-    for _, _, seed, _, trace, _ in _solves(cfg, [cfg.T]):
-        atomic_write_text(outdir / f"trace_seed{seed}.csv", _trace_csv_text(trace))
-        results.append(
-            {
-                "seed": seed,
-                "converged": trace.converged,
-                "iterations": len(trace.records),
-                "objective": trace.records[-1].objective,
-                "final_gap": trace.records[-1].fw_gap,
-            }
-        )
-    summary = {"runs": results, "all_converged": all(r["converged"] for r in results)}
-    atomic_write_text(outdir / "solve_summary.json", json.dumps(summary, indent=2) + "\n")
-    write_metadata(cfg, outdir, time.perf_counter() - t_start)
-    return summary
-
-
-def run_convergence(cfg: ExperimentConfig) -> dict:
-    """FW trace per seed at the configured horizon, plus a summary CSV."""
+def run_solve(cfg: ExperimentConfig) -> dict:
+    """One FW solve per seed at the configured horizon: its trace as
+    trace_seed{seed}.csv, and one row per solve in solve_summary.csv."""
     outdir = Path(cfg.output_dir)
     t_start = time.perf_counter()
     rows = []
     all_converged = True
     for _, T, seed, _, trace, wall in _solves(cfg, [cfg.T]):
-        atomic_write_text(outdir / f"convergence_T{T}_seed{seed}.csv", _trace_csv_text(trace))
-        rows.append(
-            [T, seed, len(trace.records), int(trace.converged),
-             repr(trace.records[-1].fw_gap), repr(wall)]
-        )
+        atomic_write_text(outdir / f"trace_seed{seed}.csv", _trace_csv_text(trace))
+        last = trace.records[-1]
+        rows.append([T, seed, len(trace.records), int(trace.converged), repr(last.objective),
+                     repr(last.fw_gap), repr(wall)])
         all_converged &= trace.converged
-    write_csv(outdir / "convergence_summary.csv", CONVERGENCE_HEADER, rows)
+    write_csv(outdir / "solve_summary.csv", SOLVE_HEADER, rows)
     write_metadata(cfg, outdir, time.perf_counter() - t_start)
     return {"all_converged": all_converged, "rows": rows}
 
@@ -330,8 +310,7 @@ def run_stationary(cfg: ExperimentConfig) -> dict:
 
 
 RUNNERS = {
-    "single_solve": run_single_solve,
-    "convergence": run_convergence,
+    "solve": run_solve,
     "runtime": run_runtime,
     "gaps": run_gaps,
     "stationary": run_stationary,

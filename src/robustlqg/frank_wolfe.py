@@ -81,7 +81,6 @@ class FwRecord:
     step_size: float
     wall_ms: float
     # kept in the record, not the CSV:
-    rel_gap: float  # gap / max(|objective|, 1)
     oracle_s: float  # wall seconds of the iteration's oracle pass
     oracle_steps: int  # root-search steps summed over blocks
     # lockstep root-search rounds summed over the pass's groups; a group's
@@ -151,7 +150,7 @@ class NominalModel:
         error names the first failing one, as in "W[3]: " followed by the
         message of its ball alone; a misshaped X0, W or V, or W blocks of
         another size than X0, fail before any block is checked."""
-        _check_fields(self.kind, self.rho, 0.0)
+        _check_fields(self.kind, self.rho, 0.0, None)
         rho = float(self.rho)
         X0, W, V = (np.asarray(a, dtype=float) for a in (self.X0, self.W, self.V))
         for name, shape in (("X0", X0.shape), ("W[0]", W.shape[1:]), ("V[0]", V.shape[1:])):
@@ -236,12 +235,12 @@ def maximize(
     order runs through the stacks in turn. plan is the oracle pass over the
     blocks' balls (oracles._plan), laid out as start.
     The caller plans before it evaluates anything, so a ball the oracles
-    reject (one with a nonzero nominal mean) fails before any work, and
-    each ball's nominal is factored once per solve. start must lie in the
-    balls; it is not checked here, and nothing the loop builds from it is
-    checked again. evaluate(stacks) returns (objective, grad), where grad()
-    returns the gradient stacks (trace pairing), laid out as the iterate,
-    from that evaluation's own forward sweep. Each iteration calls grad() of
+    reject (one with a nonzero nominal mean or no oracle) fails before any
+    work, and each ball's nominal is factored once per solve. start must lie
+    in the balls; it is not checked here, and nothing the loop builds from
+    it is checked again. evaluate(stacks) returns (objective, grad), where
+    grad() returns the gradient stacks (trace pairing), laid out as the
+    iterate, from that evaluation's own forward sweep. Each iteration calls grad() of
     its iterate's evaluation; a line-search trial reads only the objective.
     The iterate a line search accepts is its trial's stacks, and the next
     iteration uses that trial's evaluation as it is, so every iterate is
@@ -281,8 +280,7 @@ def maximize(
             current = _step(current, targets, alpha) if trial is None else trial
         record = FwRecord(
             k, objective, gap, alpha, (time.perf_counter() - t0) * 1e3,
-            gap / max(abs(objective), 1.0), t_ls - t_oracle, steps, rounds, trials,
-            t_oracle - t0, ls_s,
+            t_ls - t_oracle, steps, rounds, trials, t_oracle - t0, ls_s,
         )
         trace.records.append(record)
         if log.isEnabledFor(logging.DEBUG):

@@ -50,11 +50,11 @@ or Fisher one, finite and square. What depends only on the balls is planned
 once (_plan): the groups and the stack rows they gather, their stacked
 nominals and radii, and the nominal factors the setups read (KL:
 Shat^{1/2}; Fisher: Shat^{-2} and Tr Shat^{-1}). Planning rejects a
-nonzero nominal mean. _run runs a plan and returns the targets stacked
-like the references, with per-block arrays of the other results; it takes
-its stacks as checked. A Frank-Wolfe solve plans before it evaluates
-anything and runs the plan at every iteration on its own arrays. The
-public entry points check the gradients and references (shape,
+nonzero nominal mean and a ball with no oracle. _run runs a plan and
+returns the targets stacked like the references, with per-block arrays of
+the other results; it takes its stacks as checked. A Frank-Wolfe solve
+plans before it evaluates anything and runs the plan at every iteration on
+its own arrays. The public entry points check the gradients and references (shape,
 finiteness), run the same _run and build the OracleResult objects:
 oracle_pass plans and runs once, solve_oracle is a pass of one block, and
 wasserstein_oracle, kl_oracle and fisher_oracle build the ball of a bare
@@ -71,13 +71,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .divergences import (
-    AmbiguityBall,
-    DivergenceKind,
-    MomentPair,
-    get_custom_divergence,
-    membership,
-)
+from .divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
 from .errors import InvalidInputError, OracleError, UnsupportedDivergenceError
 from .matops import _check_finite, _check_square, _cholesky_certifies, _is_number, symmetrize
 
@@ -305,7 +299,7 @@ _SETUPS = {
     DivergenceKind.KULLBACK_LEIBLER: _kl,
     DivergenceKind.FISHER: _fisher,
 }
-# kinds with a built-in oracle; a custom kind needs a registered linearization
+# kinds with a built-in oracle; a custom ball needs its handle's linearization
 ORACLE_KINDS = frozenset(_SETUPS)
 
 
@@ -453,19 +447,12 @@ def _solve_group(group: _Group, G, sigma_ref) -> tuple:
 
 
 def _custom_oracle(ball: AmbiguityBall, Gamma, sigma_ref) -> tuple[np.ndarray, bool]:
-    """Oracle of a ball with no built-in one, by its registered linearization:
-    the target and whether it lies in the ball (its activity)."""
-    if ball.kind is not DivergenceKind.MOMENT_CUSTOM:
-        raise UnsupportedDivergenceError(
-            f"no linearization oracle for divergence kind '{ball.kind.value}'"
-        )
-    handle = get_custom_divergence(ball.custom_name)
-    if handle.linearization is None:
-        raise UnsupportedDivergenceError(
-            f"divergence '{ball.custom_name}' has no linearization oracle"
-        )
+    """Oracle of a custom ball by its handle's linearization, which _plan
+    checked it has: the target and whether it lies in the ball (its
+    activity)."""
+    handle = ball.custom
     sigma = handle.linearization(Gamma, ball.nominal, ball.radius, sigma_ref)
-    what = f"linearization output of '{ball.custom_name}'"
+    what = f"linearization output of '{handle.name}'"
     sigma = symmetrize(_check_square(sigma, what))
     if sigma.shape != Gamma.shape:
         raise InvalidInputError(f"{what} must have shape {Gamma.shape}, got {sigma.shape}")
@@ -487,7 +474,11 @@ def _plan(balls: Sequence[AmbiguityBall], lengths: Sequence[int]) -> _Plan:
     radii and nominal factors once. The pass's blocks come in stacks of
     lengths[s] rows, block order running through the stacks in turn. Every
     oracle works with zero-mean Gaussians, so a ball with a nonzero nominal
-    mean raises InvalidInputError."""
+    mean raises InvalidInputError. A ball with no oracle, of a kind outside
+    ORACLE_KINDS and without a custom linearization (entropic OT, or a
+    handle whose linearization is None), raises UnsupportedDivergenceError.
+    Both checks run here, so a solve that plans first fails on them before
+    any work."""
     if any(ball.nominal.mean.any() for ball in balls):
         raise InvalidInputError("ambiguity balls must have a zero nominal mean")
     where = [(s, r) for s, k in enumerate(lengths) for r in range(k)]
@@ -496,6 +487,14 @@ def _plan(balls: Sequence[AmbiguityBall], lengths: Sequence[int]) -> _Plan:
     for i, ball in enumerate(balls):
         if ball.kind in ORACLE_KINDS:
             members.setdefault((ball.kind, ball.nominal.dim), []).append(i)
+        elif ball.custom is None:
+            raise UnsupportedDivergenceError(
+                f"no linearization oracle for divergence kind '{ball.kind.value}'"
+            )
+        elif ball.custom.linearization is None:
+            raise UnsupportedDivergenceError(
+                f"divergence '{ball.custom.name}' has no linearization oracle"
+            )
         else:
             custom.append((ball, i, *where[i]))
     groups = []
@@ -522,7 +521,7 @@ def _gather(stacks, parts) -> np.ndarray:
 
 def _run(plan: _Plan, grads: Sequence[np.ndarray], refs: Sequence[np.ndarray]) -> _Pass:
     """The oracle of every block of plan, given the gradients and references
-    as stacks laid out as the plan's: each custom ball calls its registered
+    as stacks laid out as the plan's: each custom ball calls its handle's
     linearization, then each group gathers its rows and is solved on stacked
     arrays. The stacks are taken as checked; nothing here re-checks them."""
     size = plan.size
@@ -561,7 +560,7 @@ def oracle_pass(
     Block z maximizes <grads[z], Sigma - refs[z]> over balls[z]. Every gradient
     and reference is checked here (shape, finiteness). Built-in kinds are
     solved group by group on stacked arrays; a custom ball calls its
-    registered linearization. A solve plans the pass once (_plan) and runs
+    handle's linearization. A solve plans the pass once (_plan) and runs
     the plan (_run) at every iteration on its own stacks; this plans and
     runs it once, each block a stack of one.
     """

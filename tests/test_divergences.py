@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,9 +15,8 @@ from robustlqg.divergences import (
     gelbrich,
     kl_t_divergence,
     membership,
-    register_moment_divergence,
 )
-from robustlqg.errors import InvalidInputError, NumericError, UnsupportedDivergenceError
+from robustlqg.errors import InvalidInputError, NumericError
 
 from conftest import rand_spd
 from reference import zero_mean_feasibility_check
@@ -276,36 +276,64 @@ def test_monotone_ordering_fisher_kl():
             prev, value = bumped, new_value
 
 
-def test_custom_divergence_registration():
+def _frob(candidate, nom):
+    dmu = candidate.mean - nom.mean
+    return float(np.linalg.norm(candidate.cov - nom.cov, "fro") + dmu @ dmu)
+
+
+def test_custom_divergence_ball_evaluates_its_handle():
     nominal = _pair(np.eye(2))
-
-    def frob(candidate, nom):
-        dmu = candidate.mean - nom.mean
-        return float(np.linalg.norm(candidate.cov - nom.cov, "fro") + dmu @ dmu)
-
-    handle = CustomDivergence(name="frobenius-test", evaluate=frob)
-    register_moment_divergence(handle, nominal, rho=1.0)
-    ball = AmbiguityBall(
-        kind=DivergenceKind.MOMENT_CUSTOM, nominal=nominal, radius=1.0,
-        custom_name="frobenius-test",
-    )
+    handle = CustomDivergence(name="frobenius-test", evaluate=_frob, nominal=nominal, rho=1.0)
+    ball = AmbiguityBall(kind=DivergenceKind.MOMENT_CUSTOM, nominal=nominal, radius=1.0,
+                         custom=handle)
     assert membership(ball, _pair(np.eye(2) * 1.5))
     assert not membership(ball, _pair(np.eye(2) * 3.0))
-    with pytest.raises(InvalidInputError):
-        register_moment_divergence(handle, nominal, rho=1.0)  # write-once
-
-    bad = CustomDivergence(name="not-a-divergence", evaluate=lambda c, n: 1.0)
-    with pytest.raises(InvalidInputError):
-        register_moment_divergence(bad, nominal, rho=1.0)
 
 
-def test_custom_divergence_unregistered_errors():
-    ball = AmbiguityBall(
-        kind=DivergenceKind.MOMENT_CUSTOM, nominal=_pair(np.eye(2)), radius=1.0,
-        custom_name="missing",
-    )
-    with pytest.raises(UnsupportedDivergenceError):
-        membership(ball, _pair(np.eye(2)))
+def test_two_custom_divergences_of_one_name_coexist():
+    # a handle is a value its balls hold, so a second handle of the same name
+    # neither fails to build nor replaces the first
+    nominal = _pair(np.eye(2))
+    first = CustomDivergence(name="frobenius", evaluate=_frob, nominal=nominal, rho=1.0)
+    second = CustomDivergence(name="frobenius", evaluate=lambda c, n: 4.0 * _frob(c, n),
+                              nominal=nominal, rho=1.0)
+    balls = [AmbiguityBall(kind=DivergenceKind.MOMENT_CUSTOM, nominal=nominal, radius=1.0,
+                           custom=handle) for handle in (first, second)]
+    candidate = _pair(np.eye(2) * 1.5)  # Frobenius distance 0.5 sqrt(2)
+    assert [membership(ball, candidate) for ball in balls] == [True, False]
+
+
+def _bands(candidate, nominal):
+    # feasible means lie in bands of the first coordinate around multiples of
+    # 2 pi / 100, so the midpoint of two points in different bands can fall
+    # between them
+    return 1.0 - math.cos(100.0 * candidate.mean[0])
+
+
+def _tilted(candidate, nominal):
+    # linear in (mean, second moment), so its sublevel sets are convex, but a
+    # mean along e_1 lowers it: a point whose mean is zeroed can leave the ball
+    return float(np.trace(candidate.second_moment - nominal.second_moment)
+                 - 100.0 * candidate.mean[0])
+
+
+@pytest.mark.parametrize("evaluate, rho, message", [
+    (lambda c, n: 1.0, 1.0, "custom divergence must vanish at the nominal"),
+    (_bands, 0.5, "custom divergence 'gated' fails sublevel-set convexity"),
+    (_tilted, 0.1, "custom divergence 'gated' fails zero-mean feasibility"),
+], ids=["identity", "convexity", "zero_mean"])
+def test_a_custom_divergence_that_fails_a_gate_cannot_be_built(evaluate, rho, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        CustomDivergence(name="gated", evaluate=evaluate, nominal=_pair(np.eye(2)), rho=rho)
+
+
+@pytest.mark.parametrize("nominal, rho", [
+    (np.eye(2), 1.0), (_pair(np.eye(2)), True), (_pair(np.eye(2)), -1.0),
+    (_pair(np.eye(2)), float("nan")),
+], ids=["array_nominal", "rho_bool", "rho_negative", "rho_nan"])
+def test_custom_divergence_gates_need_a_nominal_pair_and_a_radius(nominal, rho):
+    with pytest.raises(InvalidInputError, match="the gates need a MomentPair nominal"):
+        CustomDivergence(name="frobenius", evaluate=_frob, nominal=nominal, rho=rho)
 
 
 def test_zero_mean_feasibility_entropic_ot():

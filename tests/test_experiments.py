@@ -12,11 +12,12 @@ from robustlqg.cli import main as cli_main
 from robustlqg.divergences import DivergenceKind
 from robustlqg.errors import InvalidInputError, UnsupportedDivergenceError
 from robustlqg.experiments import (
+    RUNNERS,
     TRACE_HEADER,
     ExperimentConfig,
-    run_convergence,
     run_gaps,
     run_runtime,
+    run_solve,
     config_hash,
     policy_nominal_cost,
     policy_worst_case_cost,
@@ -195,23 +196,28 @@ def test_run_gaps_row_of_an_unconverged_solve_is_the_nominal_policy(tmp_path):
     assert abs(float(nom_gap)) <= 1e-12 * (1.0 + cost)
 
 
-def test_run_convergence_outputs(tmp_path):
+def test_run_solve_outputs(tmp_path):
     cfg = ExperimentConfig(
-        experiment="convergence", d=3, T=3, divergence="kl", rho=0.1,
+        experiment="solve", d=3, T=3, divergence="kl", rho=0.1,
         seeds=[0, 1], output_dir=str(tmp_path), fw=FwConfig(max_iters=500, gap_tol=1e-3),
     )
-    out = run_convergence(cfg)
+    out = run_solve(cfg)
     assert out["all_converged"]
-    with open(tmp_path / "convergence_summary.csv") as fh:
+    with open(tmp_path / "solve_summary.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["T", "seed", "iterations", "converged", "final_gap", "wall_seconds"]
-    for seed in (0, 1):
-        with open(tmp_path / f"convergence_T3_seed{seed}.csv") as fh:
+    assert rows[0] == ["T", "seed", "iterations", "converged", "objective", "final_gap",
+                       "wall_seconds"]
+    assert [row[:2] for row in rows[1:]] == [["3", "0"], ["3", "1"]]
+    for seed, row in zip((0, 1), rows[1:]):
+        with open(tmp_path / f"trace_seed{seed}.csv") as fh:
             trace = list(csv.reader(fh))
         assert trace[0] == ["iter", "objective", "fw_gap", "step", "wall_ms"]
         gaps = [float(r[2]) for r in trace[1:]]
         assert all(g > 1e-3 for g in gaps[:-1])
         assert gaps[-1] <= 1e-3
+        # the summary row repeats the trace's last record
+        assert row[2:6] == [str(len(trace) - 1), "1", trace[-1][1], trace[-1][2]]
+        assert float(row[6]) > 0.0
 
 
 def test_run_runtime_monotone_and_deterministic(tmp_path, monkeypatch):
@@ -253,9 +259,11 @@ def test_cli_solve_exit_code_and_outputs(tmp_path):
     ])
     assert code == 0
     assert (out / "trace_seed0.csv").exists()
-    assert (out / "metadata.json").exists()
-    summary = json.loads((out / "solve_summary.json").read_text())
-    assert summary["all_converged"]
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["experiment"] == "solve" and meta["seeds"] == [0]
+    with open(out / "solve_summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["seed"] == "0" and row["converged"] == "1"
 
 
 def test_cli_stationary_exit_code_and_outputs(tmp_path):
@@ -294,9 +302,9 @@ def test_cli_config_file_with_flag_override(tmp_path):
         "seeds": [0], "output_dir": str(tmp_path / "a"),
         "fw": {"max_iters": 300, "gap_tol": 1e-3},
     }))
-    code = cli_main(["convergence", "--config", str(cfg_path), "--out", str(tmp_path / "b")])
+    code = cli_main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "b")])
     assert code == 0
-    assert (tmp_path / "b" / "convergence_summary.csv").exists()
+    assert (tmp_path / "b" / "solve_summary.csv").exists()
     assert not (tmp_path / "a").exists()
 
 
@@ -397,7 +405,7 @@ def test_cli_mistyped_config_exit_code(tmp_path, capsys, monkeypatch, text, mess
     monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
-    code = cli_main(["convergence", "--config", str(cfg_path)])
+    code = cli_main(["solve", "--config", str(cfg_path)])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "InvalidInputError"
@@ -426,7 +434,9 @@ def _subcommands() -> dict:
 
 
 def test_every_cli_flag_is_named_by_its_config_key():
-    # the flags map to config keys by name, so each dest is a config field
+    # one subcommand per experiment, each named as its experiment; the flags
+    # map to config keys by name, so each dest is a config field
+    assert list(_subcommands()) == list(RUNNERS) == ["solve", "runtime", "gaps", "stationary"]
     keys = {f.name for cls in (ExperimentConfig, FwConfig) for f in dataclasses.fields(cls)}
     for name, sub in _subcommands().items():
         assert {action.dest for action in sub._actions} - {"help", "config"} <= keys, name
@@ -438,8 +448,8 @@ def test_every_cli_flag_is_named_by_its_config_key():
 def test_a_cli_flag_given_alone_lands_on_its_config_field(flag, value, field, want):
     # one --rho is a scalar radius; every field the flag does not name keeps
     # its default
-    args = cli.build_parser().parse_args(["convergence", flag, value])
-    expected = ExperimentConfig(experiment="convergence")
+    args = cli.build_parser().parse_args(["solve", flag, value])
+    expected = ExperimentConfig(experiment="solve")
     if field.startswith("fw."):
         expected = replace(expected, fw=replace(expected.fw, **{field[3:]: want}))
     else:

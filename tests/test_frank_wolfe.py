@@ -296,13 +296,6 @@ def test_saddle_point_identity_end_to_end():
         assert wc == pytest.approx(fw_value, rel=1e-5)
 
 
-def test_trace_records_carry_relative_gap():
-    sys, model = generate_instance(2, 2, seed=9, kind=DivergenceKind.WASSERSTEIN2, rho=0.3)
-    _, trace = solve(sys, model.ball_profile())
-    for rec in trace.records:
-        assert rec.rel_gap == pytest.approx(rec.fw_gap / max(abs(rec.objective), 1.0))
-
-
 def test_fisher_frank_wolfe_converges_with_dominance():
     sys, model = generate_instance(3, 3, seed=11, kind=DivergenceKind.FISHER, rho=0.5)
     worst, trace = solve(sys, model.ball_profile(), cfg=FwConfig(max_iters=500, gap_tol=1e-5))
@@ -311,9 +304,28 @@ def test_fisher_frank_wolfe_converges_with_dominance():
         assert np.linalg.eigvalsh(got - want).min() >= -1e-7
 
 
-def test_entropic_model_supports_membership_but_not_solving():
+def _rejected_before_any_sweep(monkeypatch, sys, balls, match):
+    """Both horizons reject balls, a BallProfile on a system of 2 states and
+    outputs, with UnsupportedDivergenceError matching match, when they plan
+    and so before any sweep: no Riccati or Kalman sweep, adjoint, DARE or
+    filter ARE runs. The stationary solve takes the W[0] and V[0] balls."""
+    from robustlqg import frank_wolfe, lqg, stationary
     from robustlqg.errors import UnsupportedDivergenceError
 
+    calls = [counting(monkeypatch, module, name) for module, name in (
+        (lqg, "riccati_backward"), (lqg, "kalman_forward"), (frank_wolfe, "_adjoint"),
+        (stationary, "solve_dare"), (stationary, "solve_filter_are"),
+    )]
+    eye = np.eye(2)
+    ss = stationary.StationarySystem(A=0.5 * eye, B=eye, C=eye, Q=eye, R=eye)
+    with pytest.raises(UnsupportedDivergenceError, match=match):
+        solve(sys, balls, cfg=FwConfig(max_iters=5))
+    with pytest.raises(UnsupportedDivergenceError, match=match):
+        stationary.solve_stationary_fw(ss, balls.w[0], balls.v[0])
+    assert calls == [[]] * 5
+
+
+def test_entropic_model_supports_membership_but_not_solving(monkeypatch):
     sys, model = generate_instance(2, 2, seed=12)
     nominal = model.nominal_profile()
 
@@ -325,8 +337,8 @@ def test_entropic_model_supports_membership_but_not_solving():
                         v=tuple(map(ball, nominal.V)))
     for ball, blk in zip(balls.blocks(), nominal.blocks()):
         assert membership(ball, MomentPair.zero_mean(blk + 0.01 * np.eye(2)))
-    with pytest.raises(UnsupportedDivergenceError):
-        solve(sys, balls, cfg=FwConfig(max_iters=5))
+    _rejected_before_any_sweep(monkeypatch, sys, balls,
+                               "no linearization oracle for divergence kind 'entropic_ot'")
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -372,30 +384,27 @@ def _frobenius_linearization(gradient, nominal, rho, reference):
     return nominal.cov + (rho / norm) * gradient if norm > 0.0 else nominal.cov
 
 
-def _custom_balls(sys, name, rho):
+def _custom_balls(sys, handle, rho):
     cov = rand_profile(np.random.default_rng(3), sys, lo=1.0, hi=2.0)
 
     def ball(S):
         return AmbiguityBall(kind=DivergenceKind.MOMENT_CUSTOM, nominal=MomentPair.zero_mean(S),
-                             radius=rho, custom_name=name)
+                             radius=rho, custom=handle)
 
     return BallProfile(x0=ball(cov.X0), w=tuple(ball(S) for S in cov.W),
                        v=tuple(ball(S) for S in cov.V))
 
 
-def _register_frobenius(name, linearization):
-    from robustlqg.divergences import CustomDivergence, register_moment_divergence
+def _frobenius_handle(linearization):
+    from robustlqg.divergences import CustomDivergence
 
-    register_moment_divergence(
-        CustomDivergence(name=name, evaluate=_frobenius, linearization=linearization),
-        MomentPair.zero_mean(np.eye(2)), 0.5,
-    )
+    return CustomDivergence(name="frobenius", evaluate=_frobenius, linearization=linearization,
+                            nominal=MomentPair.zero_mean(np.eye(2)), rho=0.5)
 
 
 def test_custom_divergence_solves_inside_its_balls():
-    _register_frobenius("frobenius-fw-test", _frobenius_linearization)
     sys = rand_system(np.random.default_rng(2), n=2, m=2, p=2, T=3)
-    balls = _custom_balls(sys, "frobenius-fw-test", 0.4)
+    balls = _custom_balls(sys, _frobenius_handle(_frobenius_linearization), 0.4)
     worst, trace = solve(sys, balls, cfg=FwConfig(gap_tol=1e-6, step_rule="line_search"))
     assert trace.converged
     assert trace.records[-1].objective > trace.records[0].objective
@@ -412,18 +421,17 @@ def test_mixed_kind_targets_match_the_public_pass_block_by_block(monkeypatch):
     from robustlqg import frank_wolfe
     from robustlqg.oracles import oracle_pass
 
-    name = "frobenius-mixed-test"
-    _register_frobenius(name, _frobenius_linearization)
+    handle = _frobenius_handle(_frobenius_linearization)
     rng = np.random.default_rng(5)
     sys = rand_system(rng, n=3, m=2, p=2, T=4)
     cov = rand_profile(rng, sys, lo=1.0, hi=2.0)
 
-    def ball(kind, S, custom_name=""):
+    def ball(kind, S, custom=None):
         return AmbiguityBall(kind=kind, nominal=MomentPair.zero_mean(S), radius=0.3,
-                             custom_name=custom_name)
+                             custom=custom)
 
     w = [ball(DivergenceKind.WASSERSTEIN2, S) for S in cov.W]
-    w[1] = ball(DivergenceKind.MOMENT_CUSTOM, cov.W[1], name)
+    w[1] = ball(DivergenceKind.MOMENT_CUSTOM, cov.W[1], handle)
     balls = BallProfile(x0=ball(DivergenceKind.WASSERSTEIN2, cov.X0), w=tuple(w),
                         v=tuple(ball(DivergenceKind.KULLBACK_LEIBLER, S) for S in cov.V))
 
@@ -524,13 +532,10 @@ def test_solves_build_no_oracle_results(monkeypatch):
     assert results == []
 
 
-def test_custom_divergence_without_linearization_is_unsupported():
-    from robustlqg.errors import UnsupportedDivergenceError
-
-    _register_frobenius("frobenius-no-oracle-test", None)
+def test_custom_divergence_without_linearization_is_unsupported(monkeypatch):
     sys = rand_system(np.random.default_rng(2), n=2, m=2, p=2, T=3)
-    with pytest.raises(UnsupportedDivergenceError):
-        solve(sys, _custom_balls(sys, "frobenius-no-oracle-test", 0.4))
+    _rejected_before_any_sweep(monkeypatch, sys, _custom_balls(sys, _frobenius_handle(None), 0.4),
+                               "divergence 'frobenius' has no linearization oracle")
 
 
 def test_default_step_rule_is_line_search():

@@ -1,6 +1,8 @@
 """No module of the package keeps a module-level import it does not use or
 imports inside a function, and no private top-level function or class goes
-unread.
+unread. No module imports threading, and no module keeps a mutable table:
+every module-level name bound to a dict, list or set display is an
+upper-case constant.
 
 For imports, __init__.py is skipped (its imports are the public names), and
 so is any import statement marked "# noqa: F401": those are bindings that
@@ -105,6 +107,74 @@ def test_checker_flags_function_local_imports():
         "        from .y import z\n"
     )
     assert function_local_imports(source) == [3, 5, 9]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the absolute imports of source, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_threading(path):
+    # nothing in the package runs threads, so nothing needs a lock; a lock
+    # would guard state shared by every caller in the process
+    assert "threading" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_checker_finds_every_absolute_import():
+    source = (
+        "import os.path, threading as th\n"
+        "from threading import Lock\n"
+        "from . import threading\n"
+        "from .matops import x\n"
+        "def f():\n    import json\n"
+    )
+    assert imported_modules(source) == {"os", "threading", "json"}
+
+
+def mutable_module_globals(source: str) -> list[str]:
+    """Module-level names of source bound to a dict, list or set display, a
+    comprehension included, that are not upper-case constants."""
+    displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if isinstance(node.value, displays):
+            found += [f"{t.id} (line {node.lineno})" for t in targets
+                      if isinstance(t, ast.Name) and t.id != t.id.upper()]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_level_tables_are_constants(path):
+    # a module-level table that code fills is shared by every caller in the
+    # process, so one caller (or test) sees what another put there
+    assert mutable_module_globals(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_lower_case_module_tables():
+    source = (
+        "_registry: dict[str, int] = {}\n"
+        "TABLE = {'a': 1}\n"
+        "_SETUPS: dict = {1: 2}\n"
+        "names = [x for x in range(3)]\n"
+        "seen = set()\n"
+        "pair = (1, 2)\n"
+        "declared: list\n"
+        "def f():\n    local = {}\n"
+    )
+    assert mutable_module_globals(source) == ["_registry (line 1)", "names (line 4)"]
 
 
 def unread_private_definitions(sources: dict[str, str]) -> list[str]:

@@ -16,7 +16,6 @@ from robustlqg.divergences import (
     DivergenceKind,
     MomentPair,
     membership,
-    register_moment_divergence,
 )
 from robustlqg.errors import ConditioningError, InvalidInputError
 from robustlqg.experiments import policy_worst_case_cost
@@ -56,16 +55,16 @@ def _frobenius(candidate, nominal):
     return float(np.linalg.norm(candidate.second_moment - nominal.second_moment, "fro"))
 
 
+_FROBENIUS = CustomDivergence("frobenius", _frobenius, nominal=MomentPair.zero_mean(I2), rho=0.5)
+
+
 def _custom_call(bad, output=None):
-    name = f"linearization-test-{bad}"
     output = _poisoned(bad) if output is None else output
-    register_moment_divergence(
-        CustomDivergence(name=name, evaluate=_frobenius,
-                         linearization=lambda G, nominal, rho, ref: output),
-        MomentPair.zero_mean(I2), 0.5,
-    )
+    handle = CustomDivergence(name=f"linearization-test-{bad}", evaluate=_frobenius,
+                              linearization=lambda G, nominal, rho, ref: output,
+                              nominal=MomentPair.zero_mean(I2), rho=0.5)
     ball = AmbiguityBall(kind=DivergenceKind.MOMENT_CUSTOM, nominal=MomentPair.zero_mean(I2),
-                         radius=0.5, custom_name=name)
+                         radius=0.5, custom=handle)
     return lambda: solve_oracle(ball, I2, I2)
 
 
@@ -123,7 +122,7 @@ def test_misshaped_noise_stacks_raise_typed_errors(name, shape):
 
 
 def test_misshaped_custom_linearization_output_raises():
-    # the output of a registered linearization is input from outside: a 3x3
+    # the output of a custom linearization is input from outside: a 3x3
     # target for a 2x2 ball is rejected where it enters the pass
     with pytest.raises(InvalidInputError, match="must have shape"):
         _custom_call("misshaped", np.eye(3))()
@@ -156,12 +155,19 @@ _KL = DivergenceKind.KULLBACK_LEIBLER
     ({"eps": True}, "eps must be a finite number, got True"),
     ({"eps": "0.1"}, "eps must be a finite number, got '0.1'"),
     ({"kind": DivergenceKind.ENTROPIC_OT, "eps": True}, "entropic OT needs a finite eps > 0"),
+    ({"kind": DivergenceKind.MOMENT_CUSTOM}, "a custom ball needs a CustomDivergence, got None"),
+    ({"kind": DivergenceKind.MOMENT_CUSTOM, "custom": "frobenius"},
+     "a custom ball needs a CustomDivergence, got 'frobenius'"),
+    ({"custom": _FROBENIUS}, "a kl ball takes no custom divergence"),
 ], ids=["kind_string", "radius_string", "radius_none", "radius_bool", "eps_bool", "eps_string",
-        "entropic_eps_bool"])
+        "entropic_eps_bool", "custom_without_handle", "custom_handle_by_name",
+        "builtin_with_handle"])
 def test_ambiguity_ball_rejects_mistyped_fields(fields, message):
     # a string kind would skip the KL pd check and fail later, in every pass,
     # with an AttributeError; a string or None radius would raise a bare
-    # TypeError, and True would count as 1
+    # TypeError, and True would count as 1. A custom ball without its
+    # handle, or a built-in one with a handle it would ignore, fails here
+    # and not in the first pass
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         AmbiguityBall(**{"kind": _KL, "nominal": MomentPair.zero_mean(I2), "radius": 0.5,
                          **fields})

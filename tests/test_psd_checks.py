@@ -264,7 +264,7 @@ def test_ball_profile_equals_per_block_balls_bit_for_bit(kind, rho):
              for S in [model.X0, *model.W, *model.V]]
     assert len(profile.blocks()) == len(alone) == 9
     for got, want in zip(profile.blocks(), alone):
-        assert (got.kind, got.eps, got.custom_name, got.min_radius) == (kind, 0.0, "", 0.0)
+        assert (got.kind, got.eps, got.custom, got.min_radius) == (kind, 0.0, None, 0.0)
         assert type(got.radius) is float and got.radius == want.radius
         for a, b in ((got.nominal.cov, want.nominal.cov),
                      (got.nominal.second_moment, want.nominal.second_moment),
