@@ -105,7 +105,7 @@ def _pair_violation(cov: np.ndarray, M: np.ndarray) -> Optional[tuple[int, str]]
     as (index, the message MomentPair raises for it), or None. One shifted
     batched Cholesky certifies the rule for the whole stack; only where it
     fails do the eigenvalues run, and they alone decide."""
-    tol = _VALID_PAIR_TOL * (1.0 + np.linalg.norm(M, axis=(1, 2)))
+    tol = _VALID_PAIR_TOL * (1.0 + np.sqrt((M * M).sum(axis=(1, 2))))
     if _cholesky_certifies(cov, tol):
         return None
     lam = np.linalg.eigvalsh(cov)[:, 0]
@@ -122,7 +122,8 @@ def _pd_violation(S: np.ndarray) -> Optional[int]:
     rule does not depend on the scale of S, and an exact zero is not pd. One
     shifted batched Cholesky certifies the rule for the whole stack; only
     where it fails do the eigenvalues run, and they alone decide."""
-    S, tol = symmetrize(S), 1e-12 * np.linalg.norm(S, axis=(1, 2))
+    S = symmetrize(S)
+    tol = 1e-12 * np.sqrt((S * S).sum(axis=(1, 2)))
     if _cholesky_certifies(S, -tol):
         return None
     bad = np.flatnonzero(~(np.linalg.eigvalsh(S)[:, 0] > tol))

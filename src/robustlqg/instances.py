@@ -11,8 +11,8 @@ import numpy as np
 from .divergences import DivergenceKind
 from .errors import InvalidInputError
 from .frank_wolfe import NominalModel
-from .lqg import CovarianceProfile, SystemInstance
-from .matops import _is_number
+from .lqg import SystemInstance
+from .matops import _is_number, symmetrize
 
 RNG_ALGORITHM = "philox4x64-10"
 SEED_BOUND = 2**128  # a Philox4x64 key has 128 bits
@@ -69,5 +69,5 @@ def generate_instance(
     rng = instance_rng(seed)
     eye = np.eye(d)
     sys = SystemInstance.time_invariant(benchmark_dynamics(d), eye, eye, eye, eye, T=T)
-    cov = CovarianceProfile.from_blocks(_random_covariances(d, 2 * T + 1, rng), T)
-    return sys, NominalModel(kind, cov.X0, cov.W, cov.V, rho)
+    blocks = symmetrize(_random_covariances(d, 2 * T + 1, rng))  # [X0, W_0.., V_0..]
+    return sys, NominalModel(kind, blocks[0], blocks[1:T + 1], blocks[T + 1:], rho)

@@ -174,18 +174,47 @@ def _riccati_step(P, A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
     return symmetrize(A.T @ P @ A + Q + BtPA.T @ K), K
 
 
+def _repeats(M: np.ndarray) -> np.ndarray:
+    """Whether M[t] equals M[t+1] bit for bit, for t = 0..len(M)-2."""
+    bits = M.view(np.int64)
+    return (bits[:-1] == bits[1:]).all(axis=(1, 2))
+
+
 def riccati_backward(sys: SystemInstance) -> tuple[np.ndarray, np.ndarray]:
     """Backward Riccati sweep; returns (P[0..T], K[0..T-1]).
 
     P_T = Q_T, and (P_t, K_t) is the _riccati_step of P_{t+1} with the
     step-t matrices. K is independent of the noise covariances.
+
+    A converged tail is not recomputed. Once P_t equals P_{t+1} bit for bit,
+    every earlier step whose A, B, Q, R equal step t's bit for bit repeats
+    (P_t, K_t), so those rows are filled and the recursion resumes at the
+    first step whose matrices differ. The result is bit-identical to the
+    plain recursion. A step pays one byte comparison of P; which steps
+    repeat their successor's matrices is found at the first fixed point, by
+    four batched comparisons, so a sweep that never reaches one pays nothing
+    more.
     """
     T, n, m = sys.T, sys.n, sys.m
+    A, B, Q, R = sys.A, sys.B, sys.Q, sys.R
     P = np.empty((T + 1, n, n))
     K = np.empty((T, m, n))
-    P[T] = symmetrize(sys.Q[T])
-    for t in range(T - 1, -1, -1):
-        P[t], K[t] = _riccati_step(P[t + 1], sys.A[t], sys.B[t], sys.Q[t], sys.R[t])
+    P[T] = symmetrize(Q[T])
+    breaks = None  # the steps s whose matrices differ from step s+1's
+    t = T - 1
+    while t >= 0:
+        P[t], K[t] = _riccati_step(P[t + 1], A[t], B[t], Q[t], R[t])
+        if t and P[t].tobytes() == P[t + 1].tobytes():
+            if breaks is None:
+                same = _repeats(A) & _repeats(B) & _repeats(Q[:-1]) & _repeats(R)
+                breaks = np.flatnonzero(~same).tolist()
+            while breaks and breaks[-1] >= t:
+                breaks.pop()
+            start = breaks[-1] + 1 if breaks else 0  # steps start..t share t's matrices
+            P[start:t] = P[t]
+            K[start:t] = K[t]
+            t = start
+        t -= 1
     return _check_finite(P, "Riccati sweep P"), K
 
 

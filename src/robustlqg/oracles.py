@@ -16,8 +16,12 @@ div(g) = rho in closed form, and one search serves them all: safeguarded
 Newton on the order-matched reciprocal rho^{-1/q} - div(g)^{-1/q}, where
 div decays like g^{-q} (q = 1 for Wasserstein, where it is the
 trust-region secular equation of More & Sorensen, 1983; q = 2 for KL and
-Fisher), so the form is close to linear in g. A bisection step replaces
-Newton whenever it would leave the bracket. The search stops once the
+Fisher), so the form is close to linear in g. Wasserstein starts at the
+upper bracket end; KL and Fisher start at the root sqrt(c / rho) of their
+tail asymptote div(g) ~ c g^{-2}, where that lies inside the bracket (the
+start secular-equation solvers take from the far asymptote; R.-C. Li,
+LAPACK Working Note 89). A bisection step replaces Newton whenever it
+would leave the bracket. The search stops once the
 candidate is feasible, the constraint is active to 1e-6, and the
 delta-criterion <Sigma(g) - Sigma_ref, Gamma> >= delta * phi(g) holds for
 the fixed delta = _DELTA; a block that does not certify raises OracleError,
@@ -31,7 +35,8 @@ kind: it is one batched Cholesky, with eigenvalues computed only where it
 fails (matops._cholesky_certifies), and they alone decide it. Every setup takes
 (G, nominal, rho, c_ref, *nominal factors) for the blocks with rho > 0 and
 decomposes their gradients itself: one batched eigendecomposition per
-group (of Gamma for Wasserstein, of the whitened gradient for KL)
+group (of Gamma for Wasserstein, of the gradient whitened by the nominal's
+Cholesky factor for KL)
 diagonalizes every block's dual equation, so a divergence and its slope
 cost O(d) per block and a few numpy calls per group. The Fisher pencil
 does not commute, so each Fisher evaluation takes one batched
@@ -48,8 +53,9 @@ nominal: it was checked when its ball was built, one at a time or a stack
 at once (NominalModel.ball_profile), as a psd Wasserstein nominal or a pd KL
 or Fisher one, finite and square. What depends only on the balls is planned
 once (_plan): the groups and the stack rows they gather, their stacked
-nominals and radii, and the nominal factors the setups read (KL:
-Shat^{1/2}; Fisher: Shat^{-2} and Tr Shat^{-1}). Planning rejects a
+nominals and radii, and the nominal factors the setups read (KL: the
+Cholesky factor L, Shat = L L^T; Fisher: Shat^{-2}, Tr Shat^{-1} and the
+eigenpairs of Shat). Planning rejects a
 nonzero nominal mean and a ball with no oracle. _run runs a plan and
 returns the targets stacked like the references, with per-block arrays of
 the other results; it takes its stacks as checked. A Frank-Wolfe solve
@@ -141,8 +147,8 @@ class _Dual(NamedTuple):
     """The dual equations of a group of blocks, from their setup's own
     decomposition of the gradients. lo and hi bracket each block's gamma in
     closed form. lo is the top eigenvalue of a transformed gradient (for
-    Wasserstein Gamma clamped, times a factor >= 1; for KL
-    Shat^{1/2} Gamma Shat^{1/2} clamped; for Fisher Shat Gamma Shat), and
+    Wasserstein Gamma clamped, times a factor >= 1; for KL L^T Gamma L
+    clamped, Shat = L L^T; for Fisher Shat Gamma Shat), and
     size the largest eigenvalue magnitude of that transformed gradient
     before clamping; a block with lo <= 1e-12 size (an exact zero has
     lo = size = 0) has a gradient that is zero to rounding. scale is the
@@ -155,7 +161,10 @@ class _Dual(NamedTuple):
     given the aux of their evaluation at g. order is the kind's constant q:
     div(Sigma(g)) decays like g^{-q} for large g (1 for Wasserstein, whose
     divergence is a distance, 2 for KL and Fisher, which are quadratic in
-    Sigma - Shat), so div^{-1/q} is close to linear in g.
+    Sigma - Shat), so div^{-1/q} is close to linear in g. tail is the
+    per-block coefficient c of that decay, div(g) ~ c g^{-2}, whose root
+    sqrt(c / rho) starts the search (KL and Fisher), or None to start at hi
+    (Wasserstein).
     """
 
     lo: np.ndarray
@@ -167,6 +176,7 @@ class _Dual(NamedTuple):
     values: Callable
     candidate: Callable
     order: int
+    tail: np.ndarray | None = None
 
 
 def _w2_divergence(g, lam, s, c_ref, rho):
@@ -219,15 +229,18 @@ def _kl_values(g, gap, logs, lam, c_ref, rho):
     return phi, (lam * g[:, None] / gap).sum(axis=1) - c_ref
 
 
-def _kl(G, nominal, rho, c_ref, root) -> _Dual:
-    """KL ball: every function of g is diagonal after whitening with Shat^{1/2}
-    (root, a nominal factor)."""
+def _kl(G, nominal, rho, c_ref, chol) -> _Dual:
+    """KL ball: every function of g is diagonal after whitening with the
+    nominal's Cholesky factor L (chol, a nominal factor), Shat = L L^T.
+    L^T Gamma L = U diag(lam) U^T has the eigenvalues of
+    Shat^{1/2} Gamma Shat^{1/2}, and Sigma(g) = (L U) diag(g / (g - lam)) (L U)^T.
+    For large g, div(g) = sum_i lam_i^2 / (4 g^2) + O(g^{-3})."""
     d = nominal.shape[1]
-    lam, U = np.linalg.eigh(symmetrize(root @ G @ root))
+    lam, U = np.linalg.eigh(symmetrize(np.swapaxes(chol, 1, 2) @ G @ chol))
     size = np.maximum(-lam[:, 0], lam[:, -1])
     lam = np.maximum(lam, 0.0)
     lam1 = lam[:, -1]
-    RU = root @ U
+    RU = chol @ U
     RU_t = np.swapaxes(RU, 1, 2)
 
     def candidate(idx, g, aux):
@@ -236,7 +249,7 @@ def _kl(G, nominal, rho, c_ref, root) -> _Dual:
 
     scale = np.abs(c_ref) + lam.sum(axis=1)
     return _Dual(lam1, lam1 * (1.0 + d / rho), size, scale, (lam, c_ref, rho), _kl_divergence,
-                 _kl_values, candidate, 2)
+                 _kl_values, candidate, 2, 0.25 * (lam * lam).sum(axis=1))
 
 
 def _pencil(g, inv2, G):
@@ -269,9 +282,10 @@ def _fisher_values(g, div, sigma, inv2, G, tr_inv_hat, c_ref, rho):
     return prim - g * (div - rho), prim
 
 
-def _fisher(G, nominal, rho, c_ref, inv2, tr_inv_hat) -> _Dual:
+def _fisher(G, nominal, rho, c_ref, inv2, tr_inv_hat, hat_vals, hat_vecs) -> _Dual:
     """Fisher ball: one pencil eigendecomposition per evaluation, none here.
-    inv2 and tr_inv_hat are the nominal factors Shat^{-2} and t = Tr Shat^{-1}.
+    inv2, tr_inv_hat, hat_vals and hat_vecs are the nominal factors
+    Shat^{-2}, t = Tr Shat^{-1} and the eigenpairs (s, U) of Shat.
 
     The bracket is closed-form. Below lo = lam_max(Shat Gamma Shat) the
     pencil is indefinite. Above it, Gamma/g <= (lo/g) Shat^{-2}, so
@@ -281,17 +295,23 @@ def _fisher(G, nominal, rho, c_ref, inv2, tr_inv_hat) -> _Dual:
     Tr Shat^{-2} Sigma - 2t + Tr Sigma^{-1} by ((1 - lo/g)^{-1/2} - 1) t.
     That bound equals rho at hi = lo / (1 - (1 + rho/t)^{-2}), so
     div(hi) <= rho.
+
+    For large g, div(g) = c g^{-2} + O(g^{-3}) with
+    c = sum_ij s_i^2 s_j^2 Gt_ij^2 / (2 (s_i + s_j)) and Gt = U^T Gamma U.
     """
     vals = np.linalg.eigvalsh(symmetrize(nominal @ G @ nominal))
     lo, size = vals[:, -1], np.maximum(-vals[:, 0], vals[:, -1])
     hi = lo / -np.expm1(-2.0 * np.log1p(rho / tr_inv_hat))
+    s_i, s_j = hat_vals[:, :, None], hat_vals[:, None, :]
+    H = s_i * (np.swapaxes(hat_vecs, 1, 2) @ G @ hat_vecs) * s_j  # s_i s_j Gt_ij
+    tail = (H * H / (2.0 * (s_i + s_j))).sum(axis=(1, 2))
 
     def candidate(idx, g, aux):
         return symmetrize(aux[1])
 
     scale = np.abs(c_ref) + (G * nominal).sum(axis=(1, 2))
     return _Dual(lo, hi, size, scale, (inv2, G, tr_inv_hat, c_ref, rho), _fisher_divergence,
-                 _fisher_values, candidate, 2)
+                 _fisher_values, candidate, 2, tail)
 
 
 _SETUPS = {
@@ -306,7 +326,10 @@ ORACLE_KINDS = frozenset(_SETUPS)
 def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
     """Lockstep safeguarded Newton on the blocks of a group; div(g) must decrease.
 
-    Each block starts at its upper bracket end and steps on the reciprocal
+    Each block starts at the root sqrt(c / rho) of its tail asymptote
+    div(g) ~ c g^{-2} (dual.tail; KL and Fisher) where that lies strictly
+    inside its bracket, and at its upper bracket end hi otherwise and for
+    Wasserstein, whose hi lies close to the root. It steps on the reciprocal
     form rho^{-1/q} - div(g)^{-1/q}, q = dual.order, whose Newton step is
     g - q div (div^{1/q} - rho^{1/q}) / (rho^{1/q} div'(g)) (for q = 1 the
     secular-equation step of More & Sorensen, 1983). Every evaluation moves
@@ -336,8 +359,11 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
     steps = np.zeros(blocks.size, dtype=int)
     sigma = np.empty((blocks.size, d, d))
     live = np.arange(blocks.size)
-    g = hi.copy()
     parts = tuple(a[blocks] for a in dual.data)
+    g = hi.copy()
+    if dual.tail is not None:
+        tail_root = np.sqrt(dual.tail[blocks] / parts[-1])
+        np.copyto(g, tail_root, where=(tail_root > lo) & (tail_root < hi))
     for step in range(1, _MAX_STEPS + 1):
         if live.size == 0:
             return gamma, got, bound, steps, sigma
@@ -373,17 +399,17 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
 
 def _nominal_factors(kind: DivergenceKind, nominal: np.ndarray) -> tuple:
     """The factors of a stack of symmetrized nominals that kind's setup reads,
-    one per-block array each: for KL Shat^{1/2}, for Fisher Shat^{-2} and
-    Tr Shat^{-1}, for Wasserstein none. KL and Fisher nominals are pd, as
+    one per-block array each: for KL the Cholesky factor L, Shat = L L^T;
+    for Fisher Shat^{-2}, Tr Shat^{-1} and the eigenpairs of Shat (one
+    batched eigh); for Wasserstein none. KL and Fisher nominals are pd, as
     their AmbiguityBall checks."""
     if kind is DivergenceKind.WASSERSTEIN2:
         return ()
-    hat_vals, hat_vecs = np.linalg.eigh(nominal)
-    hat_vecs_t = np.swapaxes(hat_vecs, 1, 2)
     if kind is DivergenceKind.KULLBACK_LEIBLER:
-        return (symmetrize((hat_vecs * np.sqrt(hat_vals)[:, None, :]) @ hat_vecs_t),)
-    inv2 = (hat_vecs / hat_vals[:, None, :] ** 2) @ hat_vecs_t
-    return inv2, (1.0 / hat_vals).sum(axis=1)
+        return (np.linalg.cholesky(nominal),)
+    hat_vals, hat_vecs = np.linalg.eigh(nominal)
+    inv2 = (hat_vecs / hat_vals[:, None, :] ** 2) @ np.swapaxes(hat_vecs, 1, 2)
+    return inv2, (1.0 / hat_vals).sum(axis=1), hat_vals, hat_vecs
 
 
 class _Group(NamedTuple):
@@ -602,8 +628,10 @@ def kl_oracle(
     The optimum is Sigma = g (g Shat^{-1} - Gamma)^{-1} where g solves
     2 rho = logdet(I - Shat Gamma / g) + Tr((gI - Shat Gamma)^{-1} Shat Gamma)
     inside the bracket (lam1, lam1 (1 + d/rho)], lam1 the top eigenvalue of
-    Shat^{1/2} Gamma Shat^{1/2}, by safeguarded Newton from the upper end
-    with bisection as the fallback.
+    Shat^{1/2} Gamma Shat^{1/2}, by safeguarded Newton with bisection as the
+    fallback. The search starts at sqrt(sum_i lam_i^2 / (4 rho)), the root of
+    the divergence's g^{-2} tail over those eigenvalues lam_i, where that
+    lies inside the bracket, and at the upper end otherwise.
     """
     ball = AmbiguityBall(DivergenceKind.KULLBACK_LEIBLER, MomentPair.zero_mean(nominal_cov), rho)
     return solve_oracle(ball, Gamma, sigma_ref)
@@ -619,10 +647,12 @@ def fisher_oracle(
 
     Stationarity of the Lagrangian inverts the Fisher gradient
     Shat^{-2} - Sigma^{-2} to Sigma(g) = (Shat^{-2} - Gamma/g)^{-1/2}; g solves
-    the constraint by safeguarded Newton from the upper end, with bisection
-    as the fallback, inside the closed-form bracket
-    [lo, lo / (1 - (1 + rho/t)^{-2})], lo = lam_max(Shat Gamma Shat) (where
-    the pencil loses definiteness) and t = Tr Shat^{-1}.
+    the constraint by safeguarded Newton, with bisection as the fallback,
+    inside the closed-form bracket [lo, lo / (1 - (1 + rho/t)^{-2})],
+    lo = lam_max(Shat Gamma Shat) (where the pencil loses definiteness) and
+    t = Tr Shat^{-1}. The search starts at the root sqrt(c / rho) of the
+    divergence's tail c g^{-2} where that lies inside the bracket, and at
+    the upper end otherwise.
     """
     ball = AmbiguityBall(DivergenceKind.FISHER, MomentPair.zero_mean(nominal_cov), rho)
     return solve_oracle(ball, Gamma, sigma_ref)

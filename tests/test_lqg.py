@@ -13,13 +13,21 @@ from robustlqg.lqg import (
     CovarianceProfile,
     SystemInstance,
     _lqg_cost,
+    _riccati_step,
     kalman_forward,
     lqg_value,
     riccati_backward,
 )
 from robustlqg.matops import spectral_radius, symmetrize
 
-from conftest import rand_profile, rand_spd, rand_system, scalar_unit_profile, scalar_unit_system
+from conftest import (
+    counting,
+    rand_profile,
+    rand_spd,
+    rand_system,
+    scalar_unit_profile,
+    scalar_unit_system,
+)
 from reference import kalman_forward_reference, lqg_gradient_reference, simulate_closed_loop
 
 
@@ -72,6 +80,72 @@ def test_riccati_terminal_equals_Q_T_exactly():
     sys = rand_system(rng, T=3)
     P, _ = riccati_backward(sys)
     assert np.array_equal(P[sys.T], 0.5 * (sys.Q[sys.T] + sys.Q[sys.T].T))
+
+
+def _plain_riccati(sys):
+    """The recursion riccati_backward stands for, every step computed."""
+    P = np.empty((sys.T + 1, sys.n, sys.n))
+    K = np.empty((sys.T, sys.m, sys.n))
+    P[sys.T] = symmetrize(sys.Q[sys.T])
+    for t in range(sys.T - 1, -1, -1):
+        P[t], K[t] = _riccati_step(P[t + 1], sys.A[t], sys.B[t], sys.Q[t], sys.R[t])
+    return P, K
+
+
+def _hard_system(d=10, T=20):
+    """Near-unstable dynamics whose Riccati sweep never reaches a fixed point:
+    A = 0.95 I + 0.3 superdiag rescaled to spectral radius 0.95, B=C=Q=R=I."""
+    A = 0.95 * np.eye(d) + 0.3 * np.diag(np.ones(d - 1), 1)
+    A *= 0.95 / spectral_radius(A)
+    eye = np.eye(d)
+    return SystemInstance.time_invariant(A, eye, eye, eye, eye, T=T)
+
+
+def _paper_variant(A_steps=None, Qf=None):
+    """The paper system (d = 10, T = 50) with A replaced by 0.3 I over the
+    steps A_steps, or with terminal cost Qf."""
+    sys, _ = generate_instance(10, 50, seed=0)
+    A, Q = sys.A.copy(), sys.Q.copy()
+    if A_steps is not None:
+        A[A_steps] = 0.3 * np.eye(10)
+    if Qf is not None:
+        Q[-1] = Qf
+    return SystemInstance(T=sys.T, A=A, B=sys.B, C=sys.C, Q=Q, R=sys.R)
+
+
+@pytest.mark.parametrize("case", ["paper", "hard", "A-after-tail", "A-in-two-runs", "terminal-Q"])
+def test_riccati_fixed_point_tail_is_bit_identical(monkeypatch, case):
+    # a converged tail is filled, not recomputed, and the recursion resumes
+    # where the matrices change; P and K match the plain recursion bit for
+    # bit, on a system whose A changes after the tail converges (once, and
+    # in two separate runs) and on one with its own terminal cost
+    from robustlqg import lqg
+
+    sys = {
+        "paper": lambda: generate_instance(10, 50, seed=0)[0],
+        "hard": _hard_system,
+        "A-after-tail": lambda: _paper_variant(A_steps=slice(0, 10)),
+        "A-in-two-runs": lambda: _paper_variant(A_steps=[5, 6, 7, 20, 21]),
+        "terminal-Q": lambda: _paper_variant(Qf=5.0 * np.eye(10)),
+    }[case]()
+    P0, K0 = _plain_riccati(sys)
+    steps = counting(monkeypatch, lqg, "_riccati_step")
+    P, K = riccati_backward(sys)
+    assert P.tobytes() == P0.tobytes() and K.tobytes() == K0.tobytes()
+    if case == "hard":
+        assert len(steps) == sys.T
+    else:  # the fill ran
+        assert len(steps) < sys.T
+
+
+def test_riccati_sweep_on_the_paper_system_stops_at_its_fixed_point(monkeypatch):
+    # the paper system's sweep reaches its fixed point after 16 of 50 steps
+    from robustlqg import lqg
+
+    sys, _ = generate_instance(10, 50, seed=0)
+    steps = counting(monkeypatch, lqg, "_riccati_step")
+    riccati_backward(sys)
+    assert len(steps) <= 20
 
 
 def test_kalman_scalar_hand_case():

@@ -513,11 +513,16 @@ def test_collapsed_bracket_certifies_or_raises(monkeypatch):
         wasserstein_oracle(np.eye(1), np.eye(1), 1.0, np.eye(1))
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_paper_pass_certifies_every_block_in_few_steps(kind):
+@pytest.mark.parametrize("kind, most", [
+    (DivergenceKind.WASSERSTEIN2, 3),
+    (DivergenceKind.KULLBACK_LEIBLER, 3),
+    (DivergenceKind.FISHER, 4),
+], ids=["w2", "kl", "fisher"])
+def test_paper_pass_certifies_every_block_in_few_steps(kind, most):
     # Newton on the reciprocal form: a paper-family pass at the nominal
-    # (d = 10, T = 50, rho = 0.1) needs at most 12 evaluations per block,
-    # where bisection took up to 29
+    # (d = 10, T = 50, rho = 0.1) needs at most 3 evaluations per block (4
+    # for Fisher), where bisection took up to 29. Wasserstein starts at hi,
+    # KL and Fisher at the root of their tail asymptote
     from robustlqg.gradient import lqg_gradient
     from robustlqg.instances import generate_instance
 
@@ -527,7 +532,55 @@ def test_paper_pass_certifies_every_block_in_few_steps(kind):
     grads = lqg_gradient(sys, nominal)[1].blocks()
     results = oracle_pass(balls.blocks(), grads, nominal.blocks())
     steps = [r.steps for r in results]
-    assert min(steps) >= 1 and max(steps) <= 12
+    assert min(steps) >= 1 and max(steps) <= most
+
+
+@pytest.mark.parametrize("kind", [DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER],
+                         ids=["kl", "fisher"])
+@pytest.mark.parametrize("seed, d", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 6)])
+def test_tail_coefficient_matches_the_divergence_far_above_the_bracket(kind, seed, d):
+    # the search starts at sqrt(c / rho), the root of div(g) ~ c g^{-2}; far
+    # above the bracket the setup's c matches the divergence it evaluates,
+    # on nominals that do not commute with the gradient
+    from robustlqg import oracles
+
+    rng = np.random.default_rng(seed)
+    nominal = symmetrize(rand_spd(d, rng, 0.5, 2.5))
+    X = rng.standard_normal((d, d))
+    Gamma = symmetrize(X @ X.T)
+    dual = oracles._SETUPS[kind](Gamma[None], nominal[None], np.array([0.3]), np.zeros(1),
+                                 *oracles._nominal_factors(kind, nominal[None]))
+    g = 1e4 * dual.lo
+    div = dual.divergence(g, *dual.data)[0]
+    assert abs(g[0] ** 2 * div[0] / dual.tail[0] - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_decompositions_per_plan_and_pass(monkeypatch, kind):
+    # what a plan and a pass decompose, with two groups (block sizes 3 and 2):
+    # the plan factors KL nominals by Cholesky, no eigh, and Fisher nominals
+    # by one eigh a group; a pass checks each group's gradients by one
+    # Cholesky, then makes one eigh a group (Wasserstein, KL), or one eigvalsh
+    # a group for the bracket and one pencil eigh a lockstep round (Fisher)
+    from robustlqg import oracles
+
+    T = 3
+    balls, grads, refs = _mixed_batch(8, 3, 2, T, [kind], 0.5)
+    calls = {name: counting(monkeypatch, np.linalg, name)
+             for name in ("eigh", "eigvalsh", "cholesky")}
+    plan = oracles._plan(balls, [T + 1, T])
+    groups = len(plan.groups)
+    assert groups == 2
+    fisher, kl = kind is DivergenceKind.FISHER, kind is DivergenceKind.KULLBACK_LEIBLER
+    assert [len(c) for c in calls.values()] == [groups * fisher, 0, groups * kl]
+    for c in calls.values():
+        c.clear()
+    found = oracles._run(plan, [np.array(grads[:T + 1]), np.array(grads[T + 1:])],
+                         [np.array(refs[:T + 1]), np.array(refs[T + 1:])])
+    rounds = sum(int(found.steps[group.idx].max()) for group in plan.groups)
+    assert rounds > groups
+    eigh = rounds if fisher else groups
+    assert [len(c) for c in calls.values()] == [eigh, groups * fisher, groups]
 
 
 def _slope_patched(monkeypatch, change):
