@@ -16,9 +16,11 @@ so running the cost formula backwards gives, with adjoint Sbar_T = P_T,
     dV_t       = K_t^T Sigmabar_t K_t
     Sbar_t     = P_t + (I - K_t C_t)^T Sigmabar_t (I - K_t C_t)
 
-and dX0 = Sbar_0. The time loop holds only the two congruences that depend
-on Sbar_{t+1}: I - K_t C_t and Q_t - P_t are formed for all t before it,
-and dV and the symmetrized blocks in batched calls after it. Gradients
+and dX0 = Sbar_0. Substituting Sigmabar_t leaves the time loop one
+congruence a step, Sbar_t = R_t + Phi_t^T Sbar_{t+1} Phi_t with
+Phi_t = A_t (I - K_t C_t) and R_t = P_t + (I - K_t C_t)^T (Q_t - P_t) (I - K_t C_t),
+both formed for all t before it; Sigmabar, dV and the symmetrized blocks
+follow in batched calls after it. Gradients
 follow the trace-pairing convention: they are the unique symmetric G with
 df = Tr(G dSigma) for symmetric dSigma (off-diagonal entries are not
 doubled).
@@ -82,17 +84,18 @@ def _adjoint(sys: SystemInstance, P: np.ndarray, sweep: tuple) -> tuple[np.ndarr
     """The gradient from the Riccati sweep P of sys and a kalman_forward
     sweep (Sigma_filt, Sigma_pred, L) of it, by the reverse sweep alone, as
     two stacks: [dX0; dW] of shape (T+1, n, n), which is the adjoint Sbar,
-    and dV."""
-    filt, pred, gains = sweep
+    and dV. Sbar is symmetrized once, after the loop."""
+    _, pred, gains = sweep
     T, A = sys.T, sys.A
     closed = np.eye(sys.n) - gains @ sys.C
-    closed_t, At = closed.swapaxes(1, 2), A.swapaxes(1, 2)
     QP = sys.Q[:-1] - P[:-1]
-    sigbar = np.empty_like(filt)
+    Phi = A @ closed
+    Phit = Phi.swapaxes(1, 2)
+    R = P[:-1] + closed.swapaxes(1, 2) @ QP @ closed
     Sbar = np.empty_like(pred)
     Sbar[T] = P[T]
     for t in range(T - 1, -1, -1):
-        sigbar[t] = QP[t] + At[t] @ Sbar[t + 1] @ A[t]
-        Sbar[t] = P[t] + closed_t[t] @ sigbar[t] @ closed[t]
+        np.add(R[t], Phit[t] @ Sbar[t + 1] @ Phi[t], out=Sbar[t])
     Sbar = symmetrize(_check_finite(Sbar, "adjoint sweep"))
+    sigbar = QP + A.swapaxes(1, 2) @ Sbar[1:] @ A
     return Sbar, symmetrize(gains.swapaxes(1, 2) @ sigbar @ gains)

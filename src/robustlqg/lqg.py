@@ -10,10 +10,10 @@ Sigma_filt[t] C_t^T V_t^{-1}; every V_t must be positive definite.
 The Kalman time loop holds only what depends on the previous step: the
 filtered covariance in information form, (I + S_t J_t)^{-1} S_t with
 J_t = C_t^T V_t^{-1} C_t formed once for all t, and the prediction from it.
-The gains and the checks follow in batched (T, d, d) calls after the loop,
-and the cost is two elementwise sums. A psd or pd check is one batched
-Cholesky that certifies the rule; eigenvalues are computed only where it
-fails, and then they decide.
+The symmetrization, the checks and the gains (a product) follow in batched
+(T, d, d) calls after the loop, and the cost is two elementwise sums. A psd
+or pd check is one batched Cholesky that certifies the rule; eigenvalues
+are computed only where it fails, and then they decide.
 """
 
 from __future__ import annotations
@@ -271,24 +271,25 @@ def kalman_forward(
       Sigma_pred[t+1] = A_t Sigma_filt[t] A_t^T + W_t.
     The time loop runs the update in information form, one n x n solve per
     step (Anderson & Moore, Optimal Filtering, 1979, ch. 6), and the
-    prediction from it; J is formed once, batched. After the loop the
-    filtered covariances are symmetrized, checked (_check_updates) and
-    turned into the gains by one batched solve against the Cholesky factor
-    of V. Every V_t must be positive definite; ConditioningError names the
-    first singular V[t], non-pd innovation covariance or loss of filter psd.
+    prediction from it, unsymmetrized; V^{-1} C and J are formed once,
+    batched. After the loop both stacks are symmetrized once and checked
+    (_check_updates), and the gains are Sigma_filt (V^{-1} C)^T, a batched
+    product. Every V_t must be positive definite; ConditioningError names
+    the first singular V[t], non-pd innovation covariance or loss of filter
+    psd.
     """
     T, n, p = sys.T, sys.n, sys.p
     shapes = (cov.X0.shape, cov.W.shape[1:], cov.V.shape[1:])
     if cov.T != T or shapes != ((n, n), (n, n), (p, p)):
         raise InvalidInputError("covariance profile inconsistent with system dims")
     try:  # one batched check; on failure, name the first singular V[t]
-        chol_V = _chol_pd(cov.V, "V")
+        _chol_pd(cov.V, "V")
     except ConditioningError:
         for t in range(T):
             _chol_pd(cov.V[t], f"V[{t}]")
         raise
-    root_J = np.linalg.solve(chol_V, sys.C)  # J = root_J^T root_J
-    J = root_J.swapaxes(1, 2) @ root_J
+    VinvC = np.linalg.solve(cov.V, sys.C)
+    J = symmetrize(sys.C.swapaxes(1, 2) @ VinvC)
     A, At, W = sys.A, sys.A.swapaxes(1, 2), cov.W
     eye = np.eye(n)
     filt = np.empty((T, n, n))
@@ -306,17 +307,13 @@ def kalman_forward(
             except np.linalg.LinAlgError:  # det(I + S J) = det(E) / det(V)
                 stop = t
                 break
-            X = A[t] @ filt_t @ At[t]
-            X += W[t]
-            out = pred[t + 1]  # symmetrize(X), written in place
-            np.add(X, X.T, out=out)
-            out *= 0.5
+            np.add(A[t] @ filt_t @ At[t], W[t], out=pred[t + 1])
         filt = symmetrize(filt[:stop])
+        pred = symmetrize(pred[: stop + 1])
         _check_updates(sys.C[:stop], cov.V[:stop], pred[:stop], filt)
     if stop < T:
         raise ConditioningError(f"innovation covariance at t={stop} is singular")
-    # L^T = V^{-1} C filt = chol_V^{-T} root_J filt
-    L = np.linalg.solve(chol_V.swapaxes(1, 2), root_J @ filt).swapaxes(1, 2)
+    L = filt @ VinvC.swapaxes(1, 2)
     return filt, _check_finite(pred, "predicted covariance"), L
 
 

@@ -299,12 +299,12 @@ def _fisher(G, nominal, rho, c_ref, inv2, tr_inv_hat, hat_vals, hat_vecs) -> _Du
     For large g, div(g) = c g^{-2} + O(g^{-3}) with
     c = sum_ij s_i^2 s_j^2 Gt_ij^2 / (2 (s_i + s_j)) and Gt = U^T Gamma U.
     """
-    vals = np.linalg.eigvalsh(symmetrize(nominal @ G @ nominal))
-    lo, size = vals[:, -1], np.maximum(-vals[:, 0], vals[:, -1])
-    hi = lo / -np.expm1(-2.0 * np.log1p(rho / tr_inv_hat))
     s_i, s_j = hat_vals[:, :, None], hat_vals[:, None, :]
     H = s_i * (np.swapaxes(hat_vecs, 1, 2) @ G @ hat_vecs) * s_j  # s_i s_j Gt_ij
     tail = (H * H / (2.0 * (s_i + s_j))).sum(axis=(1, 2))
+    vals = np.linalg.eigvalsh(H)  # H = U^T (Shat Gamma Shat) U, the same spectrum
+    lo, size = vals[:, -1], np.maximum(-vals[:, 0], vals[:, -1])
+    hi = lo / -np.expm1(-2.0 * np.log1p(rho / tr_inv_hat))
 
     def candidate(idx, g, aux):
         return symmetrize(aux[1])
