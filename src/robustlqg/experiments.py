@@ -47,7 +47,8 @@ from .stationary import StationarySystem, solve_stationary_fw, stationary_cost
 TRACE_HEADER = ["iter", "objective", "fw_gap", "step", "wall_ms"]
 GAPS_HEADER = ["rho", "seed", "worst_case_gap", "nominal_gap"]
 RUNTIME_HEADER = ["T", "seed", "wall_seconds", "iterations"]
-SOLVE_HEADER = ["T", "seed", "iterations", "converged", "objective", "final_gap", "wall_seconds"]
+SOLVE_HEADER = ["T", "seed", "iterations", "converged", "stop", "objective", "final_gap",
+                "wall_seconds"]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -190,16 +191,19 @@ def _solves(cfg: ExperimentConfig, horizons):
 
 def run_solve(cfg: ExperimentConfig) -> dict:
     """One FW solve per seed at the configured horizon: its trace as
-    trace_seed{seed}.csv, and one row per solve in solve_summary.csv."""
+    trace_seed{seed}.csv, and one row per solve in solve_summary.csv. A row
+    gives the number of records, whether the solve converged, its stop
+    reason (FwTrace.stop) and the returned iterate's objective and
+    certified gap (FwTrace.objective and FwTrace.gap, nan on a "max_iters"
+    stop)."""
     outdir = Path(cfg.output_dir)
     t_start = time.perf_counter()
     rows = []
     all_converged = True
     for _, T, seed, _, trace, wall in _solves(cfg, [cfg.T]):
         atomic_write_text(outdir / f"trace_seed{seed}.csv", _trace_csv_text(trace))
-        last = trace.records[-1]
-        rows.append([T, seed, len(trace.records), int(trace.converged), repr(last.objective),
-                     repr(last.fw_gap), repr(wall)])
+        rows.append([T, seed, len(trace.records), int(trace.converged), trace.stop,
+                     repr(trace.objective), repr(trace.gap), repr(wall)])
         all_converged &= trace.converged
     write_csv(outdir / "solve_summary.csv", SOLVE_HEADER, rows)
     write_metadata(cfg, outdir, time.perf_counter() - t_start)
@@ -262,10 +266,18 @@ def run_gaps(cfg: ExperimentConfig) -> dict:
     trace.grads the robust one. No Riccati sweep, gradient or oracle pass
     runs outside the solve.
 
+    The robust policy is the one designed at the last record's iterate. On
+    a "gap" stop that is the returned iterate; on a "bound" stop it is the
+    iterate before it, whose policy the stop certifies too: its worst-case
+    cost is at most the last pass's upper bound, which lies within gap_tol
+    of the optimum. A point whose first full step is already certified has
+    one record, so both policies are the nominal one: worst_case_gap is 0.0,
+    and the nominal policy is within gap_tol of the robust optimum.
+
     A solve that stops at cfg.fw.max_iters reports all_converged False, and
-    its row describes the policy at the last certified iterate, the last
-    record's. With max_iters=1 that is the nominal: worst_case_gap is 0.0
-    and nominal_gap is zero to rounding.
+    its row describes the policy at the last record's iterate, the last one
+    the solve priced. With max_iters=1 that is the nominal: worst_case_gap
+    is 0.0 and nominal_gap is zero to rounding.
     """
     outdir = Path(cfg.output_dir)
     t_start = time.perf_counter()

@@ -11,9 +11,13 @@ chosen by a line search on the objective by default, or is the open-loop
 2/(2+k). The line search tries the full step and, when that gains too
 little, the maximizer of the concave quadratic model the full step and the
 surrogate gap (the objective's slope at 0) fix, so it makes at most two
-evaluations. The surrogate gap sum_z <grad_z, Sigma_z* - Sigma_z>
-certifies epsilon-suboptimality for the concave objective and drives the
-stopping rule. solve adapts the driver to the finite-horizon LQG value over
+evaluations. Two certificates stop the loop (Jaggi, ICML 2013). The
+surrogate gap sum_z <grad_z, Sigma_z* - Sigma_z> certifies its iterate up
+to the oracles' factor 1/0.95. The upper bound objective + dual gap, the
+sum of the oracles' per-block upper bounds, bounds the optimum over the
+balls; the next iterate, once evaluated, stops the loop when it lies
+within gap_tol of that bound, before its gradient and oracle pass run.
+solve adapts the driver to the finite-horizon LQG value over
 the 2T+1 blocks [X0, W_t.., V_t..], stacked as [X0; W] and V;
 stationary.solve_stationary_fw adapts it to the average cost over
 [Sigma_w] and [Sigma_v]. Both run the noise-independent Riccati solution
@@ -24,7 +28,8 @@ oracle pass is planned, and the ball nominals factored, once per solve,
 before anything is evaluated. The trace keeps the gradient stacks of its
 last record's iterate (FwTrace.grads). With the first and last records they
 price the fixed policies designed at the start and at that iterate, with no
-further sweep or oracle pass (experiments.run_gaps).
+further sweep or oracle pass (experiments.run_gaps); on a bound stop that
+iterate is the one before the returned one.
 maximize takes its start as feasible and checks nothing it builds from it.
 Both adapters start at the nominals, which lie in every ball; solve also
 accepts a start from its caller, and checks it.
@@ -78,6 +83,9 @@ class FwRecord:
     iter: int
     objective: float
     fw_gap: float
+    # the sum of the pass's per-block upper bounds (oracles._Pass.upper):
+    # objective + dual_gap bounds the optimum over the balls from above
+    dual_gap: float
     step_size: float
     wall_ms: float
     # kept in the record, not the CSV:
@@ -97,13 +105,31 @@ class FwRecord:
 
 @dataclass
 class FwTrace:
+    """A solve's records, one per iteration that ran a gradient and an oracle
+    pass, and how it stopped. stop is "gap" (the last record's surrogate gap
+    fell to gap_tol; it is the returned iterate's record), "bound" (the
+    returned iterate, one step past the last record, came within gap_tol of
+    the upper bound objective + dual_gap of the last record's pass) or
+    "max_iters" (the budget ran out; the returned iterate is one step past
+    the last record, uncertified). objective and gap are the returned
+    iterate's objective and certified gap: on a "gap" stop the last record's
+    objective and fw_gap, on a "bound" stop its own objective and the upper
+    bound less that objective, and nan on a "max_iters" stop."""
+
     records: list[FwRecord] = field(default_factory=list)
-    converged: bool = False
+    stop: str = "max_iters"
+    objective: float = float("nan")
+    gap: float = float("nan")
     # the gradient stacks (trace pairing) of the last record's iterate, laid
     # out as the iterate: its objective is records[-1].objective and its
-    # surrogate gap records[-1].fw_gap. That iterate is the returned one when
-    # the loop converged, and the one before the last step otherwise.
+    # surrogate gap records[-1].fw_gap. That iterate is the returned one on a
+    # "gap" stop, and the one before the last step otherwise.
     grads: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        """Whether a certificate stopped the solve, not the budget."""
+        return self.stop != "max_iters"
 
 
 @dataclass(frozen=True)
@@ -183,15 +209,17 @@ def _inner(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> float:
 
 
 def _oracle_pass(plan, grads, current):
-    """Oracle targets, stacked like current, the surrogate gap
-    sum_z <G_z, Sigma_z* - Sigma_z>, the root-search steps summed over
-    blocks and the lockstep rounds summed over groups, for an
-    oracles._plan. A group's search makes one round per step of its slowest
-    block, so its rounds are the largest steps of its blocks."""
+    """The surrogate gap sum_z <G_z, Sigma_z* - Sigma_z>, the oracle targets,
+    stacked like current, the root-search steps summed over blocks, the
+    lockstep rounds summed over groups and the dual gap, the sum of the
+    blocks' upper bounds (oracles._Pass.upper), for an oracles._plan. A
+    group's search makes one round per step of its slowest block, so its
+    rounds are the largest steps of its blocks."""
     found = _run(plan, grads, current)
     diff = [star - S for S, star in zip(current, found.targets)]
     rounds = sum(int(found.steps[group.idx].max()) for group in plan.groups)
-    return _inner(grads, diff), found.targets, int(found.steps.sum()), rounds
+    return (_inner(grads, diff), found.targets, int(found.steps.sum()), rounds,
+            sum(found.upper.tolist()))
 
 
 def _step(current, targets, alpha):
@@ -249,27 +277,50 @@ def maximize(
     step gains at least 0.1 * alpha * gap in value (Armijo), else the
     maximizer of the concave quadratic through the objective, its slope gap
     at 0 and the value at 1, if that step gains as much, else 2/(2+k)
-    (_backtrack); with step_rule="vanishing" it is 2/(2+k). The loop stops
-    when the surrogate gap falls below cfg.gap_tol or the iteration budget
-    is exhausted. Each iteration is recorded in the trace and, when the
-    "robustlqg" logger is enabled for DEBUG, logged in one line. Returns
-    (final stacks, trace); trace.grads is set once, after the loop, to the
-    gradient stacks of the last record's iterate.
+    (_backtrack); with step_rule="vanishing" it is 2/(2+k).
+
+    The loop stops on one of two certificates, or when the iteration budget
+    is exhausted (trace.stop "max_iters"). The concave objective lies below
+    its linearization, so each pass bounds the optimum over the balls the
+    oracles accept by U = objective + dual_gap (oracles._Pass.upper; the
+    balls are those of radius rho + the search's feasibility slack, and
+    they hold every iterate). At the top of the next iteration, once the new
+    iterate's objective is known and before its gradient or oracle pass
+    runs, the loop stops if U - objective <= cfg.gap_tol (stop "bound"):
+    the returned iterate is then gap_tol-optimal over those balls, and the
+    test costs no evaluation the next iteration would not make anyway.
+    After each pass the loop stops if the surrogate gap is at most
+    cfg.gap_tol (stop "gap"), which certifies the iterate up to the oracles'
+    factor 1/0.95 (oracles._DELTA). Each iteration that runs a gradient and
+    an oracle pass is recorded in the trace and, when the "robustlqg"
+    logger is enabled for DEBUG, logged in one line; a bound stop logs one
+    more line. Returns (final stacks, trace); trace.grads is set once,
+    after the loop, to the gradient stacks of the last record's iterate.
     """
     current = list(start)
     trace = FwTrace()
     evaluation = None  # of current, when the line search made it
+    upper = np.inf  # the last pass's bound on the optimum, objective + dual_gap
     for k in range(cfg.max_iters):
         t0 = time.perf_counter()
         objective, grad = evaluate(current) if evaluation is None else evaluation
+        if upper - objective <= cfg.gap_tol:
+            trace.stop = "bound"
+            trace.objective, trace.gap = objective, upper - objective
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug("fw bound stop upper %.12g objective %.12g gap_tol %.6g",
+                          upper, objective, cfg.gap_tol)
+            break
         grads = grad()
         t_oracle = time.perf_counter()
-        gap, targets, steps, rounds = _oracle_pass(plan, grads, current)
+        gap, targets, steps, rounds, dual_gap = _oracle_pass(plan, grads, current)
+        upper = objective + dual_gap
         t_ls = time.perf_counter()
         trials, ls_s, evaluation = 0, 0.0, None
         if gap <= cfg.gap_tol:
             alpha = 0.0
-            trace.converged = True
+            trace.stop = "gap"
+            trace.objective, trace.gap = objective, gap
         else:
             alpha, trial = 2.0 / (2.0 + k), None
             if cfg.step_rule == "line_search":
@@ -279,14 +330,15 @@ def maximize(
                 ls_s = time.perf_counter() - t_ls
             current = _step(current, targets, alpha) if trial is None else trial
         record = FwRecord(
-            k, objective, gap, alpha, (time.perf_counter() - t0) * 1e3,
+            k, objective, gap, dual_gap, alpha, (time.perf_counter() - t0) * 1e3,
             t_ls - t_oracle, steps, rounds, trials, t_oracle - t0, ls_s,
         )
         trace.records.append(record)
         if log.isEnabledFor(logging.DEBUG):
             log.debug(
-                "fw iter %d objective %.12g gap %.6g step %.6g oracle_s %.6f oracle_steps %d "
-                "ls_trials %d", k, objective, gap, alpha, record.oracle_s, steps, trials,
+                "fw iter %d objective %.12g gap %.6g dual_gap %.6g step %.6g oracle_s %.6f "
+                "oracle_steps %d ls_trials %d",
+                k, objective, gap, dual_gap, alpha, record.oracle_s, steps, trials,
             )
         if trace.converged:
             break
@@ -301,16 +353,18 @@ def solve(
     cfg: FwConfig = FwConfig(),
 ) -> tuple[CovarianceProfile, FwTrace]:
     """Run Frank-Wolfe on the finite-horizon LQG value; returns (worst-case
-    profile, trace). The balls are planned first (_profile_plan), so a ball
-    the oracles reject fails before anything else. init defaults to the
-    nominal covariances, which lie in every ball by construction and are not
-    checked. A caller-supplied init is checked block by block, at membership
-    tolerance 1e-8, before anything is evaluated. The Riccati sweep P does
-    not depend on the noise, so it runs once here. An evaluation is one
-    forward Kalman sweep and the cost formula, and its grad() the adjoint
-    sweep of that forward sweep (gradient._adjoint); an accepted line-search
-    trial's evaluation serves the next iteration, so each iterate's forward
-    sweep runs once."""
+    profile, trace). The profile is the returned iterate, at
+    trace.objective and certified to trace.gap; trace.stop says which
+    certificate stopped the loop (maximize). The balls are planned first
+    (_profile_plan), so a ball the oracles reject fails before anything
+    else. init defaults to the nominal covariances, which lie in every ball
+    by construction and are not checked. A caller-supplied init is checked
+    block by block, at membership tolerance 1e-8, before anything is
+    evaluated. The Riccati sweep P does not depend on the noise, so it runs
+    once here. An evaluation is one forward Kalman sweep and the cost
+    formula, and its grad() the adjoint sweep of that forward sweep
+    (gradient._adjoint); an accepted line-search trial's evaluation serves
+    the next iteration, so each iterate's forward sweep runs once."""
     if balls.T != sys.T:
         raise InvalidInputError("ball profile horizon mismatch")
     plan = _profile_plan(balls)

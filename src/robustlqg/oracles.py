@@ -58,7 +58,9 @@ Cholesky factor L, Shat = L L^T; Fisher: Shat^{-2}, Tr Shat^{-1} and the
 eigenpairs of Shat). Planning rejects a
 nonzero nominal mean and a ball with no oracle. _run runs a plan and
 returns the targets stacked like the references, with per-block arrays of
-the other results; it takes its stacks as checked. A Frank-Wolfe solve
+the other results and of the blocks' upper bounds, the dual bounds grown
+by the search's feasibility slack (_Pass.upper), which Frank-Wolfe sums
+into its dual gap; it takes its stacks as checked. A Frank-Wolfe solve
 plans before it evaluates anything and runs the plan at every iteration on
 its own arrays. The public entry points check the gradients and references (shape,
 finiteness), run the same _run and build the OracleResult objects:
@@ -84,6 +86,8 @@ from .matops import _check_finite, _check_square, _cholesky_certifies, _is_numbe
 _GRAD_CLAMP = 1e-8
 _MAX_STEPS = 200
 _ACTIVITY_TOL = 1e-6
+# the feasibility slack of the root search: it accepts div <= rho + _FEAS_TOL
+_FEAS_TOL = 1e-8
 # the certified fraction of the dual bound every built-in oracle meets, and
 # the one a custom linearization, which has no dual, reports
 _DELTA = 0.95
@@ -164,7 +168,11 @@ class _Dual(NamedTuple):
     Sigma - Shat), so div^{-1/q} is close to linear in g. tail is the
     per-block coefficient c of that decay, div(g) ~ c g^{-2}, whose root
     sqrt(c / rho) starts the search (KL and Fisher), or None to start at hi
-    (Wasserstein).
+    (Wasserstein). slack is the per-block growth of phi(g) / g when the
+    radius grows by the search's feasibility slack _FEAS_TOL, the change in
+    the kind's dual radius term: (rho + _FEAS_TOL)^2 - rho^2 for
+    Wasserstein (g rho^2), 2 _FEAS_TOL for KL (2 g rho) and _FEAS_TOL for
+    Fisher (g rho).
     """
 
     lo: np.ndarray
@@ -176,6 +184,7 @@ class _Dual(NamedTuple):
     values: Callable
     candidate: Callable
     order: int
+    slack: np.ndarray
     tail: np.ndarray | None = None
 
 
@@ -214,7 +223,7 @@ def _wasserstein(G, nominal, rho, c_ref) -> _Dual:
 
     scale = np.abs(c_ref) + (lam * s).sum(axis=1)
     return _Dual(lam1 * factor, hi, size * factor, scale, (lam, s, c_ref, rho), _w2_divergence,
-                 _w2_values, candidate, 1)
+                 _w2_values, candidate, 1, _FEAS_TOL * (2.0 * rho + _FEAS_TOL))
 
 
 def _kl_divergence(g, lam, c_ref, rho):
@@ -249,7 +258,8 @@ def _kl(G, nominal, rho, c_ref, chol) -> _Dual:
 
     scale = np.abs(c_ref) + lam.sum(axis=1)
     return _Dual(lam1, lam1 * (1.0 + d / rho), size, scale, (lam, c_ref, rho), _kl_divergence,
-                 _kl_values, candidate, 2, 0.25 * (lam * lam).sum(axis=1))
+                 _kl_values, candidate, 2, np.full(rho.size, 2.0 * _FEAS_TOL),
+                 0.25 * (lam * lam).sum(axis=1))
 
 
 def _pencil(g, inv2, G):
@@ -311,7 +321,7 @@ def _fisher(G, nominal, rho, c_ref, inv2, tr_inv_hat, hat_vals, hat_vecs) -> _Du
 
     scale = np.abs(c_ref) + (G * nominal).sum(axis=(1, 2))
     return _Dual(lo, hi, size, scale, (inv2, G, tr_inv_hat, c_ref, rho), _fisher_divergence,
-                 _fisher_values, candidate, 2, tail)
+                 _fisher_values, candidate, 2, np.full(rho.size, _FEAS_TOL), tail)
 
 
 _SETUPS = {
@@ -337,7 +347,7 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
     a step that would not land strictly inside the bracket (as with a
     non-finite, zero or wrong-signed slope) is replaced by the bracket's
     midpoint, so a block falls back to bisection where Newton fails. A block
-    is accepted once its candidate is feasible to rho + 1e-8 (the bracket
+    is accepted once its candidate is feasible to rho + _FEAS_TOL (the bracket
     ends are tight for identity-like gradients, so the optimal gamma can sit
     exactly on one, and for d = 1 under Wasserstein lo = hi), active to
     1e-6, and meets the delta criterion for delta = _DELTA, floored at
@@ -372,7 +382,7 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
         up = div > rho
         np.copyto(lo, g, where=up)
         np.copyto(hi, g, where=~up)
-        j = np.flatnonzero((np.abs(div - rho) <= _ACTIVITY_TOL) & (div <= rho + 1e-8))
+        j = np.flatnonzero((np.abs(div - rho) <= _ACTIVITY_TOL) & (div <= rho + _FEAS_TOL))
         if j.size:
             phi, prim = dual.values(g[j], *(a[j] for a in aux + parts))
             passed = prim + floor[live[j]] >= _DELTA * phi
@@ -430,7 +440,11 @@ class _Group(NamedTuple):
 class _Pass(NamedTuple):
     """What an oracle pass returns: the targets, stacked like its references,
     and per block, in block order, the fields of OracleResult other than
-    sigma_star."""
+    sigma_star, then upper. upper bounds max <Gamma, Sigma - sigma_ref> over
+    the ball of radius rho + _FEAS_TOL, which holds every accepted target:
+    a searched block's phi(gamma) + gamma * slack (_Dual.slack), and the
+    primal value of its target for any other block. A custom linearization
+    has no dual, so its primal value counts as exact."""
 
     targets: list
     gamma: np.ndarray
@@ -438,15 +452,17 @@ class _Pass(NamedTuple):
     got: np.ndarray
     bound: np.ndarray
     steps: np.ndarray
+    upper: np.ndarray
 
 
 def _solve_group(group: _Group, G, sigma_ref) -> tuple:
     """Oracles of the B blocks of a group, given their (B, d, d) gradients
     and references: the targets, one (B, d, d) stack, then per block the
-    fields of OracleResult other than sigma_star. A block with rho = 0
-    returns its nominal, active (div = 0 = rho is tight), whatever its
-    gradient; one with a gradient zero to rounding (see _Dual) returns it
-    inactive.
+    fields of OracleResult other than sigma_star, and last _Pass.upper. A
+    block with rho = 0 returns its nominal, active (div = 0 = rho is tight),
+    whatever its gradient; one with a gradient zero to rounding (see _Dual)
+    returns it inactive. Neither is searched, so its upper bound is its
+    primal value.
     """
     kind, nominal, rho = group.kind, group.nominal, group.rho
     G = _check_gradients(G)
@@ -456,6 +472,7 @@ def _solve_group(group: _Group, G, sigma_ref) -> tuple:
     got = np.ones(rho.size)
     bound = (G * nominal).sum(axis=(1, 2)) - c_ref  # primal value of the nominal
     steps = np.zeros(rho.size, dtype=int)
+    slack = np.zeros(rho.size)
     active = rho <= 0.0
     live = np.flatnonzero(~active)
     if live.size:
@@ -469,7 +486,8 @@ def _solve_group(group: _Group, G, sigma_ref) -> tuple:
             kind.value, dual, todo, nominal.shape[1]
         )
         active[blocks] = True
-    return sigma, gamma, active, got, bound, steps
+        slack[blocks] = gamma[blocks] * dual.slack[todo]
+    return sigma, gamma, active, got, bound, steps, bound + slack
 
 
 def _custom_oracle(ball: AmbiguityBall, Gamma, sigma_ref) -> tuple[np.ndarray, bool]:
@@ -554,17 +572,20 @@ def _run(plan: _Plan, grads: Sequence[np.ndarray], refs: Sequence[np.ndarray]) -
     targets = [np.empty_like(R) for R in refs]
     gamma, active = np.full(size, np.nan), np.zeros(size, dtype=bool)
     got, bound, steps = np.full(size, _DELTA), np.full(size, np.nan), np.zeros(size, dtype=int)
+    upper = np.empty(size)
     for ball, i, s, r in plan.custom:
-        targets[s][r], active[i] = _custom_oracle(ball, grads[s][r], refs[s][r])
+        G, ref = grads[s][r], refs[s][r]
+        targets[s][r], active[i] = _custom_oracle(ball, G, ref)
+        upper[i] = (G * (targets[s][r] - ref)).sum()
     for group in plan.groups:
         found = _solve_group(group, _gather(grads, group.parts), _gather(refs, group.parts))
         i = group.idx
-        gamma[i], active[i], got[i], bound[i], steps[i] = found[1:]
+        gamma[i], active[i], got[i], bound[i], steps[i], upper[i] = found[1:]
         start = 0
         for s, rows, count in group.parts:
             targets[s][rows] = found[0][start:start + count]
             start += count
-    return _Pass(targets, gamma, active, got, bound, steps)
+    return _Pass(targets, gamma, active, got, bound, steps, upper)
 
 
 def _results(found: _Pass) -> list[OracleResult]:
@@ -572,7 +593,8 @@ def _results(found: _Pass) -> list[OracleResult]:
     sigma = [S for stack in found.targets for S in stack]
     return [
         OracleResult(S, float(g), bool(a), float(f), float(b), int(k))
-        for S, g, a, f, b, k in zip(sigma, *found[1:])
+        for S, g, a, f, b, k in zip(sigma, found.gamma, found.active, found.got, found.bound,
+                                    found.steps)
     ]
 
 

@@ -200,7 +200,10 @@ def solve_stationary_fw(
     Lyapunov equation of the gradient from that filter gain
     (_stationary_adjoint); an accepted line-search trial's
     evaluation serves the next iteration, so each iterate's filter ARE is
-    solved once."""
+    solved once. The loop stops as maximize does: a bound stop reads only
+    the returned iterate's cost, so it solves no Lyapunov equation for it.
+    The returned pair is checked against its balls at membership tolerance
+    1e-8."""
     plan = _plan([ball_w, ball_v], [1, 1])
     P, K = solve_dare(ss)
 

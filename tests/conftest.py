@@ -60,7 +60,9 @@ def accepted_line_searches(trace):
     """Iterations with a next one whose line search accepted a trial, i.e.
     that evaluated a trial and whose step is not the unevaluated 2/(2+k)
     fallback (an accepted model step may lie below it): the next iteration
-    takes that trial's evaluation."""
+    takes that trial's evaluation. The last record has a next one only on a
+    bound stop, which reads the objective of that record's step."""
+    with_next = trace.records if trace.stop == "bound" else trace.records[:-1]
     return sum(
-        1 for r in trace.records[:-1] if r.ls_trials and r.step_size != 2.0 / (2.0 + r.iter)
+        1 for r in with_next if r.ls_trials and r.step_size != 2.0 / (2.0 + r.iter)
     )

@@ -132,18 +132,23 @@ def test_metadata_blas_is_null_where_numpy_does_not_report_it(tmp_path, monkeypa
 def _public_gaps_row(sys, model, fw):
     """The gaps row by the public pipeline: each policy's coefficients from
     lqg_gradient at its design covariances, priced by policy_worst_case_cost
-    and policy_nominal_cost."""
+    and policy_nominal_cost. The robust policy is designed at the solve's
+    last record's iterate, which a budget of len(records) - 1 iterations
+    returns; with one record it is the nominal."""
     balls, nominal = model.ball_profile(), model.nominal_profile()
-    worst, _ = solve(sys, balls, cfg=fw)
-    c_nom, c_rob = lqg_gradient(sys, nominal)[1], lqg_gradient(sys, worst)[1]
+    _, trace = solve(sys, balls, cfg=fw)
+    n = len(trace.records)
+    design = nominal if n == 1 else solve(sys, balls, cfg=replace(fw, max_iters=n - 1))[0]
+    c_nom, c_rob = lqg_gradient(sys, nominal)[1], lqg_gradient(sys, design)[1]
     wc = policy_worst_case_cost(c_nom, balls)[0] - policy_worst_case_cost(c_rob, balls)[0]
     return wc, policy_nominal_cost(c_rob, nominal) - policy_nominal_cost(c_nom, nominal)
 
 
 def test_run_gaps_reads_its_rows_from_the_solve(tmp_path, monkeypatch):
-    # the rows come from the solve's first and last records and its final
-    # gradients: one Riccati sweep per point (solve's), no separate oracle
-    # pass, and the rows of the public pipeline
+    # the rows come from the solve's first and last records and the last
+    # record's gradients: one Riccati sweep per point (solve's), no separate
+    # oracle pass, and the rows of the public pipeline, which prices the
+    # policy of the last record's iterate
     from robustlqg import experiments, gradient, lqg
 
     calls = counting(monkeypatch, lqg, "riccati_backward")
@@ -205,8 +210,8 @@ def test_run_solve_outputs(tmp_path):
     assert out["all_converged"]
     with open(tmp_path / "solve_summary.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["T", "seed", "iterations", "converged", "objective", "final_gap",
-                       "wall_seconds"]
+    assert rows[0] == ["T", "seed", "iterations", "converged", "stop", "objective",
+                       "final_gap", "wall_seconds"]
     assert [row[:2] for row in rows[1:]] == [["3", "0"], ["3", "1"]]
     for seed, row in zip((0, 1), rows[1:]):
         with open(tmp_path / f"trace_seed{seed}.csv") as fh:
@@ -214,10 +219,40 @@ def test_run_solve_outputs(tmp_path):
         assert trace[0] == ["iter", "objective", "fw_gap", "step", "wall_ms"]
         gaps = [float(r[2]) for r in trace[1:]]
         assert all(g > 1e-3 for g in gaps[:-1])
-        assert gaps[-1] <= 1e-3
-        # the summary row repeats the trace's last record
-        assert row[2:6] == [str(len(trace) - 1), "1", trace[-1][1], trace[-1][2]]
-        assert float(row[6]) > 0.0
+        # the summary row describes the returned iterate: its objective and
+        # certified gap, which on a gap stop are the trace's last record's
+        # and on a bound stop belong to the iterate one step past it
+        sys, model = generate_instance(3, 3, seed, DivergenceKind.KULLBACK_LEIBLER, 0.1)
+        worst, solved = solve(sys, model.ball_profile(), cfg=cfg.fw)
+        assert row[2:7] == [str(len(trace) - 1), "1", solved.stop, repr(solved.objective),
+                            repr(solved.gap)]
+        assert float(row[5]) == pytest.approx(lqg_value(sys, worst).cost, rel=1e-12)
+        assert float(row[6]) <= 1e-3
+        if row[4] == "gap":
+            assert row[5:7] == trace[-1][1:3]
+        else:
+            assert row[4] == "bound" and float(row[5]) > float(trace[-1][1])
+        assert float(row[7]) > 0.0
+
+
+def test_solve_summary_reports_each_stop_reason(tmp_path):
+    # seed 9 stops on the surrogate gap, seed 7 on the upper bound, and a
+    # budget of one iteration runs out with no certified objective or gap
+    fw = FwConfig(max_iters=500, gap_tol=1e-3)
+    for seed, cfg_fw, stop in ((9, fw, "gap"), (7, fw, "bound"),
+                               (7, replace(fw, max_iters=1), "max_iters")):
+        out_dir = tmp_path / f"{seed}-{stop}"
+        cfg = ExperimentConfig(experiment="solve", d=3, T=3, divergence="kl", rho=0.3,
+                               seeds=[seed], output_dir=str(out_dir), fw=cfg_fw)
+        run_solve(cfg)
+        with open(out_dir / "solve_summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["stop"] == stop
+        assert row["converged"] == str(int(stop != "max_iters"))
+        if stop == "max_iters":
+            assert row["objective"] == row["final_gap"] == "nan"
+        else:
+            assert float(row["final_gap"]) <= 1e-3
 
 
 def test_run_runtime_monotone_and_deterministic(tmp_path, monkeypatch):
@@ -476,8 +511,22 @@ def test_divergence_without_oracle_rejected_at_config(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_gaps_beyond_stacked_cap(tmp_path):
-    # n(T+1) = 510 is past the 200-row cap of the dense stacked reference
+def test_run_gaps_beyond_stacked_cap(tmp_path, monkeypatch):
+    # n(T+1) = 510 is past the 200-row cap of the dense stacked reference. A
+    # worst_case_gap is 0.0 exactly when its solve has one record, whose
+    # first full step the upper bound certified: the nominal policy is then
+    # within gap_tol of the robust optimum
+    from robustlqg import experiments
+
+    traces = []
+    inner = experiments.solve
+
+    def capturing(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        traces.append(out[1])
+        return out
+
+    monkeypatch.setattr(experiments, "solve", capturing)
     cfg = ExperimentConfig(
         experiment="gaps", d=10, T=50, divergence="wasserstein2",
         rho=[0.1, 1.0], seeds=[0], output_dir=str(tmp_path),
@@ -485,7 +534,11 @@ def test_run_gaps_beyond_stacked_cap(tmp_path):
     out = run_gaps(cfg)
     assert out["all_converged"]
     (_, _, wc_lo, nom_lo), (_, _, wc_hi, nom_hi) = out["rows"]
-    assert 0.0 < float(wc_lo) < float(wc_hi)
+    assert 0.0 <= float(wc_lo) < float(wc_hi)
+    for (_, _, wc, _), trace in zip(out["rows"], traces):
+        one = len(trace.records) == 1
+        assert (float(wc) == 0.0) == one
+        assert not one or (trace.stop == "bound" and trace.gap <= cfg.fw.gap_tol)
     sys, model = generate_instance(10, 50, seed=0, rho=0.1)
     nominal_opt = lqg_value(sys, model.nominal_profile()).cost
     assert max(float(nom_lo), float(nom_hi)) <= 0.01 * nominal_opt

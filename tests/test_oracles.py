@@ -842,3 +842,35 @@ def test_kl_oracle_is_scale_equivariant(s):
     want = s * kl_oracle(G, S0, 0.7, S0).sigma_star
     got = kl_oracle(G / s, s * S0, 0.7, s * S0).sigma_star
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pass_upper_bounds_add_the_feasibility_slack(seed):
+    # a searched block's upper bound is its dual bound plus gamma times the
+    # growth of its kind's dual radius term at radius rho + 1e-8, which holds
+    # every accepted target, so it bounds that target's primal value; a
+    # block with no search (block 1 has a zero gradient, block 2 rho = 0)
+    # bounds by its primal value, its dual_bound. OracleResult.dual_bound
+    # carries no slack
+    from robustlqg import oracles
+
+    W2, KL, FISHER = ALL_KINDS
+    slack = {W2: lambda rho: (rho + 1e-8) ** 2 - rho ** 2, KL: lambda rho: 2e-8,
+             FISHER: lambda rho: 1e-8}
+    T = 3
+    balls, grads, refs = _mixed_batch(seed, 3, 2, T, ALL_KINDS, 0.5)
+    plan = oracles._plan(balls, [T + 1, T])
+    found = oracles._run(plan, [np.array(grads[:T + 1]), np.array(grads[T + 1:])],
+                         [np.array(refs[:T + 1]), np.array(refs[T + 1:])])
+    results = oracle_pass(balls, grads, refs)
+    searched = 0
+    for ball, G, ref, res, upper in zip(balls, grads, refs, results, found.upper):
+        primal = float((symmetrize(G) * (res.sigma_star - ref)).sum())
+        if res.steps:
+            searched += 1
+            want = res.dual_bound + res.dual_gamma * slack[ball.kind](ball.radius)
+            assert upper == pytest.approx(want, rel=1e-12)
+            assert res.dual_bound < upper and primal <= upper
+        else:
+            assert upper == res.dual_bound == pytest.approx(primal, rel=1e-12, abs=1e-14)
+    assert searched == len(balls) - 2

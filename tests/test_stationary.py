@@ -384,11 +384,12 @@ def test_dare_runs_once_per_stationary_solve(monkeypatch, step_rule):
     assert len(dare_calls) == 1
     # one evaluation (a filter ARE) per iterate and per line-search trial,
     # except that the iterate an accepted trial lands on reuses that trial's;
-    # one Lyapunov solve per iteration, for the gradient
+    # a bound stop evaluates the iterate it returns; one Lyapunov solve per
+    # iteration, for the gradient
     trials = sum(r.ls_trials for r in trace.records)
     accepted = accepted_line_searches(trace)
     assert (accepted > 0) == (step_rule == "line_search")
-    assert len(cost_calls) == len(trace.records) + trials - accepted
+    assert len(cost_calls) == len(trace.records) + (trace.stop == "bound") + trials - accepted
     assert len(lyapunov_calls) == len(trace.records)
 
 
@@ -486,3 +487,25 @@ def test_finite_horizon_middle_matches_the_stationary_problem():
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     step = lqg_value(*finite(51)).cost - lqg_value(*finite(50)).cost
     assert step == pytest.approx(avg_cost, rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [3, 10])
+def test_bench_construction_stops_after_one_pass_and_one_lyapunov_solve(monkeypatch, d):
+    # the stationary benchmark's instances (run_stationary's dynamics,
+    # nominals from instance_rng(seed), rho 0.1, gap 1e-3): the first full
+    # step comes within gap_tol of the first pass's upper bound, so each
+    # solve makes one oracle pass and one Lyapunov solve, for its gradient
+    from robustlqg import frank_wolfe, stationary
+    from robustlqg.instances import benchmark_dynamics
+
+    eye = np.eye(d)
+    ss = StationarySystem(A=benchmark_dynamics(d), B=eye, C=eye, Q=eye, R=eye)
+    for kind in (DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER):
+        for seed in range(6):
+            passes = counting(monkeypatch, frank_wolfe, "_oracle_pass")
+            lyapunov = counting(monkeypatch, stationary, "solve_discrete_lyapunov")
+            _, _, trace = solve_stationary_fw(ss, *_stationary_balls(kind, d, d, 0.1, seed),
+                                              FwConfig(gap_tol=1e-3))
+            monkeypatch.undo()
+            assert trace.stop == "bound" and len(trace.records) == 1
+            assert len(passes) == len(lyapunov) == 1
