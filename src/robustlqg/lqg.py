@@ -164,7 +164,8 @@ class LqgSolution:
 
 
 def _riccati_step(P, A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
-    """One Riccati update, shared by riccati_backward and both stationary AREs:
+    """One Riccati update, shared by riccati_backward and stationary.solve_dare,
+    which reads the gain and the residual of its doubling solution from it:
     K = -(R + B^T P B)^{-1} B^T P A and
     P_next = A^T P A + Q - A^T P B (R + B^T P B)^{-1} B^T P A = A^T P A + Q + A^T P B K.
     """

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from robustlqg.divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
-from robustlqg.errors import InvalidInputError, StabilizabilityError
+from robustlqg.errors import ConditioningError, InvalidInputError, StabilizabilityError
 from robustlqg.frank_wolfe import FwConfig
 from robustlqg.instances import instance_rng, random_covariance
 from robustlqg.lqg import CovarianceProfile, SystemInstance, kalman_forward, lqg_value, riccati_backward
@@ -509,3 +509,183 @@ def test_bench_construction_stops_after_one_pass_and_one_lyapunov_solve(monkeypa
             monkeypatch.undo()
             assert trace.stop == "bound" and len(trace.records) == 1
             assert len(passes) == len(lyapunov) == 1
+
+
+def _near_unstable(d, p, radius):
+    # A = 0.95 I + 0.3 superdiag scaled to the given spectral radius; C reads
+    # the first p states and B drives the last p, both through the chain of
+    # superdiagonal couplings, so (A, B) is controllable and (A, C)
+    # observable, but ever more weakly as d grows; Q = I and R = I
+    A = 0.95 * np.eye(d) + 0.3 * np.diag(np.ones(d - 1), 1)
+    A *= radius / spectral_radius(A)
+    eye = np.eye(d)
+    return StationarySystem(A=A, B=eye[:, d - p:], C=eye[:p], Q=eye, R=np.eye(p))
+
+
+def _nominal_noise(ss, seed=0):
+    rng = instance_rng(seed)
+    return random_covariance(ss.n, rng), random_covariance(ss.p, rng)
+
+
+def _doublings(monkeypatch, n):
+    """Count doublings: each solves I + G H against [A_k, G_k], an (n, 2n)
+    right-hand side that no other solve of the stationary layer has.
+    Returns the list of per-call counts of stationary._doubling."""
+    import robustlqg.stationary as stationary
+
+    solves, per_call = [], []
+    solve, doubling = np.linalg.solve, stationary._doubling
+
+    def counting_solve(a, b):
+        if np.shape(b) == (n, 2 * n):
+            solves.append(1)
+        return solve(a, b)
+
+    def counting_doubling(*args):
+        before = len(solves)
+        try:
+            return doubling(*args)
+        finally:
+            per_call.append(len(solves) - before)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(stationary, "_doubling", counting_doubling)
+    return per_call
+
+
+def _rel_err(X, ref):
+    return np.linalg.norm(X - ref, "fro") / np.linalg.norm(ref, "fro")
+
+
+# Agreement with scipy: at cond(X) <= 1e6 both solutions are accurate to
+# 1e-10 relative. Beyond it each is accurate to about eps cond(X), and
+# scipy's residual is up to 100 times doubling's, so the bound is
+# 1e-14 cond(X), about 45 eps cond(X).
+def _agreement_bound(cond):
+    return 1e-10 if cond <= 1e6 else 1e-14 * cond
+
+
+@pytest.mark.parametrize("d", [2, 5, 10, 20])
+def test_riccati_solvers_match_scipy_over_a_seeded_grid(monkeypatch, d):
+    counts = _doublings(monkeypatch, d)
+    conds = []
+    for p in sorted({1, 2, d}):
+        for radius in (0.5, 0.9, 0.99):
+            ss = _near_unstable(d, p, radius)
+            Sw, Sv = _nominal_noise(ss, seed=100 * d + p)
+            for solve, ref in (
+                (lambda: solve_dare(ss)[0],
+                 scipy.linalg.solve_discrete_are(ss.A, ss.B, ss.Q, ss.R)),
+                (lambda: solve_filter_are(ss, Sw, Sv)[0],
+                 scipy.linalg.solve_discrete_are(ss.A.T, ss.C.T, Sw, Sv)),
+            ):
+                conds.append(np.linalg.cond(ref))
+                assert _rel_err(solve(), ref) <= _agreement_bound(conds[-1]), (p, radius)
+    assert max(counts) <= 10, counts
+    if d == 20:  # the grid reaches past cond 1e6 only at d = 20, up to 1.6e10
+        assert sum(c > 1e6 for c in conds) >= 6 and max(conds) > 1e10
+
+
+@pytest.mark.parametrize("radius", [0.99, 0.995])
+def test_near_unstable_filter_are_solves_within_its_conditioning(monkeypatch, radius):
+    # d = 20, p = 2: a detectable pair at cond(S) 5e9 to 7e9, on whose
+    # rounding plateau a linearly converging iteration stalls; doubling
+    # reaches it in 9-10 steps
+    ss = _near_unstable(20, 2, radius)
+    Sw, Sv = _nominal_noise(ss)
+    counts = _doublings(monkeypatch, 20)
+    S, L = solve_filter_are(ss, Sw, Sv)
+    P, _ = solve_dare(ss)
+    assert 8 <= min(counts) and max(counts) <= 10, counts
+    assert spectral_radius(ss.A - L @ ss.C @ ss.A) < 0.95
+    for X, ref in ((S, scipy.linalg.solve_discrete_are(ss.A.T, ss.C.T, Sw, Sv)),
+                   (P, scipy.linalg.solve_discrete_are(ss.A, ss.B, ss.Q, ss.R))):
+        cond = np.linalg.cond(ref)
+        assert 1e9 < cond < 1e10
+        assert _rel_err(X, ref) <= _agreement_bound(cond)
+    Sigma_f = S - L @ ss.C @ S
+    assert _rel_err(ss.A @ Sigma_f @ ss.A.T + Sw, S) <= 1e-8
+
+
+def test_are_beyond_double_precision_raises_conditioning_error():
+    # d = 30, p = 3: cond(S) ~ 1e15, and doubling stalls at a residual near
+    # 1e-4 (scipy's own solution has residual 7e-3); Schur stability alone
+    # decides StabilizabilityError, so this is a ConditioningError
+    ss = _near_unstable(30, 3, 0.99)
+    Sw, Sv = _nominal_noise(ss)
+    message = r"{} ARE residual \S+ exceeds 1e-08 relative at cond ~ \S+e\+1[4-6]"
+    with pytest.raises(ConditioningError, match=message.format("filter")):
+        solve_filter_are(ss, Sw, Sv)
+    with pytest.raises(ConditioningError, match=message.format("control")):
+        solve_dare(ss)
+
+
+@pytest.mark.parametrize(
+    "a, observed, message",
+    [(2.0, "dare", r"Riccati iterates diverge; \(A, B\) looks unstabilizable"),
+     (2.0, "filter", r"Riccati iterates diverge; \(A, C\) looks undetectable"),
+     (1.0, "dare", r"not Schur stable; \(A, B\) looks unstabilizable"),
+     (1.0, "filter", r"not Schur stable; \(A, C\) looks undetectable")],
+)
+def test_structural_failures_raise_stabilizability_errors(a, observed, message):
+    # an unstable mode that no input reaches (B = 0) or no output sees
+    # (C = 0): at a = 2 the doubling iterates pass 1e150, and at a = 1 they
+    # grow only linearly, so the loop ends unconverged and the closed loop,
+    # with spectral radius 1, fails the Schur check
+    eye = np.eye(1)
+    B = 0.0 * eye if observed == "dare" else eye
+    C = 0.0 * eye if observed == "filter" else eye
+    ss = StationarySystem(A=a * eye, B=B, C=C, Q=eye, R=eye)
+    with pytest.raises(StabilizabilityError, match=message):
+        solve_dare(ss) if observed == "dare" else solve_filter_are(ss, eye, eye)
+
+
+@pytest.mark.parametrize("d", [3, 10])
+def test_bench_stationary_ares_make_three_doublings_and_one_residual(monkeypatch, d):
+    # a timing-free guard on the stationary benchmark's instances (its
+    # dynamics, B = C = Q = R = I, nominals from instance_rng(seed)): each
+    # ARE makes 3 doublings (the third leaves ||A_3||_F^2 below 2e-15, far
+    # under the 1e-12 exit), one solve for G = B R^{-1} B^T and one residual
+    # evaluation, the DARE's by one lqg._riccati_step that also gives K, the
+    # filter's from its gain L; one eigvals is the Schur check
+    import robustlqg.stationary as stationary
+    from robustlqg.instances import benchmark_dynamics
+
+    eye = np.eye(d)
+    ss = StationarySystem(A=benchmark_dynamics(d), B=eye, C=eye, Q=eye, R=eye)
+    steps = counting(monkeypatch, stationary, "_riccati_step")
+    counts = _doublings(monkeypatch, d)
+    linalg = {name: counting(monkeypatch, np.linalg, name)
+              for name in ("solve", "eigvals", "eigvalsh", "cond")}
+
+    def calls_of(solve):
+        for c in linalg.values():
+            c.clear()
+        solve()
+        return {name: len(c) for name, c in linalg.items()}
+
+    want = {"solve": 3 + 2, "eigvals": 1, "eigvalsh": 0, "cond": 0}
+    assert calls_of(lambda: solve_dare(ss)) == want
+    assert len(steps) == 1 and counts == [3]
+    for seed in range(6):
+        Sw, Sv = _nominal_noise(ss, seed)
+        assert calls_of(lambda: solve_filter_are(ss, Sw, Sv)) == want
+    assert len(steps) == 1 and counts == [3] * 7
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER])
+def test_stationary_fw_converges_on_partially_observed_systems(monkeypatch, p, kind):
+    # d = 10 at spectral radius 0.99 with B = Q = R = I and C the first p
+    # rows of I: slow filters, for which doubling needs about 8 steps per
+    # filter ARE
+    d = 10
+    eye = np.eye(d)
+    ss = StationarySystem(A=_near_unstable(d, p, 0.99).A, B=eye, C=eye[:p], Q=eye, R=eye)
+    ball_w, ball_v = _stationary_balls(kind, d, p, 0.1, 0)
+    counts = _doublings(monkeypatch, d)
+    Sw, Sv, trace = solve_stationary_fw(ss, ball_w, ball_v, FwConfig(gap_tol=1e-3))
+    assert trace.converged
+    assert membership(ball_w, MomentPair.zero_mean(Sw), 1e-8)
+    assert membership(ball_v, MomentPair.zero_mean(Sv), 1e-8)
+    assert len(counts) > len(trace.records) and max(counts) <= 10, counts
