@@ -145,7 +145,10 @@ def gelbrich(a: MomentPair, b: MomentPair) -> float:
     _check_dims(a, b)
     Sa, Sb = a.cov, b.cov
     root_b = sym_sqrt(Sb)
-    cross = sym_sqrt(root_b @ Sa @ root_b)
+    # the cross term's rounding scales with ||Sa|| ||Sb||, not with its own
+    # largest eigenvalue: for covariances with orthogonal ranges it is 0
+    cross = sym_sqrt(root_b @ Sa @ root_b,
+                     scale=float(np.linalg.norm(Sa) * np.linalg.norm(Sb)))
     trace_term = float(np.trace(Sa) + np.trace(Sb) - 2.0 * np.trace(cross))
     # the term is a difference of O(Tr) quantities; below the rounding floor
     # it is genuinely zero (the square root would otherwise amplify noise)

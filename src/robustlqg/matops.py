@@ -9,9 +9,14 @@ import numpy as np
 
 from .errors import InstabilityError, InvalidInputError
 
-# Eigenvalues in [-EIG_CLAMP, 0) are rounding noise and get clamped to zero;
+# Eigenvalues in [-EIG_CLAMP * scale, 0) are rounding noise and get clamped
+# to zero (scale is max |eig| unless the caller knows better, see sym_sqrt);
 # anything more negative signals a genuine bug upstream.
 EIG_CLAMP = 1e-10
+
+# A loop is Schur stable when its spectral radius is below 1 - _SCHUR_MARGIN.
+_SCHUR_MARGIN = 1e-8
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _check_finite(X: np.ndarray, name: str) -> np.ndarray:
@@ -61,15 +66,22 @@ def _cholesky_certifies(S: np.ndarray, shift=None) -> bool:
     return bool(np.isfinite(np.diagonal(chol, axis1=-2, axis2=-1)).all())
 
 
-def sym_sqrt(S: np.ndarray) -> np.ndarray:
+def sym_sqrt(S: np.ndarray, *, scale: float | None = None) -> np.ndarray:
     """Symmetric psd square root R with R @ R ~= S, via eigendecomposition.
 
-    Eigenvalues in [-EIG_CLAMP, 0) are set to 0; values below -EIG_CLAMP raise.
+    Eigenvalues in [-EIG_CLAMP * scale, 0) are set to 0; more negative ones
+    raise. scale defaults to max |eig| of S, so s * S is accepted exactly
+    when S is, for any s > 0. A caller whose S is a product of psd factors
+    passes the factors' scale instead: the product's rounding follows their
+    norms, not its own largest eigenvalue, which may be near 0.
     """
     vals, vecs = np.linalg.eigh(symmetrize(_check_square(S)))
-    if vals.min(initial=0.0) < -EIG_CLAMP:
+    if scale is None:
+        scale = np.abs(vals).max(initial=0.0)
+    floor = EIG_CLAMP * scale
+    if vals.min(initial=0.0) < -floor:
         raise InvalidInputError(
-            f"matrix is not psd: min eigenvalue {vals.min():.3e} < -{EIG_CLAMP:.0e}"
+            f"matrix is not psd: min eigenvalue {vals.min():.3e} < -{floor:.3e}"
         )
     return symmetrize((vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T)
 
@@ -80,18 +92,48 @@ def spectral_radius(F: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(F)).max(initial=0.0))
 
 
+def _schur_certified(F: np.ndarray) -> bool:
+    """Whether ||F||_F proves rho(F) < 1 - _SCHUR_MARGIN for a square F.
+
+    rho(F) <= ||F||_F; the computed norm errs by less than (n^2 + 2) u
+    relative (u the unit roundoff), which a slack of (n^2 + 4) u covers
+    with the rounding of the test itself. A failure certifies nothing: the
+    caller then runs its eigenvalue rule, which alone decides. A norm that
+    is not finite fails.
+    """
+    n = F.shape[0]
+    size = math.sqrt(np.vdot(F, F))
+    return size * (1.0 + (n * n + 4) * _UNIT_ROUNDOFF) < 1.0 - _SCHUR_MARGIN
+
+
+def _unstable_radius(F: np.ndarray) -> float | None:
+    """None if the square matrix F is Schur stable with margin _SCHUR_MARGIN,
+    else its spectral radius. The one stability decision of the library's
+    solves: a Frobenius norm below the margin (_schur_certified) settles it
+    without eigenvalues; where it does not, spectral_radius alone decides,
+    and its non-finite-entry check applies."""
+    if _schur_certified(F):
+        return None
+    rho = spectral_radius(F)
+    return rho if rho >= 1.0 - _SCHUR_MARGIN else None
+
+
 def solve_discrete_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Solve Sigma = F Sigma F^T + Q for Schur-stable F and psd Q.
 
-    Doubling iteration: after k steps Sigma sums the first 2^k terms of the
-    series sum_j F^j Q (F^j)^T.
+    F must be Schur stable with margin 1e-8 (_unstable_radius), else
+    InstabilityError reports its spectral radius. Doubling iteration: after
+    k steps Sigma sums the first 2^k terms of the series
+    sum_j F^j Q (F^j)^T. It stops once a step adds at most 1e-16 of
+    ||Sigma||_F, a rule relative to Sigma's scale, so s * Q gives s * Sigma
+    for any s > 0 (and Q = 0 gives 0).
     """
     F = _check_square(F, "F")
     Q = symmetrize(_check_square(Q, "Q"))
     if F.shape != Q.shape:
         raise InvalidInputError(f"dimension mismatch: F {F.shape}, Q {Q.shape}")
-    rho = spectral_radius(F)
-    if rho >= 1.0 - 1e-8:
+    rho = _unstable_radius(F)
+    if rho is not None:
         raise InstabilityError(f"spectral radius {rho:.6f} >= 1 - 1e-8")
     sigma = Q.copy()
     Fk = F.copy()
@@ -99,6 +141,6 @@ def solve_discrete_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
         incr = Fk @ sigma @ Fk.T
         sigma = sigma + incr
         Fk = Fk @ Fk
-        if np.linalg.norm(incr, "fro") <= 1e-16 * (1.0 + np.linalg.norm(sigma, "fro")):
+        if np.linalg.norm(incr, "fro") <= 1e-16 * np.linalg.norm(sigma, "fro"):
             break
     return symmetrize(_check_finite(sigma, "Lyapunov solution"))

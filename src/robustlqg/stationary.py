@@ -25,7 +25,7 @@ from .errors import ConditioningError, InvalidInputError, StabilizabilityError
 from .frank_wolfe import FwConfig, FwTrace, maximize
 from .lqg import _riccati_step
 from .matops import (
-    _check_finite, _check_square, _cholesky_certifies, solve_discrete_lyapunov, spectral_radius,
+    _check_finite, _check_square, _cholesky_certifies, _unstable_radius, solve_discrete_lyapunov,
     symmetrize,
 )
 from .oracles import _plan
@@ -34,7 +34,6 @@ from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps t
 _MAX_DOUBLINGS = 64  # as many as 2^64 fixed-point steps
 _REL_TOL = 1e-12
 _RESIDUAL_TOL = 1e-8
-_STAB_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -127,16 +126,18 @@ def _accept(equation: str, X, residual, closed_loop, what: str) -> None:
 
     A closed loop that is not Schur stable (margin 1e-8) raises
     StabilizabilityError naming `what`; besides _doubling's divergence
-    guard, only this check raises it. A stable one
-    whose relative residual ||residual||_F / ||X||_F exceeds 1e-8 raises
-    ConditioningError, with the residual and cond(X) in the message: the
-    equation is too ill-conditioned for double precision. The tolerance lies
-    between what doubling reaches on the filter ARE of a near-unstable
-    system over 20 nominal draws: at most 2.3e-9 at d = 20, p = 2 (cond(X)
-    5e9 to 7e9), and at least 1.4e-5 at d = 30, p = 3 (cond(X) about 1e15).
-    1e-10 would reject the first.
+    guard, only this check raises it. Stability is decided by
+    matops._unstable_radius: a Frobenius norm below the margin certifies it
+    without eigenvalues, and only where it does not do eigenvalues decide.
+    A stable one whose relative residual ||residual||_F / ||X||_F exceeds
+    1e-8 raises ConditioningError, with the residual and cond(X) in the
+    message: the equation is too ill-conditioned for double precision. The
+    tolerance lies between what doubling reaches on the filter ARE of a
+    near-unstable system over 20 nominal draws: at most 2.3e-9 at d = 20,
+    p = 2 (cond(X) 5e9 to 7e9), and at least 1.4e-5 at d = 30, p = 3
+    (cond(X) about 1e15). 1e-10 would reject the first.
     """
-    if spectral_radius(closed_loop) >= 1.0 - _STAB_MARGIN:
+    if _unstable_radius(closed_loop) is not None:
         raise StabilizabilityError(f"closed loop is not Schur stable; {what}")
     rel = np.linalg.norm(residual, "fro") / np.linalg.norm(X, "fro")
     if not rel <= _RESIDUAL_TOL:
@@ -159,6 +160,21 @@ def solve_dare(ss: StationarySystem) -> tuple[np.ndarray, np.ndarray]:
     return P, K
 
 
+def _noise_pair(ss: StationarySystem, Sigma_w, Sigma_v) -> tuple[np.ndarray, np.ndarray]:
+    """The stationary noise covariances as checked float arrays: square and
+    finite (InvalidInputError naming each), of shapes (n, n) and (p, p), and
+    positive definite, symmetrized. A Cholesky certifies lam_min > 0; where
+    it fails, the eigenvalues decide."""
+    Sigma_w = symmetrize(_check_square(Sigma_w, "Sigma_w"))
+    Sigma_v = symmetrize(_check_square(Sigma_v, "Sigma_v"))
+    if Sigma_w.shape != (ss.n, ss.n) or Sigma_v.shape != (ss.p, ss.p):
+        raise InvalidInputError(f"Sigma_w must be ({ss.n}, {ss.n}) and Sigma_v ({ss.p}, {ss.p})")
+    for M in (Sigma_w, Sigma_v):
+        if not _cholesky_certifies(M) and np.linalg.eigvalsh(M).min() <= 0.0:
+            raise InvalidInputError("stationary noise covariances must be positive definite")
+    return Sigma_w, Sigma_v
+
+
 def solve_filter_are(
     ss: StationarySystem, Sigma_w: np.ndarray, Sigma_v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -170,15 +186,15 @@ def solve_filter_are(
     matrix (I - LC) A, which has the spectrum of the dual closed loop
     A^T + C^T K, is Schur stable (margin 1e-8), and S is accepted when the
     residual A Sigma_f A^T + Sigma_w - S, with Sigma_f = S - L C S, is at
-    most 1e-8 relative (_accept).
+    most 1e-8 relative (_accept). The noise covariances are checked here
+    (_noise_pair); _filter_are is the same solve on a checked pair.
     """
-    Sigma_w = symmetrize(_check_square(Sigma_w, "Sigma_w"))
-    Sigma_v = symmetrize(_check_square(Sigma_v, "Sigma_v"))
-    if Sigma_w.shape != (ss.n, ss.n) or Sigma_v.shape != (ss.p, ss.p):
-        raise InvalidInputError(f"Sigma_w must be ({ss.n}, {ss.n}) and Sigma_v ({ss.p}, {ss.p})")
-    for M in (Sigma_w, Sigma_v):  # a Cholesky certifies lam_min > 0; else the eigenvalues decide
-        if not _cholesky_certifies(M) and np.linalg.eigvalsh(M).min() <= 0.0:
-            raise InvalidInputError("stationary noise covariances must be positive definite")
+    return _filter_are(ss, *_noise_pair(ss, Sigma_w, Sigma_v))
+
+
+def _filter_are(ss: StationarySystem, Sigma_w, Sigma_v) -> tuple[np.ndarray, np.ndarray]:
+    """solve_filter_are on a noise pair that is already checked: symmetric
+    pd float arrays of shapes (n, n) and (p, p)."""
     A, C = ss.A, ss.C
     S = _doubling(A.T, C.T, Sigma_w, Sigma_v, "(A, C) looks undetectable")
     SC = S @ C.T
@@ -197,14 +213,15 @@ def stationary_cost(
     Tr((Q - P) Sigma_f) + Tr(P S) with Sigma_f = S - L C S.
     """
     P, K = solve_dare(ss)
-    return _stationary_cost(ss, P, K, Sigma_w, Sigma_v)
+    return _stationary_cost(ss, P, K, *_noise_pair(ss, Sigma_w, Sigma_v))
 
 
 def _stationary_cost(
     ss: StationarySystem, P: np.ndarray, K: np.ndarray, Sigma_w: np.ndarray, Sigma_v: np.ndarray
 ) -> tuple[float, StationarySolution]:
-    """stationary_cost given the DARE solution (P, K) of ss."""
-    S, L = solve_filter_are(ss, Sigma_w, Sigma_v)
+    """stationary_cost given the DARE solution (P, K) of ss and a checked
+    noise pair (_noise_pair)."""
+    S, L = _filter_are(ss, Sigma_w, Sigma_v)
     Sigma_f = symmetrize(S - L @ ss.C @ S)
     avg_cost = float(np.trace((ss.Q - P) @ Sigma_f) + np.trace(P @ S))
     sol = StationarySolution(P=P, K=K, Sigma_pred=S, L=L, avg_cost=avg_cost)
@@ -221,7 +238,7 @@ def stationary_gradient(
     G_w = P + (I - LC)^T Y (I - LC) and G_v = L^T Y L.
     """
     P, K = solve_dare(ss)
-    avg_cost, sol = _stationary_cost(ss, P, K, Sigma_w, Sigma_v)
+    avg_cost, sol = _stationary_cost(ss, P, K, *_noise_pair(ss, Sigma_w, Sigma_v))
     return avg_cost, _stationary_adjoint(ss, P, sol.L)
 
 
@@ -244,7 +261,13 @@ def solve_stationary_fw(
 ) -> tuple[np.ndarray, np.ndarray, FwTrace]:
     """Frank-Wolfe over the two stationary blocks (Sigma_w, Sigma_v), each a
     stack of one for the driver. The balls are planned first, so a ball the
-    oracles reject fails before the DARE, which runs once. An evaluation solves
+    oracles reject fails before the DARE, which runs once. The nominals are
+    then checked as a noise pair (_noise_pair: shapes, and pd, which a
+    Wasserstein nominal need not be), also before the DARE. The iterates
+    are convex combinations of that pair and of oracle targets, so they are
+    not checked again, except where a custom ball's handle supplies targets,
+    which only pass membership: then every iterate is checked as the pair
+    was. An evaluation solves
     the filter ARE and forms the cost, and its grad() solves the one
     Lyapunov equation of the gradient from that filter gain
     (_stationary_adjoint); an accepted line-search trial's
@@ -254,17 +277,21 @@ def solve_stationary_fw(
     The returned pair is checked against its balls at membership tolerance
     1e-8."""
     plan = _plan([ball_w, ball_v], [1, 1])
+    Sw0, Sv0 = _noise_pair(ss, ball_w.nominal.cov, ball_v.nominal.cov)
     P, K = solve_dare(ss)
 
     def evaluate(stacks):
-        avg_cost, sol = _stationary_cost(ss, P, K, stacks[0][0], stacks[1][0])
+        noise = stacks[0][0], stacks[1][0]
+        if plan.custom:
+            noise = _noise_pair(ss, *noise)
+        avg_cost, sol = _stationary_cost(ss, P, K, *noise)
 
         def grad():
             return [G[None] for G in _stationary_adjoint(ss, P, sol.L)]
 
         return avg_cost, grad
 
-    start = [ball_w.nominal.cov[None], ball_v.nominal.cov[None]]
+    start = [Sw0[None], Sv0[None]]
     ((Sw,), (Sv,)), trace = maximize(evaluate, plan, start, cfg)
     if not membership(ball_w, MomentPair.zero_mean(Sw), 1e-8) or not membership(
         ball_v, MomentPair.zero_mean(Sv), 1e-8

@@ -67,6 +67,47 @@ def test_gelbrich_trivial_values():
     assert gelbrich(a, b) == pytest.approx(math.sqrt(5.0), abs=1e-10)
 
 
+@pytest.mark.parametrize("s", [1e-8, 1.0, 1e4, 1e8])
+def test_gelbrich_is_homogeneous_on_singular_covariances(s):
+    # W2(sA, sB) = sqrt(s) W2(A, B); with rank-5 6 x 6 covariances the
+    # rounding of the cross term's eigenvalues grows with s, so an absolute
+    # clamp in sym_sqrt rejected about half of these pairs at s = 1e4. The
+    # square root of the cross term's rounding-level eigenvalue limits the
+    # agreement to about sqrt(eps) relative
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        X, Y = rng.standard_normal((2, 6, 5))
+        A, B = X @ X.T, Y @ Y.T
+        base = gelbrich(_pair(A), _pair(B))
+        assert gelbrich(_pair(s * A), _pair(s * B)) == pytest.approx(math.sqrt(s) * base,
+                                                                    rel=1e-7)
+        ball = AmbiguityBall(kind=DivergenceKind.WASSERSTEIN2, nominal=_pair(s * B),
+                             radius=1.01 * math.sqrt(s) * base)
+        assert ball.divergence(_pair(s * A)) == pytest.approx(math.sqrt(s) * base, rel=1e-7)
+        assert membership(ball, _pair(s * A))
+
+
+@pytest.mark.parametrize("s", [1e-8, 1.0, 1e8])
+def test_gelbrich_accepts_covariances_with_orthogonal_ranges(s):
+    # for Sa and Sb with orthogonal ranges the cross term is 0 plus rounding
+    # of order eps ||Sa|| ||Sb||, of either sign; a floor relative to the
+    # cross term's own largest eigenvalue rejected nearly every such pair.
+    # W2^2 is then Tr Sa + Tr Sb
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        d = int(rng.integers(2, 7))
+        r = int(rng.integers(1, d))
+        basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        Sb = s * (basis[:, :r] * rng.uniform(0.1, 3.0, r)) @ basis[:, :r].T
+        Sa = s * (basis[:, r:] * rng.uniform(0.1, 3.0, d - r)) @ basis[:, r:].T
+        want = math.sqrt(np.trace(Sa) + np.trace(Sb))
+        assert gelbrich(_pair(Sa), _pair(Sb)) == pytest.approx(want, rel=1e-7)
+        ball = AmbiguityBall(kind=DivergenceKind.WASSERSTEIN2, nominal=_pair(Sb),
+                             radius=1.01 * want)
+        assert ball.divergence(_pair(Sa)) == pytest.approx(want, rel=1e-7)
+        assert membership(ball, _pair(Sa))
+
+
 def test_gelbrich_symmetry_and_triangle():
     rng = np.random.default_rng(0)
     for _ in range(20):

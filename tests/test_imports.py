@@ -2,7 +2,8 @@
 imports inside a function, and no private top-level function or class goes
 unread. No module imports threading, and no module keeps a mutable table:
 every module-level name bound to a dict, list or set display is an
-upper-case constant.
+upper-case constant. stationary.py calls neither spectral_radius nor
+eigvals: its stability checks go through matops._unstable_radius.
 
 For imports, __init__.py is skipped (its imports are the public names), and
 so is any import statement marked "# noqa: F401": those are bindings that
@@ -270,6 +271,37 @@ def test_checker_flags_plan_internals_outside_the_solves():
         "frank_wolfe._profile_plan (experiments.py line 2)",
         "oracles._plan (cli.py line 4)",
     ]
+
+
+# every Schur-stability decision of the stationary layer goes through
+# matops._unstable_radius, which tries a norm certificate before it
+# computes eigenvalues; stationary.py calls no eigenvalue route itself
+EIGENVALUE_CALLS = {"spectral_radius", "eigvals"}
+
+
+def eigenvalue_calls(source: str) -> list[str]:
+    """Calls in source of a name in EIGENVALUE_CALLS, bare or as an
+    attribute (np.linalg.eigvals)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in EIGENVALUE_CALLS:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_stationary_decides_stability_through_matops():
+    assert eigenvalue_calls((SRC / "stationary.py").read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_direct_eigenvalue_calls():
+    source = (
+        "import numpy as np\nfrom .matops import _unstable_radius, spectral_radius\n\n"
+        "def f(F):\n    return _unstable_radius(F), spectral_radius(F)\n\n"
+        "def g(F):\n    return np.linalg.eigvals(F), np.linalg.eigvalsh(F + F.T)\n"
+    )
+    assert eigenvalue_calls(source) == ["spectral_radius (line 5)", "eigvals (line 8)"]
 
 
 def _passes(call: ast.Call, index, name: str) -> bool:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from robustlqg.errors import InstabilityError, InvalidInputError
 from robustlqg.matops import (
+    _schur_certified,
+    _unstable_radius,
     solve_discrete_lyapunov,
     spectral_radius,
     sym_sqrt,
@@ -101,9 +103,86 @@ def test_lyapunov_matches_scipy(radius):
         assert np.linalg.norm(sigma - ref, "fro") <= 1e-9 * np.linalg.norm(ref, "fro")
 
 
+@pytest.mark.parametrize("s", [1e-20, 1e-12, 1e-4, 1.0, 1e4, 1e12, 1e20])
+def test_lyapunov_is_scale_equivariant(s):
+    # the stop is relative to Sigma: an absolute floor stopped after one step
+    # at Q = 1e-20 I, 66% short of the solution
+    rng = np.random.default_rng(13)
+    cases = [(0.9 * np.eye(3), np.eye(3))]
+    for d in (1, 3, 10):
+        F = rng.standard_normal((d, d))
+        cases.append((F * (0.9 / spectral_radius(F)), rand_spd(d, rng)))
+    for F, Q in cases:
+        ref = scipy.linalg.solve_discrete_lyapunov(F, s * Q)
+        sigma = solve_discrete_lyapunov(F, s * Q)
+        assert np.linalg.norm(sigma - ref, "fro") <= 1e-12 * np.linalg.norm(ref, "fro")
+    assert not solve_discrete_lyapunov(0.9 * np.eye(3), np.zeros((3, 3))).any()
+
+
 def test_lyapunov_rejects_unstable():
-    with pytest.raises(InstabilityError):
+    with pytest.raises(InstabilityError, match=r"spectral radius 1.000000 >= 1 - 1e-8"):
         solve_discrete_lyapunov(np.eye(2), np.eye(2))
+
+
+_RADII = (0.1, 0.5, 0.9, 0.99, 0.999, 1 - 1e-7, 1 - 1e-9, 1.0, 1.001, 1.01)
+
+
+def _loops():
+    """(family, F) on a seeded grid of spectral radii: dense, rotations in a
+    random orthonormal basis (complex spectra), Jordan blocks (defective),
+    strongly non-normal triangular loops, and unstable loops whose norms
+    reach 1e300."""
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 5, 10, 20):
+        for r in _RADII:
+            F = rng.standard_normal((d, d))
+            yield "dense", F * (r / spectral_radius(F))
+            if d == 1:
+                continue
+            basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            D = np.zeros((d, d))
+            for i, t in enumerate(rng.uniform(0.0, np.pi, d // 2)):
+                D[2 * i:2 * i + 2, 2 * i:2 * i + 2] = r * np.array(
+                    [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+            if d % 2:
+                D[-1, -1] = r
+            yield "rotation", basis @ D @ basis.T
+            yield "jordan", r * np.eye(d) + np.eye(d, k=1)
+            yield "non-normal", r * np.eye(d) + 10.0 * np.triu(rng.standard_normal((d, d)), 1)
+    for scale in (2.0, 1e3, 1e100, 1e160, 1e300):
+        for d in (1, 3, 10):
+            yield "huge", scale * np.eye(d) + np.eye(d, k=1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_schur_certificate_agrees_with_eigenvalues():
+    # a certificate proves rho(F) < 1 - 1e-8, so wherever it holds the
+    # eigenvalue rule must agree; where it does not, the eigenvalues decide
+    # and report the radius. The certificate is the Frobenius norm, so the
+    # normal families certify at small radii, while Jordan and non-normal
+    # loops (norm at least 1) never do; no overflow warning escapes
+    certified = set()
+    for family, F in _loops():
+        rho = spectral_radius(F)
+        stable = rho < 1.0 - 1e-8
+        if _schur_certified(F):
+            assert stable, (family, rho)
+            assert np.linalg.norm(F) < 1.0 - 1e-8, family
+            certified.add(family)
+        assert _unstable_radius(F) == (None if stable else rho), (family, rho)
+    assert certified == {"dense", "rotation"}
+
+
+def test_schur_certificate_stops_short_of_the_margin():
+    # at norm 1 - 1e-8 the loop is not stable with margin; a norm one
+    # rounding slack below still certifies, up to d = 20
+    for d in (1, 5, 20):
+        unit = np.full((d, d), 1.0 / d)
+        assert not _schur_certified((1.0 - 1e-8) * unit)
+        assert _schur_certified((1.0 - 1e-8 - 1e-13) * unit)
+        corner = np.zeros((d, d))
+        corner[0, 0] = 1.0 - 1e-8
+        assert _unstable_radius(corner) == 1.0 - 1e-8
 
 
 def test_spectral_radius():

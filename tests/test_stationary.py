@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from robustlqg.divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
+from robustlqg.divergences import (
+    AmbiguityBall, CustomDivergence, DivergenceKind, MomentPair, membership,
+)
 from robustlqg.errors import ConditioningError, InvalidInputError, StabilizabilityError
 from robustlqg.frank_wolfe import FwConfig
 from robustlqg.instances import instance_rng, random_covariance
@@ -494,7 +496,9 @@ def test_bench_construction_stops_after_one_pass_and_one_lyapunov_solve(monkeypa
     # the stationary benchmark's instances (run_stationary's dynamics,
     # nominals from instance_rng(seed), rho 0.1, gap 1e-3): the first full
     # step comes within gap_tol of the first pass's upper bound, so each
-    # solve makes one oracle pass and one Lyapunov solve, for its gradient
+    # solve makes one oracle pass and one Lyapunov solve, for its gradient.
+    # It checks its noise pair once, at the nominals, and powers of the
+    # closed loops certify every Schur check, so no eigvals runs
     from robustlqg import frank_wolfe, stationary
     from robustlqg.instances import benchmark_dynamics
 
@@ -504,11 +508,51 @@ def test_bench_construction_stops_after_one_pass_and_one_lyapunov_solve(monkeypa
         for seed in range(6):
             passes = counting(monkeypatch, frank_wolfe, "_oracle_pass")
             lyapunov = counting(monkeypatch, stationary, "solve_discrete_lyapunov")
+            checks = counting(monkeypatch, stationary, "_noise_pair")
+            eigvals = counting(monkeypatch, np.linalg, "eigvals")
             _, _, trace = solve_stationary_fw(ss, *_stationary_balls(kind, d, d, 0.1, seed),
                                               FwConfig(gap_tol=1e-3))
             monkeypatch.undo()
             assert trace.stop == "bound" and len(trace.records) == 1
-            assert len(passes) == len(lyapunov) == 1
+            assert len(passes) == len(lyapunov) == len(checks) == 1
+            assert eigvals == []
+
+
+def _fw_error(ball_w, ball_v):
+    eye = np.eye(2)
+    ss = StationarySystem(A=0.5 * eye, B=eye, C=eye, Q=eye, R=eye)
+    with pytest.raises(InvalidInputError) as err:
+        solve_stationary_fw(ss, ball_w, ball_v, FwConfig(gap_tol=1e-6))
+    return str(err.value)
+
+
+@pytest.mark.parametrize("singular", ["w", "v"])
+def test_stationary_fw_rejects_a_singular_wasserstein_nominal(singular):
+    # a W2 nominal need only be psd, but the stationary noise must be pd; the
+    # nominals are checked once, before the DARE, with the filter ARE's message
+    W2 = DivergenceKind.WASSERSTEIN2
+    good = AmbiguityBall(kind=W2, nominal=MomentPair.zero_mean(np.eye(2)), radius=0.1)
+    bad = AmbiguityBall(kind=W2, nominal=MomentPair.zero_mean(np.ones((2, 2))), radius=0.1)
+    balls = (bad, good) if singular == "w" else (good, bad)
+    assert _fw_error(*balls) == "stationary noise covariances must be positive definite"
+
+
+@pytest.mark.parametrize("custom", ["w", "v"])
+def test_stationary_fw_checks_the_iterates_of_custom_balls(custom):
+    # a custom linearization's targets only pass membership: this one is
+    # singular psd, so the full step's trial iterate is not pd and its
+    # evaluation must reject it, as solve_filter_are does, not solve with it
+    def frobenius(candidate, nominal):
+        return float(np.linalg.norm(candidate.cov - nominal.cov, "fro"))
+
+    eye = MomentPair.zero_mean(np.eye(2))
+    handle = CustomDivergence(name="rank-one", evaluate=frobenius, nominal=eye, rho=0.5,
+                              linearization=lambda G, nominal, rho, ref: np.diag([2.0, 0.0]))
+    ball = AmbiguityBall(kind=DivergenceKind.MOMENT_CUSTOM, nominal=eye, radius=5.0,
+                         custom=handle)
+    other = AmbiguityBall(kind=DivergenceKind.WASSERSTEIN2, nominal=eye, radius=0.1)
+    balls = (ball, other) if custom == "w" else (other, ball)
+    assert _fw_error(*balls) == "stationary noise covariances must be positive definite"
 
 
 def _near_unstable(d, p, radius):
@@ -647,7 +691,8 @@ def test_bench_stationary_ares_make_three_doublings_and_one_residual(monkeypatch
     # ARE makes 3 doublings (the third leaves ||A_3||_F^2 below 2e-15, far
     # under the 1e-12 exit), one solve for G = B R^{-1} B^T and one residual
     # evaluation, the DARE's by one lqg._riccati_step that also gives K, the
-    # filter's from its gain L; one eigvals is the Schur check
+    # filter's from its gain L; powers of the closed loop certify it Schur
+    # stable, so no eigvals runs
     import robustlqg.stationary as stationary
     from robustlqg.instances import benchmark_dynamics
 
@@ -664,7 +709,7 @@ def test_bench_stationary_ares_make_three_doublings_and_one_residual(monkeypatch
         solve()
         return {name: len(c) for name, c in linalg.items()}
 
-    want = {"solve": 3 + 2, "eigvals": 1, "eigvalsh": 0, "cond": 0}
+    want = {"solve": 3 + 2, "eigvals": 0, "eigvalsh": 0, "cond": 0}
     assert calls_of(lambda: solve_dare(ss)) == want
     assert len(steps) == 1 and counts == [3]
     for seed in range(6):
