@@ -151,8 +151,10 @@ def gelbrich(a: MomentPair, b: MomentPair) -> float:
                      scale=float(np.linalg.norm(Sa) * np.linalg.norm(Sb)))
     trace_term = float(np.trace(Sa) + np.trace(Sb) - 2.0 * np.trace(cross))
     # the term is a difference of O(Tr) quantities; below the rounding floor
-    # it is genuinely zero (the square root would otherwise amplify noise)
-    if trace_term < 1e-12 * (1.0 + np.trace(Sa) + np.trace(Sb)):
+    # it is genuinely zero (the square root would otherwise amplify noise).
+    # The floor is relative to the traces, so W2(sA, sB) = sqrt(s) W2(A, B)
+    # holds at every scale
+    if trace_term < 1e-12 * (np.trace(Sa) + np.trace(Sb)):
         trace_term = 0.0
     mean_term = float(np.sum((a.mean - b.mean) ** 2))
     return math.sqrt(mean_term + trace_term)

@@ -17,11 +17,21 @@ Newton on the order-matched reciprocal rho^{-1/q} - div(g)^{-1/q}, where
 div decays like g^{-q} (q = 1 for Wasserstein, where it is the
 trust-region secular equation of More & Sorensen, 1983; q = 2 for KL and
 Fisher), so the form is close to linear in g. Wasserstein starts at the
-upper bracket end; KL and Fisher start at the root sqrt(c / rho) of their
-tail asymptote div(g) ~ c g^{-2}, where that lies inside the bracket (the
-start secular-equation solvers take from the far asymptote; R.-C. Li,
-LAPACK Working Note 89). A bisection step replaces Newton whenever it
-would leave the bracket. The search stops once the
+upper bracket end; KL starts at the root sqrt(c / rho) of its tail
+asymptote div(g) ~ c g^{-2}, where that lies inside the bracket (the start
+secular-equation solvers take from the far asymptote; R.-C. Li, LAPACK
+Working Note 89). Fisher, whose pencil does not commute, steps from a
+model of its divergence, as secular-equation solvers do: the commuting
+model m(g) = w sum_k phi(h_k / g), phi(x) = (1-x)^{-1/2} + (1-x)^{1/2} - 2,
+over the eigenvalues h of Shat Gamma Shat: where Shat = diag(s) and Gamma
+commute, the divergence is sum_k phi(h_k / g) / s_k, and the model puts
+one weight w, fitted to the exact tail, in place of the 1 / s_k. It starts
+one Newton step on the model past the tail root (or the upper end), and
+takes every step on the reciprocal form of the model's order
+q = 1 / (m m'' / m'^2 - 1) at the current g (2 in the tail, 1/2 at the
+pole), or of q = 2 after a step that did not shrink |div - rho|. A
+bisection step replaces Newton whenever it would leave the bracket. The
+search stops once the
 candidate is feasible, the constraint is active to 1e-6, and the
 delta-criterion <Sigma(g) - Sigma_ref, Gamma> >= delta * phi(g) holds for
 the fixed delta = _DELTA; a block that does not certify raises OracleError,
@@ -40,8 +50,12 @@ Cholesky factor for KL)
 diagonalizes every block's dual equation, so a divergence and its slope
 cost O(d) per block and a few numpy calls per group. The Fisher pencil
 does not commute, so each Fisher evaluation takes one batched
-eigendecomposition, shared by the divergence, its slope (Daleckii-Krein,
-in the pencil eigenbasis) and the dual and primal values.
+eigendecomposition of the pencil in the nominal's eigenbasis, where it is
+graded and eigh keeps its small eigenvalues accurate. It is shared by the
+divergence (a sum of squares, free of cancellation), its slope
+(Daleckii-Krein, in the pencil eigenbasis) and the dual and primal values;
+Sigma(g) is formed only for the blocks it accepts. The model reads only
+the bracket's eigenvalues, so it costs no evaluation.
 The search runs in lockstep: every unfinished block takes its own step at
 each iteration and leaves the group once it certifies, so a block's result
 does not depend on the rest of its group. Each step evaluates the
@@ -54,8 +68,8 @@ at once (NominalModel.ball_profile), as a psd Wasserstein nominal or a pd KL
 or Fisher one, finite and square. What depends only on the balls is planned
 once (_plan): the groups and the stack rows they gather, their stacked
 nominals and radii, and the nominal factors the setups read (KL: the
-Cholesky factor L, Shat = L L^T; Fisher: Shat^{-2}, Tr Shat^{-1} and the
-eigenpairs of Shat). Planning rejects a
+Cholesky factor L, Shat = L L^T; Fisher: the eigenpairs of Shat and
+Shat^{-2} in its eigenbasis). Planning rejects a
 nonzero nominal mean and a ball with no oracle. _run runs a plan and
 returns the targets stacked like the references, with per-block arrays of
 the other results and of the blocks' upper bounds, the dual bounds grown
@@ -165,14 +179,20 @@ class _Dual(NamedTuple):
     given the aux of their evaluation at g. order is the kind's constant q:
     div(Sigma(g)) decays like g^{-q} for large g (1 for Wasserstein, whose
     divergence is a distance, 2 for KL and Fisher, which are quadratic in
-    Sigma - Shat), so div^{-1/q} is close to linear in g. tail is the
-    per-block coefficient c of that decay, div(g) ~ c g^{-2}, whose root
-    sqrt(c / rho) starts the search (KL and Fisher), or None to start at hi
-    (Wasserstein). slack is the per-block growth of phi(g) / g when the
-    radius grows by the search's feasibility slack _FEAS_TOL, the change in
-    the kind's dual radius term: (rho + _FEAS_TOL)^2 - rho^2 for
-    Wasserstein (g rho^2), 2 _FEAS_TOL for KL (2 g rho) and _FEAS_TOL for
-    Fisher (g rho).
+    Sigma - Shat), so div^{-1/q} is close to linear in g. slack is the
+    per-block growth of phi(g) / g when the radius grows by the search's
+    feasibility slack _FEAS_TOL, the change in the kind's dual radius term:
+    (rho + _FEAS_TOL)^2 - rho^2 for Wasserstein (g rho^2), 2 _FEAS_TOL for
+    KL (2 g rho) and _FEAS_TOL for Fisher (g rho). start is the per-block
+    point of the first evaluation, strictly inside (lo, hi) or hi itself:
+    hi for Wasserstein, whose hi lies close to the root, and the root
+    sqrt(c / rho) of the tail asymptote div(g) ~ c g^{-2} for KL (_tail_start),
+    from which Fisher takes one Newton step on a model of its divergence
+    (_model_start). tail is that c (KL and Fisher), or None. order_at is
+    None, or order_at(idx, g, miss), which returns the order q of the next
+    step of the blocks idx at g, given their |div(g) - rho| (Fisher: the
+    model's order, _fisher_model, or 2 where the miss did not shrink since
+    the block's previous call).
     """
 
     lo: np.ndarray
@@ -185,7 +205,9 @@ class _Dual(NamedTuple):
     candidate: Callable
     order: int
     slack: np.ndarray
+    start: np.ndarray
     tail: np.ndarray | None = None
+    order_at: Callable | None = None
 
 
 def _w2_divergence(g, lam, s, c_ref, rho):
@@ -223,7 +245,7 @@ def _wasserstein(G, nominal, rho, c_ref) -> _Dual:
 
     scale = np.abs(c_ref) + (lam * s).sum(axis=1)
     return _Dual(lam1 * factor, hi, size * factor, scale, (lam, s, c_ref, rho), _w2_divergence,
-                 _w2_values, candidate, 1, _FEAS_TOL * (2.0 * rho + _FEAS_TOL))
+                 _w2_values, candidate, 1, _FEAS_TOL * (2.0 * rho + _FEAS_TOL), hi)
 
 
 def _kl_divergence(g, lam, c_ref, rho):
@@ -257,71 +279,152 @@ def _kl(G, nominal, rho, c_ref, chol) -> _Dual:
         return symmetrize((RU[idx] * m[:, None, :]) @ RU_t[idx])
 
     scale = np.abs(c_ref) + lam.sum(axis=1)
-    return _Dual(lam1, lam1 * (1.0 + d / rho), size, scale, (lam, c_ref, rho), _kl_divergence,
-                 _kl_values, candidate, 2, np.full(rho.size, 2.0 * _FEAS_TOL),
-                 0.25 * (lam * lam).sum(axis=1))
+    hi, tail = lam1 * (1.0 + d / rho), 0.25 * (lam * lam).sum(axis=1)
+    return _Dual(lam1, hi, size, scale, (lam, c_ref, rho), _kl_divergence, _kl_values,
+                 candidate, 2, np.full(rho.size, 2.0 * _FEAS_TOL),
+                 _tail_start(lam1, hi, tail, rho), tail)
+
+
+def _tail_start(lo, hi, tail, rho):
+    """The root sqrt(c / rho) of the tail asymptote div(g) ~ c g^{-2} (the
+    start secular-equation solvers take from the far asymptote), where it
+    lies strictly inside (lo, hi), and hi elsewhere."""
+    root = np.sqrt(tail / rho)
+    return np.where((root > lo) & (root < hi), root, hi)
 
 
 def _pencil(g, inv2, G):
-    """Sigma(g) = (Shat^{-2} - Gamma/g)^{-1/2}, the pencil's eigenvectors and
-    its eigenvalues' roots, and whether the pencil is pd (elsewhere the roots
-    are placeholders)."""
-    vals, vecs = np.linalg.eigh(symmetrize(inv2 - G / g[:, None, None]))
+    """The eigenvectors V of the pencil M = Shat^{-2} - Gamma/g in Shat's
+    eigenbasis, the roots r of its eigenvalues, so Sigma(g) = M^{-1/2} is
+    V diag(1/r) V^T there, and whether the pencil is pd (elsewhere the roots
+    are placeholders). Both inputs are exactly symmetric."""
+    vals, vecs = np.linalg.eigh(inv2 - G / g[:, None, None])
     pd = vals[:, 0] > 0.0
-    roots = np.sqrt(np.where(pd[:, None], vals, 1.0))
-    return (vecs / roots[:, None, :]) @ np.swapaxes(vecs, 1, 2), vecs, roots, pd
+    return vecs, np.sqrt(np.where(pd[:, None], vals, 1.0)), pd
 
 
-def _fisher_divergence(g, inv2, G, tr_inv_hat, c_ref, rho):
-    """The divergence and its slope. With M = Shat^{-2} - Gamma/g = V diag(v) V^T
-    and Gt = V^T Gamma V, Daleckii-Krein differentiates M^{-1/2} with the
-    divided differences of v^{-1/2}, -1 / (r_i r_j (r_i + r_j)) for r = v^{1/2};
-    the diagonal terms cancel against the slope of Tr M^{1/2}, leaving
+def _fisher_divergence(g, inv2, inv_s, G, c_ref, rho):
+    """The divergence and its slope, in Shat = U diag(s) U^T's eigenbasis: from
+    inv2 = diag(s^{-2}), inv_s = 1/s and G = U^T Gamma U, the pencil is
+    M = diag(s^{-2}) - G/g = V diag(r^2) V^T. M is graded like Shat^{-2}, and
+    there eigh keeps its small eigenvalues, which set the divergence near
+    the pole, to a far smaller error than in the original basis. With
+    Sigma^{-1} = M^{1/2} = V diag(r) V^T, the divergence
+    Tr Shat^{-2} Sigma - 2 Tr Shat^{-1} + Tr Sigma^{-1} is the sum of squares
+    Tr((Shat^{-1} - Sigma^{-1})^2 Sigma) = sum_ij D_ij^2 / r_j with
+    D = V^T diag(1/s) V - diag(r), free of the cancellation between its
+    O(Tr Shat^{-1}) terms that the trace form suffers once the nominal is
+    ill-conditioned. Sigma itself is formed only for accepted blocks
+    (_fisher's candidate). With Gt = V^T G V, Daleckii-Krein differentiates
+    M^{-1/2} with the divided differences of v^{-1/2} over its eigenvalues
+    v = r^2, -1 / (r_i r_j (r_i + r_j)); the diagonal terms cancel against
+    the slope of Tr M^{1/2}, leaving
     div'(g) = -sum_ij Gt_ij^2 / (r_i r_j (r_i + r_j)) / g^3."""
-    sigma, vecs, roots, pd = _pencil(g, inv2, G)
-    div = (inv2 * sigma).sum(axis=(1, 2)) - 2.0 * tr_inv_hat + roots.sum(axis=1)
-    div = np.where(pd, div, np.inf)
-    Gt = np.swapaxes(vecs, 1, 2) @ G @ vecs
+    vecs, roots, pd = _pencil(g, inv2, G)
+    vecs_t = np.swapaxes(vecs, 1, 2)
+    Gt = vecs_t @ G @ vecs
+    D = (vecs_t * inv_s[:, None, :]) @ vecs
+    k = np.arange(D.shape[1])
+    D[:, k, k] -= roots
+    div = np.where(pd, (D * D / roots[:, None, :]).sum(axis=(1, 2)), np.inf)
     dd = roots[:, :, None] * roots[:, None, :] * (roots[:, :, None] + roots[:, None, :])
     slope = -(Gt * Gt / dd).sum(axis=(1, 2)) / g**3
-    return div, np.where(pd, slope, np.nan), (div, sigma)
+    return div, np.where(pd, slope, np.nan), (div, vecs, roots, Gt)
 
 
-def _fisher_values(g, div, sigma, inv2, G, tr_inv_hat, c_ref, rho):
-    prim = (G * symmetrize(sigma)).sum(axis=(1, 2)) - c_ref
+def _fisher_values(g, div, vecs, roots, Gt, inv2, inv_s, G, c_ref, rho):
+    # <Gamma, Sigma> = sum_i Gt_ii / r_i
+    prim = (np.diagonal(Gt, axis1=1, axis2=2) / roots).sum(axis=1) - c_ref
     return prim - g * (div - rho), prim
 
 
-def _fisher(G, nominal, rho, c_ref, inv2, tr_inv_hat, hat_vals, hat_vecs) -> _Dual:
+def _fisher_model(g, h):
+    """The commuting model of the Fisher divergence, m(g) = w sum_k phi(h_k / g)
+    with phi(x) = (1-x)^{-1/2} + (1-x)^{1/2} - 2, up to its weight w: where
+    Shat = diag(s) and Gamma commute, the divergence is the same sum with
+    weights 1 / s_k in place of w. Returns
+    sum_k phi, the slope's g sum_k x phi'(x) (m' = -w sum / g) and the
+    model's order 1 / (m m'' / m'^2 - 1), the q of m ~ g^{-q}: 2 in the tail,
+    1/2 at the pole g = max h. Sums of terms can fall below 1/2, so it is
+    clamped to [1/2, 2], and it is 2 where not finite (every x rounds to 0).
+    With u = (1-x)^{1/2} and a = x^2 / u, phi = a / (1+u)^2, x phi' = a / (2u^2)
+    and g^2 m'' / w = sum 2x phi' + x^2 phi'' = sum a (4u^2 + 2 + x) / (4u^4),
+    free of cancellation at small x."""
+    x = h / g[:, None]
+    u2 = 1.0 - x
+    u = np.sqrt(u2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = x * x / u
+        s0 = (a / (1.0 + u) ** 2).sum(axis=1)
+        s1 = (a / (2.0 * u2)).sum(axis=1)
+        s2 = (a * (4.0 * u2 + 2.0 + x) / (4.0 * u2 * u2)).sum(axis=1)
+        q = 1.0 / (s0 * s2 / (s1 * s1) - 1.0)
+    return s0, s1, np.where(np.isfinite(q), np.clip(q, 0.5, 2.0), 2.0)
+
+
+def _model_start(g, lo, hi, h, tail, rho):
+    """One Newton step on the commuting model m(g) = w sum_k phi(h_k / g)
+    (_fisher_model), w = 4 tail / sum_k h_k^2 fitted to the exact tail
+    c g^{-2}, from the start g, on the reciprocal form of the model's own
+    order there. A step that does not land strictly inside [lo, hi] keeps g."""
+    # a gradient zero to rounding (never searched) gives 0 / 0 here
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s0, s1, q = _fisher_model(g, h)
+        w = 4.0 * tail / (h * h).sum(axis=1)
+        m, p = w * s0, 1.0 / q
+        step = g + q * m * (m**p - rho**p) * g / (rho**p * w * s1)
+    return np.where((step > lo) & (step < hi), step, g)
+
+
+def _fisher(G, nominal, rho, c_ref, inv2, hat_vals, hat_vecs) -> _Dual:
     """Fisher ball: one pencil eigendecomposition per evaluation, none here.
-    inv2, tr_inv_hat, hat_vals and hat_vecs are the nominal factors
-    Shat^{-2}, t = Tr Shat^{-1} and the eigenpairs (s, U) of Shat.
+    inv2, hat_vals and hat_vecs are the nominal factors diag(s^{-2}) and the
+    eigenpairs (s, U) of Shat; the search works in U's basis
+    (_fisher_divergence).
 
     The bracket is closed-form. Below lo = lam_max(Shat Gamma Shat) the
     pencil is indefinite. Above it, Gamma/g <= (lo/g) Shat^{-2}, so
     Shat^{-2} >= M = Shat^{-2} - Gamma/g >= (1 - lo/g) Shat^{-2}; the square
     root is operator monotone (Loewner-Heinz), so Tr Sigma^{-1} = Tr M^{1/2}
-    <= t and Sigma <= (1 - lo/g)^{-1/2} Shat, which bound the divergence
-    Tr Shat^{-2} Sigma - 2t + Tr Sigma^{-1} by ((1 - lo/g)^{-1/2} - 1) t.
-    That bound equals rho at hi = lo / (1 - (1 + rho/t)^{-2}), so
-    div(hi) <= rho.
+    <= t = Tr Shat^{-1} and Sigma <= (1 - lo/g)^{-1/2} Shat, which bound the
+    divergence Tr Shat^{-2} Sigma - 2t + Tr Sigma^{-1} by
+    ((1 - lo/g)^{-1/2} - 1) t. That bound equals rho at
+    hi = lo / (1 - (1 + rho/t)^{-2}), so div(hi) <= rho.
 
     For large g, div(g) = c g^{-2} + O(g^{-3}) with
     c = sum_ij s_i^2 s_j^2 Gt_ij^2 / (2 (s_i + s_j)) and Gt = U^T Gamma U.
+    The search's model (_fisher_model) reads the eigenvalues h of
+    Shat Gamma Shat, clamped at 0, which set lo and share its pole; it sets
+    the start (_model_start) and the order of every step, where it keeps
+    each block's last |div - rho| to fall back to q = 2 after a step that
+    did not shrink it.
     """
     s_i, s_j = hat_vals[:, :, None], hat_vals[:, None, :]
-    H = s_i * (np.swapaxes(hat_vecs, 1, 2) @ G @ hat_vecs) * s_j  # s_i s_j Gt_ij
+    hat_t = np.swapaxes(hat_vecs, 1, 2)
+    Gt = symmetrize(hat_t @ G @ hat_vecs)
+    H = s_i * Gt * s_j
     tail = (H * H / (2.0 * (s_i + s_j))).sum(axis=(1, 2))
     vals = np.linalg.eigvalsh(H)  # H = U^T (Shat Gamma Shat) U, the same spectrum
     lo, size = vals[:, -1], np.maximum(-vals[:, 0], vals[:, -1])
-    hi = lo / -np.expm1(-2.0 * np.log1p(rho / tr_inv_hat))
+    hi = lo / -np.expm1(-2.0 * np.log1p(rho / (1.0 / hat_vals).sum(axis=1)))
+    # <Gamma, Shat> = sum_i s_i Gt_ii = sum_i H_ii / s_i, read off H
+    value = (np.diagonal(H, axis1=1, axis2=2) / hat_vals).sum(axis=1)
+    h = np.maximum(vals, 0.0)
+    last = np.full(rho.size, np.inf)
+
+    def order_at(idx, g, miss):  # keeps each block's last miss in last
+        q = np.where(miss < last[idx], _fisher_model(g, h[idx])[2], 2.0)
+        last[idx] = miss
+        return q
 
     def candidate(idx, g, aux):
-        return symmetrize(aux[1])
+        W = hat_vecs[idx] @ aux[1]  # the pencil's eigenvectors in the original basis
+        return symmetrize((W / aux[2][:, None, :]) @ np.swapaxes(W, 1, 2))
 
-    scale = np.abs(c_ref) + (G * nominal).sum(axis=(1, 2))
-    return _Dual(lo, hi, size, scale, (inv2, G, tr_inv_hat, c_ref, rho), _fisher_divergence,
-                 _fisher_values, candidate, 2, np.full(rho.size, _FEAS_TOL), tail)
+    start = _model_start(_tail_start(lo, hi, tail, rho), lo, hi, h, tail, rho)
+    return _Dual(lo, hi, size, np.abs(c_ref) + value, (inv2, 1.0 / hat_vals, Gt, c_ref, rho),
+                 _fisher_divergence, _fisher_values, candidate, 2,
+                 np.full(rho.size, _FEAS_TOL), start, tail, order_at)
 
 
 _SETUPS = {
@@ -336,13 +439,15 @@ ORACLE_KINDS = frozenset(_SETUPS)
 def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
     """Lockstep safeguarded Newton on the blocks of a group; div(g) must decrease.
 
-    Each block starts at the root sqrt(c / rho) of its tail asymptote
-    div(g) ~ c g^{-2} (dual.tail; KL and Fisher) where that lies strictly
-    inside its bracket, and at its upper bracket end hi otherwise and for
-    Wasserstein, whose hi lies close to the root. It steps on the reciprocal
-    form rho^{-1/q} - div(g)^{-1/q}, q = dual.order, whose Newton step is
+    Each block starts at dual.start: hi for Wasserstein, the tail root
+    sqrt(c / rho) for KL, one Newton step on a model past it for Fisher,
+    each where it lies strictly inside the bracket. It steps on the
+    reciprocal form rho^{-1/q} - div(g)^{-1/q}, whose Newton step is
     g - q div (div^{1/q} - rho^{1/q}) / (rho^{1/q} div'(g)) (for q = 1 the
-    secular-equation step of More & Sorensen, 1983). Every evaluation moves
+    secular-equation step of More & Sorensen, 1983), with q = dual.order,
+    or per block dual.order_at at g where the kind has one (Fisher: the
+    model's order, or 2 after an evaluation whose |div - rho| did not
+    shrink; the model makes no evaluation). Every evaluation moves
     one end of the block's bracket [lo, hi] onto g, keeping the root inside;
     a step that would not land strictly inside the bracket (as with a
     non-finite, zero or wrong-signed slope) is replaced by the bracket's
@@ -370,10 +475,7 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
     sigma = np.empty((blocks.size, d, d))
     live = np.arange(blocks.size)
     parts = tuple(a[blocks] for a in dual.data)
-    g = hi.copy()
-    if dual.tail is not None:
-        tail_root = np.sqrt(dual.tail[blocks] / parts[-1])
-        np.copyto(g, tail_root, where=(tail_root > lo) & (tail_root < hi))
+    g = dual.start[blocks]
     for step in range(1, _MAX_STEPS + 1):
         if live.size == 0:
             return gamma, got, bound, steps, sigma
@@ -392,6 +494,9 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
             got[b] = np.where(certified, np.minimum(1.0, prim / np.where(certified, phi, 1.0)), 1.0)
             gamma[b], bound[b], steps[b] = g[j], phi, step
             sigma[b] = dual.candidate(blocks[b], g[j], tuple(a[j] for a in aux))
+        if dual.order_at is not None:
+            q = dual.order_at(blocks[live], g, np.abs(div - rho))
+            p = 1.0 / q
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             g = g - q * div * (div**p - rho**p) / (rho**p * slope)
         # g was a bracket end, so a wrong-signed slope steps outside the
@@ -410,16 +515,18 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
 def _nominal_factors(kind: DivergenceKind, nominal: np.ndarray) -> tuple:
     """The factors of a stack of symmetrized nominals that kind's setup reads,
     one per-block array each: for KL the Cholesky factor L, Shat = L L^T;
-    for Fisher Shat^{-2}, Tr Shat^{-1} and the eigenpairs of Shat (one
-    batched eigh); for Wasserstein none. KL and Fisher nominals are pd, as
-    their AmbiguityBall checks."""
+    for Fisher diag(s^{-2}), which is Shat^{-2} in Shat's eigenbasis, and
+    the eigenpairs (s, U) of Shat (one batched eigh); for Wasserstein none.
+    KL and Fisher nominals are pd, as their AmbiguityBall checks."""
     if kind is DivergenceKind.WASSERSTEIN2:
         return ()
     if kind is DivergenceKind.KULLBACK_LEIBLER:
         return (np.linalg.cholesky(nominal),)
     hat_vals, hat_vecs = np.linalg.eigh(nominal)
-    inv2 = (hat_vecs / hat_vals[:, None, :] ** 2) @ np.swapaxes(hat_vecs, 1, 2)
-    return inv2, (1.0 / hat_vals).sum(axis=1), hat_vals, hat_vecs
+    inv2 = np.zeros_like(nominal)
+    k = np.arange(nominal.shape[1])
+    inv2[:, k, k] = hat_vals ** -2.0
+    return inv2, hat_vals, hat_vecs
 
 
 class _Group(NamedTuple):
@@ -674,7 +781,11 @@ def fisher_oracle(
     lo = lam_max(Shat Gamma Shat) (where the pencil loses definiteness) and
     t = Tr Shat^{-1}. The search starts at the root sqrt(c / rho) of the
     divergence's tail c g^{-2} where that lies inside the bracket, and at
-    the upper end otherwise.
+    the upper end otherwise, then one Newton step further on the commuting
+    model w sum_k phi(h_k / g), phi(x) = (1-x)^{-1/2} + (1-x)^{1/2} - 2, with
+    h the eigenvalues of Shat Gamma Shat and w fitted to c, where that step
+    lies strictly inside the bracket. Each later step is Newton on the
+    reciprocal form of the model's order at the current g.
     """
     ball = AmbiguityBall(DivergenceKind.FISHER, MomentPair.zero_mean(nominal_cov), rho)
     return solve_oracle(ball, Gamma, sigma_ref)

@@ -87,6 +87,24 @@ def test_gelbrich_is_homogeneous_on_singular_covariances(s):
         assert membership(ball, _pair(s * A))
 
 
+@pytest.mark.parametrize("s", [1e-10, 1e-12, 1e-14, 1e-16])
+def test_gelbrich_is_homogeneous_at_tiny_scales(s):
+    # the trace term's rounding floor is relative to Tr Sa + Tr Sb: an
+    # absolute floor of 1e-12 (1 + Tr Sa + Tr Sb) put distinct rank-5 6 x 6
+    # covariances at distance 0 from s = 1e-14 down, so W2 membership
+    # accepted any such pair. A ball of half the distance must reject
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        X, Y = rng.standard_normal((2, 6, 5))
+        A, B = X @ X.T, Y @ Y.T
+        base = gelbrich(_pair(A), _pair(B))
+        got = gelbrich(_pair(s * A), _pair(s * B))
+        assert got == pytest.approx(math.sqrt(s) * base, rel=1e-7)
+        ball = AmbiguityBall(kind=DivergenceKind.WASSERSTEIN2, nominal=_pair(s * B),
+                             radius=0.5 * math.sqrt(s) * base)
+        assert not membership(ball, _pair(s * A), tol=0.0)
+
+
 @pytest.mark.parametrize("s", [1e-8, 1.0, 1e8])
 def test_gelbrich_accepts_covariances_with_orthogonal_ranges(s):
     # for Sa and Sb with orthogonal ranges the cross term is 0 plus rounding

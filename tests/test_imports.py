@@ -3,7 +3,8 @@ imports inside a function, and no private top-level function or class goes
 unread. No module imports threading, and no module keeps a mutable table:
 every module-level name bound to a dict, list or set display is an
 upper-case constant. stationary.py calls neither spectral_radius nor
-eigvals: its stability checks go through matops._unstable_radius.
+eigvals: its stability checks go through matops._unstable_radius. Every
+absolute import comes from the stdlib, numpy or the package itself.
 
 For imports, __init__.py is skipped (its imports are the public names), and
 so is any import statement marked "# noqa: F401": those are bindings that
@@ -24,6 +25,7 @@ test suite never runs them.
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,6 +139,31 @@ def test_checker_finds_every_absolute_import():
         "def f():\n    import json\n"
     )
     assert imported_modules(source) == {"os", "threading", "json"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The absolute imports of source from outside the stdlib, numpy and the
+    package itself: the only runtime dependency is numpy."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "robustlqg"}
+    return sorted(imported_modules(source) - allowed)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_the_package_imports_only_the_stdlib_and_numpy(path):
+    # scipy, mpmath and hypothesis are for the tests only
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_a_planted_scipy_import():
+    source = (
+        "import math, numpy as np\n"
+        "from collections import abc\n"
+        "from robustlqg.matops import symmetrize\n"
+        "from .oracles import x\n"
+        "def f():\n    import scipy.linalg\n"
+        "from mpmath import mp\n"
+    )
+    assert foreign_imports(source) == ["mpmath", "scipy"]
 
 
 def mutable_module_globals(source: str) -> list[str]:
