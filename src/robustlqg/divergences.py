@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericError
 from .matops import (
-    _check_finite, _check_square, _cholesky_certifies, _is_number, sym_sqrt, symmetrize,
+    _check_finite, _check_square, _cholesky_certifies, _eigvalsh, _fro, _inv, _is_number, _slogdet,
+    sym_sqrt, symmetrize,
 )
 
 INFEASIBLE = float("inf")
@@ -93,7 +94,7 @@ def _check_dims(a: MomentPair, b: MomentPair):
 
 
 def _logdet_pd(S: np.ndarray, what: str) -> float:
-    sign, logdet = np.linalg.slogdet(S)
+    sign, logdet = _slogdet(S)
     if sign <= 0:
         raise InvalidInputError(f"{what} must be positive definite")
     return float(logdet)
@@ -108,7 +109,7 @@ def _pair_violation(cov: np.ndarray, M: np.ndarray) -> Optional[tuple[int, str]]
     tol = _VALID_PAIR_TOL * (1.0 + np.sqrt((M * M).sum(axis=(1, 2))))
     if _cholesky_certifies(cov, tol):
         return None
-    lam = np.linalg.eigvalsh(cov)[:, 0]
+    lam = _eigvalsh(cov)[:, 0]
     bad = np.flatnonzero(lam < -tol)
     if not bad.size:
         return None
@@ -126,7 +127,7 @@ def _pd_violation(S: np.ndarray) -> Optional[int]:
     tol = 1e-12 * np.sqrt((S * S).sum(axis=(1, 2)))
     if _cholesky_certifies(S, -tol):
         return None
-    bad = np.flatnonzero(~(np.linalg.eigvalsh(S)[:, 0] > tol))
+    bad = np.flatnonzero(~(_eigvalsh(S)[:, 0] > tol))
     return int(bad[0]) if bad.size else None
 
 
@@ -148,7 +149,7 @@ def gelbrich(a: MomentPair, b: MomentPair) -> float:
     # the cross term's rounding scales with ||Sa|| ||Sb||, not with its own
     # largest eigenvalue: for covariances with orthogonal ranges it is 0
     cross = sym_sqrt(root_b @ Sa @ root_b,
-                     scale=float(np.linalg.norm(Sa) * np.linalg.norm(Sb)))
+                     scale=_fro(Sa) * _fro(Sb))
     trace_term = float(np.trace(Sa) + np.trace(Sb) - 2.0 * np.trace(cross))
     # the term is a difference of O(Tr) quantities; below the rounding floor
     # it is genuinely zero (the square root would otherwise amplify noise).
@@ -174,7 +175,7 @@ def kl_t_divergence(a: MomentPair, b: MomentPair) -> float:
         raise InvalidInputError("nominal covariance must be positive definite")
     if not _is_pd(Sa):
         return INFEASIBLE
-    Sb_inv = np.linalg.inv(Sb)
+    Sb_inv = _inv(Sb)
     dmu = a.mean - b.mean
     quad = float(dmu @ Sb_inv @ dmu)
     tr = float(np.trace(Sa @ Sb_inv))
@@ -187,7 +188,7 @@ def _entropic_x(Sa: np.ndarray, Sb: np.ndarray, eps: float) -> np.ndarray:
     d = Sa.shape[0]
     root_b = sym_sqrt(Sb)
     inner = root_b @ Sa @ root_b + (eps / 4.0) ** 2 * np.eye(d)
-    if np.linalg.eigvalsh(symmetrize(inner)).min() < 0.0:
+    if _eigvalsh(symmetrize(inner)).min() < 0.0:
         raise NumericError("entropic-OT inner radicand lost positivity")
     return sym_sqrt(inner) - (eps / 4.0) * np.eye(d)
 
@@ -247,13 +248,13 @@ def fisher_gaussian(a: MomentPair, b: MomentPair) -> float:
         raise InvalidInputError("nominal covariance must be positive definite")
     if not _is_pd(Sa):
         return INFEASIBLE
-    Sb_inv = np.linalg.inv(Sb)
+    Sb_inv = _inv(Sb)
     dmu = Sb_inv @ (a.mean - b.mean)
     return float(
         dmu @ dmu
         + np.trace(Sb_inv @ Sb_inv @ Sa)
         - 2.0 * np.trace(Sb_inv)
-        + np.trace(np.linalg.inv(Sa))
+        + np.trace(_inv(Sa))
     )
 
 
@@ -320,7 +321,7 @@ class CustomDivergence:
                 raise InvalidInputError(
                     f"custom divergence '{self.name}' fails sublevel-set convexity"
                 )
-            if np.linalg.norm(nominal.mean) == 0.0:
+            if _fro(nominal.mean) == 0.0:
                 zeroed = MomentPair(mean=np.zeros(d), second_moment=p1.second_moment)
                 if self.evaluate(zeroed, nominal) > rho + 1e-8:
                     raise InvalidInputError(

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, InvalidInputError
-from .matops import _check_finite, _check_square, _cholesky_certifies, symmetrize
+from .matops import (
+    _check_finite, _check_square, _cholesky, _cholesky_certifies, _eigvalsh, _solve, symmetrize,
+)
 
 _PD_TOL = 1e-10
 
@@ -68,7 +70,7 @@ class SystemInstance:
                                    ("R", self.R, _PD_TOL, "positive definite")):
             M = symmetrize(M)
             if not _cholesky_certifies(M, -tol):
-                bad = np.flatnonzero(np.linalg.eigvalsh(M)[:, 0] < tol)
+                bad = np.flatnonzero(_eigvalsh(M)[:, 0] < tol)
                 if bad.size:
                     raise InvalidInputError(f"{name}[{bad[0]}] is not {what}")
 
@@ -171,7 +173,7 @@ def _riccati_step(P, A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
     """
     PB = P @ B
     BtPA = PB.T @ A
-    K = -np.linalg.solve(R + B.T @ PB, BtPA)
+    K = -_solve(R + B.T @ PB, BtPA)
     return symmetrize(A.T @ P @ A + Q + BtPA.T @ K), K
 
 
@@ -222,7 +224,7 @@ def riccati_backward(sys: SystemInstance) -> tuple[np.ndarray, np.ndarray]:
 def _chol_pd(M: np.ndarray, what: str):
     """Cholesky of a matrix or (T, d, d) stack with an explicit positive-pivot threshold."""
     try:
-        chol = np.linalg.cholesky(symmetrize(M))
+        chol = _cholesky(symmetrize(M))
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"{what} is not positive definite") from exc
     if np.diagonal(chol, axis1=-2, axis2=-1).min() < np.sqrt(_PD_TOL):
@@ -254,8 +256,8 @@ def _check_updates(C, V, S, filt) -> None:
     _check_finite(filt, "filter covariance")
     if _cholesky_certifies(filt):
         return
-    lam_min = np.linalg.eigvalsh(filt)[:, 0]
-    lost = np.flatnonzero(lam_min < -1e-8 * (1.0 + np.linalg.norm(S, axis=(1, 2))))
+    lam_min = _eigvalsh(filt)[:, 0]
+    lost = np.flatnonzero(lam_min < -1e-8 * (1.0 + np.sqrt((S * S).sum(axis=(1, 2)))))
     if lost.size:
         raise ConditioningError(f"filter covariance lost psd at t={lost[0]}")
 
@@ -289,7 +291,7 @@ def kalman_forward(
         for t in range(T):
             _chol_pd(cov.V[t], f"V[{t}]")
         raise
-    VinvC = np.linalg.solve(cov.V, sys.C)
+    VinvC = _solve(cov.V, sys.C)
     J = symmetrize(sys.C.swapaxes(1, 2) @ VinvC)
     A, At, W = sys.A, sys.A.swapaxes(1, 2), cov.W
     eye = np.eye(n)
@@ -304,7 +306,7 @@ def kalman_forward(
             M = S @ J[t]
             M += eye
             try:
-                filt[t] = filt_t = np.linalg.solve(M, S)
+                filt[t] = filt_t = _solve(M, S)
             except np.linalg.LinAlgError:  # det(I + S J) = det(E) / det(V)
                 stop = t
                 break

@@ -1,4 +1,23 @@
-"""Symmetric positive-semidefinite matrix primitives shared by all numeric modules."""
+"""Symmetric positive-semidefinite matrix primitives shared by all numeric
+modules, and the LAPACK kernels of the solve path.
+
+The kernels _solve, _inv, _cholesky, _eigh, _eigvalsh and _slogdet call the
+gufuncs of numpy.linalg._umath_linalg, the module behind every numpy.linalg
+function, with the signature and the errstate callback numpy.linalg itself
+uses, so they return what np.linalg.solve, inv, cholesky, eigh (lower
+triangle), eigvalsh and slogdet return, bit for bit, and a singular or
+non-pd input raises np.linalg.LinAlgError with numpy's message. What they
+skip is the wrapper's per-call work (array conversion, type promotion,
+shape checks, result wrapping), which on matrices of size 10 or less costs
+as much as LAPACK itself. So they take float64 arrays that the library
+built: square matrices or stacks of them, and for _solve a right-hand side
+that is a matrix or a stack of them, never a vector. _fro is the Frobenius
+norm sqrt(<x, x>), equal to np.linalg.norm(x, "fro") on C-contiguous input.
+Every solve, factorization and Frobenius norm of the solve path goes
+through them; numpy.linalg stays for eigvals, cond and qr, which the solve
+path calls only to decide or report a failure, and for the verification
+module stacked.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +25,7 @@ import math
 import numbers
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import InstabilityError, InvalidInputError
 
@@ -17,6 +37,65 @@ EIG_CLAMP = 1e-10
 # A loop is Schur stable when its spectral radius is below 1 - _SCHUR_MARGIN.
 _SCHUR_MARGIN = 1e-8
 _UNIT_ROUNDOFF = 2.0**-53
+
+
+def _singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _not_pd(err, flag):
+    raise LinAlgError("Matrix is not positive definite")
+
+
+def _no_convergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _raising(call):
+    """numpy.linalg's errstate: a gufunc that fails sets the invalid flag,
+    and call raises LinAlgError for it."""
+    return np.errstate(call=call, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+@_raising(_singular)
+def _solve(a, b):
+    """np.linalg.solve(a, b) for a (..., n, n) and b (..., n, k)."""
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
+@_raising(_singular)
+def _inv(a):
+    """np.linalg.inv(a)."""
+    return _umath_linalg.inv(a, signature="d->d")
+
+
+@_raising(_not_pd)
+def _cholesky(a):
+    """np.linalg.cholesky(a): the lower factor, reading the lower triangle."""
+    return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+@_raising(_no_convergence)
+def _eigh(a):
+    """np.linalg.eigh(a): (ascending eigenvalues, eigenvectors), from the lower triangle."""
+    return _umath_linalg.eigh_lo(a, signature="d->dd")
+
+
+@_raising(_no_convergence)
+def _eigvalsh(a):
+    """np.linalg.eigvalsh(a): ascending eigenvalues, from the lower triangle."""
+    return _umath_linalg.eigvalsh_lo(a, signature="d->d")
+
+
+def _slogdet(a):
+    """np.linalg.slogdet(a) as (sign, logdet). Like numpy's, it raises
+    nothing: a singular matrix has sign 0."""
+    return _umath_linalg.slogdet(a, signature="d->dd")
+
+
+def _fro(x) -> float:
+    """Frobenius norm sqrt(<x, x>) of an array."""
+    return math.sqrt(np.vdot(x, x))
 
 
 def _check_finite(X: np.ndarray, name: str) -> np.ndarray:
@@ -60,8 +139,8 @@ def _cholesky_certifies(S: np.ndarray, shift=None) -> bool:
     if shift is not None:
         S = S + np.asarray(shift)[..., None, None] * np.eye(S.shape[-1])
     try:
-        chol = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
+        chol = _cholesky(S)
+    except LinAlgError:
         return False
     return bool(np.isfinite(np.diagonal(chol, axis1=-2, axis2=-1)).all())
 
@@ -75,7 +154,7 @@ def sym_sqrt(S: np.ndarray, *, scale: float | None = None) -> np.ndarray:
     passes the factors' scale instead: the product's rounding follows their
     norms, not its own largest eigenvalue, which may be near 0.
     """
-    vals, vecs = np.linalg.eigh(symmetrize(_check_square(S)))
+    vals, vecs = _eigh(symmetrize(_check_square(S)))
     if scale is None:
         scale = np.abs(vals).max(initial=0.0)
     floor = EIG_CLAMP * scale
@@ -102,8 +181,7 @@ def _schur_certified(F: np.ndarray) -> bool:
     is not finite fails.
     """
     n = F.shape[0]
-    size = math.sqrt(np.vdot(F, F))
-    return size * (1.0 + (n * n + 4) * _UNIT_ROUNDOFF) < 1.0 - _SCHUR_MARGIN
+    return _fro(F) * (1.0 + (n * n + 4) * _UNIT_ROUNDOFF) < 1.0 - _SCHUR_MARGIN
 
 
 def _unstable_radius(F: np.ndarray) -> float | None:
@@ -141,6 +219,6 @@ def solve_discrete_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
         incr = Fk @ sigma @ Fk.T
         sigma = sigma + incr
         Fk = Fk @ Fk
-        if np.linalg.norm(incr, "fro") <= 1e-16 * np.linalg.norm(sigma, "fro"):
+        if _fro(incr) <= 1e-16 * _fro(sigma):
             break
     return symmetrize(_check_finite(sigma, "Lyapunov solution"))

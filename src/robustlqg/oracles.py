@@ -95,7 +95,10 @@ import numpy as np
 
 from .divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
 from .errors import InvalidInputError, OracleError, UnsupportedDivergenceError
-from .matops import _check_finite, _check_square, _cholesky_certifies, _is_number, symmetrize
+from .matops import (
+    _check_finite, _check_square, _cholesky, _cholesky_certifies, _eigh, _eigvalsh, _is_number,
+    symmetrize,
+)
 
 _GRAD_CLAMP = 1e-8
 _MAX_STEPS = 200
@@ -152,7 +155,7 @@ def _check_gradients(G: np.ndarray) -> np.ndarray:
     diag = np.diagonal(G, axis1=1, axis2=2)
     if _cholesky_certifies(G, _GRAD_CLAMP * (1.0 + np.abs(diag).max(axis=1))):
         return G
-    vals = np.linalg.eigvalsh(G)
+    vals = _eigvalsh(G)
     bad = vals[:, 0] < -_GRAD_CLAMP * (1.0 + np.abs(vals).max(axis=1))
     if bad.any():
         raise InvalidInputError(
@@ -228,7 +231,7 @@ def _w2_values(g, gap, lam, s, c_ref, rho):
 
 def _wasserstein(G, nominal, rho, c_ref) -> _Dual:
     """Gelbrich ball: every function of g is diagonal in the gradient eigenbasis."""
-    lam, vecs = np.linalg.eigh(G)
+    lam, vecs = _eigh(G)
     size = np.maximum(-lam[:, 0], lam[:, -1])
     lam = np.maximum(lam, 0.0)
     vecs_t = np.swapaxes(vecs, 1, 2)
@@ -267,7 +270,7 @@ def _kl(G, nominal, rho, c_ref, chol) -> _Dual:
     Shat^{1/2} Gamma Shat^{1/2}, and Sigma(g) = (L U) diag(g / (g - lam)) (L U)^T.
     For large g, div(g) = sum_i lam_i^2 / (4 g^2) + O(g^{-3})."""
     d = nominal.shape[1]
-    lam, U = np.linalg.eigh(symmetrize(np.swapaxes(chol, 1, 2) @ G @ chol))
+    lam, U = _eigh(symmetrize(np.swapaxes(chol, 1, 2) @ G @ chol))
     size = np.maximum(-lam[:, 0], lam[:, -1])
     lam = np.maximum(lam, 0.0)
     lam1 = lam[:, -1]
@@ -298,7 +301,7 @@ def _pencil(g, inv2, G):
     eigenbasis, the roots r of its eigenvalues, so Sigma(g) = M^{-1/2} is
     V diag(1/r) V^T there, and whether the pencil is pd (elsewhere the roots
     are placeholders). Both inputs are exactly symmetric."""
-    vals, vecs = np.linalg.eigh(inv2 - G / g[:, None, None])
+    vals, vecs = _eigh(inv2 - G / g[:, None, None])
     pd = vals[:, 0] > 0.0
     return vecs, np.sqrt(np.where(pd[:, None], vals, 1.0)), pd
 
@@ -404,7 +407,7 @@ def _fisher(G, nominal, rho, c_ref, inv2, hat_vals, hat_vecs) -> _Dual:
     Gt = symmetrize(hat_t @ G @ hat_vecs)
     H = s_i * Gt * s_j
     tail = (H * H / (2.0 * (s_i + s_j))).sum(axis=(1, 2))
-    vals = np.linalg.eigvalsh(H)  # H = U^T (Shat Gamma Shat) U, the same spectrum
+    vals = _eigvalsh(H)  # H = U^T (Shat Gamma Shat) U, the same spectrum
     lo, size = vals[:, -1], np.maximum(-vals[:, 0], vals[:, -1])
     hi = lo / -np.expm1(-2.0 * np.log1p(rho / (1.0 / hat_vals).sum(axis=1)))
     # <Gamma, Shat> = sum_i s_i Gt_ii = sum_i H_ii / s_i, read off H
@@ -461,13 +464,18 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
     Each step makes one divergence call over the live blocks; only those
     active and feasible there get their dual and primal values.
     Accepted blocks leave the arrays of the live ones, each with its
-    candidate Sigma(gamma) from the accepting evaluation; a block that does
-    not certify within _MAX_STEPS evaluations raises OracleError. Returns
+    candidate Sigma(gamma) from the accepting evaluation. A block that does
+    not certify within _MAX_STEPS evaluations raises OracleError, and so
+    does one whose bracket holds no double strictly inside and whose next
+    point is an end it has evaluated: it would evaluate that point again,
+    with the same result, at every later step. Returns
     (gamma, delta_achieved, dual_bound, steps, Sigma(gamma)) aligned with
     blocks, the last a (len(blocks), d, d) stack; steps is the step that
     accepted a block, so it counts the block's evaluations.
     """
     lo, hi = dual.lo[blocks], dual.hi[blocks]
+    # whether each end is a point the block evaluated, not a closed-form bound
+    lo_seen, hi_seen = np.zeros(blocks.size, dtype=bool), np.zeros(blocks.size, dtype=bool)
     floor = 1e-9 * np.maximum(1.0, dual.scale[blocks])
     q, p = dual.order, 1.0 / dual.order
     gamma, got, bound = np.empty(blocks.size), np.ones(blocks.size), np.empty(blocks.size)
@@ -484,6 +492,8 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
         up = div > rho
         np.copyto(lo, g, where=up)
         np.copyto(hi, g, where=~up)
+        lo_seen |= up
+        hi_seen |= ~up
         j = np.flatnonzero((np.abs(div - rho) <= _ACTIVITY_TOL) & (div <= rho + _FEAS_TOL))
         if j.size:
             phi, prim = dual.values(g[j], *(a[j] for a in aux + parts))
@@ -501,11 +511,20 @@ def _newton(kind: str, dual: _Dual, blocks: np.ndarray, d: int):
             g = g - q * div * (div**p - rho**p) / (rho**p * slope)
         # g was a bracket end, so a wrong-signed slope steps outside the
         # bracket; a nan step fails both comparisons
-        g = np.where((g > lo) & (g < hi), g, 0.5 * (lo + hi))
+        inside = (g > lo) & (g < hi)
+        g = np.where(inside, g, 0.5 * (lo + hi))
+        if not inside.all():
+            # a midpoint is an end only where no double lies strictly inside
+            closed = (g == lo) & lo_seen | (g == hi) & hi_seen
+            closed[j] = False
+            if closed.any():
+                raise OracleError(f"{kind} oracle failed to certify: its bracket closed on "
+                                  f"g = {float(g[closed.argmax()])!r} at step {step}")
         if j.size:
             keep = np.ones(live.size, dtype=bool)
             keep[j] = False
             live, lo, hi, g = live[keep], lo[keep], hi[keep], g[keep]
+            lo_seen, hi_seen = lo_seen[keep], hi_seen[keep]
             parts = tuple(a[keep] for a in parts)
     if live.size:
         raise OracleError(f"{kind} oracle failed to certify in {_MAX_STEPS} steps")
@@ -521,8 +540,8 @@ def _nominal_factors(kind: DivergenceKind, nominal: np.ndarray) -> tuple:
     if kind is DivergenceKind.WASSERSTEIN2:
         return ()
     if kind is DivergenceKind.KULLBACK_LEIBLER:
-        return (np.linalg.cholesky(nominal),)
-    hat_vals, hat_vecs = np.linalg.eigh(nominal)
+        return (_cholesky(nominal),)
+    hat_vals, hat_vecs = _eigh(nominal)
     inv2 = np.zeros_like(nominal)
     k = np.arange(nominal.shape[1])
     inv2[:, k, k] = hat_vals ** -2.0
@@ -805,7 +824,7 @@ def solve_oracle(
     res = oracle_pass([ball], [Gamma], [sigma_ref])[0]
     S = res.sigma_star
     if ball.kind is DivergenceKind.WASSERSTEIN2 and res.steps and lam_floor > 0.0 and not (
-        _cholesky_certifies(S, 1e-10 - lam_floor) or np.linalg.eigvalsh(S)[0] >= lam_floor - 1e-10
+        _cholesky_certifies(S, 1e-10 - lam_floor) or _eigvalsh(S)[0] >= lam_floor - 1e-10
     ):
         raise OracleError("wasserstein oracle output violates its eigenvalue floor")
     return res

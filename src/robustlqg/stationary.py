@@ -25,8 +25,8 @@ from .errors import ConditioningError, InvalidInputError, StabilizabilityError
 from .frank_wolfe import FwConfig, FwTrace, maximize
 from .lqg import _riccati_step
 from .matops import (
-    _check_finite, _check_square, _cholesky_certifies, _unstable_radius, solve_discrete_lyapunov,
-    symmetrize,
+    _check_finite, _check_square, _cholesky_certifies, _eigvalsh, _fro, _solve, _unstable_radius,
+    solve_discrete_lyapunov, symmetrize,
 )
 from .oracles import _plan
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
@@ -59,7 +59,7 @@ class StationarySystem:
             raise InvalidInputError(f"Q must be ({n}, {n}) and R ({self.m}, {self.m})")
         for name in ("Q", "R"):
             M = symmetrize(getattr(self, name))
-            if not _cholesky_certifies(M) and np.linalg.eigvalsh(M).min() <= 0.0:
+            if not _cholesky_certifies(M) and _eigvalsh(M).min() <= 0.0:
                 raise InvalidInputError(f"{name} must be positive definite")
 
     @property
@@ -102,20 +102,20 @@ def _doubling(A, B, Q, R, what: str) -> np.ndarray:
     """
     n = A.shape[0]
     eye = np.eye(n)
-    G = symmetrize(B @ np.linalg.solve(R, B.T))
+    G = symmetrize(B @ _solve(R, B.T))
     H = symmetrize(Q)
     for _ in range(_MAX_DOUBLINGS):
-        Y = np.linalg.solve(eye + G @ H, np.concatenate((A, G), axis=1))
+        Y = _solve(eye + G @ H, np.concatenate((A, G), axis=1))
         Y1 = Y[:, :n]
         step = A.T @ (H @ Y1)  # H Y1 first: about 10 times smaller residuals at cond 5e9
         H = H + step
         G = G + A @ Y[:, n:] @ A.T
         A = A @ Y1
-        size, decay = np.linalg.norm(H, "fro"), np.vdot(A, A)
+        size, decay = _fro(H), np.vdot(A, A)
         if not (size <= 1e150 and decay <= 1e300):  # also true for inf and nan
             _check_finite(H, "Riccati iterate")  # an overflow is an input error
             raise StabilizabilityError(f"Riccati iterates diverge; {what}")
-        if np.linalg.norm(step, "fro") <= _REL_TOL * size or decay <= _REL_TOL:
+        if _fro(step) <= _REL_TOL * size or decay <= _REL_TOL:
             break
     return symmetrize(H)
 
@@ -139,7 +139,7 @@ def _accept(equation: str, X, residual, closed_loop, what: str) -> None:
     """
     if _unstable_radius(closed_loop) is not None:
         raise StabilizabilityError(f"closed loop is not Schur stable; {what}")
-    rel = np.linalg.norm(residual, "fro") / np.linalg.norm(X, "fro")
+    rel = _fro(residual) / _fro(X)
     if not rel <= _RESIDUAL_TOL:
         raise ConditioningError(
             f"{equation} residual {rel:.1e} exceeds {_RESIDUAL_TOL:.0e} relative at "
@@ -170,7 +170,7 @@ def _noise_pair(ss: StationarySystem, Sigma_w, Sigma_v) -> tuple[np.ndarray, np.
     if Sigma_w.shape != (ss.n, ss.n) or Sigma_v.shape != (ss.p, ss.p):
         raise InvalidInputError(f"Sigma_w must be ({ss.n}, {ss.n}) and Sigma_v ({ss.p}, {ss.p})")
     for M in (Sigma_w, Sigma_v):
-        if not _cholesky_certifies(M) and np.linalg.eigvalsh(M).min() <= 0.0:
+        if not _cholesky_certifies(M) and _eigvalsh(M).min() <= 0.0:
             raise InvalidInputError("stationary noise covariances must be positive definite")
     return Sigma_w, Sigma_v
 
@@ -198,7 +198,7 @@ def _filter_are(ss: StationarySystem, Sigma_w, Sigma_v) -> tuple[np.ndarray, np.
     A, C = ss.A, ss.C
     S = _doubling(A.T, C.T, Sigma_w, Sigma_v, "(A, C) looks undetectable")
     SC = S @ C.T
-    L = np.linalg.solve(Sigma_v + C @ SC, SC.T).T
+    L = _solve(Sigma_v + C @ SC, SC.T).T
     _accept("filter ARE", S, A @ (S - L @ SC.T) @ A.T + Sigma_w - S, A - L @ C @ A,
             "(A, C) looks undetectable")
     return S, L

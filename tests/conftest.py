@@ -1,7 +1,16 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import robustlqg
+from robustlqg import matops
 from robustlqg.lqg import CovarianceProfile, SystemInstance
+
+# the LAPACK kernels of matops, through which the package makes every solve,
+# factorization and eigendecomposition of its solve path
+KERNELS = ("solve", "inv", "cholesky", "eigh", "eigvalsh", "slogdet")
 
 
 def rand_spd(d, rng, lo=0.5, hi=2.5):
@@ -53,6 +62,39 @@ def counting(monkeypatch, module, name):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class KernelCalls(list):
+    """The calls into the matops kernels, in call order, as (name, args) with
+    name as in KERNELS."""
+
+    def names(self) -> list[str]:
+        return [name for name, _ in self]
+
+    def of(self, name: str) -> list[tuple]:
+        """The arguments of each call of one kernel."""
+        return [args for called, args in self if called == name]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count the calls into the matops kernels, at every binding of them in
+    the package (a module that imports matops._solve holds its own binding).
+    Returns the KernelCalls list, which the test may clear."""
+    calls = KernelCalls()
+    modules = [importlib.import_module(f"robustlqg.{info.name}")
+               for info in pkgutil.iter_modules(robustlqg.__path__)]
+    for name in KERNELS:
+        kernel = getattr(matops, f"_{name}")
+
+        def wrapper(*args, name=name, kernel=kernel):
+            calls.append((name, args))
+            return kernel(*args)
+
+        for module in modules:
+            if getattr(module, f"_{name}", None) is kernel:
+                monkeypatch.setattr(module, f"_{name}", wrapper)
     return calls
 
 

@@ -3,8 +3,11 @@ imports inside a function, and no private top-level function or class goes
 unread. No module imports threading, and no module keeps a mutable table:
 every module-level name bound to a dict, list or set display is an
 upper-case constant. stationary.py calls neither spectral_radius nor
-eigvals: its stability checks go through matops._unstable_radius. Every
-absolute import comes from the stdlib, numpy or the package itself.
+eigvals: its stability checks go through matops._unstable_radius. Only
+matops calls LAPACK through numpy.linalg._umath_linalg, and no module but
+matops and stacked calls numpy.linalg's solve, inv, cholesky, eigh,
+eigvalsh or slogdet. Every absolute import comes from the stdlib, numpy or
+the package itself.
 
 For imports, __init__.py is skipped (its imports are the public names), and
 so is any import statement marked "# noqa: F401": those are bindings that
@@ -29,6 +32,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import KERNELS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "robustlqg"
@@ -329,6 +334,66 @@ def test_checker_flags_direct_eigenvalue_calls():
         "def g(F):\n    return np.linalg.eigvals(F), np.linalg.eigvalsh(F + F.T)\n"
     )
     assert eigenvalue_calls(source) == ["spectral_radius (line 5)", "eigvals (line 8)"]
+
+
+# every solve, factorization and eigendecomposition of the solve path goes
+# through the matops kernels, which alone call numpy.linalg's gufuncs; only
+# stacked, which serves verification, keeps numpy.linalg's wrappers
+def linalg_wrapper_calls(source: str) -> list[str]:
+    """Calls in source of numpy.linalg's wrapper for a name in KERNELS
+    (np.linalg.solve, numpy.linalg.solve or linalg.solve), and imports of
+    one from numpy.linalg."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            owner = getattr(owner, "attr", getattr(owner, "id", None))
+            if owner == "linalg" and node.func.attr in KERNELS:
+                found.append(f"linalg.{node.func.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [f"linalg.{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name in KERNELS]
+    return found
+
+
+def umath_linalg_uses(source: str) -> list[int]:
+    """Lines of source that import or read numpy.linalg._umath_linalg."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if any("_umath_linalg" in name for name in names):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_matops_calls_lapack(path):
+    source = path.read_text(encoding="utf-8")
+    if path.name not in ("matops.py", "stacked.py"):
+        assert linalg_wrapper_calls(source) == []
+    if path.name != "matops.py":
+        assert umath_linalg_uses(source) == []
+
+
+def test_checker_flags_planted_linalg_calls():
+    source = (
+        "import numpy as np\nimport numpy.linalg._umath_linalg\n"
+        "from numpy import linalg\nfrom numpy.linalg import LinAlgError, eigh\n"
+        "from numpy.linalg import _umath_linalg as u\n\n"
+        "def f(a, b):\n"
+        "    x = np.linalg.solve(a, b) + linalg.inv(a) + np.linalg.norm(a)\n"
+        "    return x, np.linalg.eigvals(a), np.linalg._umath_linalg.inv(a), u.eigh_lo(a)\n"
+    )
+    assert linalg_wrapper_calls(source) == [
+        "linalg.eigh (line 4)", "linalg.solve (line 8)", "linalg.inv (line 8)"]
+    assert umath_linalg_uses(source) == [2, 5, 9]
 
 
 def _passes(call: ast.Call, index, name: str) -> bool:

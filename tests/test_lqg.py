@@ -331,7 +331,8 @@ def test_sweeps_match_the_references_over_long_horizons(T, radius, n, p):
 
 
 def _linalg_calls(monkeypatch):
-    """Count every call into numpy.linalg's public functions."""
+    """Count every call into numpy.linalg's public functions, which the
+    solve path makes none of: it calls the matops kernels."""
     calls = []
     for name in np.linalg.__all__:
         fn = getattr(np.linalg, name)
@@ -344,32 +345,37 @@ def _linalg_calls(monkeypatch):
     return calls
 
 
-def test_sweeps_make_about_one_linalg_call_per_step(monkeypatch):
+def test_sweeps_make_about_one_linalg_call_per_step(monkeypatch, kernel_calls):
     # a timing-free guard: the per-step work of the Kalman sweep is one
     # solve, and its set-up, checks and gains are four batched calls: the
     # Cholesky of V, the solve for V^{-1} C, the Cholesky of E and the
-    # Cholesky of Sigma_filt (the gains are a product). The adjoint sweep
-    # makes none (the per-step covariance form made about five a step)
+    # Cholesky of Sigma_filt (the gains are a product), T + 4 kernel calls
+    # and none into numpy.linalg. The adjoint sweep makes none (the
+    # per-step covariance form made about five a step)
     T = 20
     rng = np.random.default_rng(11)
     sys = rand_system(rng, n=3, m=2, p=2, T=T)
     cov = rand_profile(rng, sys)
     P, _ = riccati_backward(sys)
-    calls = _linalg_calls(monkeypatch)
+    numpy_calls = _linalg_calls(monkeypatch)
+    kernel_calls.clear()
     sweep = kalman_forward(sys, cov)
+    calls = kernel_calls.names()
     assert sorted(calls) == sorted(["cholesky"] * 3 + ["solve"] * (T + 1)), calls
-    calls.clear()
+    assert numpy_calls == []
+    kernel_calls.clear()
     _adjoint(sys, P, sweep)
-    assert calls == []
+    assert kernel_calls == [] and numpy_calls == []
 
 
 @pytest.mark.parametrize("kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER],
                          ids=["w2", "kl"])
-def test_solves_decompose_only_where_a_value_is_read(monkeypatch, kind):
+def test_solves_decompose_only_where_a_value_is_read(monkeypatch, kernel_calls, kind):
     # a timing-free guard: once a solve has planned, its psd checks are
     # Cholesky certificates, so it runs no eigvalsh at all, and each oracle
     # pass runs one eigh per group (of the gradient for Wasserstein, of the
-    # whitened gradient for KL). The hard benchmark family at d = 3, T = 4
+    # whitened gradient for KL). The hard benchmark family at d = 3, T = 4;
+    # nothing here calls numpy.linalg
     d, T = 3, 4
     A = 0.95 * np.eye(d) + 0.3 * np.diag(np.ones(d - 1), 1)
     A *= 0.95 / spectral_radius(A)
@@ -378,24 +384,29 @@ def test_solves_decompose_only_where_a_value_is_read(monkeypatch, kind):
     rng = np.random.default_rng(3)
     cov = rand_profile(rng, sys)
     P, _ = riccati_backward(sys)
-    calls = _linalg_calls(monkeypatch)
+    numpy_calls = _linalg_calls(monkeypatch)
+    kernel_calls.clear()
     kalman_forward(sys, cov)
     _lqg_gradient(sys, P, cov)
+    calls = kernel_calls.names()
     assert "eigvalsh" not in calls and "eigh" not in calls, calls
     plans = []
     inner = frank_wolfe._profile_plan
 
     def planning(balls):
         plans.append(inner(balls))
-        calls.clear()
+        kernel_calls.clear()
         return plans[-1]
 
     monkeypatch.setattr(frank_wolfe, "_profile_plan", planning)
     _, model = generate_instance(d, T, 0, kind, 1.0)
+    numpy_calls.clear()  # generate_instance makes one qr
     _, trace = frank_wolfe.solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-4))
     assert trace.converged and len(trace.records) > 2
+    calls = kernel_calls.names()
     assert "eigvalsh" not in calls
     assert calls.count("eigh") == len(trace.records) * len(plans[0].groups)
+    assert numpy_calls == []
 
 
 def _identity_system(n, p, T):

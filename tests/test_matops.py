@@ -6,7 +6,15 @@ from hypothesis import strategies as st
 
 from robustlqg.errors import InstabilityError, InvalidInputError
 from robustlqg.matops import (
+    _cholesky,
+    _cholesky_certifies,
+    _eigh,
+    _eigvalsh,
+    _fro,
+    _inv,
     _schur_certified,
+    _slogdet,
+    _solve,
     _unstable_radius,
     solve_discrete_lyapunov,
     spectral_radius,
@@ -211,3 +219,63 @@ def test_symmetrize_stack_is_per_matrix(seed, lead, d):
     for idx in np.ndindex(*lead):
         M = stack[idx]
         assert np.array_equal(got[idx], 0.5 * (M + M.T))
+
+
+def _kernel_cases():
+    """Seeded stacks (batch 1-60 of d x d, d 1-12, d = 1 first): a
+    symmetric pd stack of condition number up to 1e12, a symmetric
+    indefinite one, a general one and a right-hand side of 1-12 columns."""
+    rng = np.random.default_rng(23)
+    for case in range(40):
+        d = 1 if case < 4 else int(rng.integers(1, 13))
+        batch = int(rng.integers(1, 61))
+        Q = np.linalg.qr(rng.standard_normal((batch, d, d)))[0]
+        spectrum = np.logspace(0.0, -rng.uniform(0.0, 12.0), d) * rng.uniform(0.1, 10.0)
+        pd = symmetrize((Q * spectrum) @ Q.swapaxes(1, 2))
+        general = rng.standard_normal((batch, d, d))
+        rhs = rng.standard_normal((batch, d, int(rng.integers(1, 13))))
+        yield pd, symmetrize(general), general, rhs
+
+
+def _same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_kernels_equal_numpy_linalg_bit_for_bit():
+    # the kernels call numpy.linalg's own gufuncs (numpy.linalg._umath_linalg,
+    # internal to numpy): a numpy upgrade that moves or changes them fails here
+    for pd, sym, general, rhs in _kernel_cases():
+        for stack in (pd, sym, general):
+            for a in (stack, stack[0]):  # batched and one matrix
+                b = rhs if a.ndim == 3 else rhs[0]
+                assert _same(_solve(a, b), np.linalg.solve(a, b))
+                assert _same(_inv(a), np.linalg.inv(a))
+                assert all(map(_same, _slogdet(a), np.linalg.slogdet(a)))
+        for a in (pd, sym, pd[0], sym[0]):
+            assert all(map(_same, _eigh(a), np.linalg.eigh(a)))
+            assert _same(_eigvalsh(a), np.linalg.eigvalsh(a))
+        for a in (pd, pd[0]):
+            assert _same(_cholesky(a), np.linalg.cholesky(a))
+        for a in (pd[0], general[-1], rhs[0], rhs[0, :, 0]):
+            a = np.ascontiguousarray(a)
+            assert _fro(a) == np.linalg.norm(a) == np.linalg.norm(a, "fro" if a.ndim == 2 else 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_kernels_raise_linalg_errors_as_numpy_does():
+    singular = np.array([[[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    indefinite = np.array([[[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    for kernel, reference, a in ((lambda a: _solve(a, np.ones((2, 2, 1))),
+                                  lambda a: np.linalg.solve(a, np.ones((2, 2, 1))), singular),
+                                 (_inv, np.linalg.inv, singular),
+                                 (_cholesky, np.linalg.cholesky, indefinite)):
+        for x in (a, a[0]):
+            with pytest.raises(np.linalg.LinAlgError) as want:
+                reference(x)
+            with pytest.raises(np.linalg.LinAlgError, match=f"^{want.value}$"):
+                kernel(x)
+    # Cholesky certifies neither a non-pd nor a nan matrix, and warns of neither
+    assert not _cholesky_certifies(indefinite)
+    assert not _cholesky_certifies(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    assert not _cholesky_certifies(np.full((3, 2, 2), np.nan))

@@ -117,7 +117,7 @@ def test_zero_radius_returns_nominal(kind):
         assert res.dual_bound == pytest.approx(bound)
 
 
-def test_wasserstein_decomposes_only_the_blocks_with_a_radius(monkeypatch):
+def test_wasserstein_decomposes_only_the_blocks_with_a_radius(kernel_calls):
     # a pass of four d = 3 blocks, two of them with rho = 0: the one eigh of
     # the group sees the two rows that search and nothing else
     rng = np.random.default_rng(4)
@@ -130,8 +130,9 @@ def test_wasserstein_decomposes_only_the_blocks_with_a_radius(monkeypatch):
         Y = rng.standard_normal((3, 3))
         grads.append(symmetrize(Y @ Y.T))
     refs = [ball.nominal.cov for ball in balls]
-    eighs = counting(monkeypatch, np.linalg, "eigh")
+    kernel_calls.clear()
     results = oracle_pass(balls, grads, refs)
+    eighs = kernel_calls.of("eigh")
     assert len(eighs) == 1
     np.testing.assert_array_equal(eighs[0][0], np.array([grads[0], grads[2]]))
     assert [r.active for r in results] == [True] * 4
@@ -557,7 +558,7 @@ def test_tail_coefficient_matches_the_divergence_far_above_the_bracket(kind, see
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_decompositions_per_plan_and_pass(monkeypatch, kind):
+def test_decompositions_per_plan_and_pass(kernel_calls, kind):
     # what a plan and a pass decompose, with two groups (block sizes 3 and 2):
     # the plan factors KL nominals by Cholesky, no eigh, and Fisher nominals
     # by one eigh a group; a pass checks each group's gradients by one
@@ -567,21 +568,20 @@ def test_decompositions_per_plan_and_pass(monkeypatch, kind):
 
     T = 3
     balls, grads, refs = _mixed_batch(8, 3, 2, T, [kind], 0.5)
-    calls = {name: counting(monkeypatch, np.linalg, name)
-             for name in ("eigh", "eigvalsh", "cholesky")}
+    names = ("eigh", "eigvalsh", "cholesky")
+    kernel_calls.clear()
     plan = oracles._plan(balls, [T + 1, T])
     groups = len(plan.groups)
     assert groups == 2
     fisher, kl = kind is DivergenceKind.FISHER, kind is DivergenceKind.KULLBACK_LEIBLER
-    assert [len(c) for c in calls.values()] == [groups * fisher, 0, groups * kl]
-    for c in calls.values():
-        c.clear()
+    assert [len(kernel_calls.of(n)) for n in names] == [groups * fisher, 0, groups * kl]
+    kernel_calls.clear()
     found = oracles._run(plan, [np.array(grads[:T + 1]), np.array(grads[T + 1:])],
                          [np.array(refs[:T + 1]), np.array(refs[T + 1:])])
     rounds = sum(int(found.steps[group.idx].max()) for group in plan.groups)
     assert rounds > groups
     eigh = rounds if fisher else groups
-    assert [len(c) for c in calls.values()] == [eigh, groups * fisher, groups]
+    assert [len(kernel_calls.of(n)) for n in names] == [eigh, groups * fisher, groups]
 
 
 def _slope_patched(monkeypatch, change):
@@ -1058,3 +1058,20 @@ def test_fisher_certificates_on_ill_conditioned_grid_cases_lie_in_the_band(case)
     res = fisher_oracle(Gamma, nominal, rho, nominal)
     assert res.active
     assert -1e-6 <= _exact_fisher_offset(res.sigma_star, nominal, rho) <= 1e-8
+
+
+@pytest.mark.parametrize("case", [125, 267])
+def test_a_closed_bracket_raises_without_evaluating_a_point_again(monkeypatch, case):
+    # the two grid cases that do not certify: each evaluates its last new
+    # point by evaluation 31, its bracket then holds no double strictly
+    # inside, and the search raises at once instead of evaluating that
+    # point again until step 200
+    from robustlqg import oracles
+
+    *_, Gamma, nominal, rho = list(_fisher_grid(case + 1))[case]
+    calls = counting(monkeypatch, oracles, "_fisher_divergence")
+    with pytest.raises(OracleError, match=r"^fisher oracle failed to certify: its bracket "
+                                          r"closed on g = \S+ at step \d+$"):
+        fisher_oracle(Gamma, nominal, rho, nominal)
+    points = [args[0][0] for args in calls]
+    assert len(points) <= 40 and len(set(points)) == len(points)

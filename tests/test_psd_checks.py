@@ -15,7 +15,7 @@ from robustlqg.lqg import SystemInstance
 from robustlqg.matops import _cholesky_certifies
 from robustlqg.oracles import _check_gradients, oracle_pass, solve_oracle
 
-from conftest import counting, rand_spd
+from conftest import rand_spd
 
 KL, FISHER, W2 = (DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER,
                   DivergenceKind.WASSERSTEIN2)
@@ -35,24 +35,24 @@ def test_cholesky_certifies_only_a_shifted_pd_stack():
 
 @pytest.mark.parametrize("kind", [KL, FISHER, W2], ids=["kl", "fisher", "w2"])
 @pytest.mark.parametrize("factor, fails", [(0.5, False), (2.0, True)])
-def test_gradient_psd_check_is_never_looser(monkeypatch, kind, factor, fails):
+def test_gradient_psd_check_is_never_looser(kernel_calls, kind, factor, fails):
     # the rule: lam_min >= -1e-8 (1 + max |eig|) = -2e-8 for diag(1, -x)
     G = np.diag([1.0, -factor * 2e-8])
     ball = AmbiguityBall(kind, MomentPair.zero_mean(np.eye(2)), 0.5)
-    eigs = counting(monkeypatch, np.linalg, "eigvalsh")
+    kernel_calls.clear()
     if fails:
         with pytest.raises(InvalidInputError,
                            match=r"gradient block is not psd: min eigenvalue -4\.000e-08"):
             oracle_pass([ball], [G], [np.eye(2)])
-        assert len(eigs) == 1
+        assert len(kernel_calls.of("eigvalsh")) == 1
     else:
         _check_gradients(G[None])
-        assert eigs == []
+        assert kernel_calls.of("eigvalsh") == []
         assert oracle_pass([ball], [G], [np.eye(2)])[0].active
 
 
 @pytest.mark.parametrize("kind", [KL, FISHER, W2], ids=["kl", "fisher", "w2"])
-def test_gradient_psd_check_falls_back_to_the_eigenvalues(monkeypatch, kind):
+def test_gradient_psd_check_falls_back_to_the_eigenvalues(kernel_calls, kind):
     # eigenvalues 10 and -8e-8 with diagonal 5 - 4e-8: the Cholesky shift
     # 1e-8 (1 + 5) is below the rule's 1e-8 (1 + 10) = 1.1e-7, so the
     # Cholesky fails and the eigenvalues pass the block, whatever its kind.
@@ -61,14 +61,14 @@ def test_gradient_psd_check_falls_back_to_the_eigenvalues(monkeypatch, kind):
     a, b = (10.0 - 8e-8) / 2.0, (10.0 + 8e-8) / 2.0
     G = np.array([[a, b], [b, a]])
     ball = AmbiguityBall(kind, MomentPair.zero_mean(np.diag([1.0, 2.0])), 0.5)
-    eigs = counting(monkeypatch, np.linalg, "eigvalsh")
+    kernel_calls.clear()
     assert oracle_pass([ball], [G], [np.eye(2)])[0].active
-    assert sum(np.array_equal(args[0], G[None]) for args in eigs) == 1
+    assert sum(np.array_equal(args[0], G[None]) for args in kernel_calls.of("eigvalsh")) == 1
     assert np.array_equal(_check_gradients(G[None]), G[None])
 
 
 @pytest.mark.parametrize("factor, fails", [(0.5, False), (2.0, True)])
-def test_wasserstein_floor_check_is_never_looser(monkeypatch, factor, fails):
+def test_wasserstein_floor_check_is_never_looser(monkeypatch, kernel_calls, factor, fails):
     # solve_oracle's rule: lam_min(output) >= lam_floor - 1e-10. The root
     # search is replaced by one that returns an output factor * 1e-10 below
     # the floor
@@ -81,29 +81,29 @@ def test_wasserstein_floor_check_is_never_looser(monkeypatch, factor, fails):
         return np.ones(k), np.ones(k), np.ones(k), np.ones(k, dtype=int), sigma
 
     monkeypatch.setattr(oracles, "_newton", newton)
-    eigs = counting(monkeypatch, np.linalg, "eigvalsh")
+    kernel_calls.clear()
     if fails:
         with pytest.raises(OracleError, match="violates its eigenvalue floor"):
             solve_oracle(ball, np.eye(2), np.eye(2), floor)
-        assert len(eigs) == 1
+        assert len(kernel_calls.of("eigvalsh")) == 1
     else:
         solve_oracle(ball, np.eye(2), np.eye(2), floor)
-        assert eigs == []
+        assert kernel_calls.of("eigvalsh") == []
 
 
 @pytest.mark.parametrize("factor, fails", [(0.5, False), (2.0, True)])
-def test_moment_pair_check_is_never_looser(monkeypatch, factor, fails):
+def test_moment_pair_check_is_never_looser(kernel_calls, factor, fails):
     # the rule: lam_min(M - mu mu^T) >= -1e-10 (1 + ||M||_F), about -2e-10 here
     M = np.diag([1.0, -factor * 2e-10])
-    eigs = counting(monkeypatch, np.linalg, "eigvalsh")
+    kernel_calls.clear()
     if fails:
         with pytest.raises(InvalidInputError,
                            match=r"invalid moment pair: M - mu mu\^T has eigenvalue -4\.000e-10"):
             MomentPair.zero_mean(M)
-        assert len(eigs) == 1
+        assert len(kernel_calls.of("eigvalsh")) == 1
     else:
         MomentPair.zero_mean(M)
-        assert eigs == []
+        assert kernel_calls.of("eigvalsh") == []
 
 
 def _system(Q, R):
@@ -114,7 +114,7 @@ def _system(Q, R):
 
 
 @pytest.mark.parametrize("factor, fails", [(0.5, False), (2.0, True)])
-def test_system_cost_checks_are_never_looser(monkeypatch, factor, fails):
+def test_system_cost_checks_are_never_looser(kernel_calls, factor, fails):
     # the rules: lam_min(Q[t]) >= -1e-10 and lam_min(R[t]) >= 1e-10. The
     # offending block sits at t = 2 (Q) and t = 1 (R), which the message names
     T = 3
@@ -122,16 +122,16 @@ def test_system_cost_checks_are_never_looser(monkeypatch, factor, fails):
     R = np.repeat(np.eye(2)[None], T, axis=0)
     Q[2] = np.diag([1.0, -factor * 1e-10])
     R[1] = np.diag([1.0, 1e-10 / factor])
-    eigs = counting(monkeypatch, np.linalg, "eigvalsh")
+    kernel_calls.clear()
     if fails:
         with pytest.raises(InvalidInputError, match=r"^Q\[2\] is not psd$"):
             _system(Q, R)
         with pytest.raises(InvalidInputError, match=r"^R\[1\] is not positive definite$"):
             _system(np.repeat(np.eye(2)[None], T + 1, axis=0), R)
-        assert len(eigs) == 2
+        assert len(kernel_calls.of("eigvalsh")) == 2
     else:
         _system(Q, R)
-        assert eigs == []
+        assert kernel_calls.of("eigvalsh") == []
 
 
 KINDS = [W2, KL, FISHER]
@@ -275,11 +275,10 @@ def test_ball_profile_equals_per_block_balls_bit_for_bit(kind, rho):
 
 @pytest.mark.parametrize("kind, rules", [(W2, 1), (KL, 2), (FISHER, 2)],
                          ids=["w2", "kl", "fisher"])
-def test_ball_profile_checks_each_rule_once_per_stack(monkeypatch, kind, rules):
+def test_ball_profile_checks_each_rule_once_per_stack(kernel_calls, kind, rules):
     # d = 10, T = 19: the 39 nominals are checked by one Cholesky per rule
     # and stack, [X0; W] and V, and no eigenvalues
     _, model = generate_instance(10, 19, 0, kind=kind, rho=0.1)
-    chol = counting(monkeypatch, np.linalg, "cholesky")
-    eigs = counting(monkeypatch, np.linalg, "eigvalsh")
+    kernel_calls.clear()
     assert len(model.ball_profile().blocks()) == 39
-    assert len(chol) <= 2 * rules and eigs == []
+    assert len(kernel_calls.of("cholesky")) <= 2 * rules and kernel_calls.of("eigvalsh") == []

@@ -571,28 +571,26 @@ def _nominal_noise(ss, seed=0):
     return random_covariance(ss.n, rng), random_covariance(ss.p, rng)
 
 
-def _doublings(monkeypatch, n):
+def _doublings(monkeypatch, kernel_calls, n):
     """Count doublings: each solves I + G H against [A_k, G_k], an (n, 2n)
-    right-hand side that no other solve of the stationary layer has.
-    Returns the list of per-call counts of stationary._doubling."""
+    right-hand side that no other solve of the stationary layer has, by the
+    solve kernel that kernel_calls counts. Returns the list of per-call
+    counts of stationary._doubling."""
     import robustlqg.stationary as stationary
 
-    solves, per_call = [], []
-    solve, doubling = np.linalg.solve, stationary._doubling
+    per_call = []
+    doubling = stationary._doubling
 
-    def counting_solve(a, b):
-        if np.shape(b) == (n, 2 * n):
-            solves.append(1)
-        return solve(a, b)
+    def solves():
+        return sum(np.shape(b) == (n, 2 * n) for _, b in kernel_calls.of("solve"))
 
     def counting_doubling(*args):
-        before = len(solves)
+        before = solves()
         try:
             return doubling(*args)
         finally:
-            per_call.append(len(solves) - before)
+            per_call.append(solves() - before)
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
     monkeypatch.setattr(stationary, "_doubling", counting_doubling)
     return per_call
 
@@ -610,8 +608,8 @@ def _agreement_bound(cond):
 
 
 @pytest.mark.parametrize("d", [2, 5, 10, 20])
-def test_riccati_solvers_match_scipy_over_a_seeded_grid(monkeypatch, d):
-    counts = _doublings(monkeypatch, d)
+def test_riccati_solvers_match_scipy_over_a_seeded_grid(monkeypatch, kernel_calls, d):
+    counts = _doublings(monkeypatch, kernel_calls, d)
     conds = []
     for p in sorted({1, 2, d}):
         for radius in (0.5, 0.9, 0.99):
@@ -631,13 +629,14 @@ def test_riccati_solvers_match_scipy_over_a_seeded_grid(monkeypatch, d):
 
 
 @pytest.mark.parametrize("radius", [0.99, 0.995])
-def test_near_unstable_filter_are_solves_within_its_conditioning(monkeypatch, radius):
+def test_near_unstable_filter_are_solves_within_its_conditioning(monkeypatch, kernel_calls,
+                                                                radius):
     # d = 20, p = 2: a detectable pair at cond(S) 5e9 to 7e9, on whose
     # rounding plateau a linearly converging iteration stalls; doubling
     # reaches it in 9-10 steps
     ss = _near_unstable(20, 2, radius)
     Sw, Sv = _nominal_noise(ss)
-    counts = _doublings(monkeypatch, 20)
+    counts = _doublings(monkeypatch, kernel_calls, 20)
     S, L = solve_filter_are(ss, Sw, Sv)
     P, _ = solve_dare(ss)
     assert 8 <= min(counts) and max(counts) <= 10, counts
@@ -685,7 +684,8 @@ def test_structural_failures_raise_stabilizability_errors(a, observed, message):
 
 
 @pytest.mark.parametrize("d", [3, 10])
-def test_bench_stationary_ares_make_three_doublings_and_one_residual(monkeypatch, d):
+def test_bench_stationary_ares_make_three_doublings_and_one_residual(monkeypatch, kernel_calls,
+                                                                     d):
     # a timing-free guard on the stationary benchmark's instances (its
     # dynamics, B = C = Q = R = I, nominals from instance_rng(seed)): each
     # ARE makes 3 doublings (the third leaves ||A_3||_F^2 below 2e-15, far
@@ -699,15 +699,18 @@ def test_bench_stationary_ares_make_three_doublings_and_one_residual(monkeypatch
     eye = np.eye(d)
     ss = StationarySystem(A=benchmark_dynamics(d), B=eye, C=eye, Q=eye, R=eye)
     steps = counting(monkeypatch, stationary, "_riccati_step")
-    counts = _doublings(monkeypatch, d)
-    linalg = {name: counting(monkeypatch, np.linalg, name)
-              for name in ("solve", "eigvals", "eigvalsh", "cond")}
+    counts = _doublings(monkeypatch, kernel_calls, d)
+    # eigvals and cond stay on numpy.linalg; the solves and eigvalsh are kernels
+    linalg = {name: counting(monkeypatch, np.linalg, name) for name in ("eigvals", "cond")}
 
     def calls_of(solve):
+        kernel_calls.clear()
         for c in linalg.values():
             c.clear()
         solve()
-        return {name: len(c) for name, c in linalg.items()}
+        return {"solve": len(kernel_calls.of("solve")),
+                "eigvalsh": len(kernel_calls.of("eigvalsh")),
+                **{name: len(c) for name, c in linalg.items()}}
 
     want = {"solve": 3 + 2, "eigvals": 0, "eigvalsh": 0, "cond": 0}
     assert calls_of(lambda: solve_dare(ss)) == want
@@ -720,7 +723,8 @@ def test_bench_stationary_ares_make_three_doublings_and_one_residual(monkeypatch
 
 @pytest.mark.parametrize("p", [1, 3])
 @pytest.mark.parametrize("kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER])
-def test_stationary_fw_converges_on_partially_observed_systems(monkeypatch, p, kind):
+def test_stationary_fw_converges_on_partially_observed_systems(monkeypatch, kernel_calls, p,
+                                                               kind):
     # d = 10 at spectral radius 0.99 with B = Q = R = I and C the first p
     # rows of I: slow filters, for which doubling needs about 8 steps per
     # filter ARE
@@ -728,7 +732,7 @@ def test_stationary_fw_converges_on_partially_observed_systems(monkeypatch, p, k
     eye = np.eye(d)
     ss = StationarySystem(A=_near_unstable(d, p, 0.99).A, B=eye, C=eye[:p], Q=eye, R=eye)
     ball_w, ball_v = _stationary_balls(kind, d, p, 0.1, 0)
-    counts = _doublings(monkeypatch, d)
+    counts = _doublings(monkeypatch, kernel_calls, d)
     Sw, Sv, trace = solve_stationary_fw(ss, ball_w, ball_v, FwConfig(gap_tol=1e-3))
     assert trace.converged
     assert membership(ball_w, MomentPair.zero_mean(Sw), 1e-8)
