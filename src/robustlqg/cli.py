@@ -33,7 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seed (repeatable)")
         sub.add_argument("--rho", type=float, action="append",
                          help="ambiguity radius (repeatable for grids)")
-        sub.add_argument("--horizon", type=int, dest="T")
+        sub.add_argument("--horizon", type=int, action="append", dest="T",
+                         help="horizon (repeatable for a sweep)")
         sub.add_argument("--dim", type=int, dest="d")
         sub.add_argument("--divergence", choices=["wasserstein2", "kl", "fisher", "entropic_ot"])
         sub.add_argument("--out", dest="output_dir")
@@ -74,8 +75,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         schema = raw.pop("schema", 1)
         if schema != 1:
             raise RobustLqgError(f"unsupported config schema {schema}")
-    if len(flags.get("rho", ())) == 1:  # one --rho is a scalar radius
-        flags["rho"] = flags["rho"][0]
+    for key in ("rho", "T"):  # one --rho or --horizon is a scalar
+        if len(flags.get(key, ())) == 1:
+            flags[key] = flags[key][0]
     fw_flags = {f.name: flags.pop(f.name) for f in dataclasses.fields(FwConfig) if f.name in flags}
     raw.update(flags, experiment=command)
     _check_keys(raw, ExperimentConfig, "")

@@ -1,12 +1,16 @@
-"""Experiment drivers: solves with their convergence traces, runtime sweeps,
-worst-case/nominal performance gaps and stationary solves, all emitting
-schema-stable CSVs. RUNNERS maps each experiment name to its driver, and the
-CLI has one subcommand per name.
+"""Experiment drivers: solves with their convergence traces (over a list of
+horizons, the runtime sweep), worst-case/nominal performance gaps over a
+list of radii, and stationary solves. RUNNERS maps each experiment name to
+its runner, and the CLI has one subcommand per name.
 
-Every run directory receives a metadata JSON carrying the seed(s), a hash of
-the effective configuration, the library version, the RNG algorithm, and
-wall time. Files are written atomically (temp file + rename). No plots are
-produced; the CSVs are meant to be consumed by external plotting.
+Each runner generates one summary row per solve, with the solve's trace and
+the name of its trace file (None where the experiment keeps no traces), and
+hands them to one loop, _drive. That loop alone writes the trace CSVs (one
+column per FwRecord field), the summary CSV and the run directory's
+metadata JSON, which carries the seed(s), a hash of the effective
+configuration, the library version, the RNG algorithm, and wall time. Files
+are written atomically (temp file + rename). No plots are produced; the
+CSVs are meant to be consumed by external plotting.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +31,7 @@ import numpy as np
 from . import __version__
 from .divergences import AmbiguityBall, DivergenceKind, MomentPair
 from .errors import InvalidInputError, UnsupportedDivergenceError
-from .frank_wolfe import FwConfig, _inner, _stacked, solve
+from .frank_wolfe import FwConfig, FwRecord, _inner, _stacked, solve
 from .gradient import GradientProfile
 from .instances import (
     RNG_ALGORITHM,
@@ -42,11 +46,10 @@ from .matops import _is_number
 from .oracles import ORACLE_KINDS, oracle_pass
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 from .stacked import build_stacked, kalman_policy_to_purified  # noqa: F401  unused; bench/tracer.py wraps these
-from .stationary import StationarySystem, solve_stationary_fw, stationary_cost
+from .stationary import StationarySystem, solve_stationary_fw
 
-TRACE_HEADER = ["iter", "objective", "fw_gap", "step", "wall_ms"]
+TRACE_HEADER = [f.name for f in fields(FwRecord)]
 GAPS_HEADER = ["rho", "seed", "worst_case_gap", "nominal_gap"]
-RUNTIME_HEADER = ["T", "seed", "wall_seconds", "iterations"]
 SOLVE_HEADER = ["T", "seed", "iterations", "converged", "stop", "objective", "final_gap",
                 "wall_seconds"]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -54,15 +57,14 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 @dataclass
 class ExperimentConfig:
-    experiment: str = "solve"  # solve | runtime | gaps | stationary
+    experiment: str = "solve"  # solve | gaps | stationary
     d: int = 10
-    T: int = 10
+    T: int | list = 10
     divergence: str = "wasserstein2"
     rho: float | list = 0.1
     seeds: list = field(default_factory=lambda: list(range(10)))
     output_dir: str = "runs"
     jobs: int = 1
-    runtime_horizons: list = field(default_factory=lambda: [2, 4, 6, 8, 10])
     fw: FwConfig = field(default_factory=FwConfig)
 
     def __post_init__(self):
@@ -72,19 +74,21 @@ class ExperimentConfig:
         # jobs=1; the next benchmark change stops passing it and deletes it
         if self.jobs != 1:
             raise InvalidInputError("jobs must be 1: every experiment runs serially")
-        if not all(_is_number(n, integer=True) and n >= 1 for n in (self.d, self.T)):
+        if not all(_is_number(n, integer=True) and n >= 1 for n in [self.d, *self.horizons]):
             raise InvalidInputError("d and T must be integers >= 1")
-        for name, low in (("seeds", 0), ("runtime_horizons", 1)):
-            vals = getattr(self, name)
-            if not isinstance(vals, (list, tuple)) or not all(
-                    _is_number(v, integer=True) and v >= low for v in vals):
-                raise InvalidInputError(f"{name} must be a list of integers >= {low}")
+        if not isinstance(self.seeds, (list, tuple)) or not all(
+                _is_number(seed, integer=True) and seed >= 0 for seed in self.seeds):
+            raise InvalidInputError("seeds must be a list of integers >= 0")
         if any(seed >= SEED_BOUND for seed in self.seeds):
             raise InvalidInputError("seeds must be below 2**128, the Philox key range")
         if not isinstance(self.output_dir, str):
             raise InvalidInputError("output_dir must be a string")
         if not all(_is_number(r) and r >= 0 for r in self.rhos):
             raise InvalidInputError("rho entries must be finite nonnegative numbers")
+        # an empty list runs nothing, and a repeated entry solves twice
+        for name, vals in (("seeds", self.seeds), ("T", self.horizons), ("rho", self.rhos)):
+            if not vals or len(set(vals)) < len(vals):
+                raise InvalidInputError(f"{name} must be nonempty, with no entry repeated")
         try:
             kind = DivergenceKind(self.divergence)
         except ValueError:
@@ -93,8 +97,9 @@ class ExperimentConfig:
             raise UnsupportedDivergenceError(
                 f"no linearization oracle for divergence '{self.divergence}'"
             )
-        if isinstance(self.rho, list) and self.experiment != "gaps":
-            raise InvalidInputError("this experiment expects a single rho")
+        for name, value, runner in (("T", self.T, "solve"), ("rho", self.rho, "gaps")):
+            if isinstance(value, list) and self.experiment != runner:
+                raise InvalidInputError(f"this experiment expects a single {name}")
 
     @property
     def kind(self) -> DivergenceKind:
@@ -104,6 +109,11 @@ class ExperimentConfig:
     def rhos(self) -> list:
         """The radii to run: rho as a list, of one entry unless gaps."""
         return self.rho if isinstance(self.rho, list) else [self.rho]
+
+    @property
+    def horizons(self) -> list:
+        """The horizons to run: T as a list, of one entry unless solve."""
+        return self.T if isinstance(self.T, list) else [self.T]
 
     def to_json_dict(self) -> dict:
         out = asdict(self)
@@ -171,18 +181,39 @@ def write_metadata(cfg: ExperimentConfig, outdir: Path, wall_seconds: float) -> 
 
 
 def _trace_csv_text(trace) -> str:
-    return _csv_text(
-        TRACE_HEADER,
-        ([r.iter, repr(r.objective), repr(r.fw_gap), repr(r.step_size), repr(r.wall_ms)]
-         for r in trace.records),
-    )
+    return _csv_text(TRACE_HEADER, ([repr(v) for v in astuple(r)] for r in trace.records))
 
 
-def _solves(cfg: ExperimentConfig, horizons):
-    """Generate and solve the instance of each (rho, T, seed), rho over
-    cfg.rhos, T over horizons and seed over cfg.seeds; yields (rho, T, seed,
-    nominal model, trace, wall seconds of the solve)."""
-    for rho, T, seed in itertools.product(cfg.rhos, horizons, cfg.seeds):
+def _drive(cfg: ExperimentConfig, header: list[str], summary_name: str, rows) -> dict:
+    """The one experiment loop. rows yields (summary row, trace, trace file
+    name or None): each named trace is written as it comes, then the summary
+    CSV and metadata.json, whose wall time covers the whole run. Returns
+    {"all_converged", "rows"}."""
+    outdir = Path(cfg.output_dir)
+    t_start = time.perf_counter()
+    summary = []
+    all_converged = True
+    for row, trace, name in rows:
+        if name is not None:
+            atomic_write_text(outdir / name, _trace_csv_text(trace))
+        summary.append(row)
+        all_converged &= trace.converged
+    write_csv(outdir / summary_name, header, summary)
+    write_metadata(cfg, outdir, time.perf_counter() - t_start)
+    return {"all_converged": all_converged, "rows": summary}
+
+
+def _summary(trace, wall: float) -> list:
+    """The columns of SOLVE_HEADER after T and seed, of one solve."""
+    return [len(trace.records), int(trace.converged), trace.stop, repr(trace.objective),
+            repr(trace.gap), repr(wall)]
+
+
+def _solves(cfg: ExperimentConfig):
+    """Generate and solve the instance of each (rho, T, seed), over cfg.rhos,
+    cfg.horizons and cfg.seeds; yields (rho, T, seed, nominal model, trace,
+    wall seconds of the solve)."""
+    for rho, T, seed in itertools.product(cfg.rhos, cfg.horizons, cfg.seeds):
         sys, model = generate_instance(cfg.d, T, seed, cfg.kind, rho)
         t0 = time.perf_counter()
         _, trace = solve(sys, model.ball_profile(), cfg=cfg.fw)
@@ -190,39 +221,17 @@ def _solves(cfg: ExperimentConfig, horizons):
 
 
 def run_solve(cfg: ExperimentConfig) -> dict:
-    """One FW solve per seed at the configured horizon: its trace as
-    trace_seed{seed}.csv, and one row per solve in solve_summary.csv. A row
-    gives the number of records, whether the solve converged, its stop
-    reason (FwTrace.stop) and the returned iterate's objective and
-    certified gap (FwTrace.objective and FwTrace.gap, nan on a "max_iters"
-    stop)."""
-    outdir = Path(cfg.output_dir)
-    t_start = time.perf_counter()
-    rows = []
-    all_converged = True
-    for _, T, seed, _, trace, wall in _solves(cfg, [cfg.T]):
-        atomic_write_text(outdir / f"trace_seed{seed}.csv", _trace_csv_text(trace))
-        rows.append([T, seed, len(trace.records), int(trace.converged), trace.stop,
-                     repr(trace.objective), repr(trace.gap), repr(wall)])
-        all_converged &= trace.converged
-    write_csv(outdir / "solve_summary.csv", SOLVE_HEADER, rows)
-    write_metadata(cfg, outdir, time.perf_counter() - t_start)
-    return {"all_converged": all_converged, "rows": rows}
-
-
-def run_runtime(cfg: ExperimentConfig) -> dict:
-    """Wall-clock per solve over a horizon sweep. The SDP baseline column is
-    intentionally absent: no SDP solver ships with this package."""
-    outdir = Path(cfg.output_dir)
-    t_start = time.perf_counter()
-    rows = []
-    all_converged = True
-    for _, T, seed, _, trace, wall in _solves(cfg, cfg.runtime_horizons):
-        rows.append([T, seed, repr(wall), len(trace.records)])
-        all_converged &= trace.converged
-    write_csv(outdir / "runtime.csv", RUNTIME_HEADER, rows)
-    write_metadata(cfg, outdir, time.perf_counter() - t_start)
-    return {"all_converged": all_converged, "rows": rows}
+    """One FW solve per (T, seed), T over cfg.horizons: its trace as
+    trace_T{T}_seed{seed}.csv, and one row per solve in solve_summary.csv. A
+    row gives the number of records, whether the solve converged, its stop
+    reason (FwTrace.stop), the returned iterate's objective and certified gap
+    (FwTrace.objective and FwTrace.gap, nan on a "max_iters" stop) and the
+    solve's wall seconds. Over several horizons this is the runtime sweep;
+    there is no SDP baseline column, as no SDP solver ships with the
+    package."""
+    return _drive(cfg, SOLVE_HEADER, "solve_summary.csv", (
+        ([T, seed, *_summary(trace, wall)], trace, f"trace_T{T}_seed{seed}.csv")
+        for _, T, seed, _, trace, wall in _solves(cfg)))
 
 
 def policy_worst_case_cost(coeffs: GradientProfile, balls):
@@ -279,51 +288,42 @@ def run_gaps(cfg: ExperimentConfig) -> dict:
     the solve priced. With max_iters=1 that is the nominal: worst_case_gap
     is 0.0 and nominal_gap is zero to rounding.
     """
-    outdir = Path(cfg.output_dir)
-    t_start = time.perf_counter()
-    rows = []
-    all_converged = True
-    for rho, _, seed, model, trace, _ in _solves(cfg, [cfg.T]):
-        first, last = trace.records[0], trace.records[-1]
-        wc_nom = first.objective + first.fw_gap
-        wc_rob = last.objective + last.fw_gap
-        nom_rob = _inner(trace.grads, _stacked(model.X0, model.W, model.V))
-        rows.append([float(rho), seed, repr(wc_nom - wc_rob), repr(nom_rob - first.objective)])
-        all_converged &= trace.converged
-    write_csv(outdir / "gaps.csv", GAPS_HEADER, rows)
-    write_metadata(cfg, outdir, time.perf_counter() - t_start)
-    return {"all_converged": all_converged, "rows": rows}
+    def rows():
+        for rho, _, seed, model, trace, _ in _solves(cfg):
+            first, last = trace.records[0], trace.records[-1]
+            wc_nom = first.objective + first.fw_gap
+            wc_rob = last.objective + last.fw_gap
+            nom_rob = _inner(trace.grads, _stacked(model.X0, model.W, model.V))
+            row = [float(rho), seed, repr(wc_nom - wc_rob), repr(nom_rob - first.objective)]
+            yield row, trace, None
+
+    return _drive(cfg, GAPS_HEADER, "gaps.csv", rows())
 
 
 def run_stationary(cfg: ExperimentConfig) -> dict:
-    """Stationary FW on the benchmark dynamics with time-invariant noise."""
-    outdir = Path(cfg.output_dir)
-    t_start = time.perf_counter()
-    results = []
-    all_converged = True
-    (rho,) = cfg.rhos
-    for seed in cfg.seeds:
-        rng = instance_rng(seed)
-        d = cfg.d
-        eye = np.eye(d)
-        ss = StationarySystem(A=benchmark_dynamics(d), B=eye, C=eye, Q=eye, R=eye)
-        Sw = random_covariance(d, rng)
-        Sv = random_covariance(d, rng)
-        ball_w = AmbiguityBall(kind=cfg.kind, nominal=MomentPair.zero_mean(Sw), radius=rho)
-        ball_v = AmbiguityBall(kind=cfg.kind, nominal=MomentPair.zero_mean(Sv), radius=rho)
-        Sw_star, Sv_star, trace = solve_stationary_fw(ss, ball_w, ball_v, cfg.fw)
-        cost, _ = stationary_cost(ss, Sw_star, Sv_star)
-        atomic_write_text(outdir / f"stationary_seed{seed}.csv", _trace_csv_text(trace))
-        results.append({"seed": seed, "converged": trace.converged, "worst_cost": cost})
-        all_converged &= trace.converged
-    atomic_write_text(outdir / "stationary_summary.json", json.dumps(results, indent=2) + "\n")
-    write_metadata(cfg, outdir, time.perf_counter() - t_start)
-    return {"all_converged": all_converged, "results": results}
+    """Stationary FW on the benchmark dynamics with time-invariant noise, one
+    solve per seed: its trace as stationary_seed{seed}.csv, and one row per
+    solve in stationary_summary.csv, with solve_summary.csv's columns but T."""
+    eye = np.eye(cfg.d)
+    ss = StationarySystem(A=benchmark_dynamics(cfg.d), B=eye, C=eye, Q=eye, R=eye)
+
+    def rows():
+        for seed in cfg.seeds:
+            rng = instance_rng(seed)
+            ball_w, ball_v = (
+                AmbiguityBall(kind=cfg.kind, radius=cfg.rho,
+                              nominal=MomentPair.zero_mean(random_covariance(cfg.d, rng)))
+                for _ in "wv")
+            t0 = time.perf_counter()
+            _, _, trace = solve_stationary_fw(ss, ball_w, ball_v, cfg.fw)
+            row = [seed, *_summary(trace, time.perf_counter() - t0)]
+            yield row, trace, f"stationary_seed{seed}.csv"
+
+    return _drive(cfg, SOLVE_HEADER[1:], "stationary_summary.csv", rows())
 
 
 RUNNERS = {
     "solve": run_solve,
-    "runtime": run_runtime,
     "gaps": run_gaps,
     "stationary": run_stationary,
 }

@@ -88,7 +88,6 @@ class FwRecord:
     dual_gap: float
     step_size: float
     wall_ms: float
-    # kept in the record, not the CSV:
     oracle_s: float  # wall seconds of the iteration's oracle pass
     oracle_steps: int  # root-search steps summed over blocks
     # lockstep root-search rounds summed over the pass's groups; a group's

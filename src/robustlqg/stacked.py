@@ -147,12 +147,15 @@ def affine_objective(
 ) -> float:
     """Expected cost of the affine policy under the given noise moments.
 
+    M_w and M_v are uncentered second moments, and w and v are independent:
+
     Tr(((UD)^T R UD + (G+HUD)^T Q (G+HUD)) M_w + U^T Rbar U M_v)
-      + 2 q^T (Rbar U D + H^T Q G) mu_w + 2 q^T Rbar U mu_v + q^T Rbar q.
+      + 2 q^T (Rbar U D + H^T Q G) mu_w + 2 q^T Rbar U mu_v + q^T Rbar q
+      + 2 mu_w^T (G^T Q H U + D^T U^T Rbar U) mu_v.
     """
     pol = pol.validated(ss)
-    _check_block_diagonal(M_w, ss.n, "M_w")
-    _check_block_diagonal(M_v, ss.p, "M_v")
+    _check_block_diagonal(M_w - np.outer(mu_w, mu_w), ss.n, "M_w")
+    _check_block_diagonal(M_v - np.outer(mu_v, mu_v), ss.p, "M_v")
     U, q = pol.U, pol.q
     UD = U @ ss.D
     GHUD = ss.G + ss.H @ UD
@@ -161,6 +164,7 @@ def affine_objective(
     value = float(np.sum(quad_w * M_w) + np.sum(quad_v * M_v))
     value += 2.0 * float(q @ ((ss.Rbar @ UD + ss.H.T @ ss.Q @ ss.G) @ mu_w))
     value += 2.0 * float(q @ (ss.Rbar @ (U @ mu_v)))
+    value += 2.0 * float(mu_w @ ((ss.G.T @ ss.Q @ ss.H @ U + UD.T @ ss.Rbar @ U) @ mu_v))
     value += float(q @ ss.Rbar @ q)
     return value
 

@@ -2,7 +2,11 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
+import re
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +20,8 @@ from robustlqg.experiments import (
     TRACE_HEADER,
     ExperimentConfig,
     run_gaps,
-    run_runtime,
     run_solve,
+    run_stationary,
     config_hash,
     policy_nominal_cost,
     policy_worst_case_cost,
@@ -27,6 +31,7 @@ from robustlqg.frank_wolfe import FwConfig, solve
 from robustlqg.gradient import lqg_gradient
 from robustlqg.instances import generate_instance, instance_rng, random_covariance
 from robustlqg.lqg import CovarianceProfile, lqg_value
+from robustlqg.stationary import stationary_cost
 
 from conftest import counting
 from reference import random_covariance_reference
@@ -214,9 +219,9 @@ def test_run_solve_outputs(tmp_path):
                        "final_gap", "wall_seconds"]
     assert [row[:2] for row in rows[1:]] == [["3", "0"], ["3", "1"]]
     for seed, row in zip((0, 1), rows[1:]):
-        with open(tmp_path / f"trace_seed{seed}.csv") as fh:
+        with open(tmp_path / f"trace_T3_seed{seed}.csv") as fh:
             trace = list(csv.reader(fh))
-        assert trace[0] == ["iter", "objective", "fw_gap", "step", "wall_ms"]
+        assert trace[0] == TRACE_HEADER
         gaps = [float(r[2]) for r in trace[1:]]
         assert all(g > 1e-3 for g in gaps[:-1])
         # the summary row describes the returned iterate: its objective and
@@ -255,23 +260,24 @@ def test_solve_summary_reports_each_stop_reason(tmp_path):
             assert float(row["final_gap"]) <= 1e-3
 
 
-def test_run_runtime_monotone_and_deterministic(tmp_path, monkeypatch):
-    # the work of a solve is counted, not timed: the forward-sweep time steps
-    # it runs (each lqg.kalman_forward call steps through its system's T)
+def test_run_solve_over_horizons_monotone_and_deterministic(tmp_path, monkeypatch):
+    # a list of horizons is the runtime sweep: one trace per (T, seed). The
+    # work of a solve is counted, not timed: the forward-sweep time steps it
+    # runs (each lqg.kalman_forward call steps through its system's T)
     from robustlqg import lqg
 
     sweeps = counting(monkeypatch, lqg, "kalman_forward")
     cfg = ExperimentConfig(
-        experiment="runtime", d=3, T=4, divergence="wasserstein2", rho=0.1,
-        seeds=[0, 1], output_dir=str(tmp_path), runtime_horizons=[2, 4, 6],
-        fw=_fast_fw(),
+        experiment="solve", d=3, T=[2, 4, 6], divergence="wasserstein2", rho=0.1,
+        seeds=[0, 1], output_dir=str(tmp_path), fw=_fast_fw(),
     )
-    out = run_runtime(cfg)
+    out = run_solve(cfg)
     assert out["all_converged"]
-    with open(tmp_path / "runtime.csv") as fh:
+    with open(tmp_path / "solve_summary.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["T", "seed", "wall_seconds", "iterations"]
-    iters = {(int(r[0]), int(r[1])): int(r[3]) for r in rows[1:]}
+    iters = {(int(r[0]), int(r[1])): int(r[2]) for r in rows[1:]}
+    assert sorted(p.name for p in tmp_path.glob("trace_*.csv")) == sorted(
+        f"trace_T{T}_seed{seed}.csv" for T, seed in iters)
     work = {}  # per solve, keyed by (T, its system), generated per (T, seed)
     for sys, _ in sweeps:
         work[sys.T, id(sys)] = work.get((sys.T, id(sys)), 0) + sys.T
@@ -280,10 +286,46 @@ def test_run_runtime_monotone_and_deterministic(tmp_path, monkeypatch):
     assert medians[0] < medians[1] < medians[2]
 
     # iteration counts reproduce on a second run
-    run_runtime(replace(cfg, output_dir=str(tmp_path / "again")))
-    with open(tmp_path / "again" / "runtime.csv") as fh:
+    run_solve(replace(cfg, output_dir=str(tmp_path / "again")))
+    with open(tmp_path / "again" / "solve_summary.csv") as fh:
         rows_again = list(csv.reader(fh))
-    assert {(int(r[0]), int(r[1])): int(r[3]) for r in rows_again[1:]} == iters
+    assert {(int(r[0]), int(r[1])): int(r[2]) for r in rows_again[1:]} == iters
+
+
+def test_stationary_summary_reads_the_trace(tmp_path, monkeypatch):
+    # each row's objective is the returned pair's stationary cost, with no
+    # second solve of the Riccati equations; nan on a max_iters stop
+    from robustlqg import experiments
+
+    pairs = []
+    inner = experiments.solve_stationary_fw
+
+    def capturing(ss, *args):
+        out = inner(ss, *args)
+        pairs.append((ss, *out[:2]))
+        return out
+
+    monkeypatch.setattr(experiments, "solve_stationary_fw", capturing)
+    for max_iters in (500, 1):
+        pairs.clear()
+        cfg = ExperimentConfig(
+            experiment="stationary", d=3, divergence="kl", rho=0.5, seeds=[0, 1, 2],
+            output_dir=str(tmp_path / str(max_iters)), fw=FwConfig(max_iters=max_iters, gap_tol=1e-6),
+        )
+        out = run_stationary(cfg)
+        assert out["all_converged"] == (max_iters > 1)
+        with open(tmp_path / str(max_iters) / "stationary_summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["seed", "iterations", "converged", "stop", "objective",
+                                 "final_gap", "wall_seconds"]
+        assert [int(row["seed"]) for row in rows] == cfg.seeds
+        for row, (ss, Sw, Sv) in zip(rows, pairs, strict=True):
+            if max_iters == 1:
+                assert row["stop"] == "max_iters" and row["converged"] == "0"
+                assert math.isnan(float(row["objective"])) and math.isnan(float(row["final_gap"]))
+            else:
+                assert row["converged"] == "1" and float(row["final_gap"]) <= 1e-6
+                assert float(row["objective"]) == stationary_cost(ss, Sw, Sv)[0]
 
 
 def test_cli_solve_exit_code_and_outputs(tmp_path):
@@ -293,7 +335,7 @@ def test_cli_solve_exit_code_and_outputs(tmp_path):
         "--divergence", "wasserstein2", "--out", str(out),
     ])
     assert code == 0
-    assert (out / "trace_seed0.csv").exists()
+    assert (out / "trace_T3_seed0.csv").exists()
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["experiment"] == "solve" and meta["seeds"] == [0]
     with open(out / "solve_summary.csv", newline="") as fh:
@@ -312,21 +354,28 @@ def test_cli_stationary_exit_code_and_outputs(tmp_path):
         with open(out / f"stationary_seed{seed}.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == TRACE_HEADER and len(rows) > 1
-    runs = json.loads((out / "stationary_summary.json").read_text())
-    assert [run["seed"] for run in runs] == [0, 1]
-    assert all(run["converged"] and run["worst_cost"] > 0.0 for run in runs)
+    with open(out / "stationary_summary.csv", newline="") as fh:
+        runs = list(csv.DictReader(fh))
+    assert [run["seed"] for run in runs] == ["0", "1"]
+    assert all(run["converged"] == "1" and float(run["objective"]) > 0.0 for run in runs)
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["experiment"] == "stationary" and meta["seeds"] == [0, 1]
 
 
-def test_cli_single_radius_experiment_rejects_a_radius_list(tmp_path, capsys):
-    code = cli_main([
-        "solve", "--seed", "0", "--rho", "0.1", "--rho", "0.2", "--horizon", "2", "--dim", "2",
-        "--divergence", "wasserstein2", "--out", str(tmp_path / "out"),
-    ])
+# only solve takes a list of horizons and only gaps a list of radii
+@pytest.mark.parametrize("command,flag,name", [
+    ("solve", "--rho", "rho"), ("stationary", "--rho", "rho"),
+    ("gaps", "--horizon", "T"), ("stationary", "--horizon", "T"),
+])
+def test_cli_single_value_experiment_rejects_a_list(tmp_path, capsys, command, flag, name):
+    flags = {"--seed": "0", "--rho": "0.1", "--horizon": "2", "--dim": "2",
+             "--divergence": "wasserstein2", "--out": str(tmp_path / "out")}
+    argv = [command, flag, "0.3" if flag == "--rho" else "3"]
+    code = cli_main(argv + [tok for item in flags.items() for tok in item])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
-    assert err == {"error": "InvalidInputError", "message": "this experiment expects a single rho"}
+    assert err == {"error": "InvalidInputError",
+                   "message": f"this experiment expects a single {name}"}
     assert not (tmp_path / "out").exists()
 
 
@@ -361,6 +410,9 @@ def test_config_validation():
         ExperimentConfig(experiment="bogus")
     with pytest.raises(Exception):
         ExperimentConfig(rho=[-0.1])
+    for rho in ([], [0.5, 0.5]):
+        with pytest.raises(InvalidInputError, match="rho must be nonempty, with no entry"):
+            ExperimentConfig(experiment="gaps", rho=rho)
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -427,12 +479,20 @@ def test_cli_malformed_config_exit_code(tmp_path, capsys, text, message):
     ('{"seeds": [0, 1.0]}', "seeds must be a list of integers >= 0"),
     ('{"seeds": [-1]}', "seeds must be a list of integers >= 0"),
     ('{"seeds": [0, 340282366920938463463374607431768211456]}', "seeds must be below 2**128"),
-    ('{"runtime_horizons": [2, "4"]}', "runtime_horizons must be a list of integers >= 1"),
+    ('{"seeds": []}', "seeds must be nonempty, with no entry repeated"),
+    ('{"seeds": [0, 1, 0]}', "seeds must be nonempty, with no entry repeated"),
+    ('{"T": [2, "4"]}', "d and T must be integers >= 1"),
+    ('{"T": []}', "T must be nonempty, with no entry repeated"),
+    ('{"T": [2, 4, 2]}', "T must be nonempty, with no entry repeated"),
     ('{"rho": "0.1"}', "rho entries must be finite nonnegative numbers"),
     ('{"rho": [0.1, false]}', "rho entries must be finite nonnegative numbers"),
+    ('{"rho": []}', "rho must be nonempty, with no entry repeated"),
+    ('{"rho": [0.1, 0.1]}', "rho must be nonempty, with no entry repeated"),
     ('{"output_dir": 3}', "output_dir must be a string"),
 ], ids=["d_float", "T_string", "seeds_int", "seeds_float_entry", "seeds_negative", "seeds_too_large",
-        "horizons_string_entry", "rho_string", "rho_bool_entry", "output_dir_int"])
+        "seeds_empty", "seeds_repeated", "horizons_string_entry", "horizons_empty",
+        "horizons_repeated", "rho_string", "rho_bool_entry", "rho_empty", "rho_repeated",
+        "output_dir_int"])
 def test_cli_mistyped_config_exit_code(tmp_path, capsys, monkeypatch, text, message):
     # a config value of the wrong type is an input error (exit 2, JSON on
     # stderr), not a traceback, under a command that takes every field from
@@ -471,7 +531,7 @@ def _subcommands() -> dict:
 def test_every_cli_flag_is_named_by_its_config_key():
     # one subcommand per experiment, each named as its experiment; the flags
     # map to config keys by name, so each dest is a config field
-    assert list(_subcommands()) == list(RUNNERS) == ["solve", "runtime", "gaps", "stationary"]
+    assert list(_subcommands()) == list(RUNNERS) == ["solve", "gaps", "stationary"]
     keys = {f.name for cls in (ExperimentConfig, FwConfig) for f in dataclasses.fields(cls)}
     for name, sub in _subcommands().items():
         assert {action.dest for action in sub._actions} - {"help", "config"} <= keys, name
@@ -490,6 +550,28 @@ def test_a_cli_flag_given_alone_lands_on_its_config_field(flag, value, field, wa
     else:
         expected = replace(expected, **{field: want})
     assert cli._load_config(args) == expected
+
+
+@pytest.mark.parametrize("command, flag, field", [("gaps", "--rho", "rho"),
+                                                   ("solve", "--horizon", "T")])
+def test_a_repeated_cli_flag_gives_a_list(command, flag, field):
+    args = cli.build_parser().parse_args([command, flag, "2", flag, "4"])
+    assert getattr(cli._load_config(args), field) == [2, 4]
+
+
+def test_readme_cli_examples_parse():
+    # every robustlqg line of the README's sh blocks, backslash continuations
+    # joined, parses: a stale example (a removed subcommand or flag) fails
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [line for line in lines if line.startswith("robustlqg ")]
+    assert len(commands) >= 4
+    for line in commands:
+        try:
+            cli.build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 def test_cli_has_no_oracle_delta_flag(tmp_path):

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import io
+import typing
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from robustlqg.divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
 from robustlqg.errors import InvalidInputError
 from robustlqg.experiments import _trace_csv_text
-from robustlqg.frank_wolfe import BallProfile, FwConfig, NominalModel, solve
+from robustlqg.frank_wolfe import BallProfile, FwConfig, FwRecord, NominalModel, solve
 from robustlqg.gradient import lqg_gradient
 from robustlqg.instances import generate_instance
 from robustlqg.lqg import CovarianceProfile, lqg_value
@@ -257,15 +259,16 @@ def test_line_search_step_rule_converges():
 
 
 def test_trace_csv_schema_and_roundtrip():
+    # one column per FwRecord field, each written by repr: every record
+    # reads back equal
     sys, model = generate_instance(2, 2, seed=8, kind=DivergenceKind.KULLBACK_LEIBLER, rho=0.2)
-    _, trace = solve(sys, model.ball_profile())
-    rows = list(csv.reader(io.StringIO(_trace_csv_text(trace))))
-    assert rows[0] == ["iter", "objective", "fw_gap", "step", "wall_ms"]
-    assert len(rows) == len(trace.records) + 1
-    for row, rec in zip(rows[1:], trace.records):
-        assert int(row[0]) == rec.iter
-        assert float(row[1]) == rec.objective
-        assert float(row[2]) == rec.fw_gap
+    _, trace = solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-6))
+    reader = csv.DictReader(io.StringIO(_trace_csv_text(trace)))
+    types = typing.get_type_hints(FwRecord)
+    assert reader.fieldnames == [f.name for f in dataclasses.fields(FwRecord)] == list(types)
+    rebuilt = [FwRecord(**{name: types[name](value) for name, value in row.items()})
+               for row in reader]
+    assert len(rebuilt) > 1 and rebuilt == trace.records
 
 
 def test_config_validation():

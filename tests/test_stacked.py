@@ -138,6 +138,50 @@ def test_affine_objective_matches_monte_carlo(mean_block):
     assert abs(exact - mc) <= 3.0 * se
 
 
+def _deterministic_cost(ss, U, q, w, v):
+    """x^T Q x + u^T R u of one noise draw (w, v) under u = q + U(Dw + v)."""
+    u = q + U @ (ss.D @ w + v)
+    x = ss.H @ u + ss.G @ w
+    return float(x @ ss.Q @ x + u @ ss.R @ u)
+
+
+def _means_on_every_block(seed):
+    rng = np.random.default_rng(seed)
+    sys = rand_system(rng, n=2, m=2, p=2, T=3)
+    ss = build_stacked(sys)
+    mask = causal_mask(ss.T, ss.m, ss.p)
+    U = np.where(mask, 0.5 * rng.standard_normal(mask.shape), 0.0)
+    q = rng.standard_normal(ss.m * ss.T)
+    mu_w = rng.standard_normal(ss.n * (ss.T + 1))
+    mu_v = rng.standard_normal(ss.p * ss.T)
+    return rng, sys, ss, U, q, mu_w, mu_v
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_affine_objective_at_zero_covariance_is_the_deterministic_cost(seed):
+    # M = mu mu^T: the noise is the point (mu_w, mu_v), with both means
+    # nonzero on every block, so the w-v cross term is exercised
+    _, _, ss, U, q, mu_w, mu_v = _means_on_every_block(seed)
+    value = affine_objective(ss, AffinePolicy(U=U, q=q), mu_w, np.outer(mu_w, mu_w),
+                             mu_v, np.outer(mu_v, mu_v))
+    assert value == pytest.approx(_deterministic_cost(ss, U, q, mu_w, mu_v), rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_affine_objective_splits_into_covariance_and_mean_parts(seed):
+    # uncentered second moments M = Sigma + mu mu^T with block-diagonal
+    # Sigma: the cost is the zero-mean, zero-intercept cost at Sigma plus
+    # the deterministic cost at the means
+    rng, sys, ss, U, q, mu_w, mu_v = _means_on_every_block(seed)
+    _, S_w, _, S_v = stack_moments(rand_profile(rng, sys), ss.n, ss.p)
+    value = affine_objective(ss, AffinePolicy(U=U, q=q), mu_w, S_w + np.outer(mu_w, mu_w),
+                             mu_v, S_v + np.outer(mu_v, mu_v))
+    cov_only = affine_objective(ss, AffinePolicy(U=U, q=np.zeros_like(q)),
+                                np.zeros_like(mu_w), S_w, np.zeros_like(mu_v), S_v)
+    want = cov_only + _deterministic_cost(ss, U, q, mu_w, mu_v)
+    assert value == pytest.approx(want, rel=1e-10)
+
+
 def test_correlated_moments_rejected():
     rng = np.random.default_rng(4)
     sys = rand_system(rng, n=2, m=1, p=1, T=2)
@@ -166,9 +210,11 @@ def test_optimal_intercept_first_order_optimality():
     sys = rand_system(rng, n=2, m=1, p=2, T=3)
     ss = build_stacked(sys)
     cov = rand_profile(rng, sys)
-    _, M_w, _, M_v = stack_moments(cov, ss.n, ss.p)
+    _, S_w, _, S_v = stack_moments(cov, ss.n, ss.p)
     mu_w = 0.5 * rng.standard_normal(ss.n * (ss.T + 1))
     mu_v = 0.5 * rng.standard_normal(ss.p * ss.T)
+    # uncentered second moments of independent blocks with these means
+    M_w, M_v = S_w + np.outer(mu_w, mu_w), S_v + np.outer(mu_v, mu_v)
     mask = causal_mask(ss.T, ss.m, ss.p)
     U = np.where(mask, rng.standard_normal(mask.shape), 0.0)
     q_star = optimal_intercept(ss, U, mu_w, mu_v)
@@ -185,16 +231,24 @@ def test_optimal_intercept_first_order_optimality():
 
 def test_zero_mean_adversary_never_worse():
     # with the intercept optimized, moving the mean into covariance can only
-    # increase the objective
+    # increase the objective. Uncorrelated zero-mean noise has a block
+    # diagonal second moment, so the same second moment with a mean allows
+    # at most one nonzero-mean block: the mean sits on one block per case
     rng = np.random.default_rng(7)
     sys = rand_system(rng, n=2, m=1, p=1, T=2)
     ss = build_stacked(sys)
     cov = rand_profile(rng, sys)
     mask = causal_mask(ss.T, ss.m, ss.p)
-    for _ in range(25):
+    for case in range(25):
         U = np.where(mask, rng.standard_normal(mask.shape), 0.0)
-        mu_w = 0.5 * rng.standard_normal(ss.n * (ss.T + 1))
-        mu_v = 0.5 * rng.standard_normal(ss.p * ss.T)
+        mu_w = np.zeros(ss.n * (ss.T + 1))
+        mu_v = np.zeros(ss.p * ss.T)
+        block = case % (2 * ss.T + 1)  # x0, w_0.., v_0..
+        if block <= ss.T:
+            mu_w[block * ss.n : (block + 1) * ss.n] = 0.5 * rng.standard_normal(ss.n)
+        else:
+            block -= ss.T + 1
+            mu_v[block * ss.p : (block + 1) * ss.p] = 0.5 * rng.standard_normal(ss.p)
         _, M_w, _, M_v = stack_moments(cov, ss.n, ss.p)
         # same second moments, nonzero vs zero means
         q_star = optimal_intercept(ss, U, mu_w, mu_v)
