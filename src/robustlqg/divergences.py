@@ -370,6 +370,8 @@ class AmbiguityBall:
 
     def __post_init__(self):
         _check_fields(self.kind, self.radius, self.eps, self.custom)
+        if not isinstance(self.nominal, MomentPair):
+            raise InvalidInputError("ball nominal must be a MomentPair")
         if self.kind in _PD_KINDS and _pd_violation(self.nominal.cov[None]) is not None:
             raise InvalidInputError(_not_pd_message(self.kind))
         if self.kind is DivergenceKind.ENTROPIC_OT:

@@ -83,6 +83,8 @@ class ExperimentConfig:
             raise InvalidInputError("seeds must be below 2**128, the Philox key range")
         if not isinstance(self.output_dir, str):
             raise InvalidInputError("output_dir must be a string")
+        if not isinstance(self.fw, FwConfig):
+            raise InvalidInputError("fw must be an FwConfig")
         if not all(_is_number(r) and r >= 0 for r in self.rhos):
             raise InvalidInputError("rho entries must be finite nonnegative numbers")
         # an empty list runs nothing, and a repeated entry solves twice

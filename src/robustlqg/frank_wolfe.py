@@ -30,9 +30,9 @@ last record's iterate (FwTrace.grads). With the first and last records they
 price the fixed policies designed at the start and at that iterate, with no
 further sweep or oracle pass (experiments.run_gaps); on a bound stop that
 iterate is the one before the returned one.
-maximize takes its start as feasible and checks nothing it builds from it.
-Both adapters start at the nominals, which lie in every ball; solve also
-accepts a start from its caller, and checks it.
+Every solve starts at the balls' nominals, which lie in every ball: the
+plan lays them out as the driver's stacks (oracles._Plan.start), and
+maximize checks nothing it builds from them.
 """
 
 from __future__ import annotations
@@ -40,14 +40,13 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import lqg
-from .divergences import (
-    AmbiguityBall, DivergenceKind, MomentPair, _check_fields, _zero_mean_balls, membership,
-)
+from .divergences import AmbiguityBall, DivergenceKind, _check_fields, _zero_mean_balls
+from .divergences import membership  # noqa: F401  unused; bench/tracer.py wraps this binding
 from .errors import InvalidInputError
 from .gradient import _adjoint
 from .gradient import lqg_gradient  # noqa: F401  unused; bench/tracer.py wraps this binding
@@ -253,19 +252,19 @@ def _backtrack(evaluate, current, targets, objective, gap, alpha_min):
 def maximize(
     evaluate: Callable[[list], tuple[float, Callable[[], list]]],
     plan: _Plan,
-    start: Sequence[np.ndarray],
     cfg: FwConfig,
 ) -> tuple[list[np.ndarray], FwTrace]:
     """Maximize a concave function of covariance blocks, one ball per block.
 
     The iterate is a list of stacks, each a (k, d, d) array of blocks; block
     order runs through the stacks in turn. plan is the oracle pass over the
-    blocks' balls (oracles._plan), laid out as start.
-    The caller plans before it evaluates anything, so a ball the oracles
-    reject (one with a nonzero nominal mean or no oracle) fails before any
-    work, and each ball's nominal is factored once per solve. start must lie
-    in the balls; it is not checked here, and nothing the loop builds from
-    it is checked again. evaluate(stacks) returns (objective, grad), where
+    blocks' balls (oracles._plan), and the loop starts at its nominals,
+    laid out as the iterate (plan.start). The caller plans before it
+    evaluates anything, so a ball the oracles reject (one with a nonzero
+    nominal mean or no oracle) fails before any work, and each ball's
+    nominal is factored once per solve. The nominals lie in their balls by
+    construction, so nothing the loop builds from them is checked here.
+    evaluate(stacks) returns (objective, grad), where
     grad() returns the gradient stacks (trace pairing), laid out as the
     iterate, from that evaluation's own forward sweep. Each iteration calls grad() of
     its iterate's evaluation; a line-search trial reads only the objective.
@@ -296,7 +295,7 @@ def maximize(
     more line. Returns (final stacks, trace); trace.grads is set once,
     after the loop, to the gradient stacks of the last record's iterate.
     """
-    current = list(start)
+    current = list(plan.start)
     trace = FwTrace()
     evaluation = None  # of current, when the line search made it
     upper = np.inf  # the last pass's bound on the optimum, objective + dual_gap
@@ -348,32 +347,29 @@ def maximize(
 def solve(
     sys: SystemInstance,
     balls: BallProfile,
-    init: Optional[CovarianceProfile] = None,
     cfg: FwConfig = FwConfig(),
 ) -> tuple[CovarianceProfile, FwTrace]:
     """Run Frank-Wolfe on the finite-horizon LQG value; returns (worst-case
     profile, trace). The profile is the returned iterate, at
     trace.objective and certified to trace.gap; trace.stop says which
-    certificate stopped the loop (maximize). The balls are planned first
-    (_profile_plan), so a ball the oracles reject fails before anything
-    else. init defaults to the nominal covariances, which lie in every ball
-    by construction and are not checked. A caller-supplied init is checked
-    block by block, at membership tolerance 1e-8, before anything is
-    evaluated. The Riccati sweep P does not depend on the noise, so it runs
+    certificate stopped the loop (maximize). The ball profile's horizon (the
+    number of w and of v balls) and block sizes are checked against sys,
+    then the balls are planned
+    (_profile_plan), so a mismatched profile or a ball the oracles reject
+    fails before anything is evaluated. The loop starts at the nominal
+    covariances, which lie in every ball by construction and are not
+    checked. The Riccati sweep P does not depend on the noise, so it runs
     once here. An evaluation is one forward Kalman sweep and the cost
     formula, and its grad() the adjoint sweep of that forward sweep
     (gradient._adjoint); an accepted line-search trial's evaluation serves
     the next iteration, so each iterate's forward sweep runs once."""
-    if balls.T != sys.T:
+    if balls.T != sys.T or len(balls.v) != sys.T:
         raise InvalidInputError("ball profile horizon mismatch")
+    if any(b.nominal.dim != sys.n for b in (balls.x0, *balls.w)) or any(
+            b.nominal.dim != sys.p for b in balls.v):
+        raise InvalidInputError(f"ball profile block size mismatch: x0 and w blocks must be "
+                                f"{sys.n} x {sys.n}, v blocks {sys.p} x {sys.p}")
     plan = _profile_plan(balls)
-    if init is not None:
-        if init.T != sys.T:
-            raise InvalidInputError("initial profile horizon mismatch")
-        for ball, block in zip(balls.blocks(), init.blocks()):
-            if not membership(ball, MomentPair.zero_mean(block), 1e-8):
-                raise InvalidInputError("initial profile is infeasible in an ambiguity ball")
-    current = balls.nominal_profile() if init is None else init
     # module lookups at call time, so rebinding lqg.riccati_backward or
     # lqg.kalman_forward is seen
     P, _ = lqg.riccati_backward(sys)
@@ -387,6 +383,5 @@ def solve(
 
         return lqg._lqg_cost(sys, P, sweep[0], sweep[1]), grad
 
-    start = _stacked(current.X0, current.W, current.V)
-    (xw, v), trace = maximize(evaluate, plan, start, cfg)
+    (xw, v), trace = maximize(evaluate, plan, cfg)
     return CovarianceProfile(X0=xw[0], W=xw[1:], V=v), trace

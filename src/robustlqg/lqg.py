@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConditioningError, InvalidInputError
 from .matops import (
-    _check_finite, _check_square, _cholesky, _cholesky_certifies, _eigvalsh, _solve, symmetrize,
+    _check_finite, _check_square, _cholesky, _cholesky_certifies, _eigvalsh, _is_number, _solve,
+    symmetrize,
 )
 
 _PD_TOL = 1e-10
@@ -47,8 +48,8 @@ class SystemInstance:
 
     def __post_init__(self):
         T = self.T
-        if T < 1:
-            raise InvalidInputError("horizon T must be >= 1")
+        if not (_is_number(T, integer=True) and T >= 1):
+            raise InvalidInputError("horizon T must be an integer >= 1")
         for name, arr, steps in (
             ("A", self.A, T), ("B", self.B, T), ("C", self.C, T),
             ("Q", self.Q, T + 1), ("R", self.R, T),

@@ -66,8 +66,10 @@ Every oracle is a pass over AmbiguityBall objects, so no pass checks a
 nominal: it was checked when its ball was built, one at a time or a stack
 at once (NominalModel.ball_profile), as a psd Wasserstein nominal or a pd KL
 or Fisher one, finite and square. What depends only on the balls is planned
-once (_plan): the groups and the stack rows they gather, their stacked
-nominals and radii, and the nominal factors the setups read (KL: the
+once (_plan): the nominals laid out as the pass's stacks, where every
+Frank-Wolfe solve starts (_Plan.start), the groups and the stack rows they
+gather, their nominals (gathered from those stacks) and radii, and the
+nominal factors the setups read (KL: the
 Cholesky factor L, Shat = L L^T; Fisher: the eigenpairs of Shat and
 Shat^{-2} in its eigenbasis). Planning rejects a
 nonzero nominal mean and a ball with no oracle. _run runs a plan and
@@ -191,11 +193,10 @@ class _Dual(NamedTuple):
     hi for Wasserstein, whose hi lies close to the root, and the root
     sqrt(c / rho) of the tail asymptote div(g) ~ c g^{-2} for KL (_tail_start),
     from which Fisher takes one Newton step on a model of its divergence
-    (_model_start). tail is that c (KL and Fisher), or None. order_at is
-    None, or order_at(idx, g, miss), which returns the order q of the next
-    step of the blocks idx at g, given their |div(g) - rho| (Fisher: the
-    model's order, _fisher_model, or 2 where the miss did not shrink since
-    the block's previous call).
+    (_model_start). order_at is None, or order_at(idx, g, miss), which
+    returns the order q of the next step of the blocks idx at g, given
+    their |div(g) - rho| (Fisher: the model's order, _fisher_model, or 2
+    where the miss did not shrink since the block's previous call).
     """
 
     lo: np.ndarray
@@ -209,7 +210,6 @@ class _Dual(NamedTuple):
     order: int
     slack: np.ndarray
     start: np.ndarray
-    tail: np.ndarray | None = None
     order_at: Callable | None = None
 
 
@@ -285,7 +285,7 @@ def _kl(G, nominal, rho, c_ref, chol) -> _Dual:
     hi, tail = lam1 * (1.0 + d / rho), 0.25 * (lam * lam).sum(axis=1)
     return _Dual(lam1, hi, size, scale, (lam, c_ref, rho), _kl_divergence, _kl_values,
                  candidate, 2, np.full(rho.size, 2.0 * _FEAS_TOL),
-                 _tail_start(lam1, hi, tail, rho), tail)
+                 _tail_start(lam1, hi, tail, rho))
 
 
 def _tail_start(lo, hi, tail, rho):
@@ -427,7 +427,7 @@ def _fisher(G, nominal, rho, c_ref, inv2, hat_vals, hat_vecs) -> _Dual:
     start = _model_start(_tail_start(lo, hi, tail, rho), lo, hi, h, tail, rho)
     return _Dual(lo, hi, size, np.abs(c_ref) + value, (inv2, 1.0 / hat_vals, Gt, c_ref, rho),
                  _fisher_divergence, _fisher_values, candidate, 2,
-                 np.full(rho.size, _FEAS_TOL), start, tail, order_at)
+                 np.full(rho.size, _FEAS_TOL), start, order_at)
 
 
 _SETUPS = {
@@ -631,18 +631,21 @@ def _custom_oracle(ball: AmbiguityBall, Gamma, sigma_ref) -> tuple[np.ndarray, b
 
 class _Plan(NamedTuple):
     """The part of an oracle pass that stays fixed over a solve: the number
-    of blocks, the built-in groups and the custom balls, as (ball, block,
-    stack, row)."""
+    of blocks, the built-in groups, the custom balls, as (ball, block,
+    stack, row), and the balls' symmetrized nominals laid out as the pass's
+    stacks (start), where every Frank-Wolfe solve starts."""
 
     size: int
     groups: list
     custom: list
+    start: list
 
 
 def _plan(balls: Sequence[AmbiguityBall], lengths: Sequence[int]) -> _Plan:
-    """Group the blocks by (kind, size) and stack each group's nominals,
-    radii and nominal factors once. The pass's blocks come in stacks of
-    lengths[s] rows, block order running through the stacks in turn. Every
+    """Stack the balls' nominals once, as the pass's stacks: its blocks come
+    in stacks of lengths[s] rows of one size, block order running through
+    the stacks in turn. Then group the blocks by (kind, size) and gather
+    each group's nominals, radii and nominal factors once. Every
     oracle works with zero-mean Gaussians, so a ball with a nonzero nominal
     mean raises InvalidInputError. A ball with no oracle, of a kind outside
     ORACLE_KINDS and without a custom linearization (entropic OT, or a
@@ -667,6 +670,8 @@ def _plan(balls: Sequence[AmbiguityBall], lengths: Sequence[int]) -> _Plan:
             )
         else:
             custom.append((ball, i, *where[i]))
+    start = [symmetrize(np.stack([ball.nominal.cov for ball in balls[end - k:end]]))
+             for k, end in zip(lengths, itertools.accumulate(lengths))]
     groups = []
     for (kind, _), idx in members.items():
         parts = []
@@ -674,13 +679,13 @@ def _plan(balls: Sequence[AmbiguityBall], lengths: Sequence[int]) -> _Plan:
             rows = [r for _, r in run]
             whole = len(rows) == lengths[s]
             parts.append((s, slice(None) if whole else np.array(rows), len(rows)))
-        nominal = symmetrize(np.stack([balls[i].nominal.cov for i in idx]))
+        nominal = _gather(start, parts)
         groups.append(_Group(
             kind, np.array(idx), tuple(parts), nominal,
             np.array([balls[i].radius for i in idx], dtype=float),
             _nominal_factors(kind, nominal),
         ))
-    return _Plan(len(balls), groups, custom)
+    return _Plan(len(balls), groups, custom, start)
 
 
 def _gather(stacks, parts) -> np.ndarray:

@@ -263,8 +263,9 @@ def solve_stationary_fw(
     stack of one for the driver. The balls are planned first, so a ball the
     oracles reject fails before the DARE, which runs once. The nominals are
     then checked as a noise pair (_noise_pair: shapes, and pd, which a
-    Wasserstein nominal need not be), also before the DARE. The iterates
-    are convex combinations of that pair and of oracle targets, so they are
+    Wasserstein nominal need not be), also before the DARE. The loop starts
+    at that pair, as the plan lays it out (oracles._Plan.start), and its
+    iterates are convex combinations of it and of oracle targets, so they are
     not checked again, except where a custom ball's handle supplies targets,
     which only pass membership: then every iterate is checked as the pair
     was. An evaluation solves
@@ -277,7 +278,7 @@ def solve_stationary_fw(
     The returned pair is checked against its balls at membership tolerance
     1e-8."""
     plan = _plan([ball_w, ball_v], [1, 1])
-    Sw0, Sv0 = _noise_pair(ss, ball_w.nominal.cov, ball_v.nominal.cov)
+    _noise_pair(ss, ball_w.nominal.cov, ball_v.nominal.cov)
     P, K = solve_dare(ss)
 
     def evaluate(stacks):
@@ -291,8 +292,7 @@ def solve_stationary_fw(
 
         return avg_cost, grad
 
-    start = [Sw0[None], Sv0[None]]
-    ((Sw,), (Sv,)), trace = maximize(evaluate, plan, start, cfg)
+    ((Sw,), (Sv,)), trace = maximize(evaluate, plan, cfg)
     if not membership(ball_w, MomentPair.zero_mean(Sw), 1e-8) or not membership(
         ball_v, MomentPair.zero_mean(Sv), 1e-8
     ):

@@ -413,6 +413,10 @@ def test_config_validation():
     for rho in ([], [0.5, 0.5]):
         with pytest.raises(InvalidInputError, match="rho must be nonempty, with no entry"):
             ExperimentConfig(experiment="gaps", rho=rho)
+    # a dict or None used to pass here and fail in run_experiment
+    for fw in ({"gap_tol": 1e-3}, None):
+        with pytest.raises(InvalidInputError, match="fw must be an FwConfig"):
+            ExperimentConfig(fw=fw)
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -158,36 +158,6 @@ def test_kl_dominance_at_convergence():
             assert np.linalg.eigvalsh(got - want).min() >= -1e-7
 
 
-def test_infeasible_init_rejected():
-    rng = np.random.default_rng(5)
-    sys = rand_system(rng, n=2, m=1, p=1, T=2)
-    model = _model(rng, sys, DivergenceKind.WASSERSTEIN2, 0.1)
-    bad = CovarianceProfile(
-        X0=model.X0 + 10.0 * np.eye(2), W=model.W, V=model.V
-    )
-    with pytest.raises(InvalidInputError):
-        solve(sys, model.ball_profile(), init=bad)
-
-
-def test_non_psd_start_block_rejected(monkeypatch):
-    from robustlqg import frank_wolfe, lqg
-
-    sys, model = generate_instance(2, 2, seed=3, kind=DivergenceKind.KULLBACK_LEIBLER, rho=0.5)
-    nominal = model.nominal_profile()
-    W = nominal.W.copy()
-    W[1] = np.diag([1.0, -1e-3])
-    init = CovarianceProfile(X0=nominal.X0, W=W, V=nominal.V)
-
-    def never(*args):
-        raise AssertionError("evaluated an invalid start")
-
-    monkeypatch.setattr(lqg, "riccati_backward", never)
-    monkeypatch.setattr(lqg, "kalman_forward", never)
-    monkeypatch.setattr(frank_wolfe, "_adjoint", never)
-    with pytest.raises(InvalidInputError):
-        solve(sys, model.ball_profile(), init=init)
-
-
 def test_horizon_mismatch_rejected_before_evaluation(monkeypatch):
     from robustlqg import frank_wolfe, lqg
 
@@ -197,32 +167,21 @@ def test_horizon_mismatch_rejected_before_evaluation(monkeypatch):
     monkeypatch.setattr(lqg, "riccati_backward", never)
     monkeypatch.setattr(lqg, "kalman_forward", never)
     monkeypatch.setattr(frank_wolfe, "_adjoint", never)
+    # a profile of another horizon, one with a V ball too few, one of d = 3
+    # blocks on a d = 2 system, and one with d-sized V balls on a system
+    # observing p = 1 < d outputs
     sys3, model3 = generate_instance(2, 3, seed=0, kind=DivergenceKind.WASSERSTEIN2, rho=0.1)
     _, model2 = generate_instance(2, 2, seed=0, kind=DivergenceKind.WASSERSTEIN2, rho=0.1)
-    for balls, init in ((model2.ball_profile(), None),
-                        (model2.ball_profile(), model3.nominal_profile()),
-                        (model3.ball_profile(), model2.nominal_profile())):
-        with pytest.raises(InvalidInputError, match="horizon mismatch"):
-            solve(sys3, balls, init=init)
-
-
-@pytest.mark.parametrize(
-    "kind", [DivergenceKind.WASSERSTEIN2, DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER]
-)
-def test_warm_start_converges_to_the_cold_objective(kind):
-    # a worst case at a loose gap passes the start check (the W2 ones sit up
-    # to about 8e-9 past their radius, inside the 1e-8 tolerance) and the
-    # warm solve certifies the same optimum as the cold one: the objectives
-    # of the two returned iterates agree to the certified gap
-    cfg = FwConfig(gap_tol=1e-6)
-    for seed in range(3):
-        sys, model = generate_instance(3, 4, seed=seed, kind=kind, rho=0.5)
-        balls = model.ball_profile()
-        _, cold = solve(sys, balls, cfg=cfg)
-        start, _ = solve(sys, balls, cfg=FwConfig(gap_tol=1e-2))
-        _, warm = solve(sys, balls, init=start, cfg=cfg)
-        assert cold.converged and warm.converged
-        assert abs(warm.objective - cold.objective) <= 1e-6 / 0.95
+    _, wide = generate_instance(3, 3, seed=0, kind=DivergenceKind.WASSERSTEIN2, rho=0.1)
+    observed = dataclasses.replace(sys3, C=sys3.C[:, :1])
+    short = model3.ball_profile()
+    short = dataclasses.replace(short, v=short.v[:2])
+    for sys, balls, match in ((sys3, model2.ball_profile(), "horizon mismatch"),
+                              (sys3, short, "horizon mismatch"),
+                              (sys3, wide.ball_profile(), "block size mismatch"),
+                              (observed, model3.ball_profile(), "block size mismatch")):
+        with pytest.raises(InvalidInputError, match=match):
+            solve(sys, balls)
 
 
 def test_default_solve_makes_no_membership_call(monkeypatch):
@@ -245,9 +204,6 @@ def test_default_solve_makes_no_membership_call(monkeypatch):
         _, trace = solve(sys, model.ball_profile(), cfg=FwConfig(gap_tol=1e-4))
         assert trace.converged
     assert not calls
-    # a supplied start goes through frank_wolfe.membership, one call per block
-    solve(sys, model.ball_profile(), init=model.nominal_profile())
-    assert len(calls) == 2 * sys.T + 1
 
 
 def test_line_search_step_rule_converges():

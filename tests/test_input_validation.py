@@ -179,6 +179,15 @@ def test_a_string_kind_fails_where_the_balls_are_built():
         model.ball_profile()
 
 
+@pytest.mark.parametrize("kind", [DivergenceKind.WASSERSTEIN2, _KL, DivergenceKind.FISHER],
+                         ids=["w2", "kl", "fisher"])
+def test_ambiguity_ball_rejects_a_nominal_that_is_not_a_moment_pair(kind):
+    # a bare matrix used to build a W2 ball that raised AttributeError in its
+    # first membership or oracle call, and made KL and Fisher raise it here
+    with pytest.raises(InvalidInputError, match="ball nominal must be a MomentPair"):
+        AmbiguityBall(kind=kind, nominal=I2, radius=0.1)
+
+
 @pytest.mark.parametrize("which", ["grads", "refs"])
 @pytest.mark.parametrize("change", [-1, 1], ids=["shorter", "longer"])
 def test_oracle_pass_rejects_length_mismatch(which, change):
@@ -221,6 +230,17 @@ def test_instance_generation_rejects_bad_sizes_and_seeds(call, message):
     assert np.isfinite(instance_rng(2**128 - 1).standard_normal())
 
 
+@pytest.mark.parametrize("T", ["2", 2.0, True, 0], ids=["string", "float", "bool", "zero"])
+def test_system_instance_takes_an_integer_horizon(T):
+    # "2" used to raise a bare TypeError, and 2.0 and True built a system
+    # whose lqg_value raised one
+    steps = max(int(T), 1)
+    with pytest.raises(InvalidInputError, match="horizon T must be an integer >= 1"):
+        SystemInstance(T=T, A=np.stack([I2] * steps), B=np.stack([I2] * steps),
+                       C=np.stack([I2] * steps), Q=np.stack([I2] * (steps + 1)),
+                       R=np.stack([I2] * steps))
+
+
 def _overflowing(call):
     # finite inputs whose sweep overflows: A = 1e160 I squares past the float range
     sys = SystemInstance.time_invariant(1e160 * I2, I2, I2, I2, I2, T=3)
@@ -256,19 +276,10 @@ def _mean_instance():
 
 I3 = np.eye(3)
 
-def _solve_from_the_nominal():
-    """solve on the mean instance, started at its nominal covariances: the
-    zero-mean start is outside the shifted W2 ball, so only planning before
-    the init check names the mean."""
-    sys, balls = _mean_instance()
-    return solve(sys, balls, init=balls.nominal_profile())
-
-
 # every path that takes ambiguity balls: the oracles work with zero-mean
 # Gaussians, so a nonzero nominal mean is rejected before any evaluation
 MEAN_ENTRY_POINTS = {
     "solve": lambda: solve(*_mean_instance()),
-    "solve.init": _solve_from_the_nominal,
     "solve_stationary_fw": lambda: solve_stationary_fw(
         _stationary(), _shifted(_w2_ball(), [0.0, 1.0]), _w2_ball()
     ),

@@ -537,24 +537,43 @@ def test_paper_pass_certifies_every_block_in_few_steps(kind, most):
     assert min(steps) >= 1 and max(steps) <= most
 
 
+def _tail_coefficient(kind, dual, factors):
+    """The c of the tail asymptote div(g) ~ c g^{-2} that a KL or Fisher
+    setup's start reads, formed as the setup forms it from its dual's data:
+    sum_i lam_i^2 / 4 over the clamped eigenvalues of L^T Gamma L (KL), and
+    sum_ij H_ij^2 / (2 (s_i + s_j)) with H = diag(s) Gt diag(s), Gt the
+    gradient in the nominal's eigenbasis (Fisher)."""
+    if kind is DivergenceKind.KULLBACK_LEIBLER:
+        lam = dual.data[0]
+        return 0.25 * (lam * lam).sum(axis=1)
+    s_i, s_j = factors[1][:, :, None], factors[1][:, None, :]
+    H = s_i * dual.data[2] * s_j
+    return (H * H / (2.0 * (s_i + s_j))).sum(axis=(1, 2))
+
+
 @pytest.mark.parametrize("kind", [DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.FISHER],
                          ids=["kl", "fisher"])
 @pytest.mark.parametrize("seed, d", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 6)])
 def test_tail_coefficient_matches_the_divergence_far_above_the_bracket(kind, seed, d):
     # the search starts at sqrt(c / rho), the root of div(g) ~ c g^{-2}; far
     # above the bracket the setup's c matches the divergence it evaluates,
-    # on nominals that do not commute with the gradient
+    # on nominals that do not commute with the gradient. KL starts at that
+    # root; Fisher's step from it is test_fisher_model_start_falls_back_inside_the_bracket
     from robustlqg import oracles
 
     rng = np.random.default_rng(seed)
     nominal = symmetrize(rand_spd(d, rng, 0.5, 2.5))
     X = rng.standard_normal((d, d))
     Gamma = symmetrize(X @ X.T)
-    dual = oracles._SETUPS[kind](Gamma[None], nominal[None], np.array([0.3]), np.zeros(1),
-                                 *oracles._nominal_factors(kind, nominal[None]))
+    factors = oracles._nominal_factors(kind, nominal[None])
+    rho = np.array([0.3])
+    dual = oracles._SETUPS[kind](Gamma[None], nominal[None], rho, np.zeros(1), *factors)
+    c = _tail_coefficient(kind, dual, factors)
     g = 1e4 * dual.lo
     div = dual.divergence(g, *dual.data)[0]
-    assert abs(g[0] ** 2 * div[0] / dual.tail[0] - 1.0) <= 1e-3
+    assert abs(g[0] ** 2 * div[0] / c[0] - 1.0) <= 1e-3
+    if kind is DivergenceKind.KULLBACK_LEIBLER:
+        assert dual.start[0] == oracles._tail_start(dual.lo, dual.hi, c, rho)[0]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -942,9 +961,10 @@ def test_fisher_model_start_falls_back_inside_the_bracket(monkeypatch):
         nominal = symmetrize((Q * np.logspace(0.0, -log_cond, d)) @ Q.T)
         X = rng.standard_normal((d, d))
         Gamma, rho = symmetrize(X @ X.T), 10.0**log_rho
-        dual = oracles._fisher(Gamma[None], nominal[None], np.array([rho]), np.zeros(1),
-                               *oracles._nominal_factors(DivergenceKind.FISHER, nominal[None]))
-        lo, hi, c = float(dual.lo[0]), float(dual.hi[0]), float(dual.tail[0])
+        factors = oracles._nominal_factors(DivergenceKind.FISHER, nominal[None])
+        dual = oracles._fisher(Gamma[None], nominal[None], np.array([rho]), np.zeros(1), *factors)
+        lo, hi = float(dual.lo[0]), float(dual.hi[0])
+        c = float(_tail_coefficient(DivergenceKind.FISHER, dual, factors)[0])
         h = np.maximum(np.linalg.eigvalsh(symmetrize(nominal @ Gamma @ nominal)), 0.0)
         w = 4.0 * c / (h * h).sum()
         root = math.sqrt(c / rho)
