@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericError
 from .matops import (
-    _check_finite, _check_square, _cholesky_certifies, _eigvalsh, _fro, _inv, _is_number, _slogdet,
-    sym_sqrt, symmetrize,
+    _check_finite, _check_square, _cholesky_certifies, _eigvalsh, _float_array, _fro, _inv,
+    _is_number, _slogdet, sym_sqrt, symmetrize,
 )
 
 INFEASIBLE = float("inf")
@@ -46,7 +46,7 @@ class MomentPair:
     second_moment: np.ndarray
 
     def __post_init__(self):
-        mean = _check_finite(np.asarray(self.mean, dtype=float).reshape(-1), "mean")
+        mean = _check_finite(_float_array(self.mean, "mean").reshape(-1), "mean")
         M = symmetrize(_check_square(self.second_moment, "second moment"))
         if M.shape[0] != mean.shape[0]:
             raise InvalidInputError("mean and second moment dimensions differ")
@@ -77,18 +77,23 @@ class MomentPair:
 
     @classmethod
     def from_cov(cls, mean, cov) -> "MomentPair":
-        mean = np.asarray(mean, dtype=float).reshape(-1)
-        cov = np.asarray(cov, dtype=float)
+        mean = _float_array(mean, "mean").reshape(-1)
+        cov = _float_array(cov, "covariance")
+        if cov.shape != (mean.size, mean.size):
+            raise InvalidInputError(f"covariance must be {mean.size} x {mean.size} for a mean "
+                                    f"of size {mean.size}, got shape {cov.shape}")
         return cls(mean=mean, second_moment=cov + np.outer(mean, mean))
 
     @classmethod
     def zero_mean(cls, cov) -> "MomentPair":
-        cov = np.asarray(cov, dtype=float)
+        cov = _float_array(cov, "covariance")
         # shape[:1], so a 0-d cov reaches the square check, not an IndexError
         return cls(mean=np.zeros(cov.shape[:1]), second_moment=cov)
 
 
 def _check_dims(a: MomentPair, b: MomentPair):
+    if not (isinstance(a, MomentPair) and isinstance(b, MomentPair)):
+        raise InvalidInputError("a divergence takes two MomentPairs")
     if a.dim != b.dim:
         raise InvalidInputError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
@@ -204,7 +209,7 @@ def entropic_ot_squared(a: MomentPair, b: MomentPair, eps: float) -> float:
     logic compare this squared form against rho^2.
     """
     _check_dims(a, b)
-    if not (math.isfinite(eps) and eps > 0.0):
+    if not (_is_number(eps) and eps > 0.0):
         raise InvalidInputError("entropic OT needs a finite eps > 0")
     Sa, Sb = a.cov, b.cov
     if not (_is_pd(Sa) and _is_pd(Sb)):
@@ -440,6 +445,8 @@ def _zero_mean_balls(kind: DivergenceKind, blocks: np.ndarray, radius: float,
 
 def membership(ball: AmbiguityBall, candidate: MomentPair, tol: float = 1e-9) -> bool:
     """True iff divergence(N(candidate), nominal) <= rho + tol."""
+    if not (isinstance(ball, AmbiguityBall) and isinstance(candidate, MomentPair)):
+        raise InvalidInputError("membership takes an AmbiguityBall and a MomentPair")
     if candidate.dim != ball.nominal.dim:
         raise InvalidInputError("candidate dimension mismatch")
     return ball.divergence(candidate) <= ball.radius + tol

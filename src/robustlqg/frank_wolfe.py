@@ -51,7 +51,7 @@ from .errors import InvalidInputError
 from .gradient import _adjoint
 from .gradient import lqg_gradient  # noqa: F401  unused; bench/tracer.py wraps this binding
 from .lqg import CovarianceProfile, SystemInstance
-from .matops import _is_number
+from .matops import _float_array, _is_number
 from .oracles import _Plan, _plan, _run
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
 
@@ -138,6 +138,12 @@ class BallProfile:
     w: tuple[AmbiguityBall, ...]
     v: tuple[AmbiguityBall, ...]
 
+    def __post_init__(self):
+        if not (isinstance(self.w, Sequence) and isinstance(self.v, Sequence)
+                and all(isinstance(ball, AmbiguityBall) for ball in self.blocks())):
+            raise InvalidInputError("a BallProfile holds an AmbiguityBall x0 and sequences w "
+                                    "and v of AmbiguityBalls")
+
     @property
     def T(self) -> int:
         return len(self.w)
@@ -176,7 +182,7 @@ class NominalModel:
         another size than X0, fail before any block is checked."""
         _check_fields(self.kind, self.rho, 0.0, None)
         rho = float(self.rho)
-        X0, W, V = (np.asarray(a, dtype=float) for a in (self.X0, self.W, self.V))
+        X0, W, V = (_float_array(getattr(self, a), a) for a in ("X0", "W", "V"))
         for name, shape in (("X0", X0.shape), ("W[0]", W.shape[1:]), ("V[0]", V.shape[1:])):
             if len(shape) != 2 or shape[0] != shape[1]:
                 raise InvalidInputError(f"{name}: second moment must be square, got shape {shape}")
@@ -363,6 +369,11 @@ def solve(
     formula, and its grad() the adjoint sweep of that forward sweep
     (gradient._adjoint); an accepted line-search trial's evaluation serves
     the next iteration, so each iterate's forward sweep runs once."""
+    if not isinstance(balls, BallProfile):
+        raise InvalidInputError(f"balls must be a BallProfile, got {type(balls).__name__} "
+                                "(NominalModel.ball_profile builds one)")
+    if not isinstance(cfg, FwConfig):
+        raise InvalidInputError(f"cfg must be an FwConfig, got {type(cfg).__name__}")
     if balls.T != sys.T or len(balls.v) != sys.T:
         raise InvalidInputError("ball profile horizon mismatch")
     if any(b.nominal.dim != sys.n for b in (balls.x0, *balls.w)) or any(

@@ -24,11 +24,18 @@ import numpy as np
 
 from .errors import ConditioningError, InvalidInputError
 from .matops import (
-    _check_finite, _check_square, _cholesky, _cholesky_certifies, _eigvalsh, _is_number, _solve,
-    symmetrize,
+    _check_finite, _check_square, _cholesky, _cholesky_certifies, _eigvalsh, _float_array,
+    _is_number, _solve, symmetrize,
 )
 
 _PD_TOL = 1e-10
+_PIVOT_FLOOR = np.sqrt(_PD_TOL)  # the smallest Cholesky pivot a pd check accepts
+
+
+def _check_horizon(T) -> None:
+    """Raise InvalidInputError unless T is an integer >= 1 (bools are not)."""
+    if not (_is_number(T, integer=True) and T >= 1):
+        raise InvalidInputError("horizon T must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -48,13 +55,12 @@ class SystemInstance:
 
     def __post_init__(self):
         T = self.T
-        if not (_is_number(T, integer=True) and T >= 1):
-            raise InvalidInputError("horizon T must be an integer >= 1")
+        _check_horizon(T)
         for name, arr, steps in (
             ("A", self.A, T), ("B", self.B, T), ("C", self.C, T),
             ("Q", self.Q, T + 1), ("R", self.R, T),
         ):
-            arr = np.asarray(arr, dtype=float)
+            arr = _float_array(arr, name)
             if arr.ndim != 3 or arr.shape[0] != steps:
                 raise InvalidInputError(f"{name} must have shape ({steps}, ., .)")
             object.__setattr__(self, name, _check_finite(arr, name))
@@ -90,8 +96,11 @@ class SystemInstance:
     @classmethod
     def time_invariant(cls, A, B, C, Q, R, T: int, Qf=None) -> "SystemInstance":
         """Replicate constant matrices over the horizon (Qf defaults to Q)."""
-        A, B, C, Q, R = (np.asarray(M, dtype=float) for M in (A, B, C, Q, R))
-        Qf = Q if Qf is None else np.asarray(Qf, dtype=float)
+        _check_horizon(T)
+        A, B, C, Q, R = (_float_array(M, name) for M, name in zip((A, B, C, Q, R), "ABCQR"))
+        Qf = Q if Qf is None else _float_array(Qf, "Qf")
+        if Qf.shape != Q.shape:
+            raise InvalidInputError(f"Qf must have Q's shape {Q.shape}, got {Qf.shape}")
         return cls(
             T=T,
             A=np.repeat(A[None], T, axis=0),
@@ -118,7 +127,7 @@ class CovarianceProfile:
     def __post_init__(self):
         object.__setattr__(self, "X0", symmetrize(_check_square(self.X0, "X0")))
         for name in ("W", "V"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = _float_array(getattr(self, name), name)
             if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
                 raise InvalidInputError(f"{name} must be a (T, d, d) array, got shape {arr.shape}")
             object.__setattr__(self, name, symmetrize(_check_finite(arr, name)))
@@ -142,6 +151,10 @@ class CovarianceProfile:
 
     @classmethod
     def from_blocks(cls, blocks, T: int) -> "CovarianceProfile":
+        """The profile of the 2T + 1 blocks in the order of blocks()."""
+        _check_horizon(T)
+        if len(blocks) != 2 * T + 1:
+            raise InvalidInputError(f"horizon {T} needs {2 * T + 1} blocks, got {len(blocks)}")
         return cls(
             X0=blocks[0],
             W=np.stack(blocks[1 : T + 1]),
@@ -222,15 +235,24 @@ def riccati_backward(sys: SystemInstance) -> tuple[np.ndarray, np.ndarray]:
     return _check_finite(P, "Riccati sweep P"), K
 
 
-def _chol_pd(M: np.ndarray, what: str):
-    """Cholesky of a matrix or (T, d, d) stack with an explicit positive-pivot threshold."""
-    try:
-        chol = _cholesky(symmetrize(M))
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"{what} is not positive definite") from exc
-    if np.diagonal(chol, axis1=-2, axis2=-1).min() < np.sqrt(_PD_TOL):
-        raise ConditioningError(f"{what} is numerically singular (pivot < 1e-10)")
-    return chol
+def _first_not_pd(M: np.ndarray) -> tuple[int, str] | None:
+    """The first block of a (k, d, d) stack that fails the pd check, with the
+    reason, from one batched Cholesky of the symmetrized stack; None if none
+    fails. A block fails when Cholesky cannot factor it ("not positive
+    definite") or a pivot falls below sqrt(_PD_TOL) ("numerically
+    singular"). One min over all pivots passes a stack; the per-block masks
+    are built only after it fails. A block with non-finite entries does not
+    fail here: Cholesky lets nan through, and the caller's finiteness checks
+    name such a block."""
+    piv = np.diagonal(_cholesky(symmetrize(M)), axis1=1, axis2=2)
+    if piv.min() >= _PIVOT_FLOOR:
+        return None
+    bad = ~(piv >= _PIVOT_FLOOR).all(axis=1) & np.isfinite(M).all(axis=(1, 2))
+    if not bad.any():
+        return None
+    t = int(bad.argmax())  # a block Cholesky cannot factor is all nan
+    return t, ("not positive definite" if np.isnan(piv[t, 0])
+               else "numerically singular (Cholesky pivot < 1e-5)")
 
 
 def _check_updates(C, V, S, filt) -> None:
@@ -243,17 +265,11 @@ def _check_updates(C, V, S, filt) -> None:
     step comes first."""
     if not len(S):
         return
-    E = C @ (S @ C.swapaxes(1, 2)) + V
-    try:
-        _chol_pd(E, "innovation covariance")
-    except ConditioningError:
-        for t in range(len(S)):
-            try:
-                _chol_pd(E[t], f"innovation covariance at t={t}")
-            except ConditioningError as exc:
-                _check_updates(C[:t], V[:t], S[:t], filt[:t])  # raises an earlier failure
-                raise exc
-        raise
+    bad = _first_not_pd(C @ (S @ C.swapaxes(1, 2)) + V)
+    if bad is not None:
+        t, why = bad
+        _check_updates(C[:t], V[:t], S[:t], filt[:t])  # raises an earlier failure
+        raise ConditioningError(f"innovation covariance at t={t} is {why}")
     _check_finite(filt, "filter covariance")
     if _cholesky_certifies(filt):
         return
@@ -282,16 +298,15 @@ def kalman_forward(
     the first singular V[t], non-pd innovation covariance or loss of filter
     psd.
     """
+    if not isinstance(cov, CovarianceProfile):
+        raise InvalidInputError(f"cov must be a CovarianceProfile, got {type(cov).__name__}")
     T, n, p = sys.T, sys.n, sys.p
     shapes = (cov.X0.shape, cov.W.shape[1:], cov.V.shape[1:])
     if cov.T != T or shapes != ((n, n), (n, n), (p, p)):
         raise InvalidInputError("covariance profile inconsistent with system dims")
-    try:  # one batched check; on failure, name the first singular V[t]
-        _chol_pd(cov.V, "V")
-    except ConditioningError:
-        for t in range(T):
-            _chol_pd(cov.V[t], f"V[{t}]")
-        raise
+    bad = _first_not_pd(cov.V)
+    if bad is not None:
+        raise ConditioningError(f"V[{bad[0]}] is {bad[1]}")
     VinvC = _solve(cov.V, sys.C)
     J = symmetrize(sys.C.swapaxes(1, 2) @ VinvC)
     A, At, W = sys.A, sys.A.swapaxes(1, 2), cov.W

@@ -5,8 +5,10 @@ The kernels _solve, _inv, _cholesky, _eigh, _eigvalsh and _slogdet call the
 gufuncs of numpy.linalg._umath_linalg, the module behind every numpy.linalg
 function, with the signature and the errstate callback numpy.linalg itself
 uses, so they return what np.linalg.solve, inv, cholesky, eigh (lower
-triangle), eigvalsh and slogdet return, bit for bit, and a singular or
-non-pd input raises np.linalg.LinAlgError with numpy's message. What they
+triangle), eigvalsh and slogdet return, bit for bit, and a singular input
+raises np.linalg.LinAlgError with numpy's message. _cholesky alone raises
+nothing: a block LAPACK cannot factor comes back as nan, and its callers
+read those blocks. What they
 skip is the wrapper's per-call work (array conversion, type promotion,
 shape checks, result wrapping), which on matrices of size 10 or less costs
 as much as LAPACK itself. So they take float64 arrays that the library
@@ -43,10 +45,6 @@ def _singular(err, flag):
     raise LinAlgError("Singular matrix")
 
 
-def _not_pd(err, flag):
-    raise LinAlgError("Matrix is not positive definite")
-
-
 def _no_convergence(err, flag):
     raise LinAlgError("Eigenvalues did not converge")
 
@@ -69,9 +67,11 @@ def _inv(a):
     return _umath_linalg.inv(a, signature="d->d")
 
 
-@_raising(_not_pd)
+@np.errstate(all="ignore")
 def _cholesky(a):
-    """np.linalg.cholesky(a): the lower factor, reading the lower triangle."""
+    """np.linalg.cholesky(a): the lower factor, reading the lower triangle,
+    of every block LAPACK factors, and nan for every block it cannot, where
+    np.linalg.cholesky raises. It raises and warns of nothing."""
     return _umath_linalg.cholesky_lo(a, signature="d->d")
 
 
@@ -112,8 +112,16 @@ def _is_number(x, integer: bool = False) -> bool:
     return isinstance(x, numbers.Integral) or math.isfinite(x)
 
 
+def _float_array(x, name: str) -> np.ndarray:
+    """x as a float array; InvalidInputError where numpy cannot convert it."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} must be an array of real numbers") from exc
+
+
 def _check_square(S: np.ndarray, name: str = "matrix") -> np.ndarray:
-    S = np.asarray(S, dtype=float)
+    S = _float_array(S, name)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInputError(f"{name} must be square, got shape {S.shape}")
     return _check_finite(S, name)
@@ -135,14 +143,10 @@ def _cholesky_certifies(S: np.ndarray, shift=None) -> bool:
     the caller then runs its eigenvalue rule, which alone decides. Cholesky
     reads the lower triangle only and lets nan through, so S must be
     symmetric, and a factor whose diagonal is not finite (where any nan or
-    inf in it ends up) fails."""
+    inf in it ends up, and a block _cholesky cannot factor is nan) fails."""
     if shift is not None:
         S = S + np.asarray(shift)[..., None, None] * np.eye(S.shape[-1])
-    try:
-        chol = _cholesky(S)
-    except LinAlgError:
-        return False
-    return bool(np.isfinite(np.diagonal(chol, axis1=-2, axis2=-1)).all())
+    return bool(np.isfinite(np.diagonal(_cholesky(S), axis1=-2, axis2=-1)).all())
 
 
 def sym_sqrt(S: np.ndarray, *, scale: float | None = None) -> np.ndarray:

@@ -96,7 +96,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
-from .errors import InvalidInputError, OracleError, UnsupportedDivergenceError
+from .errors import ConditioningError, InvalidInputError, OracleError, UnsupportedDivergenceError
 from .matops import (
     _check_finite, _check_square, _cholesky, _cholesky_certifies, _eigh, _eigvalsh, _is_number,
     symmetrize,
@@ -536,11 +536,14 @@ def _nominal_factors(kind: DivergenceKind, nominal: np.ndarray) -> tuple:
     one per-block array each: for KL the Cholesky factor L, Shat = L L^T;
     for Fisher diag(s^{-2}), which is Shat^{-2} in Shat's eigenbasis, and
     the eigenpairs (s, U) of Shat (one batched eigh); for Wasserstein none.
-    KL and Fisher nominals are pd, as their AmbiguityBall checks."""
+    KL and Fisher nominals are pd, as their AmbiguityBall checks; a KL
+    factor that is not finite all the same raises ConditioningError."""
     if kind is DivergenceKind.WASSERSTEIN2:
         return ()
     if kind is DivergenceKind.KULLBACK_LEIBLER:
-        return (_cholesky(nominal),)
+        if not np.isfinite(factor := _cholesky(nominal)).all():
+            raise ConditioningError("KL nominal covariance has no finite Cholesky factor")
+        return (factor,)
     hat_vals, hat_vecs = _eigh(nominal)
     inv2 = np.zeros_like(nominal)
     k = np.arange(nominal.shape[1])
@@ -650,8 +653,11 @@ def _plan(balls: Sequence[AmbiguityBall], lengths: Sequence[int]) -> _Plan:
     mean raises InvalidInputError. A ball with no oracle, of a kind outside
     ORACLE_KINDS and without a custom linearization (entropic OT, or a
     handle whose linearization is None), raises UnsupportedDivergenceError.
-    Both checks run here, so a solve that plans first fails on them before
-    any work."""
+    A block that is not an AmbiguityBall raises InvalidInputError. These
+    checks run here, so a solve that plans first fails on them before any
+    work."""
+    if not all(isinstance(ball, AmbiguityBall) for ball in balls):
+        raise InvalidInputError("every block of an oracle pass needs an AmbiguityBall")
     if any(ball.nominal.mean.any() for ball in balls):
         raise InvalidInputError("ambiguity balls must have a zero nominal mean")
     where = [(s, r) for s, k in enumerate(lengths) for r in range(k)]
@@ -745,10 +751,11 @@ def oracle_pass(
     """
     if not len(grads) == len(refs) == len(balls):
         raise InvalidInputError("oracle_pass needs one gradient and reference per ball")
+    plan = _plan(balls, [1] * len(balls))
     dims = [ball.nominal.dim for ball in balls]
     G = [_stack([M], d, "gradient") for M, d in zip(grads, dims)]
     ref = [_stack([M], d, "reference") for M, d in zip(refs, dims)]
-    return _results(_run(_plan(balls, [1] * len(balls)), G, ref))
+    return _results(_run(plan, G, ref))
 
 
 def wasserstein_oracle(

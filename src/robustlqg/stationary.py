@@ -25,8 +25,8 @@ from .errors import ConditioningError, InvalidInputError, StabilizabilityError
 from .frank_wolfe import FwConfig, FwTrace, maximize
 from .lqg import _riccati_step
 from .matops import (
-    _check_finite, _check_square, _cholesky_certifies, _eigvalsh, _fro, _solve, _unstable_radius,
-    solve_discrete_lyapunov, symmetrize,
+    _check_finite, _check_square, _cholesky_certifies, _eigvalsh, _float_array, _fro, _solve,
+    _unstable_radius, solve_discrete_lyapunov, symmetrize,
 )
 from .oracles import _plan
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
@@ -48,7 +48,7 @@ class StationarySystem:
 
     def __post_init__(self):
         for name in ("A", "B", "C", "Q", "R"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = _float_array(getattr(self, name), name)
             if arr.ndim != 2:
                 raise InvalidInputError(f"{name} must be a matrix, got shape {arr.shape}")
             object.__setattr__(self, name, _check_finite(arr, name))
@@ -277,6 +277,8 @@ def solve_stationary_fw(
     the returned iterate's cost, so it solves no Lyapunov equation for it.
     The returned pair is checked against its balls at membership tolerance
     1e-8."""
+    if not isinstance(cfg, FwConfig):
+        raise InvalidInputError(f"cfg must be an FwConfig, got {type(cfg).__name__}")
     plan = _plan([ball_w, ball_v], [1, 1])
     _noise_pair(ss, ball_w.nominal.cov, ball_v.nominal.cov)
     P, K = solve_dare(ss)

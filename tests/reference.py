@@ -34,7 +34,7 @@ from robustlqg.errors import (
 )
 from robustlqg.frank_wolfe import BallProfile, _oracle_pass, _profile_plan, _stacked
 from robustlqg.gradient import GradientProfile, lqg_gradient
-from robustlqg.lqg import CovarianceProfile, LqgSolution, SystemInstance, _chol_pd, lqg_value
+from robustlqg.lqg import CovarianceProfile, LqgSolution, SystemInstance, lqg_value
 from robustlqg.matops import _check_finite, sym_sqrt, symmetrize
 from robustlqg.oracles import OracleResult, _check_gradients, _stack
 
@@ -317,6 +317,19 @@ def fw_gap(
     return gap, CovarianceProfile(X0=xw[0], W=xw[1:], V=v)
 
 
+def _chol_pd(M: np.ndarray, what: str) -> np.ndarray:
+    """np.linalg.cholesky of the symmetrized matrix M, with the Kalman sweep's
+    pd check: ConditioningError if it fails or a pivot falls below
+    sqrt(1e-10) = 1e-5."""
+    try:
+        chol = np.linalg.cholesky(symmetrize(M))
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError(f"{what} is not positive definite") from exc
+    if np.diagonal(chol).min() < np.sqrt(1e-10):
+        raise ConditioningError(f"{what} is numerically singular (Cholesky pivot < 1e-5)")
+    return chol
+
+
 def kalman_forward_reference(
     sys: SystemInstance, cov: CovarianceProfile
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -334,11 +347,8 @@ def kalman_forward_reference(
     shapes = (cov.X0.shape, cov.W.shape[1:], cov.V.shape[1:])
     if cov.T != T or shapes != ((n, n), (n, n), (p, p)):
         raise InvalidInputError("covariance profile inconsistent with system dims")
-    try:  # one batched check; on failure, name the first singular V[t]
-        _chol_pd(cov.V, "V")
-    except ConditioningError:
-        for t in range(T):
-            _chol_pd(cov.V[t], f"V[{t}]")
+    for t in range(T):
+        _chol_pd(cov.V[t], f"V[{t}]")
     filt = np.empty((T, n, n))
     pred = np.empty((T + 1, n, n))
     L = np.empty((T, n, p))

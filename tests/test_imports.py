@@ -396,6 +396,53 @@ def test_checker_flags_planted_linalg_calls():
     assert umath_linalg_uses(source) == [2, 5, 9]
 
 
+# the matops kernels that raise LinAlgError get operands that are
+# nonsingular by construction, and _cholesky raises nothing, so the one
+# handler of LinAlgError is the Kalman sweep's around its update solve,
+# which a singular innovation covariance makes fail
+def linalg_error_handlers(source: str) -> list[str]:
+    """The except clauses of source that name LinAlgError (bare, as an
+    attribute or in a tuple), as "function: called names in the try body
+    (line n)"."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Try):
+                continue
+            called = sorted({getattr(c.func, "id", getattr(c.func, "attr", "?"))
+                             for stmt in node.body for c in ast.walk(stmt)
+                             if isinstance(c, ast.Call)})
+            for handler in node.handlers:
+                if handler.type is not None and any(
+                        getattr(n, "id", getattr(n, "attr", None)) == "LinAlgError"
+                        for n in ast.walk(handler.type)):
+                    found.append(f"{func.name}: {', '.join(called)} (line {handler.lineno})")
+    return found
+
+
+def test_only_the_kalman_update_solve_handles_linalg_errors():
+    handlers = {path.name: linalg_error_handlers(path.read_text(encoding="utf-8"))
+                for path in SRC.glob("*.py")}
+    found = {name: [h.rsplit(" (line", 1)[0] for h in got] for name, got in handlers.items() if got}
+    assert found == {"lqg.py": ["kalman_forward: _solve"]}
+
+
+def test_checker_flags_planted_linalg_error_handlers():
+    source = (
+        "import numpy as np\nfrom numpy.linalg import LinAlgError\n\n"
+        "def f(a):\n"
+        "    try:\n        return np.linalg.cholesky(a)\n"
+        "    except np.linalg.LinAlgError:\n        return None\n\n"
+        "def g(a, b):\n"
+        "    try:\n        x = _solve(a, b)\n"
+        "    except (ValueError, LinAlgError) as exc:\n        raise TypeError from exc\n"
+        "    try:\n        return x\n    except KeyError:\n        return None\n"
+    )
+    assert linalg_error_handlers(source) == ["f: cholesky (line 7)", "g: _solve (line 13)"]
+
+
 def _passes(call: ast.Call, index, name: str) -> bool:
     """Whether call passes the parameter name, at positional index (None for
     a keyword-only one), by position, by keyword or by unpacking."""

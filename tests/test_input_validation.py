@@ -15,11 +15,12 @@ from robustlqg.divergences import (
     CustomDivergence,
     DivergenceKind,
     MomentPair,
+    entropic_ot,
     membership,
 )
 from robustlqg.errors import ConditioningError, InvalidInputError
 from robustlqg.experiments import policy_worst_case_cost
-from robustlqg.frank_wolfe import BallProfile, solve
+from robustlqg.frank_wolfe import BallProfile, FwConfig, solve
 from robustlqg.gradient import GradientProfile, lqg_gradient
 from robustlqg.instances import generate_instance, instance_rng
 from robustlqg.lqg import CovarianceProfile, SystemInstance, kalman_forward, lqg_value
@@ -239,6 +240,74 @@ def test_system_instance_takes_an_integer_horizon(T):
         SystemInstance(T=T, A=np.stack([I2] * steps), B=np.stack([I2] * steps),
                        C=np.stack([I2] * steps), Q=np.stack([I2] * (steps + 1)),
                        R=np.stack([I2] * steps))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"T": -1}, "horizon T must be an integer >= 1"),
+    ({"T": 2, "Qf": np.eye(3)}, r"Qf must have Q's shape \(2, 2\), got \(3, 3\)"),
+], ids=["negative-T", "Qf-shape"])
+def test_time_invariant_checks_its_horizon_and_terminal_cost(kwargs, message):
+    # both used to raise a bare ValueError, from np.repeat and np.concatenate
+    with pytest.raises(InvalidInputError, match=message):
+        SystemInstance.time_invariant(I2, I2, I2, I2, I2, **kwargs)
+
+
+def _finite_horizon():
+    """A W2 problem at n = p = 2, T = 2: (sys, nominal model, ball profile)."""
+    sys, model = generate_instance(2, 2, 0, DivergenceKind.WASSERSTEIN2, 0.5)
+    return sys, model, model.ball_profile()
+
+
+def _nominal_x0(sys, model, balls):
+    return solve(sys, BallProfile(balls.x0.nominal, balls.w, balls.v))
+
+
+# each of these used to raise a bare AttributeError
+WRONG_TYPES = {
+    "BallProfile.x0": _nominal_x0,
+    "solve.balls": lambda sys, model, balls: solve(sys, model),
+    "solve.cfg": lambda sys, model, balls: solve(sys, balls, cfg={"gap_tol": 1e-3}),
+    "solve_stationary_fw.ball_w": lambda *_: solve_stationary_fw(_stationary(), I2, _w2_ball()),
+    "solve_stationary_fw.cfg": lambda *_: solve_stationary_fw(_stationary(), _w2_ball(),
+                                                              _w2_ball(), None),
+    "oracle_pass.balls": lambda *_: oracle_pass([I2], [I2], [I2]),
+}
+
+
+@pytest.mark.parametrize("entry", WRONG_TYPES)
+def test_solve_entry_points_reject_wrong_argument_types(entry):
+    with pytest.raises(InvalidInputError):
+        WRONG_TYPES[entry](*_finite_horizon())
+
+
+def test_a_ball_profile_may_hold_lists_of_balls():
+    sys, _, balls = _finite_horizon()
+    listed = BallProfile(balls.x0, list(balls.w), list(balls.v))
+    assert solve(sys, listed, FwConfig(gap_tol=1e-6))[1].converged
+
+
+# each of these used to raise a bare ValueError, TypeError or AttributeError;
+# an array numpy cannot convert to floats fails where it enters the library
+MALFORMED_CALLS = {
+    "MomentPair.from_cov": lambda: MomentPair.from_cov(np.zeros(3), I2),
+    "MomentPair.mean": lambda: MomentPair("ab", I2),
+    "CovarianceProfile.from_blocks": lambda: CovarianceProfile.from_blocks([I2] * 4, 2),
+    "entropic_ot.eps": lambda: entropic_ot(MomentPair.zero_mean(I2), MomentPair.zero_mean(I2),
+                                           "1"),
+    "kalman_forward.cov": lambda: kalman_forward(_finite_horizon()[0], None),
+    "lqg_value.cov": lambda: lqg_value(_finite_horizon()[0], I2),
+    "membership.candidate": lambda: membership(_w2_ball(), I2),
+    "AmbiguityBall.divergence": lambda: _w2_ball().divergence(I2),
+    "MomentPair.zero_mean": lambda: MomentPair.zero_mean([["a", "b"], ["c", "d"]]),
+    "time_invariant.A": lambda: SystemInstance.time_invariant("ab", I2, I2, I2, I2, T=2),
+    "StationarySystem.A": lambda: StationarySystem(A="ab", B=I2, C=I2, Q=I2, R=I2),
+}
+
+
+@pytest.mark.parametrize("entry", MALFORMED_CALLS)
+def test_public_calls_reject_malformed_arguments(entry):
+    with pytest.raises(InvalidInputError):
+        MALFORMED_CALLS[entry]()
 
 
 def _overflowing(call):

@@ -426,6 +426,32 @@ def test_kalman_non_psd_start_names_the_innovation_covariance():
         kalman_forward(sys, CovarianceProfile(X0=eye, W=W, V=V))
 
 
+@pytest.mark.parametrize("v, why", [(-1.0, "not positive definite"),
+                                    (1e-12, r"numerically singular \(Cholesky pivot < 1e-5\)")],
+                         ids=["indefinite", "singular"])
+def test_failing_pd_checks_make_no_per_step_choleskys(kernel_calls, v, why):
+    # a failing V check is its one batched Cholesky; a failing innovation
+    # check is one for E, then the recheck of the steps before the failing
+    # one: E and the filtered covariances of steps 0..2, so 4 in the sweep
+    T = 5
+    sys = _identity_system(2, 2, T)
+    eye = np.eye(2)
+    W, V = np.repeat(eye[None], T, 0), np.repeat(eye[None], T, 0)
+    V[4] = v * eye
+    kernel_calls.clear()
+    with pytest.raises(ConditioningError, match=rf"^V\[4\] is {why}$"):
+        kalman_forward(sys, CovarianceProfile(X0=eye, W=W, V=V))
+    assert kernel_calls.names() == ["cholesky"]
+    # Sigma_pred[3] = Sigma_filt[2] - 10 I makes E_3 about -8.4 I, and the
+    # update I + Sigma_pred[3] J = E_3 is nonsingular, so the loop runs on
+    W[2] = -10.0 * eye
+    kernel_calls.clear()
+    with pytest.raises(ConditioningError,
+                       match=r"^innovation covariance at t=3 is not positive definite$"):
+        kalman_forward(sys, CovarianceProfile(X0=eye, W=W, V=np.repeat(eye[None], T, 0)))
+    assert len(kernel_calls.of("cholesky")) == 4
+
+
 def test_kalman_exactly_singular_innovation_names_the_step():
     # with C = V = I, Sigma_pred[t] = -I makes I + S J = 0 exactly, so the
     # update's solve fails; the steps before it are checked first

@@ -268,8 +268,7 @@ def test_kernels_raise_linalg_errors_as_numpy_does():
     indefinite = np.array([[[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]]])
     for kernel, reference, a in ((lambda a: _solve(a, np.ones((2, 2, 1))),
                                   lambda a: np.linalg.solve(a, np.ones((2, 2, 1))), singular),
-                                 (_inv, np.linalg.inv, singular),
-                                 (_cholesky, np.linalg.cholesky, indefinite)):
+                                 (_inv, np.linalg.inv, singular)):
         for x in (a, a[0]):
             with pytest.raises(np.linalg.LinAlgError) as want:
                 reference(x)
@@ -279,3 +278,23 @@ def test_kernels_raise_linalg_errors_as_numpy_does():
     assert not _cholesky_certifies(indefinite)
     assert not _cholesky_certifies(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     assert not _cholesky_certifies(np.full((3, 2, 2), np.nan))
+
+
+@pytest.mark.filterwarnings("error")
+def test_cholesky_returns_nan_for_exactly_the_blocks_numpy_rejects():
+    # _cholesky raises nothing: a block np.linalg.cholesky rejects comes back
+    # all nan, every other block is numpy's factor bit for bit
+    indefinite = np.array([[[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    stacks = [indefinite] + [np.concatenate((pd, sym)) for pd, sym, _, _ in _kernel_cases()]
+    rejected = 0
+    for stack in stacks:
+        got = _cholesky(stack)
+        for a, factor in zip(stack, got):
+            try:
+                want = np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                rejected += 1
+                assert np.isnan(factor).all() and np.isnan(_cholesky(a)).all()
+            else:
+                assert _same(factor, want) and _same(_cholesky(a), want)
+    assert rejected > len(stacks)  # most random symmetric blocks are indefinite

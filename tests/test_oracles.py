@@ -15,7 +15,13 @@ from robustlqg.divergences import (
     kl_t_divergence,
     membership,
 )
-from robustlqg.errors import InvalidInputError, OracleError, UnsupportedDivergenceError
+from robustlqg import oracles
+from robustlqg.errors import (
+    ConditioningError,
+    InvalidInputError,
+    OracleError,
+    UnsupportedDivergenceError,
+)
 from robustlqg.matops import symmetrize
 from robustlqg.oracles import (
     fisher_oracle,
@@ -115,6 +121,15 @@ def test_zero_radius_returns_nominal(kind):
         np.testing.assert_array_equal(res.sigma_star, nominal)
         assert res.active and res.steps == 0 and math.isnan(res.dual_gamma)
         assert res.dual_bound == pytest.approx(bound)
+
+
+def test_a_kl_nominal_factor_that_is_not_finite_raises(monkeypatch):
+    # _cholesky raises nothing, so a KL factor the ball's pd check passed but
+    # LAPACK could not form would come back nan; planning then fails loudly
+    ball = AmbiguityBall(DivergenceKind.KULLBACK_LEIBLER, MomentPair.zero_mean(np.eye(2)), 0.1)
+    monkeypatch.setattr(oracles, "_cholesky", lambda a: np.full_like(a, np.nan))
+    with pytest.raises(ConditioningError, match="KL nominal covariance has no finite Cholesky"):
+        oracle_pass([ball], [np.eye(2)], [np.eye(2)])
 
 
 def test_wasserstein_decomposes_only_the_blocks_with_a_radius(kernel_calls):
