@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericError
 from .matops import (
-    _check_finite, _check_square, _cholesky_certifies, _eigvalsh, _float_array, _fro, _inv,
-    _is_number, _slogdet, sym_sqrt, symmetrize,
+    _check_finite, _check_square, _first_below, _float_array, _fro, _inv, _is_number, _slogdet,
+    sym_sqrt, symmetrize,
 )
 
 INFEASIBLE = float("inf")
@@ -106,38 +106,29 @@ def _logdet_pd(S: np.ndarray, what: str) -> float:
 
 
 def _pair_violation(cov: np.ndarray, M: np.ndarray) -> Optional[tuple[int, str]]:
-    """The first block of (k, d, d) stacks cov = M - mu mu^T, M symmetric,
-    that breaks the moment-pair rule lam_min(cov) >= -1e-10 (1 + ||M||_F),
-    as (index, the message MomentPair raises for it), or None. One shifted
-    batched Cholesky certifies the rule for the whole stack; only where it
-    fails do the eigenvalues run, and they alone decide."""
-    tol = _VALID_PAIR_TOL * (1.0 + np.sqrt((M * M).sum(axis=(1, 2))))
-    if _cholesky_certifies(cov, tol):
+    """The first block of (k, d, d) stacks cov = M - mu mu^T, both exactly
+    symmetric, that breaks the moment-pair rule
+    lam_min(cov) >= -1e-10 (1 + ||M||_F), as (index, the message MomentPair
+    raises for it), or None. matops._first_below decides the rule."""
+    bad = _first_below(cov, -_VALID_PAIR_TOL * (1.0 + np.sqrt((M * M).sum(axis=(1, 2)))))
+    if bad is None:
         return None
-    lam = _eigvalsh(cov)[:, 0]
-    bad = np.flatnonzero(lam < -tol)
-    if not bad.size:
-        return None
-    i = int(bad[0])
-    return i, f"invalid moment pair: M - mu mu^T has eigenvalue {lam[i]:.3e}"
+    i, lam = bad
+    return i, f"invalid moment pair: M - mu mu^T has eigenvalue {lam:.3e}"
 
 
 def _pd_violation(S: np.ndarray) -> Optional[int]:
-    """The index of the first block of a (k, d, d) stack that breaks the pd
-    floor lam_min(S) > 1e-12 ||S||_F, or None. The floor is relative, so the
-    rule does not depend on the scale of S, and an exact zero is not pd. One
-    shifted batched Cholesky certifies the rule for the whole stack; only
-    where it fails do the eigenvalues run, and they alone decide."""
-    S = symmetrize(S)
-    tol = 1e-12 * np.sqrt((S * S).sum(axis=(1, 2)))
-    if _cholesky_certifies(S, -tol):
-        return None
-    bad = np.flatnonzero(~(_eigvalsh(S)[:, 0] > tol))
-    return int(bad[0]) if bad.size else None
+    """The index of the first block of an exactly symmetric (k, d, d) stack,
+    a MomentPair covariance or the nominals _zero_mean_balls symmetrized,
+    that breaks the pd floor lam_min(S) > 1e-12 ||S||_F, or None. The floor
+    is relative, so the rule does not depend on the scale of S, and an exact
+    zero is not pd. matops._first_below decides the rule."""
+    bad = _first_below(S, 1e-12 * np.sqrt((S * S).sum(axis=(1, 2))), strict=True)
+    return None if bad is None else bad[0]
 
 
 def _is_pd(S: np.ndarray) -> bool:
-    """Whether a matrix passes the pd floor of _pd_violation."""
+    """Whether a MomentPair covariance passes the pd floor of _pd_violation."""
     return _pd_violation(S[None]) is None
 
 
@@ -193,7 +184,7 @@ def _entropic_x(Sa: np.ndarray, Sb: np.ndarray, eps: float) -> np.ndarray:
     d = Sa.shape[0]
     root_b = sym_sqrt(Sb)
     inner = root_b @ Sa @ root_b + (eps / 4.0) ** 2 * np.eye(d)
-    if _eigvalsh(symmetrize(inner)).min() < 0.0:
+    if _first_below(symmetrize(inner)[None], 0.0) is not None:
         raise NumericError("entropic-OT inner radicand lost positivity")
     return sym_sqrt(inner) - (eps / 4.0) * np.eye(d)
 
@@ -444,9 +435,11 @@ def _zero_mean_balls(kind: DivergenceKind, blocks: np.ndarray, radius: float,
 
 
 def membership(ball: AmbiguityBall, candidate: MomentPair, tol: float = 1e-9) -> bool:
-    """True iff divergence(N(candidate), nominal) <= rho + tol."""
+    """True iff divergence(N(candidate), nominal) <= rho + tol, for a finite tol."""
     if not (isinstance(ball, AmbiguityBall) and isinstance(candidate, MomentPair)):
         raise InvalidInputError("membership takes an AmbiguityBall and a MomentPair")
+    if not _is_number(tol):
+        raise InvalidInputError(f"membership tolerance must be a finite number, got {tol!r}")
     if candidate.dim != ball.nominal.dim:
         raise InvalidInputError("candidate dimension mismatch")
     return ball.divergence(candidate) <= ball.radius + tol

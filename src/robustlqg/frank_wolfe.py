@@ -358,7 +358,8 @@ def solve(
     """Run Frank-Wolfe on the finite-horizon LQG value; returns (worst-case
     profile, trace). The profile is the returned iterate, at
     trace.objective and certified to trace.gap; trace.stop says which
-    certificate stopped the loop (maximize). The ball profile's horizon (the
+    certificate stopped the loop (maximize). sys must be a SystemInstance,
+    balls a BallProfile and cfg an FwConfig. The ball profile's horizon (the
     number of w and of v balls) and block sizes are checked against sys,
     then the balls are planned
     (_profile_plan), so a mismatched profile or a ball the oracles reject
@@ -369,6 +370,7 @@ def solve(
     formula, and its grad() the adjoint sweep of that forward sweep
     (gradient._adjoint); an accepted line-search trial's evaluation serves
     the next iteration, so each iterate's forward sweep runs once."""
+    lqg._check_system(sys)
     if not isinstance(balls, BallProfile):
         raise InvalidInputError(f"balls must be a BallProfile, got {type(balls).__name__} "
                                 "(NominalModel.ball_profile builds one)")

@@ -40,7 +40,12 @@ def _random_covariances(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_covariance(d: int, rng: np.random.Generator):
-    """U diag(lam) U^T with lam uniform on [1, 2] and U a sign-fixed QR factor."""
+    """U diag(lam) U^T with lam uniform on [1, 2] and U a sign-fixed QR factor,
+    for an integer d >= 1, drawn from the numpy Generator rng."""
+    if not (_is_number(d, integer=True) and d >= 1):
+        raise InvalidInputError(f"d must be an integer >= 1, got {d!r}")
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidInputError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     return _random_covariances(d, 1, rng)[0]
 
 

@@ -13,7 +13,7 @@ J_t = C_t^T V_t^{-1} C_t formed once for all t, and the prediction from it.
 The symmetrization, the checks and the gains (a product) follow in batched
 (T, d, d) calls after the loop, and the cost is two elementwise sums. A psd
 or pd check is one batched Cholesky that certifies the rule; eigenvalues
-are computed only where it fails, and then they decide.
+are computed only where it fails, and then they decide (matops._first_below).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConditioningError, InvalidInputError
 from .matops import (
-    _check_finite, _check_square, _cholesky, _cholesky_certifies, _eigvalsh, _float_array,
+    _check_finite, _check_square, _cholesky, _cholesky_certifies, _first_below, _float_array,
     _is_number, _solve, symmetrize,
 )
 
@@ -71,15 +71,12 @@ class SystemInstance:
             raise InvalidInputError("C dimensions inconsistent")
         if self.Q.shape[1:] != (n, n) or self.R.shape[1:] != (m, m):
             raise InvalidInputError("Q/R dimensions inconsistent")
-        # lam_min(Q[t]) >= -1e-10 and lam_min(R[t]) >= 1e-10, one Cholesky per
-        # stack; the eigenvalues name the first failing t
-        for name, M, tol, what in (("Q", self.Q, -_PD_TOL, "psd"),
-                                   ("R", self.R, _PD_TOL, "positive definite")):
-            M = symmetrize(M)
-            if not _cholesky_certifies(M, -tol):
-                bad = np.flatnonzero(_eigvalsh(M)[:, 0] < tol)
-                if bad.size:
-                    raise InvalidInputError(f"{name}[{bad[0]}] is not {what}")
+        # lam_min(Q[t]) >= -1e-10 and lam_min(R[t]) >= 1e-10; the error names the first failing t
+        for name, M, floor, what in (("Q", self.Q, -_PD_TOL, "psd"),
+                                     ("R", self.R, _PD_TOL, "positive definite")):
+            bad = _first_below(symmetrize(M), floor)
+            if bad is not None:
+                raise InvalidInputError(f"{name}[{bad[0]}] is not {what}")
 
     @property
     def n(self) -> int:
@@ -179,6 +176,12 @@ class LqgSolution:
     cost: float
 
 
+def _check_system(sys) -> None:
+    """Raise InvalidInputError unless sys is a SystemInstance."""
+    if not isinstance(sys, SystemInstance):
+        raise InvalidInputError(f"sys must be a SystemInstance, got {type(sys).__name__}")
+
+
 def _riccati_step(P, A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
     """One Riccati update, shared by riccati_backward and stationary.solve_dare,
     which reads the gain and the residual of its doubling solution from it:
@@ -212,6 +215,7 @@ def riccati_backward(sys: SystemInstance) -> tuple[np.ndarray, np.ndarray]:
     four batched comparisons, so a sweep that never reaches one pays nothing
     more.
     """
+    _check_system(sys)
     T, n, m = sys.T, sys.n, sys.m
     A, B, Q, R = sys.A, sys.B, sys.Q, sys.R
     P = np.empty((T + 1, n, n))
@@ -259,8 +263,8 @@ def _check_updates(C, V, S, filt) -> None:
     """Check the measurement updates of the first k steps, batched, from their
     predicted and filtered covariances S and filt (k, n, n): E = C S C^T + V
     must be pd, and each filt finite and psd within -1e-8 (1 + ||S||_F).
-    One batched Cholesky certifies every filt pd; only where it fails are
-    the smallest eigenvalues computed, and they alone decide. Raises the
+    One unshifted batched Cholesky certifies every filt pd; only where it
+    fails does matops._first_below check the psd rule. Raises the
     first failure in time order: a non-pd E or a lost psd at an earlier
     step comes first."""
     if not len(S):
@@ -271,11 +275,10 @@ def _check_updates(C, V, S, filt) -> None:
         _check_updates(C[:t], V[:t], S[:t], filt[:t])  # raises an earlier failure
         raise ConditioningError(f"innovation covariance at t={t} is {why}")
     _check_finite(filt, "filter covariance")
-    if _cholesky_certifies(filt):
+    if _cholesky_certifies(filt):  # pre-certificate: the pass path forms no per-block floor
         return
-    lam_min = _eigvalsh(filt)[:, 0]
-    lost = np.flatnonzero(lam_min < -1e-8 * (1.0 + np.sqrt((S * S).sum(axis=(1, 2)))))
-    if lost.size:
+    lost = _first_below(filt, -1e-8 * (1.0 + np.sqrt((S * S).sum(axis=(1, 2)))))
+    if lost is not None:
         raise ConditioningError(f"filter covariance lost psd at t={lost[0]}")
 
 
@@ -298,6 +301,7 @@ def kalman_forward(
     the first singular V[t], non-pd innovation covariance or loss of filter
     psd.
     """
+    _check_system(sys)
     if not isinstance(cov, CovarianceProfile):
         raise InvalidInputError(f"cov must be a CovarianceProfile, got {type(cov).__name__}")
     T, n, p = sys.T, sys.n, sys.p

@@ -18,7 +18,11 @@ norm sqrt(<x, x>), equal to np.linalg.norm(x, "fro") on C-contiguous input.
 Every solve, factorization and Frobenius norm of the solve path goes
 through them; numpy.linalg stays for eigvals, cond and qr, which the solve
 path calls only to decide or report a failure, and for the verification
-module stacked.
+module stacked. _first_below is the psd and pd floor check,
+lam_min >= floor or lam_min > floor for a stack, of every caller but
+oracles' gradient check, whose floor scales with max |eig|: a shifted
+batched Cholesky certifies it (_cholesky_certifies), and only where that
+fails do eigenvalues decide.
 """
 
 from __future__ import annotations
@@ -147,6 +151,23 @@ def _cholesky_certifies(S: np.ndarray, shift=None) -> bool:
     if shift is not None:
         S = S + np.asarray(shift)[..., None, None] * np.eye(S.shape[-1])
     return bool(np.isfinite(np.diagonal(_cholesky(S), axis1=-2, axis2=-1)).all())
+
+
+def _first_below(S: np.ndarray, floor, strict: bool = False) -> tuple[int, float] | None:
+    """The first block of a symmetric (k, d, d) stack S that breaks the rule
+    lam_min >= floor (lam_min > floor if strict), for a scalar floor or one
+    per block, as (index, its lam_min); None if no block breaks it. One
+    batched Cholesky of S - floor I certifies the rule for the whole stack
+    (_cholesky_certifies); only where it fails are the eigenvalues
+    computed, and they alone decide. A nan eigenvalue breaks every rule
+    (the callers' stacks are finite; on a nan block of size 3 or more,
+    _eigvalsh raises LinAlgError as numpy does)."""
+    if _cholesky_certifies(S, -floor):
+        return None
+    lam = _eigvalsh(S)[:, 0]
+    ok = lam > floor if strict else lam >= floor
+    i = int(ok.argmin())  # the first block that breaks the rule, or 0 if none does
+    return None if ok[i] else (i, float(lam[i]))
 
 
 def sym_sqrt(S: np.ndarray, *, scale: float | None = None) -> np.ndarray:

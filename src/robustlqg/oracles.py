@@ -98,8 +98,8 @@ import numpy as np
 from .divergences import AmbiguityBall, DivergenceKind, MomentPair, membership
 from .errors import ConditioningError, InvalidInputError, OracleError, UnsupportedDivergenceError
 from .matops import (
-    _check_finite, _check_square, _cholesky, _cholesky_certifies, _eigh, _eigvalsh, _is_number,
-    symmetrize,
+    _check_finite, _check_square, _cholesky, _cholesky_certifies, _eigh, _eigvalsh, _first_below,
+    _is_number, symmetrize,
 )
 
 _GRAD_CLAMP = 1e-8
@@ -155,6 +155,7 @@ def _check_gradients(G: np.ndarray) -> np.ndarray:
     """
     G = symmetrize(G)
     diag = np.diagonal(G, axis1=1, axis2=2)
+    # not matops._first_below: the rule's floor scales with max |eig|, which only eigenvalues give
     if _cholesky_certifies(G, _GRAD_CLAMP * (1.0 + np.abs(diag).max(axis=1))):
         return G
     vals = _eigvalsh(G)
@@ -742,15 +743,17 @@ def oracle_pass(
 ) -> list[OracleResult]:
     """Linearization oracle of every block, in block order.
 
-    Block z maximizes <grads[z], Sigma - refs[z]> over balls[z]. Every gradient
+    Block z maximizes <grads[z], Sigma - refs[z]> over balls[z], for
+    sequences balls, grads and refs of one length. Every gradient
     and reference is checked here (shape, finiteness). Built-in kinds are
     solved group by group on stacked arrays; a custom ball calls its
     handle's linearization. A solve plans the pass once (_plan) and runs
     the plan (_run) at every iteration on its own stacks; this plans and
     runs it once, each block a stack of one.
     """
-    if not len(grads) == len(refs) == len(balls):
-        raise InvalidInputError("oracle_pass needs one gradient and reference per ball")
+    if not (isinstance(balls, Sequence) and len(grads) == len(refs) == len(balls)):
+        raise InvalidInputError("oracle_pass needs a sequence of balls and one gradient and "
+                                "reference per ball")
     plan = _plan(balls, [1] * len(balls))
     dims = [ball.nominal.dim for ball in balls]
     G = [_stack([M], d, "gradient") for M, d in zip(grads, dims)]
@@ -834,9 +837,8 @@ def solve_oracle(
     if not _is_number(lam_floor) or lam_floor < 0.0:
         raise InvalidInputError(f"lam_floor must be a finite number >= 0, got {lam_floor!r}")
     res = oracle_pass([ball], [Gamma], [sigma_ref])[0]
-    S = res.sigma_star
-    if ball.kind is DivergenceKind.WASSERSTEIN2 and res.steps and lam_floor > 0.0 and not (
-        _cholesky_certifies(S, 1e-10 - lam_floor) or _eigvalsh(S)[0] >= lam_floor - 1e-10
+    if ball.kind is DivergenceKind.WASSERSTEIN2 and res.steps and lam_floor > 0.0 and (
+        _first_below(res.sigma_star[None], lam_floor - 1e-10) is not None
     ):
         raise OracleError("wasserstein oracle output violates its eigenvalue floor")
     return res

@@ -25,8 +25,8 @@ from .errors import ConditioningError, InvalidInputError, StabilizabilityError
 from .frank_wolfe import FwConfig, FwTrace, maximize
 from .lqg import _riccati_step
 from .matops import (
-    _check_finite, _check_square, _cholesky_certifies, _eigvalsh, _float_array, _fro, _solve,
-    _unstable_radius, solve_discrete_lyapunov, symmetrize,
+    _check_finite, _check_square, _first_below, _float_array, _fro, _solve, _unstable_radius,
+    solve_discrete_lyapunov, symmetrize,
 )
 from .oracles import _plan
 from .oracles import solve_oracle  # noqa: F401  unused; bench/tracer.py wraps this binding
@@ -58,8 +58,7 @@ class StationarySystem:
         if self.Q.shape != (n, n) or self.R.shape != (self.m, self.m):
             raise InvalidInputError(f"Q must be ({n}, {n}) and R ({self.m}, {self.m})")
         for name in ("Q", "R"):
-            M = symmetrize(getattr(self, name))
-            if not _cholesky_certifies(M) and _eigvalsh(M).min() <= 0.0:
+            if _first_below(symmetrize(getattr(self, name))[None], 0.0, strict=True) is not None:
                 raise InvalidInputError(f"{name} must be positive definite")
 
     @property
@@ -153,7 +152,9 @@ def solve_dare(ss: StationarySystem) -> tuple[np.ndarray, np.ndarray]:
 
     P is the doubling solution (_doubling). One lqg._riccati_step at P gives
     both K and the residual, and P is accepted when that residual is at most
-    1e-8 relative (_accept)."""
+    1e-8 relative (_accept). ss must be a StationarySystem."""
+    if not isinstance(ss, StationarySystem):
+        raise InvalidInputError(f"ss must be a StationarySystem, got {type(ss).__name__}")
     P = _doubling(ss.A, ss.B, ss.Q, ss.R, "(A, B) looks unstabilizable")
     P_next, K = _riccati_step(P, ss.A, ss.B, ss.Q, ss.R)
     _accept("control ARE", P, P_next - P, ss.A + ss.B @ K, "(A, B) looks unstabilizable")
@@ -163,14 +164,16 @@ def solve_dare(ss: StationarySystem) -> tuple[np.ndarray, np.ndarray]:
 def _noise_pair(ss: StationarySystem, Sigma_w, Sigma_v) -> tuple[np.ndarray, np.ndarray]:
     """The stationary noise covariances as checked float arrays: square and
     finite (InvalidInputError naming each), of shapes (n, n) and (p, p), and
-    positive definite, symmetrized. A Cholesky certifies lam_min > 0; where
-    it fails, the eigenvalues decide."""
+    positive definite (lam_min > 0, matops._first_below), symmetrized. ss
+    must be a StationarySystem."""
+    if not isinstance(ss, StationarySystem):
+        raise InvalidInputError(f"ss must be a StationarySystem, got {type(ss).__name__}")
     Sigma_w = symmetrize(_check_square(Sigma_w, "Sigma_w"))
     Sigma_v = symmetrize(_check_square(Sigma_v, "Sigma_v"))
     if Sigma_w.shape != (ss.n, ss.n) or Sigma_v.shape != (ss.p, ss.p):
         raise InvalidInputError(f"Sigma_w must be ({ss.n}, {ss.n}) and Sigma_v ({ss.p}, {ss.p})")
     for M in (Sigma_w, Sigma_v):
-        if not _cholesky_certifies(M) and _eigvalsh(M).min() <= 0.0:
+        if _first_below(M[None], 0.0, strict=True) is not None:
             raise InvalidInputError("stationary noise covariances must be positive definite")
     return Sigma_w, Sigma_v
 

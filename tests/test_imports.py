@@ -3,7 +3,10 @@ imports inside a function, and no private top-level function or class goes
 unread. No module imports threading, and no module keeps a mutable table:
 every module-level name bound to a dict, list or set display is an
 upper-case constant. stationary.py calls neither spectral_radius nor
-eigvals: its stability checks go through matops._unstable_radius. Only
+eigvals: its stability checks go through matops._unstable_radius. Psd and
+pd floor checks go through matops._first_below: outside matops, only
+lqg._check_updates and oracles._check_gradients call _cholesky_certifies,
+and only oracles calls _eigvalsh. Only
 matops calls LAPACK through numpy.linalg._umath_linalg, and no module but
 matops and stacked calls numpy.linalg's solve, inv, cholesky, eigh,
 eigvalsh or slogdet. Every absolute import comes from the stdlib, numpy or
@@ -334,6 +337,55 @@ def test_checker_flags_direct_eigenvalue_calls():
         "def g(F):\n    return np.linalg.eigvals(F), np.linalg.eigvalsh(F + F.T)\n"
     )
     assert eigenvalue_calls(source) == ["spectral_radius (line 5)", "eigvals (line 8)"]
+
+
+# every psd and pd floor check goes through matops._first_below, which alone
+# pairs the Cholesky certificate with the eigenvalue rule; outside matops,
+# only two call the certificate themselves (the Kalman sweep's unshifted
+# pre-certificate and the gradients' check, whose floor scales with
+# max |eig|), and only oracles reads eigenvalues through _eigvalsh (the
+# gradients' check and the Fisher bracket, which reads them as values)
+def kernel_callers(source: str, kernel: str) -> list[str]:
+    """The functions of source that call kernel, bare or as an attribute,
+    each named by its innermost enclosing def ("<module>" outside any), in
+    source order and once each."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and owner not in found and kernel == getattr(
+                    child.func, "id", getattr(child.func, "attr", None)):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_psd_floor_checks_go_through_first_below():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES
+               if path.name != "matops.py"}
+    callers = {kernel: sorted(f"{module}.{name}" for module, source in sources.items()
+                              for name in kernel_callers(source, kernel))
+               for kernel in ("_cholesky_certifies", "_eigvalsh")}
+    assert callers == {"_cholesky_certifies": ["lqg._check_updates", "oracles._check_gradients"],
+                       "_eigvalsh": ["oracles._check_gradients", "oracles._fisher"]}
+
+
+def test_checker_flags_planted_certificate_and_eigenvalue_calls():
+    source = (
+        "from . import matops\nfrom .matops import _cholesky_certifies, _eigvalsh\n\n"
+        "OK = _cholesky_certifies(I)\n\n"
+        "def f(S):\n"
+        "    def g(S):\n        return matops._eigvalsh(S)\n"
+        "    return _cholesky_certifies(S) or _cholesky_certifies(S, 1.0) or g(S)\n\n"
+        "class C:\n    def m(self, S):\n        return _eigvalsh(S)[:, 0]\n"
+    )
+    assert kernel_callers(source, "_cholesky_certifies") == ["<module>", "f"]
+    assert kernel_callers(source, "_eigvalsh") == ["g", "m"]
 
 
 # every solve, factorization and eigendecomposition of the solve path goes

@@ -22,7 +22,7 @@ from robustlqg.errors import ConditioningError, InvalidInputError
 from robustlqg.experiments import policy_worst_case_cost
 from robustlqg.frank_wolfe import BallProfile, FwConfig, solve
 from robustlqg.gradient import GradientProfile, lqg_gradient
-from robustlqg.instances import generate_instance, instance_rng
+from robustlqg.instances import generate_instance, instance_rng, random_covariance
 from robustlqg.lqg import CovarianceProfile, SystemInstance, kalman_forward, lqg_value
 from robustlqg.matops import solve_discrete_lyapunov, spectral_radius, sym_sqrt
 from robustlqg.oracles import (
@@ -308,6 +308,49 @@ MALFORMED_CALLS = {
 def test_public_calls_reject_malformed_arguments(entry):
     with pytest.raises(InvalidInputError):
         MALFORMED_CALLS[entry]()
+
+
+# each of these used to raise a bare AttributeError: nothing checked that the
+# system argument is a SystemInstance or a StationarySystem
+WRONG_SYSTEMS = {
+    "riccati_backward": lambda cov, balls: lqg.riccati_backward(None),
+    "kalman_forward": lambda cov, balls: kalman_forward(None, cov),
+    "lqg_value": lambda cov, balls: lqg_value(None, cov),
+    "lqg_gradient": lambda cov, balls: lqg_gradient(None, cov),
+    "solve": lambda cov, balls: solve(None, balls),
+    "solve_dare": lambda cov, balls: solve_dare(None),
+    "stationary_cost": lambda cov, balls: stationary.stationary_cost(None, I2, I2),
+    "stationary_gradient": lambda cov, balls: stationary.stationary_gradient(None, I2, I2),
+    "solve_filter_are": lambda cov, balls: solve_filter_are(None, I2, I2),
+    "solve_stationary_fw": lambda cov, balls: solve_stationary_fw(None, _w2_ball(), _w2_ball()),
+}
+
+
+@pytest.mark.parametrize("entry", WRONG_SYSTEMS)
+def test_calls_reject_a_system_of_the_wrong_type(entry):
+    _, model, balls = _finite_horizon()
+    with pytest.raises(InvalidInputError,
+                       match=r"must be a (SystemInstance|StationarySystem), got NoneType"):
+        WRONG_SYSTEMS[entry](model.nominal_profile(), balls)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: membership(_w2_ball(), MomentPair.zero_mean(I2), tol="x"),
+     "membership tolerance must be a finite number"),
+    (lambda: membership(_w2_ball(), MomentPair.zero_mean(I2), tol=np.nan),
+     "membership tolerance must be a finite number"),
+    (lambda: random_covariance(2.5, instance_rng(0)), "d must be an integer >= 1"),
+    (lambda: random_covariance(0, instance_rng(0)), "d must be an integer >= 1"),
+    (lambda: random_covariance(2, None), "rng must be a numpy Generator"),
+    (lambda: oracle_pass(_w2_ball(), [I2], [I2]), "oracle_pass needs a sequence of balls"),
+], ids=["membership.tol_string", "membership.tol_nan", "random_covariance.d_float",
+        "random_covariance.d_zero", "random_covariance.rng_none", "oracle_pass.bare_ball"])
+def test_calls_reject_malformed_scalars_and_containers(call, message):
+    # tol "x" and d 2.5 raised a bare TypeError, rng None and a bare ball a
+    # bare AttributeError or TypeError; tol nan returned False, and d 0 an
+    # empty 0 x 0 covariance
+    with pytest.raises(InvalidInputError, match=message):
+        call()
 
 
 def _overflowing(call):

@@ -1,7 +1,9 @@
 """The psd and pd checks that one batched Cholesky certifies are never looser
 than their eigenvalue rules: a block inside a rule's tolerance passes, with
 no eigenvalues computed where the Cholesky certifies it, and a block outside
-fails through the eigenvalues with the rule's own message."""
+fails through the eigenvalues with the rule's own message. matops._first_below,
+which makes every such check but the gradients', gives what the plain
+eigenvalue rule gives."""
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from robustlqg.errors import InvalidInputError, OracleError
 from robustlqg.frank_wolfe import NominalModel
 from robustlqg.instances import generate_instance
 from robustlqg.lqg import SystemInstance
-from robustlqg.matops import _cholesky_certifies
+from robustlqg.matops import _cholesky_certifies, _first_below, symmetrize
 from robustlqg.oracles import _check_gradients, oracle_pass, solve_oracle
 
 from conftest import rand_spd
@@ -31,6 +33,62 @@ def test_cholesky_certifies_only_a_shifted_pd_stack():
     assert not _cholesky_certifies(np.array([[np.nan]]))
     assert not _cholesky_certifies(np.array([[1.0, np.nan], [np.nan, 1.0]]))
     assert not _cholesky_certifies(np.array([[np.inf]]))
+
+
+def _eigenvalue_rule(S, floor, strict):
+    """The first block of S breaking lam_min >= floor (> if strict) and its
+    lam_min, from numpy's eigenvalues of every block; None if none does."""
+    lam = np.linalg.eigvalsh(S)[:, 0]
+    bad = np.flatnonzero(~(lam > floor if strict else lam >= floor))
+    return (int(bad[0]), float(lam[bad[0]])) if bad.size else None
+
+
+def _with_lam_min(rng, d, lam_min):
+    """A random symmetric d x d block with smallest eigenvalue lam_min and the
+    others uniform on [1, 2]."""
+    Qm, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return symmetrize((Qm * np.append(lam_min, rng.uniform(1.0, 2.0, d - 1))) @ Qm.T)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["closed", "strict"])
+@pytest.mark.parametrize("per_block", [False, True], ids=["scalar", "per_block"])
+def test_first_below_matches_the_eigenvalue_rule(kernel_calls, strict, per_block):
+    # 120 stacks of d = 1..8 and 1..30 blocks. Each block's lam_min lies at
+    # floor +- u |floor| (u uniform on [0.1, 1], so within 2x of the floor on
+    # either side; 1e-6 in place of |floor| for a zero floor), and breaks the
+    # rule with probability 0, 0.1 or 0.5 per stack. Some blocks sit exactly
+    # on the floor (diagonal), and some stacks of d <= 2 hold a nan block,
+    # whose nan eigenvalues break every rule (from d = 3 on, LAPACK raises
+    # LinAlgError on a nan block, for numpy as for _first_below)
+    rng = np.random.default_rng(40)
+    seen = dict.fromkeys(["passed", "several_bad", "on_floor", "nan"], 0)
+    choices = np.array([1e-3, -1e-3, 1e-8, -1e-8, 0.0])
+    for _ in range(120):
+        nan = rng.random() < 0.2
+        d, k = int(rng.integers(1, 3 if nan else 9)), int(rng.integers(1, 31))
+        floor = rng.choice(choices, k) if per_block else rng.choice(choices)
+        floors = np.broadcast_to(floor, k)
+        below = rng.random(k) < rng.choice([0.0, 0.1, 0.5])
+        u = rng.uniform(0.1, 1.0, k)
+        lam_min = floors + np.where(below, -u, u) * np.where(floors == 0.0, 1e-6, abs(floors))
+        S = np.stack([_with_lam_min(rng, d, lam) for lam in lam_min])
+        on_floor = rng.random() < 0.2
+        if on_floor:
+            i = int(rng.integers(k))
+            S[i] = np.diag(np.append(floors[i], rng.uniform(1.0, 2.0, d - 1)))
+        if nan:
+            S[int(rng.integers(k))] = np.nan
+        want = _eigenvalue_rule(S, floor, strict)
+        kernel_calls.clear()
+        assert repr(_first_below(S, floor, strict)) == repr(want)
+        assert len(kernel_calls.of("cholesky")) == 1 and len(kernel_calls.of("eigvalsh")) <= 1
+        if want is None and not on_floor:
+            assert kernel_calls.of("eigvalsh") == []
+            seen["passed"] += 1
+        seen["several_bad"] += int(np.count_nonzero(below) > 1)
+        seen["on_floor"] += int(on_floor)
+        seen["nan"] += int(want is not None and np.isnan(want[1]))
+    assert min(seen.values()) >= 5, seen
 
 
 @pytest.mark.parametrize("kind", [KL, FISHER, W2], ids=["kl", "fisher", "w2"])
